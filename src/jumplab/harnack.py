@@ -78,41 +78,40 @@ class HarnackReport:
                 "metadata": self.metadata}
 
 
-class _BoxStats:
-    """Running sup over Q- and inf over Q+ for a batch of generator columns,
-    with first-attained (time-then-lexicographic) witnesses."""
-
-    def __init__(self, n_cols: int):
-        self.max_minus = np.zeros(n_cols)
-        self.min_plus = np.full(n_cols, np.inf)
-        self.wit_minus = np.full((n_cols, 2), -1, dtype=np.int64)  # (step, half-slot)
-        self.wit_plus = np.full((n_cols, 2), -1, dtype=np.int64)
-
-    def see_minus(self, step: int, vals_half: np.ndarray):
-        colmax = vals_half.max(axis=0)
-        rows = vals_half.argmax(axis=0)
-        upd = colmax > self.max_minus
-        self.max_minus[upd] = colmax[upd]
-        self.wit_minus[upd, 0] = step
-        self.wit_minus[upd, 1] = rows[upd]
-
-    def see_plus(self, step: int, vals_half: np.ndarray):
-        colmin = vals_half.min(axis=0)
-        rows = vals_half.argmin(axis=0)
-        upd = colmin < self.min_plus
-        self.min_plus[upd] = colmin[upd]
-        self.wit_plus[upd, 0] = step
-        self.wit_plus[upd, 1] = rows[upd]
-
-
 def _half_ball_slots(fm: FiniteModel, x0, R) -> list[int]:
     return [i for i, v in enumerate(fm.window)
             if fm.model.distance(x0, v) <= R / 2]
 
 
+def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
+    """Reduce the fields E^a W, a = 0..m-1, over the half ball once per age.
+
+    Returns four (m, columns) arrays: the column max and the first half-ball
+    slot attaining it, then the column min and the first slot attaining it.
+    """
+    shape = (m, W.shape[1])
+    hi, lo = np.empty(shape), np.empty(shape)
+    hi_row = np.empty(shape, dtype=np.int64)
+    lo_row = np.empty(shape, dtype=np.int64)
+    for age in range(m):
+        vals = W[half]
+        hi[age], hi_row[age] = vals.max(axis=0), vals.argmax(axis=0)
+        lo[age], lo_row[age] = vals.min(axis=0), vals.argmin(axis=0)
+        if age < m - 1:
+            W = E @ W
+    return hi, hi_row, lo, lo_row
+
+
 def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
-    """Stream all cone generators through the box and return per-generator
-    (sup Q-, inf Q+) statistics."""
+    """Stream all cone generators through the box, reducing each age once.
+
+    A source generator launched at step si has value E^(j-si-1) S_aug[:, w]
+    at grid step j > si, so it only ever shows the fields E^a S_aug at ages
+    a = 0..m-1; the initial fields E^j diag(1/mu) are those of a launch at
+    si = 0 from E diag(1/mu).  Returns (init, src, half, ops), where `init`
+    and `src` are the `_age_reductions` of the two families over the half
+    ball; `_collect` folds them per launch step.
+    """
     m = box.m_steps
     dt = box.T / m
     ops = step_operators(fm, dt, tol)
@@ -120,78 +119,73 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     # exterior channels plus the aggregate remainder channel share the scan
     S_aug = np.concatenate([ops.S, ops.s_rem[:, None]], axis=1)
     half = _half_ball_slots(fm, box.x0, box.R)
-    minus = set(box.minus_steps())
-    plus = set(box.plus_steps())
-
-    init_stats = _BoxStats(fm.n)
-    U = np.diag(1.0 / fm.mu)
-    for j in range(1, m + 1):
-        U = E @ U
-        if j in minus:
-            init_stats.see_minus(j, U[half])
-        if j in plus:
-            init_stats.see_plus(j, U[half])
-
-    # source generator launched at step si has value E^(j-si-1) S_aug[:, w]
-    # at grid step j > si; stream by age and fan out to all launch steps
-    n_chan = S_aug.shape[1]
-    src_stats = [_BoxStats(n_chan) for _ in range(m)]
-    W = S_aug.copy()
-    for age in range(m):
-        vals = W[half]
-        for j in minus:
-            si = j - 1 - age
-            if 0 <= si < m:
-                src_stats[si].see_minus(j, vals)
-        for j in plus:
-            si = j - 1 - age
-            if 0 <= si < m:
-                src_stats[si].see_plus(j, vals)
-        if age < m - 1:
-            W = E @ W
-    return init_stats, src_stats, half, ops
+    init = _age_reductions(E @ np.diag(1.0 / fm.mu), E, half, m)
+    src = _age_reductions(S_aug, E, half, m)
+    return init, src, half, ops
 
 
-def _collect(fm: FiniteModel, box: HarnackBox, init_stats, src_stats, half):
-    """Fold the scan statistics into (constant, witness) with deterministic
-    generator ordering: initial fields first (window order), then source
-    impulses by (launch step, channel)."""
+def _fold(red, si: int, minus: range, plus: range):
+    """Ratios sup_{Q-} / inf_{Q+} of the generators launched at step si.
+
+    Grid step j shows age j - 1 - si, so each of Q- and Q+ is one contiguous
+    window of ages, clipped at 0.  argmax/argmin return the first age
+    attaining the extreme, and each age stores the first half-ball slot
+    attaining it, so the witnesses are the first attained in (step, slot)
+    order.  A generator whose sup over Q- is not > 0 gets ratio -inf.
+    Returns None when no step of Q- follows the launch.
+    """
+    hi, hi_row, lo, lo_row = red
+    a0, a1 = max(minus.start - 1 - si, 0), minus.stop - 1 - si
+    if a0 >= a1:
+        return None
+    b0, b1 = max(plus.start - 1 - si, 0), plus.stop - 1 - si
+    cols = np.arange(hi.shape[1])
+    am = a0 + hi[a0:a1].argmax(axis=0)
+    ap = b0 + lo[b0:b1].argmin(axis=0)
+    mm, mp = hi[am, cols], lo[ap, cols]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(mp < FLOOR, np.inf, mm / mp)
+    ratio[~(mm > 0.0)] = -np.inf
+    return ratio, (am + si + 1, hi_row[am, cols]), (ap + si + 1, lo_row[ap, cols])
+
+
+def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
+    """Fold the per-age reductions into (constant, witness).
+
+    For each launch step, `_fold` takes every generator's sup over Q- and inf
+    over Q+ with one argmax and one argmin over a contiguous window of ages.
+    Within a generator the first-attained (step, then half-ball slot)
+    witness wins, and a sup over Q- that is not > 0 disqualifies it.  Across
+    generators the order is initial fields (window order), then source
+    impulses by (launch step, channel), and only a strictly greater ratio
+    replaces the current best.
+    """
+    m = box.m_steps
     channels = list(fm.exterior) + ["remainder"]
-    times = np.linspace(0.0, box.T, box.m_steps + 1)
+    times = np.linspace(0.0, box.T, m + 1)
+    launches = [(("initial",), fm.window, init, 0)]
+    launches += [(("source", si), channels, src, si) for si in range(m)]
 
     best = -math.inf
     best_wit = None
-
-    def witness(gen_id, stats, col):
-        jm, rm = stats.wit_minus[col]
-        jp, rp = stats.wit_plus[col]
-        return {"generator": gen_id,
-                "minus": (float(times[jm]), fm.window[half[rm]]) if jm >= 0 else None,
-                "plus": (float(times[jp]), fm.window[half[rp]]) if jp >= 0 else None}
-
-    def consider(gen_id, stats, col):
-        nonlocal best, best_wit
-        mm = stats.max_minus[col]
-        if mm <= 0.0:
-            return
-        mp = stats.min_plus[col]
-        ratio = math.inf if mp < FLOOR else mm / mp
-        if ratio > best:
-            best = ratio
-            best_wit = witness(gen_id, stats, col)
-
-    for zi, z in enumerate(fm.window):
-        consider(("initial", z), init_stats, zi)
-    for si in range(box.m_steps):
-        for ci, ch in enumerate(channels):
-            consider(("source", si, ch), src_stats[si], ci)
+    for prefix, labels, red, si in launches:
+        folded = _fold(red, si, box.minus_steps(), box.plus_steps())
+        if folded is None:
+            continue
+        ratio, (jm, rm), (jp, rp) = folded
+        c = int(ratio.argmax())
+        if ratio[c] > best:
+            best = ratio[c]
+            best_wit = {"generator": prefix + (labels[c],),
+                        "minus": (float(times[jm[c]]), fm.window[half[rm[c]]]),
+                        "plus": (float(times[jp[c]]), fm.window[half[rp[c]]])}
     return best, best_wit
 
 
 def _phi_once(model: LatticeModel, box: HarnackBox, lam_ext: float, tol: float):
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
-    init_stats, src_stats, half, ops = _scan_generators(fm, box, tol)
-    best, wit = _collect(fm, box, init_stats, src_stats, half)
+    init, src, half, ops = _scan_generators(fm, box, tol)
+    best, wit = _collect(fm, box, init, src, half)
     return fm, max(best, 1.0), wit, ops.err
 
 

@@ -102,33 +102,48 @@ def jsonable(v):
 
 def write_bundle(out_dir: str, config: dict, report: dict,
                  csvs: dict | None = None, meta: dict | None = None):
-    """Atomically write config.resolved, report.json, meta.json, and CSVs."""
-    tmp = out_dir.rstrip("/") + f".tmp-{os.getpid()}"
+    """Atomically write config.resolved, report.json, meta.json, and CSVs.
+
+    The files go to a sibling temp directory.  An existing bundle is renamed
+    aside, the new one renamed into place, and only then is the old one
+    deleted, so a complete bundle exists at every moment.  On failure the
+    temp directory is removed and the old bundle stays in place.
+    """
+    base = out_dir.rstrip("/")
+    tmp = base + f".tmp-{os.getpid()}"
+    old = base + f".old-{os.getpid()}"
     os.makedirs(tmp, exist_ok=True)
-    with open(os.path.join(tmp, "config.resolved"), "w") as f:
-        json.dump(jsonable(config), f, sort_keys=True, indent=2)
-        f.write("\n")
-    with open(os.path.join(tmp, "report.json"), "w") as f:
-        json.dump(jsonable(report), f, sort_keys=True, indent=2)
-        f.write("\n")
-    meta = dict(meta or {})
-    meta["written_at"] = datetime.datetime.now(
-        datetime.timezone.utc).isoformat()
-    with open(os.path.join(tmp, "meta.json"), "w") as f:
-        json.dump(jsonable(meta), f, sort_keys=True, indent=2)
-        f.write("\n")
-    for name, rows in (csvs or {}).items():
-        with open(os.path.join(tmp, name + ".csv"), "w") as f:
-            if rows:
-                keys = list(rows[0].keys())
-                f.write(",".join(keys) + "\n")
-                for r in rows:
-                    f.write(",".join(
-                        repr(r[k]) if isinstance(r[k], float) else str(r[k])
-                        for k in keys) + "\n")
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    os.replace(tmp, out_dir)
+    try:
+        with open(os.path.join(tmp, "config.resolved"), "w") as f:
+            json.dump(jsonable(config), f, sort_keys=True, indent=2)
+            f.write("\n")
+        with open(os.path.join(tmp, "report.json"), "w") as f:
+            json.dump(jsonable(report), f, sort_keys=True, indent=2)
+            f.write("\n")
+        meta = dict(meta or {})
+        meta["written_at"] = datetime.datetime.now(
+            datetime.timezone.utc).isoformat()
+        with open(os.path.join(tmp, "meta.json"), "w") as f:
+            json.dump(jsonable(meta), f, sort_keys=True, indent=2)
+            f.write("\n")
+        for name, rows in (csvs or {}).items():
+            with open(os.path.join(tmp, name + ".csv"), "w") as f:
+                if rows:
+                    keys = list(rows[0].keys())
+                    f.write(",".join(keys) + "\n")
+                    for r in rows:
+                        f.write(",".join(
+                            repr(r[k]) if isinstance(r[k], float) else str(r[k])
+                            for k in keys) + "\n")
+        if os.path.exists(out_dir):
+            os.replace(out_dir, old)
+        os.replace(tmp, out_dir)
+    except BaseException:
+        if os.path.exists(old) and not os.path.exists(out_dir):
+            os.replace(old, out_dir)
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def _warn_alpha(alpha: float):

@@ -9,6 +9,7 @@ certified remainder bound.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -70,8 +71,12 @@ class MuAlternating:
 class MuTable:
     table: tuple  # tuple of (vertex, value) pairs, for explicit graphs
 
+    @functools.cached_property
+    def _values(self) -> dict:
+        return dict(self.table)
+
     def __call__(self, x):
-        return dict(self.table)[x]
+        return self._values[x]
 
     def to_dict(self):
         return {"type": "table", "entries": [[list(v) if isinstance(v, tuple) else v, m]
@@ -137,11 +142,10 @@ class TabulatedKernel:
 
     entries: tuple  # tuple of ((u, v), rate)
 
-    def rate_map(self):
-        m = {}
-        for (u, v), r in self.entries:
-            m[frozenset((u, v))] = r
-        return m
+    @functools.cached_property
+    def rate_map(self) -> dict:
+        """frozenset({u, v}) -> rate; a later entry for the same pair wins."""
+        return {frozenset(pair): r for pair, r in self.entries}
 
     def to_dict(self):
         return {"type": "tabulated",
@@ -227,6 +231,32 @@ def shell_tail_sum(d: int, metric: str, exponent: float, start: int) -> float:
     return total
 
 
+@functools.cache
+def _radial_row_sum(d: int, metric: str, kernel, tail_shells: int) -> tuple[float, float]:
+    """(J(x, G), certified remainder bound) of a radial kernel on Z^d.
+
+    The value is the same at every vertex, so it is memoised per argument
+    tuple.  Shells 1..tail_shells are summed left to right in Python floats
+    and the value is evaluated as head + tail + atoms; callers subtract any
+    per-vertex correction afterwards, which keeps every bit of the result.
+    """
+    if isinstance(kernel, PolynomialKernel):
+        expo = d + kernel.alpha
+        atoms = 0.0
+    elif isinstance(kernel, LadderKernel):
+        expo = 1.0 + kernel.alpha
+        atoms = sum(shell_count(d, metric, r) * kernel.atom(r)
+                    for r in kernel.ranges)
+    else:
+        raise TypeError(f"unsupported kernel {kernel!r}")
+    if expo <= d:
+        raise DivergentTail(f"row sum diverges: exponent {expo} <= d={d}")
+    head = sum(shell_count(d, metric, s) * float(s) ** (-expo)
+               for s in range(1, tail_shells + 1))
+    tail = shell_tail_sum(d, metric, expo, tail_shells + 1)
+    return head + tail + atoms, TAIL_REL_BOUND * (head + tail) + 1e-300
+
+
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -290,8 +320,17 @@ class LatticeModel:
             raise ValueError("radius must be nonnegative")
         m = int(math.floor(r))
         if self.kind == "explicit":
-            out = [v for v in self.vertices if self._bfs_within(x0, v, m)]
-            return sorted(out)
+            seen = {x0: 0}
+            q = deque([x0])
+            while q:
+                u = q.popleft()
+                if seen[u] == m:
+                    continue
+                for w in self._adj[u]:
+                    if w not in seen:
+                        seen[w] = seen[u] + 1
+                        q.append(w)
+            return sorted(seen)
         size = sum(shell_count(self.d, self.metric, s) for s in range(m + 1))
         if size > self.state_cap:
             raise WindowTooLarge(f"ball of {size} vertices exceeds cap {self.state_cap}")
@@ -301,12 +340,6 @@ class LatticeModel:
         pts = itertools.product(*(range(c - m, c + m + 1) for c in x0))
         return [tuple(p) for p in pts
                 if sum(abs(a - b) for a, b in zip(p, x0)) <= m]
-
-    def _bfs_within(self, x0, v, m):
-        try:
-            return self.distance(x0, v) <= m
-        except DistanceUnreachable:
-            return False
 
     def volume(self, x0, r: float) -> float:
         return float(sum(self.mu(y) for y in self.ball(x0, r)))
@@ -325,7 +358,7 @@ class LatticeModel:
 
     def _J_base(self, k, x, y) -> float:
         if isinstance(k, TabulatedKernel):
-            return k.rate_map().get(frozenset((x, y)), 0.0)
+            return k.rate_map.get(frozenset((x, y)), 0.0)
         s = self.distance(x, y)
         if isinstance(k, PolynomialKernel):
             return float(s) ** (-(self.d + k.alpha))
@@ -369,23 +402,8 @@ class LatticeModel:
             elif x == k.y0:
                 correction = self._J_base(k.base, k.y0, k.x0)
             k = k.base
-        if isinstance(k, PolynomialKernel):
-            expo = self.d + k.alpha
-            atoms = 0.0
-        elif isinstance(k, LadderKernel):
-            expo = 1.0 + k.alpha
-            atoms = sum(shell_count(self.d, self.metric, r) * k.atom(r)
-                        for r in k.ranges)
-        else:
-            raise TypeError(f"unsupported kernel {k!r}")
-        if expo <= self.d:
-            raise DivergentTail(f"row sum diverges: exponent {expo} <= d={self.d}")
-        S = self.tail_shells
-        head = sum(shell_count(self.d, self.metric, s) * float(s) ** (-expo)
-                   for s in range(1, S + 1))
-        tail = shell_tail_sum(self.d, self.metric, expo, S + 1)
-        value = head + tail + atoms - correction
-        return value, TAIL_REL_BOUND * (head + tail) + 1e-300
+        value, bound = _radial_row_sum(self.d, self.metric, k, self.tail_shells)
+        return value - correction, bound
 
     def row_sum_region(self, x, region) -> tuple[float, float]:
         """J(x, A) for A one of ("all",), ("outside_ball", x0, r), ("annulus", r_in, r_out).

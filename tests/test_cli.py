@@ -5,7 +5,7 @@ import pytest
 
 from jumplab.cli import main
 from jumplab.errors import ConfigError
-from jumplab.io import ExperimentConfig, load_config, run_experiment
+from jumplab.io import ExperimentConfig, load_config, run_experiment, write_bundle
 
 
 def test_poincare_stdout(capsys):
@@ -25,6 +25,24 @@ def test_heat_t0_identity(capsys):
 def test_alpha_out_of_scope_warns_but_runs(capsys, caplog):
     assert main(["exit-time", "--alpha", "2.5", "--radii", "4,8"]) == 0
     assert any("outside (0,2)" in r.message for r in caplog.records)
+
+
+def test_failed_write_keeps_previous_bundle(tmp_path):
+    out = str(tmp_path / "bundle")
+    write_bundle(out, {"seed": 1}, {"value": 1.0}, csvs={"rows": [{"a": 1}]})
+    with open(os.path.join(out, "report.json"), "rb") as f:
+        before = f.read()
+    with pytest.raises(TypeError):
+        write_bundle(out, {"seed": 2}, {"value": object()})
+    assert sorted(os.listdir(tmp_path)) == ["bundle"]
+    assert sorted(os.listdir(out)) == ["config.resolved", "meta.json",
+                                       "report.json", "rows.csv"]
+    with open(os.path.join(out, "report.json"), "rb") as f:
+        assert f.read() == before
+    write_bundle(out, {"seed": 3}, {"value": 3.0})
+    assert sorted(os.listdir(tmp_path)) == ["bundle"]
+    with open(os.path.join(out, "report.json")) as f:
+        assert json.load(f) == {"value": 3.0}
 
 
 def test_bundle_layout_and_determinism(tmp_path):

@@ -12,7 +12,13 @@ from jumplab.models import (
     SuppressedPairKernel,
     truncate,
 )
-from jumplab.semigroup import caloric_solve, duhamel_generators, generator, integrated_action
+from jumplab.semigroup import (
+    StepOperators,
+    caloric_solve,
+    duhamel_generators,
+    generator,
+    integrated_action,
+)
 
 
 def small_box():
@@ -47,6 +53,133 @@ def test_scan_matches_explicit_generators(z1):
                             remainder_data=rem)
         explicit = max(explicit, H.caloric_box_ratio(fld, box))
     assert best == pytest.approx(explicit, rel=1e-12)
+
+
+# Reference: the per-launch fan-out scan that `_scan_generators` and
+# `_collect` replace.  Every age's values are shown to every launch step
+# through running sup/inf statistics with strict-improvement updates.
+
+class _BoxStats:
+    def __init__(self, n_cols):
+        self.max_minus = np.zeros(n_cols)
+        self.min_plus = np.full(n_cols, np.inf)
+        self.wit_minus = np.full((n_cols, 2), -1, dtype=np.int64)
+        self.wit_plus = np.full((n_cols, 2), -1, dtype=np.int64)
+
+    def see_minus(self, step, vals_half):
+        colmax = vals_half.max(axis=0)
+        rows = vals_half.argmax(axis=0)
+        upd = colmax > self.max_minus
+        self.max_minus[upd] = colmax[upd]
+        self.wit_minus[upd, 0] = step
+        self.wit_minus[upd, 1] = rows[upd]
+
+    def see_plus(self, step, vals_half):
+        colmin = vals_half.min(axis=0)
+        rows = vals_half.argmin(axis=0)
+        upd = colmin < self.min_plus
+        self.min_plus[upd] = colmin[upd]
+        self.wit_plus[upd, 0] = step
+        self.wit_plus[upd, 1] = rows[upd]
+
+
+def fanout_scan(fm, box, tol):
+    m = box.m_steps
+    ops = H.step_operators(fm, box.T / m, tol)
+    E = ops.E
+    S_aug = np.concatenate([ops.S, ops.s_rem[:, None]], axis=1)
+    half = H._half_ball_slots(fm, box.x0, box.R)
+    minus, plus = set(box.minus_steps()), set(box.plus_steps())
+    init_stats = _BoxStats(fm.n)
+    U = np.diag(1.0 / fm.mu)
+    for j in range(1, m + 1):
+        U = E @ U
+        if j in minus:
+            init_stats.see_minus(j, U[half])
+        if j in plus:
+            init_stats.see_plus(j, U[half])
+    src_stats = [_BoxStats(S_aug.shape[1]) for _ in range(m)]
+    W = S_aug.copy()
+    for age in range(m):
+        vals = W[half]
+        for j in minus:
+            if 0 <= j - 1 - age < m:
+                src_stats[j - 1 - age].see_minus(j, vals)
+        for j in plus:
+            if 0 <= j - 1 - age < m:
+                src_stats[j - 1 - age].see_plus(j, vals)
+        if age < m - 1:
+            W = E @ W
+    return init_stats, src_stats, half
+
+
+def fanout_collect(fm, box, init_stats, src_stats, half):
+    times = np.linspace(0.0, box.T, box.m_steps + 1)
+    best, best_wit = -math.inf, None
+
+    def consider(gen_id, stats, col):
+        nonlocal best, best_wit
+        mm = stats.max_minus[col]
+        if mm <= 0.0:
+            return
+        mp = stats.min_plus[col]
+        ratio = math.inf if mp < H.FLOOR else mm / mp
+        if ratio > best:
+            jm, rm = stats.wit_minus[col]
+            jp, rp = stats.wit_plus[col]
+            best = ratio
+            best_wit = {"generator": gen_id,
+                        "minus": (float(times[jm]), fm.window[half[rm]])
+                        if jm >= 0 else None,
+                        "plus": (float(times[jp]), fm.window[half[rp]])
+                        if jp >= 0 else None}
+
+    for zi, z in enumerate(fm.window):
+        consider(("initial", z), init_stats, zi)
+    for si in range(box.m_steps):
+        for ci, ch in enumerate(list(fm.exterior) + ["remainder"]):
+            consider(("source", si, ch), src_stats[si], ci)
+    return best, best_wit
+
+
+@pytest.mark.parametrize("model, box", [
+    (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), small_box()),
+    (LatticeModel(d=1, kernel=SuppressedPairKernel(
+        base=PolynomialKernel(1.0), x0=(0,), y0=(3,))), small_box()),
+    (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
+     H.HarnackBox(x0=(0, 0), R=2, alpha=1.0, m_steps=16)),
+    (LatticeModel(d=1, kernel=PolynomialKernel(1.5)),
+     H.HarnackBox(x0=(0,), R=4, alpha=1.5, lam=0.5, m_steps=20)),
+], ids=["z1", "suppressed", "l1-z2", "lam-half"])
+def test_scan_matches_fanout_reference(model, box):
+    """The per-age scan gives exactly the fan-out scan's constant and witness."""
+    fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
+    init, src, half, _ = H._scan_generators(fm, box, 1e-12)
+    got = H._collect(fm, box, init, src, half)
+    want = fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+    assert want[1] is not None
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed):
+    """Identity, permutation and dyadic-mixture step operators make values
+    tie exactly across half-ball slots, steps and generators, and vanish on
+    some; the per-age scan still picks the reference's generator and
+    first-attained witnesses."""
+    box = small_box()
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    rng = np.random.default_rng(seed)
+    n = fm.n
+    perms = [np.eye(n)[rng.permutation(n)] for _ in range(2)]
+    E = [np.eye(n), perms[0], (perms[0] + perms[1]) / 2][seed % 3]
+    ops = StepOperators(gen=None, dt=box.T / box.m_steps, E=E,
+                        S=rng.integers(0, 3, (n, len(fm.exterior))).astype(float),
+                        s_rem=rng.integers(0, 3, n).astype(float), err=0.0)
+    monkeypatch.setattr(H, "step_operators", lambda *args: ops)
+    init, src, half, _ = H._scan_generators(fm, box, 1e-12)
+    got = H._collect(fm, box, init, src, half)
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
 
 
 def test_mixture_audit(z1, rng):

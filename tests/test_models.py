@@ -15,6 +15,7 @@ from jumplab.models import (
     MuAlternating,
     PolynomialKernel,
     SuppressedPairKernel,
+    TAIL_REL_BOUND,
     _pair_rates,
     model_from_dict,
     shell_count,
@@ -103,6 +104,26 @@ def test_explicit_distance_and_unreachable():
         m.distance("a", "z")
 
 
+def test_explicit_ball_matches_per_vertex_distance():
+    """One bounded BFS from the centre gives the same members, in the same
+    order, as testing each vertex's distance, on a graph with a cycle, a
+    second component and an isolated vertex."""
+    m = LatticeModel(kind="explicit", vertices=("d", "a", "g", "c", "f", "b", "e"),
+                     edges=(("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"),
+                            ("e", "f")),
+                     kernel=PolynomialKernel(1.0))
+    for x0 in m.vertices:
+        for r in (0, 0.5, 1, 1.9, 2, 3, 10):
+            expect = []
+            for v in m.vertices:
+                try:
+                    if m.distance(x0, v) <= math.floor(r):
+                        expect.append(v)
+                except DistanceUnreachable:
+                    pass
+            assert m.ball(x0, r) == sorted(expect)
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_triangle_inequality(a, b, c):
     m = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
@@ -140,6 +161,55 @@ def test_suppressed_pair_row_sum_and_symmetry():
     total, _ = m.row_sum_all((0,))
     plain, _ = LatticeModel(d=1, kernel=base).row_sum_all((0,))
     assert abs(total - (plain - 8.0 ** -2)) < 1e-12
+
+
+def direct_row_sum(d, metric, kernel, correction=0.0, tail_shells=4096):
+    """Reference: the shell sum `row_sum_all` evaluated on every call before
+    it was memoised, in the same order of operations."""
+    if isinstance(kernel, PolynomialKernel):
+        expo, atoms = d + kernel.alpha, 0.0
+    else:
+        expo = 1.0 + kernel.alpha
+        atoms = sum(shell_count(d, metric, r) * kernel.atom(r)
+                    for r in kernel.ranges)
+    head = sum(shell_count(d, metric, s) * float(s) ** (-expo)
+               for s in range(1, tail_shells + 1))
+    tail = shell_tail_sum(d, metric, expo, tail_shells + 1)
+    return head + tail + atoms - correction, TAIL_REL_BOUND * (head + tail) + 1e-300
+
+
+@pytest.mark.parametrize("d, metric, kernel, x", [
+    (1, "linf", PolynomialKernel(1.0), (3,)),
+    (2, "linf", PolynomialKernel(0.8), (1, -2)),
+    (1, "l1", PolynomialKernel(1.5), (0,)),
+    (2, "l1", PolynomialKernel(1.0), (4, 4)),
+    (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64)), (5,)),
+])
+def test_row_sum_all_bitwise_equals_direct_sum(d, metric, kernel, x):
+    m = LatticeModel(d=d, metric=metric, kernel=kernel)
+    assert m.row_sum_all(x) == direct_row_sum(d, metric, kernel)
+    assert m.row_sum_all(x) == direct_row_sum(d, metric, kernel)
+
+
+def test_suppressed_row_sum_bitwise_equals_direct_sum():
+    base = PolynomialKernel(1.0)
+    m = LatticeModel(d=2, kernel=SuppressedPairKernel(base=base, x0=(0, 0),
+                                                      y0=(3, 1)))
+    pair = 3.0 ** -3.0
+    assert m.row_sum_all((0, 0)) == direct_row_sum(2, "linf", base, pair)
+    assert m.row_sum_all((3, 1)) == direct_row_sum(2, "linf", base, pair)
+    assert m.row_sum_all((1, 1)) == direct_row_sum(2, "linf", base)
+
+
+def test_row_sum_cache_keyed_by_tail_shells():
+    base = PolynomialKernel(1.0)
+    wide = LatticeModel(d=1, kernel=base)
+    narrow = LatticeModel(d=1, kernel=base, tail_shells=64)
+    assert direct_row_sum(1, "linf", base, tail_shells=64) != \
+        direct_row_sum(1, "linf", base)
+    assert wide.row_sum_all((0,)) == direct_row_sum(1, "linf", base)
+    assert narrow.row_sum_all((0,)) == direct_row_sum(1, "linf", base,
+                                                      tail_shells=64)
 
 
 def test_row_sum_region_splits():
