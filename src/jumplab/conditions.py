@@ -10,13 +10,13 @@ across a dyadic sweep, never a proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .errors import NumericalFailure
-from .models import KILLED, LatticeModel, truncate
+from .models import KILLED, REFLECTED, LatticeModel, truncate
 from .semigroup import (
     dirichlet_form,
     expected_exit_time,
@@ -40,34 +40,7 @@ class ConditionReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
-        def clean(v):
-            if isinstance(v, tuple):
-                return [clean(x) for x in v]
-            if isinstance(v, (list,)):
-                return [clean(x) for x in v]
-            if isinstance(v, dict):
-                return {str(k): clean(x) for k, x in v.items()}
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-        return {"condition": self.condition, "alpha": self.alpha,
-                "grid": clean(self.grid), "constants": clean(self.constants),
-                "witnesses": clean(self.witnesses), "passed": self.passed,
-                "thresholds": clean(self.thresholds),
-                "metadata": clean(self.metadata)}
-
-    def write_csv(self, path):
-        rows = self.metadata.get("rows", [])
-        if not rows:
-            return
-        keys = list(rows[0].keys())
-        with open(path, "w") as f:
-            f.write(",".join(keys) + "\n")
-            for r in rows:
-                f.write(",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k])
-                                 for k in keys) + "\n")
+        return asdict(self)
 
 
 def dyadic_radii(lo: int = 4, hi: int = 64) -> list[int]:
@@ -298,7 +271,11 @@ def check_sb(model: LatticeModel, alpha: float, radii, centers=None,
 
 def check_exit_time(model: LatticeModel, alpha: float, radii,
                     centers=None) -> ConditionReport:
-    """Fits c1 <= E^x tau_{B(x,r)} / r^alpha <= c2 plus a log-log exponent."""
+    """Fits c1 <= E^x tau_{B(x,r)} / r^alpha <= c2 plus a log-log exponent.
+
+    The exponent is the largest per-center slope; each center's slope is in
+    its "fit" row.
+    """
     centers = list(centers) if centers else [_origin(model)]
     radii = list(radii)
     if min(radii) < 1:
@@ -306,6 +283,7 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
     rows = []
     c1, w1 = math.inf, None
     c2, w2 = -math.inf, None
+    slopes = []
     for x in centers:
         taus = []
         for r in radii:
@@ -323,11 +301,12 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
                                      np.log(np.array(taus)), 1)[0])
         else:
             slope = math.nan
+        slopes.append(slope)
         rows.append({"center": x, "r": "fit", "E_tau": math.nan, "ratio": slope})
     return ConditionReport(
         condition="E_alpha", alpha=alpha,
         grid={"radii": radii, "centers": centers},
-        constants={"c1": c1, "c2": c2, "exponent": slope},
+        constants={"c1": c1, "c2": c2, "exponent": max(slopes)},
         witnesses={"c1": w1, "c2": w2},
         metadata={"rows": rows})
 
@@ -336,13 +315,12 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
 # Poincare inequalities
 # ---------------------------------------------------------------------------
 
-def _ball_form_matrices(model, ball):
-    from .models import _pair_rates
-    A = _pair_rates(model, ball, ball)
-    np.fill_diagonal(A, 0.0)
+def _ball_form_matrices(model, x0, R):
+    """(ball, A, L, M) on B(x0, R): jump rates, form Laplacian and diag(mu)."""
+    fm = truncate(model, x0, R, REFLECTED)
+    A = fm.rates
     L = np.diag(A.sum(axis=1)) - A
-    M = np.diag(np.array([model.mu(v) for v in ball]))
-    return A, L, M
+    return fm.window, A, L, np.diag(fm.mu)
 
 
 def _connected_components(A):
@@ -354,8 +332,7 @@ def _connected_components(A):
 
 def poincare_rayleigh(model: LatticeModel, x0, R, alpha: float, f) -> float:
     """Var_mu(f) / (R^alpha * sum_{x,y in B}(f(x)-f(y))^2 J(x,y)) for an audit f."""
-    ball = model.ball(x0, R)
-    _, L, M = _ball_form_matrices(model, ball)
+    _, _, L, M = _ball_form_matrices(model, x0, R)
     f = np.asarray(f, float)
     mu = np.diag(M)
     fbar = float(f @ mu) / float(mu.sum())
@@ -381,8 +358,7 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     disconnected = None
     for x0 in centers:
         for R in radii:
-            ball = model.ball(x0, R)
-            A, L, M = _ball_form_matrices(model, ball)
+            ball, A, L, M = _ball_form_matrices(model, x0, R)
             n_comp, labels = _connected_components(A)
             if n_comp > 1:
                 piece = sorted(v for v, l in zip(ball, labels) if l == labels[0])
@@ -418,20 +394,23 @@ def tent_weight(model: LatticeModel, x0, R, ball) -> np.ndarray:
     return phi / s
 
 
+def _tent_forms(model: LatticeModel, x0, R):
+    """(phi, W, mu) on the support of phi_R (vertices of B(x0,R) with phi > 0):
+    the tent weight, the weighted rates min(phi_x, phi_y) J(x,y), and mu."""
+    fm = truncate(model, x0, R, REFLECTED)
+    phi = tent_weight(model, x0, R, fm.window)
+    keep = np.flatnonzero(phi > 0)
+    phi = phi[keep]
+    W = np.minimum.outer(phi, phi) * fm.rates[np.ix_(keep, keep)]
+    return phi, W, fm.mu[keep]
+
+
 def weighted_poincare_sides(model: LatticeModel, x0, R, alpha: float, f):
     """(variance side, form side) of the weighted Poincare inequality for f.
 
     f lives on the support of phi_R (vertices of B(x0,R) with phi > 0).
     """
-    ball = model.ball(x0, R)
-    phi_full = tent_weight(model, x0, R, ball)
-    support = [v for v, p in zip(ball, phi_full) if p > 0]
-    phi = np.array([p for p in phi_full if p > 0])
-    from .models import _pair_rates
-    A = _pair_rates(model, support, support)
-    np.fill_diagonal(A, 0.0)
-    W = np.minimum.outer(phi, phi) * A
-    mu = np.array([model.mu(v) for v in support])
+    phi, W, mu = _tent_forms(model, x0, R)
     f = np.asarray(f, float)
     fbar = float((f * phi * mu).sum())
     var = float(((f - fbar) ** 2 * mu).sum())
@@ -453,17 +432,9 @@ def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
     rows = []
     for x0 in centers:
         for R in radii:
-            ball = model.ball(x0, R)
-            phi_full = tent_weight(model, x0, R, ball)
-            support = [v for v, p in zip(ball, phi_full) if p > 0]
-            phi = np.array([p for p in phi_full if p > 0])
-            from .models import _pair_rates
-            A = _pair_rates(model, support, support)
-            np.fill_diagonal(A, 0.0)
-            Wm = np.minimum.outer(phi, phi) * A
+            phi, Wm, mu = _tent_forms(model, x0, R)
             Lw = np.diag(Wm.sum(axis=1)) - Wm
-            mu = np.array([model.mu(v) for v in support])
-            n = len(support)
+            n = len(phi)
             w = phi * mu
             # Var(f) = f^T V f with V = M - m w^T - w m^T + (1^T m) w w^T
             M = np.diag(mu)

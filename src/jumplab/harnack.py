@@ -12,7 +12,7 @@ two-point ratio over the generators, which is what these routines compute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import ExteriorOutOfRange, NumericalFailure, WindowUnconverged
 from .models import EXTERIOR_TRACKED, FiniteModel, KILLED, LatticeModel, truncate
 from .semigroup import (
     CaloricField,
+    expm_action,
     generator,
     integrated_action,
     step_operators,
@@ -72,10 +73,7 @@ class HarnackReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
-        c = self.constant
-        return {"box": self.box, "constant": "inf" if math.isinf(c) else c,
-                "witness": self.witness, "family_sizes": self.family_sizes,
-                "metadata": self.metadata}
+        return asdict(self)
 
 
 def _half_ball_slots(fm: FiniteModel, x0, R) -> list[int]:
@@ -182,6 +180,20 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
     return best, best_wit
 
 
+def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
+    """Accept the constant c2 recomputed with twice the tracked annulus.
+
+    Two infinite constants agree; otherwise c and c2 must both be finite and
+    within 5% of each other, else WindowUnconverged.  Returns c2.
+    """
+    if not (math.isinf(c) and math.isinf(c2)):
+        if math.isinf(c) != math.isinf(c2) or abs(c2 - c) > 0.05 * min(c, c2):
+            raise WindowUnconverged(
+                f"{name} moved from {c} to {c2} when doubling the tracked "
+                f"exterior radius (lam_ext {lam_ext} -> {2 * lam_ext})")
+    return c2
+
+
 def _phi_once(model: LatticeModel, box: HarnackBox, lam_ext: float, tol: float):
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
     init, src, half, ops = _scan_generators(fm, box, tol)
@@ -201,18 +213,11 @@ def phi_constant(model: LatticeModel, box: HarnackBox, lam_ext: float = 4.0,
     fm, c_p, wit, err = _phi_once(model, box, lam_ext, tol)
     doubled = None
     if check_doubling:
-        _, c_p2, _, _ = _phi_once(model, box, 2 * lam_ext, tol)
-        doubled = c_p2
-        both_inf = math.isinf(c_p) and math.isinf(c_p2)
-        if not both_inf:
-            if math.isinf(c_p) != math.isinf(c_p2) or \
-                    abs(c_p2 - c_p) > 0.05 * min(c_p, c_p2):
-                raise WindowUnconverged(
-                    f"C_P moved from {c_p} to {c_p2} when doubling the "
-                    f"tracked exterior radius (lam_ext {lam_ext} -> {2 * lam_ext})")
+        doubled = _doubled("C_P", c_p, _phi_once(model, box, 2 * lam_ext, tol)[1],
+                           lam_ext)
     n_ext = len(fm.exterior)
     return HarnackReport(
-        box=box.to_dict(), constant=c_p, witness=_clean_witness(wit),
+        box=box.to_dict(), constant=c_p, witness=wit,
         family_sizes={"initial": fm.n,
                       "source": box.m_steps * (n_ext + 1)},
         metadata={"window_radius": 2 * box.R, "lam_ext": lam_ext,
@@ -220,19 +225,6 @@ def phi_constant(model: LatticeModel, box: HarnackBox, lam_ext: float = 4.0,
                   "n_exterior": n_ext, "m_steps": box.m_steps,
                   "floor": FLOOR, "step_error": err,
                   "doubled_constant": doubled})
-
-
-def _clean_witness(wit):
-    if wit is None:
-        return None
-    def pt(p):
-        if p is None:
-            return None
-        t, v = p
-        return [t, list(v) if isinstance(v, tuple) else v]
-    gen = wit["generator"]
-    gen = [gen[0]] + [list(g) if isinstance(g, tuple) else g for g in gen[1:]]
-    return {"generator": gen, "minus": pt(wit["minus"]), "plus": pt(wit["plus"])}
 
 
 def caloric_box_ratio(fld: CaloricField, box: HarnackBox) -> float:
@@ -290,24 +282,11 @@ def ehi_constant(model: LatticeModel, x0, R, lam_ext: float = 4.0,
                  check_doubling: bool = True) -> HarnackReport:
     """C_EHI = max over exterior-delta harmonic generators h_w of
     max_{B(x0,R)} h_w / min_{B(x0,R)} h_w, on the window B(x0,2R)."""
-    fm, c, wit, = _ehi_once(model, x0, R, lam_ext)
+    fm, c, wit = _ehi_once(model, x0, R, lam_ext)
     doubled = None
     if check_doubling:
-        _, c2, _ = _ehi_once(model, x0, R, 2 * lam_ext)
-        doubled = c2
-        both_inf = math.isinf(c) and math.isinf(c2)
-        if not both_inf:
-            if math.isinf(c) != math.isinf(c2) or abs(c2 - c) > 0.05 * min(c, c2):
-                raise WindowUnconverged(
-                    f"C_EHI moved from {c} to {c2} when doubling the tracked "
-                    f"exterior radius")
-    if wit is not None:
-        g = wit["generator"]
-        wit = {"generator": [g[0], list(g[1]) if isinstance(g[1], tuple) else g[1]],
-               "max_at": list(wit["max_at"]) if isinstance(wit["max_at"], tuple)
-               else wit["max_at"],
-               "min_at": list(wit["min_at"]) if isinstance(wit["min_at"], tuple)
-               else wit["min_at"]}
+        doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * lam_ext)[1],
+                           lam_ext)
     return HarnackReport(
         box={"x0": list(x0), "R": R, "elliptic": True},
         constant=c, witness=wit,
@@ -337,9 +316,10 @@ def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
     """h^{-1} P^x(X_{tau_B} = y0, tau_B in (T/2-h, T/2)) for B = B(x0,R).
 
     Computed exactly from the killed semigroup: the probability equals
-    int_0^h [e^{sQ_B} kappa](x) ds with kappa(z) = J(z,y0)/mu_z, so the
-    returned value converges to mu_x^{-1} J(x,y0) as h -> 0 (relative error
-    O(h)).  Requires y0 outside B but within the tracked range lam_ext*R.
+    int_{T/2-h}^{T/2} [e^{sQ_B} kappa](x) ds = [e^{(T/2-h)Q_B} int_0^h e^{sQ_B}
+    kappa ds](x) with kappa(z) = J(z,y0)/mu_z.  With T = 2h the value
+    converges to mu_x^{-1} J(x,y0) as h -> 0 (relative error O(h)).
+    Requires y0 outside B but within the tracked range lam_ext*R.
     """
     if not (0.0 < h <= T / 2):
         raise ValueError("need 0 < h <= T/2")
@@ -353,6 +333,7 @@ def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
     gen = generator(fm)
     kappa = np.array([model.J(z, y0) for z in fm.window]) / fm.mu
     acc, _ = integrated_action(gen, kappa, h, tol)
+    acc, _ = expm_action(gen, acc, T / 2 - h, tol)
     vals = acc / h
     if x is None:
         return vals

@@ -35,7 +35,7 @@ from .models import (
     model_from_dict,
     truncate,
 )
-from .semigroup import expected_exit_time, heat_kernel
+from .semigroup import heat_kernel
 
 log = logging.getLogger("jumplab")
 
@@ -81,7 +81,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def jsonable(v):
-    """Deterministic JSON-safe conversion (tuples to lists, inf to 'inf')."""
+    """Deterministic JSON-safe conversion, the one serialiser of reports:
+    tuples to lists, numpy scalars to Python numbers, and inf, -inf, nan to
+    the strings "inf", "-inf", "nan"."""
     if isinstance(v, dict):
         return {str(k): jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -271,8 +273,7 @@ def run_cex_ladder(config: ExperimentConfig):
     csvs["exit_time"] = [r for r in et.metadata["rows"] if r["r"] != "fit"]
     # hitting probability bounded below uniformly in the scale
     margin = float(p.get("hit_margin", 0.1))
-    n_streams = int(os.environ.get("JUMPLAB_WORKERS", mc.N_STREAMS))
-    sampler = mc.TrajectorySampler(model, seed=config.seed, n_streams=n_streams)
+    sampler = mc.TrajectorySampler(model, seed=config.seed)
     hits = {}
     for R in ranges:
         rep = mc.hit_before_exit(sampler, (R // 4,), (0,), (0,), R, n_hit)

@@ -17,7 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -104,6 +104,11 @@ class PolynomialKernel:
     """J(x,y) = d(x,y)^(-d-alpha) on Z^d, radial in the model metric."""
 
     alpha: float
+    ranges: ClassVar[tuple] = ()  # no atoms
+
+    def exponent(self, d: int) -> float:
+        """e with J = s^(-e) at distance s."""
+        return d + self.alpha
 
     def to_dict(self):
         return {"type": "polynomial", "alpha": self.alpha}
@@ -128,6 +133,10 @@ class LadderKernel:
 
     alpha: float
     ranges: tuple
+
+    def exponent(self, d: int) -> float:
+        """e with J0 = s^(-e) at distance s (the ladder lives on Z)."""
+        return 1.0 + self.alpha
 
     def atom(self, r):
         return math.log(r) * r ** (-1.0 - self.alpha)
@@ -240,15 +249,8 @@ def _radial_row_sum(d: int, metric: str, kernel, tail_shells: int) -> tuple[floa
     and the value is evaluated as head + tail + atoms; callers subtract any
     per-vertex correction afterwards, which keeps every bit of the result.
     """
-    if isinstance(kernel, PolynomialKernel):
-        expo = d + kernel.alpha
-        atoms = 0.0
-    elif isinstance(kernel, LadderKernel):
-        expo = 1.0 + kernel.alpha
-        atoms = sum(shell_count(d, metric, r) * kernel.atom(r)
-                    for r in kernel.ranges)
-    else:
-        raise TypeError(f"unsupported kernel {kernel!r}")
+    expo = kernel.exponent(d)
+    atoms = sum(shell_count(d, metric, r) * kernel.atom(r) for r in kernel.ranges)
     if expo <= d:
         raise DivergentTail(f"row sum diverges: exponent {expo} <= d={d}")
     head = sum(shell_count(d, metric, s) * float(s) ** (-expo)
@@ -346,47 +348,42 @@ class LatticeModel:
 
     # -- kernel -----------------------------------------------------------
 
+    @property
+    def base_kernel(self):
+        """The kernel with its suppressed pair, if any, restored."""
+        k = self.kernel
+        return k.base if isinstance(k, SuppressedPairKernel) else k
+
     def J(self, x, y) -> float:
         if x == y:
             return 0.0
         k = self.kernel
-        if isinstance(k, SuppressedPairKernel):
-            if {x, y} == {k.x0, k.y0}:
-                return 0.0
-            return self._J_base(k.base, x, y)
-        return self._J_base(k, x, y)
+        if isinstance(k, SuppressedPairKernel) and {x, y} == {k.x0, k.y0}:
+            return 0.0
+        return self.base_rate(x, y)
 
-    def _J_base(self, k, x, y) -> float:
+    def base_rate(self, x, y) -> float:
+        """J(x, y) of `base_kernel`, for x != y."""
+        k = self.base_kernel
         if isinstance(k, TabulatedKernel):
             return k.rate_map.get(frozenset((x, y)), 0.0)
         s = self.distance(x, y)
-        if isinstance(k, PolynomialKernel):
-            return float(s) ** (-(self.d + k.alpha))
-        if isinstance(k, LadderKernel):
-            v = float(s) ** (-(1.0 + k.alpha))
-            if s in k.ranges:
-                v += k.atom(s)
-            return v
-        raise TypeError(f"unsupported kernel {k!r}")
+        v = float(s) ** (-k.exponent(self.d))
+        if s in k.ranges:
+            v += k.atom(s)
+        return v
 
     def radial_values(self, dist: np.ndarray) -> np.ndarray:
         """Vectorized radial kernel values for an integer distance array (suppression
         and tabulated entries are handled positionally elsewhere)."""
-        k = self.kernel
-        if isinstance(k, SuppressedPairKernel):
-            k = k.base
+        k = self.base_kernel
         dist = np.asarray(dist, dtype=float)
         out = np.zeros_like(dist)
         pos = dist > 0
-        if isinstance(k, PolynomialKernel):
-            out[pos] = dist[pos] ** (-(self.d + k.alpha))
-            return out
-        if isinstance(k, LadderKernel):
-            out[pos] = dist[pos] ** (-(1.0 + k.alpha))
-            for r in k.ranges:
-                out[dist == r] += k.atom(r)
-            return out
-        raise TypeError("radial_values requires a radial kernel")
+        out[pos] = dist[pos] ** (-k.exponent(self.d))
+        for r in k.ranges:
+            out[dist == r] += k.atom(r)
+        return out
 
     # -- row sums with certified tails --------------------------------------
 
@@ -395,15 +392,11 @@ class LatticeModel:
         k = self.kernel
         if self.kind == "explicit" or isinstance(k, TabulatedKernel):
             return sum(self.J(x, y) for y in self.vertices if y != x), 0.0
-        correction = 0.0
-        if isinstance(k, SuppressedPairKernel):
-            if x == k.x0:
-                correction = self._J_base(k.base, k.x0, k.y0)
-            elif x == k.y0:
-                correction = self._J_base(k.base, k.y0, k.x0)
-            k = k.base
-        value, bound = _radial_row_sum(self.d, self.metric, k, self.tail_shells)
-        return value - correction, bound
+        value, bound = _radial_row_sum(self.d, self.metric, self.base_kernel,
+                                       self.tail_shells)
+        if isinstance(k, SuppressedPairKernel) and x in (k.x0, k.y0):
+            value -= self.base_rate(k.x0, k.y0)
+        return value, bound
 
     def row_sum_region(self, x, region) -> tuple[float, float]:
         """J(x, A) for A one of ("all",), ("outside_ball", x0, r), ("annulus", r_in, r_out).
@@ -516,30 +509,6 @@ class FiniteModel:
     @property
     def n(self) -> int:
         return len(self.window)
-
-    def digest(self) -> str:
-        payload = {"model": self.model.to_dict(), "mode": self.mode,
-                   "center": list(self.center) if isinstance(self.center, tuple)
-                   else self.center,
-                   "radius": self.radius, "lam_ext": self.lam_ext,
-                   "n": self.n}
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
-    def export_triplets(self, path):
-        """Sparse-triplet text dump: (row, col, rate) plus mu and kill vectors."""
-        with open(path, "w") as f:
-            f.write(f"# mode={self.mode} n={self.n}\n")
-            f.write("# triplets: i j J(x_i, x_j)\n")
-            ii, jj = np.nonzero(self.rates)
-            for i, j in zip(ii.tolist(), jj.tolist()):
-                f.write(f"{i} {j} {self.rates[i, j]!r}\n")
-            f.write("# mu\n")
-            for i, m in enumerate(self.mu.tolist()):
-                f.write(f"{i} {m!r}\n")
-            f.write("# kill\n")
-            for i, k in enumerate(self.kill.tolist()):
-                f.write(f"{i} {k!r}\n")
 
 
 def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:

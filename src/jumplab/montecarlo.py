@@ -13,17 +13,16 @@ estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .models import (
-    LadderKernel,
     LatticeModel,
     MuAlternating,
     MuConstant,
-    PolynomialKernel,
     SuppressedPairKernel,
+    TabulatedKernel,
     shell_count,
     shell_tail_sum,
 )
@@ -44,19 +43,13 @@ class EstimateReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {"estimand": self.estimand, "estimate": self.estimate,
-                "se": self.se, "n": self.n, "seed": self.seed,
-                "truncated": self.truncated,
-                "extra": {k: (v.item() if isinstance(v, (np.floating, np.integer))
-                              else v) for k, v in self.extra.items()}}
+        return asdict(self)
 
 
 class TrajectorySampler:
     """Vectorized batch sampler for radial kernels on Z^d (d <= 2)."""
 
-    def __init__(self, model: LatticeModel, seed: int,
-                 step_cap: int = STEP_CAP, horizon: int = SHELL_HORIZON,
-                 n_streams: int = N_STREAMS):
+    def __init__(self, model: LatticeModel, seed: int):
         if model.kind != "lattice":
             raise NotImplementedError("trajectory sampling needs a lattice model")
         if model.d > 2:
@@ -65,31 +58,25 @@ class TrajectorySampler:
             raise NotImplementedError(model.metric)
         self.model = model
         self.seed = seed
-        self.step_cap = step_cap
-        self.horizon = horizon
-        self.n_streams = n_streams
-        kernel = model.kernel
-        self.suppressed = None
-        if isinstance(kernel, SuppressedPairKernel):
-            self.suppressed = (kernel.x0, kernel.y0)
-            kernel = kernel.base
-        if isinstance(kernel, PolynomialKernel):
-            self.expo = model.d + kernel.alpha
-        elif isinstance(kernel, LadderKernel):
-            self.expo = 1.0 + kernel.alpha
-            if max(kernel.ranges, default=0) > horizon:
-                raise ValueError("ladder range beyond the shell horizon")
-        else:
+        kernel = model.base_kernel
+        if isinstance(kernel, TabulatedKernel):
             raise NotImplementedError(f"unsupported kernel {kernel!r}")
-        s = np.arange(1, horizon + 1, dtype=float)
+        self.suppressed = None
+        if isinstance(model.kernel, SuppressedPairKernel):
+            self.suppressed = (model.kernel.x0, model.kernel.y0)
+            self.pair_rate = model.base_rate(*self.suppressed)
+        if max(kernel.ranges, default=0) > SHELL_HORIZON:
+            raise ValueError("ladder range beyond the shell horizon")
+        self.expo = kernel.exponent(model.d)
+        s = np.arange(1, SHELL_HORIZON + 1, dtype=float)
         counts = np.array([shell_count(model.d, model.metric, int(r))
-                           for r in range(1, horizon + 1)], dtype=float)
+                           for r in range(1, SHELL_HORIZON + 1)], dtype=float)
         weights = counts * s ** (-self.expo)
-        if isinstance(kernel, LadderKernel):
-            for r in kernel.ranges:
-                weights[r - 1] += counts[r - 1] * kernel.atom(r)
+        for r in kernel.ranges:
+            weights[r - 1] += counts[r - 1] * kernel.atom(r)
         self.cum = np.cumsum(weights)
-        self.tail = shell_tail_sum(model.d, model.metric, self.expo, horizon + 1)
+        self.tail = shell_tail_sum(model.d, model.metric, self.expo,
+                                   SHELL_HORIZON + 1)
         self.total = float(self.cum[-1] + self.tail)  # = J(x,G)/1 for mu-free row sum
 
     # -- row sums and rates -------------------------------------------------
@@ -98,15 +85,9 @@ class TrajectorySampler:
         """J(x, G) per walker (suppressed-pair endpoints corrected)."""
         out = np.full(len(pos), self.total)
         if self.suppressed is not None:
-            x0, y0 = self.suppressed
-            gap = self.model.distance(x0, y0)
-            j = float(gap) ** (-self.expo)
-            k = self.model.kernel.base
-            if isinstance(k, LadderKernel) and gap in k.ranges:
-                j += k.atom(gap)
-            for v in (x0, y0):
+            for v in self.suppressed:
                 at = np.all(pos == np.asarray(v), axis=1)
-                out[at] -= j
+                out[at] -= self.pair_rate
         return out
 
     def _mu(self, pos: np.ndarray) -> np.ndarray:
@@ -123,7 +104,7 @@ class TrajectorySampler:
     def _sample_radii(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF shell radii for uniforms u in [0, total)."""
         r = np.searchsorted(self.cum, u, side="right") + 1
-        beyond = r > self.horizon
+        beyond = r > SHELL_HORIZON
         if np.any(beyond):
             for i in np.nonzero(beyond)[0]:
                 r[i] = self._tail_radius(float(u[i]))
@@ -134,7 +115,7 @@ class TrajectorySampler:
         def cum_through(s):
             return self.total - shell_tail_sum(self.model.d, self.model.metric,
                                                self.expo, s + 1)
-        lo, hi = self.horizon, 2 * self.horizon
+        lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
         while cum_through(hi) < u:
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
@@ -204,9 +185,9 @@ class TrajectorySampler:
 
     def _streams(self, n: int):
         """Deterministic split of n walkers across independent RNG streams."""
-        seqs = np.random.SeedSequence(self.seed).spawn(self.n_streams)
-        sizes = [n // self.n_streams + (1 if i < n % self.n_streams else 0)
-                 for i in range(self.n_streams)]
+        seqs = np.random.SeedSequence(self.seed).spawn(N_STREAMS)
+        sizes = [n // N_STREAMS + (1 if i < n % N_STREAMS else 0)
+                 for i in range(N_STREAMS)]
         return [(np.random.default_rng(sq), sz)
                 for sq, sz in zip(seqs, sizes) if sz > 0]
 
@@ -237,7 +218,7 @@ def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
         alive = np.ones(size, dtype=bool)
         steps = 0
         while np.any(alive):
-            if steps >= sampler.step_cap:
+            if steps >= STEP_CAP:
                 truncated += int(alive.sum())
                 break
             p = pos[alive]
@@ -267,7 +248,7 @@ def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
         alive = ~(hit > 0)
         steps = 0
         while np.any(alive):
-            if steps >= sampler.step_cap:
+            if steps >= STEP_CAP:
                 truncated += int(alive.sum())
                 alive_idx = np.nonzero(alive)[0]
                 hit[alive_idx] = np.nan

@@ -9,7 +9,6 @@ max-norm error additive across steps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (
     NumericalFailure,
     TruncationBudgetExceeded,
 )
-from .models import EXTERIOR_TRACKED, KILLED, REFLECTED, FiniteModel
+from .models import EXTERIOR_TRACKED, REFLECTED, FiniteModel
 
 TERM_CAP = 1_000_000
 
@@ -161,30 +160,7 @@ class HeatKernelResult:
 
     def mass(self) -> np.ndarray:
         """sum_y p_t(x,y) mu_y (scalar array for single-source results)."""
-        return self.values @ self.mu_weights()
-
-    def mu_weights(self) -> np.ndarray:
-        return self.fm.mu
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            coords = len(self.fm.window[0]) if isinstance(self.fm.window[0], tuple) else 1
-            header = ",".join(["t"] + [f"x{i}" for i in range(coords)] + ["value"])
-            f.write(header + "\n")
-            vals = self.values if self.values.ndim == 1 else self.values[0]
-            for v, p in zip(self.fm.window, vals.tolist()):
-                cs = ",".join(str(c) for c in (v if isinstance(v, tuple) else (v,)))
-                f.write(f"{self.t},{cs},{p!r}\n")
-
-    def cache_key(self) -> str:
-        src = "all" if self.source is None else str(self.source)
-        return f"hk_{self.fm.digest()}_{self.mode}_{self.t!r}_{src}"
-
-    def save_cache(self, cache_dir):
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez_compressed(os.path.join(cache_dir, self.cache_key() + ".npz"),
-                            values=self.values, t=self.t,
-                            eps=self.eps_poisson)
+        return self.values @ self.fm.mu
 
 
 def heat_kernel(fm: FiniteModel, x, t: float, tol: float = 1e-12) -> HeatKernelResult:
@@ -245,19 +221,6 @@ class CaloricField:
 
     def at(self, i: int) -> np.ndarray:
         return self.values[i]
-
-    def exterior_at(self, i: int) -> np.ndarray:
-        """Boundary data in force on [t_i, t_{i+1}) (exact by construction)."""
-        return self.exterior_data[min(i, len(self.exterior_data) - 1)]
-
-    def to_csv(self, path):
-        with open(path, "w") as f:
-            coords = len(self.fm.window[0])
-            f.write(",".join(["t"] + [f"x{i}" for i in range(coords)] + ["value"]) + "\n")
-            for ti, row in zip(self.times.tolist(), self.values):
-                for v, val in zip(self.fm.window, row.tolist()):
-                    cs = ",".join(str(c) for c in v)
-                    f.write(f"{ti},{cs},{val!r}\n")
 
 
 @dataclass

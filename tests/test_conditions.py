@@ -6,6 +6,7 @@ from scipy.linalg import eigh
 
 from jumplab import conditions as cond
 from jumplab.errors import WindowUnconverged
+from jumplab.io import jsonable
 from jumplab.models import (
     LadderKernel,
     LatticeModel,
@@ -53,6 +54,13 @@ def test_jump_bounds_suppressed_zero():
     rep = cond.check_jump_bounds(m, 1.0, [((0,), (8,)), ((0,), (4,))])
     assert rep.constants["C_LJ"] == 0.0
     assert rep.witnesses["C_LJ"] == ((0,), (8,))
+
+
+def test_empty_supremum_serialises_as_minus_inf():
+    # a pair at distance 0 is skipped, so both extremes stay at their seeds
+    rep = cond.check_jump_bounds(LatticeModel(), 1.0, [((0,), (0,))])
+    out = jsonable(rep.to_dict())
+    assert out["constants"] == {"C_UJ": "-inf", "C_LJ": "inf"}
 
 
 def test_ladder_uj_log_growth():
@@ -185,6 +193,16 @@ def test_exit_time_exponent(alpha):
     rep = cond.check_exit_time(m, alpha, radii=[8, 16, 32, 64])
     assert abs(rep.constants["exponent"] - alpha) <= 0.15
     assert 0 < rep.constants["c1"] <= rep.constants["c2"] < math.inf
+
+
+def test_exit_time_constants_independent_of_center_order():
+    m = LatticeModel(d=1, kernel=SuppressedPairKernel(
+        base=PolynomialKernel(1.0), x0=(0,), y0=(1,)))
+    a = cond.check_exit_time(m, 1.0, [4, 8, 16], centers=[(0,), (40,)])
+    b = cond.check_exit_time(m, 1.0, [4, 8, 16], centers=[(40,), (0,)])
+    assert a.constants == b.constants
+    fits = [row["ratio"] for row in a.metadata["rows"] if row["r"] == "fit"]
+    assert a.constants["exponent"] == max(fits)
 
 
 def test_ndlb_and_sb_stable(z1):

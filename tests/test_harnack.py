@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jumplab import harnack as H
-from jumplab.errors import ExteriorOutOfRange
+from jumplab.errors import ExteriorOutOfRange, WindowUnconverged
 from jumplab.models import (
     EXTERIOR_TRACKED,
     LatticeModel,
@@ -16,6 +16,7 @@ from jumplab.semigroup import (
     StepOperators,
     caloric_solve,
     duhamel_generators,
+    expm_action,
     generator,
     integrated_action,
 )
@@ -254,6 +255,17 @@ def test_ehi_suppressed_within_factor_two():
     assert 0.5 <= cs / cb <= 2.0
 
 
+@pytest.mark.parametrize("c, c2", [(1.0, 1.04), (math.inf, math.inf)])
+def test_doubling_check_accepts(c, c2):
+    assert H._doubled("C", c, c2, 4.0) == c2
+
+
+@pytest.mark.parametrize("c, c2", [(1.0, 1.1), (math.inf, 2.0), (2.0, math.inf)])
+def test_doubling_check_rejects(c, c2):
+    with pytest.raises(WindowUnconverged):
+        H._doubled("C", c, c2, 4.0)
+
+
 # ---------------------------------------------------------------------------
 # first jump density
 # ---------------------------------------------------------------------------
@@ -284,7 +296,21 @@ def test_first_jump_density_additive(z1):
     vb = H.first_jump_density(z1, (0,), 4, (9,), T=1.0, h=h)
     kap = np.array([z1.J(z, (8,)) + z1.J(z, (9,)) for z in fm.window]) / fm.mu
     combined, _ = integrated_action(gen, kap, h)
+    combined, _ = expm_action(gen, combined, 0.5 - h)
     assert np.max(np.abs(va + vb - combined / h)) < 1e-12
+
+
+def test_first_jump_density_depends_on_T(z1):
+    fm = truncate(z1, (0,), 4, "killed")
+    h = 1e-2
+    kap = np.array([z1.J(z, (8,)) for z in fm.window]) / fm.mu
+    first, _ = integrated_action(generator(fm), kap, h)
+    late = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
+    early = H.first_jump_density(z1, (0,), 4, (8,), T=0.5, h=h)
+    assert np.min(np.abs(late - early)) > 1e-4
+    # T = 2h is the window (0, h): the integrated action alone
+    assert np.array_equal(H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h),
+                          first / h)
 
 
 def test_first_jump_density_errors(z1):

@@ -212,6 +212,53 @@ def test_row_sum_cache_keyed_by_tail_shells():
                                                       tail_shells=64)
 
 
+KERNEL_LAW_CASES = [
+    (1, "linf", PolynomialKernel(1.0)),
+    (1, "l1", PolynomialKernel(1.5)),
+    (2, "linf", PolynomialKernel(0.8)),
+    (2, "l1", PolynomialKernel(1.0)),
+    (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64, 256))),
+]
+
+
+def explicit_rate(d, kernel, s):
+    """Reference: J at distance s >= 1, dispatched on the kernel class."""
+    if isinstance(kernel, PolynomialKernel):
+        return float(s) ** (-(d + kernel.alpha))
+    v = float(s) ** (-(1.0 + kernel.alpha))
+    if s in kernel.ranges:
+        v += math.log(s) * s ** (-1.0 - kernel.alpha)
+    return v
+
+
+def explicit_radial_values(d, kernel, dist):
+    """Reference: the vectorised form of `explicit_rate`, 0 at distance 0."""
+    dist = np.asarray(dist, dtype=float)
+    out = np.zeros_like(dist)
+    pos = dist > 0
+    if isinstance(kernel, PolynomialKernel):
+        out[pos] = dist[pos] ** (-(d + kernel.alpha))
+        return out
+    out[pos] = dist[pos] ** (-(1.0 + kernel.alpha))
+    for r in kernel.ranges:
+        out[dist == r] += math.log(r) * r ** (-1.0 - kernel.alpha)
+    return out
+
+
+@pytest.mark.parametrize("d, metric, kernel", KERNEL_LAW_CASES)
+def test_kernel_law_bitwise_equals_explicit_formulas(d, metric, kernel):
+    m = LatticeModel(d=d, metric=metric, kernel=kernel)
+    x = (0,) * d
+    ys = ([(s,) for s in range(1, 300)] if d == 1 else
+          list(itertools.product(range(-12, 13), repeat=2)))
+    for y in ys:
+        if y != x:
+            assert m.J(x, y) == explicit_rate(d, kernel, m.distance(x, y))
+    dist = np.arange(300).reshape(3, 100)
+    assert np.array_equal(m.radial_values(dist),
+                          explicit_radial_values(d, kernel, dist))
+
+
 def test_row_sum_region_splits():
     m = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
     total, _ = m.row_sum_all((0,))

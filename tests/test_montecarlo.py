@@ -12,6 +12,7 @@ from jumplab.models import (
     PolynomialKernel,
     SuppressedPairKernel,
     shell_count,
+    shell_tail_sum,
     truncate,
 )
 from jumplab.semigroup import expected_exit_time, heat_kernel
@@ -140,6 +141,42 @@ def test_suppressed_pair_never_jumps(z1):
     q = s._row_sum(np.array([[0], [1]]))
     assert q[0] == pytest.approx(s.total - 8.0 ** -2, abs=1e-14)
     assert q[1] == pytest.approx(s.total, abs=1e-14)
+
+
+@pytest.mark.parametrize("d, metric, kernel, y0", [
+    (1, "linf", PolynomialKernel(1.0), (3,)),
+    (1, "l1", PolynomialKernel(1.5), (5,)),
+    (2, "linf", PolynomialKernel(0.8), (3, 1)),
+    (2, "l1", PolynomialKernel(1.0), (2, -1)),
+    (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64, 256)), (64,)),
+])
+def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
+    """The jump law's shell table, total and suppressed row sums, against the
+    formulas written out per kernel class."""
+    ladder = isinstance(kernel, LadderKernel)
+    expo = 1.0 + kernel.alpha if ladder else d + kernel.alpha
+    s = np.arange(1, mc.SHELL_HORIZON + 1, dtype=float)
+    counts = np.array([shell_count(d, metric, int(r))
+                       for r in range(1, mc.SHELL_HORIZON + 1)], dtype=float)
+    weights = counts * s ** (-expo)
+    for r in (kernel.ranges if ladder else ()):
+        weights[r - 1] += counts[r - 1] * (math.log(r) * r ** (-1.0 - kernel.alpha))
+    cum = np.cumsum(weights)
+    total = float(cum[-1] + shell_tail_sum(d, metric, expo, mc.SHELL_HORIZON + 1))
+    gap = max(abs(c) for c in y0) if metric == "linf" else sum(abs(c) for c in y0)
+    pair = float(gap) ** (-expo)
+    if ladder and gap in kernel.ranges:
+        pair += math.log(gap) * gap ** (-1.0 - kernel.alpha)
+
+    x0 = (0,) * d
+    plain = mc.TrajectorySampler(LatticeModel(d=d, metric=metric, kernel=kernel), 0)
+    supp = mc.TrajectorySampler(LatticeModel(
+        d=d, metric=metric, kernel=SuppressedPairKernel(kernel, x0, y0)), 0)
+    for sampler in (plain, supp):
+        assert sampler.total == total
+        assert np.array_equal(sampler.cum[:300], cum[:300])
+    q = supp._row_sum(np.array([x0, y0, (7,) * d]))
+    assert q[0] == total - pair and q[1] == total - pair and q[2] == total
 
 
 def test_position_sup_bounds_and_t0():
