@@ -117,20 +117,24 @@ def _hkp_bound(model, x, y, t, alpha):
 
 
 def _kernel_rows_at_times(model, center, r_win, sources, times):
-    """p_t(x, .) on the killed window for each source and time (times sorted)."""
+    """p_t(x, .) on the killed window for each source and time (times sorted),
+    and the sum of the certified max-norm errors of all steps, which bounds
+    the error of every row."""
     fm = truncate(model, center, r_win, KILLED)
     gen = generator(fm)
     out = {}
+    eps = 0.0
     for x in sources:
         i = fm.index[x]
         v = np.zeros(fm.n)
         v[i] = 1.0 / fm.mu[i]
         prev_t = 0.0
         for t in times:
-            v, _ = expm_action(gen, v, t - prev_t, 1e-13)
+            v, e = expm_action(gen, v, t - prev_t, 1e-13)
+            eps += e
             prev_t = t
             out[(x, t)] = v.copy()
-    return fm, out
+    return fm, out, eps
 
 
 def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
@@ -141,6 +145,8 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     Full-graph kernels are approximated by killed kernels on a window; the
     window is doubled once and any probed value moving by more than
     `doubling_margin` (relative) raises WindowUnconverged.
+    `metadata["eps_poisson"]` is the summed certified uniformization error of
+    the kernel rows on both windows, a max-norm bound on each probed value.
     """
     from .errors import WindowUnconverged
 
@@ -159,8 +165,9 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     else:
         times = sorted(set(times))
     sources = sorted(set(x for x, _ in pairs))
-    fm1, rows1 = _kernel_rows_at_times(model, center, r_win, sources, times)
-    fm2, rows2 = _kernel_rows_at_times(model, center, 2 * r_win, sources, times)
+    fm1, rows1, eps1 = _kernel_rows_at_times(model, center, r_win, sources, times)
+    fm2, rows2, eps2 = _kernel_rows_at_times(model, center, 2 * r_win, sources,
+                                             times)
     probe_rows = []
     c2, wit2 = -math.inf, None
     c1, wit1 = math.inf, None
@@ -195,7 +202,7 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
         grid={"pairs": pairs, "times": times, "r_win": r_win},
         constants={"C1_lower": c1, "C2_upper": c2, "C_UHD": uhd},
         witnesses={"C1_lower": wit1, "C2_upper": wit2, "C_UHD": wit_uhd},
-        metadata={"rows": probe_rows})
+        metadata={"rows": probe_rows, "eps_poisson": eps1 + eps2})
 
 
 def check_ndlb(model: LatticeModel, alpha: float, radii, centers=None,

@@ -200,6 +200,25 @@ def shell_count(d: int, metric: str, s: int) -> int:
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def shell_counts(d: int, metric: str, s) -> np.ndarray:
+    """`shell_count` over an array of radii, in exact int64 arithmetic."""
+    s = np.asarray(s, dtype=np.int64)
+    if s.size and (2 * int(s.max()) + 1) ** d >= 2 ** 63:
+        raise OverflowError("shell counts exceed int64")
+    if metric == "linf":
+        out = (2 * s + 1) ** d - (2 * s - 1) ** d
+    elif metric == "l1":
+        out = np.zeros_like(s)
+        binom = np.ones_like(s)  # C(s-1, k-1), zero once k > s
+        for k in range(1, d + 1):
+            if k > 1:
+                binom = binom * (s - k + 1) // (k - 1)
+            out += 2 ** k * math.comb(d, k) * binom
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    return np.where(s == 0, 1, out)
+
+
 def _shell_poly_coeffs(d: int, metric: str) -> list[Fraction]:
     """Coefficients c_j with shell_count(s) = sum_j c_j s^j, exact for s >= 1."""
     if metric == "linf":
@@ -333,7 +352,7 @@ class LatticeModel:
                         seen[w] = seen[u] + 1
                         q.append(w)
             return sorted(seen)
-        size = sum(shell_count(self.d, self.metric, s) for s in range(m + 1))
+        size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
         if size > self.state_cap:
             raise WindowTooLarge(f"ball of {size} vertices exceeds cap {self.state_cap}")
         if self.metric == "linf":
@@ -482,20 +501,82 @@ def validate_constants(model: LatticeModel, probes: Iterable) -> dict:
 # finite windows
 # ---------------------------------------------------------------------------
 
+class BoxConvolution:
+    """J on a lattice window, applied matrix-free as a circular convolution.
+
+    On Z^d the radial kernel depends only on x - y, so the window's rate
+    matrix is a (block-)Toeplitz section of one convolution.  The window lies
+    in the box of side 2m+1 around its centre; the kernel on the box's offset
+    grid is zero-padded to an FFT length of at least twice the side per axis,
+    which keeps the circular product free of wrap-around, and transformed
+    once.  A product then costs O(N log N) time and O(N) memory for N padded
+    grid points: scatter the vector into the box by flat index, multiply the
+    spectra, gather it back.  l1 balls scatter into a masked subset of the
+    box.  A suppressed pair with both endpoints in the window is subtracted
+    as a rank-2 term.
+    """
+
+    def __init__(self, model: LatticeModel, index: dict, center, m: int):
+        d = model.d
+        side = 2 * m + 1
+        self.shape = (_fft_len(2 * side),) * d
+        self.axes = tuple(range(d))
+        size = self.shape[0]
+        offset = np.minimum(np.arange(size), size - np.arange(size))
+        grids = np.meshgrid(*([offset] * d), indexing="ij", sparse=True)
+        dist = functools.reduce(np.maximum if model.metric == "linf" else np.add,
+                                grids)
+        kern = model.radial_values(dist)
+        kern[functools.reduce(np.maximum, grids) >= side] = 0.0
+        self.symbol = np.fft.rfftn(kern, axes=self.axes)
+        corner = np.asarray(center, dtype=np.int64) - m
+        coords = np.asarray(list(index), dtype=np.int64) - corner
+        self.flat = np.ravel_multi_index(tuple(coords.T), self.shape)
+        self.pairs = []
+        k = model.kernel
+        if (isinstance(k, SuppressedPairKernel) and k.x0 != k.y0
+                and k.x0 in index and k.y0 in index):
+            rate = model.radial_values(np.array([model.distance(k.x0, k.y0)]))[0]
+            self.pairs.append((index[k.x0], index[k.y0], rate))
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        u = np.zeros(math.prod(self.shape))
+        u[self.flat] = v
+        spec = np.fft.rfftn(u.reshape(self.shape), axes=self.axes) * self.symbol
+        out = np.fft.irfftn(spec, s=self.shape, axes=self.axes).reshape(-1)[self.flat]
+        for i, j, rate in self.pairs:
+            out[i] -= rate * v[j]
+            out[j] -= rate * v[i]
+        return out
+
+
+def _fft_len(n: int) -> int:
+    """Smallest length >= n with no prime factor above 5 (a fast FFT size)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @dataclass
 class FiniteModel:
     """Truncation of a LatticeModel to a finite vertex window.
 
     `kill` is the total per-vertex kill rate mu_x^{-1} J(x, G-W); in
     exterior-tracked mode it splits into explicit couplings to a tagged
-    annulus plus a remainder kill.
+    annulus plus a remainder kill.  Lattice windows carry a `BoxConvolution`
+    and never need the dense `rates` for a product; `rates` is built on the
+    first read only.
     """
 
     model: LatticeModel
     window: list
     index: dict
     mu: np.ndarray
-    rates: np.ndarray               # (n, n) symmetric J(x,y), zero diagonal
     kill: np.ndarray                # per-vertex kill rate (zeros if reflected)
     kill_bound: np.ndarray          # certified tail remainder in `kill`
     mode: str
@@ -505,10 +586,29 @@ class FiniteModel:
     exterior: list | None = None
     coupling: np.ndarray | None = None       # (n, n_ext) J(x, w)/1 values
     remainder_kill: np.ndarray | None = None  # kill beyond the tracked annulus
+    action: BoxConvolution | None = None      # matrix-free J on lattice windows
 
     @property
     def n(self) -> int:
         return len(self.window)
+
+    @functools.cached_property
+    def rates(self) -> np.ndarray:
+        """(n, n) symmetric J(x,y) with zero diagonal."""
+        rates = _pair_rates(self.model, self.window, self.window)
+        np.fill_diagonal(rates, 0.0)
+        return rates
+
+    def rates_matvec(self, v: np.ndarray) -> np.ndarray:
+        """`rates @ v` for a vector v, without the dense matrix when possible."""
+        if self.action is None:
+            return self.rates @ v
+        return self.action(v)
+
+    @functools.cached_property
+    def row_sums(self) -> np.ndarray:
+        """J(x, W) for each window vertex x."""
+        return self.rates_matvec(np.ones(self.n))
 
 
 def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
@@ -549,32 +649,25 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
     if n > model.state_cap:
         raise WindowTooLarge(f"{n} states exceeds cap {model.state_cap}")
     index = {v: i for i, v in enumerate(window)}
+    action = None
+    if model.kind == "lattice" and not isinstance(model.kernel, TabulatedKernel):
+        action = BoxConvolution(model, index, x0, int(math.floor(r_win)))
     mu = np.array([model.mu(v) for v in window])
-    rates = _pair_rates(model, window, window)
-    np.fill_diagonal(rates, 0.0)
-
-    kill = np.zeros(n)
-    kill_bound = np.zeros(n)
-    exterior = None
-    coupling = None
-    remainder_kill = None
+    fm = FiniteModel(model=model, window=window, index=index, mu=mu,
+                     kill=np.zeros(n), kill_bound=np.zeros(n), mode=mode,
+                     center=x0, radius=r_win, lam_ext=lam_ext, action=action)
     if mode in (KILLED, EXTERIOR_TRACKED):
-        inside = rates.sum(axis=1)
         totals = np.empty(n)
         bounds = np.empty(n)
         for i, v in enumerate(window):
             totals[i], bounds[i] = model.row_sum_all(v)
-        kill = np.maximum(totals - inside, 0.0) / mu
-        kill_bound = bounds / mu
+        fm.kill = np.maximum(totals - fm.row_sums, 0.0) / mu
+        fm.kill_bound = bounds / mu
     if mode == EXTERIOR_TRACKED:
         big = model.ball(x0, lam_ext * r_win)
         wset = set(window)
-        exterior = [v for v in big if v not in wset]
-        coupling = _pair_rates(model, window, exterior)
-        tracked = coupling.sum(axis=1) / mu
-        remainder_kill = np.maximum(kill - tracked, 0.0)
-    return FiniteModel(model=model, window=window, index=index, mu=mu,
-                       rates=rates, kill=kill, kill_bound=kill_bound, mode=mode,
-                       center=x0, radius=r_win, lam_ext=lam_ext,
-                       exterior=exterior, coupling=coupling,
-                       remainder_kill=remainder_kill)
+        fm.exterior = [v for v in big if v not in wset]
+        fm.coupling = _pair_rates(model, window, fm.exterior)
+        tracked = fm.coupling.sum(axis=1) / mu
+        fm.remainder_kill = np.maximum(fm.kill - tracked, 0.0)
+    return fm

@@ -23,7 +23,7 @@ from .models import (
     MuConstant,
     SuppressedPairKernel,
     TabulatedKernel,
-    shell_count,
+    shell_counts,
     shell_tail_sum,
 )
 
@@ -68,10 +68,9 @@ class TrajectorySampler:
         if max(kernel.ranges, default=0) > SHELL_HORIZON:
             raise ValueError("ladder range beyond the shell horizon")
         self.expo = kernel.exponent(model.d)
-        s = np.arange(1, SHELL_HORIZON + 1, dtype=float)
-        counts = np.array([shell_count(model.d, model.metric, int(r))
-                           for r in range(1, SHELL_HORIZON + 1)], dtype=float)
-        weights = counts * s ** (-self.expo)
+        radii = np.arange(1, SHELL_HORIZON + 1)
+        counts = shell_counts(model.d, model.metric, radii).astype(float)
+        weights = counts * radii.astype(float) ** (-self.expo)
         for r in kernel.ranges:
             weights[r - 1] += counts[r - 1] * kernel.atom(r)
         self.cum = np.cumsum(weights)
@@ -134,7 +133,7 @@ class TrajectorySampler:
             signs = rng.integers(0, 2, n) * 2 - 1
             return (radii * signs)[:, None]
         s = radii.astype(np.int64)
-        counts = np.array([shell_count(d, metric, int(r)) for r in s])
+        counts = shell_counts(d, metric, s)
         k = (rng.random(n) * counts).astype(np.int64)
         k = np.minimum(k, counts - 1)
         out = np.empty((n, 2), dtype=np.int64)

@@ -5,10 +5,22 @@ of powers of the substochastic jump matrix P = I + Q/Lam with a certified
 truncation error.  Wide-matrix actions at large Lam*t are split into
 sequential short steps; left-multiplication by substochastic factors keeps the
 max-norm error additive across steps.
+
+Which products are matrix-free: `GeneratorView.apply` on a single vector
+applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
+on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
+`apply_generator` and `dirichlet_form` never build an n x n matrix.  What
+stays dense: actions on a matrix (all-pairs heat kernels, the Harnack step
+operators) use the BLAS-3 product with the dense P, because the Harnack scans
+need per-entry relative accuracy, which an FFT product (accurate relative to
+the largest entry) does not give, and at their window sizes GEMM is faster;
+`np.linalg.solve` (exit times, harmonic extensions) needs the dense Q.  Both
+are built on first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,23 +43,43 @@ TERM_CAP = 1_000_000
 
 @dataclass
 class GeneratorView:
-    """Uniformized view of the generator of a finite model."""
+    """Uniformized view of the generator of a finite model.
+
+    The total jump-out rate and the uniformization rate `lam` are computed at
+    once; the dense `Q` and `P = I + Q/lam` are built on first read.
+    """
 
     fm: FiniteModel
-    Q: np.ndarray
+    out_rate: np.ndarray
     lam: float
-    P: np.ndarray
+
+    @functools.cached_property
+    def Q(self) -> np.ndarray:
+        Q = self.fm.rates / self.fm.mu[:, None]
+        np.fill_diagonal(Q, -self.out_rate)
+        return Q
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        return np.eye(self.fm.n) + self.Q / self.lam
+
+    def apply_Q(self, f: np.ndarray) -> np.ndarray:
+        """Q f for a vector f, matrix-free."""
+        return self.fm.rates_matvec(f) / self.fm.mu - self.out_rate * f
+
+    def apply(self, V: np.ndarray) -> np.ndarray:
+        """P V: matrix-free for a vector, the dense BLAS-3 product for a matrix."""
+        if V.ndim == 2:
+            return self.P @ V
+        return V + self.apply_Q(V) / self.lam
 
 
 def generator(fm: FiniteModel) -> GeneratorView:
-    Q = fm.rates / fm.mu[:, None]
-    out_rate = Q.sum(axis=1) + fm.kill
-    np.fill_diagonal(Q, -out_rate)
+    out_rate = fm.row_sums / fm.mu + fm.kill
     lam = float(out_rate.max()) if fm.n else 0.0
     if lam == 0.0:
         lam = 1.0
-    P = np.eye(fm.n) + Q / lam
-    return GeneratorView(fm=fm, Q=Q, lam=lam, P=P)
+    return GeneratorView(fm=fm, out_rate=out_rate, lam=lam)
 
 
 def apply_generator(fm: FiniteModel, f: np.ndarray) -> np.ndarray:
@@ -55,7 +87,7 @@ def apply_generator(fm: FiniteModel, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape[0] != fm.n:
         raise ValueError("dimension mismatch")
-    return generator(fm).Q @ f
+    return generator(fm).apply_Q(f)
 
 
 def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) -> float:
@@ -64,8 +96,7 @@ def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) 
     g = f if g is None else np.asarray(g, dtype=float)
     if f.shape[0] != fm.n or g.shape[0] != fm.n:
         raise ValueError("dimension mismatch")
-    L = np.diag(fm.rates.sum(axis=1)) - fm.rates
-    return float(f @ L @ g)
+    return float(f @ (fm.row_sums * g) - f @ fm.rates_matvec(g))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +138,7 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     acc = pmf[0] * V
     work = V
     for k in range(1, len(pmf)):
-        work = gen.P @ work
+        work = gen.apply(work)
         acc = acc + pmf[k] * work
     return acc, tail * scale
 
@@ -138,7 +169,7 @@ def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
     acc = sf[0] * V
     work = V
     for i in range(1, len(sf)):
-        work = gen.P @ work
+        work = gen.apply(work)
         acc = acc + sf[i] * work
     return acc, rem * scale
 
