@@ -640,7 +640,7 @@ def check_boundary_flux(model: LatticeModel, radii, centers=None,
     for x0 in centers:
         for R in radii:
             half = model.ball(x0, R / 2)
-            flux = sum(model.row_sum_region(y, ("outside_ball", x0, R))[0]
+            flux = sum(model.row_sum_outside(y, x0, R)[0]
                        for y in half)
             mb = model.volume(x0, R / 2)
             val = float(R) ** alpha * flux / mb
@@ -663,7 +663,7 @@ def moment_sums(model: LatticeModel, x, r) -> tuple[float, float]:
     """M1(x,r) = sum_{B(x,r)} d(x,y)^2 J(x,y) (exact);
     M2(x,r) = J(x, B(x,r)^c) (tail-certified)."""
     m1 = sum(model.distance(x, y) ** 2 * model.J(x, y) for y in model.ball(x, r))
-    m2, _ = model.row_sum_region(x, ("outside_ball", x, r))
+    m2, _ = model.row_sum_outside(x, x, r)
     return float(m1), float(m2)
 
 

@@ -16,13 +16,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ExteriorOutOfRange, NumericalFailure, WindowUnconverged
+from .errors import ExteriorOutOfRange, WindowUnconverged
 from .models import EXTERIOR_TRACKED, FiniteModel, KILLED, LatticeModel, truncate
 from .semigroup import (
     CaloricField,
     expm_action,
     generator,
     integrated_action,
+    solve_generator,
     step_operators,
 )
 
@@ -248,15 +249,9 @@ def caloric_box_ratio(fld: CaloricField, box: HarnackBox) -> float:
 
 def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
-    gen = generator(fm)
     rhs = np.concatenate([fm.coupling / fm.mu[:, None],
                           fm.remainder_kill[:, None]], axis=1)
-    try:
-        H = np.linalg.solve(-gen.Q, rhs)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(str(e)) from e
-    if not np.all(np.isfinite(H)):
-        raise NumericalFailure("harmonic solve returned non-finite values")
+    H = solve_generator(fm, rhs)
     inner = [i for i, v in enumerate(fm.window)
              if fm.model.distance(x0, v) <= R]
     channels = list(fm.exterior) + ["remainder"]
@@ -301,9 +296,8 @@ def harmonic_partition_residual(model: LatticeModel, x0, R,
     """max_x |sum_w h_w(x) + h_rem(x) - 1| over B(x0,R): the harmonic
     generators of data == 1 must sum to the constant function."""
     fm, _, _ = _ehi_once(model, x0, R, lam_ext)
-    gen = generator(fm)
     rhs = (fm.coupling / fm.mu[:, None]).sum(axis=1) + fm.remainder_kill
-    h = np.linalg.solve(-gen.Q, rhs)
+    h = solve_generator(fm, rhs)
     return float(np.abs(h - 1.0).max())
 
 

@@ -36,6 +36,10 @@ EXTERIOR_TRACKED = "exterior_tracked"
 
 # Relative accuracy attributed to the zeta-based tail evaluation.
 TAIL_REL_BOUND = 1e-12
+# Largest lattice ball or window, in states, that is enumerated.
+STATE_CAP = 200_000
+# Shells summed term by term before the Hurwitz-zeta tail takes over.
+TAIL_SHELLS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +52,10 @@ class MuConstant:
 
     def __call__(self, x):
         return self.value
+
+    def at(self, points) -> np.ndarray:
+        """The measure at each row of an (n, d) array of lattice points."""
+        return np.full(len(points), self.value)
 
     def to_dict(self):
         return {"type": "constant", "value": self.value}
@@ -63,6 +71,10 @@ class MuAlternating:
     def __call__(self, x):
         return self.even if sum(x) % 2 == 0 else self.odd
 
+    def at(self, points) -> np.ndarray:
+        parity = np.asarray(points).sum(axis=1) % 2
+        return np.where(parity == 0, self.even, self.odd)
+
     def to_dict(self):
         return {"type": "alternating", "even": self.even, "odd": self.odd}
 
@@ -77,6 +89,10 @@ class MuTable:
 
     def __call__(self, x):
         return self._values[x]
+
+    def at(self, points) -> np.ndarray:
+        return np.array([self(tuple(p)) for p in np.asarray(points).tolist()],
+                        dtype=float)
 
     def to_dict(self):
         return {"type": "table", "entries": [[list(v) if isinstance(v, tuple) else v, m]
@@ -260,11 +276,11 @@ def shell_tail_sum(d: int, metric: str, exponent: float, start: int) -> float:
 
 
 @functools.cache
-def _radial_row_sum(d: int, metric: str, kernel, tail_shells: int) -> tuple[float, float]:
+def _radial_row_sum(d: int, metric: str, kernel) -> tuple[float, float]:
     """(J(x, G), certified remainder bound) of a radial kernel on Z^d.
 
     The value is the same at every vertex, so it is memoised per argument
-    tuple.  Shells 1..tail_shells are summed left to right in Python floats
+    tuple.  Shells 1..TAIL_SHELLS are summed left to right in Python floats
     and the value is evaluated as head + tail + atoms; callers subtract any
     per-vertex correction afterwards, which keeps every bit of the result.
     """
@@ -273,8 +289,8 @@ def _radial_row_sum(d: int, metric: str, kernel, tail_shells: int) -> tuple[floa
     if expo <= d:
         raise DivergentTail(f"row sum diverges: exponent {expo} <= d={d}")
     head = sum(shell_count(d, metric, s) * float(s) ** (-expo)
-               for s in range(1, tail_shells + 1))
-    tail = shell_tail_sum(d, metric, expo, tail_shells + 1)
+               for s in range(1, TAIL_SHELLS + 1))
+    tail = shell_tail_sum(d, metric, expo, TAIL_SHELLS + 1)
     return head + tail + atoms, TAIL_REL_BOUND * (head + tail) + 1e-300
 
 
@@ -284,7 +300,12 @@ def _radial_row_sum(d: int, metric: str, kernel, tail_shells: int) -> tuple[floa
 
 @dataclass(frozen=True)
 class LatticeModel:
-    """An infinite lattice Z^d (or a finite explicit graph) with measure and kernel."""
+    """An infinite lattice Z^d (or a finite explicit graph) with measure and kernel.
+
+    Lattices take polynomial and ladder kernels (ladders on Z only), explicit
+    graphs also tabulated ones; any of them may carry one suppressed pair of
+    distinct vertices.  Other combinations raise ValueError on construction.
+    """
 
     kind: str = "lattice"              # "lattice" | "explicit"
     d: int = 1
@@ -295,8 +316,6 @@ class LatticeModel:
     c_m: float | None = None
     vertices: tuple = ()               # explicit graphs only
     edges: tuple = ()                  # explicit graphs only
-    state_cap: int = 200_000
-    tail_shells: int = 4096
     _adj: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -306,8 +325,17 @@ class LatticeModel:
                 adj[u].append(v)
                 adj[v].append(u)
             object.__setattr__(self, "_adj", adj)
-        if isinstance(self.kernel, LadderKernel) and self.d != 1:
+        k = self.kernel
+        if isinstance(k, SuppressedPairKernel):
+            if k.x0 == k.y0:
+                raise ValueError("a suppressed pair needs two distinct vertices")
+            if not (len(k.x0) == len(k.y0) == self.d if self.kind == "lattice"
+                    else {k.x0, k.y0} <= self._adj.keys()):
+                raise ValueError("the suppressed pair is not two vertices of the graph")
+        if isinstance(self.base_kernel, LadderKernel) and self.d != 1:
             raise ValueError("ladder kernels are defined on Z only")
+        if self.kind == "lattice" and isinstance(self.base_kernel, TabulatedKernel):
+            raise ValueError("tabulated kernels are defined on explicit graphs only")
 
     # -- measure ----------------------------------------------------------
 
@@ -335,6 +363,11 @@ class LatticeModel:
                     q.append(w)
         raise DistanceUnreachable(f"{x!r} and {y!r} are not connected")
 
+    def norm(self, diff: np.ndarray) -> np.ndarray:
+        """Lattice length of each integer displacement along the last axis."""
+        diff = np.abs(diff)
+        return diff.max(axis=-1) if self.metric == "linf" else diff.sum(axis=-1)
+
     def ball(self, x0, r: float) -> list:
         """Vertices at distance <= floor(r), in deterministic (lexicographic) order."""
         if r < 0:
@@ -353,14 +386,12 @@ class LatticeModel:
                         q.append(w)
             return sorted(seen)
         size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
-        if size > self.state_cap:
-            raise WindowTooLarge(f"ball of {size} vertices exceeds cap {self.state_cap}")
-        if self.metric == "linf":
-            pts = itertools.product(*(range(c - m, c + m + 1) for c in x0))
-            return [tuple(p) for p in pts]
+        if size > STATE_CAP:
+            raise WindowTooLarge(f"ball of {size} vertices exceeds cap {STATE_CAP}")
         pts = itertools.product(*(range(c - m, c + m + 1) for c in x0))
-        return [tuple(p) for p in pts
-                if sum(abs(a - b) for a, b in zip(p, x0)) <= m]
+        if self.metric == "linf":
+            return [tuple(p) for p in pts]
+        return [p for p in pts if self.distance(p, x0) <= m]
 
     def volume(self, x0, r: float) -> float:
         return float(sum(self.mu(y) for y in self.ball(x0, r)))
@@ -373,11 +404,19 @@ class LatticeModel:
         k = self.kernel
         return k.base if isinstance(k, SuppressedPairKernel) else k
 
+    @functools.cached_property
+    def pair(self) -> tuple | None:
+        """(x0, y0, base_rate(x0, y0)) of the suppressed pair, or None."""
+        k = self.kernel
+        if not isinstance(k, SuppressedPairKernel):
+            return None
+        return k.x0, k.y0, self.base_rate(k.x0, k.y0)
+
     def J(self, x, y) -> float:
         if x == y:
             return 0.0
-        k = self.kernel
-        if isinstance(k, SuppressedPairKernel) and {x, y} == {k.x0, k.y0}:
+        p = self.pair
+        if p is not None and {x, y} == {p[0], p[1]}:
             return 0.0
         return self.base_rate(x, y)
 
@@ -393,8 +432,8 @@ class LatticeModel:
         return v
 
     def radial_values(self, dist: np.ndarray) -> np.ndarray:
-        """Vectorized radial kernel values for an integer distance array (suppression
-        and tabulated entries are handled positionally elsewhere)."""
+        """Vectorized radial kernel values for an integer distance array (the
+        suppressed pair is handled positionally elsewhere)."""
         k = self.base_kernel
         dist = np.asarray(dist, dtype=float)
         out = np.zeros_like(dist)
@@ -408,35 +447,19 @@ class LatticeModel:
 
     def row_sum_all(self, x) -> tuple[float, float]:
         """(J(x,G), certified remainder bound)."""
-        k = self.kernel
-        if self.kind == "explicit" or isinstance(k, TabulatedKernel):
+        if self.kind == "explicit":
             return sum(self.J(x, y) for y in self.vertices if y != x), 0.0
-        value, bound = _radial_row_sum(self.d, self.metric, self.base_kernel,
-                                       self.tail_shells)
-        if isinstance(k, SuppressedPairKernel) and x in (k.x0, k.y0):
-            value -= self.base_rate(k.x0, k.y0)
+        value, bound = _radial_row_sum(self.d, self.metric, self.base_kernel)
+        p = self.pair
+        if p is not None and x in p[:2]:
+            value -= p[2]
         return value, bound
 
-    def row_sum_region(self, x, region) -> tuple[float, float]:
-        """J(x, A) for A one of ("all",), ("outside_ball", x0, r), ("annulus", r_in, r_out).
-
-        Annuli are centered at x and inclusive at both radii.  Exact for finite
-        regions; tail-certified otherwise.
-        """
-        tag = region[0]
-        if tag == "all":
-            return self.row_sum_all(x)
-        if tag == "annulus":
-            _, r_in, r_out = region
-            vals = [self.J(x, y) for y in self.ball(x, r_out)
-                    if r_in <= self.distance(x, y) <= r_out]
-            return float(sum(vals)), 0.0
-        if tag == "outside_ball":
-            _, x0, r = region
-            total, rem = self.row_sum_all(x)
-            inside = sum(self.J(x, y) for y in self.ball(x0, r) if y != x)
-            return total - inside, rem
-        raise ValueError(f"unknown region {region!r}")
+    def row_sum_outside(self, x, x0, r) -> tuple[float, float]:
+        """(J(x, G - B(x0, r)), certified remainder bound)."""
+        total, rem = self.row_sum_all(x)
+        inside = sum(self.J(x, y) for y in self.ball(x0, r) if y != x)
+        return total - inside, rem
 
     # -- serialization -------------------------------------------------------
 
@@ -513,7 +536,7 @@ class BoxConvolution:
     grid points: scatter the vector into the box by flat index, multiply the
     spectra, gather it back.  l1 balls scatter into a masked subset of the
     box.  A suppressed pair with both endpoints in the window is subtracted
-    as a rank-2 term.
+    as a rank-2 term, `pair` = (slot of x0, slot of y0, rate), else None.
     """
 
     def __init__(self, model: LatticeModel, index: dict, center, m: int):
@@ -532,19 +555,18 @@ class BoxConvolution:
         corner = np.asarray(center, dtype=np.int64) - m
         coords = np.asarray(list(index), dtype=np.int64) - corner
         self.flat = np.ravel_multi_index(tuple(coords.T), self.shape)
-        self.pairs = []
-        k = model.kernel
-        if (isinstance(k, SuppressedPairKernel) and k.x0 != k.y0
-                and k.x0 in index and k.y0 in index):
-            rate = model.radial_values(np.array([model.distance(k.x0, k.y0)]))[0]
-            self.pairs.append((index[k.x0], index[k.y0], rate))
+        p = model.pair
+        self.pair = None
+        if p is not None and p[0] in index and p[1] in index:
+            self.pair = (index[p[0]], index[p[1]], p[2])
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         u = np.zeros(math.prod(self.shape))
         u[self.flat] = v
         spec = np.fft.rfftn(u.reshape(self.shape), axes=self.axes) * self.symbol
         out = np.fft.irfftn(spec, s=self.shape, axes=self.axes).reshape(-1)[self.flat]
-        for i, j, rate in self.pairs:
+        if self.pair is not None:
+            i, j, rate = self.pair
             out[i] -= rate * v[j]
             out[j] -= rate * v[i]
         return out
@@ -580,9 +602,6 @@ class FiniteModel:
     kill: np.ndarray                # per-vertex kill rate (zeros if reflected)
     kill_bound: np.ndarray          # certified tail remainder in `kill`
     mode: str
-    center: object = None
-    radius: float = 0.0
-    lam_ext: float = 4.0
     exterior: list | None = None
     coupling: np.ndarray | None = None       # (n, n_ext) J(x, w)/1 values
     remainder_kill: np.ndarray | None = None  # kill beyond the tracked annulus
@@ -612,30 +631,25 @@ class FiniteModel:
 
 
 def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
-    """Matrix of J(x,y) for x in xs, y in ys (positional corrections applied)."""
-    k = model.kernel
-    if model.kind == "explicit" or isinstance(k, TabulatedKernel):
-        out = np.zeros((len(xs), len(ys)))
+    """Matrix of J(x,y) for x in xs, y in ys (the suppressed pair zeroed)."""
+    out = np.zeros((len(xs), len(ys)))
+    if model.kind == "explicit":
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 out[i, j] = model.J(x, y)
         return out
-    ax = np.asarray(xs, dtype=np.int64)
-    ay = np.asarray(ys, dtype=np.int64)
-    out = np.zeros((len(xs), len(ys)))
+    ax = np.asarray(xs, dtype=np.int64).reshape(len(xs), model.d)
+    ay = np.asarray(ys, dtype=np.int64).reshape(len(ys), model.d)
     chunk = max(1, int(4e6 // max(1, len(ys))))
     for lo in range(0, len(xs), chunk):
         hi = min(lo + chunk, len(xs))
-        diff = np.abs(ax[lo:hi, None, :] - ay[None, :, :])
-        dist = diff.max(axis=2) if model.metric == "linf" else diff.sum(axis=2)
+        dist = model.norm(ax[lo:hi, None, :] - ay[None, :, :])
         out[lo:hi] = model.radial_values(dist)
-    if isinstance(k, SuppressedPairKernel):
-        for i, x in enumerate(xs):
-            if x == k.x0 or x == k.y0:
-                other = k.y0 if x == k.x0 else k.x0
-                for j, y in enumerate(ys):
-                    if y == other:
-                        out[i, j] = 0.0
+    p = model.pair
+    if p is not None:
+        x_at = [np.all(ax == p[e], axis=1) for e in (0, 1)]
+        y_at = [np.all(ay == p[e], axis=1) for e in (0, 1)]
+        out[np.outer(x_at[0], y_at[1]) | np.outer(x_at[1], y_at[0])] = 0.0
     return out
 
 
@@ -646,16 +660,16 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         raise ValueError(f"unknown mode {mode!r}")
     window = model.ball(x0, r_win)
     n = len(window)
-    if n > model.state_cap:
-        raise WindowTooLarge(f"{n} states exceeds cap {model.state_cap}")
+    if n > STATE_CAP:
+        raise WindowTooLarge(f"{n} states exceeds cap {STATE_CAP}")
     index = {v: i for i, v in enumerate(window)}
     action = None
-    if model.kind == "lattice" and not isinstance(model.kernel, TabulatedKernel):
+    if model.kind == "lattice":
         action = BoxConvolution(model, index, x0, int(math.floor(r_win)))
     mu = np.array([model.mu(v) for v in window])
     fm = FiniteModel(model=model, window=window, index=index, mu=mu,
                      kill=np.zeros(n), kill_bound=np.zeros(n), mode=mode,
-                     center=x0, radius=r_win, lam_ext=lam_ext, action=action)
+                     action=action)
     if mode in (KILLED, EXTERIOR_TRACKED):
         totals = np.empty(n)
         bounds = np.empty(n)

@@ -17,15 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import (
-    LatticeModel,
-    MuAlternating,
-    MuConstant,
-    SuppressedPairKernel,
-    TabulatedKernel,
-    shell_counts,
-    shell_tail_sum,
-)
+from .models import LatticeModel, shell_counts, shell_tail_sum
 
 SHELL_HORIZON = 2 ** 16
 STEP_CAP = 10_000_000
@@ -59,12 +51,6 @@ class TrajectorySampler:
         self.model = model
         self.seed = seed
         kernel = model.base_kernel
-        if isinstance(kernel, TabulatedKernel):
-            raise NotImplementedError(f"unsupported kernel {kernel!r}")
-        self.suppressed = None
-        if isinstance(model.kernel, SuppressedPairKernel):
-            self.suppressed = (model.kernel.x0, model.kernel.y0)
-            self.pair_rate = model.base_rate(*self.suppressed)
         if max(kernel.ranges, default=0) > SHELL_HORIZON:
             raise ValueError("ladder range beyond the shell horizon")
         self.expo = kernel.exponent(model.d)
@@ -83,20 +69,11 @@ class TrajectorySampler:
     def _row_sum(self, pos: np.ndarray) -> np.ndarray:
         """J(x, G) per walker (suppressed-pair endpoints corrected)."""
         out = np.full(len(pos), self.total)
-        if self.suppressed is not None:
-            for v in self.suppressed:
-                at = np.all(pos == np.asarray(v), axis=1)
-                out[at] -= self.pair_rate
+        p = self.model.pair
+        if p is not None:
+            for v in p[:2]:
+                out[np.all(pos == v, axis=1)] -= p[2]
         return out
-
-    def _mu(self, pos: np.ndarray) -> np.ndarray:
-        rule = self.model.mu_rule
-        if isinstance(rule, MuConstant):
-            return np.full(len(pos), rule.value)
-        if isinstance(rule, MuAlternating):
-            parity = pos.sum(axis=1) % 2
-            return np.where(parity == 0, rule.even, rule.odd)
-        return np.array([self.model.mu(tuple(p)) for p in pos])
 
     # -- displacement sampling ------------------------------------------------
 
@@ -167,9 +144,9 @@ class TrajectorySampler:
         n = len(pos)
         new = pos + self._directions(
             self._sample_radii(rng.random(n) * self.total), rng)
-        if self.suppressed is not None:
-            x0 = np.asarray(self.suppressed[0])
-            y0 = np.asarray(self.suppressed[1])
+        p = self.model.pair
+        if p is not None:
+            x0, y0 = np.asarray(p[0]), np.asarray(p[1])
             while True:
                 bad = (np.all(pos == x0, axis=1) & np.all(new == y0, axis=1)) | \
                       (np.all(pos == y0, axis=1) & np.all(new == x0, axis=1))
@@ -221,12 +198,10 @@ def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
                 truncated += int(alive.sum())
                 break
             p = pos[alive]
-            q = sampler._row_sum(p) / sampler._mu(p)
+            q = sampler._row_sum(p) / model.mu_rule.at(p)
             t[alive] += rng.exponential(1.0, len(p)) / q
             pos[alive] = sampler._jump(p, rng)
-            d = np.abs(pos[alive] - np.asarray(x0))
-            dist = d.max(axis=1) if model.metric == "linf" else d.sum(axis=1)
-            exited = dist > R
+            exited = model.norm(pos[alive] - np.asarray(x0)) > R
             idx = np.nonzero(alive)[0]
             alive[idx[exited]] = False
             steps += 1
@@ -254,10 +229,8 @@ def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
                 break
             p = sampler._jump(pos[alive], rng)
             pos[alive] = p
-            d = np.abs(p - np.asarray(x0))
-            dist = d.max(axis=1) if model.metric == "linf" else d.sum(axis=1)
             hits = np.all(p == yv, axis=1)
-            done = hits | (dist > R)
+            done = hits | (model.norm(p - np.asarray(x0)) > R)
             idx = np.nonzero(alive)[0]
             hit[idx[done]] = hits[done].astype(float)
             alive[idx[done]] = False
@@ -319,7 +292,7 @@ def sample_occupation(sampler: TrajectorySampler, x, t: float, n: int) -> dict:
         alive = np.ones(size, dtype=bool)
         while np.any(alive):
             p = pos[alive]
-            q = sampler._row_sum(p) / sampler._mu(p)
+            q = sampler._row_sum(p) / sampler.model.mu_rule.at(p)
             hold = rng.exponential(1.0, len(p)) / q
             idx = np.nonzero(alive)[0]
             over = clock[alive] + hold > t

@@ -2,9 +2,7 @@
 
 All rates are uniformly bounded, so exp(tQ) is evaluated as a Poisson mixture
 of powers of the substochastic jump matrix P = I + Q/Lam with a certified
-truncation error.  Wide-matrix actions at large Lam*t are split into
-sequential short steps; left-multiplication by substochastic factors keeps the
-max-norm error additive across steps.
+truncation error.
 
 Which products are matrix-free: `GeneratorView.apply` on a single vector
 applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
@@ -14,7 +12,7 @@ stays dense: actions on a matrix (all-pairs heat kernels, the Harnack step
 operators) use the BLAS-3 product with the dense P, because the Harnack scans
 need per-entry relative accuracy, which an FFT product (accurate relative to
 the largest entry) does not give, and at their window sizes GEMM is faster;
-`np.linalg.solve` (exit times, harmonic extensions) needs the dense Q.  Both
+`solve_generator` (exit times, harmonic extensions) needs the dense Q.  Both
 are built on first read.
 """
 
@@ -124,17 +122,7 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     scale = float(np.abs(V).max()) if V.size else 0.0
     if scale == 0.0:
         return V.copy(), 0.0
-    lt = gen.lam * t
-    wide = V.ndim == 2 and V.shape[1] > 32
-    if wide and lt > 64.0:
-        pieces = int(np.ceil(lt / 64.0))
-        out = V
-        err = 0.0
-        for _ in range(pieces):
-            out, e = expm_action(gen, out, t / pieces, tol / pieces)
-            err += e
-        return out, err
-    pmf, tail = _poisson_weights(lt, tol / max(scale, 1e-300))
+    pmf, tail = _poisson_weights(gen.lam * t, tol / max(scale, 1e-300))
     acc = pmf[0] * V
     work = V
     for k in range(1, len(pmf)):
@@ -184,10 +172,8 @@ class HeatKernelResult:
 
     fm: FiniteModel
     t: float
-    source: object            # vertex, or None for all-pairs
     values: np.ndarray        # (n,) or (n, n); p_t(x,y), all-pairs indexed [x, y]
     eps_poisson: float
-    mode: str
 
     def mass(self) -> np.ndarray:
         """sum_y p_t(x,y) mu_y (scalar array for single-source results)."""
@@ -209,9 +195,7 @@ def heat_kernel(fm: FiniteModel, x, t: float, tol: float = 1e-12) -> HeatKernelR
         e = np.zeros(fm.n)
         e[i] = 1.0 / fm.mu[i]
         dens, eps = expm_action(gen, e, t, tol)
-    return HeatKernelResult(fm=fm, t=t, source=x,
-                            values=dens, eps_poisson=eps,
-                            mode=fm.mode)
+    return HeatKernelResult(fm=fm, t=t, values=dens, eps_poisson=eps)
 
 
 def killed_heat_kernel(fm: FiniteModel, x, t: float,
@@ -221,18 +205,25 @@ def killed_heat_kernel(fm: FiniteModel, x, t: float,
     return heat_kernel(fm, x, t, tol)
 
 
+def solve_generator(fm: FiniteModel, rhs: np.ndarray) -> np.ndarray:
+    """u with -Q u = rhs on the window, by a dense solve.
+
+    A singular Q or a non-finite solution raises NumericalFailure.
+    """
+    try:
+        u = np.linalg.solve(-generator(fm).Q, rhs)
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(str(e)) from e
+    if not np.all(np.isfinite(u)):
+        raise NumericalFailure("generator solve returned non-finite values")
+    return u
+
+
 def expected_exit_time(fm: FiniteModel) -> np.ndarray:
     """u with Q u = -1; u(x) = E^x tau_W.  Requires a killing boundary."""
     if fm.mode == REFLECTED or not np.any(fm.kill > 0):
         raise NoExit("no killing: exit time is infinite")
-    gen = generator(fm)
-    try:
-        u = np.linalg.solve(-gen.Q, np.ones(fm.n))
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(str(e)) from e
-    if not np.all(np.isfinite(u)):
-        raise NumericalFailure("non-finite exit times")
-    return u
+    return solve_generator(fm, np.ones(fm.n))
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +268,15 @@ def step_operators(fm: FiniteModel, dt: float, tol: float = 1e-12) -> StepOperat
     return StepOperators(gen=gen, dt=dt, E=E, S=S, s_rem=s_rem, err=e1 + e2 + e3)
 
 
-def _coerce_exterior_data(fm, exterior_data, times):
-    m = len(times) - 1
-    n_ext = len(fm.exterior)
-    if exterior_data is None:
-        return np.zeros((m, n_ext))
-    if callable(exterior_data):
-        arr = np.array([[float(exterior_data(times[i], w)) for w in fm.exterior]
-                        for i in range(m)])
-    else:
-        arr = np.asarray(exterior_data, dtype=float)
-        if arr.shape != (m, n_ext):
-            raise InvalidData(f"exterior data must have shape {(m, n_ext)}")
-    if np.any(arr < 0):
-        raise InvalidData("exterior data must be nonnegative")
-    return arr
-
-
 def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
                   m_steps: int = 256, tol: float = 1e-12,
                   remainder_data=None, ops: StepOperators | None = None) -> CaloricField:
     """Solve du/dt = Lu on the window with given initial and exterior data.
 
-    Exterior data is piecewise constant on the uniform grid and integrated
-    exactly per step, so the discrete caloric residual is the truncation
-    tolerance of the step operators.
+    Exterior data, an (m_steps, n_exterior) array or None for zero, and
+    remainder data, an (m_steps,) array or None, are piecewise constant on
+    the uniform grid and integrated exactly per step, so the discrete caloric
+    residual is the truncation tolerance of the step operators.
     """
     initial = np.asarray(initial, dtype=float)
     if initial.shape[0] != fm.n:
@@ -309,13 +284,15 @@ def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
     if np.any(initial < 0):
         raise InvalidData("initial data must be nonnegative")
     times = np.linspace(0.0, T, m_steps + 1)
-    data = _coerce_exterior_data(fm, exterior_data, times)
-    if remainder_data is None:
-        rem = np.zeros(m_steps)
-    elif callable(remainder_data):
-        rem = np.array([float(remainder_data(times[i])) for i in range(m_steps)])
-    else:
-        rem = np.asarray(remainder_data, dtype=float)
+    shape = (m_steps, len(fm.exterior))
+    data = (np.zeros(shape) if exterior_data is None
+            else np.asarray(exterior_data, dtype=float))
+    if data.shape != shape:
+        raise InvalidData(f"exterior data must have shape {shape}")
+    if np.any(data < 0):
+        raise InvalidData("exterior data must be nonnegative")
+    rem = (np.zeros(m_steps) if remainder_data is None
+           else np.asarray(remainder_data, dtype=float))
     if np.any(rem < 0):
         raise InvalidData("remainder data must be nonnegative")
     if ops is None:
@@ -378,12 +355,5 @@ def harmonic_extension(fm: FiniteModel, exterior_data,
         raise InvalidData("exterior data has wrong length")
     if np.any(g < 0) or remainder_value < 0:
         raise InvalidData("exterior data must be nonnegative")
-    gen = generator(fm)
     rhs = (fm.coupling / fm.mu[:, None]) @ g + fm.remainder_kill * remainder_value
-    try:
-        h = np.linalg.solve(-gen.Q, rhs)
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailure(str(e)) from e
-    if not np.all(np.isfinite(h)):
-        raise NumericalFailure("harmonic solve returned non-finite values")
-    return h
+    return solve_generator(fm, rhs)

@@ -74,6 +74,13 @@ def test_exit_code_error():
     assert main(["run", "/nonexistent-config.json"]) == 2
 
 
+def test_zero_gap_suppressed_pair_is_an_error(capsys):
+    assert main(["cex", "suppressed", "--radii", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "ZeroDivisionError" not in err
+    assert "distinct" in err
+
+
 def test_config_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"experiment\": \"nope\"}")

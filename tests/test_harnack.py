@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jumplab import harnack as H
-from jumplab.errors import ExteriorOutOfRange, WindowUnconverged
+from jumplab.errors import ExteriorOutOfRange, NumericalFailure, WindowUnconverged
 from jumplab.models import (
     EXTERIOR_TRACKED,
     LatticeModel,
@@ -244,6 +244,24 @@ def test_ehi_le_phi(z1):
 
 def test_harmonic_partition(z1):
     assert H.harmonic_partition_residual(z1, (0,), 8) < 1e-12
+
+
+@pytest.mark.parametrize("fault", ["singular", "non-finite"])
+def test_harmonic_partition_solve_failure(z1, monkeypatch, fault):
+    """The partition's own solve (the one with a vector right-hand side)
+    reports a singular or non-finite solve as NumericalFailure."""
+    solve = np.linalg.solve
+
+    def faulty(a, b):
+        if np.ndim(b) == 2:
+            return solve(a, b)
+        if fault == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(len(b), np.nan)
+
+    monkeypatch.setattr(np.linalg, "solve", faulty)
+    with pytest.raises(NumericalFailure):
+        H.harmonic_partition_residual(z1, (0,), 4)
 
 
 def test_ehi_suppressed_within_factor_two():

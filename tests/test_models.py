@@ -13,8 +13,12 @@ from jumplab.models import (
     LadderKernel,
     LatticeModel,
     MuAlternating,
+    MuConstant,
+    MuTable,
     PolynomialKernel,
+    STATE_CAP,
     SuppressedPairKernel,
+    TabulatedKernel,
     TAIL_REL_BOUND,
     _pair_rates,
     model_from_dict,
@@ -90,9 +94,11 @@ def test_ball_lexicographic_and_sized(z2):
 
 
 def test_ball_cap():
-    m = LatticeModel(d=2, kernel=PolynomialKernel(1.0), state_cap=10)
+    # 449^2 = 201,601 states, rejected before enumeration
+    assert 449 ** 2 > STATE_CAP
+    m = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     with pytest.raises(WindowTooLarge):
-        m.ball((0, 0), 5)
+        m.ball((0, 0), 224)
 
 
 def test_explicit_distance_and_unreachable():
@@ -201,17 +207,6 @@ def test_suppressed_row_sum_bitwise_equals_direct_sum():
     assert m.row_sum_all((1, 1)) == direct_row_sum(2, "linf", base)
 
 
-def test_row_sum_cache_keyed_by_tail_shells():
-    base = PolynomialKernel(1.0)
-    wide = LatticeModel(d=1, kernel=base)
-    narrow = LatticeModel(d=1, kernel=base, tail_shells=64)
-    assert direct_row_sum(1, "linf", base, tail_shells=64) != \
-        direct_row_sum(1, "linf", base)
-    assert wide.row_sum_all((0,)) == direct_row_sum(1, "linf", base)
-    assert narrow.row_sum_all((0,)) == direct_row_sum(1, "linf", base,
-                                                      tail_shells=64)
-
-
 KERNEL_LAW_CASES = [
     (1, "linf", PolynomialKernel(1.0)),
     (1, "l1", PolynomialKernel(1.5)),
@@ -263,11 +258,8 @@ def test_row_sum_region_splits():
     m = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
     total, _ = m.row_sum_all((0,))
     inside = sum(m.J((0,), (k,)) for k in range(-6, 7))
-    out, _ = m.row_sum_region((0,), ("outside_ball", (0,), 6))
+    out, _ = m.row_sum_outside((0,), (0,), 6)
     assert abs(out - (total - inside)) < 1e-12
-    ann, _ = m.row_sum_region((0,), ("annulus", 3, 6))
-    brute = sum(m.J((0,), (k,)) for k in range(-6, 7) if 3 <= abs(k) <= 6)
-    assert abs(ann - brute) < 1e-15
 
 
 @settings(max_examples=30)
@@ -280,6 +272,25 @@ def test_pair_rates_matches_pointwise(ax, ay, bx, by):
                                                          rel=4e-16, abs=0)
 
 
+@pytest.mark.parametrize("xs, ys", [
+    ([(0, 0), (1, 0)], [(2, 2), (-3, 1)]),    # pair in xs only
+    ([(2, 2), (-3, 1)], [(3, 1), (0, 0)]),    # pair in ys only
+    ([(0, 0), (3, 1)], [(3, 1), (0, 0)]),     # x0 -> y0 and y0 -> x0
+    ([(3, 1), (0, 0)], [(0, 0), (3, 1)]),     # the same, rows swapped
+    ([(0, 0)] * 2 + [(3, 1)], [(3, 1), (0, 0), (3, 1)]),
+])
+def test_pair_rates_suppressed_matches_pointwise(xs, ys):
+    m = LatticeModel(d=2, kernel=SuppressedPairKernel(
+        base=PolynomialKernel(0.8), x0=(0, 0), y0=(3, 1)))
+    A = _pair_rates(m, xs, ys)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if {x, y} == {(0, 0), (3, 1)}:
+                assert A[i, j] == m.J(x, y) == 0.0
+            else:
+                assert A[i, j] == pytest.approx(m.J(x, y), rel=4e-16, abs=0)
+
+
 def test_pair_rates_suppression_positional():
     m = LatticeModel(d=1, kernel=SuppressedPairKernel(
         base=PolynomialKernel(1.0), x0=(0,), y0=(4,)))
@@ -287,6 +298,56 @@ def test_pair_rates_suppression_positional():
     assert A[0, 0] == 0.0
     assert A[0, 1] == m.J((0,), (5,))
     assert A[1, 0] == m.J((1,), (4,))
+
+
+PATH_ABC = {"kind": "explicit", "vertices": ("a", "b", "c"),
+            "edges": (("a", "b"), ("b", "c"))}
+
+
+@pytest.mark.parametrize("kernel, graph, match", [
+    (TabulatedKernel(((((0,), (1,)), 1.0),)), {"d": 1}, "explicit graphs"),
+    (SuppressedPairKernel(PolynomialKernel(1.0), (0,), (0,)), {"d": 1},
+     "distinct"),
+    (SuppressedPairKernel(PolynomialKernel(1.0), (0,), (3,)), {"d": 2},
+     "two vertices"),
+    (SuppressedPairKernel(PolynomialKernel(1.0), "a", "z"), PATH_ABC,
+     "two vertices"),
+])
+def test_kernel_outside_its_domain_rejected(kernel, graph, match):
+    with pytest.raises(ValueError, match=match):
+        LatticeModel(kernel=kernel, **graph)
+
+
+def test_suppressed_pair_on_explicit_graph():
+    m = LatticeModel(kernel=SuppressedPairKernel(PolynomialKernel(1.0), "a", "c"),
+                     **PATH_ABC)
+    assert m.J("a", "c") == m.J("c", "a") == 0.0
+    assert m.row_sum_all("a") == (m.J("a", "b"), 0.0)
+
+
+@pytest.mark.parametrize("rule", [
+    MuConstant(2.5),
+    MuAlternating(even=1.0, odd=3.0),
+    MuTable(tuple(((a, b), 1.0 + 0.25 * (a + 2) + 0.5 * (b + 2))
+                  for a in range(-2, 3) for b in range(-2, 3))),
+])
+def test_mu_at_matches_pointwise(rule):
+    pts = np.array(list(itertools.product(range(-2, 3), repeat=2))
+                   + [[2, -2], [0, 0]], dtype=np.int64)
+    got = rule.at(pts)
+    assert got.shape == (len(pts),)
+    assert got.tolist() == [rule(tuple(p)) for p in pts]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("metric", ["linf", "l1"])
+def test_norm_matches_distance(d, metric):
+    m = LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(1.0))
+    pts = list(itertools.product(range(-3, 4), repeat=d))
+    x0 = (1,) * d
+    diff = np.array(pts, dtype=np.int64) - np.array(x0)
+    assert m.norm(diff).tolist() == [m.distance(p, x0) for p in pts]
+    assert m.norm(diff[None]).tolist() == [[m.distance(p, x0) for p in pts]]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +360,14 @@ def test_truncate_kill_consistency(z1):
     recon = tracked.coupling.sum(axis=1) / tracked.mu + tracked.remainder_kill
     assert np.max(np.abs(recon - killed.kill)) < 1e-14
     assert np.max(np.abs(killed.kill - tracked.kill)) == 0.0
+
+
+def test_exterior_tracked_empty_annulus(z1):
+    """A radius-0 window tracks no exterior vertex: all its kill is remainder."""
+    fm = truncate(z1, (0,), 0, EXTERIOR_TRACKED)
+    assert fm.exterior == [] and fm.coupling.shape == (1, 0)
+    assert fm.remainder_kill[0] == fm.kill[0]
+    assert fm.kill[0] == pytest.approx(z1.row_sum_all((0,))[0], rel=1e-15)
 
 
 def test_truncate_alternating_mu():

@@ -69,7 +69,7 @@ def test_single_source_matches_all_pairs(z1):
 
 
 def test_wide_split_long_time(z1):
-    # lam * t > 64 forces the sequential piece splitting for matrices
+    # an all-pairs action at lam * t > 64 against the dense oracle
     fm = truncate(z1, (0,), 20, REFLECTED)
     hk = heat_kernel(fm, None, 50.0)
     assert np.max(np.abs(hk.values - dense_oracle(fm, 50.0))) < 1e-9
