@@ -330,11 +330,16 @@ def _ball_form_matrices(model, x0, R):
     return fm.window, A, L, np.diag(fm.mu)
 
 
-def _connected_components(A):
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse import csr_matrix
-    n_comp, labels = connected_components(csr_matrix(A > 0), directed=False)
-    return n_comp, labels
+def _component_of_first(A) -> np.ndarray:
+    """Mask of the vertices joined to vertex 0 by positive-rate jumps."""
+    adj = (A > 0) | (A.T > 0)
+    reached = np.zeros(len(A), dtype=bool)
+    reached[0] = True
+    frontier = reached
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return reached
 
 
 def poincare_rayleigh(model: LatticeModel, x0, R, alpha: float, f) -> float:
@@ -366,9 +371,9 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     for x0 in centers:
         for R in radii:
             ball, A, L, M = _ball_form_matrices(model, x0, R)
-            n_comp, labels = _connected_components(A)
-            if n_comp > 1:
-                piece = sorted(v for v, l in zip(ball, labels) if l == labels[0])
+            first = _component_of_first(A)
+            if not first.all():
+                piece = sorted(v for v, f in zip(ball, first) if f)
                 disconnected = (x0, R, piece[0])
                 c_q, wit = math.inf, disconnected
                 rows.append({"center": x0, "R": R, "lam_plus": 0.0,

@@ -248,6 +248,8 @@ def caloric_box_ratio(fld: CaloricField, box: HarnackBox) -> float:
 # ---------------------------------------------------------------------------
 
 def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
+    """(fm, C_EHI, witness, generators on B(x0,R)): column w of the last is
+    h_w on the ball's slots, the remainder channel last."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
     rhs = np.concatenate([fm.coupling / fm.mu[:, None],
                           fm.remainder_kill[:, None]], axis=1)
@@ -270,14 +272,14 @@ def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
             wit = {"generator": ("exterior", ch),
                    "max_at": fm.window[inner[int(col.argmax())]],
                    "min_at": fm.window[inner[int(col.argmin())]]}
-    return fm, max(best, 1.0), wit
+    return fm, max(best, 1.0), wit, sub
 
 
 def ehi_constant(model: LatticeModel, x0, R, lam_ext: float = 4.0,
                  check_doubling: bool = True) -> HarnackReport:
     """C_EHI = max over exterior-delta harmonic generators h_w of
     max_{B(x0,R)} h_w / min_{B(x0,R)} h_w, on the window B(x0,2R)."""
-    fm, c, wit = _ehi_once(model, x0, R, lam_ext)
+    fm, c, wit, _ = _ehi_once(model, x0, R, lam_ext)
     doubled = None
     if check_doubling:
         doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * lam_ext)[1],
@@ -295,10 +297,8 @@ def harmonic_partition_residual(model: LatticeModel, x0, R,
                                 lam_ext: float = 4.0) -> float:
     """max_x |sum_w h_w(x) + h_rem(x) - 1| over B(x0,R): the harmonic
     generators of data == 1 must sum to the constant function."""
-    fm, _, _ = _ehi_once(model, x0, R, lam_ext)
-    rhs = (fm.coupling / fm.mu[:, None]).sum(axis=1) + fm.remainder_kill
-    h = solve_generator(fm, rhs)
-    return float(np.abs(h - 1.0).max())
+    h = _ehi_once(model, x0, R, lam_ext)[3]
+    return float(np.abs(h.sum(axis=1) - 1.0).max())
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .models import LatticeModel, shell_counts, shell_tail_sum
 SHELL_HORIZON = 2 ** 16
 STEP_CAP = 10_000_000
 N_STREAMS = 8
+_SIGNS = np.array([-1, 1])  # a fair bit in {0, 1} -> a direction on Z
 
 
 @dataclass
@@ -64,6 +65,20 @@ class TrajectorySampler:
                                    SHELL_HORIZON + 1)
         self.total = float(self.cum[-1] + self.tail)  # = J(x,G)/1 for mu-free row sum
 
+    # -- walker tests ----------------------------------------------------------
+
+    def _at(self, pos: np.ndarray, v) -> np.ndarray:
+        """Which walkers sit at the vertex v (a column compare on Z)."""
+        if self.model.d == 1:
+            return pos[:, 0] == v[0]
+        return np.all(pos == v, axis=1)
+
+    def _outside(self, pos: np.ndarray, x0, R) -> np.ndarray:
+        """Which walkers lie outside B(x0, R)."""
+        if self.model.d == 1:
+            return np.abs(pos[:, 0] - x0[0]) > R
+        return self.model.norm(pos - np.asarray(x0)) > R
+
     # -- row sums and rates -------------------------------------------------
 
     def _row_sum(self, pos: np.ndarray) -> np.ndarray:
@@ -72,19 +87,18 @@ class TrajectorySampler:
         p = self.model.pair
         if p is not None:
             for v in p[:2]:
-                out[np.all(pos == v, axis=1)] -= p[2]
+                out[self._at(pos, v)] -= p[2]
         return out
 
     # -- displacement sampling ------------------------------------------------
 
     def _sample_radii(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF shell radii for uniforms u in [0, total)."""
-        r = np.searchsorted(self.cum, u, side="right") + 1
-        beyond = r > SHELL_HORIZON
-        if np.any(beyond):
-            for i in np.nonzero(beyond)[0]:
+        r = self.cum.searchsorted(u, side="right") + 1
+        if r.size and r.max() > SHELL_HORIZON:
+            for i in np.nonzero(r > SHELL_HORIZON)[0]:
                 r[i] = self._tail_radius(float(u[i]))
-        return r.astype(np.int64)
+        return r.astype(np.int64, copy=False)
 
     def _tail_radius(self, u: float) -> int:
         """Smallest s with cumulative weight through s >= u, beyond the horizon."""
@@ -107,8 +121,7 @@ class TrajectorySampler:
         n = len(radii)
         d, metric = self.model.d, self.model.metric
         if d == 1:
-            signs = rng.integers(0, 2, n) * 2 - 1
-            return (radii * signs)[:, None]
+            return (radii * _SIGNS[rng.integers(0, 2, n)])[:, None]
         s = radii.astype(np.int64)
         counts = shell_counts(d, metric, s)
         k = (rng.random(n) * counts).astype(np.int64)
@@ -146,10 +159,10 @@ class TrajectorySampler:
             self._sample_radii(rng.random(n) * self.total), rng)
         p = self.model.pair
         if p is not None:
-            x0, y0 = np.asarray(p[0]), np.asarray(p[1])
+            x0, y0 = p[0], p[1]
             while True:
-                bad = (np.all(pos == x0, axis=1) & np.all(new == y0, axis=1)) | \
-                      (np.all(pos == y0, axis=1) & np.all(new == x0, axis=1))
+                bad = (self._at(pos, x0) & self._at(new, y0)) | \
+                      (self._at(pos, y0) & self._at(new, x0))
                 if not np.any(bad):
                     break
                 idx = np.nonzero(bad)[0]
@@ -189,23 +202,24 @@ def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
     model = sampler.model
     out, truncated = [], 0
     for rng, size in sampler._streams(n):
+        idx = np.arange(size)
         pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
         t = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
+        tau = np.empty(size)
         steps = 0
-        while np.any(alive):
+        while len(idx):
             if steps >= STEP_CAP:
-                truncated += int(alive.sum())
+                truncated += len(idx)
                 break
-            p = pos[alive]
-            q = sampler._row_sum(p) / model.mu_rule.at(p)
-            t[alive] += rng.exponential(1.0, len(p)) / q
-            pos[alive] = sampler._jump(p, rng)
-            exited = model.norm(pos[alive] - np.asarray(x0)) > R
-            idx = np.nonzero(alive)[0]
-            alive[idx[exited]] = False
+            q = sampler._row_sum(pos) / model.mu_rule.at(pos)
+            t += rng.exponential(1.0, len(idx)) / q
+            pos = sampler._jump(pos, rng)
+            done = sampler._outside(pos, x0, R)
+            tau[idx[done]] = t[done]
+            keep = ~done
+            idx, pos, t = idx[keep], pos[keep], t[keep]
             steps += 1
-        out.extend(t[~alive].tolist())
+        out.extend(np.delete(tau, idx).tolist())
     return _finish("exit_time", out, truncated, sampler.seed,
                    {"x": list(x), "x0": list(x0), "R": R})
 
@@ -213,29 +227,24 @@ def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
 def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
                     n: int) -> EstimateReport:
     """P^x(T_y <= tau_{B(x0,R)}); jump-chain simulation (times not needed)."""
-    model = sampler.model
-    yv = np.asarray(y, dtype=np.int64)
     out, truncated = [], 0
     for rng, size in sampler._streams(n):
         pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        hit = np.all(pos == yv, axis=1).astype(float)
-        alive = ~(hit > 0)
+        hit = sampler._at(pos, y).astype(float)
+        idx = np.flatnonzero(hit == 0.0)
+        pos = pos[idx]
         steps = 0
-        while np.any(alive):
+        while len(idx):
             if steps >= STEP_CAP:
-                truncated += int(alive.sum())
-                alive_idx = np.nonzero(alive)[0]
-                hit[alive_idx] = np.nan
+                truncated += len(idx)
                 break
-            p = sampler._jump(pos[alive], rng)
-            pos[alive] = p
-            hits = np.all(p == yv, axis=1)
-            done = hits | (model.norm(p - np.asarray(x0)) > R)
-            idx = np.nonzero(alive)[0]
-            hit[idx[done]] = hits[done].astype(float)
-            alive[idx[done]] = False
+            pos = sampler._jump(pos, rng)
+            hits = sampler._at(pos, y)
+            keep = ~(hits | sampler._outside(pos, x0, R))
+            hit[idx[hits]] = 1.0
+            idx, pos = idx[keep], pos[keep]
             steps += 1
-        out.extend(hit[np.isfinite(hit)].tolist())
+        out.extend(np.delete(hit, idx).tolist())
     return _finish("hit_before_exit", out, truncated, sampler.seed,
                    {"x": list(x), "y": list(y), "x0": list(x0), "R": R})
 
@@ -287,21 +296,19 @@ def sample_occupation(sampler: TrajectorySampler, x, t: float, n: int) -> dict:
     """Empirical law of X_t over n paths: {vertex: count}; heat-kernel oracle."""
     counts: dict = {}
     for rng, size in sampler._streams(n):
+        idx = np.arange(size)
         pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
         clock = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        while np.any(alive):
-            p = pos[alive]
-            q = sampler._row_sum(p) / sampler.model.mu_rule.at(p)
-            hold = rng.exponential(1.0, len(p)) / q
-            idx = np.nonzero(alive)[0]
-            over = clock[alive] + hold > t
-            clock[alive] += hold
-            alive[idx[over]] = False
-            still = idx[~over]
-            if len(still):
-                pos[still] = sampler._jump(pos[still], rng)
-        for p in pos:
-            key = tuple(int(c) for c in p)
+        final = np.empty_like(pos)
+        while len(idx):
+            q = sampler._row_sum(pos) / sampler.model.mu_rule.at(pos)
+            clock += rng.exponential(1.0, len(idx)) / q
+            over = clock > t
+            final[idx[over]] = pos[over]
+            keep = ~over
+            idx, pos, clock = idx[keep], pos[keep], clock[keep]
+            if len(idx):
+                pos = sampler._jump(pos, rng)
+        for key in map(tuple, final.tolist()):
             counts[key] = counts.get(key, 0) + 1
     return counts

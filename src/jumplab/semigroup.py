@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .errors import (
     InvalidData,
@@ -102,15 +102,20 @@ def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) 
 # ---------------------------------------------------------------------------
 
 def _poisson_weights(lt: float, tol: float):
-    """Poisson(lt) pmf up to K with sf(K, lt) <= tol; returns (pmf, tail)."""
+    """Poisson(lt) pmf up to K with sf(K, lt) <= tol; returns (pmf, tail).
+
+    sf is pdtrc and the pmf is exp(log pmf): scipy.stats.poisson's own
+    formulas, bit for bit, without the cost of importing scipy.stats.
+    """
     k = int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0)
-    while poisson.sf(k, lt) > tol:
+    while pdtrc(k, lt) > tol:
         k *= 2
         if k > TERM_CAP:
             raise TruncationBudgetExceeded(
                 f"needed more than {TERM_CAP} uniformization terms")
-    pmf = poisson.pmf(np.arange(k + 1), lt)
-    return pmf, float(poisson.sf(k, lt))
+    ks = np.arange(k + 1)
+    pmf = np.exp(xlogy(ks, lt) - gammaln(ks + 1) - lt)
+    return pmf, float(pdtrc(k, lt))
 
 
 def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
@@ -147,7 +152,7 @@ def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
     # remaining weight after K terms is t - sum_{k<=K} sf(k,lt)/lam
     k = int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0)
     while True:
-        sf = poisson.sf(np.arange(k + 1), lt) / gen.lam
+        sf = pdtrc(np.arange(k + 1), lt) / gen.lam
         rem = max(t - float(sf.sum()), 0.0)
         if rem <= tol / max(scale, 1e-300) or k > TERM_CAP:
             break

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jumplab
 from jumplab.cli import main
 from jumplab.errors import ConfigError
 from jumplab.io import ExperimentConfig, load_config, run_experiment, write_bundle
@@ -120,3 +124,16 @@ def test_ladder_requires_alpha_in_range():
     cfg = ExperimentConfig(experiment="cex-ladder", params={"alpha": 1.0})
     with pytest.raises(ConfigError):
         run_experiment(cfg)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """`lab` pays for scipy.special and scipy.linalg only: scipy.stats
+    roughly doubles the import time."""
+    src = str(Path(jumplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, jumplab.cli; print(sorted(m for m in sys.modules " \
+           "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from jumplab import conditions as cond
 from jumplab.errors import WindowUnconverged
@@ -148,6 +150,19 @@ def test_poincare_disconnected_is_infinite():
     rep = cond.check_poincare(m, 1.0, radii=[2], centers=["a"])
     assert math.isinf(rep.constants["C_Q"])
     assert rep.witnesses["disconnected"] is not None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_of_first_matches_csgraph(seed):
+    """The ball's first connected piece equals scipy's component labelling
+    (undirected, positive entries), also for one-sided entries."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    A = rng.random((n, n)) * (rng.random((n, n)) < 2.0 / n)
+    if seed % 2:
+        A = A + A.T
+    _, labels = connected_components(csr_matrix(A > 0), directed=False)
+    assert np.array_equal(cond._component_of_first(A), labels == labels[0])
 
 
 def test_weighted_poincare_dominates_brute(z1, rng):

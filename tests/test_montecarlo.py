@@ -9,6 +9,7 @@ from jumplab.models import (
     KILLED,
     LadderKernel,
     LatticeModel,
+    MuAlternating,
     PolynomialKernel,
     SuppressedPairKernel,
     shell_count,
@@ -190,3 +191,238 @@ def test_unsupported_dimensions():
     m = LatticeModel(d=3, kernel=PolynomialKernel(1.0))
     with pytest.raises(NotImplementedError):
         mc.TrajectorySampler(m, seed=0)
+
+
+# -- the mask-based loops the compact alive-set loops replaced --------------
+#
+# Reference implementations: every live walker is gathered and scattered
+# through an `alive` mask at every step, and vertex tests use np.all over the
+# coordinate axis in every dimension.  The compact loops must make the same
+# draws in the same order, so their results are compared with ==.
+
+class MaskSampler:
+    """The sampler's draw path with np.all row tests and a `beyond` mask."""
+
+    def __init__(self, sampler):
+        self.s = sampler
+        self.model = sampler.model
+        self.resamples = 0
+
+    def row_sum(self, pos):
+        out = np.full(len(pos), self.s.total)
+        p = self.model.pair
+        if p is not None:
+            for v in p[:2]:
+                out[np.all(pos == v, axis=1)] -= p[2]
+        return out
+
+    def sample_radii(self, u):
+        r = np.searchsorted(self.s.cum, u, side="right") + 1
+        beyond = r > mc.SHELL_HORIZON
+        if np.any(beyond):
+            for i in np.nonzero(beyond)[0]:
+                r[i] = self.s._tail_radius(float(u[i]))
+        return r.astype(np.int64)
+
+    def directions(self, radii, rng):
+        if self.model.d == 1:
+            signs = rng.integers(0, 2, len(radii)) * 2 - 1
+            return (radii * signs)[:, None]
+        return self.s._directions(radii, rng)
+
+    def jump(self, pos, rng):
+        n = len(pos)
+        new = pos + self.directions(
+            self.sample_radii(rng.random(n) * self.s.total), rng)
+        p = self.model.pair
+        if p is not None:
+            x0, y0 = np.asarray(p[0]), np.asarray(p[1])
+            while True:
+                bad = (np.all(pos == x0, axis=1) & np.all(new == y0, axis=1)) | \
+                      (np.all(pos == y0, axis=1) & np.all(new == x0, axis=1))
+                if not np.any(bad):
+                    break
+                self.resamples += 1
+                idx = np.nonzero(bad)[0]
+                new[idx] = pos[idx] + self.directions(
+                    self.sample_radii(rng.random(len(idx)) * self.s.total), rng)
+        return new
+
+
+def mask_exit_time(sampler, x, x0, R, n):
+    ref = MaskSampler(sampler)
+    model = sampler.model
+    out, truncated = [], 0
+    for rng, size in sampler._streams(n):
+        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
+        t = np.zeros(size)
+        alive = np.ones(size, dtype=bool)
+        steps = 0
+        while np.any(alive):
+            if steps >= mc.STEP_CAP:
+                truncated += int(alive.sum())
+                break
+            p = pos[alive]
+            q = ref.row_sum(p) / model.mu_rule.at(p)
+            t[alive] += rng.exponential(1.0, len(p)) / q
+            pos[alive] = ref.jump(p, rng)
+            exited = model.norm(pos[alive] - np.asarray(x0)) > R
+            idx = np.nonzero(alive)[0]
+            alive[idx[exited]] = False
+            steps += 1
+        out.extend(t[~alive].tolist())
+    return mc._finish("exit_time", out, truncated, sampler.seed,
+                      {"x": list(x), "x0": list(x0), "R": R})
+
+
+def mask_hit_before_exit(sampler, x, y, x0, R, n):
+    ref = MaskSampler(sampler)
+    model = sampler.model
+    yv = np.asarray(y, dtype=np.int64)
+    out, truncated = [], 0
+    for rng, size in sampler._streams(n):
+        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
+        hit = np.all(pos == yv, axis=1).astype(float)
+        alive = ~(hit > 0)
+        steps = 0
+        while np.any(alive):
+            if steps >= mc.STEP_CAP:
+                truncated += int(alive.sum())
+                alive_idx = np.nonzero(alive)[0]
+                hit[alive_idx] = np.nan
+                break
+            p = ref.jump(pos[alive], rng)
+            pos[alive] = p
+            hits = np.all(p == yv, axis=1)
+            done = hits | (model.norm(p - np.asarray(x0)) > R)
+            idx = np.nonzero(alive)[0]
+            hit[idx[done]] = hits[done].astype(float)
+            alive[idx[done]] = False
+            steps += 1
+        out.extend(hit[np.isfinite(hit)].tolist())
+    return mc._finish("hit_before_exit", out, truncated, sampler.seed,
+                      {"x": list(x), "y": list(y), "x0": list(x0), "R": R}), ref
+
+
+def mask_occupation(sampler, x, t, n):
+    ref = MaskSampler(sampler)
+    counts = {}
+    for rng, size in sampler._streams(n):
+        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
+        clock = np.zeros(size)
+        alive = np.ones(size, dtype=bool)
+        while np.any(alive):
+            p = pos[alive]
+            q = ref.row_sum(p) / sampler.model.mu_rule.at(p)
+            hold = rng.exponential(1.0, len(p)) / q
+            idx = np.nonzero(alive)[0]
+            over = clock[alive] + hold > t
+            clock[alive] += hold
+            alive[idx[over]] = False
+            still = idx[~over]
+            if len(still):
+                pos[still] = ref.jump(pos[still], rng)
+        for p in pos:
+            key = tuple(int(c) for c in p)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _same_report(a, b):
+    assert a.to_dict() == b.to_dict()  # estimate, se, n, truncated, extra
+
+
+def _suppressed(base, d, metric, y0, **kw):
+    return LatticeModel(d=d, metric=metric, kernel=SuppressedPairKernel(
+        base=base, x0=(0,) * d, y0=y0), **kw)
+
+
+# (model, walker start x, target y, ball radius R): the suppressed pairs sit
+# next to the origin, where the walkers start, so the resample loop runs.
+COMPACT_CASES = {
+    "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), (3,), (0,), 6),
+    "z1-mu": (LatticeModel(d=1, kernel=PolynomialKernel(0.8),
+                           mu_rule=MuAlternating(1.0, 2.5)), (2,), (-1,), 5),
+    "z1-pair": (_suppressed(PolynomialKernel(1.0), 1, "linf", (1,)),
+                (1,), (0,), 6),
+    "z2-linf": (LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
+                (2, 1), (0, 0), 4),
+    "z2-l1": (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.2)),
+              (2, -1), (0, 0), 4),
+    "z2-linf-pair": (_suppressed(PolynomialKernel(1.0), 2, "linf", (1, 0)),
+                     (1, 0), (0, 0), 3),
+    "z2-l1-pair": (_suppressed(PolynomialKernel(1.0), 2, "l1", (0, 1)),
+                   (0, 1), (0, 0), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPACT_CASES))
+def test_compact_loops_equal_mask_loops(case):
+    model, x, y, R = COMPACT_CASES[case]
+    x0 = (0,) * model.d
+    s = mc.TrajectorySampler(model, seed=17)
+    got = mc.hit_before_exit(s, x, y, x0, R, 600)
+    want, ref = mask_hit_before_exit(s, x, y, x0, R, 600)
+    _same_report(got, want)
+    if model.pair is not None:
+        assert ref.resamples > 0
+    _same_report(mc.sample_exit_time(s, x0, x0, R, 600),
+                 mask_exit_time(s, x0, x0, R, 600))
+    for t in (0.3, 2.0):
+        got = mc.sample_occupation(s, x0, t, 600)
+        want = mask_occupation(s, x0, t, 600)
+        assert list(got.items()) == list(want.items())
+
+
+def test_compact_hit_equals_mask_hit_on_ladder():
+    """The cex-ladder estimand at the ladder's own scales."""
+    m = LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(16, 64, 256)))
+    s = mc.TrajectorySampler(m, seed=5)
+    for R in (16, 64, 256):
+        got = mc.hit_before_exit(s, (R // 4,), (0,), (0,), R, 400)
+        _same_report(got, mask_hit_before_exit(s, (R // 4,), (0,), (0,), R, 400)[0])
+
+
+@pytest.mark.parametrize("case", ["z1", "z1-pair", "z2-l1-pair"])
+def test_compact_loops_equal_mask_loops_at_step_cap(monkeypatch, case):
+    model, x, y, R = COMPACT_CASES[case]
+    x0 = (0,) * model.d
+    s = mc.TrajectorySampler(model, seed=4)
+    monkeypatch.setattr(mc, "STEP_CAP", 3)
+    got = mc.hit_before_exit(s, x, y, x0, R, 400)
+    assert got.truncated > 0
+    _same_report(got, mask_hit_before_exit(s, x, y, x0, R, 400)[0])
+    got = mc.sample_exit_time(s, x0, x0, R, 400)
+    assert got.truncated > 0
+    _same_report(got, mask_exit_time(s, x0, x0, R, 400))
+
+
+class ForcedUniforms:
+    """A generator whose uniforms are given; the other draws are real."""
+
+    def __init__(self, u, seed):
+        self.u = np.asarray(u, dtype=float)
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, m):
+        assert m == len(self.u)
+        return self.u.copy()
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+
+@pytest.mark.parametrize("kernel", [
+    PolynomialKernel(1.0), LadderKernel(alpha=1.5, ranges=(16, 64, 256))])
+def test_jump_tail_radius_on_z(kernel):
+    """Uniforms in the analytic tail beyond SHELL_HORIZON go through
+    _tail_radius, and the d=1 jump agrees with the mask-based one."""
+    s = mc.TrajectorySampler(LatticeModel(d=1, kernel=kernel), seed=0)
+    head = s.cum[-1] / s.total
+    u = [0.25, head + (1 - head) / 3, 0.999, 1 - (1 - head) / 7]
+    pos = np.array([[0], [5], [-3], [2]], dtype=np.int64)
+    got = s._jump(pos, ForcedUniforms(u, 8))
+    want = MaskSampler(s).jump(pos, ForcedUniforms(u, 8))
+    assert np.array_equal(got, want)
+    far = np.abs(got - pos)[:, 0] > mc.SHELL_HORIZON
+    assert far.tolist() == [False, True, False, True]

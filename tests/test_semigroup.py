@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 from jumplab.errors import InvalidData, NoExit
 from jumplab.models import (
@@ -16,6 +18,7 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import (
+    _poisson_weights,
     apply_generator,
     caloric_solve,
     dirichlet_form,
@@ -234,3 +237,15 @@ def test_harmonic_extension_constant_and_max_principle(z1, rng):
     gen = generator(fm)
     res = gen.Q @ h + (fm.coupling / fm.mu[:, None]) @ g + fm.remainder_kill * 0.3
     assert np.max(np.abs(res)) < 1e-12
+
+
+@pytest.mark.parametrize("lt", [0.0, 0.3, 5.0, 842.7, 1e4])
+def test_poisson_weights_equal_scipy_stats(lt):
+    """The uniformization weights are scipy.stats.poisson's, bit for bit,
+    without importing scipy.stats."""
+    pmf, tail = _poisson_weights(lt, 1e-12)
+    ks = np.arange(len(pmf))
+    assert np.array_equal(pmf, stats.poisson.pmf(ks, lt))
+    assert tail == float(stats.poisson.sf(ks[-1], lt))
+    # integrated_action's weights
+    assert np.array_equal(pdtrc(ks, lt), stats.poisson.sf(ks, lt))
