@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, WindowUnconverged
 from .models import KILLED, REFLECTED, LatticeModel, truncate
 from .semigroup import (
     dirichlet_form,
@@ -52,12 +52,6 @@ def dyadic_radii(lo: int = 4, hi: int = 64) -> list[int]:
     return out
 
 
-def _origin(model: LatticeModel):
-    if model.kind == "lattice":
-        return (0,) * model.d
-    return sorted(model.vertices)[0]
-
-
 # ---------------------------------------------------------------------------
 # volume doubling
 # ---------------------------------------------------------------------------
@@ -69,7 +63,7 @@ def check_vd(model: LatticeModel, radii=None, centers=None) -> ConditionReport:
         raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("VD sweep needs radii >= 1")
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     rows = []
     c_v, wit_max = -math.inf, None
     min_ratio, wit_min = math.inf, None
@@ -148,10 +142,8 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     `metadata["eps_poisson"]` is the summed certified uniformization error of
     the kernel rows on both windows, a max-norm bound on each probed value.
     """
-    from .errors import WindowUnconverged
-
     pairs = list(pairs)
-    center = center if center is not None else _origin(model)
+    center = center if center is not None else model.origin
     dists = [model.distance(x, y) for x, y in pairs]
     max_d = max(dists) if dists else 1
     if r_win is None:
@@ -208,7 +200,7 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
 def check_ndlb(model: LatticeModel, alpha: float, radii, centers=None,
                band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
     """c1 = min over probed tuples of p^{B(x,r)}_t(x',y') * V(x,r), t in the band."""
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     c1, wit = math.inf, None
     rows = []
@@ -243,7 +235,7 @@ def check_ndlb(model: LatticeModel, alpha: float, radii, centers=None,
 def check_sb(model: LatticeModel, alpha: float, radii, centers=None,
              band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
     """c1 = max over the band of sup_{x,y} p^B_t(x,y) * V(x0,r)."""
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     c1, wit = -math.inf, None
     rows = []
@@ -283,7 +275,7 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
     The exponent is the largest per-center slope; each center's slope is in
     its "fit" row.
     """
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     if min(radii) < 1:
         raise ValueError("exit-time sweep needs radii >= 1")
@@ -361,7 +353,7 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     eigenvalue on the mean-zero subspace (constant vector deflated by taking
     the second-smallest eigenvalue; exact optimum over all f).
     """
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     if min(radii) < 1:
         raise ValueError("PI sweep needs radii >= 1")
@@ -438,7 +430,7 @@ def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
     The tent weight vanishes on the outermost ring, so the extremal problem is
     posed on the support of phi_R; the constant-f direction is deflated.
     """
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     c_w, wit = -math.inf, None
     rows = []
@@ -487,7 +479,7 @@ def check_nash(model: LatticeModel, alpha: float, d: int,
                indicator_radii=(4, 8, 16)) -> ConditionReport:
     """Lower-bounds the Nash constant C_N by maximizing the Nash ratio over
     sampled functions (deltas, ball indicators, tents, random)."""
-    x0 = _origin(model)
+    x0 = model.origin
     fm = truncate(model, x0, r_win, KILLED)
     mu = fm.mu
     theta = 2.0 * alpha / d
@@ -539,7 +531,7 @@ def check_nash(model: LatticeModel, alpha: float, d: int,
 
 def default_pair_grid(model: LatticeModel, distances=(1, 2, 4, 8, 16),
                       centers=None) -> list:
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     pairs = []
     for x in centers:
         for s in distances:
@@ -638,7 +630,7 @@ def check_boundary_flux(model: LatticeModel, radii, centers=None,
                         alpha: float = 1.0) -> ConditionReport:
     """c = max over balls of R^alpha sum_{y in B'} J(y, G-B) / mu(B'),
     B' = B(x0, R/2)."""
-    centers = list(centers) if centers else [_origin(model)]
+    centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     c, wit = -math.inf, None
     rows = []

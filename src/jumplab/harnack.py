@@ -7,12 +7,18 @@ impulses at each tracked vertex, and one-step impulses on the aggregate
 remainder channel.  Since a ratio of nonnegative mixtures is bounded by the
 largest component ratio, the box constant of the cone equals the maximum
 two-point ratio over the generators, which is what these routines compute.
+
+Constants are exact extremes; witnesses follow one tie rule, so rounding
+noise between mirror-image vertices cannot pick them: among values within
+relative EPS of an extreme take the first (an infinite extreme ties only with
+an equal value), and replace a witness only by a ratio larger by more than EPS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .semigroup import (
 )
 
 FLOOR = 1e-30
+# Relative gap below which two values tie when a witness is picked.
+EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,23 +90,44 @@ def _half_ball_slots(fm: FiniteModel, x0, R) -> list[int]:
             if fm.model.distance(x0, v) <= R / 2]
 
 
-def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
-    """Reduce the fields E^a W, a = 0..m-1, over the half ball once per age.
+def _first_near(vals: np.ndarray, sign: float = 1.0, top=None):
+    """(index, extreme) along axis 0: the max for sign = +1, the min for
+    sign = -1, and the first index within relative EPS of `top` (default that
+    extreme; an infinite one ties only if equal), or else at the extreme."""
+    v = vals if sign > 0 else -vals
+    own = v.max(axis=0)
+    top = own if top is None else sign * top
+    slack = EPS * np.abs(np.where(np.isfinite(top), top, 0.0))
+    return (v >= np.minimum(top - slack, own)).argmax(axis=0), sign * own
 
-    Returns four (m, columns) arrays: the column max and the first half-ball
-    slot attaining it, then the column min and the first slot attaining it.
-    """
+
+def _ratio(hi, lo):
+    """sup / inf per generator: inf if the inf is below FLOOR, -inf if sup <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lo < FLOOR, np.inf, hi / lo)
+    return np.where(hi > 0.0, ratio, -np.inf)
+
+
+class _Family(NamedTuple):
+    """Fields E^a start[:, c] with each age's half-ball max (hi), min (lo)."""
+
+    hi: np.ndarray
+    lo: np.ndarray
+    start: np.ndarray
+    E: np.ndarray
+
+
+def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
+    """The `_Family` of the fields E^a W, a = 0..m-1, reduced once per age."""
     shape = (m, W.shape[1])
     hi, lo = np.empty(shape), np.empty(shape)
-    hi_row = np.empty(shape, dtype=np.int64)
-    lo_row = np.empty(shape, dtype=np.int64)
+    start = W
     for age in range(m):
         vals = W[half]
-        hi[age], hi_row[age] = vals.max(axis=0), vals.argmax(axis=0)
-        lo[age], lo_row[age] = vals.min(axis=0), vals.argmin(axis=0)
+        hi[age], lo[age] = vals.max(axis=0), vals.min(axis=0)
         if age < m - 1:
             W = E @ W
-    return hi, hi_row, lo, lo_row
+    return _Family(hi, lo, start, E)
 
 
 def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
@@ -108,8 +137,8 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     at grid step j > si, so it only ever shows the fields E^a S_aug at ages
     a = 0..m-1; the initial fields E^j diag(1/mu) are those of a launch at
     si = 0 from E diag(1/mu).  Returns (init, src, half, ops), where `init`
-    and `src` are the `_age_reductions` of the two families over the half
-    ball; `_collect` folds them per launch step.
+    and `src` are the `_Family` of each kind over the half ball; `_collect`
+    folds them per launch step.
     """
     m = box.m_steps
     dt = box.T / m
@@ -123,41 +152,32 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     return init, src, half, ops
 
 
-def _fold(red, si: int, minus: range, plus: range):
+def _fold(fam: _Family, si: int, minus: range, plus: range):
     """Ratios sup_{Q-} / inf_{Q+} of the generators launched at step si.
 
     Grid step j shows age j - 1 - si, so each of Q- and Q+ is one contiguous
-    window of ages, clipped at 0.  argmax/argmin return the first age
-    attaining the extreme, and each age stores the first half-ball slot
-    attaining it, so the witnesses are the first attained in (step, slot)
-    order.  A generator whose sup over Q- is not > 0 gets ratio -inf.
-    Returns None when no step of Q- follows the launch.
+    window of ages, clipped at 0.  The ratio uses the exact sup and inf, and
+    the witness age of each is the first age within relative EPS of it.
+    Returns (ratio, minus ages, plus ages, sup, inf), or None when no step
+    of Q- follows the launch.
     """
-    hi, hi_row, lo, lo_row = red
     a0, a1 = max(minus.start - 1 - si, 0), minus.stop - 1 - si
     if a0 >= a1:
         return None
     b0, b1 = max(plus.start - 1 - si, 0), plus.stop - 1 - si
-    cols = np.arange(hi.shape[1])
-    am = a0 + hi[a0:a1].argmax(axis=0)
-    ap = b0 + lo[b0:b1].argmin(axis=0)
-    mm, mp = hi[am, cols], lo[ap, cols]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(mp < FLOOR, np.inf, mm / mp)
-    ratio[~(mm > 0.0)] = -np.inf
-    return ratio, (am + si + 1, hi_row[am, cols]), (ap + si + 1, lo_row[ap, cols])
+    am, mm = _first_near(fam.hi[a0:a1])
+    ap, mp = _first_near(fam.lo[b0:b1], -1.0)
+    return _ratio(mm, mp), a0 + am, b0 + ap, mm, mp
 
 
 def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
     """Fold the per-age reductions into (constant, witness).
 
-    For each launch step, `_fold` takes every generator's sup over Q- and inf
-    over Q+ with one argmax and one argmin over a contiguous window of ages.
-    Within a generator the first-attained (step, then half-ball slot)
-    witness wins, and a sup over Q- that is not > 0 disqualifies it.  Across
-    generators the order is initial fields (window order), then source
-    impulses by (launch step, channel), and only a strictly greater ratio
-    replaces the current best.
+    The constant is the largest ratio.  Generators run initial fields (window
+    order), then source impulses by (launch step, channel), and each replaces
+    the witness only when its ratio is larger by more than EPS.  The winner's
+    column is recomputed to its two witness ages, where each witness slot is
+    the first half-ball slot within EPS of its sup over Q- (inf over Q+).
     """
     m = box.m_steps
     channels = list(fm.exterior) + ["remainder"]
@@ -165,20 +185,30 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
     launches = [(("initial",), fm.window, init, 0)]
     launches += [(("source", si), channels, src, si) for si in range(m)]
 
-    best = -math.inf
-    best_wit = None
-    for prefix, labels, red, si in launches:
-        folded = _fold(red, si, box.minus_steps(), box.plus_steps())
+    best, wit_ratio, win = -math.inf, -math.inf, None
+    for prefix, labels, fam, si in launches:
+        folded = _fold(fam, si, box.minus_steps(), box.plus_steps())
         if folded is None:
             continue
-        ratio, (jm, rm), (jp, rp) = folded
-        c = int(ratio.argmax())
-        if ratio[c] > best:
-            best = ratio[c]
-            best_wit = {"generator": prefix + (labels[c],),
-                        "minus": (float(times[jm[c]]), fm.window[half[rm[c]]]),
-                        "plus": (float(times[jp[c]]), fm.window[half[rp[c]]])}
-    return best, best_wit
+        ratio, am, ap, mm, mp = folded
+        best = max(best, ratio.max())
+        c = 0
+        while (later := ratio[c:] > wit_ratio * (1.0 + EPS)).any():
+            c += int(later.argmax())
+            wit_ratio = ratio[c]
+            win = (prefix + (labels[c],), fam, c, si, int(am[c]), int(ap[c]),
+                   mm[c], mp[c])
+    if win is None:
+        return best, None
+    generator, fam, c, si, am, ap, mm, mp = win
+    fields = [fam.start[:, c]]
+    for _ in range(max(am, ap)):
+        fields.append(fam.E @ fields[-1])
+    sm = _first_near(fields[am][half], top=mm)[0]
+    sp = _first_near(fields[ap][half], -1.0, top=mp)[0]
+    return best, {"generator": generator,
+                  "minus": (float(times[am + si + 1]), fm.window[half[sm]]),
+                  "plus": (float(times[ap + si + 1]), fm.window[half[sp]])}
 
 
 def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
@@ -230,17 +260,10 @@ def phi_constant(model: LatticeModel, box: HarnackBox, lam_ext: float = 4.0,
 
 def caloric_box_ratio(fld: CaloricField, box: HarnackBox) -> float:
     """sup_{Q-} u / inf_{Q+} u for a caloric field on the box's grid."""
-    fm = fld.fm
-    half = _half_ball_slots(fm, box.x0, box.R)
-    minus = list(box.minus_steps())
-    plus = list(box.plus_steps())
-    sup = float(fld.values[np.ix_(minus, half)].max())
-    inf = float(fld.values[np.ix_(plus, half)].min())
-    if sup <= 0.0:
-        return 0.0
-    if inf < FLOOR:
-        return math.inf
-    return sup / inf
+    half = _half_ball_slots(fld.fm, box.x0, box.R)
+    sup = fld.values[np.ix_(list(box.minus_steps()), half)].max()
+    inf = fld.values[np.ix_(list(box.plus_steps()), half)].min()
+    return max(float(_ratio(sup, inf)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +279,16 @@ def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
     H = solve_generator(fm, rhs)
     inner = [i for i, v in enumerate(fm.window)
              if fm.model.distance(x0, v) <= R]
-    channels = list(fm.exterior) + ["remainder"]
-    best = -math.inf
-    wit = None
     sub = H[inner]
-    for ci, ch in enumerate(channels):
-        col = sub[:, ci]
-        hi = float(col.max())
-        if hi <= 0.0:
-            continue
-        lo = float(col.min())
-        ratio = math.inf if lo < FLOOR else hi / lo
-        if ratio > best:
-            best = ratio
-            wit = {"generator": ("exterior", ch),
-                   "max_at": fm.window[inner[int(col.argmax())]],
-                   "min_at": fm.window[inner[int(col.argmin())]]}
+    rmax, hi = _first_near(sub)
+    rmin, lo = _first_near(sub, -1.0)
+    c, best = _first_near(_ratio(hi, lo))
+    wit = None
+    if best > -math.inf:
+        channel = (list(fm.exterior) + ["remainder"])[c]
+        wit = {"generator": ("exterior", channel),
+               "max_at": fm.window[inner[rmax[c]]],
+               "min_at": fm.window[inner[rmin[c]]]}
     return fm, max(best, 1.0), wit, sub
 
 
@@ -307,13 +324,16 @@ def harmonic_partition_residual(model: LatticeModel, x0, R,
 
 def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
                        x=None, lam_ext: float = 4.0, tol: float = 1e-12):
-    """h^{-1} P^x(X_{tau_B} = y0, tau_B in (T/2-h, T/2)) for B = B(x0,R).
+    """(value, err): value is h^{-1} P^x(X_{tau_B} = y0, tau_B in (T/2-h, T/2))
+    for B = B(x0,R), at x or (x None) on the whole window.
 
     Computed exactly from the killed semigroup: the probability equals
     int_{T/2-h}^{T/2} [e^{sQ_B} kappa](x) ds = [e^{(T/2-h)Q_B} int_0^h e^{sQ_B}
     kappa ds](x) with kappa(z) = J(z,y0)/mu_z.  With T = 2h the value
-    converges to mu_x^{-1} J(x,y0) as h -> 0 (relative error O(h)).
-    Requires y0 outside B but within the tracked range lam_ext*R.
+    converges to mu_x^{-1} J(x,y0) as h -> 0 (relative error O(h)).  err is
+    the certified max-norm error; the killed semigroup contracts the max norm,
+    so the first step's error passes the second undiminished.  Requires y0
+    outside B but within the tracked range lam_ext*R.
     """
     if not (0.0 < h <= T / 2):
         raise ValueError("need 0 < h <= T/2")
@@ -326,9 +346,9 @@ def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
     fm = truncate(model, x0, R, KILLED)
     gen = generator(fm)
     kappa = np.array([model.J(z, y0) for z in fm.window]) / fm.mu
-    acc, _ = integrated_action(gen, kappa, h, tol)
-    acc, _ = expm_action(gen, acc, T / 2 - h, tol)
-    vals = acc / h
+    acc, e_int = integrated_action(gen, kappa, h, tol)
+    acc, e_exp = expm_action(gen, acc, T / 2 - h, tol)
+    vals, err = acc / h, (e_int + e_exp) / h
     if x is None:
-        return vals
-    return float(vals[fm.index[x]])
+        return vals, err
+    return float(vals[fm.index[x]]), err

@@ -116,18 +116,13 @@ def write_bundle(out_dir: str, config: dict, report: dict,
     old = base + f".old-{os.getpid()}"
     os.makedirs(tmp, exist_ok=True)
     try:
-        with open(os.path.join(tmp, "config.resolved"), "w") as f:
-            json.dump(jsonable(config), f, sort_keys=True, indent=2)
-            f.write("\n")
-        with open(os.path.join(tmp, "report.json"), "w") as f:
-            json.dump(jsonable(report), f, sort_keys=True, indent=2)
-            f.write("\n")
-        meta = dict(meta or {})
-        meta["written_at"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
-            json.dump(jsonable(meta), f, sort_keys=True, indent=2)
-            f.write("\n")
+        meta = dict(meta or {}, written_at=datetime.datetime.now(
+            datetime.timezone.utc).isoformat())
+        for name, obj in (("config.resolved", config), ("report.json", report),
+                          ("meta.json", meta)):
+            with open(os.path.join(tmp, name), "w") as f:
+                json.dump(jsonable(obj), f, sort_keys=True, indent=2)
+                f.write("\n")
         for name, rows in (csvs or {}).items():
             with open(os.path.join(tmp, name + ".csv"), "w") as f:
                 if rows:
@@ -318,7 +313,7 @@ def run_generic(config: ExperimentConfig):
     model = _config_model(config)
     alpha = float(p.get("alpha", 1.0))
     _warn_alpha(alpha)
-    origin = (0,) * model.d if model.kind == "lattice" else sorted(model.vertices)[0]
+    origin = model.origin
     exp = config.experiment
     csvs = {}
     if exp == "heat":

@@ -38,8 +38,8 @@ EXTERIOR_TRACKED = "exterior_tracked"
 TAIL_REL_BOUND = 1e-12
 # Largest lattice ball or window, in states, that is enumerated.
 STATE_CAP = 200_000
-# Shells summed term by term before the Hurwitz-zeta tail takes over.
-TAIL_SHELLS = 4096
+# Shells tabulated term by term before the Hurwitz-zeta tail takes over.
+SHELL_HORIZON = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +202,12 @@ def kernel_from_dict(d):
 # lattice shell geometry
 # ---------------------------------------------------------------------------
 
-def shell_count(d: int, metric: str, s: int) -> int:
-    """Number of lattice points at exact metric distance s from a point."""
-    if s == 0:
-        return 1
-    if metric == "linf":
-        return (2 * s + 1) ** d - (2 * s - 1) ** d
-    if metric == "l1":
-        total = 0
-        for k in range(1, min(d, s) + 1):
-            total += 2 ** k * math.comb(d, k) * math.comb(s - 1, k - 1)
-        return total
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def shell_counts(d: int, metric: str, s) -> np.ndarray:
-    """`shell_count` over an array of radii, in exact int64 arithmetic."""
+    """Lattice points at exact metric distance s from a point, per radius in s:
+    int64 while (2 max(s) + 1)^d fits, exact Python integers beyond."""
     s = np.asarray(s, dtype=np.int64)
     if s.size and (2 * int(s.max()) + 1) ** d >= 2 ** 63:
-        raise OverflowError("shell counts exceed int64")
+        s = s.astype(object)
     if metric == "linf":
         out = (2 * s + 1) ** d - (2 * s - 1) ** d
     elif metric == "l1":
@@ -236,7 +223,7 @@ def shell_counts(d: int, metric: str, s) -> np.ndarray:
 
 
 def _shell_poly_coeffs(d: int, metric: str) -> list[Fraction]:
-    """Coefficients c_j with shell_count(s) = sum_j c_j s^j, exact for s >= 1."""
+    """Coefficients c_j with shell_counts(s) = sum_j c_j s^j, exact for s >= 1."""
     if metric == "linf":
         coeffs = [Fraction(0)] * d
         for j in range(d):
@@ -262,7 +249,7 @@ def _shell_poly_coeffs(d: int, metric: str) -> list[Fraction]:
 
 
 def shell_tail_sum(d: int, metric: str, exponent: float, start: int) -> float:
-    """Exact sum_{s >= start} shell_count(s) * s^(-exponent) via Hurwitz zeta.
+    """Exact sum_{s >= start} shell_counts(s) * s^(-exponent) via Hurwitz zeta.
 
     Requires exponent > d so that every zeta argument exceeds 1.
     """
@@ -275,23 +262,59 @@ def shell_tail_sum(d: int, metric: str, exponent: float, start: int) -> float:
     return total
 
 
-@functools.cache
-def _radial_row_sum(d: int, metric: str, kernel) -> tuple[float, float]:
-    """(J(x, G), certified remainder bound) of a radial kernel on Z^d.
+@dataclass(frozen=True, eq=False)
+class RadialProfile:
+    """The one shell table of a radial lattice kernel: J(x, G) and the jump law.
 
-    The value is the same at every vertex, so it is memoised per argument
-    tuple.  Shells 1..TAIL_SHELLS are summed left to right in Python floats
-    and the value is evaluated as head + tail + atoms; callers subtract any
-    per-vertex correction afterwards, which keeps every bit of the result.
+    `cum` sums the shell weights count(s) J(s), atoms included, over
+    s = 1..SHELL_HORIZON; `tail` is the exact Hurwitz-zeta rest, `total` =
+    cum[-1] + tail is J(x, G) off any suppressed pair, and `bound` is its
+    certified remainder, TAIL_REL_BOUND times the power-law part.
     """
+
+    d: int
+    metric: str
+    expo: float
+    cum: np.ndarray
+    tail: float
+    total: float
+    bound: float
+
+    def radii(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF shell radii for uniforms u in [0, total): a table
+        search up to the horizon; beyond it, the least s with cumulative
+        weight through s >= u, by doubling and bisection on the zeta tail."""
+        def through(s):
+            return self.total - shell_tail_sum(self.d, self.metric, self.expo, s + 1)
+        r = self.cum.searchsorted(u, side="right") + 1
+        if r.size and r.max() > SHELL_HORIZON:
+            for i in np.nonzero(r > SHELL_HORIZON)[0]:
+                lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
+                while through(hi) < u[i]:
+                    lo, hi = hi, 2 * hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if through(mid) >= u[i] else (mid, hi)
+                r[i] = hi
+        return r.astype(np.int64, copy=False)
+
+
+@functools.lru_cache(maxsize=8)
+def radial_profile(d: int, metric: str, kernel) -> RadialProfile:
+    """The `RadialProfile` of a polynomial or ladder kernel on Z^d; a sweep
+    over many kernels keeps only the latest eight tables (512 KiB each)."""
     expo = kernel.exponent(d)
-    atoms = sum(shell_count(d, metric, r) * kernel.atom(r) for r in kernel.ranges)
-    if expo <= d:
-        raise DivergentTail(f"row sum diverges: exponent {expo} <= d={d}")
-    head = sum(shell_count(d, metric, s) * float(s) ** (-expo)
-               for s in range(1, TAIL_SHELLS + 1))
-    tail = shell_tail_sum(d, metric, expo, TAIL_SHELLS + 1)
-    return head + tail + atoms, TAIL_REL_BOUND * (head + tail) + 1e-300
+    tail = shell_tail_sum(d, metric, expo, SHELL_HORIZON + 1)  # raises if expo <= d
+    radii = np.arange(1, SHELL_HORIZON + 1)
+    counts = shell_counts(d, metric, radii).astype(float)
+    weights = counts * radii.astype(float) ** (-expo)
+    bound = TAIL_REL_BOUND * (float(weights.sum()) + tail) + 1e-300
+    for r in kernel.ranges:
+        weights[r - 1] += counts[r - 1] * kernel.atom(r)
+    cum = np.cumsum(weights)
+    cum.setflags(write=False)  # one cached table is shared by every caller
+    return RadialProfile(d=d, metric=metric, expo=expo, cum=cum, tail=tail,
+                         total=float(cum[-1] + tail), bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +355,18 @@ class LatticeModel:
             if not (len(k.x0) == len(k.y0) == self.d if self.kind == "lattice"
                     else {k.x0, k.y0} <= self._adj.keys()):
                 raise ValueError("the suppressed pair is not two vertices of the graph")
-        if isinstance(self.base_kernel, LadderKernel) and self.d != 1:
-            raise ValueError("ladder kernels are defined on Z only")
+        if isinstance(self.base_kernel, LadderKernel):
+            if self.d != 1:
+                raise ValueError("ladder kernels are defined on Z only")
+            if max(self.base_kernel.ranges, default=0) > SHELL_HORIZON:
+                raise ValueError("ladder range beyond the shell horizon")
         if self.kind == "lattice" and isinstance(self.base_kernel, TabulatedKernel):
             raise ValueError("tabulated kernels are defined on explicit graphs only")
+
+    @property
+    def origin(self):
+        """The default centre: 0 on a lattice, the least vertex of a graph."""
+        return (0,) * self.d if self.kind == "lattice" else sorted(self.vertices)[0]
 
     # -- measure ----------------------------------------------------------
 
@@ -449,7 +480,8 @@ class LatticeModel:
         """(J(x,G), certified remainder bound)."""
         if self.kind == "explicit":
             return sum(self.J(x, y) for y in self.vertices if y != x), 0.0
-        value, bound = _radial_row_sum(self.d, self.metric, self.base_kernel)
+        prof = radial_profile(self.d, self.metric, self.base_kernel)
+        value, bound = prof.total, prof.bound
         p = self.pair
         if p is not None and x in p[:2]:
             value -= p[2]

@@ -2,12 +2,12 @@
 
 The walker holds at x for an Exp(q_x) time with q_x = J(x,G)/mu_x (the row
 sum is tail-certified, not truncated) and then jumps to y with probability
-J(x,y)/J(x,G).  Jump displacements are drawn by inverse-CDF over radial
-shells — exact shell weights up to a large horizon, certified analytic tail
-beyond — followed by a uniform choice on the selected shell, so the jump law
-matches the kernel exactly.  Trajectories never see a window; only the
-observables are windowed, which avoids truncation bias in exit and hitting
-estimates.
+J(x,y)/J(x,G).  Jump displacements are drawn by inverse-CDF over the radial
+shells of the kernel's `RadialProfile` — exact shell weights up to a large
+horizon, certified analytic tail beyond — followed by a uniform choice on the
+selected shell, so the jump law matches the kernel exactly.  Trajectories
+never see a window; only the observables are windowed, which avoids
+truncation bias in exit and hitting estimates.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import LatticeModel, shell_counts, shell_tail_sum
+from .models import LatticeModel, radial_profile, shell_counts
 
-SHELL_HORIZON = 2 ** 16
 STEP_CAP = 10_000_000
 N_STREAMS = 8
 _SIGNS = np.array([-1, 1])  # a fair bit in {0, 1} -> a direction on Z
@@ -51,19 +50,8 @@ class TrajectorySampler:
             raise NotImplementedError(model.metric)
         self.model = model
         self.seed = seed
-        kernel = model.base_kernel
-        if max(kernel.ranges, default=0) > SHELL_HORIZON:
-            raise ValueError("ladder range beyond the shell horizon")
-        self.expo = kernel.exponent(model.d)
-        radii = np.arange(1, SHELL_HORIZON + 1)
-        counts = shell_counts(model.d, model.metric, radii).astype(float)
-        weights = counts * radii.astype(float) ** (-self.expo)
-        for r in kernel.ranges:
-            weights[r - 1] += counts[r - 1] * kernel.atom(r)
-        self.cum = np.cumsum(weights)
-        self.tail = shell_tail_sum(model.d, model.metric, self.expo,
-                                   SHELL_HORIZON + 1)
-        self.total = float(self.cum[-1] + self.tail)  # = J(x,G)/1 for mu-free row sum
+        self.profile = radial_profile(model.d, model.metric, model.base_kernel)
+        self.total = self.profile.total  # J(x, G) off the suppressed pair
 
     # -- walker tests ----------------------------------------------------------
 
@@ -91,30 +79,6 @@ class TrajectorySampler:
         return out
 
     # -- displacement sampling ------------------------------------------------
-
-    def _sample_radii(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF shell radii for uniforms u in [0, total)."""
-        r = self.cum.searchsorted(u, side="right") + 1
-        if r.size and r.max() > SHELL_HORIZON:
-            for i in np.nonzero(r > SHELL_HORIZON)[0]:
-                r[i] = self._tail_radius(float(u[i]))
-        return r.astype(np.int64, copy=False)
-
-    def _tail_radius(self, u: float) -> int:
-        """Smallest s with cumulative weight through s >= u, beyond the horizon."""
-        def cum_through(s):
-            return self.total - shell_tail_sum(self.model.d, self.model.metric,
-                                               self.expo, s + 1)
-        lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
-        while cum_through(hi) < u:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if cum_through(mid) >= u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def _directions(self, radii: np.ndarray, rng) -> np.ndarray:
         """Uniform point on each walker's shell (exact enumeration)."""
@@ -156,7 +120,7 @@ class TrajectorySampler:
         """One jump of every walker; exact under pair suppression (resample)."""
         n = len(pos)
         new = pos + self._directions(
-            self._sample_radii(rng.random(n) * self.total), rng)
+            self.profile.radii(rng.random(n) * self.total), rng)
         p = self.model.pair
         if p is not None:
             x0, y0 = p[0], p[1]
@@ -167,7 +131,7 @@ class TrajectorySampler:
                     break
                 idx = np.nonzero(bad)[0]
                 new[idx] = pos[idx] + self._directions(
-                    self._sample_radii(rng.random(len(idx)) * self.total), rng)
+                    self.profile.radii(rng.random(len(idx)) * self.total), rng)
         return new
 
     # -- stream plumbing -------------------------------------------------------

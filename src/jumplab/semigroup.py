@@ -101,21 +101,23 @@ def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) 
 # uniformization primitives
 # ---------------------------------------------------------------------------
 
-def _poisson_weights(lt: float, tol: float):
-    """Poisson(lt) pmf up to K with sf(K, lt) <= tol; returns (pmf, tail).
-
-    sf is pdtrc and the pmf is exp(log pmf): scipy.stats.poisson's own
-    formulas, bit for bit, without the cost of importing scipy.stats.
-    """
+def _poisson_cutoff(lt: float, tol: float) -> tuple[int, float]:
+    """(K, sf(K, lt)) for the first K of the doubling ladder with sf <= tol."""
     k = int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0)
     while pdtrc(k, lt) > tol:
         k *= 2
         if k > TERM_CAP:
             raise TruncationBudgetExceeded(
                 f"needed more than {TERM_CAP} uniformization terms")
+    return k, float(pdtrc(k, lt))
+
+
+def _poisson_weights(lt: float, tol: float):
+    """(Poisson(lt) pmf up to K, sf(K, lt)) with K from `_poisson_cutoff`: sf
+    is pdtrc and the pmf exp(log pmf), scipy.stats.poisson's own formulas."""
+    k, tail = _poisson_cutoff(lt, tol)
     ks = np.arange(k + 1)
-    pmf = np.exp(xlogy(ks, lt) - gammaln(ks + 1) - lt)
-    return pmf, float(pdtrc(k, lt))
+    return np.exp(xlogy(ks, lt) - gammaln(ks + 1) - lt), tail
 
 
 def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
@@ -140,7 +142,9 @@ def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
                       tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """(int_0^t exp(sQ) V ds, certified error bound).
 
-    Uses int_0^t e^{-Lam s}(Lam s)^k/k! ds = sf(k, Lam t)/Lam.
+    Uses int_0^t e^{-Lam s}(Lam s)^k/k! ds = sf(k, Lam t)/Lam.  K is chosen
+    by `_poisson_cutoff`; the weight left after K terms is sum_{k>K}
+    sf(k, Lam t)/Lam = E[(N-K-1)^+]/Lam <= t sf(K, Lam t), N ~ Poisson(Lam t).
     """
     V = np.asarray(V, dtype=float)
     if t == 0.0:
@@ -149,22 +153,14 @@ def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
     if scale == 0.0:
         return np.zeros_like(V), 0.0
     lt = gen.lam * t
-    # remaining weight after K terms is t - sum_{k<=K} sf(k,lt)/lam
-    k = int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0)
-    while True:
-        sf = pdtrc(np.arange(k + 1), lt) / gen.lam
-        rem = max(t - float(sf.sum()), 0.0)
-        if rem <= tol / max(scale, 1e-300) or k > TERM_CAP:
-            break
-        k *= 2
-    if k > TERM_CAP:
-        raise TruncationBudgetExceeded("integrated action term cap exceeded")
+    k, tail = _poisson_cutoff(lt, tol / max(scale * t, 1e-300))
+    sf = pdtrc(np.arange(k + 1), lt) / gen.lam
     acc = sf[0] * V
     work = V
     for i in range(1, len(sf)):
         work = gen.apply(work)
         acc = acc + sf[i] * work
-    return acc, rem * scale
+    return acc, t * tail * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jumplab.models import (
     LatticeModel,
@@ -7,6 +8,11 @@ from jumplab.models import (
     PolynomialKernel,
     TabulatedKernel,
 )
+
+# Every run draws the same Hypothesis examples (derandomize implies no
+# example database), so two runs of one tree give the same results.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from jumplab import harnack as H
+from jumplab import models
 from jumplab.errors import ExteriorOutOfRange, NumericalFailure, WindowUnconverged
 from jumplab.models import (
     EXTERIOR_TRACKED,
@@ -57,31 +60,33 @@ def test_scan_matches_explicit_generators(z1):
 
 
 # Reference: the per-launch fan-out scan that `_scan_generators` and
-# `_collect` replace.  Every age's values are shown to every launch step
-# through running sup/inf statistics with strict-improvement updates.
+# `_collect` replace.  Every age's values are shown to every launch step,
+# which keeps them all; a generator's sup over Q- (inf over Q+) is the exact
+# extreme of what it was shown, and its witness is the first (step, slot)
+# within relative EPS of that extreme.
 
 class _BoxStats:
-    def __init__(self, n_cols):
-        self.max_minus = np.zeros(n_cols)
-        self.min_plus = np.full(n_cols, np.inf)
-        self.wit_minus = np.full((n_cols, 2), -1, dtype=np.int64)
-        self.wit_plus = np.full((n_cols, 2), -1, dtype=np.int64)
+    def __init__(self):
+        self.minus, self.plus = [], []
 
     def see_minus(self, step, vals_half):
-        colmax = vals_half.max(axis=0)
-        rows = vals_half.argmax(axis=0)
-        upd = colmax > self.max_minus
-        self.max_minus[upd] = colmax[upd]
-        self.wit_minus[upd, 0] = step
-        self.wit_minus[upd, 1] = rows[upd]
+        self.minus.append((step, vals_half.copy()))
 
     def see_plus(self, step, vals_half):
-        colmin = vals_half.min(axis=0)
-        rows = vals_half.argmin(axis=0)
-        upd = colmin < self.min_plus
-        self.min_plus[upd] = colmin[upd]
-        self.wit_plus[upd, 0] = step
-        self.wit_plus[upd, 1] = rows[upd]
+        self.plus.append((step, vals_half.copy()))
+
+
+def first_near_extreme(seen, col, sign):
+    """(extreme, step, slot) of column col over every (step, slot) seen: the
+    max for sign = +1, the min for sign = -1, and the first (step, slot) in
+    that order within relative EPS of it (an infinite one only if equal)."""
+    seen = sorted(seen, key=lambda e: e[0])
+    top = max(sign * float(v) for _, vals in seen for v in vals[:, col])
+    for step, vals in seen:
+        for slot, v in enumerate(vals[:, col]):
+            v = sign * float(v)
+            if v == top or (math.isfinite(top) and v >= top - H.EPS * abs(top)):
+                return sign * top, step, slot
 
 
 def fanout_scan(fm, box, tol):
@@ -91,7 +96,7 @@ def fanout_scan(fm, box, tol):
     S_aug = np.concatenate([ops.S, ops.s_rem[:, None]], axis=1)
     half = H._half_ball_slots(fm, box.x0, box.R)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
-    init_stats = _BoxStats(fm.n)
+    init_stats = _BoxStats()
     U = np.diag(1.0 / fm.mu)
     for j in range(1, m + 1):
         U = E @ U
@@ -99,7 +104,7 @@ def fanout_scan(fm, box, tol):
             init_stats.see_minus(j, U[half])
         if j in plus:
             init_stats.see_plus(j, U[half])
-    src_stats = [_BoxStats(S_aug.shape[1]) for _ in range(m)]
+    src_stats = [_BoxStats() for _ in range(m)]
     W = S_aug.copy()
     for age in range(m):
         vals = W[half]
@@ -115,25 +120,27 @@ def fanout_scan(fm, box, tol):
 
 
 def fanout_collect(fm, box, init_stats, src_stats, half):
+    """Generators one at a time: the constant is the largest ratio, and a
+    later generator replaces the witness only when its ratio is larger by
+    more than relative EPS."""
     times = np.linspace(0.0, box.T, box.m_steps + 1)
-    best, best_wit = -math.inf, None
+    best, wit_ratio, best_wit = -math.inf, -math.inf, None
 
     def consider(gen_id, stats, col):
-        nonlocal best, best_wit
-        mm = stats.max_minus[col]
+        nonlocal best, wit_ratio, best_wit
+        if not stats.minus:
+            return
+        mm, jm, rm = first_near_extreme(stats.minus, col, 1.0)
         if mm <= 0.0:
             return
-        mp = stats.min_plus[col]
+        mp, jp, rp = first_near_extreme(stats.plus, col, -1.0)
         ratio = math.inf if mp < H.FLOOR else mm / mp
-        if ratio > best:
-            jm, rm = stats.wit_minus[col]
-            jp, rp = stats.wit_plus[col]
-            best = ratio
+        best = max(best, ratio)
+        if ratio > wit_ratio * (1.0 + H.EPS):
+            wit_ratio = ratio
             best_wit = {"generator": gen_id,
-                        "minus": (float(times[jm]), fm.window[half[rm]])
-                        if jm >= 0 else None,
-                        "plus": (float(times[jp]), fm.window[half[rp]])
-                        if jp >= 0 else None}
+                        "minus": (float(times[jm]), fm.window[half[rm]]),
+                        "plus": (float(times[jp]), fm.window[half[rp]])}
 
     for zi, z in enumerate(fm.window):
         consider(("initial", z), init_stats, zi)
@@ -153,7 +160,8 @@ def fanout_collect(fm, box, init_stats, src_stats, half):
      H.HarnackBox(x0=(0,), R=4, alpha=1.5, lam=0.5, m_steps=20)),
 ], ids=["z1", "suppressed", "l1-z2", "lam-half"])
 def test_scan_matches_fanout_reference(model, box):
-    """The per-age scan gives exactly the fan-out scan's constant and witness."""
+    """The per-age scan gives exactly the fan-out scan's constant and witness;
+    z1 and lam-half hold mirror-image ties that only rounding noise splits."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
     init, src, half, _ = H._scan_generators(fm, box, 1e-12)
     got = H._collect(fm, box, init, src, half)
@@ -162,25 +170,142 @@ def test_scan_matches_fanout_reference(model, box):
     assert got == want
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed):
-    """Identity, permutation and dyadic-mixture step operators make values
-    tie exactly across half-ball slots, steps and generators, and vanish on
-    some; the per-age scan still picks the reference's generator and
-    first-attained witnesses."""
-    box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+def tie_operators(fm, box, seed, kinds=3):
+    """Identity, permutation and dyadic-mixture (and, with kinds=4,
+    averaging) step operators with integer sources: values tie across
+    half-ball slots, steps and generators, and vanish on some."""
     rng = np.random.default_rng(seed)
     n = fm.n
     perms = [np.eye(n)[rng.permutation(n)] for _ in range(2)]
-    E = [np.eye(n), perms[0], (perms[0] + perms[1]) / 2][seed % 3]
-    ops = StepOperators(gen=None, dt=box.T / box.m_steps, E=E,
-                        S=rng.integers(0, 3, (n, len(fm.exterior))).astype(float),
-                        s_rem=rng.integers(0, 3, n).astype(float), err=0.0)
+    E = [np.eye(n), perms[0], (perms[0] + perms[1]) / 2,
+         np.full((n, n), 1.0 / n)][seed % kinds]
+    return StepOperators(gen=None, dt=box.T / box.m_steps, E=E,
+                         S=rng.integers(0, 3, (n, len(fm.exterior))).astype(float),
+                         s_rem=rng.integers(0, 3, n).astype(float), err=0.0)
+
+
+def scan_with(monkeypatch, fm, box, ops):
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
     init, src, half, _ = H._scan_generators(fm, box, 1e-12)
-    got = H._collect(fm, box, init, src, half)
+    return H._collect(fm, box, init, src, half)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed):
+    """On exact ties the per-age scan still picks the reference's generator
+    and first-attained witnesses."""
+    box = small_box()
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    got = scan_with(monkeypatch, fm, box, tie_operators(fm, box, seed))
     assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed):
+    """Every entry of the tie cases' step operators moved by up to a relative
+    1e-14 turns their ties into rounding-noise ties: the witnesses stay
+    those of the unmoved case, the constant moves by rounding only, and the
+    fan-out reference agrees."""
+    box = small_box()
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    ops = tie_operators(fm, box, seed, kinds=4)
+    exact = scan_with(monkeypatch, fm, box, ops)
+    rng = np.random.default_rng(100 + seed)
+    noisy = dataclasses.replace(ops, **{
+        k: getattr(ops, k) * (1 + 1e-14 * rng.uniform(-1, 1, getattr(ops, k).shape))
+        for k in ("E", "S", "s_rem")})
+    got = scan_with(monkeypatch, fm, box, noisy)
+    assert got[1] == exact[1]
+    assert got[0] == exact[0] or got[0] == pytest.approx(exact[0], rel=1e-12)
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+
+
+@pytest.mark.parametrize("amp", [1e-12, 2e-12])
+@pytest.mark.parametrize("seed", range(16))
+def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, seed):
+    """The tie cases' step operators moved by up to a relative 1e-12 or
+    2e-12 put ratios and field values about EPS apart, where a generator
+    must replace the witness one at a time and a slot must come within EPS
+    of the window's extreme, not of its own age's: the scan still gives the
+    fan-out reference's constant and witness."""
+    box = small_box()
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    ops = tie_operators(fm, box, seed, kinds=4)
+    rng = np.random.default_rng(100 + seed)
+    noisy = dataclasses.replace(ops, **{
+        k: getattr(ops, k) * (1 + amp * rng.uniform(-1, 1, getattr(ops, k).shape))
+        for k in ("E", "S", "s_rem")})
+    got = scan_with(monkeypatch, fm, box, noisy)
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+
+
+@pytest.mark.parametrize("jump, winner", [(1e-14, 0), (1e-11, 5)])
+def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner):
+    """Every generator's ratio is 2 except the source launch at step 5,
+    larger by `jump`: within EPS the first generator stays the witness,
+    beyond it the later one replaces it; the constant is the exact max."""
+    box = small_box()
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    init, src, half, _ = H._scan_generators(fm, box, 1e-12)
+    fold = H._fold
+
+    def flat_fold(fam, si, minus, plus):
+        out = fold(fam, si, minus, plus)
+        if out is None:
+            return None
+        bump = jump if fam is src and si == 5 else 0.0
+        return (np.full(len(out[0]), 2.0 * (1.0 + bump)), *out[1:])
+
+    monkeypatch.setattr(H, "_fold", flat_fold)
+    best, wit = H._collect(fm, box, init, src, half)
+    assert best == 2.0 * (1.0 + jump)
+    assert wit["generator"] == (("initial", fm.window[0]) if winner == 0 else
+                                ("source", 5, fm.exterior[0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ehi_witnesses_ignore_rounding_noise(z1, monkeypatch, seed):
+    """Harmonic generators with exact ties inside columns and across
+    channels, then moved by up to a relative 1e-14: the channel, max_at and
+    min_at stay the first attained of the exact ties."""
+    rng = np.random.default_rng(seed)
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    exact = rng.integers(1, 4, (fm.n, len(fm.exterior) + 1)).astype(float)
+    exact[:, 1::2] = exact[:, 0::2][:, :exact[:, 1::2].shape[1]]
+    inner = [i for i, v in enumerate(fm.window) if abs(v[0]) <= 4]
+    sub = exact[inner]
+    ratio = sub.max(axis=0) / sub.min(axis=0)
+    c = int(np.flatnonzero(ratio == ratio.max())[0])
+    want = {"generator": ("exterior", (list(fm.exterior) + ["remainder"])[c]),
+            "max_at": fm.window[inner[int(sub[:, c].argmax())]],
+            "min_at": fm.window[inner[int(sub[:, c].argmin())]]}
+    noise = 1 + 1e-14 * rng.uniform(-1, 1, exact.shape)
+    for H_ in (exact, exact * noise):
+        monkeypatch.setattr(H, "solve_generator", lambda fm, rhs, H_=H_: H_)
+        assert H._ehi_once(z1, (0,), 4, 4.0)[2] == want
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-14, 1.0 - 1e-14])
+def test_witnesses_stable_under_row_sum_rounding(monkeypatch, scale):
+    """Moving J(x,G) by a relative 1e-14 (rounding noise) moves no witness of
+    `lab phi --d 2 --R 2` or `lab ehi --R 8`; mirror-image vertices tie
+    there, and the tie rule, not the last bits, picks among them."""
+    real = models.radial_profile
+
+    def scaled(*args):
+        prof = real(*args)
+        return dataclasses.replace(prof, total=prof.total * scale)
+
+    monkeypatch.setattr(models, "radial_profile", scaled)
+    z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
+    phi = H.phi_constant(z2, H.HarnackBox(x0=(0, 0), R=2, alpha=1.0),
+                         check_doubling=False)
+    assert phi.witness == {"generator": ("initial", (-1, -1)),
+                           "minus": (0.5, (-1, -1)), "plus": (2.0, (1, 1))}
+    z1 = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
+    ehi = H.ehi_constant(z1, (0,), 8, check_doubling=False)
+    assert ehi.witness == {"generator": ("exterior", (-17,)),
+                           "max_at": (-8,), "min_at": (8,)}
 
 
 def test_mixture_audit(z1, rng):
@@ -289,7 +414,7 @@ def test_doubling_check_rejects(c, c2):
 # ---------------------------------------------------------------------------
 
 def test_first_jump_density_limit(z1):
-    vals = [H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h, x=(0,))
+    vals = [H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h, x=(0,))[0]
             for h in (1e-1, 1e-2, 1e-3)]
     target = 8.0 ** -2  # J(0,8)/mu_0
     # linear-in-h convergence, so Richardson on the last two points
@@ -302,7 +427,7 @@ def test_first_jump_density_limit(z1):
 def test_first_jump_density_suppressed_vanishes():
     m = LatticeModel(d=1, kernel=SuppressedPairKernel(
         base=PolynomialKernel(1.0), x0=(0,), y0=(8,)))
-    v = H.first_jump_density(m, (0,), 4, (8,), T=2e-3, h=1e-3, x=(0,))
+    v, _ = H.first_jump_density(m, (0,), 4, (8,), T=2e-3, h=1e-3, x=(0,))
     assert v <= 1e-3 * 8.0 ** -2 / 1e-2  # second order in h
 
 
@@ -310,8 +435,8 @@ def test_first_jump_density_additive(z1):
     fm = truncate(z1, (0,), 4, "killed")
     gen = generator(fm)
     h = 1e-2
-    va = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
-    vb = H.first_jump_density(z1, (0,), 4, (9,), T=1.0, h=h)
+    va, _ = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
+    vb, _ = H.first_jump_density(z1, (0,), 4, (9,), T=1.0, h=h)
     kap = np.array([z1.J(z, (8,)) + z1.J(z, (9,)) for z in fm.window]) / fm.mu
     combined, _ = integrated_action(gen, kap, h)
     combined, _ = expm_action(gen, combined, 0.5 - h)
@@ -323,12 +448,27 @@ def test_first_jump_density_depends_on_T(z1):
     h = 1e-2
     kap = np.array([z1.J(z, (8,)) for z in fm.window]) / fm.mu
     first, _ = integrated_action(generator(fm), kap, h)
-    late = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
-    early = H.first_jump_density(z1, (0,), 4, (8,), T=0.5, h=h)
+    late, _ = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
+    early, _ = H.first_jump_density(z1, (0,), 4, (8,), T=0.5, h=h)
     assert np.min(np.abs(late - early)) > 1e-4
     # T = 2h is the window (0, h): the integrated action alone
-    assert np.array_equal(H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h),
+    assert np.array_equal(H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h)[0],
                           first / h)
+
+
+@pytest.mark.parametrize("T, h", [(2e-2, 1e-2), (1.0, 1e-2), (6.0, 0.5)])
+def test_first_jump_density_within_its_error_of_dense_oracle(z1, T, h):
+    """value = e^{(T/2-h)Q} Q^{-1}(e^{hQ} - I) kappa / h by dense expm, to
+    within the returned certified error plus rounding."""
+    fm = truncate(z1, (0,), 4, "killed")
+    Q = generator(fm).Q
+    kap = np.array([z1.J(z, (8,)) for z in fm.window]) / fm.mu
+    first = np.linalg.solve(Q, (expm(h * Q) - np.eye(fm.n)) @ kap)
+    want = expm((T / 2 - h) * Q) @ first / h
+    got, err = H.first_jump_density(z1, (0,), 4, (8,), T=T, h=h)
+    assert np.max(np.abs(got - want)) <= err + 1e-12 * np.max(np.abs(got))
+    at0, err0 = H.first_jump_density(z1, (0,), 4, (8,), T=T, h=h, x=(0,))
+    assert at0 == got[fm.index[(0,)]] and err0 == err
 
 
 def test_first_jump_density_errors(z1):

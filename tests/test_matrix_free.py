@@ -1,5 +1,7 @@
 """The matrix-free window operator against the dense matrices it replaces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from jumplab.models import (
     PolynomialKernel,
     SuppressedPairKernel,
     _pair_rates,
-    shell_count,
     shell_counts,
     truncate,
 )
@@ -139,3 +140,23 @@ def test_shell_counts_match_shell_count(d, metric):
     got = shell_counts(d, metric, s)
     assert got.dtype == np.int64
     assert got.tolist() == [shell_count(d, metric, int(r)) for r in s]
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("metric", ["linf", "l1"])
+def test_shell_counts_exact_beyond_int64(d, metric):
+    """Where (2s+1)^d leaves int64, as on Z^4 at the shell horizon, the
+    counts come in Python integers and stay exact."""
+    s = np.array([0, 1, 7, 4096, 2 ** 16 - 1, 2 ** 16])
+    got = shell_counts(d, metric, s)
+    assert got.tolist() == [shell_count(d, metric, int(r)) for r in s]
+
+
+def shell_count(d, metric, s):
+    """Reference: the per-radius closed form in Python integers."""
+    if s == 0:
+        return 1
+    if metric == "linf":
+        return (2 * s + 1) ** d - (2 * s - 1) ** d
+    return sum(2 ** k * math.comb(d, k) * math.comb(s - 1, k - 1)
+               for k in range(1, min(d, s) + 1))

@@ -16,13 +16,14 @@ from jumplab.models import (
     MuConstant,
     MuTable,
     PolynomialKernel,
+    SHELL_HORIZON,
     STATE_CAP,
     SuppressedPairKernel,
     TabulatedKernel,
     TAIL_REL_BOUND,
     _pair_rates,
     model_from_dict,
-    shell_count,
+    shell_counts,
     shell_tail_sum,
     truncate,
     validate_constants,
@@ -45,13 +46,14 @@ def brute_shell(d, metric, s):
 @pytest.mark.parametrize("metric", ["linf", "l1"])
 @pytest.mark.parametrize("s", [1, 2, 3, 5])
 def test_shell_count_brute_force(d, metric, s):
-    assert shell_count(d, metric, s) == brute_shell(d, metric, s)
+    assert shell_counts(d, metric, s) == brute_shell(d, metric, s)
+    assert shell_counts(d, metric, [s, 0]).tolist() == [brute_shell(d, metric, s), 1]
 
 
 def test_shell_count_closed_forms():
-    assert shell_count(1, "linf", 7) == 2
-    assert shell_count(2, "linf", 7) == 8 * 7
-    assert shell_count(2, "l1", 7) == 4 * 7
+    assert shell_counts(1, "linf", 7) == 2
+    assert shell_counts(2, "linf", 7) == 8 * 7
+    assert shell_counts(2, "l1", 7) == 4 * 7
 
 
 def test_tail_sum_matches_long_partial_sum():
@@ -90,7 +92,7 @@ def test_tail_sum_monotone_in_start(start):
 def test_ball_lexicographic_and_sized(z2):
     ball = z2.ball((0, 0), 2)
     assert ball == sorted(ball)
-    assert len(ball) == sum(shell_count(2, "linf", s) for s in range(3))
+    assert len(ball) == shell_counts(2, "linf", np.arange(3)).sum()
 
 
 def test_ball_cap():
@@ -169,19 +171,44 @@ def test_suppressed_pair_row_sum_and_symmetry():
     assert abs(total - (plain - 8.0 ** -2)) < 1e-12
 
 
-def direct_row_sum(d, metric, kernel, correction=0.0, tail_shells=4096):
-    """Reference: the shell sum `row_sum_all` evaluated on every call before
-    it was memoised, in the same order of operations."""
+def _expo_atoms(d, kernel):
     if isinstance(kernel, PolynomialKernel):
-        expo, atoms = d + kernel.alpha, 0.0
-    else:
-        expo = 1.0 + kernel.alpha
-        atoms = sum(shell_count(d, metric, r) * kernel.atom(r)
-                    for r in kernel.ranges)
-    head = sum(shell_count(d, metric, s) * float(s) ** (-expo)
-               for s in range(1, tail_shells + 1))
+        return d + kernel.alpha, ()
+    return 1.0 + kernel.alpha, kernel.ranges
+
+
+def profile_row_sum(d, metric, kernel, correction=0.0):
+    """Reference: the radial profile's J(x, G) and bound, written out in the
+    same order of operations (SHELL_HORIZON shells, then the zeta tail)."""
+    expo, ranges = _expo_atoms(d, kernel)
+    s = np.arange(1, SHELL_HORIZON + 1)
+    counts = shell_counts(d, metric, s).astype(float)
+    weights = counts * s.astype(float) ** (-expo)
+    tail = shell_tail_sum(d, metric, expo, SHELL_HORIZON + 1)
+    bound = TAIL_REL_BOUND * (float(weights.sum()) + tail) + 1e-300
+    for r in ranges:
+        weights[r - 1] += counts[r - 1] * (math.log(r) * r ** (-1.0 - kernel.alpha))
+    return float(np.cumsum(weights)[-1] + tail) - correction, bound
+
+
+def direct_row_sum(d, metric, kernel, correction=0.0, tail_shells=4096):
+    """Independent oracle: 4,096 shells summed left to right in Python floats,
+    then the zeta tail and the atoms."""
+    expo, ranges = _expo_atoms(d, kernel)
+    counts = shell_counts(d, metric, np.arange(tail_shells + 1)).tolist()
+    atoms = sum(counts[r] * (math.log(r) * r ** (-1.0 - kernel.alpha))
+                for r in ranges)
+    head = sum(counts[s] * float(s) ** (-expo) for s in range(1, tail_shells + 1))
     tail = shell_tail_sum(d, metric, expo, tail_shells + 1)
     return head + tail + atoms - correction, TAIL_REL_BOUND * (head + tail) + 1e-300
+
+
+# The two shell sums differ only by rounding (at most 8.1e-15 measured).
+DIRECT_REL = 1e-13
+
+
+def assert_close_to_direct(got, want):
+    assert all(abs(g - w) <= DIRECT_REL * w for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("d, metric, kernel, x", [
@@ -190,11 +217,16 @@ def direct_row_sum(d, metric, kernel, correction=0.0, tail_shells=4096):
     (1, "l1", PolynomialKernel(1.5), (0,)),
     (2, "l1", PolynomialKernel(1.0), (4, 4)),
     (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64)), (5,)),
+    (3, "linf", PolynomialKernel(1.0), (1, 0, -2)),
+    (3, "l1", PolynomialKernel(0.8), (0, 0, 0)),
+    (4, "linf", PolynomialKernel(1.0), (0, 0, 0, 0)),
+    (4, "l1", PolynomialKernel(1.5), (2, -1, 0, 3)),
 ])
 def test_row_sum_all_bitwise_equals_direct_sum(d, metric, kernel, x):
     m = LatticeModel(d=d, metric=metric, kernel=kernel)
-    assert m.row_sum_all(x) == direct_row_sum(d, metric, kernel)
-    assert m.row_sum_all(x) == direct_row_sum(d, metric, kernel)
+    assert m.row_sum_all(x) == profile_row_sum(d, metric, kernel)
+    assert m.row_sum_all(x) == profile_row_sum(d, metric, kernel)
+    assert_close_to_direct(m.row_sum_all(x), direct_row_sum(d, metric, kernel))
 
 
 def test_suppressed_row_sum_bitwise_equals_direct_sum():
@@ -202,9 +234,22 @@ def test_suppressed_row_sum_bitwise_equals_direct_sum():
     m = LatticeModel(d=2, kernel=SuppressedPairKernel(base=base, x0=(0, 0),
                                                       y0=(3, 1)))
     pair = 3.0 ** -3.0
-    assert m.row_sum_all((0, 0)) == direct_row_sum(2, "linf", base, pair)
-    assert m.row_sum_all((3, 1)) == direct_row_sum(2, "linf", base, pair)
-    assert m.row_sum_all((1, 1)) == direct_row_sum(2, "linf", base)
+    assert m.row_sum_all((0, 0)) == profile_row_sum(2, "linf", base, pair)
+    assert m.row_sum_all((3, 1)) == profile_row_sum(2, "linf", base, pair)
+    assert m.row_sum_all((1, 1)) == profile_row_sum(2, "linf", base)
+    assert_close_to_direct(m.row_sum_all((0, 0)),
+                           direct_row_sum(2, "linf", base, pair))
+    assert_close_to_direct(m.row_sum_all((1, 1)), direct_row_sum(2, "linf", base))
+
+
+def test_ladder_range_beyond_horizon_rejected():
+    LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(SHELL_HORIZON,)))
+    with pytest.raises(ValueError, match="shell horizon"):
+        LatticeModel(d=1, kernel=LadderKernel(alpha=1.5,
+                                              ranges=(16, SHELL_HORIZON + 1)))
+    with pytest.raises(ValueError, match="shell horizon"):
+        LatticeModel(d=1, kernel=SuppressedPairKernel(
+            LadderKernel(alpha=1.5, ranges=(2 * SHELL_HORIZON,)), (0,), (1,)))
 
 
 KERNEL_LAW_CASES = [

@@ -11,8 +11,9 @@ from jumplab.models import (
     LatticeModel,
     MuAlternating,
     PolynomialKernel,
+    SHELL_HORIZON,
     SuppressedPairKernel,
-    shell_count,
+    shell_counts,
     shell_tail_sum,
     truncate,
 )
@@ -53,7 +54,7 @@ def test_shell_chi_square(z1, sampler):
     n = 1_000_000
     rng = np.random.default_rng(1)
     disp = sampler._directions(
-        sampler._sample_radii(rng.random(n) * sampler.total), rng)
+        sampler.profile.radii(rng.random(n) * sampler.total), rng)
     r = np.abs(disp[:, 0])
     obs = np.array([(r == k).sum() for k in range(1, 17)], dtype=float)
     expect = np.array([2.0 * k ** -2.0 for k in range(1, 17)]) / sampler.total * n
@@ -72,7 +73,7 @@ def test_d2_shell_uniformity(metric, npts):
     pts = s._directions(np.full(n, 2, dtype=np.int64), rng)
     dist = np.abs(pts).max(axis=1) if metric == "linf" else np.abs(pts).sum(axis=1)
     assert (dist == 2).all()
-    assert shell_count(2, metric, 2) == npts
+    assert shell_counts(2, metric, 2) == npts
     _, counts = np.unique(pts, axis=0, return_counts=True)
     assert len(counts) == npts
     chi2 = float(((counts - n / npts) ** 2 / (n / npts)).sum())
@@ -156,14 +157,14 @@ def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
     formulas written out per kernel class."""
     ladder = isinstance(kernel, LadderKernel)
     expo = 1.0 + kernel.alpha if ladder else d + kernel.alpha
-    s = np.arange(1, mc.SHELL_HORIZON + 1, dtype=float)
-    counts = np.array([shell_count(d, metric, int(r))
-                       for r in range(1, mc.SHELL_HORIZON + 1)], dtype=float)
+    s = np.arange(1, SHELL_HORIZON + 1, dtype=float)
+    # shell sizes: 2 on Z, 8s (linf) and 4s (l1) on Z^2
+    counts = np.full(SHELL_HORIZON, 2.0) if d == 1 else {"linf": 8, "l1": 4}[metric] * s
     weights = counts * s ** (-expo)
     for r in (kernel.ranges if ladder else ()):
         weights[r - 1] += counts[r - 1] * (math.log(r) * r ** (-1.0 - kernel.alpha))
     cum = np.cumsum(weights)
-    total = float(cum[-1] + shell_tail_sum(d, metric, expo, mc.SHELL_HORIZON + 1))
+    total = float(cum[-1] + shell_tail_sum(d, metric, expo, SHELL_HORIZON + 1))
     gap = max(abs(c) for c in y0) if metric == "linf" else sum(abs(c) for c in y0)
     pair = float(gap) ** (-expo)
     if ladder and gap in kernel.ranges:
@@ -175,9 +176,25 @@ def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
         d=d, metric=metric, kernel=SuppressedPairKernel(kernel, x0, y0)), 0)
     for sampler in (plain, supp):
         assert sampler.total == total
-        assert np.array_equal(sampler.cum[:300], cum[:300])
+        assert np.array_equal(sampler.profile.cum[:300], cum[:300])
     q = supp._row_sum(np.array([x0, y0, (7,) * d]))
     assert q[0] == total - pair and q[1] == total - pair and q[2] == total
+
+
+@pytest.mark.parametrize("d, metric, kernel, y0", [
+    (1, "linf", PolynomialKernel(1.0), (3,)),
+    (1, "l1", PolynomialKernel(1.5), (5,)),
+    (2, "linf", PolynomialKernel(0.8), (3, 1)),
+    (2, "l1", PolynomialKernel(1.0), (2, -1)),
+    (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64, 256)), (64,)),
+])
+def test_row_sum_is_the_sampler_total(d, metric, kernel, y0):
+    """J(x, G) has one owner: the row sum of a vertex off the suppressed pair
+    is the jump law's total, bit for bit."""
+    for m in (LatticeModel(d=d, metric=metric, kernel=kernel),
+              LatticeModel(d=d, metric=metric,
+                           kernel=SuppressedPairKernel(kernel, (0,) * d, y0))):
+        assert m.row_sum_all((7,) * d)[0] == mc.TrajectorySampler(m, 0).total
 
 
 def test_position_sup_bounds_and_t0():
@@ -200,6 +217,23 @@ def test_unsupported_dimensions():
 # coordinate axis in every dimension.  The compact loops must make the same
 # draws in the same order, so their results are compared with ==.
 
+def tail_radius(prof, u):
+    """Smallest s with cumulative weight through s >= u, beyond the horizon,
+    by doubling and then bisection on the zeta tail."""
+    def cum_through(s):
+        return prof.total - shell_tail_sum(prof.d, prof.metric, prof.expo, s + 1)
+    lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
+    while cum_through(hi) < u:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cum_through(mid) >= u:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class MaskSampler:
     """The sampler's draw path with np.all row tests and a `beyond` mask."""
 
@@ -217,11 +251,11 @@ class MaskSampler:
         return out
 
     def sample_radii(self, u):
-        r = np.searchsorted(self.s.cum, u, side="right") + 1
-        beyond = r > mc.SHELL_HORIZON
+        r = np.searchsorted(self.s.profile.cum, u, side="right") + 1
+        beyond = r > SHELL_HORIZON
         if np.any(beyond):
             for i in np.nonzero(beyond)[0]:
-                r[i] = self.s._tail_radius(float(u[i]))
+                r[i] = tail_radius(self.s.profile, float(u[i]))
         return r.astype(np.int64)
 
     def directions(self, radii, rng):
@@ -415,14 +449,14 @@ class ForcedUniforms:
 @pytest.mark.parametrize("kernel", [
     PolynomialKernel(1.0), LadderKernel(alpha=1.5, ranges=(16, 64, 256))])
 def test_jump_tail_radius_on_z(kernel):
-    """Uniforms in the analytic tail beyond SHELL_HORIZON go through
-    _tail_radius, and the d=1 jump agrees with the mask-based one."""
+    """Uniforms in the analytic tail beyond SHELL_HORIZON go through the
+    profile's tail bisection, and the d=1 jump agrees with the mask-based one."""
     s = mc.TrajectorySampler(LatticeModel(d=1, kernel=kernel), seed=0)
-    head = s.cum[-1] / s.total
+    head = s.profile.cum[-1] / s.total
     u = [0.25, head + (1 - head) / 3, 0.999, 1 - (1 - head) / 7]
     pos = np.array([[0], [5], [-3], [2]], dtype=np.int64)
     got = s._jump(pos, ForcedUniforms(u, 8))
     want = MaskSampler(s).jump(pos, ForcedUniforms(u, 8))
     assert np.array_equal(got, want)
-    far = np.abs(got - pos)[:, 0] > mc.SHELL_HORIZON
+    far = np.abs(got - pos)[:, 0] > SHELL_HORIZON
     assert far.tolist() == [False, True, False, True]

@@ -132,6 +132,21 @@ def test_integrated_action_vs_quadrature(two_state):
     assert err < 1e-10
 
 
+@pytest.mark.parametrize("t", [1.0, 1e3, 1e4])
+def test_integrated_action_vs_dense_oracle(z1, t):
+    """int_0^t e^{sQ} V ds = Q^{-1}(e^{tQ} - I) V on a killed window; the
+    reported error is the Poisson tail bound, not the rounding noise of a
+    difference of nearly equal numbers (which made t = 1e4 exceed the
+    term cap)."""
+    fm = truncate(z1, (0,), 8, KILLED)
+    gen = generator(fm)
+    v = np.ones(fm.n)
+    got, err = integrated_action(gen, v, t)
+    want = np.linalg.solve(gen.Q, (expm(t * gen.Q) - np.eye(fm.n)) @ v)
+    assert np.max(np.abs(got - want)) <= err + 1e-12 * np.max(np.abs(want))
+    assert err <= 1e-12
+
+
 def test_exit_time_vs_survival_quadrature(z1):
     fm = truncate(z1, (0,), 6, KILLED)
     u = expected_exit_time(fm)
