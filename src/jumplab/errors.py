@@ -33,10 +33,6 @@ class NumericalFailure(LabError):
     """A linear solve failed or returned a non-finite result."""
 
 
-class ExteriorOutOfRange(LabError):
-    """A requested exterior vertex is not in the tracked annulus."""
-
-
 class WindowUnconverged(LabError):
     """Doubling the window moved a probed quantity by more than the allowed margin."""
 

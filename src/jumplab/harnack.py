@@ -2,9 +2,9 @@
 
 The nonnegative caloric functions on a window form a cone.  On a fixed time
 grid every field produced by `caloric_solve` is a nonnegative combination of
-finitely many extreme generators: initial point masses, one-step exterior
-impulses at each tracked vertex, and one-step impulses on the aggregate
-remainder channel.  Since a ratio of nonnegative mixtures is bounded by the
+finitely many extreme generators: initial point masses and one-step impulses
+on each source channel of the window (each tracked exterior vertex, and the
+aggregate remainder).  Since a ratio of nonnegative mixtures is bounded by the
 largest component ratio, the box constant of the cone equals the maximum
 two-point ratio over the generators, which is what these routines compute.
 
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExteriorOutOfRange, WindowUnconverged
+from .errors import WindowUnconverged
 from .models import EXTERIOR_TRACKED, FiniteModel, KILLED, LatticeModel, truncate
 from .semigroup import (
     CaloricField,
@@ -133,8 +133,8 @@ def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
 def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     """Stream all cone generators through the box, reducing each age once.
 
-    A source generator launched at step si has value E^(j-si-1) S_aug[:, w]
-    at grid step j > si, so it only ever shows the fields E^a S_aug at ages
+    A source generator launched at step si has value E^(j-si-1) S[:, c] at
+    grid step j > si, so it only ever shows the fields E^a S at ages
     a = 0..m-1; the initial fields E^j diag(1/mu) are those of a launch at
     si = 0 from E diag(1/mu).  Returns (init, src, half, ops), where `init`
     and `src` are the `_Family` of each kind over the half ball; `_collect`
@@ -144,11 +144,9 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     dt = box.T / m
     ops = step_operators(fm, dt, tol)
     E = ops.E
-    # exterior channels plus the aggregate remainder channel share the scan
-    S_aug = np.concatenate([ops.S, ops.s_rem[:, None]], axis=1)
     half = _half_ball_slots(fm, box.x0, box.R)
     init = _age_reductions(E @ np.diag(1.0 / fm.mu), E, half, m)
-    src = _age_reductions(S_aug, E, half, m)
+    src = _age_reductions(ops.S, E, half, m)
     return init, src, half, ops
 
 
@@ -180,10 +178,9 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
     the first half-ball slot within EPS of its sup over Q- (inf over Q+).
     """
     m = box.m_steps
-    channels = list(fm.exterior) + ["remainder"]
     times = np.linspace(0.0, box.T, m + 1)
     launches = [(("initial",), fm.window, init, 0)]
-    launches += [(("source", si), channels, src, si) for si in range(m)]
+    launches += [(("source", si), fm.channels, src, si) for si in range(m)]
 
     best, wit_ratio, win = -math.inf, -math.inf, None
     for prefix, labels, fam, si in launches:
@@ -246,14 +243,13 @@ def phi_constant(model: LatticeModel, box: HarnackBox, lam_ext: float = 4.0,
     if check_doubling:
         doubled = _doubled("C_P", c_p, _phi_once(model, box, 2 * lam_ext, tol)[1],
                            lam_ext)
-    n_ext = len(fm.exterior)
     return HarnackReport(
         box=box.to_dict(), constant=c_p, witness=wit,
         family_sizes={"initial": fm.n,
-                      "source": box.m_steps * (n_ext + 1)},
+                      "source": box.m_steps * len(fm.channels)},
         metadata={"window_radius": 2 * box.R, "lam_ext": lam_ext,
                   "exterior_radius": lam_ext * 2 * box.R,
-                  "n_exterior": n_ext, "m_steps": box.m_steps,
+                  "n_exterior": len(fm.exterior), "m_steps": box.m_steps,
                   "floor": FLOOR, "step_error": err,
                   "doubled_constant": doubled})
 
@@ -274,9 +270,7 @@ def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
     """(fm, C_EHI, witness, generators on B(x0,R)): column w of the last is
     h_w on the ball's slots, the remainder channel last."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
-    rhs = np.concatenate([fm.coupling / fm.mu[:, None],
-                          fm.remainder_kill[:, None]], axis=1)
-    H = solve_generator(fm, rhs)
+    H = solve_generator(fm, fm.sources)
     inner = [i for i, v in enumerate(fm.window)
              if fm.model.distance(x0, v) <= R]
     sub = H[inner]
@@ -285,8 +279,7 @@ def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
     c, best = _first_near(_ratio(hi, lo))
     wit = None
     if best > -math.inf:
-        channel = (list(fm.exterior) + ["remainder"])[c]
-        wit = {"generator": ("exterior", channel),
+        wit = {"generator": ("exterior", fm.channels[c]),
                "max_at": fm.window[inner[rmax[c]]],
                "min_at": fm.window[inner[rmin[c]]]}
     return fm, max(best, 1.0), wit, sub
@@ -304,7 +297,7 @@ def ehi_constant(model: LatticeModel, x0, R, lam_ext: float = 4.0,
     return HarnackReport(
         box={"x0": list(x0), "R": R, "elliptic": True},
         constant=c, witness=wit,
-        family_sizes={"exterior": len(fm.exterior) + 1},
+        family_sizes={"exterior": len(fm.channels)},
         metadata={"window_radius": 2 * R, "lam_ext": lam_ext,
                   "n_exterior": len(fm.exterior), "floor": FLOOR,
                   "doubled_constant": doubled})
@@ -323,7 +316,7 @@ def harmonic_partition_residual(model: LatticeModel, x0, R,
 # ---------------------------------------------------------------------------
 
 def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
-                       x=None, lam_ext: float = 4.0, tol: float = 1e-12):
+                       x=None, tol: float = 1e-12):
     """(value, err): value is h^{-1} P^x(X_{tau_B} = y0, tau_B in (T/2-h, T/2))
     for B = B(x0,R), at x or (x None) on the whole window.
 
@@ -333,16 +326,12 @@ def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
     converges to mu_x^{-1} J(x,y0) as h -> 0 (relative error O(h)).  err is
     the certified max-norm error; the killed semigroup contracts the max norm,
     so the first step's error passes the second undiminished.  Requires y0
-    outside B but within the tracked range lam_ext*R.
+    outside B, at any distance: kappa is exact there.
     """
     if not (0.0 < h <= T / 2):
         raise ValueError("need 0 < h <= T/2")
-    dist = model.distance(x0, y0)
-    if dist <= R:
+    if model.distance(x0, y0) <= R:
         raise ValueError("y0 must lie outside the ball")
-    if dist > lam_ext * R:
-        raise ExteriorOutOfRange(
-            f"y0 at distance {dist} exceeds the tracked range {lam_ext * R}")
     fm = truncate(model, x0, R, KILLED)
     gen = generator(fm)
     kappa = np.array([model.J(z, y0) for z in fm.window]) / fm.mu

@@ -9,6 +9,7 @@ place atomically.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import datetime
 import json
@@ -102,9 +103,15 @@ def jsonable(v):
     return v
 
 
+def _cell(v) -> str:
+    """A CSV cell: a vertex as its coordinates joined by commas, else str."""
+    return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
 def write_bundle(out_dir: str, config: dict, report: dict,
                  csvs: dict | None = None, meta: dict | None = None):
-    """Atomically write config.resolved, report.json, meta.json, and CSVs.
+    """Atomically write config.resolved, report.json, meta.json, and CSVs
+    (one `_cell` per value, quoted where it holds a comma).
 
     The files go to a sibling temp directory.  An existing bundle is renamed
     aside, the new one renamed into place, and only then is the old one
@@ -124,14 +131,11 @@ def write_bundle(out_dir: str, config: dict, report: dict,
                 json.dump(jsonable(obj), f, sort_keys=True, indent=2)
                 f.write("\n")
         for name, rows in (csvs or {}).items():
-            with open(os.path.join(tmp, name + ".csv"), "w") as f:
+            with open(os.path.join(tmp, name + ".csv"), "w", newline="") as f:
                 if rows:
-                    keys = list(rows[0].keys())
-                    f.write(",".join(keys) + "\n")
-                    for r in rows:
-                        f.write(",".join(
-                            repr(r[k]) if isinstance(r[k], float) else str(r[k])
-                            for k in keys) + "\n")
+                    out = csv.writer(f, lineterminator="\n")
+                    out.writerow(rows[0])
+                    out.writerows([_cell(r[k]) for k in rows[0]] for r in rows)
         if os.path.exists(out_dir):
             os.replace(out_dir, old)
         os.replace(tmp, out_dir)
@@ -367,10 +371,6 @@ def run_generic(config: ExperimentConfig):
     else:
         raise ConfigError(f"unknown experiment {exp!r}")
     report["model_digest"] = model.digest()
-    # rows may contain tuples; normalize for CSV writing
-    csvs = {k: [{kk: (",".join(map(str, vv)) if isinstance(vv, tuple) else vv)
-                 for kk, vv in row.items()} for row in rows]
-            for k, rows in csvs.items()}
     return report, csvs
 
 

@@ -621,8 +621,10 @@ class FiniteModel:
     """Truncation of a LatticeModel to a finite vertex window.
 
     `kill` is the total per-vertex kill rate mu_x^{-1} J(x, G-W); in
-    exterior-tracked mode it splits into explicit couplings to a tagged
-    annulus plus a remainder kill.  Lattice windows carry a `BoxConvolution`
+    exterior-tracked mode it splits into the source channels: one column of
+    `sources` per tagged annulus vertex w, mu_x^{-1} J(x, w), and a last
+    column for the remainder kill beyond the annulus, labelled by
+    `channels`.  Lattice windows carry a `BoxConvolution`
     and never need the dense `rates` for a product; `rates` is built on the
     first read only.
     """
@@ -635,8 +637,8 @@ class FiniteModel:
     kill_bound: np.ndarray          # certified tail remainder in `kill`
     mode: str
     exterior: list | None = None
-    coupling: np.ndarray | None = None       # (n, n_ext) J(x, w)/1 values
-    remainder_kill: np.ndarray | None = None  # kill beyond the tracked annulus
+    sources: np.ndarray | None = None   # (n, n_ext + 1) source channel rates
+    channels: list | None = None        # exterior vertices, then "remainder"
     action: BoxConvolution | None = None      # matrix-free J on lattice windows
 
     @property
@@ -713,7 +715,8 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         big = model.ball(x0, lam_ext * r_win)
         wset = set(window)
         fm.exterior = [v for v in big if v not in wset]
-        fm.coupling = _pair_rates(model, window, fm.exterior)
-        tracked = fm.coupling.sum(axis=1) / mu
-        fm.remainder_kill = np.maximum(fm.kill - tracked, 0.0)
+        coupling = _pair_rates(model, window, fm.exterior)
+        remainder = np.maximum(fm.kill - coupling.sum(axis=1) / mu, 0.0)
+        fm.sources = np.column_stack([coupling / mu[:, None], remainder])
+        fm.channels = [*fm.exterior, "remainder"]
     return fm

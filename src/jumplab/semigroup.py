@@ -9,7 +9,8 @@ applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
 on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
 `apply_generator` and `dirichlet_form` never build an n x n matrix.  What
 stays dense: actions on a matrix (all-pairs heat kernels, the Harnack step
-operators) use the BLAS-3 product with the dense P, because the Harnack scans
+operators, which integrate every source channel, the remainder included, as
+one matrix) use the BLAS-3 product with the dense P, because the Harnack scans
 need per-entry relative accuracy, which an FFT product (accurate relative to
 the largest entry) does not give, and at their window sizes GEMM is faster;
 `solve_generator` (exit times, harmonic extensions) needs the dense Q.  Both
@@ -19,7 +20,7 @@ are built on first read.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
@@ -120,22 +121,30 @@ def _poisson_weights(lt: float, tol: float):
     return np.exp(xlogy(ks, lt) - gammaln(ks + 1) - lt), tail
 
 
+def _input_scale(V: np.ndarray, t: float) -> float:
+    """max|V|, or 0.0 when t == 0 or V vanishes, where the action is trivial."""
+    return float(np.abs(V).max()) if t != 0.0 and V.size else 0.0
+
+
+def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
+    """sum_k weights[k] P^k V."""
+    acc = weights[0] * V
+    work = V
+    for w in weights[1:]:
+        work = gen.apply(work)
+        acc = acc + w * work
+    return acc
+
+
 def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
                 tol: float = 1e-12) -> tuple[np.ndarray, float]:
     """(exp(tQ) V, certified max-norm error bound)."""
     V = np.asarray(V, dtype=float)
-    if t == 0.0:
-        return V.copy(), 0.0
-    scale = float(np.abs(V).max()) if V.size else 0.0
+    scale = _input_scale(V, t)
     if scale == 0.0:
         return V.copy(), 0.0
     pmf, tail = _poisson_weights(gen.lam * t, tol / max(scale, 1e-300))
-    acc = pmf[0] * V
-    work = V
-    for k in range(1, len(pmf)):
-        work = gen.apply(work)
-        acc = acc + pmf[k] * work
-    return acc, tail * scale
+    return _series(gen, V, pmf), tail * scale
 
 
 def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
@@ -147,20 +156,13 @@ def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
     sf(k, Lam t)/Lam = E[(N-K-1)^+]/Lam <= t sf(K, Lam t), N ~ Poisson(Lam t).
     """
     V = np.asarray(V, dtype=float)
-    if t == 0.0:
-        return np.zeros_like(V), 0.0
-    scale = float(np.abs(V).max()) if V.size else 0.0
+    scale = _input_scale(V, t)
     if scale == 0.0:
         return np.zeros_like(V), 0.0
     lt = gen.lam * t
     k, tail = _poisson_cutoff(lt, tol / max(scale * t, 1e-300))
     sf = pdtrc(np.arange(k + 1), lt) / gen.lam
-    acc = sf[0] * V
-    work = V
-    for i in range(1, len(sf)):
-        work = gen.apply(work)
-        acc = acc + sf[i] * work
-    return acc, t * tail * scale
+    return _series(gen, V, sf), t * tail * scale
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +240,6 @@ class CaloricField:
     fm: FiniteModel
     times: np.ndarray                 # (m+1,)
     values: np.ndarray                # (m+1, n) on the window
-    exterior_data: np.ndarray | None  # (m, n_ext) piecewise-constant data
-    remainder_data: np.ndarray | None # (m,) data on the aggregate kill channel
-    provenance: dict = field(default_factory=dict)
 
     def at(self, i: int) -> np.ndarray:
         return self.values[i]
@@ -250,11 +249,8 @@ class CaloricField:
 class StepOperators:
     """Exact one-step propagators for a uniform time grid."""
 
-    gen: GeneratorView
-    dt: float
     E: np.ndarray          # exp(dt Q)
-    S: np.ndarray          # int_0^dt exp(sQ) ds @ C  (source response, n x n_ext)
-    s_rem: np.ndarray      # same for the aggregate remainder channel
+    S: np.ndarray          # int_0^dt exp(sQ) ds @ sources, a column per channel
     err: float
 
 
@@ -263,10 +259,8 @@ def step_operators(fm: FiniteModel, dt: float, tol: float = 1e-12) -> StepOperat
         raise ValueError("caloric solves need an exterior-tracked model")
     gen = generator(fm)
     E, e1 = expm_action(gen, np.eye(fm.n), dt, tol)
-    C = fm.coupling / fm.mu[:, None]
-    S, e2 = integrated_action(gen, C, dt, tol)
-    s_rem, e3 = integrated_action(gen, fm.remainder_kill, dt, tol)
-    return StepOperators(gen=gen, dt=dt, E=E, S=S, s_rem=s_rem, err=e1 + e2 + e3)
+    S, e2 = integrated_action(gen, fm.sources, dt, tol)
+    return StepOperators(E=E, S=S, err=e1 + e2)
 
 
 def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
@@ -286,63 +280,49 @@ def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
         raise InvalidData("initial data must be nonnegative")
     times = np.linspace(0.0, T, m_steps + 1)
     shape = (m_steps, len(fm.exterior))
-    data = (np.zeros(shape) if exterior_data is None
-            else np.asarray(exterior_data, dtype=float))
-    if data.shape != shape:
-        raise InvalidData(f"exterior data must have shape {shape}")
-    if np.any(data < 0):
-        raise InvalidData("exterior data must be nonnegative")
+    ext = (np.zeros(shape) if exterior_data is None
+           else np.asarray(exterior_data, dtype=float))
     rem = (np.zeros(m_steps) if remainder_data is None
            else np.asarray(remainder_data, dtype=float))
-    if np.any(rem < 0):
-        raise InvalidData("remainder data must be nonnegative")
+    if ext.shape != shape or rem.shape != (m_steps,):
+        raise InvalidData(f"exterior and remainder data must have shapes "
+                          f"{shape} and {(m_steps,)}")
+    data = np.column_stack([ext, rem])  # one column per channel, remainder last
+    if np.any(data < 0):
+        raise InvalidData("exterior and remainder data must be nonnegative")
     if ops is None:
         ops = step_operators(fm, times[1] - times[0], tol)
     values = np.empty((m_steps + 1, fm.n))
     values[0] = initial
     u = initial
     for i in range(m_steps):
-        u = ops.E @ u + ops.S @ data[i] + ops.s_rem * rem[i]
+        u = ops.E @ u + ops.S @ data[i]
         values[i + 1] = u
-    return CaloricField(fm=fm, times=times, values=values,
-                        exterior_data=data, remainder_data=rem)
+    return CaloricField(fm=fm, times=times, values=values)
 
 
 def duhamel_generators(fm: FiniteModel, T: float, m_steps: int = 256,
-                       source_steps=None, tol: float = 1e-12,
-                       include_remainder: bool = True) -> list[CaloricField]:
+                       tol: float = 1e-12) -> list[CaloricField]:
     """Extreme rays of the nonnegative caloric cone on (0,T) x window.
 
     Family (i): initial point masses delta_z / mu_z (fields p^B_t(., z)).
-    Family (ii): unit exterior data at one tracked vertex for one grid step
-    starting at each source step.  Optionally one aggregate generator for the
-    remainder kill channel.
+    Family (ii): unit data on one source channel (a tracked vertex or the
+    remainder) for one grid step, by (step, channel).
     """
     times = np.linspace(0.0, T, m_steps + 1)
     ops = step_operators(fm, times[1] - times[0], tol)
     out = []
-    n_ext = len(fm.exterior)
-    for zi, z in enumerate(fm.window):
+    for zi in range(fm.n):
         init = np.zeros(fm.n)
         init[zi] = 1.0 / fm.mu[zi]
-        fld = caloric_solve(fm, init, None, T, m_steps, tol, ops=ops)
-        fld.provenance = {"kind": "initial", "z": z}
-        out.append(fld)
-    if source_steps is None:
-        source_steps = list(range(m_steps))
-    for si in source_steps:
-        for wi, w in enumerate(fm.exterior):
-            data = np.zeros((m_steps, n_ext))
-            data[si, wi] = 1.0
-            fld = caloric_solve(fm, np.zeros(fm.n), data, T, m_steps, tol, ops=ops)
-            fld.provenance = {"kind": "source", "step": si, "w": w}
-            out.append(fld)
-    if include_remainder:
-        rem = np.ones(m_steps)
-        fld = caloric_solve(fm, np.zeros(fm.n), None, T, m_steps, tol,
-                            remainder_data=rem, ops=ops)
-        fld.provenance = {"kind": "remainder"}
-        out.append(fld)
+        out.append(caloric_solve(fm, init, None, T, m_steps, tol, ops=ops))
+    for si in range(m_steps):
+        for c in range(len(fm.channels)):
+            data = np.zeros((m_steps, len(fm.channels)))
+            data[si, c] = 1.0
+            out.append(caloric_solve(fm, np.zeros(fm.n), data[:, :-1], T,
+                                     m_steps, tol, remainder_data=data[:, -1],
+                                     ops=ops))
     return out
 
 
@@ -356,5 +336,4 @@ def harmonic_extension(fm: FiniteModel, exterior_data,
         raise InvalidData("exterior data has wrong length")
     if np.any(g < 0) or remainder_value < 0:
         raise InvalidData("exterior data must be nonnegative")
-    rhs = (fm.coupling / fm.mu[:, None]) @ g + fm.remainder_kill * remainder_value
-    return solve_generator(fm, rhs)
+    return solve_generator(fm, fm.sources @ np.append(g, remainder_value))

@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -118,6 +120,38 @@ def test_conditions_sweep_bundle(tmp_path):
     assert {"VD", "J_bounds", "UJS_LJS_JS", "PI", "E_alpha",
             "boundary_flux"} <= names
     assert "model_digest" in rep
+
+
+@pytest.mark.parametrize("args", [
+    ["conditions", "--d", "2", "--radii", "2,4"],
+    ["cex", "suppressed", "--radii", "8"],
+], ids=["conditions-z2", "cex-suppressed"])
+def test_csv_rows_match_header_width(tmp_path, args):
+    """Vertex cells hold commas (`0,0`, `0,8`); the writer quotes them, so
+    every row parses to the header's width."""
+    out = str(tmp_path / "bundle")
+    assert main(args + ["--out", out]) == 0
+    names = [f for f in os.listdir(out) if f.endswith(".csv")]
+    assert names
+    for name in names:
+        with open(os.path.join(out, name), newline="") as f:
+            header, *rows = list(csv.reader(f))
+        assert rows and all(len(r) == len(header) for r in rows), name
+        assert all("(" not in cell for r in rows for cell in r), name
+
+
+def test_layertrace_entry_points_resolve():
+    """Every entry point the traced benchmark run wraps still exists, so a
+    rename cannot break `perfbench/run.py --trace 1` unseen."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for module, attr in layertrace.ENTRY_POINTS:
+        obj = module
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{module.__name__}.{attr}"
 
 
 def test_ladder_requires_alpha_in_range():

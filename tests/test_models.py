@@ -402,7 +402,7 @@ def test_norm_matches_distance(d, metric):
 def test_truncate_kill_consistency(z1):
     killed = truncate(z1, (0,), 8, KILLED)
     tracked = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    recon = tracked.coupling.sum(axis=1) / tracked.mu + tracked.remainder_kill
+    recon = tracked.sources.sum(axis=1)
     assert np.max(np.abs(recon - killed.kill)) < 1e-14
     assert np.max(np.abs(killed.kill - tracked.kill)) == 0.0
 
@@ -410,8 +410,8 @@ def test_truncate_kill_consistency(z1):
 def test_exterior_tracked_empty_annulus(z1):
     """A radius-0 window tracks no exterior vertex: all its kill is remainder."""
     fm = truncate(z1, (0,), 0, EXTERIOR_TRACKED)
-    assert fm.exterior == [] and fm.coupling.shape == (1, 0)
-    assert fm.remainder_kill[0] == fm.kill[0]
+    assert fm.exterior == [] and fm.channels == ["remainder"]
+    assert fm.sources.shape == (1, 1) and fm.sources[0, 0] == fm.kill[0]
     assert fm.kill[0] == pytest.approx(z1.row_sum_all((0,))[0], rel=1e-15)
 
 

@@ -236,6 +236,14 @@ def test_caloric_rejects_negative_data(z1):
         caloric_solve(fm, -np.ones(fm.n), None, T=1.0, m_steps=4)
 
 
+@pytest.mark.parametrize("rem", [np.ones(3), np.ones((4, 2))])
+def test_caloric_rejects_misshapen_remainder_data(z1, rem):
+    fm = truncate(z1, (0,), 4, EXTERIOR_TRACKED)
+    with pytest.raises(InvalidData):
+        caloric_solve(fm, np.ones(fm.n), None, T=1.0, m_steps=4,
+                      remainder_data=rem)
+
+
 # ---------------------------------------------------------------------------
 # harmonic extensions
 # ---------------------------------------------------------------------------
@@ -248,9 +256,9 @@ def test_harmonic_extension_constant_and_max_principle(z1, rng):
     h = harmonic_extension(fm, g, remainder_value=0.3)
     assert h.min() >= -1e-12
     assert h.max() <= max(g.max(), 0.3) + 1e-12
-    # residual: Q h + coupling/mu g + remainder * 0.3 = 0
+    # residual: Q h + sources [g, 0.3] = 0
     gen = generator(fm)
-    res = gen.Q @ h + (fm.coupling / fm.mu[:, None]) @ g + fm.remainder_kill * 0.3
+    res = gen.Q @ h + fm.sources[:, :-1] @ g + fm.sources[:, -1] * 0.3
     assert np.max(np.abs(res)) < 1e-12
 
 
