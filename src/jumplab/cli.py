@@ -11,25 +11,26 @@ import logging
 import sys
 
 from .errors import LabError
-from .io import ExperimentConfig, jsonable, load_config, run_experiment
+from .io import (CHOICES, PARAMS, ExperimentConfig, jsonable, load_config,
+                 run_experiment)
 
 
 def _ints(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x]
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--metric", choices=("linf", "l1"), default="linf")
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", dest="out_dir", default=None,
-                   help="bundle output directory")
-    p.add_argument("--assert-thresholds", action="store_true",
-                   help="exit 1 if any headline assertion fails")
+# experiment -> its command words and help; its flags come from io.PARAMS
+COMMANDS = {
+    "heat": (("heat",), "heat kernel row dump"),
+    "exit-time": (("exit-time",), "expected exit time sweep"),
+    "poincare": (("poincare",), "Poincare constant sweep"),
+    "phi": (("phi",), "parabolic Harnack constant of a box"),
+    "ehi": (("ehi",), "elliptic Harnack constant"),
+    "conditions-sweep": (("conditions",), "all-conditions sweep"),
+    "cex-suppressed": (("cex", "suppressed"), "suppressed-pair experiment; "
+                       "--radii are the pair gaps d(0, y0)"),
+    "cex-ladder": (("cex", "ladder"), "ladder-kernel experiment"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,55 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--assert-thresholds", action="store_true")
 
-    heat = sub.add_parser("heat", help="heat kernel row dump")
-    _add_model_flags(heat)
-    heat.add_argument("--t", type=float, default=1.0)
-    heat.add_argument("--r-win", type=int, default=16)
-    heat.add_argument("--mode", choices=("killed", "reflected"),
-                      default="killed")
-    _add_common(heat)
-
-    et = sub.add_parser("exit-time", help="expected exit time sweep")
-    _add_model_flags(et)
-    et.add_argument("--radii", type=_ints, default=[8, 16, 32])
-    _add_common(et)
-
-    pi = sub.add_parser("poincare", help="Poincare constant sweep")
-    _add_model_flags(pi)
-    pi.add_argument("--radii", type=_ints, default=[4, 8, 16])
-    _add_common(pi)
-
-    phi = sub.add_parser("phi", help="parabolic Harnack constant of a box")
-    _add_model_flags(phi)
-    phi.add_argument("--R", type=int, default=8)
-    phi.add_argument("--lam", type=float, default=1.0)
-    _add_common(phi)
-
-    ehi = sub.add_parser("ehi", help="elliptic Harnack constant")
-    _add_model_flags(ehi)
-    ehi.add_argument("--R", type=int, default=8)
-    _add_common(ehi)
-
-    cs = sub.add_parser("conditions", help="all-conditions sweep")
-    _add_model_flags(cs)
-    cs.add_argument("--radii", type=_ints, default=[4, 8, 16])
-    _add_common(cs)
-
-    cex = sub.add_parser("cex", help="headline experiments")
-    cexsub = cex.add_subparsers(dest="which", required=True)
-    sup = cexsub.add_parser("suppressed", help="suppressed-pair experiment")
-    sup.add_argument("--alpha", type=float, default=1.0)
-    sup.add_argument("--d", type=int, default=1)
-    sup.add_argument("--radii", type=_ints, default=[8, 16],
-                     help="pair gaps d(0, y0)")
-    sup.add_argument("--t-probe", type=float, default=1e-3)
-    _add_common(sup)
-    lad = cexsub.add_parser("ladder", help="ladder-kernel experiment")
-    lad.add_argument("--alpha", type=float, default=1.5)
-    lad.add_argument("--ranges", type=_ints, default=[16, 64, 256])
-    lad.add_argument("--n-hit", type=int, default=2000)
-    lad.add_argument("--n-sup", type=int, default=20000)
-    _add_common(lad)
+    cex = None
+    for exp, (words, text) in COMMANDS.items():
+        if len(words) == 2 and cex is None:
+            group = sub.add_parser(words[0], help="headline experiments")
+            cex = group.add_subparsers(dest="which", required=True)
+        p = (cex if len(words) == 2 else sub).add_parser(
+            words[-1], help=text, description=text)
+        p.set_defaults(experiment=exp)
+        for key, default in PARAMS[exp].items():
+            p.add_argument("--" + key.replace("_", "-"), default=default,
+                           type=_ints if isinstance(default, list)
+                           else type(default), choices=CHOICES.get(key))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", dest="out_dir", default=None,
+                       help="bundle output directory")
+        p.add_argument("--assert-thresholds", action="store_true",
+                       help="exit 1 if any headline assertion fails")
     return ap
 
 
@@ -105,26 +74,10 @@ def _config_from_args(args) -> ExperimentConfig:
         if args.assert_thresholds:
             cfg.assert_thresholds = True
         return cfg
-    if args.cmd == "cex":
-        if args.which == "suppressed":
-            params = {"alpha": args.alpha, "d": args.d, "radii": args.radii,
-                      "t_probe": args.t_probe}
-            exp = "cex-suppressed"
-        else:
-            params = {"alpha": args.alpha, "ranges": args.ranges,
-                      "n_hit": args.n_hit, "n_sup": args.n_sup}
-            exp = "cex-ladder"
-        return ExperimentConfig(experiment=exp, params=params, seed=args.seed,
-                                out_dir=args.out_dir,
-                                assert_thresholds=args.assert_thresholds)
-    exp = {"conditions": "conditions-sweep"}.get(args.cmd, args.cmd)
-    params = {"alpha": args.alpha, "d": args.d, "metric": args.metric}
-    for key in ("t", "r_win", "mode", "radii", "R", "lam"):
-        if hasattr(args, key):
-            params[key] = getattr(args, key)
-    return ExperimentConfig(experiment=exp, params=params, seed=args.seed,
-                            out_dir=args.out_dir,
-                            assert_thresholds=args.assert_thresholds)
+    return ExperimentConfig(
+        experiment=args.experiment, seed=args.seed, out_dir=args.out_dir,
+        params={key: getattr(args, key) for key in PARAMS[args.experiment]},
+        assert_thresholds=args.assert_thresholds)
 
 
 def main(argv=None) -> int:

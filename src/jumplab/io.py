@@ -40,8 +40,28 @@ from .semigroup import heat_kernel
 
 log = logging.getLogger("jumplab")
 
-EXPERIMENTS = ("conditions-sweep", "phi", "ehi", "heat", "exit-time",
-               "poincare", "cex-suppressed", "cex-ladder")
+# Each experiment's params and their defaults, in flag order: the one table
+# behind `lab`'s flags and a config file's `params`.  A list default holds
+# ints; every other value gives its param's type.
+_MODEL = {"alpha": 1.0, "d": 1, "metric": "linf"}
+PARAMS = {
+    "conditions-sweep": {**_MODEL, "radii": [4, 8, 16]},
+    "phi": {**_MODEL, "R": 8, "lam": 1.0},
+    "ehi": {**_MODEL, "R": 8},
+    "heat": {**_MODEL, "t": 1.0, "r_win": 16, "mode": "killed"},
+    "exit-time": {**_MODEL, "radii": [8, 16, 32]},
+    "poincare": {**_MODEL, "radii": [4, 8, 16]},
+    "cex-suppressed": {"alpha": 1.0, "d": 1, "radii": [8, 16],
+                       "t_probe": 1e-3},
+    "cex-ladder": {"alpha": 1.5, "ranges": [16, 64, 256], "n_hit": 2000,
+                   "n_sup": 20_000},
+}
+CHOICES = {"metric": ("linf", "l1"), "mode": ("killed", "reflected")}
+EXPERIMENTS = tuple(PARAMS)
+# The suppressed pair's Poincare ratio may exceed 2^(d+alpha+1) by this factor.
+PI_MARGIN = 1.25
+# The ladder's hitting probability, less 3 standard errors, stays above this.
+HIT_MARGIN = 0.1
 
 
 @dataclass
@@ -52,6 +72,34 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | None = None
     assert_thresholds: bool = False
+
+    def __post_init__(self):
+        """Overlay `params` on the experiment's defaults, each cast to its
+        default's type; an unknown experiment or param, or a bad value, is
+        a ConfigError."""
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"field 'experiment': unknown value "
+                              f"{self.experiment!r}; expected one of {EXPERIMENTS}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"field 'params': expected an object, got "
+                              f"{type(self.params).__name__}")
+        table = PARAMS[self.experiment]
+        resolved = {}
+        for key, value in {**table, **self.params}.items():
+            if key not in table:
+                raise ConfigError(f"{self.experiment}: unknown param {key!r}; "
+                                  f"expected one of {tuple(table)}")
+            if key in CHOICES and value not in CHOICES[key]:
+                raise ConfigError(f"param {key!r}: unknown value {value!r}; "
+                                  f"expected one of {CHOICES[key]}")
+            default = table[key]
+            try:
+                resolved[key] = ([int(r) for r in value]
+                                 if isinstance(default, list)
+                                 else type(default)(value))
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"param {key!r}: {e}") from e
+        self.params = resolved
 
     def resolved(self) -> dict:
         return {"experiment": self.experiment, "model": self.model,
@@ -70,15 +118,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be an object")
     if "experiment" not in raw:
         raise ConfigError(f"{path}: missing required field 'experiment'")
-    exp = raw["experiment"]
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"{path}: field 'experiment': unknown value {exp!r}; "
-                          f"expected one of {EXPERIMENTS}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for k in raw:
         if k not in known:
             raise ConfigError(f"{path}: unknown field {k!r}")
-    return ExperimentConfig(**raw)
+    try:
+        return ExperimentConfig(**raw)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def jsonable(v):
@@ -167,10 +214,7 @@ def run_cex_suppressed(config: ExperimentConfig):
     """Suppressed-pair experiment: one deleted jump kills the lower kernel
     bound while the Harnack and Poincare constants barely move."""
     p = config.params
-    d = int(p.get("d", 1))
-    alpha = float(p.get("alpha", 1.0))
-    gaps = [int(r) for r in p.get("radii", (8, 16))]
-    t_probe = float(p.get("t_probe", 1e-3))
+    d, alpha, gaps, t_probe = p["d"], p["alpha"], p["radii"], p["t_probe"]
     _warn_alpha(alpha)
     report = {"experiment": "cex-suppressed", "per_gap": {}, "assertions": []}
     csvs = {}
@@ -208,7 +252,7 @@ def run_cex_suppressed(config: ExperimentConfig):
         pi_base = cond.check_poincare(base, alpha, radii=[R], centers=[origin])
         pi_supp = cond.check_poincare(supp, alpha, radii=[R], centers=[origin])
         pi_ratio = pi_supp.constants["C_Q"] / pi_base.constants["C_Q"]
-        pi_cap = 2.0 ** (d + alpha + 1) * float(p.get("pi_margin", 1.25))
+        pi_cap = 2.0 ** (d + alpha + 1) * PI_MARGIN
         entry["poincare"] = {"base": pi_base.constants["C_Q"],
                              "suppressed": pi_supp.constants["C_Q"],
                              "ratio": pi_ratio, "cap": pi_cap}
@@ -239,12 +283,10 @@ def run_cex_ladder(config: ExperimentConfig):
     """Ladder experiment: log-weight atoms push the upper jump constant up
     with scale while exit times and hitting probabilities stay uniform."""
     p = config.params
-    alpha = float(p.get("alpha", 1.5))
+    alpha = p["alpha"]
     if not (1.0 < alpha < 2.0):
         raise ConfigError(f"cex-ladder requires alpha in (1,2), got {alpha}")
-    ranges = tuple(int(r) for r in p.get("ranges", (16, 64, 256)))
-    n_hit = int(p.get("n_hit", 2000))
-    n_sup = int(p.get("n_sup", 20_000))
+    ranges = tuple(p["ranges"])
     model = LatticeModel(d=1, kernel=LadderKernel(alpha=alpha, ranges=ranges))
     report = {"experiment": "cex-ladder", "alpha": alpha,
               "ranges": list(ranges), "assertions": []}
@@ -271,21 +313,20 @@ def run_cex_ladder(config: ExperimentConfig):
         "exit_time_spread", spread, 2.0, spread <= 2.0))
     csvs["exit_time"] = [r for r in et.metadata["rows"] if r["r"] != "fit"]
     # hitting probability bounded below uniformly in the scale
-    margin = float(p.get("hit_margin", 0.1))
     sampler = mc.TrajectorySampler(model, seed=config.seed)
     hits = {}
     for R in ranges:
-        rep = mc.hit_before_exit(sampler, (R // 4,), (0,), (0,), R, n_hit)
+        rep = mc.hit_before_exit(sampler, (R // 4,), (0,), (0,), R, p["n_hit"])
         hits[str(R)] = {"estimate": rep.estimate, "se": rep.se, "n": rep.n}
         report["assertions"].append(_assertion(
-            f"hit_lower_R{R}", rep.estimate - 3 * rep.se, margin,
-            rep.estimate - 3 * rep.se >= margin))
+            f"hit_lower_R{R}", rep.estimate - 3 * rep.se, HIT_MARGIN,
+            rep.estimate - 3 * rep.se >= HIT_MARGIN))
     report["hit_before_exit"] = hits
     # running-sup bounds for the pure single-range component
     sups = {}
     for R in ranges:
         rep = mc.sample_position_sup(R, alpha, T=float(R) ** alpha / 4,
-                                     n=n_sup, seed=config.seed + R)
+                                     n=p["n_sup"], seed=config.seed + R)
         sups[str(R)] = rep.to_dict()
         report["assertions"].append(_assertion(
             f"doob_R{R}", rep.extra["E_Y2"], rep.extra["doob_bound"],
@@ -306,56 +347,46 @@ def _config_model(config: ExperimentConfig) -> LatticeModel:
     if config.model is not None:
         return model_from_dict(config.model)
     p = config.params
-    alpha = float(p.get("alpha", 1.0))
-    return LatticeModel(d=int(p.get("d", 1)),
-                        metric=p.get("metric", "linf"),
-                        kernel=PolynomialKernel(alpha))
+    return LatticeModel(d=p["d"], metric=p["metric"],
+                        kernel=PolynomialKernel(p["alpha"]))
 
 
 def run_generic(config: ExperimentConfig):
     p = config.params
     model = _config_model(config)
-    alpha = float(p.get("alpha", 1.0))
+    alpha = p["alpha"]
     _warn_alpha(alpha)
     origin = model.origin
     exp = config.experiment
     csvs = {}
     if exp == "heat":
-        t = float(p.get("t", 1.0))
-        r_win = int(p.get("r_win", 16))
-        mode = p.get("mode", "killed")
+        t, r_win, mode = p["t"], p["r_win"], p["mode"]
         fm = truncate(model, origin, r_win,
                       KILLED if mode == "killed" else REFLECTED)
         hk = heat_kernel(fm, origin, t)
-        rows = [{"y": v, "p": float(val)}
-                for v, val in zip(fm.window, hk.values)]
-        csvs["heat"] = rows
+        csvs["heat"] = [{"y": v, "p": float(val)}
+                        for v, val in zip(fm.window, hk.values)]
         report = {"experiment": "heat", "t": t, "r_win": r_win, "mode": mode,
                   "mass": hk.mass(), "eps_poisson": hk.eps_poisson,
-                  "values": {",".join(map(str, v)): float(val)
+                  "values": {_cell(v): float(val)
                              for v, val in zip(fm.window, hk.values)}}
     elif exp == "exit-time":
-        radii = [int(r) for r in p.get("radii", (8, 16, 32))]
-        rep = cond.check_exit_time(model, alpha, radii, centers=[origin])
+        rep = cond.check_exit_time(model, alpha, p["radii"], centers=[origin])
         report = {"experiment": "exit-time", **rep.to_dict()}
         csvs["exit_time"] = [r for r in rep.metadata["rows"] if r["r"] != "fit"]
     elif exp == "poincare":
-        radii = [int(r) for r in p.get("radii", (4, 8, 16))]
-        rep = cond.check_poincare(model, alpha, radii, centers=[origin])
+        rep = cond.check_poincare(model, alpha, p["radii"], centers=[origin])
         report = {"experiment": "poincare", **rep.to_dict()}
         csvs["poincare"] = rep.metadata["rows"]
     elif exp == "phi":
-        R = int(p.get("R", 8))
-        lam = float(p.get("lam", 1.0))
-        box = har.HarnackBox(x0=origin, R=R, alpha=alpha, lam=lam)
+        box = har.HarnackBox(x0=origin, R=p["R"], alpha=alpha, lam=p["lam"])
         rep = har.phi_constant(model, box)
         report = {"experiment": "phi", **rep.to_dict()}
     elif exp == "ehi":
-        R = int(p.get("R", 8))
-        rep = har.ehi_constant(model, origin, R)
+        rep = har.ehi_constant(model, origin, p["R"])
         report = {"experiment": "ehi", **rep.to_dict()}
-    elif exp == "conditions-sweep":
-        radii = [int(r) for r in p.get("radii", (4, 8, 16))]
+    else:  # conditions-sweep
+        radii = p["radii"]
         pairs = cond.default_pair_grid(model)
         out = {}
         for rep in (cond.check_vd(model, radii),
@@ -368,8 +399,6 @@ def run_generic(config: ExperimentConfig):
             out[rep.condition] = rep.to_dict()
             csvs[rep.condition] = rep.metadata.get("rows", [])
         report = {"experiment": "conditions-sweep", "conditions": out}
-    else:
-        raise ConfigError(f"unknown experiment {exp!r}")
     report["model_digest"] = model.digest()
     return report, csvs
 

@@ -95,8 +95,13 @@ class MuTable:
                         dtype=float)
 
     def to_dict(self):
-        return {"type": "table", "entries": [[list(v) if isinstance(v, tuple) else v, m]
-                                             for v, m in self.table]}
+        return {"type": "table", "entries": self.table}
+
+
+def _vertex(v):
+    """A vertex read back from a model dict: JSON writes a lattice point as a
+    list, so a list becomes a tuple again; a label is kept as it is."""
+    return tuple(v) if isinstance(v, list) else v
 
 
 def mu_rule_from_dict(d):
@@ -106,8 +111,7 @@ def mu_rule_from_dict(d):
     if t == "alternating":
         return MuAlternating(float(d["even"]), float(d["odd"]))
     if t == "table":
-        return MuTable(tuple((tuple(v) if isinstance(v, list) else v, float(m))
-                             for v, m in d["entries"]))
+        return MuTable(tuple((_vertex(v), float(m)) for v, m in d["entries"]))
     raise ValueError(f"unknown mu rule {t!r}")
 
 
@@ -140,7 +144,7 @@ class SuppressedPairKernel:
 
     def to_dict(self):
         return {"type": "suppressed_pair", "base": self.base.to_dict(),
-                "x0": list(self.x0), "y0": list(self.y0)}
+                "x0": self.x0, "y0": self.y0}
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class LadderKernel:
         return math.log(r) * r ** (-1.0 - self.alpha)
 
     def to_dict(self):
-        return {"type": "ladder", "alpha": self.alpha, "ranges": list(self.ranges)}
+        return {"type": "ladder", "alpha": self.alpha, "ranges": self.ranges}
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,7 @@ class TabulatedKernel:
         return {frozenset(pair): r for pair, r in self.entries}
 
     def to_dict(self):
-        return {"type": "tabulated",
-                "entries": [[[list(u) if isinstance(u, tuple) else u,
-                              list(v) if isinstance(v, tuple) else v], r]
-                            for (u, v), r in self.entries]}
+        return {"type": "tabulated", "entries": self.entries}
 
 
 Kernel = PolynomialKernel | SuppressedPairKernel | LadderKernel | TabulatedKernel
@@ -188,12 +189,11 @@ def kernel_from_dict(d):
         return PolynomialKernel(float(d["alpha"]))
     if t == "suppressed_pair":
         return SuppressedPairKernel(kernel_from_dict(d["base"]),
-                                    tuple(d["x0"]), tuple(d["y0"]))
+                                    _vertex(d["x0"]), _vertex(d["y0"]))
     if t == "ladder":
         return LadderKernel(float(d["alpha"]), tuple(int(r) for r in d["ranges"]))
     if t == "tabulated":
-        return TabulatedKernel(tuple(((tuple(u) if isinstance(u, list) else u,
-                                       tuple(v) if isinstance(v, list) else v), float(r))
+        return TabulatedKernel(tuple(((_vertex(u), _vertex(v)), float(r))
                                      for (u, v), r in d["entries"]))
     raise ValueError(f"unknown kernel type {t!r}")
 
@@ -223,28 +223,17 @@ def shell_counts(d: int, metric: str, s) -> np.ndarray:
 
 
 def _shell_poly_coeffs(d: int, metric: str) -> list[Fraction]:
-    """Coefficients c_j with shell_counts(s) = sum_j c_j s^j, exact for s >= 1."""
-    if metric == "linf":
-        coeffs = [Fraction(0)] * d
-        for j in range(d):
-            if (d - j) % 2 == 1:
-                coeffs[j] = Fraction(2 * math.comb(d, j) * 2 ** j)
-        return coeffs
-    # l1: sum over k of 2^k C(d,k) C(s-1, k-1); C(s-1,k-1) is a degree k-1
-    # polynomial in s with rational coefficients.
+    """Coefficients c_j with shell_counts(s) = sum_j c_j s^j, exact for s >= 1:
+    there the count is a polynomial of degree d - 1, interpolated at s = 1..d."""
+    xs = range(1, d + 1)
     coeffs = [Fraction(0)] * d
-    for k in range(1, d + 1):
-        # C(s-1, k-1) = prod_{i=1}^{k-1} (s - i) / (k-1)!
-        poly = [Fraction(1)]
-        for i in range(1, k):
-            new = [Fraction(0)] * (len(poly) + 1)
-            for p, c in enumerate(poly):
-                new[p + 1] += c
-                new[p] -= c * i
-            poly = new
-        fac = Fraction(2 ** k * math.comb(d, k), math.factorial(k - 1))
-        for p, c in enumerate(poly):
-            coeffs[p] += fac * c
+    for xi, yi in zip(xs, shell_counts(d, metric, xs).tolist()):
+        poly = [Fraction(yi)]  # yi prod_{k != i} (s - x_k) / (x_i - x_k)
+        for xk in xs:
+            if xk != xi:
+                poly = [(a - xk * b) / (xi - xk)
+                        for a, b in zip([0] + poly, poly + [0])]
+        coeffs = [c + q for c, q in zip(coeffs, poly)]
     return coeffs
 
 
@@ -501,11 +490,7 @@ class LatticeModel:
         if self.kind == "lattice":
             d.update({"d": self.d, "metric": self.metric})
         else:
-            d.update({"vertices": [list(v) if isinstance(v, tuple) else v
-                                   for v in self.vertices],
-                      "edges": [[list(u) if isinstance(u, tuple) else u,
-                                 list(v) if isinstance(v, tuple) else v]
-                                for u, v in self.edges]})
+            d.update({"vertices": self.vertices, "edges": self.edges})
         if self.c_j is not None:
             d["c_j"] = self.c_j
         if self.c_m is not None:
@@ -525,9 +510,8 @@ def model_from_dict(d) -> LatticeModel:
         return LatticeModel(kind="lattice", d=int(d.get("d", 1)),
                             metric=d.get("metric", "linf"), kernel=kernel,
                             mu_rule=mu, c_j=d.get("c_j"), c_m=d.get("c_m"))
-    verts = tuple(tuple(v) if isinstance(v, list) else v for v in d["vertices"])
-    edges = tuple((tuple(u) if isinstance(u, list) else u,
-                   tuple(v) if isinstance(v, list) else v) for u, v in d["edges"])
+    verts = tuple(map(_vertex, d["vertices"]))
+    edges = tuple((_vertex(u), _vertex(v)) for u, v in d["edges"])
     return LatticeModel(kind="explicit", vertices=verts, edges=edges,
                         kernel=kernel, mu_rule=mu, c_j=d.get("c_j"), c_m=d.get("c_m"))
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import json
@@ -9,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import jumplab
-from jumplab.cli import main
+from jumplab.cli import build_parser, main
 from jumplab.errors import ConfigError
-from jumplab.io import ExperimentConfig, load_config, run_experiment, write_bundle
+from jumplab.io import (PARAMS, ExperimentConfig, load_config, run_experiment,
+                        write_bundle)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_poincare_stdout(capsys):
@@ -70,8 +74,7 @@ def test_exit_code_assertion_failure(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "experiment": "cex-ladder",
-        "params": {"ranges": [16], "n_hit": 200, "n_sup": 500,
-                   "hit_margin": 0.99},
+        "params": {"ranges": [16], "n_hit": 200, "n_sup": 500},
         "assert_thresholds": True, "seed": 1}))
     assert main(["run", str(cfg)]) == 1
 
@@ -98,6 +101,78 @@ def test_config_diagnostics(tmp_path):
     bad.write_text("not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize("experiment, params, match", [
+    ("phi", {"R": 2, "bogus": 1}, "bogus"),
+    ("heat", {"mode": "kiled"}, "mode"),
+    ("poincare", {"metric": "l2"}, "metric"),
+    ("ehi", [["R", 2]], "params"),
+], ids=["unknown-param", "bad-mode", "bad-metric", "params-list"])
+def test_config_params_checked(tmp_path, experiment, params, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(experiment=experiment, params=params)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": params}))
+    with pytest.raises(ConfigError, match=str(cfg)):
+        load_config(str(cfg))
+    assert main(["run", str(cfg)]) == 2
+
+
+def test_resolved_config_reproduces_report(tmp_path):
+    """config.resolved lists every param, and `lab run` on it writes the
+    same report.json as the flags did."""
+    first, second = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["poincare", "--d", "2", "--radii", "2,4", "--out", first]) == 0
+    resolved = os.path.join(first, "config.resolved")
+    with open(resolved) as f:
+        assert list(json.load(f)["params"]) == list(PARAMS["poincare"])
+    assert main(["run", resolved, "--out", second]) == 0
+    reports = []
+    for d in (first, second):
+        with open(os.path.join(d, "report.json"), "rb") as f:
+            reports.append(f.read())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("vertices", [[0, 1, 2], ["left", "mid", "right"]],
+                         ids=["int", "str"])
+def test_heat_keys_on_explicit_graph(capsys, tmp_path, vertices):
+    a, b, c = vertices
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "heat", "params": {"t": 0.5, "r_win": 2},
+        "model": {"kind": "explicit", "vertices": vertices,
+                  "edges": [[a, b], [b, c]],
+                  "kernel": {"type": "tabulated",
+                             "entries": [[[a, b], 1.0], [[b, c], 1.0]]}}}))
+    assert main(["run", str(cfg)]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert sorted(values) == sorted(map(str, vertices))
+    assert sum(values.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_benchmark_workloads_parse():
+    """perfbench/run.py's argument lists (read with ast, not imported) still
+    parse to the experiment and params they are meant to run."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    workloads = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and getattr(node.targets[0], "id", None) == "WORKLOADS")
+    expected = {
+        "cex-suppressed": ("cex-suppressed", {"radii": [8, 16]}),
+        "cex-ladder": ("cex-ladder", {"ranges": [16, 64, 256]}),
+        "phi-z2": ("phi", {"d": 2, "R": 2}),
+        "heat-reflected": ("heat", {"r_win": 2048, "t": 256.0,
+                                    "mode": "reflected"}),
+    }
+    assert sorted(workloads) == sorted(expected)
+    for name, argv in workloads.items():
+        args = build_parser().parse_args([a.replace("{seed}", "0") for a in argv])
+        experiment, given = expected[name]
+        assert args.experiment == experiment, name
+        assert {k: getattr(args, k) for k in PARAMS[experiment]} \
+            == {**PARAMS[experiment], **given}, name
 
 
 def test_run_experiment_flag_overrides(tmp_path):
@@ -143,8 +218,8 @@ def test_csv_rows_match_header_width(tmp_path, args):
 def test_layertrace_entry_points_resolve():
     """Every entry point the traced benchmark run wraps still exists, so a
     rename cannot break `perfbench/run.py --trace 1` unseen."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
-    spec = importlib.util.spec_from_file_location("layertrace", path)
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", PERFBENCH / "layertrace.py")
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
     for module, attr in layertrace.ENTRY_POINTS:

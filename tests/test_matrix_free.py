@@ -16,6 +16,7 @@ from jumplab.models import (
     PolynomialKernel,
     SuppressedPairKernel,
     _pair_rates,
+    _shell_poly_coeffs,
     shell_counts,
     truncate,
 )
@@ -140,6 +141,7 @@ def test_shell_counts_match_shell_count(d, metric):
     got = shell_counts(d, metric, s)
     assert got.dtype == np.int64
     assert got.tolist() == [shell_count(d, metric, int(r)) for r in s]
+    assert_poly_matches(d, metric, s)
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -150,6 +152,15 @@ def test_shell_counts_exact_beyond_int64(d, metric):
     s = np.array([0, 1, 7, 4096, 2 ** 16 - 1, 2 ** 16])
     got = shell_counts(d, metric, s)
     assert got.tolist() == [shell_count(d, metric, int(r)) for r in s]
+    assert_poly_matches(d, metric, s)
+
+
+def assert_poly_matches(d, metric, s):
+    """The tail-sum polynomial sum_j c_j s^j gives every count for s >= 1."""
+    coeffs = _shell_poly_coeffs(d, metric)
+    for r in (int(r) for r in s if r >= 1):
+        assert sum(c * r ** j for j, c in enumerate(coeffs)) \
+            == shell_count(d, metric, r), r
 
 
 def shell_count(d, metric, s):

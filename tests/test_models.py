@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -368,6 +369,21 @@ def test_suppressed_pair_on_explicit_graph():
                      **PATH_ABC)
     assert m.J("a", "c") == m.J("c", "a") == 0.0
     assert m.row_sum_all("a") == (m.J("a", "b"), 0.0)
+
+
+@pytest.mark.parametrize("vertices", [("a", "b", "c"), (0, 1, 2)],
+                         ids=["str", "int"])
+def test_explicit_suppressed_pair_round_trip(vertices):
+    """Vertex labels come back from to_dict, directly or through JSON, as
+    they went in, so the digest and the suppressed pair survive."""
+    a, b, c = vertices
+    m = LatticeModel(kind="explicit", vertices=vertices, edges=((a, b), (b, c)),
+                     kernel=SuppressedPairKernel(PolynomialKernel(1.0), a, c))
+    for d in (m.to_dict(), json.loads(json.dumps(m.to_dict()))):
+        m2 = model_from_dict(d)
+        assert m2.kernel == m.kernel
+        assert m2.digest() == m.digest()
+        assert m2.J(a, c) == 0.0 and m2.J(a, b) == m.J(a, b)
 
 
 @pytest.mark.parametrize("rule", [
