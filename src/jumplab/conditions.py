@@ -52,6 +52,24 @@ def dyadic_radii(lo: int = 4, hi: int = 64) -> list[int]:
     return out
 
 
+def _fit(rows, col, at, lower: bool = False):
+    """(max of row[col] over rows, witness), or the min when `lower`.
+
+    The witness is row[at], or the tuple of row[k] for k in `at` when `at`
+    is a tuple.  The comparison is strict, in row order, from -inf (inf when
+    `lower`): the first extreme wins, a NaN never wins, and no rows or only
+    NaN give (-inf, None), or (inf, None).
+    """
+    best = math.inf if lower else -math.inf
+    wit = None
+    for row in rows:
+        val = row[col]
+        if (val < best) if lower else (val > best):
+            best = val
+            wit = tuple(row[k] for k in at) if isinstance(at, tuple) else row[at]
+    return best, wit
+
+
 # ---------------------------------------------------------------------------
 # volume doubling
 # ---------------------------------------------------------------------------
@@ -65,18 +83,14 @@ def check_vd(model: LatticeModel, radii=None, centers=None) -> ConditionReport:
         raise ValueError("VD sweep needs radii >= 1")
     centers = list(centers) if centers else [model.origin]
     rows = []
-    c_v, wit_max = -math.inf, None
-    min_ratio, wit_min = math.inf, None
     for x in centers:
         for r in radii:
             v1 = model.volume(x, r)
             v2 = model.volume(x, 2 * r)
             ratio = v2 / v1
             rows.append({"center": x, "r": r, "V_r": v1, "V_2r": v2, "ratio": ratio})
-            if ratio > c_v:
-                c_v, wit_max = ratio, (x, r)
-            if ratio < min_ratio:
-                min_ratio, wit_min = ratio, (x, r)
+    c_v, wit_max = _fit(rows, "ratio", ("center", "r"))
+    min_ratio, wit_min = _fit(rows, "ratio", ("center", "r"), lower=True)
     logs_r = np.log(np.array(sorted(set(radii)), dtype=float))
     slopes = []
     for x in centers:
@@ -161,9 +175,6 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     fm2, rows2, eps2 = _kernel_rows_at_times(model, center, 2 * r_win, sources,
                                              times)
     probe_rows = []
-    c2, wit2 = -math.inf, None
-    c1, wit1 = math.inf, None
-    uhd, wit_uhd = -math.inf, None
     for x, y in pairs:
         for t in times:
             p_small = rows1[(x, t)][fm1.index[y]]
@@ -176,19 +187,17 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
             ratio = p / bound
             probe_rows.append({"x": x, "y": y, "t": t, "p": p, "bound": bound,
                                "ratio": ratio})
-            if ratio > c2:
-                c2, wit2 = ratio, (x, y, t)
-            if ratio < c1:
-                c1, wit1 = ratio, (x, y, t)
-            if x == y and ratio > uhd:
-                uhd, wit_uhd = ratio, (x, y, t)
-    # on-diagonal probes for UHD even if no diagonal pair was supplied
+    c2, wit2 = _fit(probe_rows, "ratio", ("x", "y", "t"))
+    c1, wit1 = _fit(probe_rows, "ratio", ("x", "y", "t"), lower=True)
+    # UHD over the diagonal pairs, then on-diagonal probes at every source
+    # even if no diagonal pair was supplied
+    diag = [row for row in probe_rows if row["x"] == row["y"]]
     for x in sources:
         for t in times:
             p = rows2[(x, t)][fm2.index[x]]
-            ratio = p * model.volume(x, t ** (1.0 / alpha))
-            if ratio > uhd:
-                uhd, wit_uhd = ratio, (x, x, t)
+            diag.append({"x": x, "y": x, "t": t,
+                         "ratio": p * model.volume(x, t ** (1.0 / alpha))})
+    uhd, wit_uhd = _fit(diag, "ratio", ("x", "y", "t"))
     return ConditionReport(
         condition="HKP", alpha=alpha,
         grid={"pairs": pairs, "times": times, "r_win": r_win},
@@ -197,71 +206,53 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
         metadata={"rows": probe_rows, "eps_poisson": eps1 + eps2})
 
 
-def check_ndlb(model: LatticeModel, alpha: float, radii, centers=None,
-               band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
-    """c1 = min over probed tuples of p^{B(x,r)}_t(x',y') * V(x,r), t in the band."""
+def _band_sweep(model, alpha, radii, centers, band, n_times, condition,
+                shrink, lower):
+    """c1 = extreme over centers x, radii r and times t = b r^alpha (b on a
+    geometric grid of the band) of p^{B(x,r)}_t(x',y') * V(x,r), x', y' in
+    B(x, shrink*r): the min when `lower`, else the max."""
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
-    c1, wit = math.inf, None
-    rows = []
+    rows, probes = [], []
     per_radius = {}
     for x in centers:
         for r in radii:
             fm = truncate(model, x, r, KILLED)
-            half = [v for v in fm.window if model.distance(x, v) <= r / 2]
-            idx = [fm.index[v] for v in half]
+            idx = fm.ball_slots(x, shrink * r)
             vol = model.volume(x, r)
             ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
-            best_r = math.inf
             for t in ts:
                 hk = killed_heat_kernel(fm, None, float(t))
                 sub = hk.values[np.ix_(idx, idx)]
-                val = float(sub.min()) * vol
-                i, j = np.unravel_index(int(sub.argmin()), sub.shape)
+                k = int(sub.argmin() if lower else sub.argmax())
+                i, j = np.unravel_index(k, sub.shape)
+                val = float(sub.flat[k]) * vol
                 rows.append({"center": x, "r": r, "t": float(t), "c1": val})
-                best_r = min(best_r, val)
-                if val < c1:
-                    c1, wit = val, (x, r, half[i], half[j], float(t))
-            per_radius[(x, r)] = best_r
+                probes.append({"c1": val, "at": (x, r, fm.window[idx[i]],
+                                                 fm.window[idx[j]], float(t))})
+            per_radius[(x, r)] = _fit(probes[-len(ts):], "c1", "at", lower)[0]
+    c1, wit = _fit(probes, "c1", "at", lower)
     return ConditionReport(
-        condition="NDLB", alpha=alpha,
+        condition=condition, alpha=alpha,
         grid={"radii": radii, "centers": centers, "band": list(band)},
         constants={"c1": c1},
         witnesses={"c1": wit},
         metadata={"rows": rows,
                   "per_radius": {str(k): v for k, v in per_radius.items()}})
+
+
+def check_ndlb(model: LatticeModel, alpha: float, radii, centers=None,
+               band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
+    """c1 = min over probed tuples of p^{B(x,r)}_t(x',y') * V(x,r), t in the band."""
+    return _band_sweep(model, alpha, radii, centers, band, n_times, "NDLB",
+                       shrink=0.5, lower=True)
 
 
 def check_sb(model: LatticeModel, alpha: float, radii, centers=None,
              band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
     """c1 = max over the band of sup_{x,y} p^B_t(x,y) * V(x0,r)."""
-    centers = list(centers) if centers else [model.origin]
-    radii = list(radii)
-    c1, wit = -math.inf, None
-    rows = []
-    per_radius = {}
-    for x0 in centers:
-        for r in radii:
-            fm = truncate(model, x0, r, KILLED)
-            vol = model.volume(x0, r)
-            ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
-            worst = -math.inf
-            for t in ts:
-                hk = killed_heat_kernel(fm, None, float(t))
-                val = float(hk.values.max()) * vol
-                i, j = np.unravel_index(int(hk.values.argmax()), hk.values.shape)
-                rows.append({"center": x0, "r": r, "t": float(t), "c1": val})
-                worst = max(worst, val)
-                if val > c1:
-                    c1, wit = val, (x0, r, fm.window[i], fm.window[j], float(t))
-            per_radius[(x0, r)] = worst
-    return ConditionReport(
-        condition="SB", alpha=alpha,
-        grid={"radii": radii, "centers": centers, "band": list(band)},
-        constants={"c1": c1},
-        witnesses={"c1": wit},
-        metadata={"rows": rows,
-                  "per_radius": {str(k): v for k, v in per_radius.items()}})
+    return _band_sweep(model, alpha, radii, centers, band, n_times, "SB",
+                       shrink=1.0, lower=False)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +271,6 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
     if min(radii) < 1:
         raise ValueError("exit-time sweep needs radii >= 1")
     rows = []
-    c1, w1 = math.inf, None
-    c2, w2 = -math.inf, None
     slopes = []
     for x in centers:
         taus = []
@@ -291,10 +280,6 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
             taus.append(tau)
             ratio = tau / float(r) ** alpha
             rows.append({"center": x, "r": r, "E_tau": tau, "ratio": ratio})
-            if ratio < c1:
-                c1, w1 = ratio, (x, r)
-            if ratio > c2:
-                c2, w2 = ratio, (x, r)
         if len(set(radii)) >= 2:
             slope = float(np.polyfit(np.log(np.array(radii, float)),
                                      np.log(np.array(taus)), 1)[0])
@@ -302,6 +287,9 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
             slope = math.nan
         slopes.append(slope)
         rows.append({"center": x, "r": "fit", "E_tau": math.nan, "ratio": slope})
+    probes = [row for row in rows if row["r"] != "fit"]
+    c1, w1 = _fit(probes, "ratio", ("center", "r"), lower=True)
+    c2, w2 = _fit(probes, "ratio", ("center", "r"))
     return ConditionReport(
         condition="E_alpha", alpha=alpha,
         grid={"radii": radii, "centers": centers},
@@ -357,7 +345,6 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     radii = list(radii)
     if min(radii) < 1:
         raise ValueError("PI sweep needs radii >= 1")
-    c_q, wit = -math.inf, None
     rows = []
     disconnected = None
     for x0 in centers:
@@ -367,7 +354,6 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
             if not first.all():
                 piece = sorted(v for v, f in zip(ball, first) if f)
                 disconnected = (x0, R, piece[0])
-                c_q, wit = math.inf, disconnected
                 rows.append({"center": x0, "R": R, "lam_plus": 0.0,
                              "C_Q": math.inf})
                 continue
@@ -379,8 +365,9 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
             lam_plus = float(nonzero[0])
             val = 1.0 / (float(R) ** alpha * lam_plus)
             rows.append({"center": x0, "R": R, "lam_plus": lam_plus, "C_Q": val})
-            if val > c_q:
-                c_q, wit = val, (x0, R)
+    # a disconnected ball makes C_Q infinite; the last one is the witness
+    c_q, wit = _fit(rows, "C_Q", ("center", "R"))
+    wit = disconnected or wit
     return ConditionReport(
         condition="PI", alpha=alpha,
         grid={"radii": radii, "centers": centers},
@@ -432,7 +419,6 @@ def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
     """
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
-    c_w, wit = -math.inf, None
     rows = []
     for x0 in centers:
         for R in radii:
@@ -453,8 +439,7 @@ def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
             else:
                 val = 1.0 / (float(R) ** alpha * lam_plus)
             rows.append({"center": x0, "R": R, "C_weighted": val})
-            if val > c_w:
-                c_w, wit = val, (x0, R)
+    c_w, wit = _fit(rows, "C_weighted", ("center", "R"))
     unweighted = check_poincare(model, alpha, radii, centers)
     return ConditionReport(
         condition="PI_weighted", alpha=alpha,
@@ -492,17 +477,12 @@ def check_nash(model: LatticeModel, alpha: float, d: int,
         n1 = float((np.abs(f) * mu).sum())
         return n2 ** (1.0 + theta / 2.0) / (form * n1 ** theta)
 
-    best, wit = -math.inf, None
     rows = []
 
     def consider(name, f):
-        nonlocal best, wit
         r = ratio(np.asarray(f, float))
-        if r is None:
-            return
-        rows.append({"family": name, "ratio": r})
-        if r > best:
-            best, wit = r, name
+        if r is not None:
+            rows.append({"family": name, "ratio": r})
 
     delta = np.zeros(fm.n)
     delta[fm.index[x0]] = 1.0
@@ -517,6 +497,7 @@ def check_nash(model: LatticeModel, alpha: float, d: int,
     rng = np.random.default_rng(seed)
     for i in range(n_samples):
         consider(f"random_{i}", np.abs(rng.standard_normal(fm.n)))
+    best, wit = _fit(rows, "ratio", "family")
     return ConditionReport(
         condition="Nash", alpha=alpha,
         grid={"r_win": r_win, "n_samples": n_samples, "d": d, "seed": seed},
@@ -543,8 +524,6 @@ def default_pair_grid(model: LatticeModel, distances=(1, 2, 4, 8, 16),
 def check_jump_bounds(model: LatticeModel, alpha: float, pairs) -> ConditionReport:
     """C_UJ/C_LJ: extremes of J(x,y) d^alpha V(x,d) / (mu_x mu_y)."""
     pairs = list(pairs)
-    c_uj, w_uj = -math.inf, None
-    c_lj, w_lj = math.inf, None
     rows = []
     for x, y in pairs:
         dxy = model.distance(x, y)
@@ -553,10 +532,8 @@ def check_jump_bounds(model: LatticeModel, alpha: float, pairs) -> ConditionRepo
         val = (model.J(x, y) * float(dxy) ** alpha * model.volume(x, dxy)
                / (model.mu(x) * model.mu(y)))
         rows.append({"x": x, "y": y, "d": dxy, "ratio": val})
-        if val > c_uj:
-            c_uj, w_uj = val, (x, y)
-        if val < c_lj:
-            c_lj, w_lj = val, (x, y)
+    c_uj, w_uj = _fit(rows, "ratio", ("x", "y"))
+    c_lj, w_lj = _fit(rows, "ratio", ("x", "y"), lower=True)
     return ConditionReport(
         condition="J_bounds", alpha=alpha,
         grid={"pairs": pairs},
@@ -570,8 +547,6 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
     (the summation variable of the display, as used downstream)."""
     pairs = list(pairs)
     radii = list(radii)
-    c_ujs, w_ujs = -math.inf, None
-    c_ljs, w_ljs = math.inf, None
     rows = []
     for x, y in pairs:
         dxy = model.distance(x, y)
@@ -584,12 +559,12 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
                 continue
             val = model.J(x, y) * model.volume(x, r) / (model.mu(x) * avg)
             rows.append({"x": x, "y": y, "r": r, "ratio": val})
-            if val > c_ujs:
-                c_ujs, w_ujs = val, (x, y, r)
-            if val < c_ljs:
-                c_ljs, w_ljs = val, (x, y, r)
-    # local non-degeneracy over unit-distance pairs derived from the grid
-    c0, w0 = math.inf, None
+    c_ujs, w_ujs = _fit(rows, "ratio", ("x", "y", "r"))
+    c_ljs, w_ljs = _fit(rows, "ratio", ("x", "y", "r"), lower=True)
+    # local non-degeneracy over unit-distance pairs derived from the grid;
+    # its probes and the JS probes stay out of metadata["rows"], which
+    # reports write out
+    units = []
     seen = set()
     for x, _ in pairs:
         if x in seen:
@@ -597,20 +572,19 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
         seen.add(x)
         for y in sorted(model.ball(x, 1)):
             if model.distance(x, y) == 1:
-                v = model.J(x, y)
-                if v < c0:
-                    c0, w0 = v, (x, y)
+                units.append({"x": x, "y": y, "J": model.J(x, y)})
+    c0, w0 = _fit(units, "J", ("x", "y"), lower=True)
     # JS: J(x1,y) <= c J(x0,y) whenever d(x0,x1) <= d(x0,y)/2
-    c_js, w_js = -math.inf, None
+    smooth = []
     for x0, y in pairs:
         dxy = model.distance(x0, y)
         j0 = model.J(x0, y)
         if j0 <= 0 or dxy < 2:
             continue
         for x1 in model.ball(x0, dxy / 2):
-            val = model.J(x1, y) / j0
-            if val > c_js:
-                c_js, w_js = val, (x0, x1, y)
+            smooth.append({"x0": x0, "x1": x1, "y": y,
+                           "ratio": model.J(x1, y) / j0})
+    c_js, w_js = _fit(smooth, "ratio", ("x0", "x1", "y"))
     # reference composition of the fitted smoothness constants with a doubling
     # factor; a coarse grid can make this smaller than c_JS, so it is reported
     # for comparison, not enforced
@@ -632,7 +606,6 @@ def check_boundary_flux(model: LatticeModel, radii, centers=None,
     B' = B(x0, R/2)."""
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
-    c, wit = -math.inf, None
     rows = []
     for x0 in centers:
         for R in radii:
@@ -642,8 +615,7 @@ def check_boundary_flux(model: LatticeModel, radii, centers=None,
             mb = model.volume(x0, R / 2)
             val = float(R) ** alpha * flux / mb
             rows.append({"center": x0, "R": R, "flux": flux, "c": val})
-            if val > c:
-                c, wit = val, (x0, R)
+    c, wit = _fit(rows, "c", ("center", "R"))
     return ConditionReport(
         condition="boundary_flux", alpha=alpha,
         grid={"radii": radii, "centers": centers},

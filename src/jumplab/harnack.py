@@ -85,11 +85,6 @@ class HarnackReport:
         return asdict(self)
 
 
-def _half_ball_slots(fm: FiniteModel, x0, R) -> list[int]:
-    return [i for i, v in enumerate(fm.window)
-            if fm.model.distance(x0, v) <= R / 2]
-
-
 def _first_near(vals: np.ndarray, sign: float = 1.0, top=None):
     """(index, extreme) along axis 0: the max for sign = +1, the min for
     sign = -1, and the first index within relative EPS of `top` (default that
@@ -144,7 +139,7 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     dt = box.T / m
     ops = step_operators(fm, dt, tol)
     E = ops.E
-    half = _half_ball_slots(fm, box.x0, box.R)
+    half = fm.ball_slots(box.x0, box.R / 2)
     init = _age_reductions(E @ np.diag(1.0 / fm.mu), E, half, m)
     src = _age_reductions(ops.S, E, half, m)
     return init, src, half, ops
@@ -256,7 +251,7 @@ def phi_constant(model: LatticeModel, box: HarnackBox, lam_ext: float = 4.0,
 
 def caloric_box_ratio(fld: CaloricField, box: HarnackBox) -> float:
     """sup_{Q-} u / inf_{Q+} u for a caloric field on the box's grid."""
-    half = _half_ball_slots(fld.fm, box.x0, box.R)
+    half = fld.fm.ball_slots(box.x0, box.R / 2)
     sup = fld.values[np.ix_(list(box.minus_steps()), half)].max()
     inf = fld.values[np.ix_(list(box.plus_steps()), half)].min()
     return max(float(_ratio(sup, inf)), 0.0)
@@ -271,8 +266,7 @@ def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
     h_w on the ball's slots, the remainder channel last."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
     H = solve_generator(fm, fm.sources)
-    inner = [i for i, v in enumerate(fm.window)
-             if fm.model.distance(x0, v) <= R]
+    inner = fm.ball_slots(x0, R)
     sub = H[inner]
     rmax, hi = _first_near(sub)
     rmin, lo = _first_near(sub, -1.0)

@@ -72,11 +72,16 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str | None = None
     assert_thresholds: bool = False
+    # the LatticeModel built from `model`, which keeps the raw dict
+    built_model: LatticeModel | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
-        """Overlay `params` on the experiment's defaults, each cast to its
-        default's type; an unknown experiment or param, or a bad value, is
-        a ConfigError."""
+        """Build the `model` and overlay `params` on the experiment's
+        defaults, each cast to its default's type.  A `model` replaces the
+        `d` and `metric` params, and the cex experiments build their own.
+        An unknown experiment or param, a bad value or a malformed `model`
+        is a ConfigError."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"field 'experiment': unknown value "
                               f"{self.experiment!r}; expected one of {EXPERIMENTS}")
@@ -84,6 +89,15 @@ class ExperimentConfig:
             raise ConfigError(f"field 'params': expected an object, got "
                               f"{type(self.params).__name__}")
         table = PARAMS[self.experiment]
+        if self.model is not None:
+            if self.experiment.startswith("cex-"):
+                raise ConfigError(f"field 'model': {self.experiment} builds "
+                                  f"its own models")
+            try:
+                self.built_model = model_from_dict(self.model)
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"field 'model': {type(e).__name__}: {e}") from e
+            table = {k: v for k, v in table.items() if k not in ("d", "metric")}
         resolved = {}
         for key, value in {**table, **self.params}.items():
             if key not in table:
@@ -118,7 +132,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be an object")
     if "experiment" not in raw:
         raise ConfigError(f"{path}: missing required field 'experiment'")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
     for k in raw:
         if k not in known:
             raise ConfigError(f"{path}: unknown field {k!r}")
@@ -344,8 +358,8 @@ def run_cex_ladder(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def _config_model(config: ExperimentConfig) -> LatticeModel:
-    if config.model is not None:
-        return model_from_dict(config.model)
+    if config.built_model is not None:
+        return config.built_model
     p = config.params
     return LatticeModel(d=p["d"], metric=p["metric"],
                         kernel=PolynomialKernel(p["alpha"]))

@@ -510,6 +510,8 @@ def model_from_dict(d) -> LatticeModel:
         return LatticeModel(kind="lattice", d=int(d.get("d", 1)),
                             metric=d.get("metric", "linf"), kernel=kernel,
                             mu_rule=mu, c_j=d.get("c_j"), c_m=d.get("c_m"))
+    if kind != "explicit":
+        raise ValueError(f"unknown model kind {kind!r}")
     verts = tuple(map(_vertex, d["vertices"]))
     edges = tuple((_vertex(u), _vertex(v)) for u, v in d["edges"])
     return LatticeModel(kind="explicit", vertices=verts, edges=edges,
@@ -646,6 +648,11 @@ class FiniteModel:
     def row_sums(self) -> np.ndarray:
         """J(x, W) for each window vertex x."""
         return self.rates_matvec(np.ones(self.n))
+
+    def ball_slots(self, x0, r) -> list[int]:
+        """Slots of the window vertices within distance r of x0."""
+        return [i for i, v in enumerate(self.window)
+                if self.model.distance(x0, v) <= r]
 
 
 def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:

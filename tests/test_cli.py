@@ -119,6 +119,63 @@ def test_config_params_checked(tmp_path, experiment, params, match):
     assert main(["run", str(cfg)]) == 2
 
 
+_LATTICE = {"kind": "lattice", "d": 2, "metric": "l1",
+            "kernel": {"type": "polynomial", "alpha": 1.0}}
+
+
+@pytest.mark.parametrize("experiment, params, match", [
+    ("poincare", {"d": 2}, "unknown param 'd'"),
+    ("heat", {"metric": "l1"}, "unknown param 'metric'"),
+    ("cex-suppressed", {"radii": [2]}, "model"),
+    ("cex-ladder", {}, "model"),
+], ids=["d", "metric", "cex-suppressed", "cex-ladder"])
+def test_config_model_replaces_params(tmp_path, experiment, params, match):
+    """With a `model`, `d` and `metric` are not params; the cex experiments
+    take no `model` at all."""
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(experiment=experiment, params=params, model=_LATTICE)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": params,
+                               "model": _LATTICE}))
+    assert main(["run", str(cfg)]) == 2
+
+
+def test_config_model_resolved_without_shape_params(tmp_path):
+    out = str(tmp_path / "bundle")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "poincare", "model": _LATTICE,
+                               "params": {"radii": [2]}}))
+    assert main(["run", str(cfg), "--out", out]) == 0
+    with open(os.path.join(out, "config.resolved")) as f:
+        resolved = json.load(f)
+    assert resolved["model"] == _LATTICE
+    assert list(resolved["params"]) == ["alpha", "radii"]
+    with open(os.path.join(out, "report.json")) as f:
+        assert json.load(f)["grid"]["centers"] == [[0, 0]]
+
+
+@pytest.mark.parametrize("model, match", [
+    ({"kind": "explicit", "vertices": [0, 1]}, "KeyError: 'kernel'"),
+    ({"kind": "lattce", "kernel": {"type": "polynomial", "alpha": 1.0}},
+     "unknown model kind 'lattce'"),
+    ({"kernel": {"type": "polynomal"}}, "unknown kernel type"),
+    ({"kernel": {"type": "polynomial", "alpha": "one"}}, "ValueError"),
+    ({"kernel": [1.0]}, "TypeError"),
+    ([1, 2], "field 'model'"),
+], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
+        "model-list"])
+def test_config_malformed_model(tmp_path, capsys, model, match):
+    """A malformed `model` is a ConfigError naming the field, raised when
+    the config is built."""
+    with pytest.raises(ConfigError, match="field 'model'") as info:
+        ExperimentConfig(experiment="heat", model=model)
+    assert info.match(match)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "heat", "model": model}))
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}: field 'model'" in capsys.readouterr().err
+
+
 def test_resolved_config_reproduces_report(tmp_path):
     """config.resolved lists every param, and `lab run` on it writes the
     same report.json as the flags did."""

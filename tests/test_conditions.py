@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -10,6 +11,7 @@ from jumplab import conditions as cond
 from jumplab.errors import WindowUnconverged
 from jumplab.io import jsonable
 from jumplab.models import (
+    KILLED,
     LadderKernel,
     LatticeModel,
     MuConstant,
@@ -17,7 +19,9 @@ from jumplab.models import (
     SuppressedPairKernel,
     TabulatedKernel,
     _pair_rates,
+    truncate,
 )
+from jumplab.semigroup import killed_heat_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,22 @@ def test_poincare_disconnected_is_infinite():
     assert rep.witnesses["disconnected"] is not None
 
 
+def test_poincare_witness_is_last_disconnected_ball():
+    """C_Q is infinite once a ball is disconnected, and the witness is the
+    last disconnected ball of the sweep, with a connected ball between."""
+    m = LatticeModel(kind="explicit", vertices=("a", "b", "c"),
+                     edges=(("a", "b"), ("b", "c")),
+                     kernel=TabulatedKernel(entries=((("a", "b"), 1.0),)),
+                     mu_rule=MuConstant(1.0))
+    rep = cond.check_poincare(m, 1.0, radii=[2, 1], centers=["a", "c"])
+    rows = rep.metadata["rows"]
+    assert [math.isinf(r["C_Q"]) for r in rows] == [True, False, True, True]
+    wit = rep.witnesses["C_Q"]
+    assert wit == rep.witnesses["disconnected"]
+    assert wit[:2] == ("c", 1) and wit[2] in m.ball("c", 1)
+    assert math.isinf(rep.constants["C_Q"])
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_component_of_first_matches_csgraph(seed):
     """The ball's first connected piece equals scipy's component labelling
@@ -261,3 +281,139 @@ def test_suppressed_lhkp_collapse():
     rs = cond.check_hkp(supp, 1.0, [((0,), (8,))], times=[t],
                         r_win=64).metadata["rows"][0]["ratio"]
     assert rs / rb <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# the fit rule, against the accumulators it replaced
+# ---------------------------------------------------------------------------
+
+def _accumulate(rows, col, at, lower=False):
+    """The strict accumulator each checker used to carry by hand."""
+    if lower:
+        c, wit = math.inf, None
+        for row in rows:
+            if row[col] < c:
+                c, wit = row[col], (tuple(row[k] for k in at)
+                                    if isinstance(at, tuple) else row[at])
+        return c, wit
+    c, wit = -math.inf, None
+    for row in rows:
+        if row[col] > c:
+            c, wit = row[col], (tuple(row[k] for k in at)
+                                if isinstance(at, tuple) else row[at])
+    return c, wit
+
+
+_VALUES = [0.0, 1.0, 1.0, -2.5, 3.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("vals", [
+    [], [math.nan], [math.nan, math.nan], [1.0, 1.0, 1.0], [2.0, 5.0, 5.0, 2.0],
+    [math.inf, 1.0, math.inf], [-math.inf, -math.inf], [math.nan, 3.0, 3.0],
+    [3.0, math.nan, -1.0, -1.0], [-math.inf, math.inf, math.nan, 0.0],
+], ids=lambda v: repr(v))
+@pytest.mark.parametrize("lower", [False, True])
+@pytest.mark.parametrize("at", ["i", ("i", "tag")], ids=["one-key", "two-keys"])
+def test_fit_matches_strict_accumulator(vals, lower, at):
+    rows = [{"v": v, "i": i, "tag": f"row{i}"} for i, v in enumerate(vals)]
+    got = cond._fit(rows, "v", at, lower=lower)
+    assert got == _accumulate(rows, "v", at, lower)
+    if not any(v == v for v in vals):  # empty or all NaN
+        assert got == ((math.inf if lower else -math.inf), None)
+
+
+@given(st.lists(st.sampled_from(_VALUES), max_size=12), st.booleans())
+def test_fit_matches_strict_accumulator_sampled(vals, lower):
+    rows = [{"v": v, "i": i, "j": -i} for i, v in enumerate(vals)]
+    for at in ("i", ("i", "j")):
+        assert cond._fit(rows, "v", at, lower) == _accumulate(rows, "v", at, lower)
+
+
+def test_fit_ties_go_to_the_first_row():
+    rows = [{"v": 2.0, "at": "first"}, {"v": 2.0, "at": "second"},
+            {"v": -1.0, "at": "low"}, {"v": -1.0, "at": "low-again"}]
+    assert cond._fit(rows, "v", "at") == (2.0, "first")
+    assert cond._fit(rows, "v", "at", lower=True) == (-1.0, "low")
+
+
+def _parent_ndlb(model, alpha, radii, centers=None, band=(0.5, 2.0), n_times=3):
+    """check_ndlb before NDLB and SB shared one band sweep."""
+    centers = list(centers) if centers else [model.origin]
+    radii = list(radii)
+    c1, wit = math.inf, None
+    rows = []
+    per_radius = {}
+    for x in centers:
+        for r in radii:
+            fm = truncate(model, x, r, KILLED)
+            half = [v for v in fm.window if model.distance(x, v) <= r / 2]
+            idx = [fm.index[v] for v in half]
+            vol = model.volume(x, r)
+            ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
+            best_r = math.inf
+            for t in ts:
+                hk = killed_heat_kernel(fm, None, float(t))
+                sub = hk.values[np.ix_(idx, idx)]
+                val = float(sub.min()) * vol
+                i, j = np.unravel_index(int(sub.argmin()), sub.shape)
+                rows.append({"center": x, "r": r, "t": float(t), "c1": val})
+                best_r = min(best_r, val)
+                if val < c1:
+                    c1, wit = val, (x, r, half[i], half[j], float(t))
+            per_radius[(x, r)] = best_r
+    return cond.ConditionReport(
+        condition="NDLB", alpha=alpha,
+        grid={"radii": radii, "centers": centers, "band": list(band)},
+        constants={"c1": c1},
+        witnesses={"c1": wit},
+        metadata={"rows": rows,
+                  "per_radius": {str(k): v for k, v in per_radius.items()}})
+
+
+def _parent_sb(model, alpha, radii, centers=None, band=(0.5, 2.0), n_times=3):
+    """check_sb before NDLB and SB shared one band sweep."""
+    centers = list(centers) if centers else [model.origin]
+    radii = list(radii)
+    c1, wit = -math.inf, None
+    rows = []
+    per_radius = {}
+    for x0 in centers:
+        for r in radii:
+            fm = truncate(model, x0, r, KILLED)
+            vol = model.volume(x0, r)
+            ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
+            worst = -math.inf
+            for t in ts:
+                hk = killed_heat_kernel(fm, None, float(t))
+                val = float(hk.values.max()) * vol
+                i, j = np.unravel_index(int(hk.values.argmax()), hk.values.shape)
+                rows.append({"center": x0, "r": r, "t": float(t), "c1": val})
+                worst = max(worst, val)
+                if val > c1:
+                    c1, wit = val, (x0, r, fm.window[i], fm.window[j], float(t))
+            per_radius[(x0, r)] = worst
+    return cond.ConditionReport(
+        condition="SB", alpha=alpha,
+        grid={"radii": radii, "centers": centers, "band": list(band)},
+        constants={"c1": c1},
+        witnesses={"c1": wit},
+        metadata={"rows": rows,
+                  "per_radius": {str(k): v for k, v in per_radius.items()}})
+
+
+@pytest.mark.parametrize("model, alpha, centers, radii", [
+    (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 1.0,
+     [(0,), (3,)], [2, 4]),
+    (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(0.7)), 0.7,
+     [(0, 0), (1, 2)], [2, 3]),
+    (LatticeModel(d=1, kernel=SuppressedPairKernel(
+        base=PolynomialKernel(1.0), x0=(0,), y0=(2,))), 1.0,
+     [(0,), (1,)], [2, 4]),
+], ids=["z1", "z2-l1-alpha0.7", "suppressed"])
+def test_band_sweep_matches_parent_ndlb_and_sb(model, alpha, centers, radii):
+    """check_ndlb and check_sb equal their separate bodies, witnesses,
+    rows and per-radius extremes included."""
+    assert (cond.check_ndlb(model, alpha, radii, centers).to_dict()
+            == _parent_ndlb(model, alpha, radii, centers).to_dict())
+    assert (cond.check_sb(model, alpha, radii, centers).to_dict()
+            == _parent_sb(model, alpha, radii, centers).to_dict())

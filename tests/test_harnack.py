@@ -86,7 +86,7 @@ def fanout_scan(fm, box, tol):
     m = box.m_steps
     ops = H.step_operators(fm, box.T / m, tol)
     E = ops.E
-    half = H._half_ball_slots(fm, box.x0, box.R)
+    half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
     init_stats = _BoxStats()
     U = np.diag(1.0 / fm.mu)
