@@ -547,6 +547,8 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
     (the summation variable of the display, as used downstream)."""
     pairs = list(pairs)
     radii = list(radii)
+    if not pairs:
+        raise ValueError("empty pair list")
     rows = []
     for x, y in pairs:
         dxy = model.distance(x, y)
@@ -587,10 +589,10 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
     c_js, w_js = _fit(smooth, "ratio", ("x0", "x1", "y"))
     # reference composition of the fitted smoothness constants with a doubling
     # factor; a coarse grid can make this smaller than c_JS, so it is reported
-    # for comparison, not enforced
+    # for comparison, not enforced, and is inf when no UJS probe survives
     r0 = max(1, min(radii)) if radii else 1
     c_v = max(model.volume(x, 2 * r0) / model.volume(x, r0) for x in sorted(seen))
-    composed = (c_ujs / c_ljs) * c_v if c_ljs > 0 else math.inf
+    composed = (c_ujs / c_ljs) * c_v if rows and c_ljs > 0 else math.inf
     return ConditionReport(
         condition="UJS_LJS_JS", alpha=None,
         grid={"pairs": pairs, "radii": radii},

@@ -113,16 +113,15 @@ class _Family(NamedTuple):
 
 
 def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
-    """The `_Family` of the fields E^a W, a = 0..m-1, reduced once per age."""
-    shape = (m, W.shape[1])
-    hi, lo = np.empty(shape), np.empty(shape)
-    start = W
+    """The `_Family` of the fields E^a W, a = 0..m-1, reduced once per age
+    as I[half] E^a W: the half-ball rows are stepped, not the n of E^a W."""
+    hi, lo = np.empty((m, W.shape[1])), np.empty((m, W.shape[1]))
+    rows = np.eye(len(E))[half]
     for age in range(m):
-        vals = W[half]
+        vals = rows @ W
         hi[age], lo[age] = vals.max(axis=0), vals.min(axis=0)
-        if age < m - 1:
-            W = E @ W
-    return _Family(hi, lo, start, E)
+        rows = rows @ E
+    return _Family(hi, lo, W, E)
 
 
 def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
@@ -132,35 +131,33 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     grid step j > si, so it only ever shows the fields E^a S at ages
     a = 0..m-1; the initial fields E^j diag(1/mu) are those of a launch at
     si = 0 from E diag(1/mu).  Returns (init, src, half, ops), where `init`
-    and `src` are the `_Family` of each kind over the half ball; `_collect`
-    folds them per launch step.
+    and `src` are the `_Family` of each kind, reduced from I[half] E^a W
+    for W = E diag(1/mu) and S; `_collect` folds them per launch step.
     """
-    m = box.m_steps
-    dt = box.T / m
-    ops = step_operators(fm, dt, tol)
-    E = ops.E
-    half = fm.ball_slots(box.x0, box.R / 2)
-    init = _age_reductions(E @ np.diag(1.0 / fm.mu), E, half, m)
-    src = _age_reductions(ops.S, E, half, m)
+    m, half = box.m_steps, fm.ball_slots(box.x0, box.R / 2)
+    ops = step_operators(fm, box.T / m, tol)
+    init = _age_reductions(ops.E @ np.diag(1.0 / fm.mu), ops.E, half, m)
+    src = _age_reductions(ops.S, ops.E, half, m)
     return init, src, half, ops
 
 
-def _fold(fam: _Family, si: int, minus: range, plus: range):
-    """Ratios sup_{Q-} / inf_{Q+} of the generators launched at step si.
+def _launch(fam: _Family, si: int, minus: range, plus: range):
+    """(ratios sup_{Q-} / inf_{Q+}, (Q- ages, Q+ ages)) of the generators
+    launched at step si < minus.stop - 1.  Grid step j shows age j - 1 - si,
+    so each of Q- and Q+ is one slice of ages, clipped at 0, and the sup and
+    inf are the exact extremes over it."""
+    ages = (slice(max(minus.start - 1 - si, 0), minus.stop - 1 - si),
+            slice(max(plus.start - 1 - si, 0), plus.stop - 1 - si))
+    return _ratio(fam.hi[ages[0]].max(axis=0), fam.lo[ages[1]].min(axis=0)), ages
 
-    Grid step j shows age j - 1 - si, so each of Q- and Q+ is one contiguous
-    window of ages, clipped at 0.  The ratio uses the exact sup and inf, and
-    the witness age of each is the first age within relative EPS of it.
-    Returns (ratio, minus ages, plus ages, sup, inf), or None when no step
-    of Q- follows the launch.
-    """
-    a0, a1 = max(minus.start - 1 - si, 0), minus.stop - 1 - si
-    if a0 >= a1:
-        return None
-    b0, b1 = max(plus.start - 1 - si, 0), plus.stop - 1 - si
-    am, mm = _first_near(fam.hi[a0:a1])
-    ap, mp = _first_near(fam.lo[b0:b1], -1.0)
-    return _ratio(mm, mp), a0 + am, b0 + ap, mm, mp
+
+def _fold(fam: _Family, si: int, c: int, minus: range, plus: range):
+    """(minus age, plus age, sup, inf) of generator c launched at step si:
+    each witness age is the first within relative EPS of its extreme."""
+    am, ap = _launch(fam, si, minus, plus)[1]
+    im, sup = _first_near(fam.hi[am, c])
+    ip, inf = _first_near(fam.lo[ap, c], -1.0)
+    return am.start + int(im), ap.start + int(ip), sup, inf
 
 
 def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
@@ -168,31 +165,31 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
 
     The constant is the largest ratio.  Generators run initial fields (window
     order), then source impulses by (launch step, channel), and each replaces
-    the witness only when its ratio is larger by more than EPS.  The winner's
-    column is recomputed to its two witness ages, where each witness slot is
-    the first half-ball slot within EPS of its sup over Q- (inf over Q+).
+    the witness only when its ratio is larger by more than EPS; launches
+    from step minus.stop - 1 on show no step of Q-.  Only the winner's
+    witness ages are searched (`_fold`), and its column is recomputed to
+    them, where each witness slot is the first half-ball slot within EPS of
+    its sup over Q- (inf over Q+).
     """
-    m = box.m_steps
-    times = np.linspace(0.0, box.T, m + 1)
+    minus, plus = box.minus_steps(), box.plus_steps()
+    times = np.linspace(0.0, box.T, box.m_steps + 1)
     launches = [(("initial",), fm.window, init, 0)]
-    launches += [(("source", si), fm.channels, src, si) for si in range(m)]
+    launches += [(("source", si), fm.channels, src, si)
+                 for si in range(minus.stop - 1)]
 
     best, wit_ratio, win = -math.inf, -math.inf, None
     for prefix, labels, fam, si in launches:
-        folded = _fold(fam, si, box.minus_steps(), box.plus_steps())
-        if folded is None:
-            continue
-        ratio, am, ap, mm, mp = folded
+        ratio = _launch(fam, si, minus, plus)[0]
         best = max(best, ratio.max())
         c = 0
         while (later := ratio[c:] > wit_ratio * (1.0 + EPS)).any():
             c += int(later.argmax())
             wit_ratio = ratio[c]
-            win = (prefix + (labels[c],), fam, c, si, int(am[c]), int(ap[c]),
-                   mm[c], mp[c])
+            win = (prefix + (labels[c],), fam, si, c)
     if win is None:
         return best, None
-    generator, fam, c, si, am, ap, mm, mp = win
+    generator, fam, si, c = win
+    am, ap, mm, mp = _fold(fam, si, c, minus, plus)
     fields = [fam.start[:, c]]
     for _ in range(max(am, ap)):
         fields.append(fam.E @ fields[-1])

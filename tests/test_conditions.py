@@ -91,6 +91,19 @@ def test_ujs_ljs_js_polynomial(z1):
     assert rep.witnesses["c_JS"] is not None
 
 
+def test_ujs_ljs_js_no_ujs_probe(z1):
+    """r = 1 exceeds d(x, y)/2 for a unit pair, so no UJS probe survives and
+    the composed bound is inf, not nan."""
+    rep = cond.check_ujs_ljs_js(z1, [((0,), (1,))], radii=[1])
+    assert rep.metadata["rows"] == []
+    assert rep.constants["c_JS_composed_bound"] == math.inf
+
+
+def test_ujs_ljs_js_empty_pairs(z1):
+    with pytest.raises(ValueError, match="empty pair list"):
+        cond.check_ujs_ljs_js(z1, [], radii=[1])
+
+
 def test_moment_sums(z1):
     m1, m2 = cond.moment_sums(z1, (0,), 2)
     assert m1 == pytest.approx(4.0, abs=1e-12)  # 2*(1 + 4/4)

@@ -88,26 +88,27 @@ def fanout_scan(fm, box, tol):
     E = ops.E
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
+    # the half-ball values of E^a W are read as (I[half] E^a) W, the scan's
+    # multiplication order
+    ages = [np.eye(fm.n)[half]]
+    for _ in range(m - 1):
+        ages.append(ages[-1] @ E)
     init_stats = _BoxStats()
-    U = np.diag(1.0 / fm.mu)
+    U = E @ np.diag(1.0 / fm.mu)
     for j in range(1, m + 1):
-        U = E @ U
         if j in minus:
-            init_stats.see_minus(j, U[half])
+            init_stats.see_minus(j, ages[j - 1] @ U)
         if j in plus:
-            init_stats.see_plus(j, U[half])
+            init_stats.see_plus(j, ages[j - 1] @ U)
     src_stats = [_BoxStats() for _ in range(m)]
-    W = ops.S.copy()
     for age in range(m):
-        vals = W[half]
+        vals = ages[age] @ ops.S
         for j in minus:
             if 0 <= j - 1 - age < m:
                 src_stats[j - 1 - age].see_minus(j, vals)
         for j in plus:
             if 0 <= j - 1 - age < m:
                 src_stats[j - 1 - age].see_plus(j, vals)
-        if age < m - 1:
-            W = E @ W
     return init_stats, src_stats, half
 
 
@@ -142,15 +143,18 @@ def fanout_collect(fm, box, init_stats, src_stats, half):
     return best, best_wit
 
 
-@pytest.mark.parametrize("model, box", [
-    (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), small_box()),
-    (LatticeModel(d=1, kernel=SuppressedPairKernel(
+SCAN_CASES = {
+    "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), small_box()),
+    "suppressed": (LatticeModel(d=1, kernel=SuppressedPairKernel(
         base=PolynomialKernel(1.0), x0=(0,), y0=(3,))), small_box()),
-    (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
-     H.HarnackBox(x0=(0, 0), R=2, alpha=1.0, m_steps=16)),
-    (LatticeModel(d=1, kernel=PolynomialKernel(1.5)),
-     H.HarnackBox(x0=(0,), R=4, alpha=1.5, lam=0.5, m_steps=20)),
-], ids=["z1", "suppressed", "l1-z2", "lam-half"])
+    "l1-z2": (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
+              H.HarnackBox(x0=(0, 0), R=2, alpha=1.0, m_steps=16)),
+    "lam-half": (LatticeModel(d=1, kernel=PolynomialKernel(1.5)),
+                 H.HarnackBox(x0=(0,), R=4, alpha=1.5, lam=0.5, m_steps=20)),
+}
+
+
+@pytest.mark.parametrize("model, box", SCAN_CASES.values(), ids=SCAN_CASES)
 def test_scan_matches_fanout_reference(model, box):
     """The per-age scan gives exactly the fan-out scan's constant and witness;
     z1 and lam-half hold mirror-image ties that only rounding noise splits."""
@@ -243,20 +247,61 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     init, src, half, _ = H._scan_generators(fm, box, 1e-12)
-    fold = H._fold
+    launch = H._launch
 
-    def flat_fold(fam, si, minus, plus):
-        out = fold(fam, si, minus, plus)
-        if out is None:
-            return None
+    def flat_launch(fam, si, minus, plus):
+        out = launch(fam, si, minus, plus)
         bump = jump if fam is src and si == 5 else 0.0
         return (np.full(len(out[0]), 2.0 * (1.0 + bump)), *out[1:])
 
-    monkeypatch.setattr(H, "_fold", flat_fold)
+    monkeypatch.setattr(H, "_launch", flat_launch)
     best, wit = H._collect(fm, box, init, src, half)
     assert best == 2.0 * (1.0 + jump)
     assert wit["generator"] == (("initial", fm.window[0]) if winner == 0 else
                                 ("source", 5, fm.exterior[0]))
+
+
+def full_window_reductions(W, E, half, m):
+    """`_age_reductions` stepping every window row: E^a W, then its half
+    ball."""
+    hi, lo = np.empty((m, W.shape[1])), np.empty((m, W.shape[1]))
+    fields = W
+    for age in range(m):
+        hi[age], lo[age] = fields[half].max(axis=0), fields[half].min(axis=0)
+        fields = E @ fields
+    return H._Family(hi, lo, W, E)
+
+
+@pytest.mark.parametrize("model, box", [
+    *SCAN_CASES.values(),
+    (LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
+     H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)),
+], ids=[*SCAN_CASES, "linf-z2"])
+def test_half_ball_scan_matches_full_window_scan(model, box, monkeypatch):
+    """Reducing I[half] E^a W moves the constant of the full-window scan
+    (E^a W, then its half ball) by rounding only, and no witness."""
+    fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
+    got = H._collect(fm, box, *H._scan_generators(fm, box, 1e-12)[:3])
+    monkeypatch.setattr(H, "_age_reductions", full_window_reductions)
+    want = H._collect(fm, box, *H._scan_generators(fm, box, 1e-12)[:3])
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert got[1] == want[1]
+
+
+def test_phi_searches_witness_ages_once(z1, monkeypatch):
+    """One `phi_constant` scan searches witness ages (`_fold`) only for the
+    winning generator, not once per launch step."""
+    calls = []
+    fold = H._fold
+
+    def counted(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(H, "_fold", counted)
+    rep = H.phi_constant(z1, small_box(), check_doubling=False)
+    assert rep.witness is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(4))
