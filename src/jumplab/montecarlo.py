@@ -8,6 +8,18 @@ horizon, certified analytic tail beyond — followed by a uniform choice on the
 selected shell, so the jump law matches the kernel exactly.  Trajectories
 never see a window; only the observables are windowed, which avoids
 truncation bias in exit and hitting estimates.
+
+Walkers are block-stepped: each of the m live walkers of a stream draws k
+i.i.d. displacements (and, for timed estimands, k unit exponentials) in one
+call, its path is its position plus their running sum, and one argmax over
+the (m, k) event mask finds each walker's first event.  An event is the
+estimand's stop, a jump past the walker's first STEP_CAP accepted ones (it
+is truncated), or a jump between the endpoints of a suppressed pair.  That
+last one is the exact rejection cut: the walker keeps its last accepted
+position and clock, the rest of its block (the rejected hold with it) is
+dropped, and its next block draws afresh, so each accepted jump follows the
+conditional law J(x,y)/J(x,G) with an unbiased Exp(q_x) hold.  k doubles
+from block to block while m*k stays within DRAW_BUDGET.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from .models import LatticeModel, radial_profile, shell_counts
 
 STEP_CAP = 10_000_000
 N_STREAMS = 8
-_SIGNS = np.array([-1, 1])  # a fair bit in {0, 1} -> a direction on Z
+DRAW_BUDGET = 1 << 13  # displacements one stream draws per block: m walkers x k jumps
 
 
 @dataclass
@@ -53,19 +65,28 @@ class TrajectorySampler:
         self.profile = radial_profile(model.d, model.metric, model.base_kernel)
         self.total = self.profile.total  # J(x, G) off the suppressed pair
 
-    # -- walker tests ----------------------------------------------------------
+    # -- walker tests (points along the last axis) -----------------------------
 
-    def _at(self, pos: np.ndarray, v) -> np.ndarray:
-        """Which walkers sit at the vertex v (a column compare on Z)."""
+    def _at(self, pts: np.ndarray, v) -> np.ndarray:
+        """Which points are the vertex v (a plain compare on Z)."""
         if self.model.d == 1:
-            return pos[:, 0] == v[0]
-        return np.all(pos == v, axis=1)
+            return pts[..., 0] == v[0]
+        return np.all(pts == v, axis=-1)
 
-    def _outside(self, pos: np.ndarray, x0, R) -> np.ndarray:
-        """Which walkers lie outside B(x0, R)."""
+    def _outside(self, pts: np.ndarray, x0, R) -> np.ndarray:
+        """Which points lie outside B(x0, R)."""
         if self.model.d == 1:
-            return np.abs(pos[:, 0] - x0[0]) > R
-        return self.model.norm(pos - np.asarray(x0)) > R
+            return np.abs(pts[..., 0] - x0[0]) > R
+        return self.model.norm(pts - np.asarray(x0)) > R
+
+    def _forbidden(self, pre: np.ndarray, post: np.ndarray):
+        """Which jumps pre -> post join the two ends of the suppressed pair."""
+        p = self.model.pair
+        if p is None:
+            return False
+        a, b = p[0], p[1]
+        return (self._at(pre, a) & self._at(post, b)) | \
+               (self._at(pre, b) & self._at(post, a))
 
     # -- row sums and rates -------------------------------------------------
 
@@ -85,7 +106,7 @@ class TrajectorySampler:
         n = len(radii)
         d, metric = self.model.d, self.model.metric
         if d == 1:
-            return (radii * _SIGNS[rng.integers(0, 2, n)])[:, None]
+            return np.where(rng.random(n) < 0.5, -radii, radii)[:, None]
         s = radii.astype(np.int64)
         counts = shell_counts(d, metric, s)
         k = (rng.random(n) * counts).astype(np.int64)
@@ -116,23 +137,9 @@ class TrajectorySampler:
             out[pole, 1] = 0
         return out
 
-    def _jump(self, pos: np.ndarray, rng) -> np.ndarray:
-        """One jump of every walker; exact under pair suppression (resample)."""
-        n = len(pos)
-        new = pos + self._directions(
-            self.profile.radii(rng.random(n) * self.total), rng)
-        p = self.model.pair
-        if p is not None:
-            x0, y0 = p[0], p[1]
-            while True:
-                bad = (self._at(pos, x0) & self._at(new, y0)) | \
-                      (self._at(pos, y0) & self._at(new, x0))
-                if not np.any(bad):
-                    break
-                idx = np.nonzero(bad)[0]
-                new[idx] = pos[idx] + self._directions(
-                    self.profile.radii(rng.random(len(idx)) * self.total), rng)
-        return new
+    def _displacements(self, n: int, rng) -> np.ndarray:
+        """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array."""
+        return self._directions(self.profile.radii(rng.random(n) * self.total), rng)
 
     # -- stream plumbing -------------------------------------------------------
 
@@ -143,6 +150,74 @@ class TrajectorySampler:
                  for i in range(N_STREAMS)]
         return [(np.random.default_rng(sq), sz)
                 for sq, sz in zip(seqs, sizes) if sz > 0]
+
+
+def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
+    """Run n walkers from x, block by block, to each one's first stop.
+
+    `stop(pre, post, clock)` marks the jumps pre -> post that end a walk;
+    `clock` is the time after each jump's hold (0 unless `timed`).  The
+    start is tested first as the zero-length jump x -> x at time 0, so a
+    walker that is settled before it moves (say, started outside the ball)
+    draws nothing.  Returns pre, post and clock of the stopping jump of every
+    walker that stopped, in stream and walker order, and the number of
+    walkers truncated at STEP_CAP.
+    """
+    model, d = sampler.model, sampler.model.d
+    start = np.asarray(x, dtype=np.int64)
+    if stop(start[None], start[None], np.zeros(1))[0]:
+        here = np.tile(start, (n, 1))
+        return here, here, np.zeros(n), 0
+    pres, posts, clocks, truncated = [], [], [], 0
+    for rng, size in sampler._streams(n):
+        live = np.arange(size)
+        pos = np.tile(start, (size, 1))
+        clock = np.zeros(size)
+        steps = np.zeros(size, dtype=np.int64)
+        end_pre = np.empty((size, d), dtype=np.int64)
+        end_post = np.empty((size, d), dtype=np.int64)
+        end_clock = np.empty(size)
+        ended = np.zeros(size, dtype=bool)
+        k = 1
+        while len(live):
+            m = len(live)
+            k = min(2 * k, max(1, DRAW_BUDGET // m))
+            jumps = sampler._displacements(m * k, rng).reshape(m, k, d)
+            post = np.cumsum(jumps, axis=1)
+            post += pos[:, None]
+            pre = post - jumps
+            t = np.zeros((m, k))
+            if timed:
+                flat = pre.reshape(m * k, d)
+                hold = rng.standard_exponential(m * k) / (
+                    sampler._row_sum(flat) / model.mu_rule.at(flat))
+                t = clock[:, None] + np.cumsum(hold.reshape(m, k), axis=1)
+            capped = np.arange(k) >= (STEP_CAP - steps)[:, None]
+            cut = sampler._forbidden(pre, post) & ~capped
+            event = capped | cut | stop(pre, post, t)
+            col = event.argmax(axis=1)
+            rows = np.arange(m)
+            met = event[rows, col]
+            # the walker's state after its last accepted jump
+            last = np.where(met, col, k)
+            pos = np.where((last > 0)[:, None], post[rows, last - 1], pos)
+            clock = np.where(last > 0, t[rows, last - 1], clock)
+            steps += last
+            done = met & ~cut[rows, col]
+            over = done & capped[rows, col]
+            halt = done & ~over
+            truncated += int(np.count_nonzero(over))
+            ids = live[halt]
+            end_pre[ids] = pre[rows[halt], col[halt]]
+            end_post[ids] = post[rows[halt], col[halt]]
+            end_clock[ids] = t[rows[halt], col[halt]]
+            ended[ids] = True
+            live, pos, clock, steps = live[~done], pos[~done], clock[~done], steps[~done]
+        pres.append(end_pre[ended])
+        posts.append(end_post[ended])
+        clocks.append(end_clock[ended])
+    return (np.concatenate(pres), np.concatenate(posts), np.concatenate(clocks),
+            truncated)
 
 
 def _finish(estimand, samples, truncated, seed, extra=None) -> EstimateReport:
@@ -158,59 +233,30 @@ def _finish(estimand, samples, truncated, seed, extra=None) -> EstimateReport:
 
 def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
                      n: int) -> EstimateReport:
-    """Unbiased Monte Carlo mean of tau_{B(x0,R)} started at x.
+    """Unbiased Monte Carlo mean of tau_{B(x0,R)} started at x (0 outside B).
 
     Capped trajectories are excluded from the mean and counted; exclusion
     biases the estimate downward.
     """
-    model = sampler.model
-    out, truncated = [], 0
-    for rng, size in sampler._streams(n):
-        idx = np.arange(size)
-        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        t = np.zeros(size)
-        tau = np.empty(size)
-        steps = 0
-        while len(idx):
-            if steps >= STEP_CAP:
-                truncated += len(idx)
-                break
-            q = sampler._row_sum(pos) / model.mu_rule.at(pos)
-            t += rng.exponential(1.0, len(idx)) / q
-            pos = sampler._jump(pos, rng)
-            done = sampler._outside(pos, x0, R)
-            tau[idx[done]] = t[done]
-            keep = ~done
-            idx, pos, t = idx[keep], pos[keep], t[keep]
-            steps += 1
-        out.extend(np.delete(tau, idx).tolist())
-    return _finish("exit_time", out, truncated, sampler.seed,
+    _, _, tau, truncated = _walk(
+        sampler, x, n, lambda pre, post, t: sampler._outside(post, x0, R),
+        timed=True)
+    return _finish("exit_time", tau, truncated, sampler.seed,
                    {"x": list(x), "x0": list(x0), "R": R})
 
 
 def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
                     n: int) -> EstimateReport:
-    """P^x(T_y <= tau_{B(x0,R)}); jump-chain simulation (times not needed)."""
-    out, truncated = [], 0
-    for rng, size in sampler._streams(n):
-        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        hit = sampler._at(pos, y).astype(float)
-        idx = np.flatnonzero(hit == 0.0)
-        pos = pos[idx]
-        steps = 0
-        while len(idx):
-            if steps >= STEP_CAP:
-                truncated += len(idx)
-                break
-            pos = sampler._jump(pos, rng)
-            hits = sampler._at(pos, y)
-            keep = ~(hits | sampler._outside(pos, x0, R))
-            hit[idx[hits]] = 1.0
-            idx, pos = idx[keep], pos[keep]
-            steps += 1
-        out.extend(np.delete(hit, idx).tolist())
-    return _finish("hit_before_exit", out, truncated, sampler.seed,
-                   {"x": list(x), "y": list(y), "x0": list(x0), "R": R})
+    """P^x(T_y <= tau_{B(x0,R)}); jump-chain simulation (times not needed).
+
+    From x outside the ball tau_B = 0, so the estimate is 1{x = y}.
+    """
+    _, post, _, truncated = _walk(
+        sampler, x, n,
+        lambda pre, post, t: sampler._at(post, y) | sampler._outside(post, x0, R),
+        timed=False)
+    return _finish("hit_before_exit", sampler._at(post, y), truncated,
+                   sampler.seed, {"x": list(x), "y": list(y), "x0": list(x0), "R": R})
 
 
 def sample_position_sup(r1: int, alpha: float, T: float, n: int, seed: int,
@@ -257,22 +303,13 @@ def sample_position_sup(r1: int, alpha: float, T: float, n: int, seed: int,
 
 
 def sample_occupation(sampler: TrajectorySampler, x, t: float, n: int) -> dict:
-    """Empirical law of X_t over n paths: {vertex: count}; heat-kernel oracle."""
+    """Empirical law of X_t over n paths: {vertex: count}; heat-kernel oracle.
+
+    A path that makes STEP_CAP jumps before time t is left out.
+    """
+    final, _, _, _ = _walk(sampler, x, n, lambda pre, post, clock: clock > t,
+                           timed=True)
     counts: dict = {}
-    for rng, size in sampler._streams(n):
-        idx = np.arange(size)
-        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        clock = np.zeros(size)
-        final = np.empty_like(pos)
-        while len(idx):
-            q = sampler._row_sum(pos) / sampler.model.mu_rule.at(pos)
-            clock += rng.exponential(1.0, len(idx)) / q
-            over = clock > t
-            final[idx[over]] = pos[over]
-            keep = ~over
-            idx, pos, clock = idx[keep], pos[keep], clock[keep]
-            if len(idx):
-                pos = sampler._jump(pos, rng)
-        for key in map(tuple, final.tolist()):
-            counts[key] = counts.get(key, 0) + 1
+    for key in map(tuple, final.tolist()):
+        counts[key] = counts.get(key, 0) + 1
     return counts

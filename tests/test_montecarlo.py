@@ -52,9 +52,7 @@ def test_exit_time_monotone(sampler):
 
 def test_shell_chi_square(z1, sampler):
     n = 1_000_000
-    rng = np.random.default_rng(1)
-    disp = sampler._directions(
-        sampler.profile.radii(rng.random(n) * sampler.total), rng)
+    disp = sampler._displacements(n, np.random.default_rng(1))
     r = np.abs(disp[:, 0])
     obs = np.array([(r == k).sum() for k in range(1, 17)], dtype=float)
     expect = np.array([2.0 * k ** -2.0 for k in range(1, 17)]) / sampler.total * n
@@ -68,11 +66,10 @@ def test_shell_chi_square(z1, sampler):
 def test_d2_shell_uniformity(metric, npts):
     m = LatticeModel(d=2, metric=metric, kernel=PolynomialKernel(1.0))
     s = mc.TrajectorySampler(m, seed=5)
-    rng = np.random.default_rng(2)
-    n = 160_000
-    pts = s._directions(np.full(n, 2, dtype=np.int64), rng)
-    dist = np.abs(pts).max(axis=1) if metric == "linf" else np.abs(pts).sum(axis=1)
-    assert (dist == 2).all()
+    pts = s._displacements(400_000, np.random.default_rng(2))
+    pts = pts[m.norm(pts) == 2]  # the radius-2 shell of the jump law
+    n = len(pts)
+    assert n > 40_000
     assert shell_counts(2, metric, 2) == npts
     _, counts = np.unique(pts, axis=0, return_counts=True)
     assert len(counts) == npts
@@ -135,10 +132,16 @@ def test_suppressed_pair_never_jumps(z1):
     m = LatticeModel(d=1, kernel=SuppressedPairKernel(
         base=PolynomialKernel(1.0), x0=(0,), y0=(8,)))
     s = mc.TrajectorySampler(m, seed=3)
-    rng = np.random.default_rng(0)
-    pos = np.zeros((100_000, 1), dtype=np.int64)
-    new = s._jump(pos, rng)
-    assert not np.any(new[:, 0] == 8)
+    # the helper draws the unsuppressed law; the cut marks exactly the
+    # draws from 0 that land on 8
+    draws = s._displacements(100_000, np.random.default_rng(0))
+    assert np.count_nonzero(draws[:, 0] == 8) > 100
+    assert np.array_equal(s._forbidden(np.zeros_like(draws), draws), draws[:, 0] == 8)
+    # so no walker's first accepted jump from 0 is to 8
+    _, first, _, _ = mc._walk(s, (0,), 100_000,
+                              lambda pre, post, t: post[..., 0] != pre[..., 0],
+                              timed=False)
+    assert len(first) == 100_000 and not np.any(first[:, 0] == 8)
     # row sum at the suppressed endpoint is reduced by exactly J(0,8)
     q = s._row_sum(np.array([[0], [1]]))
     assert q[0] == pytest.approx(s.total - 8.0 ** -2, abs=1e-14)
@@ -210,12 +213,13 @@ def test_unsupported_dimensions():
         mc.TrajectorySampler(m, seed=0)
 
 
-# -- the mask-based loops the compact alive-set loops replaced --------------
+# -- per-walker reference loops ---------------------------------------------
 #
-# Reference implementations: every live walker is gathered and scattered
-# through an `alive` mask at every step, and vertex tests use np.all over the
-# coordinate axis in every dimension.  The compact loops must make the same
-# draws in the same order, so their results are compared with ==.
+# Reference implementations of the block driver: the same draws through the
+# same displacement helper and block schedule, then each walker's path is
+# scanned jump by jump in plain Python for its first event (the STEP_CAP-th
+# jump done, a suppressed-pair jump, or the estimand's stop).  The driver must
+# reach the same events, so its results are compared with ==.
 
 def tail_radius(prof, u):
     """Smallest s with cumulative weight through s >= u, beyond the horizon,
@@ -234,131 +238,90 @@ def tail_radius(prof, u):
     return hi
 
 
-class MaskSampler:
-    """The sampler's draw path with np.all row tests and a `beyond` mask."""
+def dist(model, a, b):
+    gaps = [abs(p - q) for p, q in zip(a, b)]
+    return max(gaps) if model.metric == "linf" else sum(gaps)
 
-    def __init__(self, sampler):
-        self.s = sampler
-        self.model = sampler.model
-        self.resamples = 0
 
-    def row_sum(self, pos):
-        out = np.full(len(pos), self.s.total)
-        p = self.model.pair
-        if p is not None:
-            for v in p[:2]:
-                out[np.all(pos == v, axis=1)] -= p[2]
-        return out
+class LoopWalk:
+    """One walk of n walkers from x, event by event; `cuts` counts the
+    suppressed-pair jumps that were thrown away."""
 
-    def sample_radii(self, u):
-        r = np.searchsorted(self.s.profile.cum, u, side="right") + 1
-        beyond = r > SHELL_HORIZON
-        if np.any(beyond):
-            for i in np.nonzero(beyond)[0]:
-                r[i] = tail_radius(self.s.profile, float(u[i]))
-        return r.astype(np.int64)
-
-    def directions(self, radii, rng):
-        if self.model.d == 1:
-            signs = rng.integers(0, 2, len(radii)) * 2 - 1
-            return (radii * signs)[:, None]
-        return self.s._directions(radii, rng)
-
-    def jump(self, pos, rng):
-        n = len(pos)
-        new = pos + self.directions(
-            self.sample_radii(rng.random(n) * self.s.total), rng)
-        p = self.model.pair
-        if p is not None:
-            x0, y0 = np.asarray(p[0]), np.asarray(p[1])
-            while True:
-                bad = (np.all(pos == x0, axis=1) & np.all(new == y0, axis=1)) | \
-                      (np.all(pos == y0, axis=1) & np.all(new == x0, axis=1))
-                if not np.any(bad):
-                    break
-                self.resamples += 1
-                idx = np.nonzero(bad)[0]
-                new[idx] = pos[idx] + self.directions(
-                    self.sample_radii(rng.random(len(idx)) * self.s.total), rng)
-        return new
+    def __init__(self, sampler, x, n, stop, timed):
+        self.cuts = 0
+        model, d = sampler.model, sampler.model.d
+        x = tuple(int(c) for c in x)
+        if stop(x, x, 0.0):
+            self.ends, self.truncated = [(x, x, 0.0)] * n, 0
+            return
+        pair = model.pair
+        forbidden = set() if pair is None else {(pair[0], pair[1]), (pair[1], pair[0])}
+        self.ends, self.truncated = [], 0
+        for rng, size in sampler._streams(n):
+            walkers = [[x, 0.0, 0] for _ in range(size)]  # position, clock, jumps
+            ends = [None] * size
+            live = list(range(size))
+            k = 1
+            while live:
+                m = len(live)
+                k = min(2 * k, max(1, mc.DRAW_BUDGET // m))
+                jumps = sampler._displacements(m * k, rng).reshape(m, k, d).tolist()
+                if timed:
+                    expo = rng.standard_exponential(m * k).reshape(m, k).tolist()
+                still = []
+                for row, w in enumerate(live):
+                    pos, clock, steps = walkers[w]
+                    run, last_t, done = 0.0, clock, False
+                    for j in range(k):
+                        if steps + j >= mc.STEP_CAP:
+                            self.truncated += 1
+                            done = True
+                            break
+                        new = tuple(p + q for p, q in zip(pos, jumps[row][j]))
+                        t = None
+                        if timed:
+                            rate = model.row_sum_all(pos)[0] / model.mu_rule(pos)
+                            run += expo[row][j] / rate
+                            t = clock + run
+                        if (pos, new) in forbidden:
+                            self.cuts += 1
+                            steps += j
+                            break
+                        if stop(pos, new, t):
+                            ends[w] = (pos, new, t)
+                            done = True
+                            break
+                        pos, last_t = new, t if timed else clock
+                    else:
+                        steps += k
+                    if not done:
+                        walkers[w] = [pos, last_t, steps]
+                        still.append(w)
+                live = still
+            self.ends.extend(e for e in ends if e is not None)
 
 
 def mask_exit_time(sampler, x, x0, R, n):
-    ref = MaskSampler(sampler)
-    model = sampler.model
-    out, truncated = [], 0
-    for rng, size in sampler._streams(n):
-        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        t = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        steps = 0
-        while np.any(alive):
-            if steps >= mc.STEP_CAP:
-                truncated += int(alive.sum())
-                break
-            p = pos[alive]
-            q = ref.row_sum(p) / model.mu_rule.at(p)
-            t[alive] += rng.exponential(1.0, len(p)) / q
-            pos[alive] = ref.jump(p, rng)
-            exited = model.norm(pos[alive] - np.asarray(x0)) > R
-            idx = np.nonzero(alive)[0]
-            alive[idx[exited]] = False
-            steps += 1
-        out.extend(t[~alive].tolist())
-    return mc._finish("exit_time", out, truncated, sampler.seed,
-                      {"x": list(x), "x0": list(x0), "R": R})
+    walk = LoopWalk(sampler, x, n,
+                    lambda pre, post, t: dist(sampler.model, post, x0) > R, True)
+    return mc._finish("exit_time", [t for _, _, t in walk.ends], walk.truncated,
+                      sampler.seed, {"x": list(x), "x0": list(x0), "R": R})
 
 
 def mask_hit_before_exit(sampler, x, y, x0, R, n):
-    ref = MaskSampler(sampler)
-    model = sampler.model
-    yv = np.asarray(y, dtype=np.int64)
-    out, truncated = [], 0
-    for rng, size in sampler._streams(n):
-        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        hit = np.all(pos == yv, axis=1).astype(float)
-        alive = ~(hit > 0)
-        steps = 0
-        while np.any(alive):
-            if steps >= mc.STEP_CAP:
-                truncated += int(alive.sum())
-                alive_idx = np.nonzero(alive)[0]
-                hit[alive_idx] = np.nan
-                break
-            p = ref.jump(pos[alive], rng)
-            pos[alive] = p
-            hits = np.all(p == yv, axis=1)
-            done = hits | (model.norm(p - np.asarray(x0)) > R)
-            idx = np.nonzero(alive)[0]
-            hit[idx[done]] = hits[done].astype(float)
-            alive[idx[done]] = False
-            steps += 1
-        out.extend(hit[np.isfinite(hit)].tolist())
-    return mc._finish("hit_before_exit", out, truncated, sampler.seed,
-                      {"x": list(x), "y": list(y), "x0": list(x0), "R": R}), ref
+    y = tuple(y)
+    walk = LoopWalk(sampler, x, n, lambda pre, post, t: post == y or
+                    dist(sampler.model, post, x0) > R, False)
+    hits = [float(post == y) for _, post, _ in walk.ends]
+    return mc._finish("hit_before_exit", hits, walk.truncated, sampler.seed,
+                      {"x": list(x), "y": list(y), "x0": list(x0), "R": R}), walk
 
 
 def mask_occupation(sampler, x, t, n):
-    ref = MaskSampler(sampler)
+    walk = LoopWalk(sampler, x, n, lambda pre, post, clock: clock > t, True)
     counts = {}
-    for rng, size in sampler._streams(n):
-        pos = np.tile(np.asarray(x, dtype=np.int64), (size, 1))
-        clock = np.zeros(size)
-        alive = np.ones(size, dtype=bool)
-        while np.any(alive):
-            p = pos[alive]
-            q = ref.row_sum(p) / sampler.model.mu_rule.at(p)
-            hold = rng.exponential(1.0, len(p)) / q
-            idx = np.nonzero(alive)[0]
-            over = clock[alive] + hold > t
-            clock[alive] += hold
-            alive[idx[over]] = False
-            still = idx[~over]
-            if len(still):
-                pos[still] = ref.jump(pos[still], rng)
-        for p in pos:
-            key = tuple(int(c) for c in p)
-            counts[key] = counts.get(key, 0) + 1
+    for pre, _, _ in walk.ends:
+        counts[pre] = counts.get(pre, 0) + 1
     return counts
 
 
@@ -372,7 +335,7 @@ def _suppressed(base, d, metric, y0, **kw):
 
 
 # (model, walker start x, target y, ball radius R): the suppressed pairs sit
-# next to the origin, where the walkers start, so the resample loop runs.
+# next to the origin, where the walkers start, so the pair cut happens.
 COMPACT_CASES = {
     "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), (3,), (0,), 6),
     "z1-mu": (LatticeModel(d=1, kernel=PolynomialKernel(0.8),
@@ -396,10 +359,10 @@ def test_compact_loops_equal_mask_loops(case):
     x0 = (0,) * model.d
     s = mc.TrajectorySampler(model, seed=17)
     got = mc.hit_before_exit(s, x, y, x0, R, 600)
-    want, ref = mask_hit_before_exit(s, x, y, x0, R, 600)
+    want, walk = mask_hit_before_exit(s, x, y, x0, R, 600)
     _same_report(got, want)
     if model.pair is not None:
-        assert ref.resamples > 0
+        assert walk.cuts > 0
     _same_report(mc.sample_exit_time(s, x0, x0, R, 600),
                  mask_exit_time(s, x0, x0, R, 600))
     for t in (0.3, 2.0):
@@ -417,8 +380,12 @@ def test_compact_hit_equals_mask_hit_on_ladder():
         _same_report(got, mask_hit_before_exit(s, (R // 4,), (0,), (0,), R, 400)[0])
 
 
-@pytest.mark.parametrize("case", ["z1", "z1-pair", "z2-l1-pair"])
+@pytest.mark.parametrize("case", ["z1", "z1-mu", "z1-pair", "z2-l1-pair",
+                                  "z2-linf-pair"])
 def test_compact_loops_equal_mask_loops_at_step_cap(monkeypatch, case):
+    """With STEP_CAP = 3 the cap falls inside the second block (2 + 4
+    jumps): a walker without an event after 3 accepted jumps is truncated,
+    as in the per-walker loop."""
     model, x, y, R = COMPACT_CASES[case]
     x0 = (0,) * model.d
     s = mc.TrajectorySampler(model, seed=4)
@@ -431,32 +398,128 @@ def test_compact_loops_equal_mask_loops_at_step_cap(monkeypatch, case):
     _same_report(got, mask_exit_time(s, x0, x0, R, 400))
 
 
+class UnitSteps:
+    """A displacement helper whose every jump is +1 on Z."""
+
+    def __init__(self):
+        self.drawn = []
+
+    def __call__(self, n, rng):
+        self.drawn.append(n)
+        return np.ones((n, 1), dtype=np.int64)
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_step_cap_is_exact_mid_block(monkeypatch, cap):
+    """Blocks of 2 then 4 jumps put the cap inside the second block: a walker
+    may make its cap-th jump and never a further one."""
+    monkeypatch.setattr(mc, "STEP_CAP", cap)
+    s = mc.TrajectorySampler(LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 0)
+    steps = UnitSteps()
+    monkeypatch.setattr(s, "_displacements", steps)
+    rep = mc.hit_before_exit(s, (0,), (cap,), (0,), 100, 16)
+    assert (rep.estimate, rep.truncated, rep.n) == (1.0, 0, 16)
+    assert steps.drawn[:2] == [2 * 2, 2 * 4]  # 2 walkers per stream
+    with pytest.raises(ValueError, match="step cap"):
+        mc.hit_before_exit(s, (0,), (cap + 1,), (0,), 100, 16)
+    _, _, _, truncated = mc._walk(
+        s, (0,), 16, lambda pre, post, t: post[..., 0] > cap, timed=True)
+    assert truncated == 16
+
+
+def test_start_outside_ball_hit(z1, sampler):
+    """tau_B = 0 from outside B, so P^x(T_y <= tau_B) = 1{x = y}."""
+    away = mc.hit_before_exit(sampler, (10,), (0,), (0,), 4, 500)
+    assert (away.estimate, away.se, away.n) == (0.0, 0.0, 500)
+    there = mc.hit_before_exit(sampler, (10,), (10,), (0,), 4, 500)
+    assert (there.estimate, there.se) == (1.0, 0.0)
+
+
+def test_start_outside_ball_exit_time(z1, sampler):
+    rep = mc.sample_exit_time(sampler, (10,), (0,), 4, 500)
+    assert (rep.estimate, rep.se, rep.n, rep.truncated) == (0.0, 0.0, 500, 0)
+    z2 = mc.TrajectorySampler(LatticeModel(d=2, metric="l1",
+                                           kernel=PolynomialKernel(1.0)), 3)
+    assert mc.sample_exit_time(z2, (3, 2), (0, 0), 4, 50).estimate == 0.0
+
+
+# -- exact laws: the driver against linear solves -----------------------------
+
+LADDER = LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(16, 64, 256)))
+HIT_LAWS = {
+    "z1-pair": COMPACT_CASES["z1-pair"],
+    "z2-linf-pair": COMPACT_CASES["z2-linf-pair"],
+    "z2-l1-pair": COMPACT_CASES["z2-l1-pair"],
+    "ladder-16": (LADDER, (4,), (0,), 16),
+    "ladder-64": (LADDER, (16,), (0,), 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIT_LAWS))
+def test_hit_law_matches_absorbing_oracle(case):
+    model, x, y, R = HIT_LAWS[case]
+    x0 = (0,) * model.d
+    want = absorbing_oracle(model, x, y, x0, R)
+    rep = mc.hit_before_exit(mc.TrajectorySampler(model, seed=23), x, y, x0, R, 20_000)
+    assert abs(rep.estimate - want) <= 4 * rep.se
+
+
+@pytest.mark.parametrize("model", [
+    LatticeModel(d=1, kernel=PolynomialKernel(1.0), mu_rule=MuAlternating(1.0, 2.5)),
+    _suppressed(PolynomialKernel(1.0), 1, "linf", (2,)),
+    _suppressed(PolynomialKernel(1.0), 2, "l1", (0, 1),
+                mu_rule=MuAlternating(0.5, 1.5)),
+], ids=["z1-mu", "z1-pair", "z2-l1-pair-mu"])
+def test_exit_time_law_matches_solver(model):
+    x0 = (0,) * model.d
+    R = 6 if model.d == 1 else 3
+    fm = truncate(model, x0, R, KILLED)
+    want = float(expected_exit_time(fm)[fm.index[x0]])
+    rep = mc.sample_exit_time(mc.TrajectorySampler(model, seed=29), x0, x0, R, 20_000)
+    assert rep.truncated == 0
+    assert abs(rep.estimate - want) <= 4 * rep.se
+
+
+def test_hit_law_pooled_over_seeds():
+    """Eight seeds of the suppressed pair on Z^2: the mean z-score has standard
+    deviation 1/sqrt(8), so a bias of half a standard error shows."""
+    model, x, y, R = COMPACT_CASES["z2-l1-pair"]
+    want = absorbing_oracle(model, x, y, (0, 0), R)
+    zs = []
+    for seed in range(8):
+        rep = mc.hit_before_exit(mc.TrajectorySampler(model, seed), x, y, (0, 0), R, 8000)
+        zs.append((rep.estimate - want) / rep.se)
+    assert abs(np.mean(zs)) <= 1.5
+
+
 class ForcedUniforms:
-    """A generator whose uniforms are given; the other draws are real."""
+    """A generator whose first uniforms are given; the other draws are real."""
 
     def __init__(self, u, seed):
         self.u = np.asarray(u, dtype=float)
         self.rng = np.random.default_rng(seed)
 
     def random(self, m):
+        if self.u is None:
+            return self.rng.random(m)
         assert m == len(self.u)
-        return self.u.copy()
-
-    def integers(self, *args):
-        return self.rng.integers(*args)
+        u, self.u = self.u, None
+        return u
 
 
 @pytest.mark.parametrize("kernel", [
     PolynomialKernel(1.0), LadderKernel(alpha=1.5, ranges=(16, 64, 256))])
 def test_jump_tail_radius_on_z(kernel):
     """Uniforms in the analytic tail beyond SHELL_HORIZON go through the
-    profile's tail bisection, and the d=1 jump agrees with the mask-based one."""
+    profile's tail bisection, and agree with the table search and the
+    reference bisection."""
     s = mc.TrajectorySampler(LatticeModel(d=1, kernel=kernel), seed=0)
     head = s.profile.cum[-1] / s.total
-    u = [0.25, head + (1 - head) / 3, 0.999, 1 - (1 - head) / 7]
-    pos = np.array([[0], [5], [-3], [2]], dtype=np.int64)
-    got = s._jump(pos, ForcedUniforms(u, 8))
-    want = MaskSampler(s).jump(pos, ForcedUniforms(u, 8))
-    assert np.array_equal(got, want)
-    far = np.abs(got - pos)[:, 0] > SHELL_HORIZON
-    assert far.tolist() == [False, True, False, True]
+    u = np.array([0.25, head + (1 - head) / 3, 0.999, 1 - (1 - head) / 7])
+    got = np.abs(s._displacements(4, ForcedUniforms(u, 8))[:, 0])
+    v = u * s.total
+    want = np.searchsorted(s.profile.cum, v, side="right") + 1
+    want = [tail_radius(s.profile, float(w)) if r > SHELL_HORIZON else r
+            for r, w in zip(want, v)]
+    assert got.tolist() == want
+    assert (got > SHELL_HORIZON).tolist() == [False, True, False, True]
