@@ -305,10 +305,13 @@ def sample_position_sup(r1: int, alpha: float, T: float, n: int, seed: int,
 def sample_occupation(sampler: TrajectorySampler, x, t: float, n: int) -> dict:
     """Empirical law of X_t over n paths: {vertex: count}; heat-kernel oracle.
 
-    A path that makes STEP_CAP jumps before time t is left out.
+    Raises ValueError if a path makes STEP_CAP jumps before time t: leaving
+    it out would bias the law its callers read off counts / n.
     """
-    final, _, _, _ = _walk(sampler, x, n, lambda pre, post, clock: clock > t,
-                           timed=True)
+    final, _, _, truncated = _walk(sampler, x, n,
+                                   lambda pre, post, clock: clock > t, timed=True)
+    if truncated:
+        raise ValueError(f"{truncated} of {n} paths hit the step cap before t")
     counts: dict = {}
     for key in map(tuple, final.tolist()):
         counts[key] = counts.get(key, 0) + 1

@@ -66,10 +66,15 @@ def test_shell_chi_square(z1, sampler):
 def test_d2_shell_uniformity(metric, npts):
     m = LatticeModel(d=2, metric=metric, kernel=PolynomialKernel(1.0))
     s = mc.TrajectorySampler(m, seed=5)
-    pts = s._displacements(400_000, np.random.default_rng(2))
-    pts = pts[m.norm(pts) == 2]  # the radius-2 shell of the jump law
+    draws = 1_050_000
+    pts = s._displacements(draws, np.random.default_rng(2))
+    # the helper's radii come from its first `draws` uniforms: every point
+    # lies exactly on the shell it was drawn for
+    radii = s.profile.radii(np.random.default_rng(2).random(draws) * s.total)
+    assert (m.norm(pts) == radii).all()
+    pts = pts[radii == 2]  # the radius-2 shell of the jump law
     n = len(pts)
-    assert n > 40_000
+    assert n > 150_000
     assert shell_counts(2, metric, 2) == npts
     _, counts = np.unique(pts, axis=0, return_counts=True)
     assert len(counts) == npts
@@ -425,6 +430,15 @@ def test_step_cap_is_exact_mid_block(monkeypatch, cap):
     _, _, _, truncated = mc._walk(
         s, (0,), 16, lambda pre, post, t: post[..., 0] > cap, timed=True)
     assert truncated == 16
+
+
+def test_occupation_refuses_truncated_paths(monkeypatch):
+    """A path cut at STEP_CAP before t raises instead of leaving the law."""
+    monkeypatch.setattr(mc, "STEP_CAP", 3)
+    s = mc.TrajectorySampler(LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 0)
+    monkeypatch.setattr(s, "_displacements", UnitSteps())
+    with pytest.raises(ValueError, match="16 of 16 paths hit the step cap"):
+        mc.sample_occupation(s, (0,), 1e9, 16)
 
 
 def test_start_outside_ball_hit(z1, sampler):
