@@ -2,7 +2,7 @@
 
 Modules:
   models      lattice/graph models, jump kernels, certified row sums, windows
-  semigroup   uniformization heat kernels, killed semigroups, caloric solves
+  semigroup   certified heat kernels, killed semigroups, caloric solves
   conditions  fitted constants and witnesses for the named conditions
   harnack     parabolic/elliptic Harnack constants via the caloric cone
   montecarlo  exact trajectory sampling on the infinite lattice

@@ -153,7 +153,7 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     Full-graph kernels are approximated by killed kernels on a window; the
     window is doubled once and any probed value moving by more than
     `doubling_margin` (relative) raises WindowUnconverged.
-    `metadata["eps_poisson"]` is the summed certified uniformization error of
+    `metadata["eps_poisson"]` is the summed certified Chebyshev-series error of
     the kernel rows on both windows, a max-norm bound on each probed value.
     """
     pairs = list(pairs)

@@ -18,7 +18,7 @@ class DivergentTail(LabError):
 
 
 class TruncationBudgetExceeded(LabError):
-    """Uniformization could not reach the requested tolerance within the term cap."""
+    """A semigroup series could not reach the tolerance within the term cap."""
 
 
 class NoExit(LabError):

@@ -1,18 +1,30 @@
-"""Generator, Dirichlet form, heat kernels via uniformization, and caloric solves.
+"""Generator, Dirichlet form, heat kernels by certified series, and caloric solves.
 
-All rates are uniformly bounded, so exp(tQ) is evaluated as a Poisson mixture
-of powers of the substochastic jump matrix P = I + Q/Lam with a certified
-truncation error.
+All rates are uniformly bounded, so P = I + Q/Lam is substochastic and
+exp(tQ) is evaluated as a series in P with a certified truncation error.  Two
+series, split by the same `V.ndim` rule as `GeneratorView.apply`:
+
+- A matrix (all-pairs heat kernels, the Harnack step operators) and every
+  `integrated_action` take the Poisson mixture (uniformization)
+  sum_k pmf_k P^k V, about Lam t + 12 sqrt(Lam t) terms.  Its terms are
+  nonnegative on nonnegative data, so the sum keeps the per-entry relative
+  accuracy the Harnack scans need.
+- A single vector (heat-kernel rows, `check_hkp`, `first_jump_density`)
+  takes the Chebyshev series exp(tQ) v = sum_k c_k T_k(P) v with c_0 =
+  ive(0, Lam t) and c_k = 2 ive(k, Lam t), about sqrt(2 Lam t ln(1/tol))
+  terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984)).  Its terms cancel,
+  so its error is relative to max|v|, but so is that of the FFT product a
+  vector goes through.  J is symmetric, so P is self-adjoint in l2(mu); by
+  Gershgorin its spectrum lies in [-1, 1], so ||T_k(P)||_mu <= 1 and the
+  max-norm error is at most sum_{k>K} c_k * sqrt(mu(W)/min mu) * max|v|.
 
 Which products are matrix-free: `GeneratorView.apply` on a single vector
 applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
 on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
 `apply_generator` and `dirichlet_form` never build an n x n matrix.  What
-stays dense: actions on a matrix (all-pairs heat kernels, the Harnack step
-operators, which integrate every source channel, the remainder included, as
-one matrix) use the BLAS-3 product with the dense P, because the Harnack scans
-need per-entry relative accuracy, which an FFT product (accurate relative to
-the largest entry) does not give, and at their window sizes GEMM is faster;
+stays dense: actions on a matrix use the BLAS-3 product with the dense P, as
+the FFT product (accurate relative to the largest entry) would lose the
+per-entry accuracy above, and at their window sizes GEMM is faster;
 `solve_generator` (exit times, harmonic extensions) needs the dense Q.  Both
 are built on first read.
 """
@@ -23,7 +35,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
+from scipy.special import gammaln, ive, pdtrc, xlogy
 
 from .errors import (
     InvalidData,
@@ -99,17 +111,21 @@ def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# uniformization primitives
+# series primitives
 # ---------------------------------------------------------------------------
+
+def _within_cap(k: int) -> int:
+    """k, or TruncationBudgetExceeded before a series of k terms is built."""
+    if k > TERM_CAP:
+        raise TruncationBudgetExceeded(f"needed more than {TERM_CAP} series terms")
+    return k
+
 
 def _poisson_cutoff(lt: float, tol: float) -> tuple[int, float]:
     """(K, sf(K, lt)) for the first K of the doubling ladder with sf <= tol."""
-    k = int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0)
+    k = _within_cap(int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0))
     while pdtrc(k, lt) > tol:
-        k *= 2
-        if k > TERM_CAP:
-            raise TruncationBudgetExceeded(
-                f"needed more than {TERM_CAP} uniformization terms")
+        k = _within_cap(2 * k)
     return k, float(pdtrc(k, lt))
 
 
@@ -119,6 +135,27 @@ def _poisson_weights(lt: float, tol: float):
     k, tail = _poisson_cutoff(lt, tol)
     ks = np.arange(k + 1)
     return np.exp(xlogy(ks, lt) - gammaln(ks + 1) - lt), tail
+
+
+def _chebyshev_weights(lt: float, tol: float):
+    """(c_0..c_K, 2 sum_{k>K} ive(k, lt)) for the least K >= 1 whose tail
+    bound is <= tol, where exp(lt (P - I)) = sum_k c_k T_k(P).
+
+    The tail is bounded by Amos (Math. Comp. 28 (1974)): I_{k+1}(x)/I_k(x) <
+    r_k = x / (k + 1/2 + sqrt((k + 1/2)^2 + x^2)), decreasing in k, so
+    sum_{k>K} ive(k, x) < ive(K+1, x) / (1 - r_{K+1}).
+    """
+    k = _within_cap(int(np.sqrt(2.0 * lt * max(np.log(1.0 / tol), 1.0))) + 30)
+    while True:
+        w = ive(np.arange(k + 2), lt)
+        # tails[K] bounds 2 sum_{k>K} ive(k, lt) by the ratio r_{K+1}
+        half = np.arange(1, k + 2) + 0.5
+        tails = 2.0 * w[1:] / (1.0 - lt / (half + np.hypot(half, lt)))
+        fits = np.flatnonzero(tails[1:] <= tol)
+        if fits.size:
+            K = int(fits[0]) + 1
+            return np.concatenate([w[:1], 2.0 * w[1:K + 1]]), float(tails[K])
+        k = _within_cap(2 * k)
 
 
 def _input_scale(V: np.ndarray, t: float) -> float:
@@ -136,15 +173,34 @@ def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
     return acc
 
 
+def _chebyshev_series(gen: GeneratorView, v: np.ndarray, coef) -> np.ndarray:
+    """sum_k coef[k] T_k(P) v by T_{k+1} = 2 P T_k - T_{k-1}; len(coef) >= 2."""
+    prev, work = v, gen.apply(v)
+    acc = coef[0] * v + coef[1] * work
+    for c in coef[2:]:
+        prev, work = work, 2.0 * gen.apply(work) - prev
+        acc += c * work
+    return acc
+
+
 def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
                 tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """(exp(tQ) V, certified max-norm error bound)."""
+    """(exp(tQ) V, certified max-norm error bound).
+
+    A vector takes the Chebyshev series, a matrix the Poisson mixture (see the
+    module docstring).
+    """
     V = np.asarray(V, dtype=float)
     scale = _input_scale(V, t)
     if scale == 0.0:
         return V.copy(), 0.0
-    pmf, tail = _poisson_weights(gen.lam * t, tol / max(scale, 1e-300))
-    return _series(gen, V, pmf), tail * scale
+    if V.ndim == 2:
+        pmf, tail = _poisson_weights(gen.lam * t, tol / max(scale, 1e-300))
+        return _series(gen, V, pmf), tail * scale
+    # max|T_k(P) v| <= ||T_k(P) v||_mu / sqrt(min mu) <= growth * max|v|
+    growth = float(np.sqrt(gen.fm.mu.sum() / gen.fm.mu.min()))
+    coef, tail = _chebyshev_weights(gen.lam * t, tol / max(scale * growth, 1e-300))
+    return _chebyshev_series(gen, V, coef), tail * growth * scale
 
 
 def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
@@ -176,6 +232,8 @@ class HeatKernelResult:
     fm: FiniteModel
     t: float
     values: np.ndarray        # (n,) or (n, n); p_t(x,y), all-pairs indexed [x, y]
+    # certified max-norm error of values: the Chebyshev tail for a single
+    # source, the Poisson tail for all pairs; reports carry it as eps_poisson
     eps_poisson: float
 
     def mass(self) -> np.ndarray:

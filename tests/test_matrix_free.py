@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.special import ive
 
 from jumplab import conditions as cond
 from jumplab.models import (
@@ -13,14 +15,17 @@ from jumplab.models import (
     LadderKernel,
     LatticeModel,
     MuAlternating,
+    MuTable,
     PolynomialKernel,
     SuppressedPairKernel,
+    TabulatedKernel,
     _pair_rates,
     _shell_poly_coeffs,
     shell_counts,
     truncate,
 )
 from jumplab.semigroup import (
+    _chebyshev_weights,
     _poisson_weights,
     apply_generator,
     dirichlet_form,
@@ -96,6 +101,84 @@ def test_vector_expm_action_matches_dense_loop(name, mode):
     got, _ = expm_action(generator(fm), v, 2.5)
     assert np.max(np.abs(got - _dense_P_loop(fm, v, 2.5))) \
         <= 1e-10 * np.abs(v).max()
+
+
+# an explicit graph with unequal rates and measure, so the sqrt(mu(W)/min mu)
+# factor of the Chebyshev certificate is not 1
+GRAPH = LatticeModel(
+    kind="explicit", vertices=("a", "b", "c", "d", "e"),
+    edges=(("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")),
+    kernel=TabulatedKernel(entries=((("a", "b"), 1.0), (("b", "c"), 0.3),
+                                    (("c", "d"), 2.0), (("a", "e"), 0.05),
+                                    (("b", "d"), 0.7))),
+    mu_rule=MuTable((("a", 1.0), ("b", 4.0), ("c", 0.5), ("d", 2.0),
+                     ("e", 0.25))))
+ORACLE_WINDOWS = [(name, mode) for name in sorted(CASES) for mode in MODES] \
+    + [("graph", KILLED), ("graph", REFLECTED)]
+
+
+def _oracle_window(name, mode):
+    if name == "graph":
+        return truncate(GRAPH, "a", 2 if mode == KILLED else 4, mode)
+    return _window(name, mode)
+
+
+@pytest.mark.parametrize("lt", [1e-3, 1.0, 50.0, 800.0])
+@pytest.mark.parametrize("name, mode", ORACLE_WINDOWS)
+def test_vector_expm_action_certificate_holds(name, mode, lt):
+    """The Chebyshev series against scipy's dense exponential: the error is
+    within the returned bound (plus rounding), and the vector agrees with the
+    Poisson mixture of the matrix path within the sum of the two bounds."""
+    fm = _oracle_window(name, mode)
+    gen = generator(fm)
+    t = lt / gen.lam
+    v = np.random.default_rng(11).standard_normal(fm.n)
+    rounding = 1e-14 * np.abs(v).max()
+    got, eps = expm_action(gen, v, t)
+    assert 0.0 < eps <= 1e-12
+    assert np.max(np.abs(got - expm(t * gen.Q) @ v)) <= eps + rounding
+    as_matrix, eps_matrix = expm_action(gen, v[:, None], t)
+    assert np.max(np.abs(got - as_matrix[:, 0])) <= eps + eps_matrix + rounding
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+@pytest.mark.parametrize("lt", [1e-3, 1.0, 50.0, 842.0, 1e4, 3.3e7])
+def test_chebyshev_tail_bounds_the_direct_sum(lt, tol):
+    coef, tail = _chebyshev_weights(lt, tol)
+    K = len(coef) - 1
+    assert coef[0] == ive(0, lt)
+    assert np.array_equal(coef[1:], 2.0 * ive(np.arange(1, K + 1), lt))
+    direct, k = 0.0, K + 1
+    while True:  # sum 2 ive(k, lt) over k > K until it underflows
+        w = 2.0 * ive(np.arange(k, k + 4096), lt)
+        direct += w.sum()
+        if w[-1] == 0.0:
+            break
+        k += 4096
+    assert direct <= tail <= tol
+
+
+def test_heat_row_chebyshev_matvec_count():
+    """The heat row of `lab heat --r-win 2048 --t 256 --mode reflected`
+    (Lam t = 842) takes at most 260 products with P; the Poisson mixture
+    took 1,220."""
+    fm = truncate(LatticeModel(d=1, kernel=PolynomialKernel(1.0)), (0,), 2048,
+                  REFLECTED)
+    gen = generator(fm)
+    assert gen.lam * 256.0 == pytest.approx(842.0, abs=0.5)
+    calls = []
+    apply = gen.apply
+
+    def counted(V):
+        calls.append(V.shape)
+        return apply(V)
+
+    gen.apply = counted
+    e = np.zeros(fm.n)
+    e[fm.index[(0,)]] = 1.0 / fm.mu[fm.index[(0,)]]
+    _, eps = expm_action(gen, e, 256.0)
+    assert 0 < len(calls) <= 260 and eps <= 1e-12
+    assert set(calls) == {(fm.n,)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import pdtrc
 
-from jumplab.errors import InvalidData, NoExit
+from jumplab.errors import InvalidData, NoExit, TruncationBudgetExceeded
 from jumplab.models import (
     EXTERIOR_TRACKED,
     KILLED,
@@ -18,6 +19,8 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import (
+    _chebyshev_weights,
+    _poisson_cutoff,
     _poisson_weights,
     apply_generator,
     caloric_solve,
@@ -272,3 +275,24 @@ def test_poisson_weights_equal_scipy_stats(lt):
     assert tail == float(stats.poisson.sf(ks[-1], lt))
     # integrated_action's weights
     assert np.array_equal(pdtrc(ks, lt), stats.poisson.sf(ks, lt))
+
+
+def test_term_cap_raises_before_allocating(z1):
+    """Both series check TERM_CAP on their first cutoff, before an array of
+    that many terms exists: Lam t = 3.3e7 needs about 3.3e7 Poisson terms, and
+    Lam t = 1e11 about 2.5e6 Chebyshev terms."""
+    fm = truncate(z1, (0,), 8, KILLED)
+    gen = generator(fm)
+    tracemalloc.start()
+    try:
+        for call in (lambda: _poisson_cutoff(3.3e7, 1e-12),
+                     lambda: _chebyshev_weights(1e11, 1e-12),
+                     lambda: expm_action(gen, np.eye(fm.n), 3.3e7 / gen.lam),
+                     lambda: integrated_action(gen, np.ones(fm.n), 3.3e7 / gen.lam),
+                     lambda: expm_action(gen, np.ones(fm.n), 1e11 / gen.lam)):
+            with pytest.raises(TruncationBudgetExceeded):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
