@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import NumericalFailure, WindowUnconverged
-from .models import KILLED, REFLECTED, LatticeModel, truncate
+from .models import KILLED, REFLECTED, LatticeModel, _pair_rates, truncate
 from .semigroup import (
     dirichlet_form,
     expected_exit_time,
@@ -399,11 +399,12 @@ def _tent_forms(model: LatticeModel, x0, R):
 def weighted_poincare_sides(model: LatticeModel, x0, R, alpha: float, f):
     """(variance side, form side) of the weighted Poincare inequality for f.
 
-    f lives on the support of phi_R (vertices of B(x0,R) with phi > 0).
+    f lives on the support of phi_R (vertices of B(x0,R) with phi > 0); its
+    mean fbar is weighted by phi mu, normalised by sum phi mu.
     """
     phi, W, mu = _tent_forms(model, x0, R)
     f = np.asarray(f, float)
-    fbar = float((f * phi * mu).sum())
+    fbar = float((f * phi * mu).sum() / (phi * mu).sum())
     var = float(((f - fbar) ** 2 * mu).sum())
     diff = f[:, None] - f[None, :]
     form = float((diff ** 2 * W).sum())
@@ -425,8 +426,9 @@ def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
             phi, Wm, mu = _tent_forms(model, x0, R)
             Lw = np.diag(Wm.sum(axis=1)) - Wm
             n = len(phi)
-            w = phi * mu
-            # Var(f) = f^T V f with V = M - m w^T - w m^T + (1^T m) w w^T
+            w = phi * mu / (phi * mu).sum()
+            # Var(f) = f^T V f with V = M - m w^T - w m^T + (1^T m) w w^T,
+            # fbar = w^T f
             M = np.diag(mu)
             V = M - np.outer(mu, w) - np.outer(w, mu) + mu.sum() * np.outer(w, w)
             # deflate the constant direction
@@ -544,7 +546,8 @@ def check_jump_bounds(model: LatticeModel, alpha: float, pairs) -> ConditionRepo
 
 def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
     """UJS/LJS/JS constants.  The ball average sums J(x',y) over x' in B(x,r)
-    (the summation variable of the display, as used downstream)."""
+    (the summation variable of the display, as used downstream); it and the
+    JS ratios read one `_pair_rates` column per ball."""
     pairs = list(pairs)
     radii = list(radii)
     if not pairs:
@@ -555,8 +558,9 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
         for r in radii:
             if r < 1 or r > dxy / 2:
                 continue
-            ball = model.ball(x, r)
-            avg = sum(model.J(xp, y) for xp in ball)
+            # a left-to-right sum in ball order keeps the reported ratios
+            # bitwise equal to the pointwise sum; numpy's pairwise sum does not
+            avg = sum(_pair_rates(model, model.ball(x, r), [y])[:, 0].tolist())
             if avg <= 0:
                 continue
             val = model.J(x, y) * model.volume(x, r) / (model.mu(x) * avg)
@@ -583,9 +587,10 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
         j0 = model.J(x0, y)
         if j0 <= 0 or dxy < 2:
             continue
-        for x1 in model.ball(x0, dxy / 2):
-            smooth.append({"x0": x0, "x1": x1, "y": y,
-                           "ratio": model.J(x1, y) / j0})
+        ball = model.ball(x0, dxy / 2)
+        col = _pair_rates(model, ball, [y])[:, 0]
+        for x1, j1 in zip(ball, col.tolist()):
+            smooth.append({"x0": x0, "x1": x1, "y": y, "ratio": j1 / j0})
     c_js, w_js = _fit(smooth, "ratio", ("x0", "x1", "y"))
     # reference composition of the fitted smoothness constants with a doubling
     # factor; a coarse grid can make this smaller than c_JS, so it is reported
@@ -605,17 +610,16 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
 def check_boundary_flux(model: LatticeModel, radii, centers=None,
                         alpha: float = 1.0) -> ConditionReport:
     """c = max over balls of R^alpha sum_{y in B'} J(y, G-B) / mu(B'),
-    B' = B(x0, R/2)."""
+    B' = B(x0, R/2).  J(y, G-B) is the killed window's mu_y kill_y."""
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
     rows = []
     for x0 in centers:
         for R in radii:
-            half = model.ball(x0, R / 2)
-            flux = sum(model.row_sum_outside(y, x0, R)[0]
-                       for y in half)
-            mb = model.volume(x0, R / 2)
-            val = float(R) ** alpha * flux / mb
+            fm = truncate(model, x0, R, KILLED)
+            half = fm.ball_slots(x0, R / 2)
+            flux = float((fm.kill * fm.mu)[half].sum())
+            val = float(R) ** alpha * flux / float(fm.mu[half].sum())
             rows.append({"center": x0, "R": R, "flux": flux, "c": val})
     c, wit = _fit(rows, "c", ("center", "R"))
     return ConditionReport(
@@ -624,23 +628,3 @@ def check_boundary_flux(model: LatticeModel, radii, centers=None,
         constants={"c": c},
         witnesses={"c": wit},
         metadata={"rows": rows})
-
-
-# ---------------------------------------------------------------------------
-# moment sums
-# ---------------------------------------------------------------------------
-
-def moment_sums(model: LatticeModel, x, r) -> tuple[float, float]:
-    """M1(x,r) = sum_{B(x,r)} d(x,y)^2 J(x,y) (exact);
-    M2(x,r) = J(x, B(x,r)^c) (tail-certified)."""
-    m1 = sum(model.distance(x, y) ** 2 * model.J(x, y) for y in model.ball(x, r))
-    m2, _ = model.row_sum_outside(x, x, r)
-    return float(m1), float(m2)
-
-
-def annulus_mass(model: LatticeModel, x, r, delta: float, lam: float) -> float:
-    """M2(x, delta*r) - M2(x, lam*r) = J(x, B(x, lam r) - B(x, delta r)), exact."""
-    lo = math.floor(delta * r)
-    hi = math.floor(lam * r)
-    return float(sum(model.J(x, y) for y in model.ball(x, hi)
-                     if model.distance(x, y) > lo))

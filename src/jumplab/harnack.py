@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WindowUnconverged
-from .models import EXTERIOR_TRACKED, FiniteModel, KILLED, LatticeModel, truncate
+from .models import (
+    EXTERIOR_TRACKED,
+    FiniteModel,
+    KILLED,
+    LatticeModel,
+    _pair_rates,
+    truncate,
+)
 from .semigroup import (
     CaloricField,
     expm_action,
@@ -325,7 +332,7 @@ def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
         raise ValueError("y0 must lie outside the ball")
     fm = truncate(model, x0, R, KILLED)
     gen = generator(fm)
-    kappa = np.array([model.J(z, y0) for z in fm.window]) / fm.mu
+    kappa = _pair_rates(model, fm.window, [y0])[:, 0] / fm.mu
     acc, e_int = integrated_action(gen, kappa, h, tol)
     acc, e_exp = expm_action(gen, acc, T / 2 - h, tol)
     vals, err = acc / h, (e_int + e_exp) / h

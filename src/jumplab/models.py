@@ -476,12 +476,6 @@ class LatticeModel:
             value -= p[2]
         return value, bound
 
-    def row_sum_outside(self, x, x0, r) -> tuple[float, float]:
-        """(J(x, G - B(x0, r)), certified remainder bound)."""
-        total, rem = self.row_sum_all(x)
-        inside = sum(self.J(x, y) for y in self.ball(x0, r) if y != x)
-        return total - inside, rem
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self):

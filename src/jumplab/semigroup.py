@@ -200,7 +200,11 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     # max|T_k(P) v| <= ||T_k(P) v||_mu / sqrt(min mu) <= growth * max|v|
     growth = float(np.sqrt(gen.fm.mu.sum() / gen.fm.mu.min()))
     coef, tail = _chebyshev_weights(gen.lam * t, tol / max(scale * growth, 1e-300))
-    return _chebyshev_series(gen, V, coef), tail * growth * scale
+    out = _chebyshev_series(gen, V, coef)
+    if V.min() >= 0:
+        # exp(tQ) has no negative entry, and clipping only shrinks the error
+        out = np.maximum(out, 0.0)
+    return out, tail * growth * scale
 
 
 def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,

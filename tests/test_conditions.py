@@ -14,6 +14,7 @@ from jumplab.models import (
     KILLED,
     LadderKernel,
     LatticeModel,
+    MuAlternating,
     MuConstant,
     PolynomialKernel,
     SuppressedPairKernel,
@@ -104,15 +105,6 @@ def test_ujs_ljs_js_empty_pairs(z1):
         cond.check_ujs_ljs_js(z1, [], radii=[1])
 
 
-def test_moment_sums(z1):
-    m1, m2 = cond.moment_sums(z1, (0,), 2)
-    assert m1 == pytest.approx(4.0, abs=1e-12)  # 2*(1 + 4/4)
-    brute_tail = sum(2.0 * s ** -2 for s in range(3, 100000))
-    assert m2 == pytest.approx(brute_tail, rel=1e-4)
-    am = cond.annulus_mass(z1, (0,), 4, 1.0, 3.0)
-    assert am == pytest.approx(sum(2.0 * s ** -2 for s in range(5, 13)), abs=1e-14)
-
-
 def test_boundary_flux(z1):
     rep = cond.check_boundary_flux(z1, radii=[4], alpha=1.0)
     brute = sum(sum(z1.J((y,), (z,)) for z in range(-3000, 3001)
@@ -122,6 +114,18 @@ def test_boundary_flux(z1):
     # so it must exceed the brute value by at most the truncated mass
     tail_cap = 4.0 / 5.0 * 5 * 2.0 / 2995
     assert want <= rep.constants["c"] <= want + tail_cap
+
+
+def test_boundary_flux_z2(z2):
+    """On Z^2, J(y, G - B) is the certified row sum minus a brute-force sum
+    over the 81 vertices of B(0, 4); the flux sums it over B(0, 2)."""
+    rep = cond.check_boundary_flux(z2, radii=[4], alpha=1.0)
+    ball = z2.ball((0, 0), 4)
+    half = z2.ball((0, 0), 2)
+    flux = sum(z2.row_sum_all(y)[0] - sum(z2.J(y, z) for z in ball)
+               for y in half)
+    assert rep.metadata["rows"][0]["flux"] == pytest.approx(flux, rel=1e-12)
+    assert rep.constants["c"] == pytest.approx(4.0 * flux / len(half), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +233,28 @@ def test_weighted_poincare_eigvector_attained(z1):
             best, f0 = val, cand
     assert best <= cw + 1e-10
     assert best >= 0.5 * cw
+
+
+@pytest.mark.parametrize("mu", [MuConstant(2.0), MuAlternating(1.0, 2.0)])
+def test_weighted_poincare_constant_has_no_variance(mu):
+    """The mean is weighted by phi mu and normalised by its sum, so a
+    constant f has zero variance whatever mu is."""
+    m = LatticeModel(d=1, kernel=PolynomialKernel(1.0), mu_rule=mu)
+    f = np.ones(7)  # support of the tent in B(0,4)
+    assert cond.weighted_poincare_sides(m, (0,), 4, 1.0, f) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mu, doubled", [
+    (MuConstant(1.0), MuConstant(2.0)),
+    (MuAlternating(1.0, 2.0), MuAlternating(2.0, 4.0)),
+])
+def test_weighted_poincare_doubles_with_mu(mu, doubled):
+    """Doubling mu doubles the variance side and leaves the form side, so it
+    doubles C_weighted (R = 5: the extremal f has a nonzero phi mu mean)."""
+    c = [cond.check_weighted_poincare(
+             LatticeModel(d=1, kernel=PolynomialKernel(1.0), mu_rule=rule),
+             1.0, radii=[5]).constants["C_weighted"] for rule in (mu, doubled)]
+    assert c[1] == pytest.approx(2.0 * c[0], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -301,11 +301,25 @@ def test_kernel_law_bitwise_equals_explicit_formulas(d, metric, kernel):
 
 
 def test_row_sum_region_splits():
-    m = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
-    total, _ = m.row_sum_all((0,))
-    inside = sum(m.J((0,), (k,)) for k in range(-6, 7))
-    out, _ = m.row_sum_outside((0,), (0,), 6)
-    assert abs(out - (total - inside)) < 1e-12
+    """mu_x kill_x on a killed window is J(x, G - W): the certified row sum
+    minus a brute-force sum of J(x, z) over the window W, on Z^1 and Z^2,
+    linf and l1, alternating mu and a suppressed pair inside the window."""
+    cases = [
+        (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), (0,), 6),
+        (LatticeModel(d=1, metric="l1", kernel=PolynomialKernel(0.5)), (3,), 5),
+        (LatticeModel(d=1, kernel=PolynomialKernel(1.0),
+                      mu_rule=MuAlternating(1.0, 2.0)), (0,), 6),
+        (LatticeModel(d=2, kernel=PolynomialKernel(1.0)), (0, 0), 4),
+        (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(0.8),
+                      mu_rule=MuAlternating(1.0, 3.0)), (1, -2), 4),
+        (LatticeModel(d=2, kernel=SuppressedPairKernel(
+            base=PolynomialKernel(0.8), x0=(0, 0), y0=(3, 1))), (0, 0), 4),
+    ]
+    for model, x0, r in cases:
+        fm = truncate(model, x0, r, KILLED)
+        for i, x in enumerate(fm.window):
+            want = model.row_sum_all(x)[0] - sum(model.J(x, z) for z in fm.window)
+            assert fm.kill[i] * fm.mu[i] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @settings(max_examples=30)

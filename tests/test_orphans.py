@@ -12,7 +12,7 @@ ORPHANS = {
     "caloric_box_ratio", "harmonic_partition_residual", "first_jump_density",
     # conditions
     "check_ndlb", "check_sb", "poincare_rayleigh", "weighted_poincare_sides",
-    "check_weighted_poincare", "check_nash", "moment_sums", "annulus_mass",
+    "check_weighted_poincare", "check_nash",
     # montecarlo
     "sample_exit_time", "sample_occupation",
     # models

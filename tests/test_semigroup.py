@@ -74,6 +74,17 @@ def test_single_source_matches_all_pairs(z1):
     assert np.max(np.abs(row.values - all_pairs.values[fm.index[(2,)]])) < 1e-13
 
 
+def test_vector_action_clipped_at_zero(z1):
+    """At t = 100 the killed row has decayed to rounding level, where the
+    Chebyshev terms cancel; exp(tQ) has no negative entry, so the row is
+    clipped at zero and stays inside its certified bound."""
+    fm = truncate(z1, (0,), 8, KILLED)
+    hk = heat_kernel(fm, (0,), 100.0)
+    assert hk.values.min() >= 0.0
+    want = dense_oracle(fm, 100.0)[fm.index[(0,)]]
+    assert np.max(np.abs(hk.values - want)) <= hk.eps_poisson
+
+
 def test_wide_split_long_time(z1):
     # an all-pairs action at lam * t > 64 against the dense oracle
     fm = truncate(z1, (0,), 20, REFLECTED)
