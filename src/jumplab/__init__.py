@@ -32,7 +32,6 @@ from .semigroup import (
     expected_exit_time,
     harmonic_extension,
     heat_kernel,
-    killed_heat_kernel,
 )
 from .harnack import HarnackBox, ehi_constant, first_jump_density, phi_constant
 from .montecarlo import TrajectorySampler, hit_before_exit, sample_exit_time, sample_position_sup

@@ -22,10 +22,13 @@ from .semigroup import (
     expected_exit_time,
     expm_action,
     generator,
-    killed_heat_kernel,
+    heat_kernel,
 )
 
 EIG_TOL = 1e-10
+# Relative move of a probed heat-kernel value, on doubling the window, above
+# which `check_hkp` raises WindowUnconverged.
+DOUBLING_MARGIN = 0.01
 
 
 @dataclass
@@ -41,15 +44,6 @@ class ConditionReport:
 
     def to_dict(self):
         return asdict(self)
-
-
-def dyadic_radii(lo: int = 4, hi: int = 64) -> list[int]:
-    out = []
-    r = lo
-    while r <= hi:
-        out.append(r)
-        r *= 2
-    return out
 
 
 def _fit(rows, col, at, lower: bool = False):
@@ -74,41 +68,37 @@ def _fit(rows, col, at, lower: bool = False):
 # volume doubling
 # ---------------------------------------------------------------------------
 
-def check_vd(model: LatticeModel, radii=None, centers=None) -> ConditionReport:
-    """Fits C_V = max V(x,2r)/V(x,r) and the (vd3) ratio floor; fits the V(d) exponent."""
-    radii = list(radii) if radii else dyadic_radii()
+def check_vd(model: LatticeModel, radii=None) -> ConditionReport:
+    """Fits C_V = max V(x,2r)/V(x,r) and the (vd3) ratio floor at the origin;
+    fits the V(d) exponent.  radii default to 4, 8, 16, 32, 64."""
+    radii = [4, 8, 16, 32, 64] if radii is None else list(radii)
     if not radii:
         raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("VD sweep needs radii >= 1")
-    centers = list(centers) if centers else [model.origin]
+    x = model.origin
     rows = []
-    for x in centers:
-        for r in radii:
-            v1 = model.volume(x, r)
-            v2 = model.volume(x, 2 * r)
-            ratio = v2 / v1
-            rows.append({"center": x, "r": r, "V_r": v1, "V_2r": v2, "ratio": ratio})
+    for r in radii:
+        v1 = model.volume(x, r)
+        v2 = model.volume(x, 2 * r)
+        ratio = v2 / v1
+        rows.append({"center": x, "r": r, "V_r": v1, "V_2r": v2, "ratio": ratio})
     c_v, wit_max = _fit(rows, "ratio", ("center", "r"))
     min_ratio, wit_min = _fit(rows, "ratio", ("center", "r"), lower=True)
-    logs_r = np.log(np.array(sorted(set(radii)), dtype=float))
-    slopes = []
-    for x in centers:
-        if len(logs_r) < 2:
-            slopes.append(math.nan)
-            continue
-        logs_v = np.log(np.array([model.volume(x, r)
-                                  for r in sorted(set(radii))]))
-        slopes.append(float(np.polyfit(logs_r, logs_v, 1)[0]))
+    v_r = {row["r"]: row["V_r"] for row in rows}
+    rs = sorted(v_r)
+    slope = (float(np.polyfit(np.log(np.array(rs, dtype=float)),
+                              np.log(np.array([v_r[r] for r in rs])), 1)[0])
+             if len(rs) >= 2 else math.nan)
     floor = 1.0 + c_v ** (-4.0)
     return ConditionReport(
         condition="VD", alpha=None,
-        grid={"radii": radii, "centers": centers},
+        grid={"radii": radii, "centers": [x]},
         constants={"C_V": c_v, "min_ratio": min_ratio,
-                   "vd3_floor": floor, "volume_exponent": max(slopes)},
+                   "vd3_floor": floor, "volume_exponent": slope},
         witnesses={"C_V": wit_max, "min_ratio": wit_min},
         passed=min_ratio >= floor,
-        metadata={"rows": rows, "volume_exponents": slopes})
+        metadata={"rows": rows, "volume_exponents": [slope]})
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +114,11 @@ def _hkp_bound(model, x, y, t, alpha):
     return min(on_diag, off_diag)
 
 
-def _kernel_rows_at_times(model, center, r_win, sources, times):
-    """p_t(x, .) on the killed window for each source and time (times sorted),
-    and the sum of the certified max-norm errors of all steps, which bounds
-    the error of every row."""
-    fm = truncate(model, center, r_win, KILLED)
+def _kernel_rows_at_times(model, r_win, sources, times):
+    """p_t(x, .) on the killed window about the origin for each source and
+    time (times sorted), and the sum of the certified max-norm errors of all
+    steps, which bounds the error of every row."""
+    fm = truncate(model, model.origin, r_win, KILLED)
     gen = generator(fm)
     out = {}
     eps = 0.0
@@ -146,18 +136,16 @@ def _kernel_rows_at_times(model, center, r_win, sources, times):
 
 
 def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
-              r_win: int | None = None, doubling_margin: float = 0.01,
-              center=None) -> ConditionReport:
+              r_win: int | None = None) -> ConditionReport:
     """Fits C1/C2 for LHKP/UHKP over a (x,y,t) grid; also reports UHD at x=y.
 
-    Full-graph kernels are approximated by killed kernels on a window; the
-    window is doubled once and any probed value moving by more than
-    `doubling_margin` (relative) raises WindowUnconverged.
+    Full-graph kernels are approximated by killed kernels on a window about
+    the origin; the window is doubled once and any probed value moving by
+    more than DOUBLING_MARGIN (relative) raises WindowUnconverged.
     `metadata["eps_poisson"]` is the summed certified Chebyshev-series error of
     the kernel rows on both windows, a max-norm bound on each probed value.
     """
     pairs = list(pairs)
-    center = center if center is not None else model.origin
     dists = [model.distance(x, y) for x, y in pairs]
     max_d = max(dists) if dists else 1
     if r_win is None:
@@ -171,15 +159,14 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     else:
         times = sorted(set(times))
     sources = sorted(set(x for x, _ in pairs))
-    fm1, rows1, eps1 = _kernel_rows_at_times(model, center, r_win, sources, times)
-    fm2, rows2, eps2 = _kernel_rows_at_times(model, center, 2 * r_win, sources,
-                                             times)
+    fm1, rows1, eps1 = _kernel_rows_at_times(model, r_win, sources, times)
+    fm2, rows2, eps2 = _kernel_rows_at_times(model, 2 * r_win, sources, times)
     probe_rows = []
     for x, y in pairs:
         for t in times:
             p_small = rows1[(x, t)][fm1.index[y]]
             p = rows2[(x, t)][fm2.index[y]]
-            if p > 0 and abs(p - p_small) > doubling_margin * p:
+            if p > 0 and abs(p - p_small) > DOUBLING_MARGIN * p:
                 raise WindowUnconverged(
                     f"p_t({x},{y}) at t={t} moved {abs(p - p_small) / p:.2%} "
                     f"when doubling the window from {r_win}")
@@ -222,7 +209,7 @@ def _band_sweep(model, alpha, radii, centers, band, n_times, condition,
             vol = model.volume(x, r)
             ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
             for t in ts:
-                hk = killed_heat_kernel(fm, None, float(t))
+                hk = heat_kernel(fm, None, float(t))
                 sub = hk.values[np.ix_(idx, idx)]
                 k = int(sub.argmin() if lower else sub.argmax())
                 i, j = np.unravel_index(k, sub.shape)
@@ -268,6 +255,8 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
     """
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
+    if not radii:
+        raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("exit-time sweep needs radii >= 1")
     rows = []
@@ -343,6 +332,8 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     """
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
+    if not radii:
+        raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("PI sweep needs radii >= 1")
     rows = []
@@ -512,15 +503,10 @@ def check_nash(model: LatticeModel, alpha: float, d: int,
 # jump kernel bounds and smoothness
 # ---------------------------------------------------------------------------
 
-def default_pair_grid(model: LatticeModel, distances=(1, 2, 4, 8, 16),
-                      centers=None) -> list:
-    centers = list(centers) if centers else [model.origin]
-    pairs = []
-    for x in centers:
-        for s in distances:
-            y = tuple(c + (s if i == 0 else 0) for i, c in enumerate(x))
-            pairs.append((x, y))
-    return pairs
+def default_pair_grid(model: LatticeModel, distances=(1, 2, 4, 8, 16)) -> list:
+    x = model.origin
+    return [(x, tuple(c + (s if i == 0 else 0) for i, c in enumerate(x)))
+            for s in distances]
 
 
 def check_jump_bounds(model: LatticeModel, alpha: float, pairs) -> ConditionReport:

@@ -43,6 +43,9 @@ from .semigroup import (
 FLOOR = 1e-30
 # Relative gap below which two values tie when a witness is picked.
 EPS = 1e-12
+# Radius of the tracked exterior annulus, in units of the window radius; the
+# doubling check recomputes every constant at twice it.
+LAM_EXT = 4.0
 
 
 @dataclass(frozen=True)
@@ -131,7 +134,7 @@ def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
     return _Family(hi, lo, W, E)
 
 
-def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
+def _scan_generators(fm: FiniteModel, box: HarnackBox):
     """Stream all cone generators through the box, reducing each age once.
 
     A source generator launched at step si has value E^(j-si-1) S[:, c] at
@@ -142,7 +145,7 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, tol: float):
     for W = E diag(1/mu) and S; `_collect` folds them per launch step.
     """
     m, half = box.m_steps, fm.ball_slots(box.x0, box.R / 2)
-    ops = step_operators(fm, box.T / m, tol)
+    ops = step_operators(fm, box.T / m)
     init = _age_reductions(ops.E @ np.diag(1.0 / fm.mu), ops.E, half, m)
     src = _age_reductions(ops.S, ops.E, half, m)
     return init, src, half, ops
@@ -221,33 +224,30 @@ def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
     return c2
 
 
-def _phi_once(model: LatticeModel, box: HarnackBox, lam_ext: float, tol: float):
+def _phi_once(model: LatticeModel, box: HarnackBox, lam_ext: float):
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
-    init, src, half, ops = _scan_generators(fm, box, tol)
+    init, src, half, ops = _scan_generators(fm, box)
     best, wit = _collect(fm, box, init, src, half)
     return fm, max(best, 1.0), wit, ops.err
 
 
-def phi_constant(model: LatticeModel, box: HarnackBox, lam_ext: float = 4.0,
-                 tol: float = 1e-12, check_doubling: bool = True) -> HarnackReport:
+def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
     """Exact box constant of the nonnegative caloric cone on the time grid:
     C_P = max over generators of sup_{Q-} g / inf_{Q+} g.
 
     Exterior data beyond the tracked annulus enters through one aggregate
-    remainder channel; `check_doubling` recomputes with twice the annulus and
-    raises WindowUnconverged if the constant moves by more than 5%.
+    remainder channel; the constant is recomputed with twice the annulus, and
+    WindowUnconverged is raised if it moves by more than 5%.
     """
-    fm, c_p, wit, err = _phi_once(model, box, lam_ext, tol)
-    doubled = None
-    if check_doubling:
-        doubled = _doubled("C_P", c_p, _phi_once(model, box, 2 * lam_ext, tol)[1],
-                           lam_ext)
+    fm, c_p, wit, err = _phi_once(model, box, LAM_EXT)
+    doubled = _doubled("C_P", c_p, _phi_once(model, box, 2 * LAM_EXT)[1],
+                       LAM_EXT)
     return HarnackReport(
         box=box.to_dict(), constant=c_p, witness=wit,
         family_sizes={"initial": fm.n,
                       "source": box.m_steps * len(fm.channels)},
-        metadata={"window_radius": 2 * box.R, "lam_ext": lam_ext,
-                  "exterior_radius": lam_ext * 2 * box.R,
+        metadata={"window_radius": 2 * box.R, "lam_ext": LAM_EXT,
+                  "exterior_radius": LAM_EXT * 2 * box.R,
                   "n_exterior": len(fm.exterior), "m_steps": box.m_steps,
                   "floor": FLOOR, "step_error": err,
                   "doubled_constant": doubled})
@@ -283,29 +283,26 @@ def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
     return fm, max(best, 1.0), wit, sub
 
 
-def ehi_constant(model: LatticeModel, x0, R, lam_ext: float = 4.0,
-                 check_doubling: bool = True) -> HarnackReport:
+def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
     """C_EHI = max over exterior-delta harmonic generators h_w of
-    max_{B(x0,R)} h_w / min_{B(x0,R)} h_w, on the window B(x0,2R)."""
-    fm, c, wit, _ = _ehi_once(model, x0, R, lam_ext)
-    doubled = None
-    if check_doubling:
-        doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * lam_ext)[1],
-                           lam_ext)
+    max_{B(x0,R)} h_w / min_{B(x0,R)} h_w, on the window B(x0,2R), checked
+    against twice the annulus as `phi_constant` is."""
+    fm, c, wit, _ = _ehi_once(model, x0, R, LAM_EXT)
+    doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * LAM_EXT)[1],
+                       LAM_EXT)
     return HarnackReport(
         box={"x0": list(x0), "R": R, "elliptic": True},
         constant=c, witness=wit,
         family_sizes={"exterior": len(fm.channels)},
-        metadata={"window_radius": 2 * R, "lam_ext": lam_ext,
+        metadata={"window_radius": 2 * R, "lam_ext": LAM_EXT,
                   "n_exterior": len(fm.exterior), "floor": FLOOR,
                   "doubled_constant": doubled})
 
 
-def harmonic_partition_residual(model: LatticeModel, x0, R,
-                                lam_ext: float = 4.0) -> float:
+def harmonic_partition_residual(model: LatticeModel, x0, R) -> float:
     """max_x |sum_w h_w(x) + h_rem(x) - 1| over B(x0,R): the harmonic
     generators of data == 1 must sum to the constant function."""
-    h = _ehi_once(model, x0, R, lam_ext)[3]
+    h = _ehi_once(model, x0, R, LAM_EXT)[3]
     return float(np.abs(h.sum(axis=1) - 1.0).max())
 
 
@@ -314,7 +311,7 @@ def harmonic_partition_residual(model: LatticeModel, x0, R,
 # ---------------------------------------------------------------------------
 
 def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
-                       x=None, tol: float = 1e-12):
+                       x=None):
     """(value, err): value is h^{-1} P^x(X_{tau_B} = y0, tau_B in (T/2-h, T/2))
     for B = B(x0,R), at x or (x None) on the whole window.
 
@@ -333,8 +330,8 @@ def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
     fm = truncate(model, x0, R, KILLED)
     gen = generator(fm)
     kappa = _pair_rates(model, fm.window, [y0])[:, 0] / fm.mu
-    acc, e_int = integrated_action(gen, kappa, h, tol)
-    acc, e_exp = expm_action(gen, acc, T / 2 - h, tol)
+    acc, e_int = integrated_action(gen, kappa, h)
+    acc, e_exp = expm_action(gen, acc, T / 2 - h)
     vals, err = acc / h, (e_int + e_exp) / h
     if x is None:
         return vals, err

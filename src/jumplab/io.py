@@ -80,8 +80,8 @@ class ExperimentConfig:
         """Build the `model` and overlay `params` on the experiment's
         defaults, each cast to its default's type.  A `model` replaces the
         `d` and `metric` params, and the cex experiments build their own.
-        An unknown experiment or param, a bad value or a malformed `model`
-        is a ConfigError."""
+        An unknown experiment or param, a bad value, an empty list or a
+        malformed `model` is a ConfigError."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"field 'experiment': unknown value "
                               f"{self.experiment!r}; expected one of {EXPERIMENTS}")
@@ -113,6 +113,8 @@ class ExperimentConfig:
                                  else type(default)(value))
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"param {key!r}: {e}") from e
+            if resolved[key] == []:
+                raise ConfigError(f"param {key!r}: empty list")
         self.params = resolved
 
     def resolved(self) -> dict:

@@ -337,6 +337,8 @@ class LatticeModel:
                 adj[u].append(v)
                 adj[v].append(u)
             object.__setattr__(self, "_adj", adj)
+        elif self.metric not in ("linf", "l1"):
+            raise ValueError(f"unknown lattice metric {self.metric!r}")
         k = self.kernel
         if isinstance(k, SuppressedPairKernel):
             if k.x0 == k.y0:

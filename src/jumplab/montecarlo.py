@@ -58,8 +58,6 @@ class TrajectorySampler:
             raise NotImplementedError("trajectory sampling needs a lattice model")
         if model.d > 2:
             raise NotImplementedError("shell direction sampling implemented for d <= 2")
-        if model.d == 2 and model.metric not in ("linf", "l1"):
-            raise NotImplementedError(model.metric)
         self.model = model
         self.seed = seed
         self.profile = radial_profile(model.d, model.metric, model.base_kernel)
@@ -259,21 +257,19 @@ def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
                    sampler.seed, {"x": list(x), "y": list(y), "x0": list(x0), "R": R})
 
 
-def sample_position_sup(r1: int, alpha: float, T: float, n: int, seed: int,
-                        lam: float | None = None,
-                        mu: float = 1.0) -> EstimateReport:
+def sample_position_sup(r1: int, alpha: float, T: float, n: int,
+                        seed: int) -> EstimateReport:
     """Running-sup statistics of the pure single-range component on Z.
 
-    The component jumps +-r1 at rate delta/mu each way with
-    delta = r1^{-1-alpha} log r1 per direction pair; Y_T = sup_{s<=T} |X_s|.
-    Estimates E Y_T^2 and P(Y_T >= lam) and compares them with the maximal
-    bounds E Y_T^2 <= 4 r1^2 delta T and
+    The component jumps +-r1 at rate delta each way (mu = 1) with
+    delta = r1^{-1-alpha} log r1; Y_T = sup_{s<=T} |X_s|.  Estimates E Y_T^2
+    and P(Y_T >= lam) at lam = r1 and compares them with the maximal bounds
+    E Y_T^2 <= 4 r1^2 delta T and
     P(Y_T >= lam) <= 4 T log r1 / (lam^2 r1^{alpha-1}).
     """
-    if lam is None:
-        lam = float(r1)
+    lam = float(r1)
     delta = float(r1) ** (-(1.0 + alpha)) * math.log(r1)
-    rate = 2.0 * delta / mu  # total jump rate (both directions)
+    rate = 2.0 * delta  # total jump rate (both directions)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.poisson(rate * T, n)
     y = np.zeros(n)

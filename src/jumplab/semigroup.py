@@ -21,7 +21,7 @@ series, split by the same `V.ndim` rule as `GeneratorView.apply`:
 Which products are matrix-free: `GeneratorView.apply` on a single vector
 applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
 on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
-`apply_generator` and `dirichlet_form` never build an n x n matrix.  What
+`GeneratorView.apply_Q` and `dirichlet_form` never build an n x n matrix.  What
 stays dense: actions on a matrix use the BLAS-3 product with the dense P, as
 the FFT product (accurate relative to the largest entry) would lose the
 per-entry accuracy above, and at their window sizes GEMM is faster;
@@ -46,6 +46,8 @@ from .errors import (
 from .models import EXTERIOR_TRACKED, REFLECTED, FiniteModel
 
 TERM_CAP = 1_000_000
+# Certified max-norm error each series is truncated to.
+TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +93,6 @@ def generator(fm: FiniteModel) -> GeneratorView:
     if lam == 0.0:
         lam = 1.0
     return GeneratorView(fm=fm, out_rate=out_rate, lam=lam)
-
-
-def apply_generator(fm: FiniteModel, f: np.ndarray) -> np.ndarray:
-    """(Lf)(x) = mu_x^{-1} sum_y (f(y)-f(x)) J(x,y) - kill_x f(x), on the window."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != fm.n:
-        raise ValueError("dimension mismatch")
-    return generator(fm).apply_Q(f)
 
 
 def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) -> float:
@@ -184,7 +178,7 @@ def _chebyshev_series(gen: GeneratorView, v: np.ndarray, coef) -> np.ndarray:
 
 
 def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
-                tol: float = 1e-12) -> tuple[np.ndarray, float]:
+                tol: float = TOL) -> tuple[np.ndarray, float]:
     """(exp(tQ) V, certified max-norm error bound).
 
     A vector takes the Chebyshev series, a matrix the Poisson mixture (see the
@@ -207,8 +201,8 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     return out, tail * growth * scale
 
 
-def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
-                      tol: float = 1e-12) -> tuple[np.ndarray, float]:
+def integrated_action(gen: GeneratorView, V: np.ndarray,
+                      t: float) -> tuple[np.ndarray, float]:
     """(int_0^t exp(sQ) V ds, certified error bound).
 
     Uses int_0^t e^{-Lam s}(Lam s)^k/k! ds = sf(k, Lam t)/Lam.  K is chosen
@@ -220,7 +214,7 @@ def integrated_action(gen: GeneratorView, V: np.ndarray, t: float,
     if scale == 0.0:
         return np.zeros_like(V), 0.0
     lt = gen.lam * t
-    k, tail = _poisson_cutoff(lt, tol / max(scale * t, 1e-300))
+    k, tail = _poisson_cutoff(lt, TOL / max(scale * t, 1e-300))
     sf = pdtrc(np.arange(k + 1), lt) / gen.lam
     return _series(gen, V, sf), t * tail * scale
 
@@ -245,13 +239,13 @@ class HeatKernelResult:
         return self.values @ self.fm.mu
 
 
-def heat_kernel(fm: FiniteModel, x, t: float, tol: float = 1e-12) -> HeatKernelResult:
+def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
     """p_t(x, .) (or the full matrix for x=None) via uniformization."""
-    if t < 0 or tol <= 0:
-        raise ValueError("need t >= 0 and tol > 0")
+    if t < 0:
+        raise ValueError("need t >= 0")
     gen = generator(fm)
     if x is None:
-        T, eps = expm_action(gen, np.eye(fm.n), t, tol)
+        T, eps = expm_action(gen, np.eye(fm.n), t)
         dens = T / fm.mu[None, :]
     else:
         # p_t(x,y) = [exp(tQ)]_{xy}/mu_y = [exp(tQ) (e_x/mu_x)]_y by
@@ -259,15 +253,8 @@ def heat_kernel(fm: FiniteModel, x, t: float, tol: float = 1e-12) -> HeatKernelR
         i = fm.index[x]
         e = np.zeros(fm.n)
         e[i] = 1.0 / fm.mu[i]
-        dens, eps = expm_action(gen, e, t, tol)
+        dens, eps = expm_action(gen, e, t)
     return HeatKernelResult(fm=fm, t=t, values=dens, eps_poisson=eps)
-
-
-def killed_heat_kernel(fm: FiniteModel, x, t: float,
-                       tol: float = 1e-12) -> HeatKernelResult:
-    if fm.mode == REFLECTED:
-        raise ValueError("killed_heat_kernel requires a killed-mode model")
-    return heat_kernel(fm, x, t, tol)
 
 
 def solve_generator(fm: FiniteModel, rhs: np.ndarray) -> np.ndarray:
@@ -316,18 +303,18 @@ class StepOperators:
     err: float
 
 
-def step_operators(fm: FiniteModel, dt: float, tol: float = 1e-12) -> StepOperators:
+def step_operators(fm: FiniteModel, dt: float) -> StepOperators:
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("caloric solves need an exterior-tracked model")
     gen = generator(fm)
-    E, e1 = expm_action(gen, np.eye(fm.n), dt, tol)
-    S, e2 = integrated_action(gen, fm.sources, dt, tol)
+    E, e1 = expm_action(gen, np.eye(fm.n), dt)
+    S, e2 = integrated_action(gen, fm.sources, dt)
     return StepOperators(E=E, S=S, err=e1 + e2)
 
 
 def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
-                  m_steps: int = 256, tol: float = 1e-12,
-                  remainder_data=None, ops: StepOperators | None = None) -> CaloricField:
+                  m_steps: int = 256, remainder_data=None,
+                  ops: StepOperators | None = None) -> CaloricField:
     """Solve du/dt = Lu on the window with given initial and exterior data.
 
     Exterior data, an (m_steps, n_exterior) array or None for zero, and
@@ -353,7 +340,7 @@ def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
     if np.any(data < 0):
         raise InvalidData("exterior and remainder data must be nonnegative")
     if ops is None:
-        ops = step_operators(fm, times[1] - times[0], tol)
+        ops = step_operators(fm, times[1] - times[0])
     values = np.empty((m_steps + 1, fm.n))
     values[0] = initial
     u = initial
@@ -363,8 +350,8 @@ def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
     return CaloricField(fm=fm, times=times, values=values)
 
 
-def duhamel_generators(fm: FiniteModel, T: float, m_steps: int = 256,
-                       tol: float = 1e-12) -> list[CaloricField]:
+def duhamel_generators(fm: FiniteModel, T: float,
+                       m_steps: int = 256) -> list[CaloricField]:
     """Extreme rays of the nonnegative caloric cone on (0,T) x window.
 
     Family (i): initial point masses delta_z / mu_z (fields p^B_t(., z)).
@@ -372,18 +359,18 @@ def duhamel_generators(fm: FiniteModel, T: float, m_steps: int = 256,
     remainder) for one grid step, by (step, channel).
     """
     times = np.linspace(0.0, T, m_steps + 1)
-    ops = step_operators(fm, times[1] - times[0], tol)
+    ops = step_operators(fm, times[1] - times[0])
     out = []
     for zi in range(fm.n):
         init = np.zeros(fm.n)
         init[zi] = 1.0 / fm.mu[zi]
-        out.append(caloric_solve(fm, init, None, T, m_steps, tol, ops=ops))
+        out.append(caloric_solve(fm, init, None, T, m_steps, ops=ops))
     for si in range(m_steps):
         for c in range(len(fm.channels)):
             data = np.zeros((m_steps, len(fm.channels)))
             data[si, c] = 1.0
             out.append(caloric_solve(fm, np.zeros(fm.n), data[:, :-1], T,
-                                     m_steps, tol, remainder_data=data[:, -1],
+                                     m_steps, remainder_data=data[:, -1],
                                      ops=ops))
     return out
 

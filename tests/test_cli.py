@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jumplab
-from jumplab.cli import build_parser, main
+from jumplab.cli import COMMANDS, build_parser, main
 from jumplab.errors import ConfigError
 from jumplab.io import (PARAMS, ExperimentConfig, load_config, run_experiment,
                         write_bundle)
@@ -162,8 +162,9 @@ def test_config_model_resolved_without_shape_params(tmp_path):
     ({"kernel": {"type": "polynomial", "alpha": "one"}}, "ValueError"),
     ({"kernel": [1.0]}, "TypeError"),
     ([1, 2], "field 'model'"),
+    ({**_LATTICE, "metric": "l2"}, "unknown lattice metric 'l2'"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
-        "model-list"])
+        "model-list", "bad-metric"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -174,6 +175,22 @@ def test_config_malformed_model(tmp_path, capsys, model, match):
     cfg.write_text(json.dumps({"experiment": "heat", "model": model}))
     assert main(["run", str(cfg)]) == 2
     assert f"{cfg}: field 'model'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, key", [
+    (exp, key) for exp, table in PARAMS.items()
+    for key, default in table.items() if isinstance(default, list)])
+def test_empty_list_param_rejected(tmp_path, capsys, experiment, key):
+    """An empty list param is a ConfigError naming it, given as a flag or
+    in a config file."""
+    with pytest.raises(ConfigError, match=f"param '{key}': empty list"):
+        ExperimentConfig(experiment=experiment, params={key: []})
+    assert main([*COMMANDS[experiment][0], f"--{key}="]) == 2
+    assert f"error: param '{key}': empty list" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": {key: []}}))
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}: param '{key}': empty list" in capsys.readouterr().err
 
 
 def test_resolved_config_reproduces_report(tmp_path):

@@ -22,7 +22,7 @@ from jumplab.models import (
     _pair_rates,
     truncate,
 )
-from jumplab.semigroup import killed_heat_kernel
+from jumplab.semigroup import heat_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,23 @@ def test_vd_exact_z1(z1):
 def test_vd_exponent_z2(z2):
     rep = cond.check_vd(z2, radii=[16, 32, 64])
     assert abs(rep.constants["volume_exponent"] - 2.0) < 0.1
+
+
+def test_vd_default_grid(z1):
+    rep = cond.check_vd(z1)
+    assert rep.grid == {"radii": [4, 8, 16, 32, 64], "centers": [(0,)]}
+    assert rep.metadata["volume_exponents"] == [
+        rep.constants["volume_exponent"]]
+
+
+@pytest.mark.parametrize("check", [
+    lambda m: cond.check_vd(m, []),
+    lambda m: cond.check_exit_time(m, 1.0, []),
+    lambda m: cond.check_poincare(m, 1.0, []),
+], ids=["vd", "exit-time", "poincare"])
+def test_empty_radius_grid_rejected(z1, check):
+    with pytest.raises(ValueError, match="empty radius grid"):
+        check(z1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +408,7 @@ def _parent_ndlb(model, alpha, radii, centers=None, band=(0.5, 2.0), n_times=3):
             ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
             best_r = math.inf
             for t in ts:
-                hk = killed_heat_kernel(fm, None, float(t))
+                hk = heat_kernel(fm, None, float(t))
                 sub = hk.values[np.ix_(idx, idx)]
                 val = float(sub.min()) * vol
                 i, j = np.unravel_index(int(sub.argmin()), sub.shape)
@@ -423,7 +440,7 @@ def _parent_sb(model, alpha, radii, centers=None, band=(0.5, 2.0), n_times=3):
             ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
             worst = -math.inf
             for t in ts:
-                hk = killed_heat_kernel(fm, None, float(t))
+                hk = heat_kernel(fm, None, float(t))
                 val = float(hk.values.max()) * vol
                 i, j = np.unravel_index(int(hk.values.argmax()), hk.values.shape)
                 rows.append({"center": x0, "r": r, "t": float(t), "c1": val})

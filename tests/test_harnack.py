@@ -44,7 +44,7 @@ def test_scan_matches_explicit_generators(z1):
     generator fields (initial masses, per-step impulses on every channel)."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init_stats, src_stats, half, _ = H._scan_generators(fm, box, 1e-12)
+    init_stats, src_stats, half, _ = H._scan_generators(fm, box)
     best, _ = H._collect(fm, box, init_stats, src_stats, half)
     gens = duhamel_generators(fm, box.T, box.m_steps)
     assert len(gens) == fm.n + box.m_steps * len(fm.channels)
@@ -82,9 +82,9 @@ def first_near_extreme(seen, col, sign):
                 return sign * top, step, slot
 
 
-def fanout_scan(fm, box, tol):
+def fanout_scan(fm, box):
     m = box.m_steps
-    ops = H.step_operators(fm, box.T / m, tol)
+    ops = H.step_operators(fm, box.T / m)
     E = ops.E
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
@@ -159,9 +159,9 @@ def test_scan_matches_fanout_reference(model, box):
     """The per-age scan gives exactly the fan-out scan's constant and witness;
     z1 and lam-half hold mirror-image ties that only rounding noise splits."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
-    init, src, half, _ = H._scan_generators(fm, box, 1e-12)
+    init, src, half, _ = H._scan_generators(fm, box)
     got = H._collect(fm, box, init, src, half)
-    want = fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+    want = fanout_collect(fm, box, *fanout_scan(fm, box))
     assert want[1] is not None
     assert got == want
 
@@ -194,7 +194,7 @@ def jittered(ops, amp, seed):
 
 def scan_with(monkeypatch, fm, box, ops):
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
-    init, src, half, _ = H._scan_generators(fm, box, 1e-12)
+    init, src, half, _ = H._scan_generators(fm, box)
     return H._collect(fm, box, init, src, half)
 
 
@@ -205,7 +205,7 @@ def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed):
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     got = scan_with(monkeypatch, fm, box, tie_operators(fm, box, seed))
-    assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, box))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -221,7 +221,7 @@ def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed):
     got = scan_with(monkeypatch, fm, box, jittered(ops, 1e-14, 100 + seed))
     assert got[1] == exact[1]
     assert got[0] == exact[0] or got[0] == pytest.approx(exact[0], rel=1e-12)
-    assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, box))
 
 
 @pytest.mark.parametrize("amp", [1e-12, 2e-12])
@@ -236,7 +236,7 @@ def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, see
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     ops = tie_operators(fm, box, seed, kinds=4)
     got = scan_with(monkeypatch, fm, box, jittered(ops, amp, 100 + seed))
-    assert got == fanout_collect(fm, box, *fanout_scan(fm, box, 1e-12))
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, box))
 
 
 @pytest.mark.parametrize("jump, winner", [(1e-14, 0), (1e-11, 5)])
@@ -246,7 +246,7 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
     beyond it the later one replaces it; the constant is the exact max."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init, src, half, _ = H._scan_generators(fm, box, 1e-12)
+    init, src, half, _ = H._scan_generators(fm, box)
     launch = H._launch
 
     def flat_launch(fam, si, minus, plus):
@@ -281,9 +281,9 @@ def test_half_ball_scan_matches_full_window_scan(model, box, monkeypatch):
     """Reducing I[half] E^a W moves the constant of the full-window scan
     (E^a W, then its half ball) by rounding only, and no witness."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
-    got = H._collect(fm, box, *H._scan_generators(fm, box, 1e-12)[:3])
+    got = H._collect(fm, box, *H._scan_generators(fm, box)[:3])
     monkeypatch.setattr(H, "_age_reductions", full_window_reductions)
-    want = H._collect(fm, box, *H._scan_generators(fm, box, 1e-12)[:3])
+    want = H._collect(fm, box, *H._scan_generators(fm, box)[:3])
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
     assert got[1] == want[1]
 
@@ -299,8 +299,7 @@ def test_phi_searches_witness_ages_once(z1, monkeypatch):
         return fold(*args)
 
     monkeypatch.setattr(H, "_fold", counted)
-    rep = H.phi_constant(z1, small_box(), check_doubling=False)
-    assert rep.witness is not None
+    assert H._phi_once(z1, small_box(), H.LAM_EXT)[2] is not None
     assert len(calls) == 1
 
 
@@ -339,12 +338,11 @@ def test_witnesses_stable_under_row_sum_rounding(monkeypatch, scale):
 
     monkeypatch.setattr(models, "radial_profile", scaled)
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
-    phi = H.phi_constant(z2, H.HarnackBox(x0=(0, 0), R=2, alpha=1.0),
-                         check_doubling=False)
+    phi = H.phi_constant(z2, H.HarnackBox(x0=(0, 0), R=2, alpha=1.0))
     assert phi.witness == {"generator": ("initial", (-1, -1)),
                            "minus": (0.5, (-1, -1)), "plus": (2.0, (1, 1))}
     z1 = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
-    ehi = H.ehi_constant(z1, (0,), 8, check_doubling=False)
+    ehi = H.ehi_constant(z1, (0,), 8)
     assert ehi.witness == {"generator": ("exterior", (-17,)),
                            "max_at": (-8,), "min_at": (8,)}
 
@@ -353,7 +351,7 @@ def test_mixture_audit(z1, rng):
     """50 random nonnegative mixtures never exceed the computed constant."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init_stats, src_stats, half, _ = H._scan_generators(fm, box, 1e-12)
+    init_stats, src_stats, half, _ = H._scan_generators(fm, box)
     best, _ = H._collect(fm, box, init_stats, src_stats, half)
     c_p = max(best, 1.0)
     n_ext = len(fm.exterior)
@@ -377,7 +375,7 @@ def test_scale_invariance(z1, rng):
 
 def test_single_vertex_ball_finite(z1):
     box = H.HarnackBox(x0=(0,), R=0.4, alpha=1.0, m_steps=16)
-    rep = H.phi_constant(z1, box, check_doubling=False)
+    rep = H.phi_constant(z1, box)
     assert 1.0 <= rep.constant < math.inf
 
 
@@ -393,18 +391,17 @@ def test_phi_stable_across_radii(z1):
 
 def test_phi_monotone_in_lambda():
     m = LatticeModel(d=1, kernel=PolynomialKernel(1.5))
-    c1 = H.phi_constant(m, H.HarnackBox(x0=(0,), R=8, alpha=1.5, lam=1.0),
-                        check_doubling=False).constant
-    chalf = H.phi_constant(m, H.HarnackBox(x0=(0,), R=8, alpha=1.5, lam=0.5),
-                           check_doubling=False).constant
+    c1 = H.phi_constant(m, H.HarnackBox(x0=(0,), R=8, alpha=1.5,
+                                        lam=1.0)).constant
+    chalf = H.phi_constant(m, H.HarnackBox(x0=(0,), R=8, alpha=1.5,
+                                           lam=0.5)).constant
     assert math.isfinite(c1) and math.isfinite(chalf)
 
 
 def test_ehi_le_phi(z1):
     for R in (8,):
-        phi = H.phi_constant(z1, H.HarnackBox(x0=(0,), R=R, alpha=1.0),
-                             check_doubling=False)
-        ehi = H.ehi_constant(z1, (0,), R, check_doubling=False)
+        phi = H.phi_constant(z1, H.HarnackBox(x0=(0,), R=R, alpha=1.0))
+        ehi = H.ehi_constant(z1, (0,), R)
         assert ehi.constant <= phi.constant * 1.05
 
 
@@ -434,8 +431,8 @@ def test_ehi_suppressed_within_factor_two():
     base = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
     supp = LatticeModel(d=1, kernel=SuppressedPairKernel(
         base=PolynomialKernel(1.0), x0=(0,), y0=(8,)))
-    cb = H.ehi_constant(base, (0,), 8, check_doubling=False).constant
-    cs = H.ehi_constant(supp, (0,), 8, check_doubling=False).constant
+    cb = H.ehi_constant(base, (0,), 8).constant
+    cs = H.ehi_constant(supp, (0,), 8).constant
     assert 0.5 <= cs / cb <= 2.0
 
 
@@ -448,6 +445,33 @@ def test_doubling_check_accepts(c, c2):
 def test_doubling_check_rejects(c, c2):
     with pytest.raises(WindowUnconverged):
         H._doubled("C", c, c2, 4.0)
+
+
+@pytest.mark.parametrize("once", ["_phi_once", "_ehi_once"])
+def test_constants_always_recomputed_on_doubled_annulus(z1, monkeypatch, once):
+    """phi_constant and ehi_constant always rerun on twice the tracked
+    annulus: a doubled constant 6 % above the first raises WindowUnconverged,
+    and a rerun that agrees is reported as `doubled_constant`."""
+    real = getattr(H, once)
+    seen = []
+
+    def moved(*args):
+        out = real(*args)
+        seen.append(args[-1])
+        factor = 1.06 if args[-1] == 2 * H.LAM_EXT else 1.0
+        return (out[0], factor * out[1], *out[2:])
+
+    monkeypatch.setattr(H, once, moved)
+    run = {"_phi_once": lambda: H.phi_constant(z1, small_box()),
+           "_ehi_once": lambda: H.ehi_constant(z1, (0,), 4)}[once]
+    with pytest.raises(WindowUnconverged):
+        run()
+    assert seen == [H.LAM_EXT, 2 * H.LAM_EXT]
+    monkeypatch.setattr(H, once, real)
+    rep = run()
+    assert rep.metadata["lam_ext"] == H.LAM_EXT
+    assert rep.constant == pytest.approx(rep.metadata["doubled_constant"],
+                                         rel=0.05)
 
 
 # ---------------------------------------------------------------------------

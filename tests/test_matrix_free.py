@@ -27,7 +27,6 @@ from jumplab.models import (
 from jumplab.semigroup import (
     _chebyshev_weights,
     _poisson_weights,
-    apply_generator,
     dirichlet_form,
     expm_action,
     generator,
@@ -195,7 +194,7 @@ def test_generator_actions_match_dense_Q(name):
     fm = _window(name, KILLED)
     f = np.random.default_rng(1).standard_normal(fm.n)
     gen = generator(fm)
-    Qf = apply_generator(fm, f)
+    Qf = gen.apply_Q(f)
     assert np.max(np.abs(Qf - gen.Q @ f)) <= 1e-12 * np.abs(gen.Q @ f).max()
     assert np.max(np.abs(gen.apply(f) - gen.P @ f)) <= 1e-13 * np.abs(f).max()
     L = np.diag(fm.rates.sum(axis=1)) - fm.rates

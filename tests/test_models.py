@@ -372,6 +372,8 @@ PATH_ABC = {"kind": "explicit", "vertices": ("a", "b", "c"),
      "two vertices"),
     (SuppressedPairKernel(PolynomialKernel(1.0), "a", "z"), PATH_ABC,
      "two vertices"),
+    (PolynomialKernel(1.0), {"d": 2, "metric": "l2"},
+     "unknown lattice metric 'l2'"),
 ])
 def test_kernel_outside_its_domain_rejected(kernel, graph, match):
     with pytest.raises(ValueError, match=match):

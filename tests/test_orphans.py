@@ -1,6 +1,7 @@
 """Public functions and classes of jumplab that no other code in the package
-names.  Each is pinned here, so a new orphan fails the suite, and wiring one
-in or deleting it must shrink the list in the same change."""
+names, and defaulted parameters that no call in the package passes.  Each is
+pinned here, so a new orphan or test-only option fails the suite, and wiring
+one in or deleting it must shrink its set in the same change."""
 
 import ast
 from pathlib import Path
@@ -18,7 +19,25 @@ ORPHANS = {
     # models
     "validate_constants",
     # semigroup
-    "apply_generator", "duhamel_generators", "harmonic_extension",
+    "duhamel_generators", "harmonic_extension",
+}
+
+# "function.parameter": a default that every call in src/jumplab leaves as it
+# is, so only tests can set it
+UNSET = {
+    # cli
+    "main.argv",
+    # conditions: the orphan checkers and the pair grid
+    "check_nash.n_samples", "check_nash.r_win", "check_nash.seed",
+    "check_nash.indicator_radii",
+    "check_ndlb.centers", "check_ndlb.band", "check_ndlb.n_times",
+    "check_sb.centers", "check_sb.band", "check_sb.n_times",
+    "check_weighted_poincare.centers", "default_pair_grid.distances",
+    # harnack
+    "first_jump_density.x",
+    # semigroup
+    "dirichlet_form.g", "duhamel_generators.m_steps",
+    "harmonic_extension.remainder_value",
 }
 
 
@@ -42,3 +61,39 @@ def _orphans() -> set[str]:
 
 def test_orphans_are_pinned():
     assert _orphans() == ORPHANS
+
+
+def _unset() -> set[str]:
+    """Defaulted parameters of the functions of src/jumplab/*.py (but
+    __init__.py) that no call there passes, by position or by keyword.
+    Calls are matched by callee name; self and cls are not positions."""
+    params, calls = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                pos = [x.arg for x in a.posonlyargs + a.args]
+                skip = 1 if pos[:1] in (["self"], ["cls"]) else 0
+                for i in range(len(pos) - len(a.defaults), len(pos)):
+                    params[node.name, pos[i]] = i - skip
+                for x, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        params[node.name, x.arg] = None
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, name, i):
+        return (any(k.arg in (name, None) for k in call.keywords)
+                or i is not None and (len(call.args) > i or any(
+                    isinstance(x, ast.Starred) for x in call.args)))
+
+    return {f"{fn}.{name}" for (fn, name), i in params.items()
+            if not any(passed(c, name, i) for c in calls.get(fn, []))}
+
+
+def test_unset_defaults_are_pinned():
+    assert _unset() == UNSET

@@ -22,7 +22,6 @@ from jumplab.semigroup import (
     _chebyshev_weights,
     _poisson_cutoff,
     _poisson_weights,
-    apply_generator,
     caloric_solve,
     dirichlet_form,
     expected_exit_time,
@@ -31,7 +30,6 @@ from jumplab.semigroup import (
     harmonic_extension,
     heat_kernel,
     integrated_action,
-    killed_heat_kernel,
 )
 
 
@@ -184,7 +182,7 @@ def test_exit_time_requires_killing(z1):
 
 def test_apply_generator_constant(z1):
     fm = truncate(z1, (0,), 5, KILLED)
-    out = apply_generator(fm, np.ones(fm.n))
+    out = generator(fm).apply_Q(np.ones(fm.n))
     assert np.max(np.abs(out + fm.kill)) < 1e-14
 
 
