@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import NumericalFailure, WindowUnconverged
 from .models import KILLED, REFLECTED, LatticeModel, _pair_rates, truncate
@@ -292,11 +291,11 @@ def check_exit_time(model: LatticeModel, alpha: float, radii,
 # ---------------------------------------------------------------------------
 
 def _ball_form_matrices(model, x0, R):
-    """(ball, A, L, M) on B(x0, R): jump rates, form Laplacian and diag(mu)."""
+    """(ball, A, L, mu) on B(x0, R): jump rates, form Laplacian and measure."""
     fm = truncate(model, x0, R, REFLECTED)
     A = fm.rates
     L = np.diag(A.sum(axis=1)) - A
-    return fm.window, A, L, np.diag(fm.mu)
+    return fm.window, A, L, fm.mu
 
 
 def _component_of_first(A) -> np.ndarray:
@@ -313,9 +312,8 @@ def _component_of_first(A) -> np.ndarray:
 
 def poincare_rayleigh(model: LatticeModel, x0, R, alpha: float, f) -> float:
     """Var_mu(f) / (R^alpha * sum_{x,y in B}(f(x)-f(y))^2 J(x,y)) for an audit f."""
-    _, _, L, M = _ball_form_matrices(model, x0, R)
+    _, _, L, mu = _ball_form_matrices(model, x0, R)
     f = np.asarray(f, float)
-    mu = np.diag(M)
     fbar = float(f @ mu) / float(mu.sum())
     var = float(((f - fbar) ** 2 * mu).sum())
     form = 2.0 * float(f @ L @ f)
@@ -324,7 +322,8 @@ def poincare_rayleigh(model: LatticeModel, x0, R, alpha: float, f) -> float:
 
 def check_poincare(model: LatticeModel, alpha: float, radii,
                    centers=None) -> ConditionReport:
-    """Optimal C_Q per ball from the generalized eigenproblem 2L f = lam M f.
+    """Optimal C_Q per ball from the generalized eigenproblem 2L f = lam M f,
+    M = diag(mu).
 
     C_Q(B) = 1/(R^alpha * lam_plus) with lam_plus the smallest nonzero
     eigenvalue on the mean-zero subspace (constant vector deflated by taking
@@ -340,7 +339,7 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     disconnected = None
     for x0 in centers:
         for R in radii:
-            ball, A, L, M = _ball_form_matrices(model, x0, R)
+            ball, A, L, mu = _ball_form_matrices(model, x0, R)
             first = _component_of_first(A)
             if not first.all():
                 piece = sorted(v for v, f in zip(ball, first) if f)
@@ -348,7 +347,9 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
                 rows.append({"center": x0, "R": R, "lam_plus": 0.0,
                              "C_Q": math.inf})
                 continue
-            vals = eigh(2.0 * L, M, eigvals_only=True)
+            # 2L f = lam diag(mu) f is symmetric in g = mu^1/2 f
+            root = 1.0 / np.sqrt(mu)
+            vals = np.linalg.eigvalsh(2.0 * L * np.outer(root, root))
             scale = max(abs(vals[-1]), 1.0)
             nonzero = vals[vals > EIG_TOL * scale]
             if len(nonzero) == 0:
@@ -425,7 +426,9 @@ def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
             # deflate the constant direction
             ones = np.ones((n, 1)) / math.sqrt(n)
             Z = np.linalg.qr(np.eye(n) - ones @ ones.T)[0][:, : n - 1]
-            lam = eigh(Z.T @ (2.0 * Lw) @ Z, Z.T @ V @ Z, eigvals_only=True)
+            # reduce A g = lam B g by B = C C^T to C^-1 A C^-T h = lam h
+            Ci = np.linalg.inv(np.linalg.cholesky(Z.T @ V @ Z))
+            lam = np.linalg.eigvalsh(Ci @ (Z.T @ (2.0 * Lw) @ Z) @ Ci.T)
             lam_plus = float(lam[0])
             if lam_plus <= EIG_TOL:
                 val = math.inf

@@ -302,6 +302,10 @@ def run_cex_ladder(config: ExperimentConfig):
     alpha = p["alpha"]
     if not (1.0 < alpha < 2.0):
         raise ConfigError(f"cex-ladder requires alpha in (1,2), got {alpha}")
+    for key in ("n_hit", "n_sup"):
+        if p[key] < 1:
+            raise ConfigError(f"param {key!r}: need at least 1 walker, "
+                              f"got {p[key]}")
     ranges = tuple(p["ranges"])
     model = LatticeModel(d=1, kernel=LadderKernel(alpha=alpha, ranges=ranges))
     report = {"experiment": "cex-ladder", "alpha": alpha,

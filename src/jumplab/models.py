@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
+import numpy.fft  # noqa: F401  numpy would load it lazily, inside a run
 
 from .errors import (
     DistanceUnreachable,
@@ -237,6 +237,48 @@ def _shell_poly_coeffs(d: int, metric: str) -> list[Fraction]:
     return coeffs
 
 
+# Euler-Maclaurin coefficients (2k)!/B_2k of the cephes Hurwitz zeta.
+_ZETA_EM = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+            -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+            1.1646782814350067249e14, -4.5979787224074726105e15,
+            1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """sum_{k >= 0} (k + q)^-x for x > 1, q > 0: the cephes `zeta` recipe
+    (terms while k < 9 or k + q <= 9, then Euler-Maclaurin), which is
+    scipy.special.zeta's."""
+    x, q = float(x), float(q)
+    if q > 1e8:  # DLMF 25.11.43
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q ** -x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_EM:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s += t
+        if abs(t / s) < _MACHEP:
+            break
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def shell_tail_sum(d: int, metric: str, exponent: float, start: int) -> float:
     """Exact sum_{s >= start} shell_counts(s) * s^(-exponent) via Hurwitz zeta.
 
@@ -247,7 +289,7 @@ def shell_tail_sum(d: int, metric: str, exponent: float, start: int) -> float:
     total = 0.0
     for j, c in enumerate(_shell_poly_coeffs(d, metric)):
         if c != 0:
-            total += float(c) * float(hurwitz_zeta(exponent - j, start))
+            total += float(c) * hurwitz_zeta(exponent - j, start)
     return total
 
 

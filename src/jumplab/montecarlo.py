@@ -28,6 +28,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy would load it lazily, inside a run
 
 from .models import LatticeModel, radial_profile, shell_counts
 
@@ -218,14 +219,19 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
             truncated)
 
 
+def _se(samples: np.ndarray) -> float:
+    """Standard error of the mean of n samples; inf for n = 1."""
+    n = len(samples)
+    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+
+
 def _finish(estimand, samples, truncated, seed, extra=None) -> EstimateReport:
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n == 0:
         raise ValueError("all trajectories hit the step cap")
-    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return EstimateReport(estimand=estimand, estimate=float(samples.mean()),
-                          se=se, n=n, seed=seed, truncated=truncated,
+                          se=_se(samples), n=n, seed=seed, truncated=truncated,
                           extra=extra or {})
 
 
@@ -283,10 +289,10 @@ def sample_position_sup(r1: int, alpha: float, T: float, n: int,
         remaining[act] -= 1
     y2 = y ** 2
     e_y2 = float(y2.mean())
-    se_y2 = float(y2.std(ddof=1) / math.sqrt(n))
+    se_y2 = _se(y2)
     ind = (y >= lam).astype(float)
     p_lam = float(ind.mean())
-    se_p = float(ind.std(ddof=1) / math.sqrt(n))
+    se_p = _se(ind)
     doob = 4.0 * r1 ** 2 * delta * T
     cheb = 4.0 * T * math.log(r1) / (lam ** 2 * float(r1) ** (alpha - 1.0))
     return EstimateReport(

@@ -309,14 +309,24 @@ def test_ladder_requires_alpha_in_range():
         run_experiment(cfg)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """`lab` pays for scipy.special and scipy.linalg only: scipy.stats
-    roughly doubles the import time."""
+@pytest.mark.parametrize("key", ["n_hit", "n_sup"])
+def test_ladder_requires_walkers(capsys, key):
+    """Zero walkers is a ConfigError naming the param, not a numpy error."""
+    flag = "--" + key.replace("_", "-")
+    assert main(["cex", "ladder", "--ranges", "16", flag, "0"]) == 2
+    assert f"param '{key}': need at least 1 walker" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """`lab` loads no scipy module, and imports the numpy submodules it uses
+    (numpy loads numpy.fft and numpy.random lazily), so no import lands in
+    the timed part of a run."""
     src = str(Path(jumplab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, jumplab.cli; print(sorted(m for m in sys.modules " \
-           "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"
+           "if m.split('.')[0] == 'scipy'), 'numpy.fft' in sys.modules, " \
+           "'numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] True True"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, null_space
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -250,6 +250,29 @@ def test_weighted_poincare_eigvector_attained(z1):
             best, f0 = val, cand
     assert best <= cw + 1e-10
     assert best >= 0.5 * cw
+
+
+@pytest.mark.parametrize("mu", [MuConstant(1.0), MuAlternating(1.0, 2.0)])
+def test_poincare_eigenvalues_match_scipy(mu):
+    """The numpy reductions (by mu^-1/2, and by a Cholesky factor for the
+    weighted form) give scipy's generalized eigenvalues within 1e-12
+    relative; the weighted oracle builds Var(f) from the centring map
+    f -> f - fbar and deflates constants with scipy's null space."""
+    m = LatticeModel(d=1, kernel=PolynomialKernel(1.0), mu_rule=mu)
+    for R in (3, 8):
+        _, _, L, mu_b = cond._ball_form_matrices(m, (0,), R)
+        lam = eigh(2.0 * L, np.diag(mu_b), eigvals_only=True)[1]
+        row, = cond.check_poincare(m, 1.0, [R]).metadata["rows"]
+        assert row["lam_plus"] == pytest.approx(lam, rel=1e-12)
+        phi, W, mu_t = cond._tent_forms(m, (0,), R)
+        n = len(phi)
+        centre = np.eye(n) - np.outer(np.ones(n), phi * mu_t) / (phi * mu_t).sum()
+        V = centre.T @ np.diag(mu_t) @ centre
+        Z = null_space(np.ones((1, n)))
+        Lw = np.diag(W.sum(axis=1)) - W
+        lam_w = eigh(Z.T @ (2.0 * Lw) @ Z, Z.T @ V @ Z, eigvals_only=True)[0]
+        row, = cond.check_weighted_poincare(m, 1.0, [R]).metadata["rows"]
+        assert row["C_weighted"] == pytest.approx(1.0 / (R * lam_w), rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [MuConstant(2.0), MuAlternating(1.0, 2.0)])

@@ -23,6 +23,7 @@ from jumplab.models import (
     TabulatedKernel,
     TAIL_REL_BOUND,
     _pair_rates,
+    hurwitz_zeta,
     model_from_dict,
     shell_counts,
     shell_tail_sum,
@@ -84,6 +85,28 @@ def test_tail_sum_monotone_in_start(start):
     a = shell_tail_sum(1, "linf", 2.5, start)
     b = shell_tail_sum(1, "linf", 2.5, start + 1)
     assert 0 < b < a
+
+
+def test_hurwitz_zeta_equals_scipy():
+    """The cephes port gives scipy.special.zeta's bits, on both sides of the
+    direct-sum/Euler-Maclaurin split and of the q > 1e8 asymptotic."""
+    for s in np.arange(1.5, 5.51, 0.5):
+        for q in (1, 2, 9, 10, 17, 65536, 65537, 10 ** 6, 2 * 10 ** 8):
+            assert hurwitz_zeta(s, q) == zeta(s, q), (s, q)
+
+
+# (s, q, zeta(s, q)) to 30 digits, from mpmath's zeta
+ZETA_LITERALS = [
+    (2.5, 1, 1.34148725725091717975676969335),
+    (4.0, 7, 0.00119969976052090756538641259055),
+    (3.5, 65537, 3.63790941877030207002332179465e-13),
+    (1.5, 10 ** 6, 0.00200000050000012499999999998177),
+]
+
+
+@pytest.mark.parametrize("s, q, value", ZETA_LITERALS)
+def test_hurwitz_zeta_literals(s, q, value):
+    assert hurwitz_zeta(s, q) == pytest.approx(value, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,14 @@ def test_position_sup_bounds_and_t0():
     assert tiny.estimate == 0.0
 
 
+def test_position_sup_single_walker_has_infinite_se():
+    """One walker gives no spread: se is inf, as for the other estimands,
+    so the bound checks pass rather than compare against NaN."""
+    rep = mc.sample_position_sup(64, 1.5, T=64.0 ** 1.5 / 4, n=1, seed=11)
+    assert rep.se == rep.extra["se_E_Y2"] == rep.extra["se_P"] == math.inf
+    assert rep.extra["doob_ok"] and rep.extra["cheb_ok"]
+
+
 def test_unsupported_dimensions():
     m = LatticeModel(d=3, kernel=PolynomialKernel(1.0))
     with pytest.raises(NotImplementedError):

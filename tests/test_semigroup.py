@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import pdtrc
+from scipy.special import ive
 
 from jumplab.errors import InvalidData, NoExit, TruncationBudgetExceeded
 from jumplab.models import (
@@ -20,8 +20,9 @@ from jumplab.models import (
 )
 from jumplab.semigroup import (
     _chebyshev_weights,
+    _ive,
     _poisson_cutoff,
-    _poisson_weights,
+    _poisson_table,
     caloric_solve,
     dirichlet_form,
     expected_exit_time,
@@ -276,14 +277,74 @@ def test_harmonic_extension_constant_and_max_principle(z1, rng):
 
 @pytest.mark.parametrize("lt", [0.0, 0.3, 5.0, 842.7, 1e4])
 def test_poisson_weights_equal_scipy_stats(lt):
-    """The uniformization weights are scipy.stats.poisson's, bit for bit,
-    without importing scipy.stats."""
-    pmf, tail = _poisson_weights(lt, 1e-12)
+    """The uniformization weights equal scipy.stats.poisson's within scipy's
+    own error: its log-space pmf is off by up to 4e-11 relative at lt = 1e4
+    (mpmath), its sf by up to 1e-13.  K is the least with sf(K) <= tol."""
+    pmf, sf = _poisson_cutoff(lt, 1e-12)
     ks = np.arange(len(pmf))
-    assert np.array_equal(pmf, stats.poisson.pmf(ks, lt))
-    assert tail == float(stats.poisson.sf(ks[-1], lt))
-    # integrated_action's weights
-    assert np.array_equal(pdtrc(ks, lt), stats.poisson.sf(ks, lt))
+    np.testing.assert_allclose(pmf, stats.poisson.pmf(ks, lt), rtol=1e-10,
+                               atol=1e-300)
+    np.testing.assert_allclose(sf, stats.poisson.sf(ks, lt), rtol=1e-12,
+                               atol=1e-300)
+    assert sf[-1] <= 1e-12
+    assert len(sf) == 1 or sf[-2] > 1e-12
+
+
+# (lt, j, pmf(j), sf(j) = P(N > j)) to 30 digits, from mpmath's exp, factorial
+# and regularized lower incomplete gamma at the float lt
+POISSON_LITERALS = [
+    (0.3, 3, 0.00333368199306773006419918651354,
+     0.000265811190021739705742529755785),
+    (842.7, 842, 0.0137431010345031229830415464032,
+     0.500457787434383536309243239179),
+    (842.7, 1000, 1.22571584194604338603193589813e-8,
+     6.32572152104313647626688756952e-8),
+    (1e4, 10000, 0.00398938955896282564867182698206,
+     0.497340418780992374734070424318),
+    (1e4, 10400, 1.45698127480850319443290125302e-6,
+     3.44056569161712956060279412227e-5),
+]
+
+
+@pytest.mark.parametrize("lt, j, pmf_j, sf_j", POISSON_LITERALS)
+def test_poisson_table_literals(lt, j, pmf_j, sf_j):
+    pmf, sf = _poisson_table(lt, j)
+    assert len(pmf) == len(sf) == j + 1
+    assert pmf[j] == pytest.approx(pmf_j, rel=4e-15)
+    assert sf[j] == pytest.approx(sf_j, rel=4e-15)
+
+
+# (k, x, ive(k, x)) to 30 digits, from mpmath's besseli times exp(-x)
+IVE_LITERALS = [
+    (3, 1e-3, 2.08125117139772469699819152582e-11),
+    (100, 842.0, 3.63804952745145281861975167855e-5),
+    (0, 3.3e7, 6.94469372969587183111148350872e-5),
+    (20000, 3.3e7, 1.62018784285593901828799244763e-7),
+]
+
+
+@pytest.mark.parametrize("k, x, value", IVE_LITERALS)
+def test_ive_literals(k, x, value):
+    w = _ive(k, x)
+    assert len(w) == k + 1
+    assert w[k] == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("lt", [1e-3, 1.0, 50.0, 842.0, 1e4])
+def test_ive_matches_scipy(lt):
+    k = 400
+    np.testing.assert_allclose(_ive(k, lt), ive(np.arange(k + 1), lt),
+                               rtol=1e-12, atol=1e-300)
+
+
+def test_poisson_cutoff_is_tight():
+    """At the step sizes of the phi and cex-suppressed Harnack scans (Lam dt
+    about 0.1 and 0.2) the cutoff sums the 8-10 terms tol needs, not the
+    42-43 of the doubling ladder's first rung."""
+    for lt, terms in ((0.1028, 8), (0.2056, 10)):
+        pmf, sf = _poisson_cutoff(lt, 1e-12)
+        assert len(pmf) == terms
+        assert sf[-1] <= 1e-12 < sf[-2]
 
 
 def test_term_cap_raises_before_allocating(z1):
