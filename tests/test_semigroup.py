@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import ive
 
 from jumplab.errors import InvalidData, NoExit, TruncationBudgetExceeded
 from jumplab.models import (
@@ -328,13 +327,6 @@ def test_ive_literals(k, x, value):
     w = _ive(k, x)
     assert len(w) == k + 1
     assert w[k] == pytest.approx(value, rel=1e-14)
-
-
-@pytest.mark.parametrize("lt", [1e-3, 1.0, 50.0, 842.0, 1e4])
-def test_ive_matches_scipy(lt):
-    k = 400
-    np.testing.assert_allclose(_ive(k, lt), ive(np.arange(k + 1), lt),
-                               rtol=1e-12, atol=1e-300)
 
 
 def test_poisson_cutoff_is_tight():
