@@ -8,6 +8,15 @@ aggregate remainder).  Since a ratio of nonnegative mixtures is bounded by the
 largest component ratio, the box constant of the cone equals the maximum
 two-point ratio over the generators, which is what these routines compute.
 
+The parabolic scan reads the generators only on the half ball of the probe
+boxes.  It steps the rows I[half] E^a of the one-step propagator E one age
+at a time and multiplies a block of ages by a chunk of launch columns in one
+GEMM, a tile of at most TILE_BYTES.  It keeps each half-ball max only at the
+ages that Q- shows to some launch step, and each min only at those Q+ shows;
+then one sliding-window fold of each gives the sup and inf of every launch
+step at once, so a family of generators has one (launch step x column)
+matrix of ratios.  Max and min select values, they do not round them.
+
 Constants are exact extremes; witnesses follow one tie rule, so rounding
 noise between mirror-image vertices cannot pick them: among values within
 relative EPS of an extreme take the first (an infinite extreme ties only with
@@ -32,7 +41,6 @@ from .models import (
     truncate,
 )
 from .semigroup import (
-    CaloricField,
     expm_action,
     generator,
     integrated_action,
@@ -46,6 +54,15 @@ EPS = 1e-12
 # Radius of the tracked exterior annulus, in units of the window radius; the
 # doubling check recomputes every constant at twice it.
 LAM_EXT = 4.0
+# One GEMM of the cone scan multiplies the half-ball rows of a block of ages
+# by a chunk of at most TILE_COLS columns, into at most TILE_BYTES (or one
+# age, if one age alone is larger).  Larger tiles run the GEMMs faster but
+# raise the peak memory of scans with few columns.
+TILE_BYTES = 1 << 18
+TILE_COLS = 512
+# Entries per call of a sliding-window pass: wide arrays take s rows a call,
+# which numpy vectorizes, and narrow ones few calls.
+SLIDE_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -64,9 +81,9 @@ class HarnackBox:
             raise ValueError("lam must lie in (0, 1]")
         if self.R <= 0:
             raise ValueError("R must be positive")
-        if self.m_steps % 4 != 0:
-            raise ValueError("m_steps must be divisible by 4 so the grid "
-                             "contains the quarter times exactly")
+        if self.m_steps < 4 or self.m_steps % 4 != 0:
+            raise ValueError("m_steps must be a positive multiple of 4 so "
+                             "the grid contains the quarter times exactly")
 
     @property
     def T(self) -> float:
@@ -107,31 +124,103 @@ def _first_near(vals: np.ndarray, sign: float = 1.0, top=None):
 
 
 def _ratio(hi, lo):
-    """sup / inf per generator: inf if the inf is below FLOOR, -inf if sup <= 0."""
+    """sup / inf per generator, written over hi: inf where the inf is below
+    FLOOR, -inf where the sup is not positive."""
+    tiny, dead = lo < FLOOR, ~(hi > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lo < FLOOR, np.inf, hi / lo)
-    return np.where(hi > 0.0, ratio, -np.inf)
+        np.divide(hi, lo, out=hi)
+    hi[tiny], hi[dead] = np.inf, -np.inf
+    return hi
+
+
+def _ages(steps: range, si: int) -> range:
+    """The ages a generator launched at step si shows at the grid steps
+    `steps`: step j shows age j - 1 - si, and no age is below 0."""
+    return range(max(steps.start - 1 - si, 0), steps.stop - 1 - si)
+
+
+def _extremes(W: np.ndarray, E: np.ndarray, half: list[int],
+              hi_ages: range, lo_ages: range):
+    """(hi, lo): row r is the half-ball max of E^a W at the age
+    a = hi_ages.stop - 1 - r (the min at lo_ages.stop - 1 - r), latest age
+    first.  The values are read as (I[half] E^a) W: the rows I[half] E^a are
+    stepped one age at a time, and a block of ages meets a chunk of columns
+    of W in one GEMM of at most TILE_BYTES."""
+    h, n, width = len(half), len(E), W.shape[1]
+    last = max(hi_ages.stop, lo_ages.stop) - 1
+    cols = -(-width // -(-width // TILE_COLS))  # equal chunks of <= TILE_COLS
+    block = min(max(TILE_BYTES // (8 * h * cols), 1), last + 1)
+    hi, lo = np.empty((len(hi_ages), width)), np.empty((len(lo_ages), width))
+    stack, ages = np.empty((block, h, n)), []
+    rows = np.eye(n)[half]
+    for age in range(last + 1):
+        if age in hi_ages or age in lo_ages:
+            stack[len(ages)] = rows
+            ages.append(age)
+        if ages and (len(ages) == block or age == last):
+            flat = stack[:len(ages)].reshape(-1, n)
+            for c0 in range(0, width, cols):
+                vals = (flat @ W[:, c0:c0 + cols]).reshape(len(ages), h, -1)
+                for out, kept, op in ((hi, hi_ages, np.max),
+                                      (lo, lo_ages, np.min)):
+                    i = [k for k, a in enumerate(ages) if a in kept]
+                    if i:
+                        r = kept.stop - 1 - ages[i[-1]]
+                        op(vals[i[0]:i[-1] + 1][::-1], axis=1,
+                           out=out[r:r + len(i), c0:c0 + cols])
+            ages = []
+        rows = rows @ E
+    return hi, lo
+
+
+def _slide(x: np.ndarray, w: int, op) -> np.ndarray:
+    """x, with row j replaced in place by op over rows j..j+w-1 (the window
+    clipped at the last row): the extreme of every window of w rows.
+
+    The window doubles while it stays within w, then grows by the rest (the
+    sliding extremes of van Herk and of Gil & Werman, by doubling).  A pass
+    with shift s sets row j to op(row j, row j + s), from row 0 up, in calls
+    of at least s rows and SLIDE_ENTRIES entries: a call of s rows does not
+    overlap its operand, and in a longer one the output starts before the
+    operand with equal strides, so numpy runs it forward with no copy."""
+    k, least = 1, -(-SLIDE_ENTRIES // x.shape[1])
+    while k < w:
+        s = min(k, w - k)
+        step = max(s, least)
+        for r in range(0, len(x) - s, step):
+            e = min(r + step, len(x) - s)
+            op(x[r:e], x[r + s:e + s], out=x[r:e])
+        k += s
+    return x
 
 
 class _Family(NamedTuple):
-    """Fields E^a start[:, c] with each age's half-ball max (hi), min (lo)."""
+    """Generators launched at steps 0..L-1 from the columns of `start` and
+    stepped by E: ratio[si, c] is sup over Q- / inf over Q+ of the one
+    launched from column c at step si."""
 
-    hi: np.ndarray
-    lo: np.ndarray
+    ratio: np.ndarray
     start: np.ndarray
     E: np.ndarray
 
 
-def _age_reductions(W: np.ndarray, E: np.ndarray, half: list[int], m: int):
-    """The `_Family` of the fields E^a W, a = 0..m-1, reduced once per age
-    as I[half] E^a W: the half-ball rows are stepped, not the n of E^a W."""
-    hi, lo = np.empty((m, W.shape[1])), np.empty((m, W.shape[1]))
-    rows = np.eye(len(E))[half]
-    for age in range(m):
-        vals = rows @ W
-        hi[age], lo[age] = vals.max(axis=0), vals.min(axis=0)
-        rows = rows @ E
-    return _Family(hi, lo, W, E)
+def _family(W: np.ndarray, E: np.ndarray, half: list[int], box: HarnackBox,
+            launches: int) -> _Family:
+    """The `_Family` of the fields E^a W launched at steps 0..launches-1.
+
+    The half-ball max is formed only at the ages some launch shows in Q-,
+    and the min only at those shown in Q+.  Their rows run latest age first,
+    so launch si reads the window of rows that starts at row si, and one
+    sliding fold of each gives every launch's sup and inf.  The ratios are
+    written over the sups."""
+    minus, plus = box.minus_steps(), box.plus_steps()
+    hi, lo = _extremes(
+        W, E, half,
+        range(_ages(minus, launches - 1).start, minus.stop - 1),
+        range(_ages(plus, launches - 1).start, plus.stop - 1))
+    sup = _slide(hi, len(minus), np.maximum)[:launches]
+    inf = _slide(lo, len(plus), np.minimum)[:launches]
+    return _Family(_ratio(sup, inf), W, E)
 
 
 def _scan_generators(fm: FiniteModel, box: HarnackBox):
@@ -140,72 +229,67 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox):
     A source generator launched at step si has value E^(j-si-1) S[:, c] at
     grid step j > si, so it only ever shows the fields E^a S at ages
     a = 0..m-1; the initial fields E^j diag(1/mu) are those of a launch at
-    si = 0 from E diag(1/mu).  Returns (init, src, half, ops), where `init`
-    and `src` are the `_Family` of each kind, reduced from I[half] E^a W
-    for W = E diag(1/mu) and S; `_collect` folds them per launch step.
+    si = 0 from E diag(1/mu).  Launches from step m/2 on show no step of Q-,
+    so the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2)
+    and their Q+ ages [m/4, m), and only those half-ball maxima and minima
+    are formed, a tile of (I[half] E^a) W at a time.  Returns
+    (init, src, half, ops), where `init` and `src` are the `_Family` of
+    each kind, for W = E diag(1/mu) and S.
     """
     m, half = box.m_steps, fm.ball_slots(box.x0, box.R / 2)
     ops = step_operators(fm, box.T / m)
-    init = _age_reductions(ops.E @ np.diag(1.0 / fm.mu), ops.E, half, m)
-    src = _age_reductions(ops.S, ops.E, half, m)
+    init = _family(ops.E @ np.diag(1.0 / fm.mu), ops.E, half, box, 1)
+    src = _family(ops.S, ops.E, half, box, m // 2)
     return init, src, half, ops
 
 
-def _launch(fam: _Family, si: int, minus: range, plus: range):
-    """(ratios sup_{Q-} / inf_{Q+}, (Q- ages, Q+ ages)) of the generators
-    launched at step si < minus.stop - 1.  Grid step j shows age j - 1 - si,
-    so each of Q- and Q+ is one slice of ages, clipped at 0, and the sup and
-    inf are the exact extremes over it."""
-    ages = (slice(max(minus.start - 1 - si, 0), minus.stop - 1 - si),
-            slice(max(plus.start - 1 - si, 0), plus.stop - 1 - si))
-    return _ratio(fam.hi[ages[0]].max(axis=0), fam.lo[ages[1]].min(axis=0)), ages
-
-
-def _fold(fam: _Family, si: int, c: int, minus: range, plus: range):
-    """(minus age, plus age, sup, inf) of generator c launched at step si:
-    each witness age is the first within relative EPS of its extreme."""
-    am, ap = _launch(fam, si, minus, plus)[1]
-    im, sup = _first_near(fam.hi[am, c])
-    ip, inf = _first_near(fam.lo[ap, c], -1.0)
-    return am.start + int(im), ap.start + int(ip), sup, inf
+def _fold(fam: _Family, half: list[int], si: int, c: int, minus: range,
+          plus: range):
+    """(minus age, plus age, minus slot, plus slot) of generator c launched
+    at step si, from its column recomputed as (I[half] E^a) start[:, c]: each
+    witness age is the first within relative EPS of the extreme over its
+    window, and each slot the first half-ball slot there within EPS of it."""
+    wm, wp = _ages(minus, si), _ages(plus, si)
+    rows, col = np.eye(len(fam.E))[half], []
+    for _ in range(wp.stop):
+        col.append(rows @ fam.start[:, c])
+        rows = rows @ fam.E
+    col = np.array(col)
+    im, sup = _first_near(col[wm].max(axis=1))
+    ip, inf = _first_near(col[wp].min(axis=1), -1.0)
+    am, ap = wm.start + int(im), wp.start + int(ip)
+    sm = _first_near(col[am], top=sup)[0]
+    sp = _first_near(col[ap], -1.0, top=inf)[0]
+    return am, ap, int(sm), int(sp)
 
 
 def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
-    """Fold the per-age reductions into (constant, witness).
+    """Fold the ratio matrices into (constant, witness).
 
     The constant is the largest ratio.  Generators run initial fields (window
     order), then source impulses by (launch step, channel), and each replaces
-    the witness only when its ratio is larger by more than EPS; launches
-    from step minus.stop - 1 on show no step of Q-.  Only the winner's
-    witness ages are searched (`_fold`), and its column is recomputed to
-    them, where each witness slot is the first half-ball slot within EPS of
-    its sup over Q- (inf over Q+).
+    the witness only when its ratio is larger by more than EPS; only launch
+    steps whose largest ratio could replace it are searched.  Only the
+    winner's witness ages and slots are searched (`_fold`).
     """
     minus, plus = box.minus_steps(), box.plus_steps()
     times = np.linspace(0.0, box.T, box.m_steps + 1)
-    launches = [(("initial",), fm.window, init, 0)]
-    launches += [(("source", si), fm.channels, src, si)
-                 for si in range(minus.stop - 1)]
-
     best, wit_ratio, win = -math.inf, -math.inf, None
-    for prefix, labels, fam, si in launches:
-        ratio = _launch(fam, si, minus, plus)[0]
-        best = max(best, ratio.max())
-        c = 0
-        while (later := ratio[c:] > wit_ratio * (1.0 + EPS)).any():
-            c += int(later.argmax())
-            wit_ratio = ratio[c]
-            win = (prefix + (labels[c],), fam, si, c)
+    for labels, fam in ((fm.window, init), (fm.channels, src)):
+        tops = fam.ratio.max(axis=1)
+        best = max(best, tops.max())
+        for si in np.flatnonzero(tops > wit_ratio * (1.0 + EPS)):
+            ratio, c = fam.ratio[si], 0
+            while (later := ratio[c:] > wit_ratio * (1.0 + EPS)).any():
+                c += int(later.argmax())
+                wit_ratio = ratio[c]
+                win = (labels, fam, int(si), c)
     if win is None:
         return best, None
-    generator, fam, si, c = win
-    am, ap, mm, mp = _fold(fam, si, c, minus, plus)
-    fields = [fam.start[:, c]]
-    for _ in range(max(am, ap)):
-        fields.append(fam.E @ fields[-1])
-    sm = _first_near(fields[am][half], top=mm)[0]
-    sp = _first_near(fields[ap][half], -1.0, top=mp)[0]
-    return best, {"generator": generator,
+    labels, fam, si, c = win
+    am, ap, sm, sp = _fold(fam, half, si, c, minus, plus)
+    prefix = ("source", si) if fam is src else ("initial",)
+    return best, {"generator": prefix + (labels[c],),
                   "minus": (float(times[am + si + 1]), fm.window[half[sm]]),
                   "plus": (float(times[ap + si + 1]), fm.window[half[sp]])}
 
@@ -253,14 +337,6 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
                   "doubled_constant": doubled})
 
 
-def caloric_box_ratio(fld: CaloricField, box: HarnackBox) -> float:
-    """sup_{Q-} u / inf_{Q+} u for a caloric field on the box's grid."""
-    half = fld.fm.ball_slots(box.x0, box.R / 2)
-    sup = fld.values[np.ix_(list(box.minus_steps()), half)].max()
-    inf = fld.values[np.ix_(list(box.plus_steps()), half)].min()
-    return max(float(_ratio(sup, inf)), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # elliptic constant
 # ---------------------------------------------------------------------------
@@ -297,13 +373,6 @@ def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
         metadata={"window_radius": 2 * R, "lam_ext": LAM_EXT,
                   "n_exterior": len(fm.exterior), "floor": FLOOR,
                   "doubled_constant": doubled})
-
-
-def harmonic_partition_residual(model: LatticeModel, x0, R) -> float:
-    """max_x |sum_w h_w(x) + h_rem(x) - 1| over B(x0,R): the harmonic
-    generators of data == 1 must sum to the constant function."""
-    h = _ehi_once(model, x0, R, LAM_EXT)[3]
-    return float(np.abs(h.sum(axis=1) - 1.0).max())
 
 
 # ---------------------------------------------------------------------------

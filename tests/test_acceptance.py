@@ -23,6 +23,7 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import caloric_solve, expected_exit_time, generator, heat_kernel
+from oracles import caloric_box_ratio
 
 
 def _verdict(name, ok):
@@ -149,7 +150,7 @@ def test_criterion_6_harnack_cone_soundness():
                                 rng.random((box.m_steps, n_ext)),
                                 box.T, box.m_steps,
                                 remainder_data=rng.random(box.m_steps))
-            ok &= H.caloric_box_ratio(fld, box) <= rep.constant + 1e-8
+            ok &= caloric_box_ratio(fld, box) <= rep.constant + 1e-8
     _verdict("Harnack cone soundness at R in {8,16}", ok)
 
 

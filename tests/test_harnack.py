@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from jumplab.semigroup import (
     generator,
     integrated_action,
 )
+from oracles import caloric_box_ratio, harmonic_partition_residual
 
 
 def small_box():
@@ -35,8 +37,9 @@ def test_box_invariants():
     assert max(box.minus_steps()) < min(box.plus_steps())
     with pytest.raises(ValueError):
         H.HarnackBox(x0=(0,), R=8, alpha=1.0, lam=1.5)
-    with pytest.raises(ValueError):
-        H.HarnackBox(x0=(0,), R=8, alpha=1.0, m_steps=30)
+    for m_steps in (30, 0, -4):
+        with pytest.raises(ValueError):
+            H.HarnackBox(x0=(0,), R=8, alpha=1.0, m_steps=m_steps)
 
 
 def test_scan_matches_explicit_generators(z1):
@@ -48,7 +51,7 @@ def test_scan_matches_explicit_generators(z1):
     best, _ = H._collect(fm, box, init_stats, src_stats, half)
     gens = duhamel_generators(fm, box.T, box.m_steps)
     assert len(gens) == fm.n + box.m_steps * len(fm.channels)
-    explicit = max(H.caloric_box_ratio(g, box) for g in gens)
+    explicit = max(caloric_box_ratio(g, box) for g in gens)
     assert best == pytest.approx(explicit, rel=1e-12)
 
 
@@ -247,29 +250,28 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     init, src, half, _ = H._scan_generators(fm, box)
-    launch = H._launch
-
-    def flat_launch(fam, si, minus, plus):
-        out = launch(fam, si, minus, plus)
-        bump = jump if fam is src and si == 5 else 0.0
-        return (np.full(len(out[0]), 2.0 * (1.0 + bump)), *out[1:])
-
-    monkeypatch.setattr(H, "_launch", flat_launch)
+    init.ratio.fill(2.0)
+    src.ratio.fill(2.0)
+    src.ratio[5] = 2.0 * (1.0 + jump)
     best, wit = H._collect(fm, box, init, src, half)
     assert best == 2.0 * (1.0 + jump)
     assert wit["generator"] == (("initial", fm.window[0]) if winner == 0 else
                                 ("source", 5, fm.exterior[0]))
 
 
-def full_window_reductions(W, E, half, m):
-    """`_age_reductions` stepping every window row: E^a W, then its half
-    ball."""
-    hi, lo = np.empty((m, W.shape[1])), np.empty((m, W.shape[1]))
+def full_window_extremes(W, E, half, hi_ages, lo_ages):
+    """`_extremes` stepping every window row: E^a W, then its half ball,
+    latest age first."""
+    hi = np.empty((len(hi_ages), W.shape[1]))
+    lo = np.empty((len(lo_ages), W.shape[1]))
     fields = W
-    for age in range(m):
-        hi[age], lo[age] = fields[half].max(axis=0), fields[half].min(axis=0)
+    for age in range(max(hi_ages.stop, lo_ages.stop)):
+        if age in hi_ages:
+            hi[hi_ages.stop - 1 - age] = fields[half].max(axis=0)
+        if age in lo_ages:
+            lo[lo_ages.stop - 1 - age] = fields[half].min(axis=0)
         fields = E @ fields
-    return H._Family(hi, lo, W, E)
+    return hi, lo
 
 
 @pytest.mark.parametrize("model, box", [
@@ -282,10 +284,74 @@ def test_half_ball_scan_matches_full_window_scan(model, box, monkeypatch):
     (E^a W, then its half ball) by rounding only, and no witness."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
     got = H._collect(fm, box, *H._scan_generators(fm, box)[:3])
-    monkeypatch.setattr(H, "_age_reductions", full_window_reductions)
+    monkeypatch.setattr(H, "_extremes", full_window_extremes)
     want = H._collect(fm, box, *H._scan_generators(fm, box)[:3])
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
     assert got[1] == want[1]
+
+
+def test_ratio_writes_the_floor_rule_over_the_sups():
+    """sup / inf, inf where the inf is below FLOOR (also where it is
+    positive), -inf where the sup is not positive, written over the sups."""
+    hi = np.array([[2.0, 2.0, 2.0, 0.0, -1.0], [3.0, 0.0, 1.0, 5.0, 4.0]])
+    lo = np.array([[4.0, 1e-31, 0.0, 1.0, 0.0], [3.0, 0.0, H.FLOOR, 2.0, 1.0]])
+    out = H._ratio(hi, lo)
+    assert out is hi
+    assert np.array_equal(out, [[0.5, np.inf, np.inf, -np.inf, -np.inf],
+                                [1.0, -np.inf, 1.0 / H.FLOOR, 2.5, 4.0]])
+
+
+@pytest.mark.parametrize("cols", [1, 6])
+@pytest.mark.parametrize("seed", range(6))
+def test_slide_equals_brute_force_windows(cols, seed):
+    """The in-place sliding extremes equal x[j:j+w].max(0) and .min(0)
+    exactly on every row: windows clipped at the last row (the ones that
+    reach age 0), windows one row long, exact ties and infinite entries."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 80))
+    x = rng.integers(-3, 4, (rows, cols)).astype(float)
+    if seed % 2:
+        x += rng.random(x.shape)
+    x[rng.random(x.shape) < 0.1] = np.inf
+    x[rng.random(x.shape) < 0.1] = -np.inf
+    for w in {1, 2, 3, rows, rows + 2, *rng.integers(1, rows + 3, 4).tolist()}:
+        for op, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            want = np.array([reduce(x[j:j + w], axis=0) for j in range(rows)])
+            got = x.copy()
+            assert H._slide(got, w, op) is got
+            assert np.array_equal(got, want)
+
+
+def test_slide_allocates_no_copy(rng):
+    """No pass of the sliding fold copies an overlapping operand."""
+    x = rng.random((192, 400))
+    tracemalloc.start()
+    try:
+        H._slide(x, 65, np.minimum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 50
+
+
+def test_scan_memory_below_two_age_arrays(monkeypatch):
+    """The scan and fold of the doubled `lab phi --d 2 --R 2` window (81
+    states, 4,145 channels, 256 steps) peak below 2 m x channels doubles,
+    the size of the per-age max and min arrays of all m ages."""
+    z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
+    box = H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)
+    fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
+    assert (fm.n, len(fm.channels), box.m_steps) == (81, 4145, 256)
+    ops = H.step_operators(fm, box.T / box.m_steps)
+    monkeypatch.setattr(H, "step_operators", lambda *args: ops)
+    tracemalloc.start()
+    try:
+        init, src, half, _ = H._scan_generators(fm, box)
+        assert H._collect(fm, box, init, src, half)[1] is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * box.m_steps * len(fm.channels) * 8
 
 
 def test_phi_searches_witness_ages_once(z1, monkeypatch):
@@ -360,7 +426,7 @@ def test_mixture_audit(z1, rng):
                             rng.random((box.m_steps, n_ext)),
                             box.T, box.m_steps,
                             remainder_data=rng.random(box.m_steps))
-        assert H.caloric_box_ratio(fld, box) <= c_p + 1e-8
+        assert caloric_box_ratio(fld, box) <= c_p + 1e-8
 
 
 def test_scale_invariance(z1, rng):
@@ -369,8 +435,8 @@ def test_scale_invariance(z1, rng):
     init = rng.random(fm.n)
     f1 = caloric_solve(fm, init, None, box.T, box.m_steps)
     f2 = caloric_solve(fm, 7.3 * init, None, box.T, box.m_steps)
-    assert H.caloric_box_ratio(f1, box) == pytest.approx(
-        H.caloric_box_ratio(f2, box), rel=1e-12)
+    assert caloric_box_ratio(f1, box) == pytest.approx(
+        caloric_box_ratio(f2, box), rel=1e-12)
 
 
 def test_single_vertex_ball_finite(z1):
@@ -406,7 +472,7 @@ def test_ehi_le_phi(z1):
 
 
 def test_harmonic_partition(z1):
-    assert H.harmonic_partition_residual(z1, (0,), 8) < 1e-12
+    assert harmonic_partition_residual(z1, (0,), 8) < 1e-12
 
 
 @pytest.mark.parametrize("fault", ["singular", "non-finite"])
@@ -423,7 +489,7 @@ def test_harmonic_partition_solve_failure(z1, monkeypatch, fault):
 
     monkeypatch.setattr(np.linalg, "solve", faulty)
     with pytest.raises(NumericalFailure):
-        H.harmonic_partition_residual(z1, (0,), 4)
+        harmonic_partition_residual(z1, (0,), 4)
     assert len(shapes) == 1 and len(shapes[0]) == 2
 
 

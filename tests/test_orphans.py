@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "jumplab"
 
 ORPHANS = {
     # harnack
-    "caloric_box_ratio", "harmonic_partition_residual", "first_jump_density",
+    "first_jump_density",
     # conditions
     "check_ndlb", "check_sb", "poincare_rayleigh", "weighted_poincare_sides",
     "check_weighted_poincare", "check_nash",
