@@ -148,7 +148,8 @@ def _extremes(W: np.ndarray, E: np.ndarray, half: list[int],
     of W in one GEMM of at most TILE_BYTES."""
     h, n, width = len(half), len(E), W.shape[1]
     last = max(hi_ages.stop, lo_ages.stop) - 1
-    cols = -(-width // -(-width // TILE_COLS))  # equal chunks of <= TILE_COLS
+    chunks = -(-width // TILE_COLS)
+    cols = -(-width // chunks)  # equal chunks of at most TILE_COLS columns
     block = min(max(TILE_BYTES // (8 * h * cols), 1), last + 1)
     hi, lo = np.empty((len(hi_ages), width)), np.empty((len(lo_ages), width))
     stack, ages = np.empty((block, h, n)), []
