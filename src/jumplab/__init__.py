@@ -2,9 +2,9 @@
 
 Modules:
   models      lattice/graph models, jump kernels, certified row sums, windows
-  semigroup   certified heat kernels, killed semigroups, caloric solves
+  semigroup   certified heat kernels, killed semigroups, exit times
   conditions  fitted constants and witnesses for the named conditions
-  harnack     parabolic/elliptic Harnack constants via the caloric cone
+  harnack     parabolic/elliptic Harnack constants via the cone generators
   montecarlo  exact trajectory sampling on the infinite lattice
   io / cli    experiment configs, report bundles, `lab` command line
 """
@@ -25,14 +25,7 @@ from .models import (
     model_from_dict,
     truncate,
 )
-from .semigroup import (
-    caloric_solve,
-    dirichlet_form,
-    duhamel_generators,
-    expected_exit_time,
-    harmonic_extension,
-    heat_kernel,
-)
+from .semigroup import dirichlet_form, expected_exit_time, heat_kernel
 from .harnack import HarnackBox, ehi_constant, first_jump_density, phi_constant
 from .montecarlo import TrajectorySampler, hit_before_exit, sample_exit_time, sample_position_sup
 from .io import ExperimentConfig, load_config, run_experiment

@@ -310,16 +310,6 @@ def _component_of_first(A) -> np.ndarray:
     return reached
 
 
-def poincare_rayleigh(model: LatticeModel, x0, R, alpha: float, f) -> float:
-    """Var_mu(f) / (R^alpha * sum_{x,y in B}(f(x)-f(y))^2 J(x,y)) for an audit f."""
-    _, _, L, mu = _ball_form_matrices(model, x0, R)
-    f = np.asarray(f, float)
-    fbar = float(f @ mu) / float(mu.sum())
-    var = float(((f - fbar) ** 2 * mu).sum())
-    form = 2.0 * float(f @ L @ f)
-    return var / (float(R) ** alpha * form)
-
-
 def check_poincare(model: LatticeModel, alpha: float, radii,
                    centers=None) -> ConditionReport:
     """Optimal C_Q per ball from the generalized eigenproblem 2L f = lam M f,
@@ -386,21 +376,6 @@ def _tent_forms(model: LatticeModel, x0, R):
     phi = phi[keep]
     W = np.minimum.outer(phi, phi) * fm.rates[np.ix_(keep, keep)]
     return phi, W, fm.mu[keep]
-
-
-def weighted_poincare_sides(model: LatticeModel, x0, R, alpha: float, f):
-    """(variance side, form side) of the weighted Poincare inequality for f.
-
-    f lives on the support of phi_R (vertices of B(x0,R) with phi > 0); its
-    mean fbar is weighted by phi mu, normalised by sum phi mu.
-    """
-    phi, W, mu = _tent_forms(model, x0, R)
-    f = np.asarray(f, float)
-    fbar = float((f * phi * mu).sum() / (phi * mu).sum())
-    var = float(((f - fbar) ** 2 * mu).sum())
-    diff = f[:, None] - f[None, :]
-    form = float((diff ** 2 * W).sum())
-    return var, form
 
 
 def check_weighted_poincare(model: LatticeModel, alpha: float, radii,

@@ -25,10 +25,6 @@ class NoExit(LabError):
     """Expected exit time requested on a conservative (reflected) model."""
 
 
-class InvalidData(LabError):
-    """Negative initial or boundary data passed to a caloric solve."""
-
-
 class NumericalFailure(LabError):
     """A linear solve failed or returned a non-finite result."""
 

@@ -1,12 +1,13 @@
 """Parabolic and elliptic Harnack constants of space-time boxes.
 
 The nonnegative caloric functions on a window form a cone.  On a fixed time
-grid every field produced by `caloric_solve` is a nonnegative combination of
-finitely many extreme generators: initial point masses and one-step impulses
-on each source channel of the window (each tracked exterior vertex, and the
-aggregate remainder).  Since a ratio of nonnegative mixtures is bounded by the
-largest component ratio, the box constant of the cone equals the maximum
-two-point ratio over the generators, which is what these routines compute.
+grid, with exterior data constant over each step, every such field is a
+nonnegative combination of finitely many extreme generators: initial point
+masses and one-step impulses on each source channel of the window (each
+tracked exterior vertex, and the aggregate remainder).  Since a ratio of
+nonnegative mixtures is bounded by the largest component ratio, the box
+constant of the cone equals the maximum two-point ratio over the generators,
+which is what these routines compute.
 
 The parabolic scan reads the generators only on the half ball of the probe
 boxes.  It steps the rows I[half] E^a of the one-step propagator E one age
@@ -310,10 +311,13 @@ def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
 
 
 def _phi_once(model: LatticeModel, box: HarnackBox, lam_ext: float):
+    """(fm, C_P, (init, src, half), step error) of one scan with the tracked
+    annulus at lam_ext; the third is what `_collect` reads for a witness.
+    `_ratio` yields no NaN, so C_P is `_collect`'s constant."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
     init, src, half, ops = _scan_generators(fm, box)
-    best, wit = _collect(fm, box, init, src, half)
-    return fm, max(best, 1.0), wit, ops.err
+    c_p = max(init.ratio.max(), src.ratio.max(), 1.0)
+    return fm, c_p, (init, src, half), ops.err
 
 
 def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
@@ -322,9 +326,13 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
 
     Exterior data beyond the tracked annulus enters through one aggregate
     remainder channel; the constant is recomputed with twice the annulus, and
-    WindowUnconverged is raised if it moves by more than 5%.
+    WindowUnconverged is raised if it moves by more than 5%.  Only the first
+    scan's witness is searched, and its arrays are released before the
+    second scan starts.
     """
-    fm, c_p, wit, err = _phi_once(model, box, LAM_EXT)
+    fm, c_p, scan, err = _phi_once(model, box, LAM_EXT)
+    wit = _collect(fm, box, *scan)[1]
+    del scan
     doubled = _doubled("C_P", c_p, _phi_once(model, box, 2 * LAM_EXT)[1],
                        LAM_EXT)
     return HarnackReport(

@@ -231,6 +231,8 @@ def run_cex_suppressed(config: ExperimentConfig):
     bound while the Harnack and Poincare constants barely move."""
     p = config.params
     d, alpha, gaps, t_probe = p["d"], p["alpha"], p["radii"], p["t_probe"]
+    if t_probe <= 0:
+        raise ConfigError(f"param 't_probe': need a positive time, got {t_probe}")
     _warn_alpha(alpha)
     report = {"experiment": "cex-suppressed", "per_gap": {}, "assertions": []}
     csvs = {}

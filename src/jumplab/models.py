@@ -17,7 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy would load it lazily, inside a run
@@ -104,13 +104,25 @@ def _vertex(v):
     return tuple(v) if isinstance(v, list) else v
 
 
+def _reads_only(d: dict, what: str, *keys) -> None:
+    """ValueError if d has a key outside `keys`, the keys its reader reads: a
+    misspelt key would otherwise be dropped, and its default used unseen."""
+    unknown = [k for k in d if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown {what} key {', '.join(map(repr, unknown))}; "
+                         f"expected one of {keys}")
+
+
 def mu_rule_from_dict(d):
     t = d.get("type", "constant")
     if t == "constant":
+        _reads_only(d, "mu", "type", "value")
         return MuConstant(float(d.get("value", 1.0)))
     if t == "alternating":
+        _reads_only(d, "mu", "type", "even", "odd")
         return MuAlternating(float(d["even"]), float(d["odd"]))
     if t == "table":
+        _reads_only(d, "mu", "type", "entries")
         return MuTable(tuple((_vertex(v), float(m)) for v, m in d["entries"]))
     raise ValueError(f"unknown mu rule {t!r}")
 
@@ -186,13 +198,17 @@ Kernel = PolynomialKernel | SuppressedPairKernel | LadderKernel | TabulatedKerne
 def kernel_from_dict(d):
     t = d["type"]
     if t == "polynomial":
+        _reads_only(d, "kernel", "type", "alpha")
         return PolynomialKernel(float(d["alpha"]))
     if t == "suppressed_pair":
+        _reads_only(d, "kernel", "type", "base", "x0", "y0")
         return SuppressedPairKernel(kernel_from_dict(d["base"]),
                                     _vertex(d["x0"]), _vertex(d["y0"]))
     if t == "ladder":
+        _reads_only(d, "kernel", "type", "alpha", "ranges")
         return LadderKernel(float(d["alpha"]), tuple(int(r) for r in d["ranges"]))
     if t == "tabulated":
+        _reads_only(d, "kernel", "type", "entries")
         return TabulatedKernel(tuple(((_vertex(u), _vertex(v)), float(r))
                                      for (u, v), r in d["entries"]))
     raise ValueError(f"unknown kernel type {t!r}")
@@ -223,7 +239,7 @@ def shell_counts(d: int, metric: str, s) -> np.ndarray:
 
 
 def _shell_poly_coeffs(d: int, metric: str) -> list[Fraction]:
-    """Coefficients c_j with shell_counts(s) = sum_j c_j s^j, exact for s >= 1:
+    """Coefficients a_j with shell_counts(s) = sum_j a_j s^j, exact for s >= 1:
     there the count is a polynomial of degree d - 1, interpolated at s = 1..d."""
     xs = range(1, d + 1)
     coeffs = [Fraction(0)] * d
@@ -366,8 +382,6 @@ class LatticeModel:
     metric: str = "linf"               # lattice metric: "linf" | "l1"
     kernel: Kernel = PolynomialKernel(1.0)
     mu_rule: object = MuConstant(1.0)
-    c_j: float | None = None
-    c_m: float | None = None
     vertices: tuple = ()               # explicit graphs only
     edges: tuple = ()                  # explicit graphs only
     _adj: dict = field(default=None, repr=False, compare=False)
@@ -529,10 +543,6 @@ class LatticeModel:
             d.update({"d": self.d, "metric": self.metric})
         else:
             d.update({"vertices": self.vertices, "edges": self.edges})
-        if self.c_j is not None:
-            d["c_j"] = self.c_j
-        if self.c_m is not None:
-            d["c_m"] = self.c_m
         return d
 
     def digest(self) -> str:
@@ -545,35 +555,17 @@ def model_from_dict(d) -> LatticeModel:
     kernel = kernel_from_dict(d["kernel"])
     mu = mu_rule_from_dict(d.get("mu", {"type": "constant", "value": 1.0}))
     if kind == "lattice":
+        _reads_only(d, "model", "kind", "kernel", "mu", "d", "metric")
         return LatticeModel(kind="lattice", d=int(d.get("d", 1)),
                             metric=d.get("metric", "linf"), kernel=kernel,
-                            mu_rule=mu, c_j=d.get("c_j"), c_m=d.get("c_m"))
+                            mu_rule=mu)
     if kind != "explicit":
         raise ValueError(f"unknown model kind {kind!r}")
+    _reads_only(d, "model", "kind", "kernel", "mu", "vertices", "edges")
     verts = tuple(map(_vertex, d["vertices"]))
     edges = tuple((_vertex(u), _vertex(v)) for u, v in d["edges"])
     return LatticeModel(kind="explicit", vertices=verts, edges=edges,
-                        kernel=kernel, mu_rule=mu, c_j=d.get("c_j"), c_m=d.get("c_m"))
-
-
-def validate_constants(model: LatticeModel, probes: Iterable) -> dict:
-    """Check mu and row-sum bounds against the declared C_M, C_J on probe vertices."""
-    observed = {"mu_min": math.inf, "mu_max": 0.0,
-                "row_min": math.inf, "row_max": 0.0}
-    for x in probes:
-        m = model.mu(x)
-        observed["mu_min"] = min(observed["mu_min"], m)
-        observed["mu_max"] = max(observed["mu_max"], m)
-        row, _ = model.row_sum_all(x)
-        observed["row_min"] = min(observed["row_min"], row)
-        observed["row_max"] = max(observed["row_max"], row)
-    if model.c_m is not None:
-        if observed["mu_max"] > model.c_m or observed["mu_min"] < 1.0 / model.c_m:
-            raise ValueError("mu violates the declared C_M bound")
-    if model.c_j is not None:
-        if observed["row_max"] > model.c_j or observed["row_min"] < 1.0 / model.c_j:
-            raise ValueError("J(x,G) violates the declared C_J bound")
-    return observed
+                        kernel=kernel, mu_rule=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -302,19 +302,3 @@ def sample_position_sup(r1: int, alpha: float, T: float, n: int,
                "lam": lam, "P_ge_lam": p_lam, "se_P": se_p,
                "cheb_bound": cheb, "cheb_ok": p_lam <= cheb + 3 * se_p,
                "r1": r1, "alpha": alpha, "T": T, "delta": delta})
-
-
-def sample_occupation(sampler: TrajectorySampler, x, t: float, n: int) -> dict:
-    """Empirical law of X_t over n paths: {vertex: count}; heat-kernel oracle.
-
-    Raises ValueError if a path makes STEP_CAP jumps before time t: leaving
-    it out would bias the law its callers read off counts / n.
-    """
-    final, _, _, truncated = _walk(sampler, x, n,
-                                   lambda pre, post, clock: clock > t, timed=True)
-    if truncated:
-        raise ValueError(f"{truncated} of {n} paths hit the step cap before t")
-    counts: dict = {}
-    for key in map(tuple, final.tolist()):
-        counts[key] = counts.get(key, 0) + 1
-    return counts

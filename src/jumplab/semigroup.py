@@ -1,4 +1,5 @@
-"""Generator, Dirichlet form, heat kernels by certified series, and caloric solves.
+"""Generator, Dirichlet form, heat kernels by certified series, exit times,
+and the one-step propagators of the Harnack scan.
 
 All rates are uniformly bounded, so P = I + Q/Lam is substochastic and
 exp(tQ) is evaluated as a series in P with a certified truncation error.  Two
@@ -29,8 +30,8 @@ on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
 stays dense: actions on a matrix use the BLAS-3 product with the dense P, as
 the FFT product (accurate relative to the largest entry) would lose the
 per-entry accuracy above, and at their window sizes GEMM is faster;
-`solve_generator` (exit times, harmonic extensions) needs the dense Q.  Both
-are built on first read.
+`solve_generator` (exit times, the elliptic Harnack generators) needs the
+dense Q.  Both are built on first read.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidData,
-    NoExit,
-    NumericalFailure,
-    TruncationBudgetExceeded,
-)
+from .errors import NoExit, NumericalFailure, TruncationBudgetExceeded
 from .models import EXTERIOR_TRACKED, REFLECTED, FiniteModel
 
 TERM_CAP = 1_000_000
@@ -219,8 +215,10 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     """(exp(tQ) V, certified max-norm error bound).
 
     A vector takes the Chebyshev series, a matrix the Poisson mixture (see the
-    module docstring).
+    module docstring).  A negative t raises ValueError.
     """
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
     V = np.asarray(V, dtype=float)
     scale = _input_scale(V, t)
     if scale == 0.0:
@@ -276,8 +274,6 @@ class HeatKernelResult:
 
 def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
     """p_t(x, .) (or the full matrix for x=None) via uniformization."""
-    if t < 0:
-        raise ValueError("need t >= 0")
     gen = generator(fm)
     if x is None:
         T, eps = expm_action(gen, np.eye(fm.n), t)
@@ -314,20 +310,8 @@ def expected_exit_time(fm: FiniteModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# caloric solves
+# step operators
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CaloricField:
-    """Nonnegative solution of du/dt = Lu on a time grid x window."""
-
-    fm: FiniteModel
-    times: np.ndarray                 # (m+1,)
-    values: np.ndarray                # (m+1, n) on the window
-
-    def at(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 @dataclass
 class StepOperators:
@@ -340,84 +324,8 @@ class StepOperators:
 
 def step_operators(fm: FiniteModel, dt: float) -> StepOperators:
     if fm.mode != EXTERIOR_TRACKED:
-        raise ValueError("caloric solves need an exterior-tracked model")
+        raise ValueError("step operators need an exterior-tracked model")
     gen = generator(fm)
     E, e1 = expm_action(gen, np.eye(fm.n), dt)
     S, e2 = integrated_action(gen, fm.sources, dt)
     return StepOperators(E=E, S=S, err=e1 + e2)
-
-
-def caloric_solve(fm: FiniteModel, initial, exterior_data, T: float,
-                  m_steps: int = 256, remainder_data=None,
-                  ops: StepOperators | None = None) -> CaloricField:
-    """Solve du/dt = Lu on the window with given initial and exterior data.
-
-    Exterior data, an (m_steps, n_exterior) array or None for zero, and
-    remainder data, an (m_steps,) array or None, are piecewise constant on
-    the uniform grid and integrated exactly per step, so the discrete caloric
-    residual is the truncation tolerance of the step operators.
-    """
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape[0] != fm.n:
-        raise InvalidData("initial data has wrong length")
-    if np.any(initial < 0):
-        raise InvalidData("initial data must be nonnegative")
-    times = np.linspace(0.0, T, m_steps + 1)
-    shape = (m_steps, len(fm.exterior))
-    ext = (np.zeros(shape) if exterior_data is None
-           else np.asarray(exterior_data, dtype=float))
-    rem = (np.zeros(m_steps) if remainder_data is None
-           else np.asarray(remainder_data, dtype=float))
-    if ext.shape != shape or rem.shape != (m_steps,):
-        raise InvalidData(f"exterior and remainder data must have shapes "
-                          f"{shape} and {(m_steps,)}")
-    data = np.column_stack([ext, rem])  # one column per channel, remainder last
-    if np.any(data < 0):
-        raise InvalidData("exterior and remainder data must be nonnegative")
-    if ops is None:
-        ops = step_operators(fm, times[1] - times[0])
-    values = np.empty((m_steps + 1, fm.n))
-    values[0] = initial
-    u = initial
-    for i in range(m_steps):
-        u = ops.E @ u + ops.S @ data[i]
-        values[i + 1] = u
-    return CaloricField(fm=fm, times=times, values=values)
-
-
-def duhamel_generators(fm: FiniteModel, T: float,
-                       m_steps: int = 256) -> list[CaloricField]:
-    """Extreme rays of the nonnegative caloric cone on (0,T) x window.
-
-    Family (i): initial point masses delta_z / mu_z (fields p^B_t(., z)).
-    Family (ii): unit data on one source channel (a tracked vertex or the
-    remainder) for one grid step, by (step, channel).
-    """
-    times = np.linspace(0.0, T, m_steps + 1)
-    ops = step_operators(fm, times[1] - times[0])
-    out = []
-    for zi in range(fm.n):
-        init = np.zeros(fm.n)
-        init[zi] = 1.0 / fm.mu[zi]
-        out.append(caloric_solve(fm, init, None, T, m_steps, ops=ops))
-    for si in range(m_steps):
-        for c in range(len(fm.channels)):
-            data = np.zeros((m_steps, len(fm.channels)))
-            data[si, c] = 1.0
-            out.append(caloric_solve(fm, np.zeros(fm.n), data[:, :-1], T,
-                                     m_steps, remainder_data=data[:, -1],
-                                     ops=ops))
-    return out
-
-
-def harmonic_extension(fm: FiniteModel, exterior_data,
-                       remainder_value: float = 0.0) -> np.ndarray:
-    """h with Lh = 0 on the window and h = exterior_data on the tracked annulus."""
-    if fm.mode != EXTERIOR_TRACKED:
-        raise ValueError("harmonic extension needs an exterior-tracked model")
-    g = np.asarray(exterior_data, dtype=float)
-    if g.shape[0] != len(fm.exterior):
-        raise InvalidData("exterior data has wrong length")
-    if np.any(g < 0) or remainder_value < 0:
-        raise InvalidData("exterior data must be nonnegative")
-    return solve_generator(fm, fm.sources @ np.append(g, remainder_value))

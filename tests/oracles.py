@@ -2,10 +2,82 @@
 calls them."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from jumplab import conditions as cond
 from jumplab import harnack as H
+from jumplab import montecarlo as mc
+from jumplab.models import FiniteModel
+from jumplab.semigroup import solve_generator, step_operators
+
+
+# ---------------------------------------------------------------------------
+# caloric fields
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CaloricField:
+    """Nonnegative solution of du/dt = Lu on a time grid x window."""
+
+    fm: FiniteModel
+    values: np.ndarray                # (m+1, n) on the window
+
+    def at(self, i: int) -> np.ndarray:
+        return self.values[i]
+
+
+def caloric_solve(fm, initial, exterior_data, T: float, m_steps: int,
+                  remainder_data=None) -> CaloricField:
+    """Solve du/dt = Lu on the window with given initial and exterior data.
+
+    Exterior data, an (m_steps, n_exterior) array or None for zero, and
+    remainder data, an (m_steps,) array or None, are piecewise constant on
+    the uniform grid and integrated exactly per step, so the discrete caloric
+    residual is the truncation tolerance of the step operators.
+    """
+    ext = (np.zeros((m_steps, len(fm.exterior))) if exterior_data is None
+           else exterior_data)
+    rem = np.zeros(m_steps) if remainder_data is None else remainder_data
+    data = np.column_stack([ext, rem])  # one column per channel, remainder last
+    ops = step_operators(fm, T / m_steps)
+    values = np.empty((m_steps + 1, fm.n))
+    values[0] = u = np.asarray(initial, dtype=float)
+    for i in range(m_steps):
+        u = ops.E @ u + ops.S @ data[i]
+        values[i + 1] = u
+    return CaloricField(fm=fm, values=values)
+
+
+def duhamel_generators(fm, T: float, m_steps: int) -> list[CaloricField]:
+    """Extreme rays of the nonnegative caloric cone on (0,T) x window, each
+    field stepped out in full by the one-step propagator E.
+
+    Family (i): initial point masses delta_z / mu_z (fields p^B_t(., z)).
+    Family (ii): unit data on one source channel (a tracked vertex or the
+    remainder) for one grid step, by (step, channel): zero up to the launch
+    step si, then S[:, c] at step si + 1.
+    """
+    ops = step_operators(fm, T / m_steps)
+    starts = [(0, np.diag(1.0 / fm.mu))]
+    starts += [(si + 1, ops.S) for si in range(m_steps)]
+    out = []
+    for step, W in starts:
+        for c in range(W.shape[1]):
+            values = np.zeros((m_steps + 1, fm.n))
+            values[step] = W[:, c]
+            for i in range(step, m_steps):
+                values[i + 1] = ops.E @ values[i]
+            out.append(CaloricField(fm=fm, values=values))
+    return out
+
+
+def harmonic_extension(fm, exterior_data, remainder_value: float) -> np.ndarray:
+    """h with Lh = 0 on the window and h = exterior_data on the tracked
+    annulus, remainder_value beyond it."""
+    return solve_generator(fm, fm.sources @ np.append(exterior_data,
+                                                      remainder_value))
 
 
 def caloric_box_ratio(fld, box) -> float:
@@ -24,3 +96,52 @@ def harmonic_partition_residual(model, x0, R) -> float:
     generators of data == 1 must sum to the constant function."""
     h = H._ehi_once(model, x0, R, H.LAM_EXT)[3]
     return float(np.abs(h.sum(axis=1) - 1.0).max())
+
+
+# ---------------------------------------------------------------------------
+# Poincare audits
+# ---------------------------------------------------------------------------
+
+def poincare_rayleigh(model, x0, R, alpha: float, f) -> float:
+    """Var_mu(f) / (R^alpha * sum_{x,y in B}(f(x)-f(y))^2 J(x,y)) for an audit f."""
+    _, _, L, mu = cond._ball_form_matrices(model, x0, R)
+    f = np.asarray(f, float)
+    fbar = float(f @ mu) / float(mu.sum())
+    var = float(((f - fbar) ** 2 * mu).sum())
+    form = 2.0 * float(f @ L @ f)
+    return var / (float(R) ** alpha * form)
+
+
+def weighted_poincare_sides(model, x0, R, f):
+    """(variance side, form side) of the weighted Poincare inequality for f.
+
+    f lives on the support of phi_R (vertices of B(x0,R) with phi > 0); its
+    mean fbar is weighted by phi mu, normalised by sum phi mu.
+    """
+    phi, W, mu = cond._tent_forms(model, x0, R)
+    f = np.asarray(f, float)
+    fbar = float((f * phi * mu).sum() / (phi * mu).sum())
+    var = float(((f - fbar) ** 2 * mu).sum())
+    diff = f[:, None] - f[None, :]
+    form = float((diff ** 2 * W).sum())
+    return var, form
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo
+# ---------------------------------------------------------------------------
+
+def sample_occupation(sampler, x, t: float, n: int) -> dict:
+    """Empirical law of X_t over n paths: {vertex: count}; heat-kernel oracle.
+
+    Raises ValueError if a path makes STEP_CAP jumps before time t: leaving
+    it out would bias the law its callers read off counts / n.
+    """
+    final, _, _, truncated = mc._walk(
+        sampler, x, n, lambda pre, post, clock: clock > t, timed=True)
+    if truncated:
+        raise ValueError(f"{truncated} of {n} paths hit the step cap before t")
+    counts: dict = {}
+    for key in map(tuple, final.tolist()):
+        counts[key] = counts.get(key, 0) + 1
+    return counts

@@ -22,8 +22,8 @@ from jumplab.models import (
     TabulatedKernel,
     truncate,
 )
-from jumplab.semigroup import caloric_solve, expected_exit_time, generator, heat_kernel
-from oracles import caloric_box_ratio
+from jumplab.semigroup import expected_exit_time, generator, heat_kernel
+from oracles import caloric_box_ratio, caloric_solve, poincare_rayleigh
 
 
 def _verdict(name, ok):
@@ -128,7 +128,7 @@ def test_criterion_5_poincare_exactness():
                                  centers=[(0,)]).constants["C_Q"]
         for _ in range(100):
             f = rng.standard_normal(2 * R + 1)
-            violations += cond.poincare_rayleigh(z1, (0,), R, 1.0, f) > cq + 1e-12
+            violations += poincare_rayleigh(z1, (0,), R, 1.0, f) > cq + 1e-12
     _verdict(f"Poincare exactness (two-point dev {abs(got - 1 / (4 * j)):.1e}, "
              f"{violations} violations)", ok and violations == 0)
 

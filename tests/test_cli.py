@@ -163,8 +163,15 @@ def test_config_model_resolved_without_shape_params(tmp_path):
     ({"kernel": [1.0]}, "TypeError"),
     ([1, 2], "field 'model'"),
     ({**_LATTICE, "metric": "l2"}, "unknown lattice metric 'l2'"),
+    ({"kernel": {"type": "polynomial", "alpha": 1.0}, "d": 2, "metrc": "l1"},
+     "unknown model key 'metrc'"),
+    ({**_LATTICE, "c_j": 4.0}, "unknown model key 'c_j'"),
+    ({**_LATTICE, "kernel": {"type": "polynomial", "alhpa": 1.0, "alpha": 1.0}},
+     "unknown kernel key 'alhpa'"),
+    ({**_LATTICE, "mu": {"type": "constant", "valeu": 2.0}},
+     "unknown mu key 'valeu'"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
-        "model-list", "bad-metric"])
+        "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -315,6 +322,14 @@ def test_ladder_requires_walkers(capsys, key):
     flag = "--" + key.replace("_", "-")
     assert main(["cex", "ladder", "--ranges", "16", flag, "0"]) == 2
     assert f"param '{key}': need at least 1 walker" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["0", "-0.001"])
+def test_suppressed_requires_positive_t_probe(capsys, t):
+    """A t_probe <= 0 is a ConfigError naming the param, not a NaN collapse
+    ratio (t = 0) or a numpy error (t < 0)."""
+    assert main(["cex", "suppressed", "--radii", "8", "--t-probe", t]) == 2
+    assert "param 't_probe': need a positive time" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

