@@ -10,7 +10,8 @@ class DistanceUnreachable(LabError):
 
 
 class WindowTooLarge(LabError):
-    """A requested ball/window exceeds the configured enumeration cap."""
+    """A requested ball/window exceeds the enumeration cap, or its dense
+    matrix the byte budget."""
 
 
 class DivergentTail(LabError):

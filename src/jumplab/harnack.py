@@ -372,6 +372,8 @@ def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
     """C_EHI = max over exterior-delta harmonic generators h_w of
     max_{B(x0,R)} h_w / min_{B(x0,R)} h_w, on the window B(x0,2R), checked
     against twice the annulus as `phi_constant` is."""
+    if R <= 0:
+        raise ValueError("R must be positive")
     fm, c, wit, _ = _ehi_once(model, x0, R, LAM_EXT)
     doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * LAM_EXT)[1],
                        LAM_EXT)

@@ -38,6 +38,9 @@ EXTERIOR_TRACKED = "exterior_tracked"
 TAIL_REL_BOUND = 1e-12
 # Largest lattice ball or window, in states, that is enumerated.
 STATE_CAP = 200_000
+# Largest dense rate matrix, in bytes, that `_pair_rates` allocates; every
+# dense build (`rates`, Q, P, `sources`, eigh) starts there.
+DENSE_BYTES = 1 << 30
 # Shells tabulated term by term before the Hurwitz-zeta tail takes over.
 SHELL_HORIZON = 2 ** 16
 
@@ -686,7 +689,14 @@ class FiniteModel:
 
 
 def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
-    """Matrix of J(x,y) for x in xs, y in ys (the suppressed pair zeroed)."""
+    """Matrix of J(x,y) for x in xs, y in ys (the suppressed pair zeroed).
+
+    WindowTooLarge, before anything is allocated, if it would exceed
+    DENSE_BYTES."""
+    nbytes = 8 * len(xs) * len(ys)
+    if nbytes > DENSE_BYTES:
+        raise WindowTooLarge(f"a {len(xs)} x {len(ys)} rate matrix needs "
+                             f"{nbytes} bytes, over the budget of {DENSE_BYTES}")
     out = np.zeros((len(xs), len(ys)))
     if model.kind == "explicit":
         for i, x in enumerate(xs):

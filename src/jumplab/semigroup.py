@@ -26,12 +26,14 @@ within 5e-15 relative of mpmath up to Lam t = 3.3e7.
 Which products are matrix-free: `GeneratorView.apply` on a single vector
 applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
 on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
-`GeneratorView.apply_Q` and `dirichlet_form` never build an n x n matrix.  What
-stays dense: actions on a matrix use the BLAS-3 product with the dense P, as
-the FFT product (accurate relative to the largest entry) would lose the
-per-entry accuracy above, and at their window sizes GEMM is faster;
-`solve_generator` (exit times, the elliptic Harnack generators) needs the
-dense Q.  Both are built on first read.
+`GeneratorView.apply_Q` and `dirichlet_form` never build an n x n matrix, and
+neither do exit times: `solve_generator` on a vector and a lattice window runs
+conjugate gradients on the same product, with a certified max-norm error
+(`_cg_solve`).  What stays dense: actions on a matrix use the BLAS-3 product
+with the dense P, as the FFT product (accurate relative to the largest entry)
+would lose the per-entry accuracy above, and at their window sizes GEMM is
+faster; `solve_generator` on a matrix (the elliptic Harnack generators) or on
+an explicit graph solves with the dense Q.  Both are built on first read.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ from .models import EXTERIOR_TRACKED, REFLECTED, FiniteModel
 TERM_CAP = 1_000_000
 # Certified max-norm error each series is truncated to.
 TOL = 1e-12
+# CG solves stop at a certified max-norm error of CG_RTOL max|u|, 13 times
+# the floor that the FFT product's rounding sets against min(mu kill) = 3.3e-4
+# on the ladder window of 513 states (7.4e-11).  CG_MAXITER caps the iterations.
+CG_RTOL = 1e-9
+CG_MAXITER = 5_000
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +295,58 @@ def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
     return HeatKernelResult(fm=fm, t=t, values=dens, eps_poisson=eps)
 
 
-def solve_generator(fm: FiniteModel, rhs: np.ndarray) -> np.ndarray:
-    """u with -Q u = rhs on the window, by a dense solve.
+def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(u, bound) with -Q u = rhs for a vector rhs on a lattice window, by
+    Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, J. Res.
+    NBS 49 (1952)), and max|u - exact| <= bound.
 
-    A singular Q or a non-finite solution raises NumericalFailure.
+    mu (-Q) = A = diag(mu out_rate) - J_W is diag(mu kill) plus a graph
+    Laplacian, so by Weyl lambda_min(A) >= min(mu kill) and
+    max|u - exact| <= ||mu rhs - A u||_2 / min(mu kill).  The iteration stops
+    once that bound, from a recomputed residual, is at most CG_RTOL max|u|;
+    past CG_MAXITER iterations, or with no killing, it raises NumericalFailure.
     """
+    lam_min = float((fm.mu * fm.kill).min())
+    if not lam_min > 0.0:
+        raise NumericalFailure("CG needs a positive kill rate at every state")
+    diag = fm.mu * generator(fm).out_rate
+    b = fm.mu * rhs
+
+    def matvec(v):
+        return diag * v - fm.rates_matvec(v)
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = np.zeros_like(b)
+    rz = 1.0
+    for _ in range(CG_MAXITER):
+        goal = CG_RTOL * lam_min * float(np.abs(x).max())
+        if np.linalg.norm(r) <= goal:
+            r = b - matvec(x)  # the recursive residual drifts from the true one
+            res = float(np.linalg.norm(r))
+            if res <= goal:
+                return x, res / lam_min
+        z = r / diag
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+        Ap = matvec(p)
+        step = rz / float(p @ Ap)
+        x += step * p
+        r -= step * Ap
+    raise NumericalFailure(f"CG did not reach {CG_RTOL} relative in "
+                           f"{CG_MAXITER} iterations")
+
+
+def solve_generator(fm: FiniteModel, rhs: np.ndarray) -> np.ndarray:
+    """u with -Q u = rhs on the window.
+
+    A vector rhs on a lattice window is solved matrix-free by `_cg_solve`,
+    which never builds Q; a matrix rhs (the elliptic Harnack generators) or an
+    explicit graph takes a dense solve.  A singular Q, a non-finite solution
+    or a CG run that does not converge raises NumericalFailure.
+    """
+    if np.ndim(rhs) == 1 and fm.action is not None:
+        return _cg_solve(fm, rhs)[0]
     try:
         u = np.linalg.solve(-generator(fm).Q, rhs)
     except np.linalg.LinAlgError as e:

@@ -10,7 +10,7 @@ from jumplab import conditions as cond
 from jumplab import harnack as H
 from jumplab import montecarlo as mc
 from jumplab.models import FiniteModel
-from jumplab.semigroup import solve_generator, step_operators
+from jumplab.semigroup import generator, step_operators
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +75,9 @@ def duhamel_generators(fm, T: float, m_steps: int) -> list[CaloricField]:
 
 def harmonic_extension(fm, exterior_data, remainder_value: float) -> np.ndarray:
     """h with Lh = 0 on the window and h = exterior_data on the tracked
-    annulus, remainder_value beyond it."""
-    return solve_generator(fm, fm.sources @ np.append(exterior_data,
-                                                      remainder_value))
+    annulus, remainder_value beyond it, by a dense solve."""
+    return np.linalg.solve(-generator(fm).Q,
+                           fm.sources @ np.append(exterior_data, remainder_value))
 
 
 def caloric_box_ratio(fld, box) -> float:

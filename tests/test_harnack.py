@@ -43,6 +43,11 @@ def test_box_invariants():
     for m_steps in (30, 0, -4):
         with pytest.raises(ValueError):
             H.HarnackBox(x0=(0,), R=8, alpha=1.0, m_steps=m_steps)
+    for R in (0, -2):
+        with pytest.raises(ValueError, match="R must be positive"):
+            H.HarnackBox(x0=(0,), R=R, alpha=1.0)
+        with pytest.raises(ValueError, match="R must be positive"):
+            H.ehi_constant(LatticeModel(), (0,), R)
 
 
 def test_scan_matches_explicit_generators(z1):

@@ -1,6 +1,7 @@
 """The matrix-free window operator against the dense matrices it replaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.linalg import expm
 from scipy.special import ive
 
 from jumplab import conditions as cond
+from jumplab import semigroup
+from jumplab.errors import NumericalFailure, WindowTooLarge
 from jumplab.models import (
     EXTERIOR_TRACKED,
     KILLED,
@@ -25,9 +28,11 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import (
+    _cg_solve,
     _chebyshev_weights,
     _poisson_cutoff,
     dirichlet_form,
+    expected_exit_time,
     expm_action,
     generator,
     heat_kernel,
@@ -210,6 +215,77 @@ def test_reflected_heat_row_never_builds_dense_rates():
     hk = heat_kernel(fm, (0,), 16.0)
     assert "rates" not in vars(fm)
     assert abs(float(hk.mass()) - 1.0) <= 1e-10
+
+
+LADDER = LatticeModel(d=1, kernel=LadderKernel(1.5, (16, 64, 256)))
+
+# killed windows for the CG exit-time solve, (model, centre, radius), all of
+# at most 4,225 states; the ladder windows are those of `lab cex ladder`
+CG_CASES = {
+    "polynomial-d1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), (0,), 256),
+    **{f"ladder-{r}": (LADDER, (0,), r) for r in LADDER.kernel.ranges},
+    "pair-in-window": (LatticeModel(d=1, kernel=SuppressedPairKernel(
+        PolynomialKernel(1.0), (0,), (5,))), (0,), 64),
+    "mu-alternating": (LatticeModel(d=1, kernel=PolynomialKernel(1.0),
+                                    mu_rule=MuAlternating(1.0, 2.0)), (0,), 128),
+    "linf-d2": (LatticeModel(d=2, kernel=PolynomialKernel(1.0)), (0, 0), 32),
+    "l1-d2": (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
+              (0, 0), 32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CG_CASES))
+def test_cg_exit_time_matches_dense_solve(name):
+    """CG agrees with the dense solve of -Q u = 1 to 1e-10 relative at every
+    slot, and its certificate bounds the distance."""
+    model, x0, r = CG_CASES[name]
+    fm = truncate(model, x0, r, KILLED)
+    assert fm.n <= 4225
+    u, bound = _cg_solve(fm, np.ones(fm.n))
+    want = np.linalg.solve(-generator(fm).Q, np.ones(fm.n))
+    err = np.abs(u - want)
+    assert np.all(err <= 1e-10 * want)
+    assert err.max() <= bound <= semigroup.CG_RTOL * np.abs(u).max()
+
+
+def test_cg_past_iteration_cap_raises(monkeypatch):
+    model, x0, r = CG_CASES["ladder-256"]
+    fm = truncate(model, x0, r, KILLED)
+    monkeypatch.setattr(semigroup, "CG_MAXITER", 5)
+    with pytest.raises(NumericalFailure, match="5 iterations"):
+        expected_exit_time(fm)
+
+
+def test_ladder_exit_times_stay_matrix_free(monkeypatch):
+    """The exit-time check of `lab cex ladder` makes no dense solve and
+    builds no dense rate matrix."""
+    def dense_solve(*args):
+        raise AssertionError("dense solve on the ladder's exit-time path")
+
+    monkeypatch.setattr(np.linalg, "solve", dense_solve)
+    rep = cond.check_exit_time(LADDER, 1.5, radii=list(LADDER.kernel.ranges))
+    assert rep.constants["c2"] / rep.constants["c1"] <= 2.0
+    fm = truncate(LADDER, (0,), 256, KILLED)
+    expected_exit_time(fm)
+    assert "rates" not in vars(fm)
+
+
+def test_dense_rates_over_byte_budget_raise_before_allocating():
+    """A d=2, r=64 window (16,641 states) would need a 2.2 GB rate matrix:
+    reading it raises at once, and its exit times are still computed."""
+    fm = truncate(LatticeModel(d=2, kernel=PolynomialKernel(1.0)), (0, 0), 64,
+                  KILLED)
+    assert fm.n == 16_641
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowTooLarge, match="budget"):
+            fm.rates
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    u = expected_exit_time(fm)
+    assert np.all(u > 0) and u.argmax() == fm.index[(0, 0)]
 
 
 def test_check_hkp_reports_poisson_error(z1):
