@@ -27,10 +27,10 @@ Which products are matrix-free: `GeneratorView.apply` on a single vector
 applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
 on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
 `GeneratorView.apply_Q` and `dirichlet_form` never build an n x n matrix, and
-neither do exit times: `solve_generator` on a vector and a lattice window runs
-conjugate gradients on the same product, with a certified max-norm error
-(`_cg_solve`).  What stays dense: actions on a matrix use the BLAS-3 product
-with the dense P, as the FFT product (accurate relative to the largest entry)
+neither do exit times: `solve_generator` on a positive vector and a lattice
+window runs conjugate gradients on the same product, with an a-posteriori
+relative error bound at every slot (`_cg_solve`).  What stays dense: actions
+on a matrix use the BLAS-3 product with the dense P, as the FFT product (accurate relative to the largest entry)
 would lose the per-entry accuracy above, and at their window sizes GEMM is
 faster; `solve_generator` on a matrix (the elliptic Harnack generators) or on
 an explicit graph solves with the dense Q.  Both are built on first read.
@@ -39,6 +39,7 @@ an explicit graph solves with the dense Q.  Both are built on first read.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,11 @@ from .models import EXTERIOR_TRACKED, REFLECTED, FiniteModel
 TERM_CAP = 1_000_000
 # Certified max-norm error each series is truncated to.
 TOL = 1e-12
-# CG solves stop at a certified max-norm error of CG_RTOL max|u|, 13 times
-# the floor that the FFT product's rounding sets against min(mu kill) = 3.3e-4
-# on the ladder window of 513 states (7.4e-11).  CG_MAXITER caps the iterations.
-CG_RTOL = 1e-9
-CG_MAXITER = 5_000
+# CG solves stop once the recomputed residual is at most CG_RTOL of the
+# right-hand side at every slot, or once it stalls at the rounding floor of
+# the window; CG_MAXITER caps the iterations.
+CG_RTOL = 1e-12
+CG_MAXITER = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +297,26 @@ def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
 
 
 def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """(u, bound) with -Q u = rhs for a vector rhs on a lattice window, by
-    Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, J. Res.
-    NBS 49 (1952)), and max|u - exact| <= bound.
+    """(u, rel) with -Q u = rhs for a positive vector rhs on a lattice window,
+    by Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, J. Res.
+    NBS 49 (1952)), and |u - exact| <= rel * u at every slot.
 
-    mu (-Q) = A = diag(mu out_rate) - J_W is diag(mu kill) plus a graph
-    Laplacian, so by Weyl lambda_min(A) >= min(mu kill) and
-    max|u - exact| <= ||mu rhs - A u||_2 / min(mu kill).  The iteration stops
-    once that bound, from a recomputed residual, is at most CG_RTOL max|u|;
-    past CG_MAXITER iterations, or with no killing, it raises NumericalFailure.
+    mu (-Q) = A = diag(mu out_rate) - J_W has rows summing to mu kill; with
+    kill > 0 at every slot it is a nonsingular symmetric M-matrix, so A^-1 is
+    entrywise nonnegative.  With b = mu rhs and a residual |b - A u| <= delta b
+    at every slot, |u - exact| <= A^-1 |b - A u| <= delta exact, hence
+    rel = delta / (1 - delta).  delta is the largest |b - A u| / b of a
+    recomputed residual plus `rho`, the standard estimate of that residual's
+    rounding: eps log2(N) sqrt(n) max(diag) max|u| / min(b) for an FFT of N
+    points, which grows with the window as diag/min(b) ~ r^alpha does.
+
+    The true residual is recomputed each time the recursive one falls
+    fourfold.  The iteration stops once it is at most CG_RTOL, or once it no
+    longer halves between two recomputations and is at most rho (the rounding
+    floor of the window).  A zero kill rate, a stall above rho, a delta of 1
+    or more, or CG_MAXITER iterations raise NumericalFailure.
     """
-    lam_min = float((fm.mu * fm.kill).min())
-    if not lam_min > 0.0:
+    if not (fm.mu * fm.kill).min() > 0.0:
         raise NumericalFailure("CG needs a positive kill rate at every state")
     diag = fm.mu * generator(fm).out_rate
     b = fm.mu * rhs
@@ -315,17 +324,29 @@ def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     def matvec(v):
         return diag * v - fm.rates_matvec(v)
 
+    def size(res):
+        return float(np.max(np.abs(res) / b))
+
     x = np.zeros_like(b)
     r = b.copy()
     p = np.zeros_like(b)
     rz = 1.0
+    check, last = 0.25, np.inf
     for _ in range(CG_MAXITER):
-        goal = CG_RTOL * lam_min * float(np.abs(x).max())
-        if np.linalg.norm(r) <= goal:
-            r = b - matvec(x)  # the recursive residual drifts from the true one
-            res = float(np.linalg.norm(r))
-            if res <= goal:
-                return x, res / lam_min
+        if size(r) <= check:
+            # the recursive residual r drifts from the true one, which stalls
+            # at the rounding floor while r keeps falling
+            res = size(b - matvec(x))
+            if res <= CG_RTOL or res > last / 2:
+                rho = (np.finfo(float).eps * math.log2(math.prod(fm.action.shape))
+                       * math.sqrt(fm.n) * float(diag.max())
+                       * float(np.abs(x).max()) / float(b.min()))
+                delta = res + rho
+                if res > max(CG_RTOL, rho) or not delta < 1.0:
+                    raise NumericalFailure(f"CG stalled at a residual of {res:.2e} "
+                                           f"relative, above its rounding {rho:.2e}")
+                return x, delta / (1.0 - delta)
+            check, last = size(r) / 4, res
         z = r / diag
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
@@ -333,19 +354,19 @@ def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         step = rz / float(p @ Ap)
         x += step * p
         r -= step * Ap
-    raise NumericalFailure(f"CG did not reach {CG_RTOL} relative in "
-                           f"{CG_MAXITER} iterations")
+    raise NumericalFailure(f"CG did not converge in {CG_MAXITER} iterations")
 
 
 def solve_generator(fm: FiniteModel, rhs: np.ndarray) -> np.ndarray:
     """u with -Q u = rhs on the window.
 
-    A vector rhs on a lattice window is solved matrix-free by `_cg_solve`,
-    which never builds Q; a matrix rhs (the elliptic Harnack generators) or an
-    explicit graph takes a dense solve.  A singular Q, a non-finite solution
-    or a CG run that does not converge raises NumericalFailure.
+    A positive vector rhs (an exit time) on a lattice window is solved
+    matrix-free by `_cg_solve`, which never builds Q; any other rhs (a matrix
+    for the elliptic Harnack generators) or an explicit graph takes a dense
+    solve.  A singular Q, a non-finite solution or a CG run that does not
+    converge raises NumericalFailure.
     """
-    if np.ndim(rhs) == 1 and fm.action is not None:
+    if np.ndim(rhs) == 1 and fm.action is not None and np.all(rhs > 0):
         return _cg_solve(fm, rhs)[0]
     try:
         u = np.linalg.solve(-generator(fm).Q, rhs)
