@@ -25,6 +25,7 @@ import numpy.fft  # noqa: F401  numpy would load it lazily, inside a run
 from .errors import (
     DistanceUnreachable,
     DivergentTail,
+    NumericalFailure,
     WindowTooLarge,
 )
 
@@ -43,6 +44,9 @@ STATE_CAP = 200_000
 DENSE_BYTES = 1 << 30
 # Shells tabulated term by term before the Hurwitz-zeta tail takes over.
 SHELL_HORIZON = 2 ** 16
+# Largest jump radius drawn: Z^2 shell counts (8s) and walker distances
+# (|x - x0| <= R + s) stay in int64.
+JUMP_RADIUS_CAP = 2 ** 59
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +335,15 @@ class RadialProfile:
     bound: float
 
     def radii(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF shell radii for uniforms u in [0, total): a table
-        search up to the horizon; beyond it, the least s with cumulative
-        weight through s >= u, by doubling and bisection on the zeta tail."""
+        """Inverse-CDF shell radii for uniforms u in [0, total): a binary
+        search of the whole table up to the horizon; beyond it, the least s
+        with cumulative weight through s >= u, by doubling and bisection on
+        the zeta tail.  The Monte Carlo walker draws through a guide table
+        and sends here only the draws it cannot settle in one step.
+
+        Raises NumericalFailure for a radius beyond JUMP_RADIUS_CAP: a draw
+        lands there with probability about 2 % at tail exponent 1.1 on Z,
+        and under 1e-14 at exponent 1.8."""
         def through(s):
             return self.total - shell_tail_sum(self.d, self.metric, self.expo, s + 1)
         r = self.cum.searchsorted(u, side="right") + 1
@@ -341,6 +351,11 @@ class RadialProfile:
             for i in np.nonzero(r > SHELL_HORIZON)[0]:
                 lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
                 while through(hi) < u[i]:
+                    if hi >= JUMP_RADIUS_CAP:
+                        raise NumericalFailure(
+                            f"a jump radius beyond 2^59 = {JUMP_RADIUS_CAP} was "
+                            f"drawn: the kernel's tail exponent {self.expo} on "
+                            f"Z^{self.d} is too heavy to sample in int64")
                     lo, hi = hi, 2 * hi
                 while hi - lo > 1:
                     mid = (lo + hi) // 2

@@ -2,12 +2,16 @@
 
 The walker holds at x for an Exp(q_x) time with q_x = J(x,G)/mu_x (the row
 sum is tail-certified, not truncated) and then jumps to y with probability
-J(x,y)/J(x,G).  Jump displacements are drawn by inverse-CDF over the radial
-shells of the kernel's `RadialProfile` — exact shell weights up to a large
-horizon, certified analytic tail beyond — followed by a uniform choice on the
-selected shell, so the jump law matches the kernel exactly.  Trajectories
-never see a window; only the observables are windowed, which avoids
-truncation bias in exit and hitting estimates.
+J(x,y)/J(x,G).  Jump radii are drawn by inverse CDF over the radial shells
+of the kernel's `RadialProfile` (exact shell weights up to a large horizon,
+certified analytic tail beyond), then a point uniform on the selected shell,
+so the jump law matches the kernel exactly.  The inverse CDF is a guide table
+(Chen & Asau's indexed search, Devroye 1986, III.2.4): a uniform's bucket
+gives its shell in one step, checked against the shell's bracket, and the
+few draws that miss it (buckets holding several shells, the analytic tail)
+go to the profile's full search, so every radius is exactly the table
+search's.  Trajectories never see a window; only the observables are
+windowed, which avoids truncation bias in exit and hitting estimates.
 
 Walkers are block-stepped: each of the m live walkers of a stream draws k
 i.i.d. displacements (and, for timed estimands, k unit exponentials) in one
@@ -35,6 +39,7 @@ from .models import LatticeModel, radial_profile, shell_counts
 STEP_CAP = 10_000_000
 N_STREAMS = 8
 DRAW_BUDGET = 1 << 13  # displacements one stream draws per block: m walkers x k jumps
+GUIDE_BUCKETS = 4096  # equal-mass buckets of the guide table over [0, J(x, G))
 
 
 @dataclass
@@ -63,6 +68,18 @@ class TrajectorySampler:
         self.seed = seed
         self.profile = radial_profile(model.d, model.metric, model.base_kernel)
         self.total = self.profile.total  # J(x, G) off the suppressed pair
+        # Guide table: a draw u in bucket b = floor(u G / total) lies, up to
+        # rounding at the bucket's edge, in shell guide[b] + 1 or above, with
+        # guide[b] = #{cum <= b total / G}.  At most G shells outweigh a
+        # bucket, so guided indices stop at G + 1 and only that head of the
+        # table is bracketed: lo[i] = cum[i - 1] (-inf for i = 0) and
+        # hi[i] = cum[i].  Bucket G catches a u G / total rounded up to G.
+        cum, g = self.profile.cum, GUIDE_BUCKETS
+        edges = np.arange(g + 1) * (self.total / g)
+        self._guide = np.minimum(cum.searchsorted(edges, side="right"), g)
+        head = np.concatenate(([-np.inf], cum[:g + 2]))
+        self._lo, self._hi = head[:-1], head[1:]
+        self._scale = g / self.total
 
     # -- walker tests (points along the last axis) -----------------------------
 
@@ -136,9 +153,23 @@ class TrajectorySampler:
             out[pole, 1] = 0
         return out
 
+    def _radii(self, u: np.ndarray) -> np.ndarray:
+        """`profile.radii(u)` by the guide table: from its bucket's guide
+        index i and one step, u takes shell i + 1 when cum[i - 1] <= u <
+        cum[i], which is the table search's answer; the draws outside that
+        bracket go to the full search."""
+        lo, hi = self._lo, self._hi
+        i = self._guide[(u * self._scale).astype(np.intp)]
+        i += hi[i] <= u
+        miss = (u < lo[i]) | (hi[i] <= u)
+        i += 1
+        if miss.any():
+            i[miss] = self.profile.radii(u[miss])
+        return i
+
     def _displacements(self, n: int, rng) -> np.ndarray:
         """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array."""
-        return self._directions(self.profile.radii(rng.random(n) * self.total), rng)
+        return self._directions(self._radii(rng.random(n) * self.total), rng)
 
     # -- stream plumbing -------------------------------------------------------
 
@@ -155,12 +186,12 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
     """Run n walkers from x, block by block, to each one's first stop.
 
     `stop(pre, post, clock)` marks the jumps pre -> post that end a walk;
-    `clock` is the time after each jump's hold (0 unless `timed`).  The
-    start is tested first as the zero-length jump x -> x at time 0, so a
-    walker that is settled before it moves (say, started outside the ball)
-    draws nothing.  Returns pre, post and clock of the stopping jump of every
-    walker that stopped, in stream and walker order, and the number of
-    walkers truncated at STEP_CAP.
+    `clock` is the time after each jump's hold (the scalar 0 unless
+    `timed`).  The start is tested first as the zero-length jump x -> x at
+    time 0, so a walker that is settled before it moves (say, started
+    outside the ball) draws nothing.  Returns pre, post and clock of the
+    stopping jump of every walker that stopped, in stream and walker order,
+    and the number of walkers truncated at STEP_CAP.
     """
     model, d = sampler.model, sampler.model.d
     start = np.asarray(x, dtype=np.int64)
@@ -175,7 +206,7 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
         steps = np.zeros(size, dtype=np.int64)
         end_pre = np.empty((size, d), dtype=np.int64)
         end_post = np.empty((size, d), dtype=np.int64)
-        end_clock = np.empty(size)
+        end_clock = np.zeros(size)
         ended = np.zeros(size, dtype=bool)
         k = 1
         while len(live):
@@ -185,31 +216,43 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
             post = np.cumsum(jumps, axis=1)
             post += pos[:, None]
             pre = post - jumps
-            t = np.zeros((m, k))
+            t = 0.0
             if timed:
                 flat = pre.reshape(m * k, d)
                 hold = rng.standard_exponential(m * k) / (
                     sampler._row_sum(flat) / model.mu_rule.at(flat))
                 t = clock[:, None] + np.cumsum(hold.reshape(m, k), axis=1)
-            capped = np.arange(k) >= (STEP_CAP - steps)[:, None]
-            cut = sampler._forbidden(pre, post) & ~capped
-            event = capped | cut | stop(pre, post, t)
+            event = stop(pre, post, t)
+            # the cap and the pair cut are masked only where they can occur
+            capped = cut = None
+            if steps.max() + k > STEP_CAP:
+                capped = np.arange(k) >= (STEP_CAP - steps)[:, None]
+                event = event | capped
+            if model.pair is not None:
+                cut = sampler._forbidden(pre, post)
+                if capped is not None:
+                    cut &= ~capped
+                event = event | cut
             col = event.argmax(axis=1)
             rows = np.arange(m)
             met = event[rows, col]
             # the walker's state after its last accepted jump
             last = np.where(met, col, k)
             pos = np.where((last > 0)[:, None], post[rows, last - 1], pos)
-            clock = np.where(last > 0, t[rows, last - 1], clock)
+            if timed:
+                clock = np.where(last > 0, t[rows, last - 1], clock)
             steps += last
-            done = met & ~cut[rows, col]
-            over = done & capped[rows, col]
-            halt = done & ~over
-            truncated += int(np.count_nonzero(over))
+            done = met if cut is None else met & ~cut[rows, col]
+            halt = done
+            if capped is not None:
+                over = done & capped[rows, col]
+                halt = done & ~over
+                truncated += int(np.count_nonzero(over))
             ids = live[halt]
             end_pre[ids] = pre[rows[halt], col[halt]]
             end_post[ids] = post[rows[halt], col[halt]]
-            end_clock[ids] = t[rows[halt], col[halt]]
+            if timed:
+                end_clock[ids] = t[rows[halt], col[halt]]
             ended[ids] = True
             live, pos, clock, steps = live[~done], pos[~done], clock[~done], steps[~done]
         pres.append(end_pre[ended])

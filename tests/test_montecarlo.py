@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from jumplab import montecarlo as mc
+from jumplab.errors import NumericalFailure
 from jumplab.models import (
+    JUMP_RADIUS_CAP,
     KILLED,
     LadderKernel,
     LatticeModel,
@@ -546,3 +548,77 @@ def test_jump_tail_radius_on_z(kernel):
             for r, w in zip(want, v)]
     assert got.tolist() == want
     assert (got > SHELL_HORIZON).tolist() == [False, True, False, True]
+
+
+def table_radii(prof, w):
+    """The table search's radii: searchsorted up to the horizon, the
+    reference bisection beyond it."""
+    r = prof.cum.searchsorted(w, side="right") + 1
+    return [tail_radius(prof, float(x)) if ri > SHELL_HORIZON else int(ri)
+            for ri, x in zip(r, w)]
+
+
+# on Z the two metrics give one table
+GUIDED = {f"z{d}-{metric}-{a}": (d, metric, PolynomialKernel(a))
+          for d, metric in ((1, "linf"), (2, "linf"), (2, "l1"))
+          for a in (0.8, 1.0, 1.9)}
+GUIDED["z1-ladder"] = (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64, 256)))
+
+
+@pytest.mark.parametrize("d, metric, kernel", GUIDED.values(), ids=GUIDED.keys())
+def test_guided_radii_equal_table_search(d, metric, kernel):
+    """The guide table's radii equal the table search's, bit for bit, at
+    every bucket edge and every guided shell boundary, their neighbours,
+    the extreme draws and draws in the analytic tail."""
+    model = LatticeModel(d=d, metric=metric, kernel=kernel)
+    s = mc.TrajectorySampler(model, seed=0)
+    prof, total, g = s.profile, s.total, mc.GUIDE_BUCKETS
+    last = int(s._guide.max()) + 1  # the last index a guided draw can take
+    v = np.concatenate([np.arange(g + 1) * (total / g), prof.cum[:last + 1]])
+    v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    # u = v / total lands on v wherever a uniform can (u * total skips some
+    # doubles, which are then never drawn)
+    u = np.concatenate([v / total, [0.0, 1 - 2.0 ** -53,
+                                    np.nextafter(prof.cum[-1] / total, 1),
+                                    (prof.cum[-1] + prof.tail / 2) / total]])
+    u = np.unique(u[(u >= 0) & (u < 1)])
+    w = u * total
+    assert np.isin(v[v < total], w).mean() > 0.9
+    assert (w > prof.cum[-1]).sum() >= 2
+    want = np.array(table_radii(prof, w), dtype=object)
+    ok = want <= JUMP_RADIUS_CAP
+    pts = s._displacements(int(ok.sum()), ForcedUniforms(u[ok], 8))
+    got = np.abs(pts[:, 0]) if d == 1 else model.norm(pts)
+    assert got.tolist() == want[ok].tolist()
+    for f in u[~ok]:  # radii past 2^59: the largest uniform at alpha = 0.8
+        with pytest.raises(NumericalFailure, match="2\\^59"):
+            s._displacements(1, ForcedUniforms([f], 8))
+    assert ok.all() == (kernel.alpha != 0.8)
+
+
+def test_heavy_tail_raises_numerical_failure():
+    """Radii past int64 are refused, with the bound and the exponent named,
+    instead of overflowing the walker's positions."""
+    s = mc.TrajectorySampler(LatticeModel(d=1, kernel=PolynomialKernel(0.1)), 0)
+    with pytest.raises(NumericalFailure, match="exponent 1.1"):
+        mc.hit_before_exit(s, (0,), (1,), (0,), 8, 200)
+    with pytest.raises(NumericalFailure, match="exponent 1.1"):
+        mc.sample_exit_time(s, (0,), (0,), 8, 200)
+
+
+@pytest.mark.parametrize("model, seed, run, estimate, se", [
+    (LADDER, 0, lambda s: mc.hit_before_exit(s, (16,), (0,), (0,), 64, 400),
+     0.555, 0.02487940840144747),
+    (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 9,
+     lambda s: mc.sample_exit_time(s, (0,), (0,), 8, 500),
+     2.784957301074035, 0.11043641184566638),
+    (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.2)), 3,
+     lambda s: mc.sample_exit_time(s, (0, 0), (0, 0), 4, 500),
+     0.9731100902069035, 0.03497246467316373),
+], ids=["ladder-hit", "z1-exit", "z2-l1-exit"])
+def test_walker_pinned(model, seed, run, estimate, se):
+    """Estimates pinned with ==, as the searchsorted draws gave them: the
+    per-walker loops above share the displacement helper, so they cannot
+    catch a change in the draws themselves."""
+    rep = run(mc.TrajectorySampler(model, seed))
+    assert (rep.estimate, rep.se, rep.truncated) == (estimate, se, 0)
