@@ -15,7 +15,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure, WindowUnconverged
-from .models import KILLED, REFLECTED, LatticeModel, _pair_rates, truncate
+from .models import (
+    KILLED,
+    REFLECTED,
+    LatticeModel,
+    _pair_rates,
+    require_dense,
+    truncate,
+)
 from .semigroup import (
     dirichlet_form,
     expected_exit_time,
@@ -317,7 +324,9 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
 
     C_Q(B) = 1/(R^alpha * lam_plus) with lam_plus the smallest nonzero
     eigenvalue on the mean-zero subspace (constant vector deflated by taking
-    the second-smallest eigenvalue; exact optimum over all f).
+    the second-smallest eigenvalue; exact optimum over all f).  Every ball
+    is held to the dense byte budget before the first eigensolve, so an
+    oversized last radius raises WindowTooLarge at once.
     """
     centers = list(centers) if centers else [model.origin]
     radii = list(radii)
@@ -325,6 +334,10 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
         raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("PI sweep needs radii >= 1")
+    for x0 in centers:
+        for R in radii:
+            n = len(model.ball(x0, R))
+            require_dense(n, n)
     rows = []
     disconnected = None
     for x0 in centers:

@@ -12,11 +12,20 @@ which is what these routines compute.
 The parabolic scan reads the generators only on the half ball of the probe
 boxes.  It steps the rows I[half] E^a of the one-step propagator E one age
 at a time and multiplies a block of ages by a chunk of launch columns in one
-GEMM, a tile of at most TILE_BYTES.  It keeps each half-ball max only at the
-ages that Q- shows to some launch step, and each min only at those Q+ shows;
-then one sliding-window fold of each gives the sup and inf of every launch
-step at once, so a family of generators has one (launch step x column)
-matrix of ratios.  Max and min select values, they do not round them.
+GEMM, its rows and its product each within TILE_BYTES.  It keeps each
+half-ball max only at the ages that Q- shows to some launch step, and each
+min only at those Q+ shows; then one sliding-window fold of each gives the
+sup and inf of every launch step at once, so a family of generators has one
+(launch step x column) matrix of ratios.  Max and min select values, they do
+not round them.
+
+Both scans run one generator per symmetry orbit.  The signed coordinate
+permutations that fix x0 and keep the suppressed pair and mu
+(`LatticeModel.symmetries`) keep the kernel, the window, the annulus and the
+half ball, so they permute the generators and keep their ratios (to
+rounding).  Only the first member of each orbit in window or channel order
+is formed and scanned (`_representatives`), the remainder channel on its
+own; on Z^2 that is about one column in eight.
 
 Constants are exact extremes; witnesses follow one tie rule, so rounding
 noise between mirror-image vertices cannot pick them: among values within
@@ -56,9 +65,9 @@ EPS = 1e-12
 # doubling check recomputes every constant at twice it.
 LAM_EXT = 4.0
 # One GEMM of the cone scan multiplies the half-ball rows of a block of ages
-# by a chunk of at most TILE_COLS columns, into at most TILE_BYTES (or one
-# age, if one age alone is larger).  Larger tiles run the GEMMs faster but
-# raise the peak memory of scans with few columns.
+# by a chunk of at most TILE_COLS columns; the rows and the product each take
+# at most TILE_BYTES (or one age, if one age alone is larger).  Larger tiles
+# run the GEMMs faster but raise the peak memory of scans with few columns.
 TILE_BYTES = 1 << 18
 TILE_COLS = 512
 # Entries per call of a sliding-window pass: wide arrays take s rows a call,
@@ -146,12 +155,12 @@ def _extremes(W: np.ndarray, E: np.ndarray, half: list[int],
     a = hi_ages.stop - 1 - r (the min at lo_ages.stop - 1 - r), latest age
     first.  The values are read as (I[half] E^a) W: the rows I[half] E^a are
     stepped one age at a time, and a block of ages meets a chunk of columns
-    of W in one GEMM of at most TILE_BYTES."""
+    of W in one GEMM whose rows and product each fit in TILE_BYTES."""
     h, n, width = len(half), len(E), W.shape[1]
     last = max(hi_ages.stop, lo_ages.stop) - 1
     chunks = -(-width // TILE_COLS)
     cols = -(-width // chunks)  # equal chunks of at most TILE_COLS columns
-    block = min(max(TILE_BYTES // (8 * h * cols), 1), last + 1)
+    block = min(max(TILE_BYTES // (8 * h * max(cols, n)), 1), last + 1)
     hi, lo = np.empty((len(hi_ages), width)), np.empty((len(lo_ages), width))
     stack, ages = np.empty((block, h, n)), []
     rows = np.eye(n)[half]
@@ -199,15 +208,16 @@ def _slide(x: np.ndarray, w: int, op) -> np.ndarray:
 class _Family(NamedTuple):
     """Generators launched at steps 0..L-1 from the columns of `start` and
     stepped by E: ratio[si, c] is sup over Q- / inf over Q+ of the one
-    launched from column c at step si."""
+    launched from column c at step si, the generator `labels[c]`."""
 
     ratio: np.ndarray
     start: np.ndarray
     E: np.ndarray
+    labels: list
 
 
 def _family(W: np.ndarray, E: np.ndarray, half: list[int], box: HarnackBox,
-            launches: int) -> _Family:
+            launches: int, labels: list) -> _Family:
     """The `_Family` of the fields E^a W launched at steps 0..launches-1.
 
     The half-ball max is formed only at the ages some launch shows in Q-,
@@ -222,11 +232,33 @@ def _family(W: np.ndarray, E: np.ndarray, half: list[int], box: HarnackBox,
         range(_ages(plus, launches - 1).start, plus.stop - 1))
     sup = _slide(hi, len(minus), np.maximum)[:launches]
     inf = _slide(lo, len(plus), np.minimum)[:launches]
-    return _Family(_ratio(sup, inf), W, E)
+    return _Family(_ratio(sup, inf), W, E, labels)
+
+
+def _representatives(fm: FiniteModel, x0) -> tuple[np.ndarray, np.ndarray]:
+    """(window slots, source columns) of the first member, in window and
+    channel order, of each orbit of `LatticeModel.symmetries(x0)`; the
+    remainder channel is its own orbit.  One lookup grid over the box of the
+    window and annulus gives the slots of every point's images, and a point
+    is a representative if none of them comes first."""
+    maps = fm.model.symmetries(x0)
+    n_ext = len(fm.exterior)
+    if len(maps) == 1:
+        return np.arange(fm.n), np.arange(n_ext + 1)
+    c = np.asarray(x0, dtype=np.int64)
+    pts = np.asarray(fm.window + fm.exterior, dtype=np.int64) - c
+    m = int(np.abs(pts).max())
+    grid = np.empty((2 * m + 1,) * len(c), dtype=np.int64)
+    grid[tuple((pts + m).T)] = np.arange(len(pts))
+    images = grid[tuple(np.moveaxis(pts @ maps.transpose(0, 2, 1) + m, -1, 0))]
+    first = np.flatnonzero(images.min(axis=0) == np.arange(len(pts)))
+    slots = first[first < fm.n]
+    return slots, np.append(first[first >= fm.n] - fm.n, n_ext)
 
 
 def _scan_generators(fm: FiniteModel, box: HarnackBox):
-    """Stream all cone generators through the box, reducing each age once.
+    """Stream one cone generator of each symmetry orbit through the box,
+    reducing each age once.
 
     A source generator launched at step si has value E^(j-si-1) S[:, c] at
     grid step j > si, so it only ever shows the fields E^a S at ages
@@ -234,14 +266,18 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox):
     si = 0 from E diag(1/mu).  Launches from step m/2 on show no step of Q-,
     so the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2)
     and their Q+ ages [m/4, m), and only those half-ball maxima and minima
-    are formed, a tile of (I[half] E^a) W at a time.  Returns
-    (init, src, half, ops), where `init` and `src` are the `_Family` of
-    each kind, for W = E diag(1/mu) and S.
+    are formed, a tile of (I[half] E^a) W at a time.  Only the
+    representative columns (`_representatives`) of W and S are formed.
+    Returns (init, src, half, ops), where `init` and `src` are the `_Family`
+    of each kind, for W = E diag(1/mu) and S.
     """
     m, half = box.m_steps, fm.ball_slots(box.x0, box.R / 2)
-    ops = step_operators(fm, box.T / m)
-    init = _family(ops.E @ np.diag(1.0 / fm.mu), ops.E, half, box, 1)
-    src = _family(ops.S, ops.E, half, box, m // 2)
+    slots, cols = _representatives(fm, box.x0)
+    ops = step_operators(fm, box.T / m, fm.sources[:, cols])
+    init = _family(ops.E[:, slots] * (1.0 / fm.mu[slots]), ops.E, half, box,
+                   1, [fm.window[i] for i in slots])
+    src = _family(ops.S, ops.E, half, box, m // 2,
+                  [fm.channels[i] for i in cols])
     return init, src, half, ops
 
 
@@ -272,12 +308,14 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
     order), then source impulses by (launch step, channel), and each replaces
     the witness only when its ratio is larger by more than EPS; only launch
     steps whose largest ratio could replace it are searched.  Only the
-    winner's witness ages and slots are searched (`_fold`).
+    winner's witness ages and slots are searched (`_fold`).  The families
+    hold the first member of each symmetry orbit, and its mirror images
+    tie with it, so the witness is the one a scan of every generator picks.
     """
     minus, plus = box.minus_steps(), box.plus_steps()
     times = np.linspace(0.0, box.T, box.m_steps + 1)
     best, wit_ratio, win = -math.inf, -math.inf, None
-    for labels, fam in ((fm.window, init), (fm.channels, src)):
+    for fam in (init, src):
         tops = fam.ratio.max(axis=1)
         best = max(best, tops.max())
         for si in np.flatnonzero(tops > wit_ratio * (1.0 + EPS)):
@@ -285,13 +323,13 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
             while (later := ratio[c:] > wit_ratio * (1.0 + EPS)).any():
                 c += int(later.argmax())
                 wit_ratio = ratio[c]
-                win = (labels, fam, int(si), c)
+                win = (fam, int(si), c)
     if win is None:
         return best, None
-    labels, fam, si, c = win
+    fam, si, c = win
     am, ap, sm, sp = _fold(fam, half, si, c, minus, plus)
     prefix = ("source", si) if fam is src else ("initial",)
-    return best, {"generator": prefix + (labels[c],),
+    return best, {"generator": prefix + (fam.labels[c],),
                   "minus": (float(times[am + si + 1]), fm.window[half[sm]]),
                   "plus": (float(times[ap + si + 1]), fm.window[half[sp]])}
 
@@ -351,21 +389,22 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
 # ---------------------------------------------------------------------------
 
 def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
-    """(fm, C_EHI, witness, generators on B(x0,R)): column w of the last is
-    h_w on the ball's slots, the remainder channel last."""
+    """(fm, C_EHI, witness): the harmonic generator h_w of each source
+    channel w is solved for the first channel of each symmetry orbit only,
+    as `_scan_generators` does, and read on the ball's slots."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
-    H = solve_generator(fm, fm.sources)
+    cols = _representatives(fm, x0)[1]
     inner = fm.ball_slots(x0, R)
-    sub = H[inner]
+    sub = solve_generator(fm, fm.sources[:, cols])[inner]
     rmax, hi = _first_near(sub)
     rmin, lo = _first_near(sub, -1.0)
     c, best = _first_near(_ratio(hi, lo))
     wit = None
     if best > -math.inf:
-        wit = {"generator": ("exterior", fm.channels[c]),
+        wit = {"generator": ("exterior", fm.channels[cols[c]]),
                "max_at": fm.window[inner[rmax[c]]],
                "min_at": fm.window[inner[rmin[c]]]}
-    return fm, max(best, 1.0), wit, sub
+    return fm, max(best, 1.0), wit
 
 
 def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
@@ -374,7 +413,7 @@ def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
     against twice the annulus as `phi_constant` is."""
     if R <= 0:
         raise ValueError("R must be positive")
-    fm, c, wit, _ = _ehi_once(model, x0, R, LAM_EXT)
+    fm, c, wit = _ehi_once(model, x0, R, LAM_EXT)
     doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * LAM_EXT)[1],
                        LAM_EXT)
     return HarnackReport(

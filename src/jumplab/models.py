@@ -492,6 +492,28 @@ class LatticeModel:
     def volume(self, x0, r: float) -> float:
         return float(sum(self.mu(y) for y in self.ball(x0, r)))
 
+    def symmetries(self, x0) -> np.ndarray:
+        """(k, d, d) signed permutation matrices G, the identity first, with
+        x -> x0 + G (x - x0) an automorphism of the model fixing x0.
+
+        On a lattice every signed coordinate permutation keeps the l-inf and
+        l1 norms, so it keeps the radial kernel, every ball about x0 and the
+        parity of the coordinate sum (`MuAlternating`); a map stays if it
+        also sends the suppressed pair onto itself.  A `MuTable` measure or
+        an explicit graph keeps the identity alone."""
+        if self.kind == "explicit" or isinstance(self.mu_rule, MuTable):
+            return np.eye(self.d, dtype=np.int64)[None]
+        eye, c = np.eye(self.d, dtype=np.int64), np.asarray(x0)
+        maps = [eye[list(perm)] * np.array(signs)[:, None]
+                for perm in itertools.permutations(range(self.d))
+                for signs in itertools.product((1, -1), repeat=self.d)]
+        p = self.pair
+        if p is not None:
+            ends = {tuple(p[0]), tuple(p[1])}
+            maps = [g for g in maps
+                    if {tuple(c + g @ (np.asarray(e) - c)) for e in ends} == ends]
+        return np.array(maps)
+
     # -- kernel -----------------------------------------------------------
 
     @property
@@ -703,15 +725,20 @@ class FiniteModel:
                 if self.model.distance(x0, v) <= r]
 
 
+def require_dense(rows: int, cols: int) -> None:
+    """WindowTooLarge if a rows x cols rate matrix would exceed DENSE_BYTES."""
+    nbytes = 8 * rows * cols
+    if nbytes > DENSE_BYTES:
+        raise WindowTooLarge(f"a {rows} x {cols} rate matrix needs "
+                             f"{nbytes} bytes, over the budget of {DENSE_BYTES}")
+
+
 def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
     """Matrix of J(x,y) for x in xs, y in ys (the suppressed pair zeroed).
 
     WindowTooLarge, before anything is allocated, if it would exceed
     DENSE_BYTES."""
-    nbytes = 8 * len(xs) * len(ys)
-    if nbytes > DENSE_BYTES:
-        raise WindowTooLarge(f"a {len(xs)} x {len(ys)} rate matrix needs "
-                             f"{nbytes} bytes, over the budget of {DENSE_BYTES}")
+    require_dense(len(xs), len(ys))
     out = np.zeros((len(xs), len(ys)))
     if model.kind == "explicit":
         for i, x in enumerate(xs):

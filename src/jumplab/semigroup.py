@@ -299,7 +299,10 @@ def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
 def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """(u, rel) with -Q u = rhs for a positive vector rhs on a lattice window,
     by Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, J. Res.
-    NBS 49 (1952)), and |u - exact| <= rel * u at every slot.
+    NBS 49 (1952)), and |u - exact| <= rel * u at every slot.  The diagonal
+    mu out_rate is J(x, G), the same at every slot that is no endpoint of a
+    suppressed pair, so on such a window with constant mu the preconditioner
+    is a scalar and this is plain CG.
 
     mu (-Q) = A = diag(mu out_rate) - J_W has rows summing to mu kill; with
     kill > 0 at every slot it is a nonsingular symmetric M-matrix, so A^-1 is
@@ -397,10 +400,13 @@ class StepOperators:
     err: float
 
 
-def step_operators(fm: FiniteModel, dt: float) -> StepOperators:
+def step_operators(fm: FiniteModel, dt: float,
+                   sources: np.ndarray) -> StepOperators:
+    """E and S on the grid step dt, for `sources` (all or some of the
+    columns of `fm.sources`)."""
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("step operators need an exterior-tracked model")
     gen = generator(fm)
     E, e1 = expm_action(gen, np.eye(fm.n), dt)
-    S, e2 = integrated_action(gen, fm.sources, dt)
+    S, e2 = integrated_action(gen, sources, dt)
     return StepOperators(E=E, S=S, err=e1 + e2)

@@ -9,8 +9,8 @@ import numpy as np
 from jumplab import conditions as cond
 from jumplab import harnack as H
 from jumplab import montecarlo as mc
-from jumplab.models import FiniteModel
-from jumplab.semigroup import generator, step_operators
+from jumplab.models import EXTERIOR_TRACKED, FiniteModel, truncate
+from jumplab.semigroup import generator, solve_generator, step_operators
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ def caloric_solve(fm, initial, exterior_data, T: float, m_steps: int,
            else exterior_data)
     rem = np.zeros(m_steps) if remainder_data is None else remainder_data
     data = np.column_stack([ext, rem])  # one column per channel, remainder last
-    ops = step_operators(fm, T / m_steps)
+    ops = step_operators(fm, T / m_steps, fm.sources)
     values = np.empty((m_steps + 1, fm.n))
     values[0] = u = np.asarray(initial, dtype=float)
     for i in range(m_steps):
@@ -59,7 +59,7 @@ def duhamel_generators(fm, T: float, m_steps: int) -> list[CaloricField]:
     remainder) for one grid step, by (step, channel): zero up to the launch
     step si, then S[:, c] at step si + 1.
     """
-    ops = step_operators(fm, T / m_steps)
+    ops = step_operators(fm, T / m_steps, fm.sources)
     starts = [(0, np.diag(1.0 / fm.mu))]
     starts += [(si + 1, ops.S) for si in range(m_steps)]
     out = []
@@ -93,8 +93,10 @@ def caloric_box_ratio(fld, box) -> float:
 
 def harmonic_partition_residual(model, x0, R) -> float:
     """max_x |sum_w h_w(x) + h_rem(x) - 1| over B(x0,R): the harmonic
-    generators of data == 1 must sum to the constant function."""
-    h = H._ehi_once(model, x0, R, H.LAM_EXT)[3]
+    generators of data == 1 must sum to the constant function.  Every
+    channel's generator is solved, in one matrix solve."""
+    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
+    h = solve_generator(fm, fm.sources)[fm.ball_slots(x0, R)]
     return float(np.abs(h.sum(axis=1) - 1.0).max())
 
 

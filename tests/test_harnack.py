@@ -11,9 +11,13 @@ from jumplab import models
 from jumplab.errors import NumericalFailure, WindowUnconverged
 from jumplab.models import (
     EXTERIOR_TRACKED,
+    LadderKernel,
     LatticeModel,
+    MuAlternating,
+    MuTable,
     PolynomialKernel,
     SuppressedPairKernel,
+    TabulatedKernel,
     truncate,
 )
 from jumplab.semigroup import (
@@ -32,6 +36,18 @@ from oracles import (
 
 def small_box():
     return H.HarnackBox(x0=(0,), R=4, alpha=1.0, lam=1.0, m_steps=16)
+
+
+@pytest.fixture
+def identity_group(monkeypatch):
+    """Every model keeps the identity map alone, so the scans run every
+    generator: for step operators or solves injected with no symmetry, and
+    for the fan-out reference, whose constant is the max over all of them."""
+    monkeypatch.setattr(LatticeModel, "symmetries", identity_only)
+
+
+def identity_only(model, x0):
+    return np.eye(model.d, dtype=np.int64)[None]
 
 
 def test_box_invariants():
@@ -95,7 +111,7 @@ def first_near_extreme(seen, col, sign):
 
 def fanout_scan(fm, box):
     m = box.m_steps
-    ops = H.step_operators(fm, box.T / m)
+    ops = H.step_operators(fm, box.T / m, fm.sources)
     E = ops.E
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
@@ -166,7 +182,7 @@ SCAN_CASES = {
 
 
 @pytest.mark.parametrize("model, box", SCAN_CASES.values(), ids=SCAN_CASES)
-def test_scan_matches_fanout_reference(model, box):
+def test_scan_matches_fanout_reference(model, box, identity_group):
     """The per-age scan gives exactly the fan-out scan's constant and witness;
     z1 and lam-half hold mirror-image ties that only rounding noise splits."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
@@ -210,7 +226,8 @@ def scan_with(monkeypatch, fm, box, ops):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed):
+def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed,
+                                                identity_group):
     """On exact ties the per-age scan still picks the reference's generator
     and first-attained witnesses."""
     box = small_box()
@@ -220,7 +237,8 @@ def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed):
+def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed,
+                                              identity_group):
     """Every entry of the tie cases' step operators moved by up to a relative
     1e-14 turns their ties into rounding-noise ties: the witnesses stay
     those of the unmoved case, the constant moves by rounding only, and the
@@ -237,7 +255,8 @@ def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed):
 
 @pytest.mark.parametrize("amp", [1e-12, 2e-12])
 @pytest.mark.parametrize("seed", range(16))
-def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, seed):
+def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, seed,
+                                                       identity_group):
     """The tie cases' step operators moved by up to a relative 1e-12 or
     2e-12 put ratios and field values about EPS apart, where a generator
     must replace the witness one at a time and a slot must come within EPS
@@ -298,6 +317,114 @@ def test_half_ball_scan_matches_full_window_scan(model, box, monkeypatch):
     assert got[1] == want[1]
 
 
+def _pair_model(d, y0):
+    return LatticeModel(d=d, kernel=SuppressedPairKernel(
+        base=PolynomialKernel(1.0), x0=(0,) * d, y0=y0))
+
+
+# (model, x0, R, order of its symmetry group about x0)
+SYMMETRY_CASES = {
+    "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), (0,), 4, 2),
+    "ladder": (LatticeModel(d=1, kernel=LadderKernel(1.0, (3, 10))), (0,), 4, 2),
+    "linf-z2": (LatticeModel(d=2, kernel=PolynomialKernel(1.0)), (0, 0), 2, 8),
+    "l1-z2": (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
+              (0, 0), 2, 8),
+    "pair-z1": (_pair_model(1, (4,)), (0,), 4, 1),
+    "pair-z2": (_pair_model(2, (2, 0)), (0, 0), 2, 2),
+    "alternating-z2": (LatticeModel(d=2, kernel=PolynomialKernel(1.5),
+                                    mu_rule=MuAlternating(1.0, 2.0)),
+                       (1, 0), 2, 8),
+}
+
+
+def test_symmetry_groups():
+    """Signed permutations about x0, the identity first: all of them unless a
+    suppressed pair or a `MuTable` measure breaks them; an explicit graph
+    keeps the identity alone."""
+    for model, x0, _, order in SYMMETRY_CASES.values():
+        maps = model.symmetries(x0)
+        assert len(maps) == order
+        assert np.array_equal(maps[0], np.eye(model.d))
+        assert len({g.tobytes() for g in maps}) == order
+        assert all(np.array_equal(np.abs(g).sum(axis=0), np.ones(model.d))
+                   for g in maps)
+    table = MuTable(tuple(((x,), 1.0) for x in range(-3, 4)))
+    assert len(LatticeModel(d=1, mu_rule=table).symmetries((0,))) == 1
+    graph = LatticeModel(kind="explicit", vertices=("a", "b"),
+                         edges=(("a", "b"),),
+                         kernel=TabulatedKernel(((("a", "b"), 1.0),)))
+    assert len(graph.symmetries("a")) == 1
+
+
+@pytest.mark.parametrize("model, x0, R, order", SYMMETRY_CASES.values(),
+                         ids=SYMMETRY_CASES)
+def test_representatives_are_first_orbit_members(model, x0, R, order):
+    """`_representatives` keeps, of each orbit of the group on the window and
+    the channels, the member that comes first, found one vertex at a time."""
+    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED)
+    maps, c = model.symmetries(x0), np.asarray(x0)
+
+    def firsts(points):
+        at = {p: i for i, p in enumerate(points)}
+        return [i for i, p in enumerate(points)
+                if min(at[tuple(c + g @ (np.asarray(p) - c))] for g in maps) == i]
+
+    slots, cols = H._representatives(fm, x0)
+    assert slots.tolist() == firsts(fm.window)
+    assert cols.tolist() == firsts(fm.exterior) + [len(fm.exterior)]
+    if order > 1:
+        assert len(slots) < fm.n and len(cols) < len(fm.channels)
+
+
+@pytest.mark.parametrize("model, x0, R, order", SYMMETRY_CASES.values(),
+                         ids=SYMMETRY_CASES)
+def test_step_operators_are_equivariant(model, x0, R, order):
+    """Each map of the group permutes window slots and channels, and the
+    real E and the exterior columns of S commute with it within 1e-14
+    relative at every entry.  The remainder kill rate is a difference of
+    FFT row sums, equivariant only to its rounding (up to 5e-14 relative
+    here); S, a positive operator on it, moves it by no more than that."""
+    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED)
+    ops = H.step_operators(fm, 1.0 / 16, fm.sources)
+    ext = {v: i for i, v in enumerate(fm.exterior)}
+    c = np.asarray(x0)
+
+    def moved_by(A, rows, cols):
+        return np.abs(A[np.ix_(rows, cols)] - A) / np.abs(A)
+
+    for g in model.symmetries(x0):
+        def image(v):
+            return tuple(c + g @ (np.asarray(v) - c))
+
+        slot = [fm.index[image(v)] for v in fm.window]
+        col = [ext[image(v)] for v in fm.exterior]
+        assert np.all(moved_by(ops.E, slot, slot) <= 1e-14)
+        assert np.all(moved_by(ops.S[:, :-1], slot, col) <= 1e-14)
+        rem = [-1]
+        drift = moved_by(fm.sources[:, rem], slot, rem).max()
+        assert np.all(moved_by(ops.S[:, rem], slot, rem) <= 1e-14 + drift)
+
+
+@pytest.mark.parametrize("model, x0, R, order", SYMMETRY_CASES.values(),
+                         ids=SYMMETRY_CASES)
+def test_reduced_scans_match_unreduced(model, x0, R, order, monkeypatch):
+    """One generator per orbit gives the constants of the scan of every
+    generator (the group forced to the identity) within 1e-12 relative, and
+    the same witnesses."""
+    box = H.HarnackBox(x0=x0, R=R, alpha=1.0, m_steps=16)
+
+    def run():
+        return H.phi_constant(model, box), H.ehi_constant(model, x0, R)
+
+    reduced = run()
+    monkeypatch.setattr(LatticeModel, "symmetries", identity_only)
+    for got, want in zip(reduced, run()):
+        assert got.constant == pytest.approx(want.constant, rel=1e-12, abs=0.0)
+        assert got.witness == want.witness and got.witness is not None
+        assert got.family_sizes == want.family_sizes
+        assert got.metadata["n_exterior"] == want.metadata["n_exterior"]
+
+
 def test_ratio_writes_the_floor_rule_over_the_sups():
     """sup / inf, inf where the inf is below FLOOR (also where it is
     positive), -inf where the sup is not positive, written over the sups."""
@@ -342,7 +469,7 @@ def test_slide_allocates_no_copy(rng):
     assert peak < x.nbytes // 50
 
 
-def test_scan_memory_below_two_age_arrays(monkeypatch):
+def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     """The scan and fold of the doubled `lab phi --d 2 --R 2` window (81
     states, 4,145 channels, 256 steps) peak below 2 m x channels doubles,
     the size of the per-age max and min arrays of all m ages."""
@@ -350,7 +477,7 @@ def test_scan_memory_below_two_age_arrays(monkeypatch):
     box = H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)
     fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
     assert (fm.n, len(fm.channels), box.m_steps) == (81, 4145, 256)
-    ops = H.step_operators(fm, box.T / box.m_steps)
+    ops = H.step_operators(fm, box.T / box.m_steps, fm.sources)
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
     tracemalloc.start()
     try:
@@ -379,7 +506,8 @@ def test_phi_searches_witness_ages_once(z1, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_ehi_witnesses_ignore_rounding_noise(z1, monkeypatch, seed):
+def test_ehi_witnesses_ignore_rounding_noise(z1, monkeypatch, seed,
+                                             identity_group):
     """Harmonic generators with exact ties inside columns and across
     channels, then moved by up to a relative 1e-14: the channel, max_at and
     min_at stay the first attained of the exact ties."""

@@ -311,6 +311,17 @@ def test_dense_rates_over_byte_budget_raise_before_allocating():
     assert np.all(u > 0) and u.argmax() == fm.index[(0, 0)]
 
 
+def test_poincare_checks_every_ball_before_eigensolve(monkeypatch):
+    """`poincare --d 2 --radii 16,32,64`: the r = 64 ball is over the byte
+    budget, so the sweep raises before its first eigensolve."""
+    solves = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solves.append(a))
+    with pytest.raises(WindowTooLarge, match="budget"):
+        cond.check_poincare(LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
+                            1.0, radii=[16, 32, 64])
+    assert solves == []
+
+
 def test_check_hkp_reports_poisson_error(z1):
     rep = cond.check_hkp(z1, 1.0, pairs=[((0,), (4,)), ((0,), (8,))])
     eps = rep.metadata["eps_poisson"]
