@@ -25,8 +25,8 @@ from .models import (
     model_from_dict,
     truncate,
 )
-from .semigroup import dirichlet_form, expected_exit_time, heat_kernel
-from .harnack import HarnackBox, ehi_constant, first_jump_density, phi_constant
+from .semigroup import expected_exit_time, heat_kernel
+from .harnack import HarnackBox, ehi_constant, phi_constant
 from .montecarlo import TrajectorySampler, hit_before_exit, sample_exit_time, sample_position_sup
 from .io import ExperimentConfig, load_config, run_experiment
 

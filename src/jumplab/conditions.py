@@ -23,18 +23,14 @@ from .models import (
     require_dense,
     truncate,
 )
-from .semigroup import (
-    dirichlet_form,
-    expected_exit_time,
-    expm_action,
-    generator,
-    heat_kernel,
-)
+from .semigroup import expected_exit_time, expm_action, generator
 
 EIG_TOL = 1e-10
 # Relative move of a probed heat-kernel value, on doubling the window, above
 # which `check_hkp` raises WindowUnconverged.
 DOUBLING_MARGIN = 0.01
+# Distances, along the first axis from the origin, of `default_pair_grid`.
+PAIR_DISTANCES = (1, 2, 4, 8, 16)
 
 
 @dataclass
@@ -199,55 +195,6 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
         metadata={"rows": probe_rows, "eps_poisson": eps1 + eps2})
 
 
-def _band_sweep(model, alpha, radii, centers, band, n_times, condition,
-                shrink, lower):
-    """c1 = extreme over centers x, radii r and times t = b r^alpha (b on a
-    geometric grid of the band) of p^{B(x,r)}_t(x',y') * V(x,r), x', y' in
-    B(x, shrink*r): the min when `lower`, else the max."""
-    centers = list(centers) if centers else [model.origin]
-    radii = list(radii)
-    rows, probes = [], []
-    per_radius = {}
-    for x in centers:
-        for r in radii:
-            fm = truncate(model, x, r, KILLED)
-            idx = fm.ball_slots(x, shrink * r)
-            vol = model.volume(x, r)
-            ts = np.geomspace(band[0], band[1], n_times) * float(r) ** alpha
-            for t in ts:
-                hk = heat_kernel(fm, None, float(t))
-                sub = hk.values[np.ix_(idx, idx)]
-                k = int(sub.argmin() if lower else sub.argmax())
-                i, j = np.unravel_index(k, sub.shape)
-                val = float(sub.flat[k]) * vol
-                rows.append({"center": x, "r": r, "t": float(t), "c1": val})
-                probes.append({"c1": val, "at": (x, r, fm.window[idx[i]],
-                                                 fm.window[idx[j]], float(t))})
-            per_radius[(x, r)] = _fit(probes[-len(ts):], "c1", "at", lower)[0]
-    c1, wit = _fit(probes, "c1", "at", lower)
-    return ConditionReport(
-        condition=condition, alpha=alpha,
-        grid={"radii": radii, "centers": centers, "band": list(band)},
-        constants={"c1": c1},
-        witnesses={"c1": wit},
-        metadata={"rows": rows,
-                  "per_radius": {str(k): v for k, v in per_radius.items()}})
-
-
-def check_ndlb(model: LatticeModel, alpha: float, radii, centers=None,
-               band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
-    """c1 = min over probed tuples of p^{B(x,r)}_t(x',y') * V(x,r), t in the band."""
-    return _band_sweep(model, alpha, radii, centers, band, n_times, "NDLB",
-                       shrink=0.5, lower=True)
-
-
-def check_sb(model: LatticeModel, alpha: float, radii, centers=None,
-             band=(0.5, 2.0), n_times: int = 3) -> ConditionReport:
-    """c1 = max over the band of sup_{x,y} p^B_t(x,y) * V(x0,r)."""
-    return _band_sweep(model, alpha, radii, centers, band, n_times, "SB",
-                       shrink=1.0, lower=False)
-
-
 # ---------------------------------------------------------------------------
 # exit times
 # ---------------------------------------------------------------------------
@@ -371,133 +318,15 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
         metadata={"rows": rows})
 
 
-def tent_weight(model: LatticeModel, x0, R, ball) -> np.ndarray:
-    """phi_R(x) = c (R - d(x,x0))^+ on the ball, normalized to sum to 1."""
-    phi = np.array([max(float(R) - model.distance(x0, v), 0.0) for v in ball])
-    s = phi.sum()
-    if s <= 0:
-        raise ValueError("degenerate tent weight")
-    return phi / s
-
-
-def _tent_forms(model: LatticeModel, x0, R):
-    """(phi, W, mu) on the support of phi_R (vertices of B(x0,R) with phi > 0):
-    the tent weight, the weighted rates min(phi_x, phi_y) J(x,y), and mu."""
-    fm = truncate(model, x0, R, REFLECTED)
-    phi = tent_weight(model, x0, R, fm.window)
-    keep = np.flatnonzero(phi > 0)
-    phi = phi[keep]
-    W = np.minimum.outer(phi, phi) * fm.rates[np.ix_(keep, keep)]
-    return phi, W, fm.mu[keep]
-
-
-def check_weighted_poincare(model: LatticeModel, alpha: float, radii,
-                            centers=None) -> ConditionReport:
-    """Best constant of the tent-weighted Poincare inequality per ball.
-
-    The tent weight vanishes on the outermost ring, so the extremal problem is
-    posed on the support of phi_R; the constant-f direction is deflated.
-    """
-    centers = list(centers) if centers else [model.origin]
-    radii = list(radii)
-    rows = []
-    for x0 in centers:
-        for R in radii:
-            phi, Wm, mu = _tent_forms(model, x0, R)
-            Lw = np.diag(Wm.sum(axis=1)) - Wm
-            n = len(phi)
-            w = phi * mu / (phi * mu).sum()
-            # Var(f) = f^T V f with V = M - m w^T - w m^T + (1^T m) w w^T,
-            # fbar = w^T f
-            M = np.diag(mu)
-            V = M - np.outer(mu, w) - np.outer(w, mu) + mu.sum() * np.outer(w, w)
-            # deflate the constant direction
-            ones = np.ones((n, 1)) / math.sqrt(n)
-            Z = np.linalg.qr(np.eye(n) - ones @ ones.T)[0][:, : n - 1]
-            # reduce A g = lam B g by B = C C^T to C^-1 A C^-T h = lam h
-            Ci = np.linalg.inv(np.linalg.cholesky(Z.T @ V @ Z))
-            lam = np.linalg.eigvalsh(Ci @ (Z.T @ (2.0 * Lw) @ Z) @ Ci.T)
-            lam_plus = float(lam[0])
-            if lam_plus <= EIG_TOL:
-                val = math.inf
-            else:
-                val = 1.0 / (float(R) ** alpha * lam_plus)
-            rows.append({"center": x0, "R": R, "C_weighted": val})
-    c_w, wit = _fit(rows, "C_weighted", ("center", "R"))
-    unweighted = check_poincare(model, alpha, radii, centers)
-    return ConditionReport(
-        condition="PI_weighted", alpha=alpha,
-        grid={"radii": radii, "centers": centers},
-        constants={"C_weighted": c_w,
-                   "C_unweighted": unweighted.constants["C_Q"]},
-        witnesses={"C_weighted": wit},
-        metadata={"rows": rows})
-
-
-# ---------------------------------------------------------------------------
-# Nash inequality (sampled lower bound on the best constant)
-# ---------------------------------------------------------------------------
-
-def _full_form(fm, f):
-    """Dirichlet form of f (supported on the window) over the whole graph."""
-    return dirichlet_form(fm, f) + float((f ** 2 * fm.kill * fm.mu).sum())
-
-
-def check_nash(model: LatticeModel, alpha: float, d: int,
-               n_samples: int = 100, r_win: int = 16, seed: int = 0,
-               indicator_radii=(4, 8, 16)) -> ConditionReport:
-    """Lower-bounds the Nash constant C_N by maximizing the Nash ratio over
-    sampled functions (deltas, ball indicators, tents, random)."""
-    x0 = model.origin
-    fm = truncate(model, x0, r_win, KILLED)
-    mu = fm.mu
-    theta = 2.0 * alpha / d
-
-    def ratio(f):
-        form = _full_form(fm, f)
-        if form <= 0:
-            return None
-        n2 = float((f ** 2 * mu).sum())
-        n1 = float((np.abs(f) * mu).sum())
-        return n2 ** (1.0 + theta / 2.0) / (form * n1 ** theta)
-
-    rows = []
-
-    def consider(name, f):
-        r = ratio(np.asarray(f, float))
-        if r is not None:
-            rows.append({"family": name, "ratio": r})
-
-    delta = np.zeros(fm.n)
-    delta[fm.index[x0]] = 1.0
-    consider("delta", delta)
-    for r in indicator_radii:
-        ind = np.array([1.0 if model.distance(x0, v) <= r else 0.0
-                        for v in fm.window])
-        consider(f"indicator_r{r}", ind)
-        tent = np.array([max(1.0 - model.distance(x0, v) / float(r), 0.0)
-                         for v in fm.window])
-        consider(f"tent_r{r}", tent)
-    rng = np.random.default_rng(seed)
-    for i in range(n_samples):
-        consider(f"random_{i}", np.abs(rng.standard_normal(fm.n)))
-    best, wit = _fit(rows, "ratio", "family")
-    return ConditionReport(
-        condition="Nash", alpha=alpha,
-        grid={"r_win": r_win, "n_samples": n_samples, "d": d, "seed": seed},
-        constants={"C_N_lower": best},
-        witnesses={"C_N_lower": wit},
-        metadata={"rows": rows, "note": "sampled lower bound on the true constant"})
-
-
 # ---------------------------------------------------------------------------
 # jump kernel bounds and smoothness
 # ---------------------------------------------------------------------------
 
-def default_pair_grid(model: LatticeModel, distances=(1, 2, 4, 8, 16)) -> list:
+def default_pair_grid(model: LatticeModel) -> list:
+    """Pairs (origin, origin + s e_1) for s in PAIR_DISTANCES."""
     x = model.origin
     return [(x, tuple(c + (s if i == 0 else 0) for i, c in enumerate(x)))
-            for s in distances]
+            for s in PAIR_DISTANCES]
 
 
 def check_jump_bounds(model: LatticeModel, alpha: float, pairs) -> ConditionReport:

@@ -42,21 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import WindowUnconverged
-from .models import (
-    EXTERIOR_TRACKED,
-    FiniteModel,
-    KILLED,
-    LatticeModel,
-    _pair_rates,
-    truncate,
-)
-from .semigroup import (
-    expm_action,
-    generator,
-    integrated_action,
-    solve_generator,
-    step_operators,
-)
+from .models import EXTERIOR_TRACKED, FiniteModel, LatticeModel, truncate
+from .semigroup import solve_generator, step_operators
 
 FLOOR = 1e-30
 # Relative gap below which two values tie when a witness is picked.
@@ -423,35 +410,3 @@ def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
         metadata={"window_radius": 2 * R, "lam_ext": LAM_EXT,
                   "n_exterior": len(fm.exterior), "floor": FLOOR,
                   "doubled_constant": doubled})
-
-
-# ---------------------------------------------------------------------------
-# first-jump exit density
-# ---------------------------------------------------------------------------
-
-def first_jump_density(model: LatticeModel, x0, R, y0, T: float, h: float,
-                       x=None):
-    """(value, err): value is h^{-1} P^x(X_{tau_B} = y0, tau_B in (T/2-h, T/2))
-    for B = B(x0,R), at x or (x None) on the whole window.
-
-    Computed exactly from the killed semigroup: the probability equals
-    int_{T/2-h}^{T/2} [e^{sQ_B} kappa](x) ds = [e^{(T/2-h)Q_B} int_0^h e^{sQ_B}
-    kappa ds](x) with kappa(z) = J(z,y0)/mu_z.  With T = 2h the value
-    converges to mu_x^{-1} J(x,y0) as h -> 0 (relative error O(h)).  err is
-    the certified max-norm error; the killed semigroup contracts the max norm,
-    so the first step's error passes the second undiminished.  Requires y0
-    outside B, at any distance: kappa is exact there.
-    """
-    if not (0.0 < h <= T / 2):
-        raise ValueError("need 0 < h <= T/2")
-    if model.distance(x0, y0) <= R:
-        raise ValueError("y0 must lie outside the ball")
-    fm = truncate(model, x0, R, KILLED)
-    gen = generator(fm)
-    kappa = _pair_rates(model, fm.window, [y0])[:, 0] / fm.mu
-    acc, e_int = integrated_action(gen, kappa, h)
-    acc, e_exp = expm_action(gen, acc, T / 2 - h)
-    vals, err = acc / h, (e_int + e_exp) / h
-    if x is None:
-        return vals, err
-    return float(vals[fm.index[x]]), err

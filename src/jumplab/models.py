@@ -42,6 +42,10 @@ STATE_CAP = 200_000
 # Largest dense rate matrix, in bytes, that `_pair_rates` allocates; every
 # dense build (`rates`, Q, P, `sources`, eigh) starts there.
 DENSE_BYTES = 1 << 30
+# Entries of one block of pair distances in `_pair_rates`.  Blocks this small
+# build as fast as blocks of 2^16 entries, and their temporaries stay below
+# malloc's mmap threshold, which keeps the peak RSS of small runs lower.
+PAIR_CHUNK = 1 << 12
 # Shells tabulated term by term before the Hurwitz-zeta tail takes over.
 SHELL_HORIZON = 2 ** 16
 # Largest jump radius drawn: Z^2 shell counts (8s) and walker distances
@@ -423,8 +427,11 @@ class LatticeModel:
         if isinstance(self.base_kernel, LadderKernel):
             if self.d != 1:
                 raise ValueError("ladder kernels are defined on Z only")
-            if max(self.base_kernel.ranges, default=0) > SHELL_HORIZON:
-                raise ValueError("ladder range beyond the shell horizon")
+            for r in self.base_kernel.ranges:
+                if r < 1:
+                    raise ValueError(f"ladder range {r} is below 1")
+                if r > SHELL_HORIZON:
+                    raise ValueError(f"ladder range {r} beyond the shell horizon")
         if self.kind == "lattice" and isinstance(self.base_kernel, TabulatedKernel):
             raise ValueError("tabulated kernels are defined on explicit graphs only")
 
@@ -747,11 +754,17 @@ def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
         return out
     ax = np.asarray(xs, dtype=np.int64).reshape(len(xs), model.d)
     ay = np.asarray(ys, dtype=np.int64).reshape(len(ys), model.d)
-    chunk = max(1, int(4e6 // max(1, len(ys))))
+    # the distance takes |x_k - y_k| one coordinate at a time, over blocks of
+    # about PAIR_CHUNK entries (one row if longer), so no (rows, cols, d)
+    # difference is formed
+    fold = np.maximum if model.metric == "linf" else np.add
+    chunk = max(1, PAIR_CHUNK // max(1, len(ys)))
     for lo in range(0, len(xs), chunk):
-        hi = min(lo + chunk, len(xs))
-        dist = model.norm(ax[lo:hi, None, :] - ay[None, :, :])
-        out[lo:hi] = model.radial_values(dist)
+        block = ax[lo:lo + chunk]
+        dist = np.abs(block[:, None, 0] - ay[None, :, 0])
+        for k in range(1, model.d):
+            fold(dist, np.abs(block[:, None, k] - ay[None, :, k]), out=dist)
+        out[lo:lo + chunk] = model.radial_values(dist)
     p = model.pair
     if p is not None:
         x_at = [np.all(ax == p[e], axis=1) for e in (0, 1)]
@@ -790,6 +803,8 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         fm.exterior = [v for v in big if v not in wset]
         coupling = _pair_rates(model, window, fm.exterior)
         remainder = np.maximum(fm.kill - coupling.sum(axis=1) / mu, 0.0)
-        fm.sources = np.column_stack([coupling / mu[:, None], remainder])
+        # divided in place, so the matrix is held at most twice
+        coupling /= mu[:, None]
+        fm.sources = np.column_stack([coupling, remainder])
         fm.channels = [*fm.exterior, "remainder"]
     return fm

@@ -1,5 +1,5 @@
-"""Generator, Dirichlet form, heat kernels by certified series, exit times,
-and the one-step propagators of the Harnack scan.
+"""Generator, heat kernels by certified series, exit times, and the one-step
+propagators of the Harnack scan.
 
 All rates are uniformly bounded, so P = I + Q/Lam is substochastic and
 exp(tQ) is evaluated as a series in P with a certified truncation error.  Two
@@ -10,9 +10,9 @@ series, split by the same `V.ndim` rule as `GeneratorView.apply`:
   sum_k pmf_k P^k V up to the least K whose tail sf(K, Lam t) meets tol.
   Its terms are nonnegative on nonnegative data, so the sum keeps the
   per-entry relative accuracy the Harnack scans need.
-- A single vector (heat-kernel rows, `check_hkp`, `first_jump_density`)
-  takes the Chebyshev series exp(tQ) v = sum_k c_k T_k(P) v with c_0 =
-  ive(0, Lam t) and c_k = 2 ive(k, Lam t), ive(k, x) = I_k(x) e^-x, about
+- A single vector (heat-kernel rows, `check_hkp`) takes the Chebyshev
+  series exp(tQ) v = sum_k c_k T_k(P) v with c_0 = ive(0, Lam t) and
+  c_k = 2 ive(k, Lam t), ive(k, x) = I_k(x) e^-x, about
   sqrt(2 Lam t ln(1/tol)) terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81
   (1984)).  Its terms cancel, so its error is relative to max|v|, but so is
   that of the FFT product a vector goes through.  J is symmetric, so P is
@@ -25,10 +25,10 @@ within 5e-15 relative of mpmath up to Lam t = 3.3e7.
 
 Which products are matrix-free: `GeneratorView.apply` on a single vector
 applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
-on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows,
-`GeneratorView.apply_Q` and `dirichlet_form` never build an n x n matrix, and
-neither do exit times: `solve_generator` on a positive vector and a lattice
-window runs conjugate gradients on the same product, with an a-posteriori
+on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows and
+`GeneratorView.apply_Q` never build an n x n matrix, and neither do exit
+times: `solve_generator` on a positive vector and a lattice window runs
+conjugate gradients on the same product, with an a-posteriori
 relative error bound at every slot (`_cg_solve`).  What stays dense: actions
 on a matrix use the BLAS-3 product with the dense P, as the FFT product (accurate relative to the largest entry)
 would lose the per-entry accuracy above, and at their window sizes GEMM is
@@ -100,15 +100,6 @@ def generator(fm: FiniteModel) -> GeneratorView:
     if lam == 0.0:
         lam = 1.0
     return GeneratorView(fm=fm, out_rate=out_rate, lam=lam)
-
-
-def dirichlet_form(fm: FiniteModel, f: np.ndarray, g: np.ndarray | None = None) -> float:
-    """(1/2) sum_{x,y in W} (f(x)-f(y))(g(x)-g(y)) J(x,y)."""
-    f = np.asarray(f, dtype=float)
-    g = f if g is None else np.asarray(g, dtype=float)
-    if f.shape[0] != fm.n or g.shape[0] != fm.n:
-        raise ValueError("dimension mismatch")
-    return float(f @ (fm.row_sums * g) - f @ fm.rates_matvec(g))
 
 
 # ---------------------------------------------------------------------------

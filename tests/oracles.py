@@ -114,21 +114,6 @@ def poincare_rayleigh(model, x0, R, alpha: float, f) -> float:
     return var / (float(R) ** alpha * form)
 
 
-def weighted_poincare_sides(model, x0, R, f):
-    """(variance side, form side) of the weighted Poincare inequality for f.
-
-    f lives on the support of phi_R (vertices of B(x0,R) with phi > 0); its
-    mean fbar is weighted by phi mu, normalised by sum phi mu.
-    """
-    phi, W, mu = cond._tent_forms(model, x0, R)
-    f = np.asarray(f, float)
-    fbar = float((f * phi * mu).sum() / (phi * mu).sum())
-    var = float(((f - fbar) ** 2 * mu).sum())
-    diff = f[:, None] - f[None, :]
-    form = float((diff ** 2 * W).sum())
-    return var, form
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------

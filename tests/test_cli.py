@@ -170,8 +170,11 @@ def test_config_model_resolved_without_shape_params(tmp_path):
      "unknown kernel key 'alhpa'"),
     ({**_LATTICE, "mu": {"type": "constant", "valeu": 2.0}},
      "unknown mu key 'valeu'"),
+    ({"d": 1, "kernel": {"type": "ladder", "alpha": 1.5, "ranges": [0, 16]}},
+     "ladder range 0 is below 1"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
-        "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key"])
+        "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key",
+        "ladder-range-0"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -322,6 +325,15 @@ def test_ladder_requires_walkers(capsys, key):
     flag = "--" + key.replace("_", "-")
     assert main(["cex", "ladder", "--ranges", "16", flag, "0"]) == 2
     assert f"param '{key}': need at least 1 walker" in capsys.readouterr().err
+
+
+def test_ladder_requires_ranges_of_at_least_one(capsys):
+    """A range of 0 is an error naming it, not a KeyError from the jump-bound
+    rows, which skip the zero-distance pair."""
+    assert main(["cex", "ladder", "--ranges", "0,16"]) == 2
+    err = capsys.readouterr().err
+    assert "ladder range 0 is below 1" in err
+    assert "KeyError" not in err
 
 
 @pytest.mark.parametrize("t", ["0", "-0.001"])

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from jumplab import harnack as H
 from jumplab import models
@@ -20,12 +19,7 @@ from jumplab.models import (
     TabulatedKernel,
     truncate,
 )
-from jumplab.semigroup import (
-    StepOperators,
-    expm_action,
-    generator,
-    integrated_action,
-)
+from jumplab.semigroup import StepOperators
 from oracles import (
     caloric_box_ratio,
     caloric_solve,
@@ -675,76 +669,3 @@ def test_constants_always_recomputed_on_doubled_annulus(z1, monkeypatch, once):
     assert rep.metadata["lam_ext"] == H.LAM_EXT
     assert rep.constant == pytest.approx(rep.metadata["doubled_constant"],
                                          rel=0.05)
-
-
-# ---------------------------------------------------------------------------
-# first jump density
-# ---------------------------------------------------------------------------
-
-def test_first_jump_density_limit(z1):
-    vals = [H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h, x=(0,))[0]
-            for h in (1e-1, 1e-2, 1e-3)]
-    target = 8.0 ** -2  # J(0,8)/mu_0
-    # linear-in-h convergence, so Richardson on the last two points
-    rich = (10 * vals[2] - vals[1]) / 9
-    assert abs(rich - target) / target <= 1e-3
-    errs = [abs(v - target) for v in vals]
-    assert errs[2] < errs[0]
-
-
-def test_first_jump_density_suppressed_vanishes():
-    m = LatticeModel(d=1, kernel=SuppressedPairKernel(
-        base=PolynomialKernel(1.0), x0=(0,), y0=(8,)))
-    v, _ = H.first_jump_density(m, (0,), 4, (8,), T=2e-3, h=1e-3, x=(0,))
-    assert v <= 1e-3 * 8.0 ** -2 / 1e-2  # second order in h
-
-
-def test_first_jump_density_additive(z1):
-    fm = truncate(z1, (0,), 4, "killed")
-    gen = generator(fm)
-    h = 1e-2
-    va, _ = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
-    vb, _ = H.first_jump_density(z1, (0,), 4, (9,), T=1.0, h=h)
-    kap = np.array([z1.J(z, (8,)) + z1.J(z, (9,)) for z in fm.window]) / fm.mu
-    combined, _ = integrated_action(gen, kap, h)
-    combined, _ = expm_action(gen, combined, 0.5 - h)
-    assert np.max(np.abs(va + vb - combined / h)) < 1e-12
-
-
-def test_first_jump_density_depends_on_T(z1):
-    fm = truncate(z1, (0,), 4, "killed")
-    h = 1e-2
-    kap = np.array([z1.J(z, (8,)) for z in fm.window]) / fm.mu
-    first, _ = integrated_action(generator(fm), kap, h)
-    late, _ = H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=h)
-    early, _ = H.first_jump_density(z1, (0,), 4, (8,), T=0.5, h=h)
-    assert np.min(np.abs(late - early)) > 1e-4
-    # T = 2h is the window (0, h): the integrated action alone
-    assert np.array_equal(H.first_jump_density(z1, (0,), 4, (8,), T=2 * h, h=h)[0],
-                          first / h)
-
-
-@pytest.mark.parametrize("T, h", [(2e-2, 1e-2), (1.0, 1e-2), (6.0, 0.5)])
-def test_first_jump_density_within_its_error_of_dense_oracle(z1, T, h):
-    """value = e^{(T/2-h)Q} Q^{-1}(e^{hQ} - I) kappa / h by dense expm, to
-    within the returned certified error plus rounding."""
-    fm = truncate(z1, (0,), 4, "killed")
-    Q = generator(fm).Q
-    kap = np.array([z1.J(z, (8,)) for z in fm.window]) / fm.mu
-    first = np.linalg.solve(Q, (expm(h * Q) - np.eye(fm.n)) @ kap)
-    want = expm((T / 2 - h) * Q) @ first / h
-    got, err = H.first_jump_density(z1, (0,), 4, (8,), T=T, h=h)
-    assert np.max(np.abs(got - want)) <= err + 1e-12 * np.max(np.abs(got))
-    at0, err0 = H.first_jump_density(z1, (0,), 4, (8,), T=T, h=h, x=(0,))
-    assert at0 == got[fm.index[(0,)]] and err0 == err
-
-
-def test_first_jump_density_errors(z1):
-    with pytest.raises(ValueError):
-        H.first_jump_density(z1, (0,), 4, (2,), T=1.0, h=0.1)  # inside ball
-    # the killed window's kill is exact at any distance: a far target still
-    # gives J(0,y0)/mu_0 to O(h)
-    far, _ = H.first_jump_density(z1, (0,), 4, (100,), T=2e-4, h=1e-4, x=(0,))
-    assert far == pytest.approx(100.0 ** -2, rel=1e-4)
-    with pytest.raises(ValueError):
-        H.first_jump_density(z1, (0,), 4, (8,), T=1.0, h=0.9)  # h > T/2

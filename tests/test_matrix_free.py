@@ -32,7 +32,6 @@ from jumplab.semigroup import (
     _cg_solve,
     _chebyshev_weights,
     _poisson_cutoff,
-    dirichlet_form,
     expected_exit_time,
     expm_action,
     generator,
@@ -206,8 +205,6 @@ def test_generator_actions_match_dense_Q(name):
     Qf = gen.apply_Q(f)
     assert np.max(np.abs(Qf - gen.Q @ f)) <= 1e-12 * np.abs(gen.Q @ f).max()
     assert np.max(np.abs(gen.apply(f) - gen.P @ f)) <= 1e-13 * np.abs(f).max()
-    L = np.diag(fm.rates.sum(axis=1)) - fm.rates
-    assert dirichlet_form(fm, f) == pytest.approx(float(f @ L @ f), rel=1e-12)
 
 
 def test_reflected_heat_row_never_builds_dense_rates():

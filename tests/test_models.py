@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import zeta
 
+from jumplab import models
 from jumplab.errors import DistanceUnreachable, DivergentTail, WindowTooLarge
 from jumplab.models import (
     KILLED,
@@ -275,6 +277,15 @@ def test_ladder_range_beyond_horizon_rejected():
             LadderKernel(alpha=1.5, ranges=(2 * SHELL_HORIZON,)), (0,), (1,)))
 
 
+@pytest.mark.parametrize("r", [0, -16])
+def test_ladder_range_below_one_rejected(r):
+    """A range below 1 would index shell -1 of the radial profile and take
+    log 0 (range 0), or lose its atom (a negative range)."""
+    LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(1,)))
+    with pytest.raises(ValueError, match=f"ladder range {r} is below 1"):
+        LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(r, 16)))
+
+
 KERNEL_LAW_CASES = [
     (1, "linf", PolynomialKernel(1.0)),
     (1, "l1", PolynomialKernel(1.5)),
@@ -373,6 +384,20 @@ def test_pair_rates_suppressed_matches_pointwise(xs, ys):
                 assert A[i, j] == pytest.approx(m.J(x, y), rel=4e-16, abs=0)
 
 
+@pytest.mark.parametrize("d, metric", [(1, "linf"), (2, "linf"), (2, "l1"),
+                                       (3, "linf"), (3, "l1")])
+def test_pair_rates_fold_matches_norm(monkeypatch, d, metric):
+    """The per-coordinate distance fold gives the kernel of `norm` of the
+    full difference, bitwise, also across block boundaries."""
+    m = LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(0.8))
+    xs, ys = m.ball((0,) * d, 2), m.ball((1,) * d, 3)
+    diff = np.asarray(xs)[:, None, :] - np.asarray(ys)[None, :, :]
+    want = m.radial_values(m.norm(diff))
+    for chunk in (1, len(ys) + 1, 7 * len(ys), models.PAIR_CHUNK):
+        monkeypatch.setattr(models, "PAIR_CHUNK", chunk)
+        assert np.array_equal(_pair_rates(m, xs, ys), want)
+
+
 def test_pair_rates_suppression_positional():
     m = LatticeModel(d=1, kernel=SuppressedPairKernel(
         base=PolynomialKernel(1.0), x0=(0,), y0=(4,)))
@@ -467,6 +492,25 @@ def test_exterior_tracked_empty_annulus(z1):
     assert fm.exterior == [] and fm.channels == ["remainder"]
     assert fm.sources.shape == (1, 1) and fm.sources[0, 0] == fm.kill[0]
     assert fm.kill[0] == pytest.approx(z1.row_sum_all((0,))[0], rel=1e-15)
+
+
+def test_exterior_tracked_sources_peak():
+    """The doubled annulus of `lab phi --d 2 --R 2` holds its source matrix
+    at most about twice while it is built: tracemalloc's peak stays within
+    2.5 times `sources`, and `sources` is the coupling divided by mu next to
+    the remainder."""
+    z2 = LatticeModel(d=2)
+    tracemalloc.start()
+    try:
+        fm = truncate(z2, (0, 0), 4, EXTERIOR_TRACKED, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * fm.sources.nbytes
+    coupling = _pair_rates(z2, fm.window, fm.exterior)
+    remainder = np.maximum(fm.kill - coupling.sum(axis=1) / fm.mu, 0.0)
+    assert np.array_equal(
+        fm.sources, np.column_stack([coupling / fm.mu[:, None], remainder]))
 
 
 def test_truncate_alternating_mu():

@@ -9,11 +9,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "jumplab"
 
 ORPHANS = {
-    # harnack
-    "first_jump_density",
-    # conditions
-    "check_ndlb", "check_sb", "check_weighted_poincare", "check_nash",
-    # montecarlo
+    # montecarlo: criterion 4 cross-validates exit times against it, and
+    # perfbench/layertrace.py wraps it by name
     "sample_exit_time",
 }
 
@@ -22,16 +19,6 @@ ORPHANS = {
 UNSET = {
     # cli
     "main.argv",
-    # conditions: the orphan checkers and the pair grid
-    "check_nash.n_samples", "check_nash.r_win", "check_nash.seed",
-    "check_nash.indicator_radii",
-    "check_ndlb.centers", "check_ndlb.band", "check_ndlb.n_times",
-    "check_sb.centers", "check_sb.band", "check_sb.n_times",
-    "check_weighted_poincare.centers", "default_pair_grid.distances",
-    # harnack
-    "first_jump_density.x",
-    # semigroup
-    "dirichlet_form.g",
 }
 
 

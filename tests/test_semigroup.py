@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -22,7 +21,6 @@ from jumplab.semigroup import (
     _ive,
     _poisson_cutoff,
     _poisson_table,
-    dirichlet_form,
     expected_exit_time,
     expm_action,
     generator,
@@ -188,30 +186,13 @@ def test_exit_time_requires_killing(z1):
 
 
 # ---------------------------------------------------------------------------
-# generator / Dirichlet form properties
+# generator properties
 # ---------------------------------------------------------------------------
 
 def test_apply_generator_constant(z1):
     fm = truncate(z1, (0,), 5, KILLED)
     out = generator(fm).apply_Q(np.ones(fm.n))
     assert np.max(np.abs(out + fm.kill)) < 1e-14
-
-
-@settings(max_examples=25)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_dirichlet_form_nonnegative(seed):
-    z1 = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
-    fm = truncate(z1, (0,), 5, KILLED)
-    f = np.random.default_rng(seed).standard_normal(fm.n)
-    assert dirichlet_form(fm, f) >= 0.0
-
-
-def test_dirichlet_form_brute(z1):
-    fm = truncate(z1, (0,), 4, KILLED)
-    f = np.arange(fm.n, dtype=float) ** 2
-    brute = 0.5 * sum((f[i] - f[j]) ** 2 * fm.rates[i, j]
-                      for i in range(fm.n) for j in range(fm.n))
-    assert dirichlet_form(fm, f) == pytest.approx(brute, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
