@@ -70,10 +70,10 @@ def _fit(rows, col, at, lower: bool = False):
 # volume doubling
 # ---------------------------------------------------------------------------
 
-def check_vd(model: LatticeModel, radii=None) -> ConditionReport:
+def check_vd(model: LatticeModel, radii) -> ConditionReport:
     """Fits C_V = max V(x,2r)/V(x,r) and the (vd3) ratio floor at the origin;
-    fits the V(d) exponent.  radii default to 4, 8, 16, 32, 64."""
-    radii = [4, 8, 16, 32, 64] if radii is None else list(radii)
+    fits the V(d) exponent."""
+    radii = list(radii)
     if not radii:
         raise ValueError("empty radius grid")
     if min(radii) < 1:
@@ -137,8 +137,8 @@ def _kernel_rows_at_times(model, r_win, sources, times):
     return fm, out, eps
 
 
-def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
-              r_win: int | None = None) -> ConditionReport:
+def check_hkp(model: LatticeModel, alpha: float, pairs, times,
+              r_win: int) -> ConditionReport:
     """Fits C1/C2 for LHKP/UHKP over a (x,y,t) grid; also reports UHD at x=y.
 
     Full-graph kernels are approximated by killed kernels on a window about
@@ -148,18 +148,7 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times=None,
     the kernel rows on both windows, a max-norm bound on each probed value.
     """
     pairs = list(pairs)
-    dists = [model.distance(x, y) for x, y in pairs]
-    max_d = max(dists) if dists else 1
-    if r_win is None:
-        r_win = 16 * max(max_d, 1)
-    if times is None:
-        tset = set()
-        for (x, y), R in zip(pairs, dists):
-            base = max(R, 1) ** alpha
-            tset.update(f * base for f in (0.25, 0.5, 1.0, 2.0))
-        times = sorted(tset)
-    else:
-        times = sorted(set(times))
+    times = sorted(set(times))
     sources = sorted(set(x for x, _ in pairs))
     fm1, rows1, eps1 = _kernel_rows_at_times(model, r_win, sources, times)
     fm2, rows2, eps2 = _kernel_rows_at_times(model, 2 * r_win, sources, times)
@@ -265,7 +254,7 @@ def _component_of_first(A) -> np.ndarray:
 
 
 def check_poincare(model: LatticeModel, alpha: float, radii,
-                   centers=None) -> ConditionReport:
+                   centers) -> ConditionReport:
     """Optimal C_Q per ball from the generalized eigenproblem 2L f = lam M f,
     M = diag(mu).
 
@@ -275,7 +264,7 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     is held to the dense byte budget before the first eigensolve, so an
     oversized last radius raises WindowTooLarge at once.
     """
-    centers = list(centers) if centers else [model.origin]
+    centers = list(centers)
     radii = list(radii)
     if not radii:
         raise ValueError("empty radius grid")
@@ -413,11 +402,11 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
         metadata={"rows": rows})
 
 
-def check_boundary_flux(model: LatticeModel, radii, centers=None,
-                        alpha: float = 1.0) -> ConditionReport:
+def check_boundary_flux(model: LatticeModel, radii, centers,
+                        alpha: float) -> ConditionReport:
     """c = max over balls of R^alpha sum_{y in B'} J(y, G-B) / mu(B'),
     B' = B(x0, R/2).  J(y, G-B) is the killed window's mu_y kill_y."""
-    centers = list(centers) if centers else [model.origin]
+    centers = list(centers)
     radii = list(radii)
     rows = []
     for x0 in centers:

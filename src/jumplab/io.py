@@ -171,8 +171,8 @@ def _cell(v) -> str:
     return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
-def write_bundle(out_dir: str, config: dict, report: dict,
-                 csvs: dict | None = None, meta: dict | None = None):
+def write_bundle(out_dir: str, config: dict, report: dict, csvs: dict,
+                 meta: dict):
     """Atomically write config.resolved, report.json, meta.json, and CSVs
     (one `_cell` per value, quoted where it holds a comma).
 
@@ -186,14 +186,14 @@ def write_bundle(out_dir: str, config: dict, report: dict,
     old = base + f".old-{os.getpid()}"
     os.makedirs(tmp, exist_ok=True)
     try:
-        meta = dict(meta or {}, written_at=datetime.datetime.now(
+        meta = dict(meta, written_at=datetime.datetime.now(
             datetime.timezone.utc).isoformat())
         for name, obj in (("config.resolved", config), ("report.json", report),
                           ("meta.json", meta)):
             with open(os.path.join(tmp, name), "w") as f:
                 json.dump(jsonable(obj), f, sort_keys=True, indent=2)
                 f.write("\n")
-        for name, rows in (csvs or {}).items():
+        for name, rows in csvs.items():
             with open(os.path.join(tmp, name + ".csv"), "w", newline="") as f:
                 if rows:
                     out = csv.writer(f, lineterminator="\n")

@@ -217,7 +217,7 @@ def kernel_from_dict(d):
                                     _vertex(d["x0"]), _vertex(d["y0"]))
     if t == "ladder":
         _reads_only(d, "kernel", "type", "alpha", "ranges")
-        return LadderKernel(float(d["alpha"]), tuple(int(r) for r in d["ranges"]))
+        return LadderKernel(float(d["alpha"]), tuple(d["ranges"]))
     if t == "tabulated":
         _reads_only(d, "kernel", "type", "entries")
         return TabulatedKernel(tuple(((_vertex(u), _vertex(v)), float(r))
@@ -427,11 +427,15 @@ class LatticeModel:
         if isinstance(self.base_kernel, LadderKernel):
             if self.d != 1:
                 raise ValueError("ladder kernels are defined on Z only")
-            for r in self.base_kernel.ranges:
-                if r < 1:
-                    raise ValueError(f"ladder range {r} is below 1")
-                if r > SHELL_HORIZON:
-                    raise ValueError(f"ladder range {r} beyond the shell horizon")
+            ranges = self.base_kernel.ranges
+            for r in ranges:
+                if not isinstance(r, (int, np.integer)):
+                    raise ValueError(f"ladder range {r!r} is not an integer")
+                why = ("is repeated" if ranges.count(r) > 1 else
+                       "is below 1" if r < 1 else
+                       "is beyond the shell horizon" if r > SHELL_HORIZON else None)
+                if why:
+                    raise ValueError(f"ladder range {r} {why}")
         if self.kind == "lattice" and isinstance(self.base_kernel, TabulatedKernel):
             raise ValueError("tabulated kernels are defined on explicit graphs only")
 
@@ -452,19 +456,23 @@ class LatticeModel:
             if self.metric == "linf":
                 return max(abs(a - b) for a, b in zip(x, y))
             return sum(abs(a - b) for a, b in zip(x, y))
-        if x == y:
-            return 0
-        seen = {x: 0}
-        q = deque([x])
+        if y not in (hops := self._hops(x, math.inf)):
+            raise DistanceUnreachable(f"{x!r} and {y!r} are not connected")
+        return hops[y]
+
+    def _hops(self, x0, depth: float) -> dict:
+        """Explicit graphs: hop distance from x0 of each vertex within depth."""
+        seen = {x0: 0}
+        q = deque([x0])
         while q:
             u = q.popleft()
+            if seen[u] == depth:
+                continue
             for w in self._adj[u]:
                 if w not in seen:
                     seen[w] = seen[u] + 1
-                    if w == y:
-                        return seen[w]
                     q.append(w)
-        raise DistanceUnreachable(f"{x!r} and {y!r} are not connected")
+        return seen
 
     def norm(self, diff: np.ndarray) -> np.ndarray:
         """Lattice length of each integer displacement along the last axis."""
@@ -477,17 +485,7 @@ class LatticeModel:
             raise ValueError("radius must be nonnegative")
         m = int(math.floor(r))
         if self.kind == "explicit":
-            seen = {x0: 0}
-            q = deque([x0])
-            while q:
-                u = q.popleft()
-                if seen[u] == m:
-                    continue
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen[w] = seen[u] + 1
-                        q.append(w)
-            return sorted(seen)
+            return sorted(self._hops(x0, m))
         size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
         if size > STATE_CAP:
             raise WindowTooLarge(f"ball of {size} vertices exceeds cap {STATE_CAP}")
@@ -538,10 +536,8 @@ class LatticeModel:
         return k.x0, k.y0, self.base_rate(k.x0, k.y0)
 
     def J(self, x, y) -> float:
-        if x == y:
-            return 0.0
         p = self.pair
-        if p is not None and {x, y} == {p[0], p[1]}:
+        if x == y or p is not None and {x, y} == {p[0], p[1]}:
             return 0.0
         return self.base_rate(x, y)
 
@@ -550,15 +546,12 @@ class LatticeModel:
         k = self.base_kernel
         if isinstance(k, TabulatedKernel):
             return k.rate_map.get(frozenset((x, y)), 0.0)
-        s = self.distance(x, y)
-        v = float(s) ** (-k.exponent(self.d))
-        if s in k.ranges:
-            v += k.atom(s)
-        return v
+        return float(self.radial_values(self.distance(x, y)))
 
     def radial_values(self, dist: np.ndarray) -> np.ndarray:
-        """Vectorized radial kernel values for an integer distance array (the
-        suppressed pair is handled positionally elsewhere)."""
+        """The one radial law of `base_kernel`: s^(-e), plus the ladder atom at
+        each range, per integer distance s > 0, and 0 at s = 0.  `J`,
+        `_pair_rates` and the window convolution agree bitwise through it."""
         k = self.base_kernel
         dist = np.asarray(dist, dtype=float)
         out = np.zeros_like(dist)
@@ -570,16 +563,27 @@ class LatticeModel:
 
     # -- row sums with certified tails --------------------------------------
 
-    def row_sum_all(self, x) -> tuple[float, float]:
-        """(J(x,G), certified remainder bound)."""
+    def row_sums_all(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(J(x, G), certified remainder bound) per vertex of xs (an (n, d)
+        array on a lattice): the radial profile's total, less the pair rate
+        at the ends of the suppressed pair."""
+        n = len(xs)
         if self.kind == "explicit":
-            return sum(self.J(x, y) for y in self.vertices if y != x), 0.0
+            return (np.array([sum(self.J(x, y) for y in self.vertices if y != x)
+                              for x in xs], dtype=float), np.zeros(n))
         prof = radial_profile(self.d, self.metric, self.base_kernel)
-        value, bound = prof.total, prof.bound
+        value = np.full(n, prof.total)
         p = self.pair
-        if p is not None and x in p[:2]:
-            value -= p[2]
-        return value, bound
+        if p is not None:
+            pts = np.asarray(xs, dtype=np.int64).reshape(n, self.d)
+            for end in p[:2]:
+                value[np.all(pts == end, axis=1)] -= p[2]
+        return value, np.full(n, prof.bound)
+
+    def row_sum_all(self, x) -> tuple[float, float]:
+        """(J(x,G), certified remainder bound): `row_sums_all` at one vertex."""
+        value, bound = self.row_sums_all([x])
+        return float(value[0]), float(bound[0])
 
     # -- serialization -------------------------------------------------------
 
@@ -791,10 +795,7 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
                      kill=np.zeros(n), kill_bound=np.zeros(n), mode=mode,
                      action=action)
     if mode in (KILLED, EXTERIOR_TRACKED):
-        totals = np.empty(n)
-        bounds = np.empty(n)
-        for i, v in enumerate(window):
-            totals[i], bounds[i] = model.row_sum_all(v)
+        totals, bounds = model.row_sums_all(window)
         fm.kill = np.maximum(totals - fm.row_sums, 0.0) / mu
         fm.kill_bound = bounds / mu
     if mode == EXTERIOR_TRACKED:

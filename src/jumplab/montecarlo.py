@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401  numpy would load it lazily, inside a run
 
-from .models import LatticeModel, radial_profile, shell_counts
+from .models import LadderKernel, LatticeModel, radial_profile, shell_counts
 
 STEP_CAP = 10_000_000
 N_STREAMS = 8
@@ -103,17 +103,6 @@ class TrajectorySampler:
         a, b = p[0], p[1]
         return (self._at(pre, a) & self._at(post, b)) | \
                (self._at(pre, b) & self._at(post, a))
-
-    # -- row sums and rates -------------------------------------------------
-
-    def _row_sum(self, pos: np.ndarray) -> np.ndarray:
-        """J(x, G) per walker (suppressed-pair endpoints corrected)."""
-        out = np.full(len(pos), self.total)
-        p = self.model.pair
-        if p is not None:
-            for v in p[:2]:
-                out[self._at(pos, v)] -= p[2]
-        return out
 
     # -- displacement sampling ------------------------------------------------
 
@@ -220,7 +209,7 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
             if timed:
                 flat = pre.reshape(m * k, d)
                 hold = rng.standard_exponential(m * k) / (
-                    sampler._row_sum(flat) / model.mu_rule.at(flat))
+                    model.row_sums_all(flat)[0] / model.mu_rule.at(flat))
                 t = clock[:, None] + np.cumsum(hold.reshape(m, k), axis=1)
             event = stop(pre, post, t)
             # the cap and the pair cut are masked only where they can occur
@@ -268,14 +257,14 @@ def _se(samples: np.ndarray) -> float:
     return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
 
 
-def _finish(estimand, samples, truncated, seed, extra=None) -> EstimateReport:
+def _finish(estimand, samples, truncated, seed, extra) -> EstimateReport:
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n == 0:
         raise ValueError("all trajectories hit the step cap")
     return EstimateReport(estimand=estimand, estimate=float(samples.mean()),
                           se=_se(samples), n=n, seed=seed, truncated=truncated,
-                          extra=extra or {})
+                          extra=extra)
 
 
 def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
@@ -317,7 +306,7 @@ def sample_position_sup(r1: int, alpha: float, T: float, n: int,
     P(Y_T >= lam) <= 4 T log r1 / (lam^2 r1^{alpha-1}).
     """
     lam = float(r1)
-    delta = float(r1) ** (-(1.0 + alpha)) * math.log(r1)
+    delta = LadderKernel(alpha, (r1,)).atom(r1)
     rate = 2.0 * delta  # total jump rate (both directions)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = rng.poisson(rate * T, n)

@@ -39,17 +39,18 @@ def test_alpha_out_of_scope_warns_but_runs(capsys, caplog):
 
 def test_failed_write_keeps_previous_bundle(tmp_path):
     out = str(tmp_path / "bundle")
-    write_bundle(out, {"seed": 1}, {"value": 1.0}, csvs={"rows": [{"a": 1}]})
+    write_bundle(out, {"seed": 1}, {"value": 1.0}, csvs={"rows": [{"a": 1}]},
+                 meta={})
     with open(os.path.join(out, "report.json"), "rb") as f:
         before = f.read()
     with pytest.raises(TypeError):
-        write_bundle(out, {"seed": 2}, {"value": object()})
+        write_bundle(out, {"seed": 2}, {"value": object()}, csvs={}, meta={})
     assert sorted(os.listdir(tmp_path)) == ["bundle"]
     assert sorted(os.listdir(out)) == ["config.resolved", "meta.json",
                                        "report.json", "rows.csv"]
     with open(os.path.join(out, "report.json"), "rb") as f:
         assert f.read() == before
-    write_bundle(out, {"seed": 3}, {"value": 3.0})
+    write_bundle(out, {"seed": 3}, {"value": 3.0}, csvs={}, meta={})
     assert sorted(os.listdir(tmp_path)) == ["bundle"]
     with open(os.path.join(out, "report.json")) as f:
         assert json.load(f) == {"value": 3.0}
@@ -334,6 +335,13 @@ def test_ladder_requires_ranges_of_at_least_one(capsys):
     err = capsys.readouterr().err
     assert "ladder range 0 is below 1" in err
     assert "KeyError" not in err
+
+
+def test_ladder_rejects_repeated_range(capsys):
+    """A repeated range is an error naming it, not a run whose kernel counts
+    the atom once in J and twice in its row sum."""
+    assert main(["cex", "ladder", "--ranges", "16,64,16"]) == 2
+    assert "ladder range 16 is repeated" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", ["0", "-0.001"])

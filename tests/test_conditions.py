@@ -41,7 +41,7 @@ def test_vd_exponent_z2(z2):
 
 
 def test_vd_default_grid(z1):
-    rep = cond.check_vd(z1)
+    rep = cond.check_vd(z1, radii=[4, 8, 16, 32, 64])
     assert rep.grid == {"radii": [4, 8, 16, 32, 64], "centers": [(0,)]}
     assert rep.metadata["volume_exponents"] == [
         rep.constants["volume_exponent"]]
@@ -50,7 +50,7 @@ def test_vd_default_grid(z1):
 @pytest.mark.parametrize("check", [
     lambda m: cond.check_vd(m, []),
     lambda m: cond.check_exit_time(m, 1.0, []),
-    lambda m: cond.check_poincare(m, 1.0, []),
+    lambda m: cond.check_poincare(m, 1.0, [], centers=[m.origin]),
 ], ids=["vd", "exit-time", "poincare"])
 def test_empty_radius_grid_rejected(z1, check):
     with pytest.raises(ValueError, match="empty radius grid"):
@@ -120,7 +120,7 @@ def test_ujs_ljs_js_empty_pairs(z1):
 
 
 def test_boundary_flux(z1):
-    rep = cond.check_boundary_flux(z1, radii=[4], alpha=1.0)
+    rep = cond.check_boundary_flux(z1, radii=[4], centers=[(0,)], alpha=1.0)
     brute = sum(sum(z1.J((y,), (z,)) for z in range(-3000, 3001)
                     if abs(z) > 4) for y in range(-2, 3))
     want = 4.0 * brute / 5.0
@@ -133,7 +133,8 @@ def test_boundary_flux(z1):
 def test_boundary_flux_z2(z2):
     """On Z^2, J(y, G - B) is the certified row sum minus a brute-force sum
     over the 81 vertices of B(0, 4); the flux sums it over B(0, 2)."""
-    rep = cond.check_boundary_flux(z2, radii=[4], alpha=1.0)
+    rep = cond.check_boundary_flux(z2, radii=[4], centers=[(0, 0)],
+                                   alpha=1.0)
     ball = z2.ball((0, 0), 4)
     half = z2.ball((0, 0), 2)
     flux = sum(z2.row_sum_all(y)[0] - sum(z2.J(y, z) for z in ball)
@@ -224,7 +225,8 @@ def test_poincare_eigenvalues_match_scipy(mu):
     for R in (3, 8):
         _, _, L, mu_b = cond._ball_form_matrices(m, (0,), R)
         lam = eigh(2.0 * L, np.diag(mu_b), eigvals_only=True)[1]
-        row, = cond.check_poincare(m, 1.0, [R]).metadata["rows"]
+        row, = cond.check_poincare(m, 1.0, [R],
+                                   centers=[(0,)]).metadata["rows"]
         assert row["lam_plus"] == pytest.approx(lam, rel=1e-12)
 
 
@@ -251,7 +253,8 @@ def test_exit_time_constants_independent_of_center_order():
 
 
 def test_hkp_two_sided(z1):
-    rep = cond.check_hkp(z1, 1.0, pairs=[((0,), (4,)), ((0,), (8,))])
+    rep = cond.check_hkp(z1, 1.0, pairs=[((0,), (4,)), ((0,), (8,))],
+                         times=[1.0, 2.0, 4.0, 8.0, 16.0], r_win=128)
     c = rep.constants
     assert 0 < c["C1_lower"] <= c["C2_upper"] < math.inf
     assert c["C_UHD"] <= c["C2_upper"] + 1e-12

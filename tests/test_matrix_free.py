@@ -315,12 +315,13 @@ def test_poincare_checks_every_ball_before_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solves.append(a))
     with pytest.raises(WindowTooLarge, match="budget"):
         cond.check_poincare(LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
-                            1.0, radii=[16, 32, 64])
+                            1.0, radii=[16, 32, 64], centers=[(0, 0)])
     assert solves == []
 
 
 def test_check_hkp_reports_poisson_error(z1):
-    rep = cond.check_hkp(z1, 1.0, pairs=[((0,), (4,)), ((0,), (8,))])
+    rep = cond.check_hkp(z1, 1.0, pairs=[((0,), (4,)), ((0,), (8,))],
+                         times=[1.0, 2.0, 4.0, 8.0, 16.0], r_win=128)
     eps = rep.metadata["eps_poisson"]
     # one step per window and time, each certified to the 1e-13 tolerance
     assert 0.0 <= eps <= 2 * len(rep.grid["times"]) * 1e-13

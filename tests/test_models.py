@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 from scipy.special import zeta
 
 from jumplab import models
@@ -157,6 +159,37 @@ def test_explicit_ball_matches_per_vertex_distance():
             assert m.ball(x0, r) == sorted(expect)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_explicit_hops_match_scipy_shortest_path(seed):
+    """`distance` and `ball` against scipy's unweighted shortest paths, on
+    seeded random graphs of two or more components; a pair across
+    components raises DistanceUnreachable."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 30))
+    # split the vertices into blocks, with no edge between blocks
+    cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(1, 4)),
+                             replace=False).tolist())
+    block = np.searchsorted(cuts, np.arange(n), side="right")
+    edges = [(int(u), int(v)) for u, v in itertools.combinations(range(n), 2)
+             if block[u] == block[v] and rng.random() < 0.25]
+    m = LatticeModel(kind="explicit", vertices=tuple(range(n)),
+                     edges=tuple(edges), kernel=PolynomialKernel(1.0))
+    adj = np.zeros((n, n))
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1.0
+    hops = shortest_path(csr_matrix(adj), unweighted=True, directed=False)
+    assert np.isinf(hops).any()  # two or more components
+    for x in range(n):
+        for y in range(n):
+            if np.isinf(hops[x, y]):
+                with pytest.raises(DistanceUnreachable):
+                    m.distance(x, y)
+            else:
+                assert m.distance(x, y) == hops[x, y]
+        for r in (0, 1, 1.5, 2, 3, n):
+            assert m.ball(x, r) == np.nonzero(hops[x] <= math.floor(r))[0].tolist()
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_triangle_inequality(a, b, c):
     m = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
@@ -286,6 +319,53 @@ def test_ladder_range_below_one_rejected(r):
         LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(r, 16)))
 
 
+@pytest.mark.parametrize("ranges, match", [
+    ((16, 16), "ladder range 16 is repeated"),
+    ((16, 64, 16), "ladder range 16 is repeated"),
+    ((16.5,), "ladder range 16.5 is not an integer"),
+    ((16, 64.0), "ladder range 64.0 is not an integer"),
+])
+def test_ladder_bad_range_rejected(ranges, match):
+    """A repeated range would give J one atom and `radial_values` and
+    `row_sum_all` two; a fractional one would index no shell."""
+    with pytest.raises(ValueError, match=match):
+        LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=ranges))
+
+
+def test_ladder_dict_keeps_fractional_range():
+    """A model dict's 16.5 reaches the model's check instead of becoming 16."""
+    d = {"kernel": {"type": "ladder", "alpha": 1.5, "ranges": [16.5]}}
+    with pytest.raises(ValueError, match="ladder range 16.5 is not an integer"):
+        model_from_dict(d)
+
+
+RATE_LAW_MODELS = [
+    *(LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(alpha))
+      for d, metric in ((1, "linf"), (2, "linf"), (2, "l1"))
+      for alpha in (0.7, 1.0, 1.5, 1.9)),
+    LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(16, 64, 256))),
+    LatticeModel(d=2, metric="l1", kernel=SuppressedPairKernel(
+        base=PolynomialKernel(1.0), x0=(0, 0), y0=(3, 1))),
+]
+
+
+@pytest.mark.parametrize("model", RATE_LAW_MODELS, ids=[
+    *(f"Z{d}-{metric}-alpha{alpha}"
+      for d, metric in ((1, "linf"), (2, "linf"), (2, "l1"))
+      for alpha in (0.7, 1.0, 1.5, 1.9)), "ladder", "pair"])
+def test_pair_rate_bitwise_equals_J(model):
+    """J(x, y) and `_pair_rates` read one radial law: bitwise equal at every
+    distance 1..4,999, the suppressed pair included."""
+    x = (0,) * model.d
+    ys = [(s,) if model.d == 1 else
+          (s, s // 2) if model.metric == "linf" else (s - s // 2, s // 2)
+          for s in range(1, 5000)]
+    if model.pair is not None:
+        ys.append(model.pair[1])
+    for y in ys:
+        assert model.J(x, y) == _pair_rates(model, [x], [y])[0, 0]
+
+
 KERNEL_LAW_CASES = [
     (1, "linf", PolynomialKernel(1.0)),
     (1, "l1", PolynomialKernel(1.5)),
@@ -295,18 +375,11 @@ KERNEL_LAW_CASES = [
 ]
 
 
-def explicit_rate(d, kernel, s):
-    """Reference: J at distance s >= 1, dispatched on the kernel class."""
-    if isinstance(kernel, PolynomialKernel):
-        return float(s) ** (-(d + kernel.alpha))
-    v = float(s) ** (-(1.0 + kernel.alpha))
-    if s in kernel.ranges:
-        v += math.log(s) * s ** (-1.0 - kernel.alpha)
-    return v
-
-
 def explicit_radial_values(d, kernel, dist):
-    """Reference: the vectorised form of `explicit_rate`, 0 at distance 0."""
+    """Reference: the kernel law at integer distances, 0 at distance 0,
+    dispatched on the kernel class.  Powers are numpy's, as in
+    `radial_values`: Python's float pow differs from it by an ulp at some
+    distances."""
     dist = np.asarray(dist, dtype=float)
     out = np.zeros_like(dist)
     pos = dist > 0
@@ -327,7 +400,8 @@ def test_kernel_law_bitwise_equals_explicit_formulas(d, metric, kernel):
           list(itertools.product(range(-12, 13), repeat=2)))
     for y in ys:
         if y != x:
-            assert m.J(x, y) == explicit_rate(d, kernel, m.distance(x, y))
+            assert m.J(x, y) == explicit_radial_values(d, kernel,
+                                                       [m.distance(x, y)])[0]
     dist = np.arange(300).reshape(3, 100)
     assert np.array_equal(m.radial_values(dist),
                           explicit_radial_values(d, kernel, dist))

@@ -151,7 +151,7 @@ def test_suppressed_pair_never_jumps(z1):
                               timed=False)
     assert len(first) == 100_000 and not np.any(first[:, 0] == 8)
     # row sum at the suppressed endpoint is reduced by exactly J(0,8)
-    q = s._row_sum(np.array([[0], [1]]))
+    q, _ = m.row_sums_all(np.array([[0], [1]]))
     assert q[0] == pytest.approx(s.total - 8.0 ** -2, abs=1e-14)
     assert q[1] == pytest.approx(s.total, abs=1e-14)
 
@@ -188,7 +188,7 @@ def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
     for sampler in (plain, supp):
         assert sampler.total == total
         assert np.array_equal(sampler.profile.cum[:300], cum[:300])
-    q = supp._row_sum(np.array([x0, y0, (7,) * d]))
+    q, _ = supp.model.row_sums_all(np.array([x0, y0, (7,) * d]))
     assert q[0] == total - pair and q[1] == total - pair and q[2] == total
 
 

@@ -1,7 +1,8 @@
 """Public functions and classes of jumplab that no other code in the package
-names, and defaulted parameters that no call in the package passes.  Each is
-pinned here, so a new orphan or test-only option fails the suite, and wiring
-one in or deleting it must shrink its set in the same change."""
+names, defaulted parameters that no call in the package passes, and those
+that every call there passes.  Each is pinned here, so a new orphan,
+test-only option or test-only default fails the suite, and wiring one in or
+deleting it must shrink its set in the same change."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,10 @@ UNSET = {
     # cli
     "main.argv",
 }
+
+# "function.parameter": a default that every call in src/jumplab overrides,
+# so its default branch runs only under tests
+OVERRIDDEN = set()
 
 
 def _orphans() -> set[str]:
@@ -44,10 +49,11 @@ def test_orphans_are_pinned():
     assert _orphans() == ORPHANS
 
 
-def _unset() -> set[str]:
-    """Defaulted parameters of the functions of src/jumplab/*.py (but
-    __init__.py) that no call there passes, by position or by keyword.
-    Calls are matched by callee name; self and cls are not positions."""
+def _calls_passing() -> dict[str, list[bool]]:
+    """For each defaulted parameter of the functions of src/jumplab/*.py (but
+    __init__.py), "function.parameter" -> whether each call there passes it,
+    by position or by keyword.  Calls are matched by callee name; self and
+    cls are not positions."""
     params, calls = {}, {}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -72,9 +78,15 @@ def _unset() -> set[str]:
                 or i is not None and (len(call.args) > i or any(
                     isinstance(x, ast.Starred) for x in call.args)))
 
-    return {f"{fn}.{name}" for (fn, name), i in params.items()
-            if not any(passed(c, name, i) for c in calls.get(fn, []))}
+    return {f"{fn}.{name}": [passed(c, name, i) for c in calls.get(fn, [])]
+            for (fn, name), i in params.items()}
 
 
 def test_unset_defaults_are_pinned():
-    assert _unset() == UNSET
+    assert {p for p, calls in _calls_passing().items()
+            if not any(calls)} == UNSET
+
+
+def test_overridden_defaults_are_pinned():
+    assert {p for p, calls in _calls_passing().items()
+            if calls and all(calls)} == OVERRIDDEN
