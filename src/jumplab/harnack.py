@@ -10,14 +10,17 @@ constant of the cone equals the maximum two-point ratio over the generators,
 which is what these routines compute.
 
 The parabolic scan reads the generators only on the half ball of the probe
-boxes.  It steps the rows I[half] E^a of the one-step propagator E one age
-at a time and multiplies a block of ages by a chunk of launch columns in one
-GEMM, its rows and its product each within TILE_BYTES.  It keeps each
+boxes, in one pass over the ages for both families.  It forms the rows
+I[half] E^a of the one-step propagator E a block of ages at a time, within
+TILE_BYTES, by doubling (stack[s:2s] = stack[:s] E^s, the powers squared once
+per scan).  The source family multiplies each block by a chunk of launch
+columns in one GEMM, the product within TILE_BYTES; the initial family
+E^a diag(1/mu) is gathered from the rows one age later.  It keeps each
 half-ball max only at the ages that Q- shows to some launch step, and each
 min only at those Q+ shows; then one sliding-window fold of each gives the
 sup and inf of every launch step at once, so a family of generators has one
-(launch step x column) matrix of ratios.  Max and min select values, they do
-not round them.
+(launch step x column) matrix of ratios.  Max and min select values and all
+factors are nonnegative, so every value keeps its relative accuracy.
 
 Both scans run one generator per symmetry orbit.  The signed coordinate
 permutations that fix x0 and keep the suppressed pair and mu
@@ -26,6 +29,12 @@ half ball, so they permute the generators and keep their ratios (to
 rounding).  Only the first member of each orbit in window or channel order
 is formed and scanned (`_representatives`), the remainder channel on its
 own; on Z^2 that is about one column in eight.
+
+The doubling check compares each constant with the one of twice the tracked
+annulus.  The window, its kill rates and E do not depend on the annulus, and
+the first annulus is the part of the doubled one within its radius, so each
+constant truncates once, at 2 LAM_EXT, and scans or solves once (`_channels`);
+the two constants are maxima over two sets of columns of that result.
 
 Constants are exact extremes; witnesses follow one tie rule, so rounding
 noise between mirror-image vertices cannot pick them: among values within
@@ -37,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +58,7 @@ FLOOR = 1e-30
 # Relative gap below which two values tie when a witness is picked.
 EPS = 1e-12
 # Radius of the tracked exterior annulus, in units of the window radius; the
-# doubling check recomputes every constant at twice it.
+# doubling check compares every constant with the one at twice it.
 LAM_EXT = 4.0
 # One GEMM of the cone scan multiplies the half-ball rows of a block of ages
 # by a chunk of at most TILE_COLS columns; the rows and the product each take
@@ -136,39 +145,42 @@ def _ages(steps: range, si: int) -> range:
     return range(max(steps.start - 1 - si, 0), steps.stop - 1 - si)
 
 
-def _extremes(W: np.ndarray, E: np.ndarray, half: list[int],
-              hi_ages: range, lo_ages: range):
-    """(hi, lo): row r is the half-ball max of E^a W at the age
-    a = hi_ages.stop - 1 - r (the min at lo_ages.stop - 1 - r), latest age
-    first.  The values are read as (I[half] E^a) W: the rows I[half] E^a are
-    stepped one age at a time, and a block of ages meets a chunk of columns
-    of W in one GEMM whose rows and product each fit in TILE_BYTES."""
-    h, n, width = len(half), len(E), W.shape[1]
-    last = max(hi_ages.stop, lo_ages.stop) - 1
-    chunks = -(-width // TILE_COLS)
-    cols = -(-width // chunks)  # equal chunks of at most TILE_COLS columns
-    block = min(max(TILE_BYTES // (8 * h * max(cols, n)), 1), last + 1)
-    hi, lo = np.empty((len(hi_ages), width)), np.empty((len(lo_ages), width))
-    stack, ages = np.empty((block, h, n)), []
-    rows = np.eye(n)[half]
-    for age in range(last + 1):
-        if age in hi_ages or age in lo_ages:
-            stack[len(ages)] = rows
-            ages.append(age)
-        if ages and (len(ages) == block or age == last):
-            flat = stack[:len(ages)].reshape(-1, n)
-            for c0 in range(0, width, cols):
-                vals = (flat @ W[:, c0:c0 + cols]).reshape(len(ages), h, -1)
-                for out, kept, op in ((hi, hi_ages, np.max),
-                                      (lo, lo_ages, np.min)):
-                    i = [k for k, a in enumerate(ages) if a in kept]
-                    if i:
-                        r = kept.stop - 1 - ages[i[-1]]
-                        op(vals[i[0]:i[-1] + 1][::-1], axis=1,
-                           out=out[r:r + len(i), c0:c0 + cols])
-            ages = []
-        rows = rows @ E
-    return hi, lo
+class _Steps(NamedTuple):
+    """The rows I[half] E^a of the one-step propagator E, `block` ages at a
+    time; `powers` holds E^(2^i) for i = 0 and each 2^i below block."""
+
+    powers: list
+    half: list
+    block: int
+
+    @classmethod
+    def of(cls, E: np.ndarray, half: list, block: int) -> "_Steps":
+        powers = [E]
+        while 1 << len(powers) < block:
+            powers.append(powers[-1] @ powers[-1])
+        return cls(powers, half, block)
+
+    def blocks(self, stop: int):
+        """Yield (a0, stack) with stack[j] = I[half] E^(a0 + j), over the
+        ages 0..stop-1 in blocks of `block` (the last may be shorter).  A
+        block starts one step past the last row of the one before and
+        doubles, stack[j:j + s] = stack[:s] E^j, one GEMM each.  `stack` is
+        reused: it is read before the next block is asked for."""
+        E, h = self.powers[0], len(self.half)
+        n = len(E)
+        stack, row = np.empty((self.block, h, n)), np.zeros((h, n))
+        row[np.arange(h), self.half] = 1.0
+        for a0 in range(0, stop, self.block):
+            k, j = min(self.block, stop - a0), 1
+            stack[0] = row
+            for power in self.powers[:(k - 1).bit_length()]:
+                s = min(j, k - j)
+                np.matmul(stack[:s].reshape(s * h, n), power,
+                          out=stack[j:j + s].reshape(s * h, n))
+                j += s
+            yield a0, stack[:k]
+            if a0 + k < stop:
+                row = stack[k - 1] @ E
 
 
 def _slide(x: np.ndarray, w: int, op) -> np.ndarray:
@@ -193,33 +205,23 @@ def _slide(x: np.ndarray, w: int, op) -> np.ndarray:
 
 
 class _Family(NamedTuple):
-    """Generators launched at steps 0..L-1 from the columns of `start` and
-    stepped by E: ratio[si, c] is sup over Q- / inf over Q+ of the one
-    launched from column c at step si, the generator `labels[c]`."""
+    """Generators launched at steps first..first+L-1 from the columns of W
+    and stepped by E: ratio[r, c] is sup over Q- / inf over Q+ of the one
+    launched from column c at step first + r, the generator `labels[c]`.
+    `read(stack, cols)` gives the half-ball values (I[half] E^a) W[:, cols]
+    at the ages a of `stack`."""
 
     ratio: np.ndarray
-    start: np.ndarray
-    E: np.ndarray
+    read: Callable
+    first: int
     labels: list
+    steps: _Steps
 
-
-def _family(W: np.ndarray, E: np.ndarray, half: list[int], box: HarnackBox,
-            launches: int, labels: list) -> _Family:
-    """The `_Family` of the fields E^a W launched at steps 0..launches-1.
-
-    The half-ball max is formed only at the ages some launch shows in Q-,
-    and the min only at those shown in Q+.  Their rows run latest age first,
-    so launch si reads the window of rows that starts at row si, and one
-    sliding fold of each gives every launch's sup and inf.  The ratios are
-    written over the sups."""
-    minus, plus = box.minus_steps(), box.plus_steps()
-    hi, lo = _extremes(
-        W, E, half,
-        range(_ages(minus, launches - 1).start, minus.stop - 1),
-        range(_ages(plus, launches - 1).start, plus.stop - 1))
-    sup = _slide(hi, len(minus), np.maximum)[:launches]
-    inf = _slide(lo, len(plus), np.minimum)[:launches]
-    return _Family(_ratio(sup, inf), W, E, labels)
+    def take(self, cols: np.ndarray) -> "_Family":
+        """The family of the columns `cols` alone, in that order."""
+        return self._replace(ratio=self.ratio[:, cols],
+                             read=lambda stack, c: self.read(stack, cols[c]),
+                             labels=[self.labels[i] for i in cols])
 
 
 def _representatives(fm: FiniteModel, x0) -> tuple[np.ndarray, np.ndarray]:
@@ -243,43 +245,98 @@ def _representatives(fm: FiniteModel, x0) -> tuple[np.ndarray, np.ndarray]:
     return slots, np.append(first[first >= fm.n] - fm.n, n_ext)
 
 
-def _scan_generators(fm: FiniteModel, box: HarnackBox):
-    """Stream one cone generator of each symmetry orbit through the box,
-    reducing each age once.
+def _channels(fm: FiniteModel, x0, radius: float):
+    """(slots, sources, labels, inner, n_inner): the representative window
+    slots and channels (`_representatives`) of fm's tracked annulus, then
+    the remainder of the first annulus, B(x0, radius) less the window, as
+    `labels` and their (n, k + 1) source columns; `inner` the first
+    annulus' columns, its remainder last, and n_inner its vertex count.
+
+    The first annulus is a mask over fm.exterior, in its order.  The
+    symmetries keep B(x0, radius), so no orbit crosses the mask, and its
+    representatives are those of fm's in it.  Its remainder is
+    max(kill - sum of its channels' source rates, 0)."""
+    slots, cols = _representatives(fm, x0)
+    ball = set(fm.model.ball(x0, radius))
+    near = np.array([w in ball for w in fm.exterior] + [False])
+    # the last column, a copy of fm's remainder, is overwritten
+    sources = fm.sources[:, np.append(cols, cols[-1])]
+    sources[:, -1] = np.maximum(fm.kill - fm.sources @ near, 0.0)
+    return (slots, sources, [*(fm.channels[i] for i in cols), "remainder"],
+            np.append(np.flatnonzero(near[cols]), len(cols)), int(near.sum()))
+
+
+def _chunks(width: int) -> list[slice]:
+    """Equal chunks of at most TILE_COLS of `width` columns."""
+    size = -(-width // -(-width // TILE_COLS))
+    return [slice(c0, min(c0 + size, width)) for c0 in range(0, width, size)]
+
+
+def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
+                     sources: np.ndarray, labels: list):
+    """Stream the cone generators through the box in one pass over the ages
+    a = 0..m, reducing each age once.
 
     A source generator launched at step si has value E^(j-si-1) S[:, c] at
     grid step j > si, so it only ever shows the fields E^a S at ages
-    a = 0..m-1; the initial fields E^j diag(1/mu) are those of a launch at
-    si = 0 from E diag(1/mu).  Launches from step m/2 on show no step of Q-,
-    so the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2)
-    and their Q+ ages [m/4, m), and only those half-ball maxima and minima
-    are formed, a tile of (I[half] E^a) W at a time.  Only the
-    representative columns (`_representatives`) of W and S are formed.
-    Returns (init, src, half, ops), where `init` and `src` are the `_Family`
-    of each kind, for W = E diag(1/mu) and S.
+    a = 0..m-1; the initial fields E^j diag(1/mu) are a launch at step -1
+    from W = diag(1/mu), so their values are the rows of the age blocks at
+    the slots, over mu.  Launches from step m/2 on show no step of Q-, so
+    the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2) and
+    their Q+ ages [m/4, m), and only those half-ball maxima and minima are
+    formed.  S is formed for the columns of `sources` and the initial fields
+    at `slots` only.  Returns (init, src, ops), the `_Family` of each kind
+    and the step operators.
     """
     m, half = box.m_steps, fm.ball_slots(box.x0, box.R / 2)
-    slots, cols = _representatives(fm, box.x0)
-    ops = step_operators(fm, box.T / m, fm.sources[:, cols])
-    init = _family(ops.E[:, slots] * (1.0 / fm.mu[slots]), ops.E, half, box,
-                   1, [fm.window[i] for i in slots])
-    src = _family(ops.S, ops.E, half, box, m // 2,
-                  [fm.channels[i] for i in cols])
-    return init, src, half, ops
+    ops = step_operators(fm, box.T / m, sources)
+    n, h, mu = fm.n, len(half), fm.mu[slots]
+    chunks = _chunks(sources.shape[1])
+    width = chunks[0].stop - chunks[0].start
+    block = min(max(TILE_BYTES // (8 * h * max(width, n)), 1), m + 1)
+    steps = _Steps.of(ops.E, half, block)
+    minus, plus = box.minus_steps(), box.plus_steps()
+    fams = []
+    for read, first, launches, labs, cuts in (
+            (lambda st, c: st[:, :, slots[c]] / mu[c], -1, 1,
+             [fm.window[i] for i in slots], _chunks(len(slots))),
+            (lambda st, c: (st.reshape(-1, n) @ ops.S[:, c]).reshape(
+                len(st), h, -1), 0, m // 2, labels, chunks)):
+        # the ages some launch shows in Q- (the max) and in Q+ (the min);
+        # row r of each array holds age kept.stop - 1 - r
+        kept = [range(_ages(w, first + launches - 1).start,
+                      _ages(w, first).stop) for w in (minus, plus)]
+        outs = [np.empty((len(k), cuts[-1].stop)) for k in kept]
+        fams.append((read, first, launches, labs, cuts, kept, outs))
+    for a0, stack in steps.blocks(m + 1):
+        for read, _, _, _, cuts, kept, outs in fams:
+            b0 = max(a0, min(k.start for k in kept))
+            b1 = min(a0 + len(stack), max(k.stop for k in kept))
+            if b0 >= b1:
+                continue
+            for c in cuts:
+                vals = read(stack[b0 - a0:b1 - a0], c)
+                for k, out, op in zip(kept, outs, (np.max, np.min)):
+                    lo, hi = max(b0, k.start), min(b1, k.stop)
+                    if lo < hi:
+                        op(vals[lo - b0:hi - b0][::-1], axis=1,
+                           out=out[k.stop - hi:k.stop - lo, c])
+    init, src = (_Family(_ratio(_slide(hi, len(minus), np.maximum)[:launches],
+                                _slide(lo, len(plus), np.minimum)[:launches]),
+                         read, first, labs, steps)
+                 for read, first, launches, labs, _, _, (hi, lo) in fams)
+    return init, src, ops
 
 
-def _fold(fam: _Family, half: list[int], si: int, c: int, minus: range,
-          plus: range):
+def _fold(fam: _Family, si: int, c: int, minus: range, plus: range):
     """(minus age, plus age, minus slot, plus slot) of generator c launched
-    at step si, from its column recomputed as (I[half] E^a) start[:, c]: each
-    witness age is the first within relative EPS of the extreme over its
-    window, and each slot the first half-ball slot there within EPS of it."""
+    at step si, from its half-ball values recomputed a block of ages at a
+    time: each witness age is the first within relative EPS of the extreme
+    over its window, and each slot the first half-ball slot there within EPS
+    of it."""
     wm, wp = _ages(minus, si), _ages(plus, si)
-    rows, col = np.eye(len(fam.E))[half], []
-    for _ in range(wp.stop):
-        col.append(rows @ fam.start[:, c])
-        rows = rows @ fam.E
-    col = np.array(col)
+    col = np.concatenate([fam.read(stack, [c])[..., 0]
+                          for _, stack in fam.steps.blocks(wp.stop)])
     im, sup = _first_near(col[wm].max(axis=1))
     ip, inf = _first_near(col[wp].min(axis=1), -1.0)
     am, ap = wm.start + int(im), wp.start + int(ip)
@@ -288,7 +345,7 @@ def _fold(fam: _Family, half: list[int], si: int, c: int, minus: range,
     return am, ap, int(sm), int(sp)
 
 
-def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
+def _collect(fm: FiniteModel, box: HarnackBox, init: _Family, src: _Family):
     """Fold the ratio matrices into (constant, witness).
 
     The constant is the largest ratio.  Generators run initial fields (window
@@ -305,24 +362,25 @@ def _collect(fm: FiniteModel, box: HarnackBox, init, src, half):
     for fam in (init, src):
         tops = fam.ratio.max(axis=1)
         best = max(best, tops.max())
-        for si in np.flatnonzero(tops > wit_ratio * (1.0 + EPS)):
-            ratio, c = fam.ratio[si], 0
+        for r in np.flatnonzero(tops > wit_ratio * (1.0 + EPS)):
+            ratio, c = fam.ratio[r], 0
             while (later := ratio[c:] > wit_ratio * (1.0 + EPS)).any():
                 c += int(later.argmax())
                 wit_ratio = ratio[c]
-                win = (fam, int(si), c)
+                win = (fam, fam.first + int(r), c)
     if win is None:
         return best, None
     fam, si, c = win
-    am, ap, sm, sp = _fold(fam, half, si, c, minus, plus)
+    am, ap, sm, sp = _fold(fam, si, c, minus, plus)
     prefix = ("source", si) if fam is src else ("initial",)
+    half = fam.steps.half
     return best, {"generator": prefix + (fam.labels[c],),
                   "minus": (float(times[am + si + 1]), fm.window[half[sm]]),
                   "plus": (float(times[ap + si + 1]), fm.window[half[sp]])}
 
 
 def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
-    """Accept the constant c2 recomputed with twice the tracked annulus.
+    """Accept the constant c2 of twice the tracked annulus.
 
     Two infinite constants agree; otherwise c and c2 must both be finite and
     within 5% of each other, else WindowUnconverged.  Returns c2.
@@ -335,39 +393,36 @@ def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
     return c2
 
 
-def _phi_once(model: LatticeModel, box: HarnackBox, lam_ext: float):
-    """(fm, C_P, (init, src, half), step error) of one scan with the tracked
-    annulus at lam_ext; the third is what `_collect` reads for a witness.
-    `_ratio` yields no NaN, so C_P is `_collect`'s constant."""
-    fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
-    init, src, half, ops = _scan_generators(fm, box)
-    c_p = max(init.ratio.max(), src.ratio.max(), 1.0)
-    return fm, c_p, (init, src, half), ops.err
-
-
 def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
     """Exact box constant of the nonnegative caloric cone on the time grid:
     C_P = max over generators of sup_{Q-} g / inf_{Q+} g.
 
     Exterior data beyond the tracked annulus enters through one aggregate
-    remainder channel; the constant is recomputed with twice the annulus, and
-    WindowUnconverged is raised if it moves by more than 5%.  Only the first
-    scan's witness is searched, and its arrays are released before the
-    second scan starts.
+    remainder channel.  The constant with twice the annulus comes from the
+    same truncation and scan, a superset of its columns (module docstring),
+    and WindowUnconverged is raised if it moves by more than 5%.  The
+    witness is searched among the first annulus' generators only.
     """
-    fm, c_p, scan, err = _phi_once(model, box, LAM_EXT)
-    wit = _collect(fm, box, *scan)[1]
-    del scan
-    doubled = _doubled("C_P", c_p, _phi_once(model, box, 2 * LAM_EXT)[1],
+    r_win = 2 * box.R
+    fm = truncate(model, box.x0, r_win, EXTERIOR_TRACKED, 2 * LAM_EXT)
+    slots, sources, labels, inner, n_inner = _channels(fm, box.x0,
+                                                       LAM_EXT * r_win)
+    init, src, ops = _scan_generators(fm, box, slots, sources, labels)
+    first = src.take(inner)
+    # `_ratio` yields no NaN, so these are `_collect`'s constants
+    top = max(init.ratio.max(), 1.0)
+    c_p = max(top, first.ratio.max())
+    doubled = _doubled("C_P", c_p, max(top, src.ratio[:, :-1].max()),
                        LAM_EXT)
     return HarnackReport(
-        box=box.to_dict(), constant=c_p, witness=wit,
+        box=box.to_dict(), constant=c_p,
+        witness=_collect(fm, box, init, first)[1],
         family_sizes={"initial": fm.n,
-                      "source": box.m_steps * len(fm.channels)},
-        metadata={"window_radius": 2 * box.R, "lam_ext": LAM_EXT,
-                  "exterior_radius": LAM_EXT * 2 * box.R,
-                  "n_exterior": len(fm.exterior), "m_steps": box.m_steps,
-                  "floor": FLOOR, "step_error": err,
+                      "source": box.m_steps * (n_inner + 1)},
+        metadata={"window_radius": r_win, "lam_ext": LAM_EXT,
+                  "exterior_radius": LAM_EXT * r_win,
+                  "n_exterior": n_inner, "m_steps": box.m_steps,
+                  "floor": FLOOR, "step_error": ops.err,
                   "doubled_constant": doubled})
 
 
@@ -375,38 +430,34 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
 # elliptic constant
 # ---------------------------------------------------------------------------
 
-def _ehi_once(model: LatticeModel, x0, R, lam_ext: float):
-    """(fm, C_EHI, witness): the harmonic generator h_w of each source
-    channel w is solved for the first channel of each symmetry orbit only,
-    as `_scan_generators` does, and read on the ball's slots."""
-    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
-    cols = _representatives(fm, x0)[1]
-    inner = fm.ball_slots(x0, R)
-    sub = solve_generator(fm, fm.sources[:, cols])[inner]
-    rmax, hi = _first_near(sub)
-    rmin, lo = _first_near(sub, -1.0)
-    c, best = _first_near(_ratio(hi, lo))
-    wit = None
-    if best > -math.inf:
-        wit = {"generator": ("exterior", fm.channels[cols[c]]),
-               "max_at": fm.window[inner[rmax[c]]],
-               "min_at": fm.window[inner[rmin[c]]]}
-    return fm, max(best, 1.0), wit
-
-
 def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
     """C_EHI = max over exterior-delta harmonic generators h_w of
     max_{B(x0,R)} h_w / min_{B(x0,R)} h_w, on the window B(x0,2R), checked
-    against twice the annulus as `phi_constant` is."""
+    against twice the annulus as `phi_constant` is: one truncation and one
+    solve for the first channel of each symmetry orbit of both annuli
+    (`_channels`), read on the ball's slots."""
     if R <= 0:
         raise ValueError("R must be positive")
-    fm, c, wit = _ehi_once(model, x0, R, LAM_EXT)
-    doubled = _doubled("C_EHI", c, _ehi_once(model, x0, R, 2 * LAM_EXT)[1],
-                       LAM_EXT)
+    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, 2 * LAM_EXT)
+    _, sources, labels, first, n_inner = _channels(fm, x0, LAM_EXT * 2 * R)
+    inner = fm.ball_slots(x0, R)
+    sub = solve_generator(fm, sources)[inner]
+    rmax, hi = _first_near(sub)
+    rmin, lo = _first_near(sub, -1.0)
+    ratio = _ratio(hi, lo)
+    c, best = _first_near(ratio[first])
+    wit = None
+    if best > -math.inf:
+        j = first[c]
+        wit = {"generator": ("exterior", labels[j]),
+               "max_at": fm.window[inner[rmax[j]]],
+               "min_at": fm.window[inner[rmin[j]]]}
+    c_e = max(best, 1.0)
+    doubled = _doubled("C_EHI", c_e, max(ratio[:-1].max(), 1.0), LAM_EXT)
     return HarnackReport(
         box={"x0": list(x0), "R": R, "elliptic": True},
-        constant=c, witness=wit,
-        family_sizes={"exterior": len(fm.channels)},
+        constant=c_e, witness=wit,
+        family_sizes={"exterior": n_inner + 1},
         metadata={"window_radius": 2 * R, "lam_ext": LAM_EXT,
-                  "n_exterior": len(fm.exterior), "floor": FLOOR,
+                  "n_exterior": n_inner, "floor": FLOOR,
                   "doubled_constant": doubled})

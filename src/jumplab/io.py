@@ -64,6 +64,13 @@ PI_MARGIN = 1.25
 HIT_MARGIN = 0.1
 
 
+def _integer(value) -> int:
+    """int(value), or ValueError for a float with a fractional part."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -78,8 +85,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Build the `model` and overlay `params` on the experiment's
-        defaults, each cast to its default's type.  A `model` replaces the
-        `d` and `metric` params, and the cex experiments build their own.
+        defaults, each cast to its default's type; an integer param or list
+        entry with a fractional part is refused, not truncated.  A `model`
+        replaces the `d` and `metric` params, and the cex experiments build
+        their own.
         An unknown experiment or param, a bad value, an empty list or a
         malformed `model` is a ConfigError."""
         if self.experiment not in EXPERIMENTS:
@@ -107,10 +116,11 @@ class ExperimentConfig:
                 raise ConfigError(f"param {key!r}: unknown value {value!r}; "
                                   f"expected one of {CHOICES[key]}")
             default = table[key]
+            cast = (_integer if isinstance(default, (int, list))
+                    else type(default))
             try:
-                resolved[key] = ([int(r) for r in value]
-                                 if isinstance(default, list)
-                                 else type(default)(value))
+                resolved[key] = ([cast(r) for r in value]
+                                 if isinstance(default, list) else cast(value))
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"param {key!r}: {e}") from e
             if resolved[key] == []:

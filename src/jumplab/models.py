@@ -744,18 +744,21 @@ def require_dense(rows: int, cols: int) -> None:
                              f"{nbytes} bytes, over the budget of {DENSE_BYTES}")
 
 
-def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
-    """Matrix of J(x,y) for x in xs, y in ys (the suppressed pair zeroed).
+def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence,
+                spare: int = 0) -> np.ndarray:
+    """Matrix of J(x,y) for x in xs, y in ys (the suppressed pair zeroed),
+    then `spare` zero columns.
 
     WindowTooLarge, before anything is allocated, if it would exceed
     DENSE_BYTES."""
-    require_dense(len(xs), len(ys))
-    out = np.zeros((len(xs), len(ys)))
+    require_dense(len(xs), len(ys) + spare)
+    full = np.zeros((len(xs), len(ys) + spare))
+    out = full[:, :len(ys)]
     if model.kind == "explicit":
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 out[i, j] = model.J(x, y)
-        return out
+        return full
     ax = np.asarray(xs, dtype=np.int64).reshape(len(xs), model.d)
     ay = np.asarray(ys, dtype=np.int64).reshape(len(ys), model.d)
     # the distance takes |x_k - y_k| one coordinate at a time, over blocks of
@@ -774,7 +777,7 @@ def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence) -> np.ndarray:
         x_at = [np.all(ax == p[e], axis=1) for e in (0, 1)]
         y_at = [np.all(ay == p[e], axis=1) for e in (0, 1)]
         out[np.outer(x_at[0], y_at[1]) | np.outer(x_at[1], y_at[0])] = 0.0
-    return out
+    return full
 
 
 def truncate(model: LatticeModel, x0, r_win: float, mode: str,
@@ -802,10 +805,11 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         big = model.ball(x0, lam_ext * r_win)
         wset = set(window)
         fm.exterior = [v for v in big if v not in wset]
-        coupling = _pair_rates(model, window, fm.exterior)
-        remainder = np.maximum(fm.kill - coupling.sum(axis=1) / mu, 0.0)
-        # divided in place, so the matrix is held at most twice
+        # the coupling and the remainder share one array, divided in place
+        fm.sources = _pair_rates(model, window, fm.exterior, 1)
+        coupling = fm.sources[:, :-1]
+        fm.sources[:, -1] = np.maximum(fm.kill - coupling.sum(axis=1) / mu,
+                                       0.0)
         coupling /= mu[:, None]
-        fm.sources = np.column_stack([coupling, remainder])
         fm.channels = [*fm.exterior, "remainder"]
     return fm

@@ -100,6 +100,54 @@ def harmonic_partition_residual(model, x0, R) -> float:
     return float(np.abs(h.sum(axis=1) - 1.0).max())
 
 
+def scan_all(fm, box):
+    """(init, src): the `_Family` of each kind of one cone scan of fm's own
+    channels (one of each symmetry orbit), with no second annulus."""
+    slots, cols = H._representatives(fm, box.x0)
+    return H._scan_generators(fm, box, slots, fm.sources[:, cols],
+                              [fm.channels[c] for c in cols])[:2]
+
+
+def two_scan_phi(model, box) -> dict:
+    """`phi_constant` as two truncations and two scans, with the tracked
+    annulus at LAM_EXT and at twice it; the witness is the first's."""
+    runs = []
+    for lam_ext in (H.LAM_EXT, 2 * H.LAM_EXT):
+        fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
+        init, src = scan_all(fm, box)
+        runs.append((fm, max(init.ratio.max(), src.ratio.max(), 1.0),
+                     init, src))
+    (fm, c, init, src), (_, c2, _, _) = runs
+    return {"constant": c, "witness": H._collect(fm, box, init, src)[1],
+            "family_sizes": {"initial": fm.n,
+                             "source": box.m_steps * len(fm.channels)},
+            "n_exterior": len(fm.exterior), "doubled_constant": c2}
+
+
+def two_solve_ehi(model, x0, R) -> dict:
+    """`ehi_constant` as two truncations and two solves, with the tracked
+    annulus at LAM_EXT and at twice it; the witness is the first's."""
+    runs = []
+    for lam_ext in (H.LAM_EXT, 2 * H.LAM_EXT):
+        fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
+        cols = H._representatives(fm, x0)[1]
+        inner = fm.ball_slots(x0, R)
+        sub = solve_generator(fm, fm.sources[:, cols])[inner]
+        rmax, hi = H._first_near(sub)
+        rmin, lo = H._first_near(sub, -1.0)
+        c, best = H._first_near(H._ratio(hi, lo))
+        wit = None
+        if best > -math.inf:
+            wit = {"generator": ("exterior", fm.channels[cols[c]]),
+                   "max_at": fm.window[inner[rmax[c]]],
+                   "min_at": fm.window[inner[rmin[c]]]}
+        runs.append((fm, max(best, 1.0), wit))
+    (fm, c, wit), (_, c2, _) = runs
+    return {"constant": c, "witness": wit,
+            "family_sizes": {"exterior": len(fm.channels)},
+            "n_exterior": len(fm.exterior), "doubled_constant": c2}
+
+
 # ---------------------------------------------------------------------------
 # Poincare audits
 # ---------------------------------------------------------------------------

@@ -120,6 +120,31 @@ def test_config_params_checked(tmp_path, experiment, params, match):
     assert main(["run", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("experiment, params, match", [
+    ("cex-ladder", {"ranges": [16.5, 64]}, "param 'ranges': 16.5 is not"),
+    ("cex-suppressed", {"radii": [8.9]}, "param 'radii': 8.9 is not"),
+    ("phi", {"R": 2.7}, "param 'R': 2.7 is not"),
+], ids=["ranges", "radii", "R"])
+def test_config_fractional_integer_rejected(tmp_path, experiment, params,
+                                            match):
+    """An integer param or list entry with a fractional part is a
+    ConfigError naming the param, not truncated; an integral float is
+    taken as its integer."""
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(experiment=experiment, params=params)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": params}))
+    with pytest.raises(ConfigError, match=f"{cfg}: {match}"):
+        load_config(str(cfg))
+    key, value = next(iter(params.items()))
+    whole = ([int(v) for v in value] if isinstance(value, list)
+             else int(value))
+    integral = ([float(v) for v in whole] if isinstance(whole, list)
+                else float(whole))
+    got = ExperimentConfig(experiment=experiment, params={key: integral})
+    assert json.dumps(got.params[key]) == json.dumps(whole)
+
+
 _LATTICE = {"kind": "lattice", "d": 2, "metric": "l1",
             "kernel": {"type": "polynomial", "alpha": 1.0}}
 

@@ -25,6 +25,9 @@ from oracles import (
     caloric_solve,
     duhamel_generators,
     harmonic_partition_residual,
+    scan_all,
+    two_scan_phi,
+    two_solve_ehi,
 )
 
 
@@ -65,8 +68,7 @@ def test_scan_matches_explicit_generators(z1):
     generator fields (initial masses, per-step impulses on every channel)."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init_stats, src_stats, half, _ = H._scan_generators(fm, box)
-    best, _ = H._collect(fm, box, init_stats, src_stats, half)
+    best, _ = H._collect(fm, box, *scan_all(fm, box))
     gens = duhamel_generators(fm, box.T, box.m_steps)
     assert len(gens) == fm.n + box.m_steps * len(fm.channels)
     explicit = max(caloric_box_ratio(g, box) for g in gens)
@@ -164,6 +166,14 @@ def fanout_collect(fm, box, init_stats, src_stats, half):
     return best, best_wit
 
 
+def assert_same_scan(got, want):
+    """The witness exactly and the constant within 1e-13 relative: the scan
+    reads E^(a+1) diag(1/mu) off its age blocks, and the reference takes
+    I[half] E^a times E diag(1/mu), so the two round apart by an ulp."""
+    assert got[1] == want[1]
+    assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+
+
 SCAN_CASES = {
     "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), small_box()),
     "suppressed": (LatticeModel(d=1, kernel=SuppressedPairKernel(
@@ -177,14 +187,14 @@ SCAN_CASES = {
 
 @pytest.mark.parametrize("model, box", SCAN_CASES.values(), ids=SCAN_CASES)
 def test_scan_matches_fanout_reference(model, box, identity_group):
-    """The per-age scan gives exactly the fan-out scan's constant and witness;
-    z1 and lam-half hold mirror-image ties that only rounding noise splits."""
+    """The per-age scan gives the fan-out scan's constant (to rounding) and
+    exactly its witness; z1 and lam-half hold mirror-image ties that only
+    rounding noise splits."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
-    init, src, half, _ = H._scan_generators(fm, box)
-    got = H._collect(fm, box, init, src, half)
+    got = H._collect(fm, box, *scan_all(fm, box))
     want = fanout_collect(fm, box, *fanout_scan(fm, box))
     assert want[1] is not None
-    assert got == want
+    assert_same_scan(got, want)
 
 
 def tie_operators(fm, box, seed, kinds=3):
@@ -215,8 +225,7 @@ def jittered(ops, amp, seed):
 
 def scan_with(monkeypatch, fm, box, ops):
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
-    init, src, half, _ = H._scan_generators(fm, box)
-    return H._collect(fm, box, init, src, half)
+    return H._collect(fm, box, *scan_all(fm, box))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -244,7 +253,7 @@ def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed,
     got = scan_with(monkeypatch, fm, box, jittered(ops, 1e-14, 100 + seed))
     assert got[1] == exact[1]
     assert got[0] == exact[0] or got[0] == pytest.approx(exact[0], rel=1e-12)
-    assert got == fanout_collect(fm, box, *fanout_scan(fm, box))
+    assert_same_scan(got, fanout_collect(fm, box, *fanout_scan(fm, box)))
 
 
 @pytest.mark.parametrize("amp", [1e-12, 2e-12])
@@ -255,12 +264,12 @@ def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, see
     2e-12 put ratios and field values about EPS apart, where a generator
     must replace the witness one at a time and a slot must come within EPS
     of the window's extreme, not of its own age's: the scan still gives the
-    fan-out reference's constant and witness."""
+    fan-out reference's constant (to rounding) and witness."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     ops = tie_operators(fm, box, seed, kinds=4)
     got = scan_with(monkeypatch, fm, box, jittered(ops, amp, 100 + seed))
-    assert got == fanout_collect(fm, box, *fanout_scan(fm, box))
+    assert_same_scan(got, fanout_collect(fm, box, *fanout_scan(fm, box)))
 
 
 @pytest.mark.parametrize("jump, winner", [(1e-14, 0), (1e-11, 5)])
@@ -270,29 +279,59 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
     beyond it the later one replaces it; the constant is the exact max."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init, src, half, _ = H._scan_generators(fm, box)
+    init, src = scan_all(fm, box)
     init.ratio.fill(2.0)
     src.ratio.fill(2.0)
     src.ratio[5] = 2.0 * (1.0 + jump)
-    best, wit = H._collect(fm, box, init, src, half)
+    best, wit = H._collect(fm, box, init, src)
     assert best == 2.0 * (1.0 + jump)
     assert wit["generator"] == (("initial", fm.window[0]) if winner == 0 else
                                 ("source", 5, fm.exterior[0]))
 
 
-def full_window_extremes(W, E, half, hi_ages, lo_ages):
-    """`_extremes` stepping every window row: E^a W, then its half ball,
-    latest age first."""
-    hi = np.empty((len(hi_ages), W.shape[1]))
-    lo = np.empty((len(lo_ages), W.shape[1]))
-    fields = W
-    for age in range(max(hi_ages.stop, lo_ages.stop)):
-        if age in hi_ages:
-            hi[hi_ages.stop - 1 - age] = fields[half].max(axis=0)
-        if age in lo_ages:
-            lo[lo_ages.stop - 1 - age] = fields[half].min(axis=0)
-        fields = E @ fields
-    return hi, lo
+def full_window_collect(fm, box):
+    """(constant, witness) of every generator with its fields stepped on the
+    whole window (E^a W, then the half ball), folded by the fan-out rules.
+    Only each age's half-ball extremes are kept for the ratios; the winner's
+    column is read again for its witness steps and slots."""
+    m = box.m_steps
+    ops = H.step_operators(fm, box.T / m, fm.sources)
+    half = fm.ball_slots(box.x0, box.R / 2)
+    minus, plus = list(box.minus_steps()), list(box.plus_steps())
+    times = np.linspace(0.0, box.T, m + 1)
+
+    def fields(W, ages):
+        out = []
+        for _ in range(ages):
+            out.append(W[half])
+            W = ops.E @ W
+        return np.array(out)
+
+    # generator -> (its fields by age, the age grid step j shows)
+    init, src = fields(np.diag(1.0 / fm.mu), m + 1), fields(ops.S, m)
+    gens = [(init, lambda j: j, [("initial", z) for z in fm.window])]
+    gens += [(src, lambda j, si=si: j - 1 - si,
+              [("source", si, ch) for ch in fm.channels])
+             for si in range(m) if si < minus[-1]]
+    best, wit_ratio, win = -math.inf, -math.inf, None
+    for vals, age, ids in gens:
+        js = [j for j in minus if age(j) >= 0], [j for j in plus if age(j) >= 0]
+        sups = vals[[age(j) for j in js[0]]].max(axis=(0, 1))
+        infs = vals[[age(j) for j in js[1]]].min(axis=(0, 1))
+        for c, gen in enumerate(ids):
+            if not sups[c] > 0.0:
+                continue
+            ratio = math.inf if infs[c] < H.FLOOR else sups[c] / infs[c]
+            best = max(best, ratio)
+            if ratio > wit_ratio * (1.0 + H.EPS):
+                wit_ratio, win = ratio, (gen, vals[..., c], age, js)
+    gen, col, age, js = win
+    ends = [first_near_extreme([(j, col[age(j)][:, None]) for j in steps],
+                               0, sign)[1:]
+            for steps, sign in zip(js, (1.0, -1.0))]
+    return best, {"generator": gen,
+                  **{k: (float(times[j]), fm.window[half[r]])
+                     for k, (j, r) in zip(("minus", "plus"), ends)}}
 
 
 @pytest.mark.parametrize("model, box", [
@@ -300,13 +339,13 @@ def full_window_extremes(W, E, half, hi_ages, lo_ages):
     (LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
      H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)),
 ], ids=[*SCAN_CASES, "linf-z2"])
-def test_half_ball_scan_matches_full_window_scan(model, box, monkeypatch):
-    """Reducing I[half] E^a W moves the constant of the full-window scan
-    (E^a W, then its half ball) by rounding only, and no witness."""
+def test_half_ball_scan_matches_full_window_scan(model, box):
+    """Reducing I[half] E^a W, one generator of each orbit, gives the
+    constant of the full-window scan of every generator (E^a W, then its
+    half ball) to rounding, and its witness."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
-    got = H._collect(fm, box, *H._scan_generators(fm, box)[:3])
-    monkeypatch.setattr(H, "_extremes", full_window_extremes)
-    want = H._collect(fm, box, *H._scan_generators(fm, box)[:3])
+    got = H._collect(fm, box, *scan_all(fm, box))
+    want = full_window_collect(fm, box)
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
     assert got[1] == want[1]
 
@@ -419,6 +458,125 @@ def test_reduced_scans_match_unreduced(model, x0, R, order, monkeypatch):
         assert got.metadata["n_exterior"] == want.metadata["n_exterior"]
 
 
+ONE_SCAN_CASES = {
+    **{k: (model, box) for k, (model, box) in SCAN_CASES.items()},
+    **{f"sym-{k}": (model, H.HarnackBox(x0=x0, R=R, alpha=1.0, m_steps=16))
+       for k, (model, x0, R, _) in SYMMETRY_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("model, box", ONE_SCAN_CASES.values(),
+                         ids=ONE_SCAN_CASES)
+def test_one_scan_matches_two_scans(model, box):
+    """The constant and doubled constant of one truncation at twice the
+    annulus, and one scan or solve of both annuli's channels, equal those of
+    a truncation and a scan or solve at each annulus within 1e-12
+    relative; the witness, family sizes and annulus size are the same."""
+    for got, want in ((H.phi_constant(model, box), two_scan_phi(model, box)),
+                      (H.ehi_constant(model, box.x0, box.R),
+                       two_solve_ehi(model, box.x0, box.R))):
+        for key in ("constant", "doubled_constant"):
+            value = getattr(got, key, None) or got.metadata[key]
+            assert value == pytest.approx(want[key], rel=1e-12, abs=0.0)
+        assert got.witness == want["witness"] and got.witness is not None
+        assert got.family_sizes == want["family_sizes"]
+        assert got.metadata["n_exterior"] == want["n_exterior"]
+
+
+@pytest.mark.parametrize("model, x0, R, order", SYMMETRY_CASES.values(),
+                         ids=SYMMETRY_CASES)
+def test_first_annulus_channels_match_its_own_truncation(model, x0, R, order):
+    """`_channels` on the doubled annulus gives, at its `inner` columns, the
+    representative channels of a truncation at LAM_EXT: the same labels and
+    slots, the tracked columns bitwise, and the remainder (a difference of
+    sums taken in another order) within 1e-12 relative."""
+    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
+    slots, sources, labels, inner, n_inner = H._channels(
+        fm, x0, H.LAM_EXT * 2 * R)
+    assert sources.shape == (fm.n, len(labels)) and labels[-1] == "remainder"
+    one = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
+    one_slots, cols = H._representatives(one, x0)
+    assert np.array_equal(slots, one_slots) and n_inner == len(one.exterior)
+    assert [labels[i] for i in inner] == [one.channels[c] for c in cols]
+    got, want = sources[:, inner], one.sources[:, cols]
+    assert np.array_equal(got[:, :-1], want[:, :-1])
+    assert np.all(np.abs(got[:, -1] - want[:, -1]) <= 1e-12 * want[:, -1])
+
+
+def test_phi_witness_searched_in_first_annulus(z1, monkeypatch):
+    """`phi_constant` folds the witness from the first annulus' channels
+    alone, in channel order, not from the doubled annulus' outer ones."""
+    seen, real = [], H._collect
+
+    def spy(fm, box, init, src):
+        seen.append(src.labels)
+        return real(fm, box, init, src)
+
+    monkeypatch.setattr(H, "_collect", spy)
+    H.phi_constant(z1, small_box())
+    one = truncate(z1, (0,), 8, EXTERIOR_TRACKED, H.LAM_EXT)
+    assert seen == [[one.channels[c] for c in H._representatives(one, (0,))[1]]]
+
+
+@pytest.mark.parametrize("run, solver", [
+    (lambda z1: H.phi_constant(z1, small_box()), "step_operators"),
+    (lambda z1: H.ehi_constant(z1, (0,), 4), "solve_generator"),
+], ids=["phi", "ehi"])
+def test_one_truncation_and_one_operator_build(z1, monkeypatch, run, solver):
+    """A constant and its doubling check take one truncation, at twice the
+    annulus, and one `step_operators` or `solve_generator` call."""
+    calls = []
+    for name in ("truncate", solver):
+        def counted(*args, name=name, real=getattr(H, name)):
+            calls.append((name, args[4] if name == "truncate" else None))
+            return real(*args)
+        monkeypatch.setattr(H, name, counted)
+    run(z1)
+    assert calls == [("truncate", 2 * H.LAM_EXT), (solver, None)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+def test_age_blocks_match_sequential_steps(z1, block):
+    """The doubled age blocks equal I[half] E^a stepped one age at a time
+    within 1e-13 relative at every entry, over 71 ages (so the last block
+    of most sizes is short)."""
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    E = H.step_operators(fm, 0.5, fm.sources[:, :1]).E
+    half = fm.ball_slots((0,), 2)
+    steps = H._Steps.of(E, half, block)
+    rows, ages = np.eye(fm.n)[half], 0
+    for a0, stack in steps.blocks(71):
+        assert a0 == ages and len(stack) == min(block, 71 - a0)
+        for got in stack:
+            assert np.all(np.abs(got - rows) <= 1e-13 * rows)
+            rows, ages = rows @ E, ages + 1
+    assert ages == 71
+
+
+def test_fold_memory_within_a_tile():
+    """`_fold` recomputes the winning column a block of ages at a time: on
+    the doubled `lab phi --d 2 --R 4` window (289 states, 16,352 channels,
+    256 steps) it peaks below one tile, the block of I[half] E^a rows, and
+    the column's half-ball values at every age, with none of the window's
+    n x n arrays (an identity alone is 668 kB)."""
+    z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
+    box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
+    fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
+    assert (fm.n, len(fm.exterior), box.m_steps) == (289, 16352, 256)
+    slots, sources, labels = H._channels(fm, box.x0, 8 * box.R)[:3]
+    init, src, _ = H._scan_generators(fm, box, slots, sources, labels)
+    h = len(src.steps.half)
+    for fam, si in ((init, -1), (src, 3)):
+        tracemalloc.start()
+        try:
+            H._fold(fam, si, 1, box.minus_steps(), box.plus_steps())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < H.TILE_BYTES + 3 * 8 * (box.m_steps + 1) * h
+        assert peak < 8 * fm.n ** 2
+
+
 def test_ratio_writes_the_floor_rule_over_the_sups():
     """sup / inf, inf where the inf is below FLOOR (also where it is
     positive), -inf where the sup is not positive, written over the sups."""
@@ -473,10 +631,12 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     assert (fm.n, len(fm.channels), box.m_steps) == (81, 4145, 256)
     ops = H.step_operators(fm, box.T / box.m_steps, fm.sources)
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
+    slots, cols = H._representatives(fm, box.x0)
+    args = (slots, fm.sources[:, cols], [fm.channels[c] for c in cols])
     tracemalloc.start()
     try:
-        init, src, half, _ = H._scan_generators(fm, box)
-        assert H._collect(fm, box, init, src, half)[1] is not None
+        init, src, _ = H._scan_generators(fm, box, *args)
+        assert H._collect(fm, box, init, src)[1] is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,8 +645,8 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
 
 def test_phi_searches_witness_ages_once(z1, monkeypatch):
     """One `phi_constant` searches witness ages (`_fold`) once: only for the
-    winning generator, not once per launch step, and not for the rerun on
-    the doubled annulus, whose witness the report does not carry."""
+    winning generator, not once per launch step, and not for the doubled
+    annulus, whose witness the report does not carry."""
     calls = []
     fold = H._fold
 
@@ -504,22 +664,36 @@ def test_ehi_witnesses_ignore_rounding_noise(z1, monkeypatch, seed,
                                              identity_group):
     """Harmonic generators with exact ties inside columns and across
     channels, then moved by up to a relative 1e-14: the channel, max_at and
-    min_at stay the first attained of the exact ties."""
+    min_at stay the first attained of the exact ties.  The solve is for the
+    doubled annulus' channels, its remainder, then the first annulus'
+    remainder; the witness is the first annulus' even where a channel beyond
+    it has a larger ratio."""
     rng = np.random.default_rng(seed)
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    exact = rng.integers(1, 4, (fm.n, len(fm.exterior) + 1)).astype(float)
+    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
+    labels = [*fm.exterior, "remainder", "remainder"]
+    first = [c for c, w in enumerate(labels[:-2]) if abs(w[0]) <= 32]
+    first.append(len(labels) - 1)
+    exact = rng.integers(1, 4, (fm.n, len(labels))).astype(float)
     exact[:, 1::2] = exact[:, 0::2][:, :exact[:, 1::2].shape[1]]
     inner = [i for i, v in enumerate(fm.window) if abs(v[0]) <= 4]
-    sub = exact[inner]
+    # beyond the first annulus every ratio is 3.06, above the first's
+    # largest, 3, but within the 5 % of the doubling check
+    outer = np.setdiff1d(np.arange(len(labels)), first)
+    exact[:, outer] = 1.0
+    exact[inner[0], outer] = 3.06
+    sub = exact[np.ix_(inner, first)]
     ratio = sub.max(axis=0) / sub.min(axis=0)
     c = int(np.flatnonzero(ratio == ratio.max())[0])
-    want = {"generator": ("exterior", fm.channels[c]),
+    want = {"generator": ("exterior", labels[first[c]]),
             "max_at": fm.window[inner[int(sub[:, c].argmax())]],
             "min_at": fm.window[inner[int(sub[:, c].argmin())]]}
     noise = 1 + 1e-14 * rng.uniform(-1, 1, exact.shape)
     for H_ in (exact, exact * noise):
-        monkeypatch.setattr(H, "solve_generator", lambda fm, rhs, H_=H_: H_)
-        assert H._ehi_once(z1, (0,), 4, 4.0)[2] == want
+        def solve(fm, rhs, H_=H_):
+            assert rhs.shape == H_.shape
+            return H_
+        monkeypatch.setattr(H, "solve_generator", solve)
+        assert H.ehi_constant(z1, (0,), 4).witness == want
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-14, 1.0 - 1e-14])
@@ -548,8 +722,7 @@ def test_mixture_audit(z1, rng):
     """50 random nonnegative mixtures never exceed the computed constant."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init_stats, src_stats, half, _ = H._scan_generators(fm, box)
-    best, _ = H._collect(fm, box, init_stats, src_stats, half)
+    best, _ = H._collect(fm, box, *scan_all(fm, box))
     c_p = max(best, 1.0)
     n_ext = len(fm.exterior)
     for _ in range(50):
@@ -644,28 +817,28 @@ def test_doubling_check_rejects(c, c2):
         H._doubled("C", c, c2, 4.0)
 
 
-@pytest.mark.parametrize("once", ["_phi_once", "_ehi_once"])
-def test_constants_always_recomputed_on_doubled_annulus(z1, monkeypatch, once):
-    """phi_constant and ehi_constant always rerun on twice the tracked
-    annulus: a doubled constant 6 % above the first raises WindowUnconverged,
-    and a rerun that agrees is reported as `doubled_constant`."""
-    real = getattr(H, once)
+@pytest.mark.parametrize("run", [
+    lambda z1: H.phi_constant(z1, small_box()),
+    lambda z1: H.ehi_constant(z1, (0,), 4),
+], ids=["phi", "ehi"])
+def test_constants_always_checked_on_doubled_annulus(z1, monkeypatch, run):
+    """phi_constant and ehi_constant always check the constant against the
+    one of twice the tracked annulus: a doubled constant 6 % above it raises
+    WindowUnconverged, and one that agrees is reported as
+    `doubled_constant`."""
+    real = H._doubled
     seen = []
 
-    def moved(*args):
-        out = real(*args)
-        seen.append(args[-1])
-        factor = 1.06 if args[-1] == 2 * H.LAM_EXT else 1.0
-        return (out[0], factor * out[1], *out[2:])
+    def moved(name, c, c2, lam_ext):
+        seen.append(lam_ext)
+        return real(name, c, 1.06 * c2, lam_ext)
 
-    monkeypatch.setattr(H, once, moved)
-    run = {"_phi_once": lambda: H.phi_constant(z1, small_box()),
-           "_ehi_once": lambda: H.ehi_constant(z1, (0,), 4)}[once]
+    monkeypatch.setattr(H, "_doubled", moved)
     with pytest.raises(WindowUnconverged):
-        run()
-    assert seen == [H.LAM_EXT, 2 * H.LAM_EXT]
-    monkeypatch.setattr(H, once, real)
-    rep = run()
+        run(z1)
+    assert seen == [H.LAM_EXT]
+    monkeypatch.setattr(H, "_doubled", real)
+    rep = run(z1)
     assert rep.metadata["lam_ext"] == H.LAM_EXT
     assert rep.constant == pytest.approx(rep.metadata["doubled_constant"],
                                          rel=0.05)
