@@ -27,14 +27,17 @@ permutations that fix x0 and keep the suppressed pair and mu
 (`LatticeModel.symmetries`) keep the kernel, the window, the annulus and the
 half ball, so they permute the generators and keep their ratios (to
 rounding).  Only the first member of each orbit in window or channel order
-is formed and scanned (`_representatives`), the remainder channel on its
-own; on Z^2 that is about one column in eight.
+is formed and scanned, the remainder channel on its own: `truncate` builds
+`sources` with one column per orbit of the annulus and its orbit size, and
+the initial fields are taken at the first slot of each window orbit
+(`_representatives`); on Z^2 that is about one column in eight.
 
 The doubling check compares each constant with the one of twice the tracked
 annulus.  The window, its kill rates and E do not depend on the annulus, and
 the first annulus is the part of the doubled one within its radius, so each
 constant truncates once, at 2 LAM_EXT, and scans or solves once (`_channels`);
-the two constants are maxima over two sets of columns of that result.
+the two constants are maxima over two sets of columns of that result.  The
+first annulus' remainder is its kill rate summed through the orbits.
 
 Constants are exact extremes; witnesses follow one tie rule, so rounding
 noise between mirror-image vertices cannot pick them: among values within
@@ -224,46 +227,33 @@ class _Family(NamedTuple):
                              labels=[self.labels[i] for i in cols])
 
 
-def _representatives(fm: FiniteModel, x0) -> tuple[np.ndarray, np.ndarray]:
-    """(window slots, source columns) of the first member, in window and
-    channel order, of each orbit of `LatticeModel.symmetries(x0)`; the
-    remainder channel is its own orbit.  One lookup grid over the box of the
-    window and annulus gives the slots of every point's images, and a point
-    is a representative if none of them comes first."""
-    maps = fm.model.symmetries(x0)
-    n_ext = len(fm.exterior)
-    if len(maps) == 1:
-        return np.arange(fm.n), np.arange(n_ext + 1)
-    c = np.asarray(x0, dtype=np.int64)
-    pts = np.asarray(fm.window + fm.exterior, dtype=np.int64) - c
-    m = int(np.abs(pts).max())
-    grid = np.empty((2 * m + 1,) * len(c), dtype=np.int64)
-    grid[tuple((pts + m).T)] = np.arange(len(pts))
-    images = grid[tuple(np.moveaxis(pts @ maps.transpose(0, 2, 1) + m, -1, 0))]
-    first = np.flatnonzero(images.min(axis=0) == np.arange(len(pts)))
-    slots = first[first < fm.n]
-    return slots, np.append(first[first >= fm.n] - fm.n, n_ext)
+def _representatives(fm: FiniteModel) -> np.ndarray:
+    """The window slots that come first in their orbit (`fm.slot_maps`)."""
+    return np.flatnonzero(fm.slot_maps.min(axis=0) == np.arange(fm.n))
 
 
 def _channels(fm: FiniteModel, x0, radius: float):
     """(slots, sources, labels, inner, n_inner): the representative window
-    slots and channels (`_representatives`) of fm's tracked annulus, then
-    the remainder of the first annulus, B(x0, radius) less the window, as
-    `labels` and their (n, k + 1) source columns; `inner` the first
+    slots and fm's channels (one per orbit of the tracked annulus), then the
+    remainder of the first annulus, B(x0, radius) less the window, as
+    `labels` and their (n, k + 2) source columns; `inner` the first
     annulus' columns, its remainder last, and n_inner its vertex count.
 
-    The first annulus is a mask over fm.exterior, in its order.  The
-    symmetries keep B(x0, radius), so no orbit crosses the mask, and its
-    representatives are those of fm's in it.  Its remainder is
-    max(kill - sum of its channels' source rates, 0)."""
-    slots, cols = _representatives(fm, x0)
+    The first annulus is a mask over fm's channels.  The symmetries keep
+    B(x0, radius), so no orbit crosses the mask, and its vertex count is the
+    sum of the masked orbit sizes.  Its remainder is max(kill - mu^{-1}
+    J(x, first annulus), 0), the J summed through the orbits
+    (`FiniteModel.orbit_sum`)."""
+    k = len(fm.exterior)
     ball = set(fm.model.ball(x0, radius))
     near = np.array([w in ball for w in fm.exterior] + [False])
-    # the last column, a copy of fm's remainder, is overwritten
-    sources = fm.sources[:, np.append(cols, cols[-1])]
-    sources[:, -1] = np.maximum(fm.kill - fm.sources @ near, 0.0)
-    return (slots, sources, [*(fm.channels[i] for i in cols), "remainder"],
-            np.append(np.flatnonzero(near[cols]), len(cols)), int(near.sum()))
+    share = np.where(near, fm.orbits / len(fm.slot_maps), 0.0)
+    sources = np.empty((fm.n, k + 2))
+    sources[:, :-1] = fm.sources
+    sources[:, -1] = np.maximum(fm.kill - fm.orbit_sum(fm.sources @ share),
+                                0.0)
+    return (_representatives(fm), sources, [*fm.channels, "remainder"],
+            np.append(np.flatnonzero(near), k + 1), int(fm.orbits[near].sum()))
 
 
 def _chunks(width: int) -> list[slice]:

@@ -486,13 +486,29 @@ class LatticeModel:
         m = int(math.floor(r))
         if self.kind == "explicit":
             return sorted(self._hops(x0, m))
-        size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
-        if size > STATE_CAP:
-            raise WindowTooLarge(f"ball of {size} vertices exceeds cap {STATE_CAP}")
+        self._within_cap(m)
         pts = itertools.product(*(range(c - m, c + m + 1) for c in x0))
         if self.metric == "linf":
             return [tuple(p) for p in pts]
         return [p for p in pts if self.distance(p, x0) <= m]
+
+    def _within_cap(self, m: int) -> None:
+        """WindowTooLarge if the lattice ball of radius m exceeds STATE_CAP."""
+        size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
+        if size > STATE_CAP:
+            raise WindowTooLarge(f"ball of {size} vertices exceeds cap {STATE_CAP}")
+
+    def ball_points(self, x0, m: int) -> np.ndarray:
+        """The lattice ball of radius m about x0 as an (N, d) int64 array, in
+        `ball`'s order, with no tuple formed; WindowTooLarge beyond STATE_CAP
+        before any point is."""
+        self._within_cap(m)
+        off = np.abs(np.arange(-m, m + 1, dtype=np.int32))
+        dist = functools.reduce(np.maximum if self.metric == "linf" else np.add,
+                                np.ix_(*[off] * self.d))
+        # row-major positions of the box, so lexicographic order
+        pts = np.stack(np.nonzero(dist <= m), axis=-1)
+        return pts + (np.asarray(x0, dtype=np.int64) - m)
 
     def volume(self, x0, r: float) -> float:
         return float(sum(self.mu(y) for y in self.ball(x0, r)))
@@ -688,12 +704,17 @@ class FiniteModel:
     """Truncation of a LatticeModel to a finite vertex window.
 
     `kill` is the total per-vertex kill rate mu_x^{-1} J(x, G-W); in
-    exterior-tracked mode it splits into the source channels: one column of
-    `sources` per tagged annulus vertex w, mu_x^{-1} J(x, w), and a last
-    column for the remainder kill beyond the annulus, labelled by
-    `channels`.  Lattice windows carry a `BoxConvolution`
-    and never need the dense `rates` for a product; `rates` is built on the
-    first read only.
+    exterior-tracked mode it splits into the source channels of the tracked
+    annulus A.  The maps of `LatticeModel.symmetries(x0)` permute A and the
+    window and keep J and mu, so `sources` has one column per orbit of A:
+    mu_x^{-1} J(x, c) for the orbit's first vertex c in ball order (listed
+    in `exterior`), then a last column for the remainder kill beyond A,
+    labelled by `channels`; `orbits` holds each channel's orbit size (the
+    remainder's 1) and `slot_maps` the window slot of g x for each map g and
+    slot x.  An explicit graph or an identity group keeps every vertex of A
+    as its own orbit.  Lattice windows carry a `BoxConvolution` and never
+    need the dense `rates` for a product; `rates` is built on the first read
+    only.
     """
 
     model: LatticeModel
@@ -703,9 +724,11 @@ class FiniteModel:
     kill: np.ndarray                # per-vertex kill rate (zeros if reflected)
     kill_bound: np.ndarray          # certified tail remainder in `kill`
     mode: str
-    exterior: list | None = None
-    sources: np.ndarray | None = None   # (n, n_ext + 1) source channel rates
-    channels: list | None = None        # exterior vertices, then "remainder"
+    exterior: list | None = None        # first vertex of each orbit of A
+    sources: np.ndarray | None = None   # (n, len(exterior) + 1) channel rates
+    channels: list | None = None        # `exterior`, then "remainder"
+    orbits: np.ndarray | None = None    # orbit size of each channel
+    slot_maps: np.ndarray | None = None  # (maps, n) window slot of g x
     action: BoxConvolution | None = None      # matrix-free J on lattice windows
 
     @property
@@ -734,6 +757,15 @@ class FiniteModel:
         """Slots of the window vertices within distance r of x0."""
         return [i for i, v in enumerate(self.window)
                 if self.model.distance(x0, v) <= r]
+
+    def orbit_sum(self, u: np.ndarray) -> np.ndarray:
+        """sum_g u[slot of g x] over the maps g, per window slot x.
+
+        With u = mu^{-1} J(., c) weighted by 1/|stabiliser of c| and summed
+        over some channels c, this is mu_x^{-1} J(x, B) for B the union of
+        their orbits: each orbit is {g c}, met |stabiliser| times, and
+        J(x, g c) = J(g^-1 x, c) with mu invariant."""
+        return u[self.slot_maps].sum(axis=0)
 
 
 def require_dense(rows: int, cols: int) -> None:
@@ -780,11 +812,53 @@ def _pair_rates(model: LatticeModel, xs: Sequence, ys: Sequence,
     return full
 
 
+def _annulus_orbits(model: LatticeModel, x0, r_win: float, r_ext: float):
+    """(exterior, sizes, slot_maps) of the annulus B(x0, r_ext) less the
+    window B(x0, r_win): the first vertex in ball order of each orbit of
+    `model.symmetries(x0)` on it, the size of each orbit, and the (maps, n)
+    window slot of g x per map g and window slot x.
+
+    On a lattice the ball stays an integer array.  One lookup grid over its
+    box numbers the window first, then the annulus, each in ball order; the
+    maps keep both, and a point leads its orbit if no image of it has a
+    smaller number.  An explicit graph keeps every vertex as its own orbit."""
+    if model.kind == "explicit":
+        window = set(model.ball(x0, r_win))
+        exterior = [v for v in model.ball(x0, r_ext) if v not in window]
+        return (exterior, np.ones(len(exterior), dtype=np.int64),
+                np.arange(len(window))[None])
+    m, big = int(math.floor(r_win)), int(math.floor(r_ext))
+    c = np.asarray(x0, dtype=np.int64)
+    rel = model.ball_points(x0, big) - c
+    outside = model.norm(rel) > m
+    rel = np.concatenate([rel[~outside], rel[outside]])
+    n, total = len(rel) - int(outside.sum()), len(rel)
+    grid = np.empty((2 * big + 1,) * model.d, dtype=np.int64)
+    grid[tuple((rel + big).T)] = np.arange(total)
+    maps = model.symmetries(x0)
+    slot_maps = np.empty((len(maps), n), dtype=np.int64)
+    first = np.arange(total)
+    for g, slots in zip(maps, slot_maps):
+        image = grid[tuple((rel @ g.T + big).T)]
+        slots[:] = image[:n]
+        np.minimum(first, image, out=first)
+    lead = np.flatnonzero(first[n:] == np.arange(n, total))
+    sizes = np.bincount(first[n:] - n, minlength=total - n)[lead]
+    return list(map(tuple, (rel[n + lead] + c).tolist())), sizes, slot_maps
+
+
 def truncate(model: LatticeModel, x0, r_win: float, mode: str,
              lam_ext: float = 4.0) -> FiniteModel:
-    """Restrict the model to the window B(x0, r_win) in the requested mode."""
+    """Restrict the model to the window B(x0, r_win) in the requested mode.
+
+    Exterior-tracked mode tracks the annulus B(x0, lam_ext r_win) less the
+    window, one channel per symmetry orbit (`FiniteModel`); its ball is
+    checked against STATE_CAP before the window is built."""
     if mode not in (KILLED, REFLECTED, EXTERIOR_TRACKED):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == EXTERIOR_TRACKED:
+        exterior, orbit, slot_maps = _annulus_orbits(model, x0, r_win,
+                                                     lam_ext * r_win)
     window = model.ball(x0, r_win)
     n = len(window)
     if n > STATE_CAP:
@@ -802,14 +876,12 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         fm.kill = np.maximum(totals - fm.row_sums, 0.0) / mu
         fm.kill_bound = bounds / mu
     if mode == EXTERIOR_TRACKED:
-        big = model.ball(x0, lam_ext * r_win)
-        wset = set(window)
-        fm.exterior = [v for v in big if v not in wset]
-        # the coupling and the remainder share one array, divided in place
-        fm.sources = _pair_rates(model, window, fm.exterior, 1)
-        coupling = fm.sources[:, :-1]
-        fm.sources[:, -1] = np.maximum(fm.kill - coupling.sum(axis=1) / mu,
-                                       0.0)
-        coupling /= mu[:, None]
-        fm.channels = [*fm.exterior, "remainder"]
+        fm.exterior, fm.channels = exterior, [*exterior, "remainder"]
+        fm.orbits, fm.slot_maps = np.append(orbit, 1), slot_maps
+        # the channels and the remainder share one array, divided in place
+        fm.sources = _pair_rates(model, window, exterior, 1)
+        fm.sources[:, :-1] /= mu[:, None]
+        # the annulus' rate through its orbits, each by 1/|stabiliser|
+        u = fm.sources[:, :-1] @ (orbit / len(slot_maps))
+        fm.sources[:, -1] = np.maximum(fm.kill - fm.orbit_sum(u), 0.0)
     return fm

@@ -195,7 +195,7 @@ def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
     work = V
     for w in weights[1:]:
         work = gen.apply(work)
-        acc = acc + w * work
+        acc += w * work
     return acc
 
 
@@ -393,8 +393,8 @@ class StepOperators:
 
 def step_operators(fm: FiniteModel, dt: float,
                    sources: np.ndarray) -> StepOperators:
-    """E and S on the grid step dt, for `sources` (all or some of the
-    columns of `fm.sources`)."""
+    """E and S on the grid step dt, for `sources`, an (n, k) matrix of
+    source rates on the window (such as `fm.sources`)."""
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("step operators need an exterior-tracked model")
     gen = generator(fm)

@@ -1,6 +1,7 @@
 """Brute-force oracles the tests hold jumplab to; nothing in src/jumplab
 calls them."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -9,8 +10,44 @@ import numpy as np
 from jumplab import conditions as cond
 from jumplab import harnack as H
 from jumplab import montecarlo as mc
-from jumplab.models import EXTERIOR_TRACKED, FiniteModel, truncate
+from jumplab.models import (
+    EXTERIOR_TRACKED,
+    KILLED,
+    FiniteModel,
+    _pair_rates,
+    truncate,
+)
 from jumplab.semigroup import generator, solve_generator, step_operators
+
+
+# ---------------------------------------------------------------------------
+# the whole tracked annulus
+# ---------------------------------------------------------------------------
+
+def full_sources(model, x0, r_win, lam_ext=4.0):
+    """(exterior, sources) of the annulus B(x0, lam_ext r_win) less the
+    window, one channel per vertex: its vertices in ball order, and the
+    (n, n_ext + 1) matrix of mu_x^{-1} J(x, w) per vertex w, then the
+    remainder max(kill - mu_x^{-1} sum_w J(x, w), 0).  `truncate` builds one
+    column per symmetry orbit instead."""
+    fm = truncate(model, x0, r_win, KILLED)
+    window = set(fm.window)
+    exterior = [v for v in model.ball(x0, lam_ext * r_win) if v not in window]
+    coupling = _pair_rates(model, fm.window, exterior)
+    remainder = np.maximum(fm.kill - coupling.sum(axis=1) / fm.mu, 0.0)
+    return exterior, np.column_stack([coupling / fm.mu[:, None], remainder])
+
+
+def full_window(model, x0, r_win, lam_ext=4.0) -> FiniteModel:
+    """`truncate` in exterior-tracked mode with every annulus vertex and
+    every window slot its own orbit: the channels of `full_sources`."""
+    fm = truncate(model, x0, r_win, EXTERIOR_TRACKED, lam_ext)
+    exterior, sources = full_sources(model, x0, r_win, lam_ext)
+    return dataclasses.replace(
+        fm, exterior=exterior, sources=sources,
+        channels=[*exterior, "remainder"],
+        orbits=np.ones(len(exterior) + 1, dtype=np.int64),
+        slot_maps=np.arange(fm.n)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +130,32 @@ def caloric_box_ratio(fld, box) -> float:
 
 def harmonic_partition_residual(model, x0, R) -> float:
     """max_x |sum_w h_w(x) + h_rem(x) - 1| over B(x0,R): the harmonic
-    generators of data == 1 must sum to the constant function.  Every
-    channel's generator is solved, in one matrix solve."""
+    generators of data == 1 must sum to the constant function.  One matrix
+    solve gives the generator of each channel (one per symmetry orbit), and
+    the sum over each orbit is taken through the maps
+    (`FiniteModel.orbit_sum`)."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
-    h = solve_generator(fm, fm.sources)[fm.ball_slots(x0, R)]
-    return float(np.abs(h.sum(axis=1) - 1.0).max())
+    h = solve_generator(fm, fm.sources)
+    share = fm.orbits[:-1] / len(fm.slot_maps)
+    total = fm.orbit_sum(h[:, :-1] @ share) + h[:, -1]
+    return float(np.abs(total[fm.ball_slots(x0, R)] - 1.0).max())
 
 
 def scan_all(fm, box):
     """(init, src): the `_Family` of each kind of one cone scan of fm's own
-    channels (one of each symmetry orbit), with no second annulus."""
-    slots, cols = H._representatives(fm, box.x0)
-    return H._scan_generators(fm, box, slots, fm.sources[:, cols],
-                              [fm.channels[c] for c in cols])[:2]
+    channels, the initial fields at the first slot of each window orbit,
+    with no second annulus."""
+    return H._scan_generators(fm, box, H._representatives(fm), fm.sources,
+                              fm.channels)[:2]
 
 
 def two_scan_phi(model, box) -> dict:
-    """`phi_constant` as two truncations and two scans, with the tracked
-    annulus at LAM_EXT and at twice it; the witness is the first's."""
+    """`phi_constant` as two truncations and two scans of every generator
+    (`full_window`), with the tracked annulus at LAM_EXT and at twice it;
+    the witness is the first's."""
     runs = []
     for lam_ext in (H.LAM_EXT, 2 * H.LAM_EXT):
-        fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED, lam_ext)
+        fm = full_window(model, box.x0, 2 * box.R, lam_ext)
         init, src = scan_all(fm, box)
         runs.append((fm, max(init.ratio.max(), src.ratio.max(), 1.0),
                      init, src))
@@ -125,20 +167,20 @@ def two_scan_phi(model, box) -> dict:
 
 
 def two_solve_ehi(model, x0, R) -> dict:
-    """`ehi_constant` as two truncations and two solves, with the tracked
-    annulus at LAM_EXT and at twice it; the witness is the first's."""
+    """`ehi_constant` as two truncations and two solves for every channel
+    (`full_window`), with the tracked annulus at LAM_EXT and at twice it;
+    the witness is the first's."""
     runs = []
     for lam_ext in (H.LAM_EXT, 2 * H.LAM_EXT):
-        fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, lam_ext)
-        cols = H._representatives(fm, x0)[1]
+        fm = full_window(model, x0, 2 * R, lam_ext)
         inner = fm.ball_slots(x0, R)
-        sub = solve_generator(fm, fm.sources[:, cols])[inner]
+        sub = solve_generator(fm, fm.sources)[inner]
         rmax, hi = H._first_near(sub)
         rmin, lo = H._first_near(sub, -1.0)
         c, best = H._first_near(H._ratio(hi, lo))
         wit = None
         if best > -math.inf:
-            wit = {"generator": ("exterior", fm.channels[cols[c]]),
+            wit = {"generator": ("exterior", fm.channels[c]),
                    "max_at": fm.window[inner[rmax[c]]],
                    "min_at": fm.window[inner[rmin[c]]]}
         runs.append((fm, max(best, 1.0), wit))

@@ -13,7 +13,6 @@ from jumplab import harnack as H
 from jumplab import montecarlo as mc
 from jumplab.io import ExperimentConfig, run_experiment
 from jumplab.models import (
-    EXTERIOR_TRACKED,
     KILLED,
     LatticeModel,
     MuConstant,
@@ -23,7 +22,12 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import expected_exit_time, generator, heat_kernel
-from oracles import caloric_box_ratio, caloric_solve, poincare_rayleigh
+from oracles import (
+    caloric_box_ratio,
+    caloric_solve,
+    full_window,
+    poincare_rayleigh,
+)
 
 
 def _verdict(name, ok):
@@ -143,7 +147,7 @@ def test_criterion_6_harnack_cone_soundness():
         rep = H.phi_constant(z1, box)
         ratio_dbl = rep.metadata["doubled_constant"] / rep.constant
         ok &= 0.5 <= ratio_dbl <= 2.0
-        fm = truncate(z1, (0,), 2 * R, EXTERIOR_TRACKED)
+        fm = full_window(z1, (0,), 2 * R)
         n_ext = len(fm.exterior)
         for _ in range(100):
             fld = caloric_solve(fm, rng.random(fm.n),

@@ -24,6 +24,8 @@ from oracles import (
     caloric_box_ratio,
     caloric_solve,
     duhamel_generators,
+    full_sources,
+    full_window,
     harmonic_partition_residual,
     scan_all,
     two_scan_phi,
@@ -65,12 +67,14 @@ def test_box_invariants():
 
 def test_scan_matches_explicit_generators(z1):
     """The streaming scan equals the brute-force max over explicitly solved
-    generator fields (initial masses, per-step impulses on every channel)."""
+    generator fields (initial masses, per-step impulses on every channel of
+    the whole annulus)."""
     box = small_box()
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     best, _ = H._collect(fm, box, *scan_all(fm, box))
-    gens = duhamel_generators(fm, box.T, box.m_steps)
-    assert len(gens) == fm.n + box.m_steps * len(fm.channels)
+    full = full_window(z1, (0,), 8)
+    gens = duhamel_generators(full, box.T, box.m_steps)
+    assert len(gens) == full.n + box.m_steps * len(full.channels)
     explicit = max(caloric_box_ratio(g, box) for g in gens)
     assert best == pytest.approx(explicit, rel=1e-12)
 
@@ -345,7 +349,7 @@ def test_half_ball_scan_matches_full_window_scan(model, box):
     half ball) to rounding, and its witness."""
     fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
     got = H._collect(fm, box, *scan_all(fm, box))
-    want = full_window_collect(fm, box)
+    want = full_window_collect(full_window(model, box.x0, 2 * box.R), box)
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
     assert got[1] == want[1]
 
@@ -392,9 +396,11 @@ def test_symmetry_groups():
 @pytest.mark.parametrize("model, x0, R, order", SYMMETRY_CASES.values(),
                          ids=SYMMETRY_CASES)
 def test_representatives_are_first_orbit_members(model, x0, R, order):
-    """`_representatives` keeps, of each orbit of the group on the window and
-    the channels, the member that comes first, found one vertex at a time."""
+    """`_representatives` and `truncate`'s channels keep, of each orbit of
+    the group on the window and the annulus, the member that comes first,
+    found one vertex at a time."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED)
+    exterior = full_sources(model, x0, 2 * R)[0]
     maps, c = model.symmetries(x0), np.asarray(x0)
 
     def firsts(points):
@@ -402,11 +408,11 @@ def test_representatives_are_first_orbit_members(model, x0, R, order):
         return [i for i, p in enumerate(points)
                 if min(at[tuple(c + g @ (np.asarray(p) - c))] for g in maps) == i]
 
-    slots, cols = H._representatives(fm, x0)
+    slots = H._representatives(fm)
     assert slots.tolist() == firsts(fm.window)
-    assert cols.tolist() == firsts(fm.exterior) + [len(fm.exterior)]
+    assert fm.exterior == [exterior[i] for i in firsts(exterior)]
     if order > 1:
-        assert len(slots) < fm.n and len(cols) < len(fm.channels)
+        assert len(slots) < fm.n and len(fm.exterior) < len(exterior)
 
 
 @pytest.mark.parametrize("model, x0, R, order", SYMMETRY_CASES.values(),
@@ -416,8 +422,10 @@ def test_step_operators_are_equivariant(model, x0, R, order):
     real E and the exterior columns of S commute with it within 1e-14
     relative at every entry.  The remainder kill rate is a difference of
     FFT row sums, equivariant only to its rounding (up to 5e-14 relative
-    here); S, a positive operator on it, moves it by no more than that."""
-    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED)
+    here); S, a positive operator on it, moves it by no more than that.
+    `truncate`'s slot maps are these permutations of the window."""
+    fm = full_window(model, x0, 2 * R)
+    maps = truncate(model, x0, 2 * R, EXTERIOR_TRACKED).slot_maps
     ops = H.step_operators(fm, 1.0 / 16, fm.sources)
     ext = {v: i for i, v in enumerate(fm.exterior)}
     c = np.asarray(x0)
@@ -425,11 +433,12 @@ def test_step_operators_are_equivariant(model, x0, R, order):
     def moved_by(A, rows, cols):
         return np.abs(A[np.ix_(rows, cols)] - A) / np.abs(A)
 
-    for g in model.symmetries(x0):
+    for g, slots in zip(model.symmetries(x0), maps, strict=True):
         def image(v):
             return tuple(c + g @ (np.asarray(v) - c))
 
         slot = [fm.index[image(v)] for v in fm.window]
+        assert slots.tolist() == slot
         col = [ext[image(v)] for v in fm.exterior]
         assert np.all(moved_by(ops.E, slot, slot) <= 1e-14)
         assert np.all(moved_by(ops.S[:, :-1], slot, col) <= 1e-14)
@@ -489,18 +498,21 @@ def test_first_annulus_channels_match_its_own_truncation(model, x0, R, order):
     """`_channels` on the doubled annulus gives, at its `inner` columns, the
     representative channels of a truncation at LAM_EXT: the same labels and
     slots, the tracked columns bitwise, and the remainder (a difference of
-    sums taken in another order) within 1e-12 relative."""
+    sums taken in another order) within 1e-12 relative, also of the whole
+    annulus' remainder; n_inner counts every vertex of the first annulus."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
     slots, sources, labels, inner, n_inner = H._channels(
         fm, x0, H.LAM_EXT * 2 * R)
     assert sources.shape == (fm.n, len(labels)) and labels[-1] == "remainder"
     one = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
-    one_slots, cols = H._representatives(one, x0)
-    assert np.array_equal(slots, one_slots) and n_inner == len(one.exterior)
-    assert [labels[i] for i in inner] == [one.channels[c] for c in cols]
-    got, want = sources[:, inner], one.sources[:, cols]
-    assert np.array_equal(got[:, :-1], want[:, :-1])
-    assert np.all(np.abs(got[:, -1] - want[:, -1]) <= 1e-12 * want[:, -1])
+    exterior, full = full_sources(model, x0, 2 * R, H.LAM_EXT)
+    assert np.array_equal(slots, H._representatives(one))
+    assert n_inner == len(exterior)
+    assert [labels[i] for i in inner] == one.channels
+    got = sources[:, inner]
+    assert np.array_equal(got[:, :-1], one.sources[:, :-1])
+    for want in (one.sources[:, -1], full[:, -1]):
+        assert np.all(np.abs(got[:, -1] - want) <= 1e-12 * want)
 
 
 def test_phi_witness_searched_in_first_annulus(z1, monkeypatch):
@@ -515,7 +527,7 @@ def test_phi_witness_searched_in_first_annulus(z1, monkeypatch):
     monkeypatch.setattr(H, "_collect", spy)
     H.phi_constant(z1, small_box())
     one = truncate(z1, (0,), 8, EXTERIOR_TRACKED, H.LAM_EXT)
-    assert seen == [[one.channels[c] for c in H._representatives(one, (0,))[1]]]
+    assert seen == [one.channels]
 
 
 @pytest.mark.parametrize("run, solver", [
@@ -562,7 +574,7 @@ def test_fold_memory_within_a_tile():
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
     fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
-    assert (fm.n, len(fm.exterior), box.m_steps) == (289, 16352, 256)
+    assert (fm.n, fm.orbits[:-1].sum(), box.m_steps) == (289, 16352, 256)
     slots, sources, labels = H._channels(fm, box.x0, 8 * box.R)[:3]
     init, src, _ = H._scan_generators(fm, box, slots, sources, labels)
     h = len(src.steps.half)
@@ -631,8 +643,7 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     assert (fm.n, len(fm.channels), box.m_steps) == (81, 4145, 256)
     ops = H.step_operators(fm, box.T / box.m_steps, fm.sources)
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
-    slots, cols = H._representatives(fm, box.x0)
-    args = (slots, fm.sources[:, cols], [fm.channels[c] for c in cols])
+    args = (H._representatives(fm), fm.sources, fm.channels)
     tracemalloc.start()
     try:
         init, src, _ = H._scan_generators(fm, box, *args)
@@ -641,6 +652,21 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     finally:
         tracemalloc.stop()
     assert peak < 2 * box.m_steps * len(fm.channels) * 8
+
+
+def test_phi_memory_below_the_whole_annulus_sources():
+    """`lab phi --d 2 --R 4` never holds the source matrix of its whole
+    doubled annulus (289 x 16,353 doubles, 37.8 MB): its tracemalloc peak
+    stays below that matrix's bytes."""
+    z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
+    box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
+    tracemalloc.start()
+    try:
+        H.phi_constant(z2, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 289 * (16352 + 1)
 
 
 def test_phi_searches_witness_ages_once(z1, monkeypatch):
@@ -724,9 +750,10 @@ def test_mixture_audit(z1, rng):
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
     best, _ = H._collect(fm, box, *scan_all(fm, box))
     c_p = max(best, 1.0)
-    n_ext = len(fm.exterior)
+    full = full_window(z1, (0,), 8)
+    n_ext = len(full.exterior)
     for _ in range(50):
-        fld = caloric_solve(fm, rng.random(fm.n),
+        fld = caloric_solve(full, rng.random(full.n),
                             rng.random((box.m_steps, n_ext)),
                             box.T, box.m_steps,
                             remainder_data=rng.random(box.m_steps))

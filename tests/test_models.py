@@ -33,6 +33,7 @@ from jumplab.models import (
     shell_tail_sum,
     truncate,
 )
+from oracles import full_sources
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +554,13 @@ def test_norm_matches_distance(d, metric):
 # ---------------------------------------------------------------------------
 
 def test_truncate_kill_consistency(z1):
+    """The channels, each orbit summed through the maps, and the remainder
+    add up to the kill rate."""
     killed = truncate(z1, (0,), 8, KILLED)
     tracked = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    recon = tracked.sources.sum(axis=1)
+    share = tracked.orbits[:-1] / len(tracked.slot_maps)
+    recon = (tracked.orbit_sum(tracked.sources[:, :-1] @ share)
+             + tracked.sources[:, -1])
     assert np.max(np.abs(recon - killed.kill)) < 1e-14
     assert np.max(np.abs(killed.kill - tracked.kill)) == 0.0
 
@@ -571,9 +576,11 @@ def test_exterior_tracked_empty_annulus(z1):
 def test_exterior_tracked_sources_peak():
     """The doubled annulus of `lab phi --d 2 --R 2` holds its source matrix
     at most about twice while it is built: tracemalloc's peak stays within
-    2.5 times `sources`, and `sources` is the coupling divided by mu next to
-    the remainder."""
+    2.5 times `sources` (the cached radial table, 512 KiB, is built before),
+    and `sources` holds the whole annulus' columns of its orbits' first
+    vertices next to the remainder."""
     z2 = LatticeModel(d=2)
+    z2.row_sums_all([(0, 0)])
     tracemalloc.start()
     try:
         fm = truncate(z2, (0, 0), 4, EXTERIOR_TRACKED, 8.0)
@@ -581,10 +588,89 @@ def test_exterior_tracked_sources_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * fm.sources.nbytes
-    coupling = _pair_rates(z2, fm.window, fm.exterior)
-    remainder = np.maximum(fm.kill - coupling.sum(axis=1) / fm.mu, 0.0)
-    assert np.array_equal(
-        fm.sources, np.column_stack([coupling / fm.mu[:, None], remainder]))
+    exterior, full = full_sources(z2, (0, 0), 4, 8.0)
+    cols = [exterior.index(w) for w in fm.exterior]
+    assert np.array_equal(fm.sources[:, :-1], full[:, cols])
+    assert np.all(np.abs(fm.sources[:, -1] - full[:, -1]) <= 1e-12 * full[:, -1])
+
+
+def _graph():
+    """A path a - b - c - d - e - f with one chord, a rate on every pair
+    within two hops."""
+    names = "abcdef"
+    edges = tuple(zip(names, names[1:])) + (("a", "c"),)
+    rates = tuple(((u, v), 1.0 / (1 + i + j)) for i, u in enumerate(names)
+                  for j, v in enumerate(names) if i < j <= i + 2)
+    return LatticeModel(kind="explicit", vertices=tuple(names), edges=edges,
+                        kernel=TabulatedKernel(rates))
+
+
+def _pair(d, y0):
+    return LatticeModel(d=d, kernel=SuppressedPairKernel(
+        base=PolynomialKernel(1.0), x0=(0,) * d, y0=y0))
+
+
+# (model, x0, window radius)
+ORBIT_CASES = {
+    "z1": (LatticeModel(d=1), (0,), 8),
+    "linf-z2": (LatticeModel(d=2), (0, 0), 4),
+    "l1-z2": (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.3)),
+              (1, -2), 3),
+    "z3": (LatticeModel(d=3, kernel=PolynomialKernel(0.8)), (0, 0, 0), 1),
+    "ladder": (LatticeModel(d=1, kernel=LadderKernel(1.0, (3, 10))), (0,), 4),
+    "pair-z1": (_pair(1, (4,)), (0,), 4),
+    "pair-z2": (_pair(2, (2, 0)), (0, 0), 2),
+    "alternating-z2": (LatticeModel(d=2, kernel=PolynomialKernel(1.5),
+                                    mu_rule=MuAlternating(1.0, 2.0)),
+                       (1, 0), 2),
+    "graph": (_graph(), "a", 1),
+}
+
+
+@pytest.mark.parametrize("lam_ext", [4.0, 8.0])
+@pytest.mark.parametrize("model, x0, r", ORBIT_CASES.values(), ids=ORBIT_CASES)
+def test_orbit_channels_expand_to_full_sources(model, x0, r, lam_ext):
+    """Each channel is the first vertex of its orbit in the annulus, with its
+    orbit size; each map g carries its column onto the whole annulus'
+    column of g c, read at the window slots of g x, bitwise; the remainder
+    is the whole annulus' within 1e-12 relative, and the slot maps are the
+    maps on the window."""
+    fm = truncate(model, x0, r, EXTERIOR_TRACKED, lam_ext)
+    exterior, full = full_sources(model, x0, r, lam_ext)
+    col = {w: i for i, w in enumerate(exterior)}
+    if model.kind == "explicit":
+        images = [lambda v: v]
+    else:
+        c = np.asarray(x0)
+        images = [lambda v, g=g: tuple(c + g @ (np.asarray(v) - c))
+                  for g in model.symmetries(x0)]
+    orbits = [{image(w) for image in images} for w in exterior]
+    firsts = [i for i, w in enumerate(exterior)
+              if min(col[v] for v in orbits[i]) == i]
+    assert fm.exterior == [exterior[i] for i in firsts]
+    assert fm.channels == [*fm.exterior, "remainder"]
+    assert fm.orbits.tolist() == [len(orbits[i]) for i in firsts] + [1]
+    assert fm.orbits[:-1].sum() == len(exterior)
+    assert len(fm.slot_maps) == len(images)
+    for image, slots in zip(images, fm.slot_maps, strict=True):
+        assert slots.tolist() == [fm.index[image(v)] for v in fm.window]
+        cols = [col[image(w)] for w in fm.exterior]
+        assert np.array_equal(full[np.ix_(slots, cols)], fm.sources[:, :-1])
+    assert np.all(np.abs(fm.sources[:, -1] - full[:, -1]) <= 1e-12 * full[:, -1])
+
+
+def test_annulus_over_the_cap_raises_before_the_window():
+    """The doubled annulus of a radius-32 window on Z^2 has a ball of 263,169
+    points, over STATE_CAP: `truncate` raises WindowTooLarge before it
+    builds the window or any array of the ball (tracemalloc peak < 1 MiB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowTooLarge, match="263169"):
+            truncate(LatticeModel(d=2), (0, 0), 32, EXTERIOR_TRACKED, 8.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_truncate_alternating_mu():

@@ -27,7 +27,7 @@ from jumplab.semigroup import (
     heat_kernel,
     integrated_action,
 )
-from oracles import caloric_solve, harmonic_extension
+from oracles import caloric_solve, full_window, harmonic_extension
 
 
 def dense_oracle(fm, t):
@@ -211,7 +211,7 @@ def test_caloric_zero_data_is_killed_semigroup(z1):
 
 
 def test_caloric_unit_data_is_exit_probability(z1):
-    fm = truncate(z1, (0,), 6, EXTERIOR_TRACKED)
+    fm = full_window(z1, (0,), 6)
     ones = np.ones((32, len(fm.exterior)))
     fld = caloric_solve(fm, np.zeros(fm.n), ones, T=2.0, m_steps=32,
                         remainder_data=np.ones(32))
@@ -239,7 +239,7 @@ def test_caloric_superposition(z1, rng):
 # ---------------------------------------------------------------------------
 
 def test_harmonic_extension_constant_and_max_principle(z1, rng):
-    fm = truncate(z1, (0,), 6, EXTERIOR_TRACKED)
+    fm = full_window(z1, (0,), 6)
     h = harmonic_extension(fm, np.ones(len(fm.exterior)), remainder_value=1.0)
     assert np.max(np.abs(h - 1.0)) < 1e-12
     g = rng.random(len(fm.exterior))
