@@ -243,17 +243,17 @@ def _channels(fm: FiniteModel, x0, radius: float):
     B(x0, radius), so no orbit crosses the mask, and its vertex count is the
     sum of the masked orbit sizes.  Its remainder is max(kill - mu^{-1}
     J(x, first annulus), 0), the J summed through the orbits
-    (`FiniteModel.orbit_sum`)."""
+    (`FiniteModel.annulus_sum`)."""
     k = len(fm.exterior)
     ball = set(fm.model.ball(x0, radius))
-    near = np.array([w in ball for w in fm.exterior] + [False])
-    share = np.where(near, fm.orbits / len(fm.slot_maps), 0.0)
+    near = np.array([w in ball for w in fm.exterior], dtype=bool)
     sources = np.empty((fm.n, k + 2))
     sources[:, :-1] = fm.sources
-    sources[:, -1] = np.maximum(fm.kill - fm.orbit_sum(fm.sources @ share),
-                                0.0)
+    sources[:, -1] = np.maximum(
+        fm.kill - fm.annulus_sum(fm.sources[:, :-1], near), 0.0)
     return (_representatives(fm), sources, [*fm.channels, "remainder"],
-            np.append(np.flatnonzero(near), k + 1), int(fm.orbits[near].sum()))
+            np.append(np.flatnonzero(near), k + 1),
+            int(fm.orbits[:-1][near].sum()))
 
 
 def _chunks(width: int) -> list[slice]:

@@ -486,23 +486,15 @@ class LatticeModel:
         m = int(math.floor(r))
         if self.kind == "explicit":
             return sorted(self._hops(x0, m))
-        self._within_cap(m)
-        pts = itertools.product(*(range(c - m, c + m + 1) for c in x0))
-        if self.metric == "linf":
-            return [tuple(p) for p in pts]
-        return [p for p in pts if self.distance(p, x0) <= m]
+        return list(zip(*self.ball_points(x0, m).T.tolist()))
 
-    def _within_cap(self, m: int) -> None:
-        """WindowTooLarge if the lattice ball of radius m exceeds STATE_CAP."""
+    def ball_points(self, x0, m: int) -> np.ndarray:
+        """The lattice ball of radius m about x0 as an (N, d) int64 array in
+        lexicographic order; WindowTooLarge beyond STATE_CAP before any point
+        is formed."""
         size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
         if size > STATE_CAP:
             raise WindowTooLarge(f"ball of {size} vertices exceeds cap {STATE_CAP}")
-
-    def ball_points(self, x0, m: int) -> np.ndarray:
-        """The lattice ball of radius m about x0 as an (N, d) int64 array, in
-        `ball`'s order, with no tuple formed; WindowTooLarge beyond STATE_CAP
-        before any point is."""
-        self._within_cap(m)
         off = np.abs(np.arange(-m, m + 1, dtype=np.int32))
         dist = functools.reduce(np.maximum if self.metric == "linf" else np.add,
                                 np.ix_(*[off] * self.d))
@@ -758,14 +750,19 @@ class FiniteModel:
         return [i for i, v in enumerate(self.window)
                 if self.model.distance(x0, v) <= r]
 
-    def orbit_sum(self, u: np.ndarray) -> np.ndarray:
-        """sum_g u[slot of g x] over the maps g, per window slot x.
+    def annulus_sum(self, columns: np.ndarray, mask=None) -> np.ndarray:
+        """sum_b f_b(x) per window slot x, over every vertex b of the tracked
+        annulus (or of the orbits `mask` selects), given `columns`[:, c] =
+        f_c for the first vertex c of each orbit (`exterior`).
 
-        With u = mu^{-1} J(., c) weighted by 1/|stabiliser of c| and summed
-        over some channels c, this is mu_x^{-1} J(x, B) for B the union of
-        their orbits: each orbit is {g c}, met |stabiliser| times, and
-        J(x, g c) = J(g^-1 x, c) with mu invariant."""
-        return u[self.slot_maps].sum(axis=0)
+        f must be equivariant, f_{g c}(x) = f_c(g^-1 x), as mu^{-1} J(x, c)
+        is (J and mu are invariant).  Each orbit is {g c} over the maps g,
+        met |stabiliser of c| = |maps| / |orbit| times, so the sum is
+        sum_g u[slot of g x] with u = columns @ (|orbit| / |maps|)."""
+        weight = self.orbits[:-1] / len(self.slot_maps)
+        if mask is not None:
+            weight = np.where(mask, weight, 0.0)
+        return (columns @ weight)[self.slot_maps].sum(axis=0)
 
 
 def require_dense(rows: int, cols: int) -> None:
@@ -881,7 +878,6 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         # the channels and the remainder share one array, divided in place
         fm.sources = _pair_rates(model, window, exterior, 1)
         fm.sources[:, :-1] /= mu[:, None]
-        # the annulus' rate through its orbits, each by 1/|stabiliser|
-        u = fm.sources[:, :-1] @ (orbit / len(slot_maps))
-        fm.sources[:, -1] = np.maximum(fm.kill - fm.orbit_sum(u), 0.0)
+        fm.sources[:, -1] = np.maximum(
+            fm.kill - fm.annulus_sum(fm.sources[:, :-1]), 0.0)
     return fm

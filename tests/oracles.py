@@ -133,11 +133,10 @@ def harmonic_partition_residual(model, x0, R) -> float:
     generators of data == 1 must sum to the constant function.  One matrix
     solve gives the generator of each channel (one per symmetry orbit), and
     the sum over each orbit is taken through the maps
-    (`FiniteModel.orbit_sum`)."""
+    (`FiniteModel.annulus_sum`)."""
     fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
     h = solve_generator(fm, fm.sources)
-    share = fm.orbits[:-1] / len(fm.slot_maps)
-    total = fm.orbit_sum(h[:, :-1] @ share) + h[:, -1]
+    total = fm.annulus_sum(h[:, :-1]) + h[:, -1]
     return float(np.abs(total[fm.ball_slots(x0, R)] - 1.0).max())
 
 

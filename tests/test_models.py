@@ -29,6 +29,7 @@ from jumplab.models import (
     _pair_rates,
     hurwitz_zeta,
     model_from_dict,
+    radial_profile,
     shell_counts,
     shell_tail_sum,
     truncate,
@@ -121,6 +122,15 @@ def test_ball_lexicographic_and_sized(z2):
     ball = z2.ball((0, 0), 2)
     assert ball == sorted(ball)
     assert len(ball) == shell_counts(2, "linf", np.arange(3)).sum()
+
+
+@pytest.mark.parametrize("d, metric", [(1, "linf"), (2, "linf"), (2, "l1"),
+                                       (3, "l1")])
+def test_ball_is_the_lexicographic_distance_ball(d, metric):
+    m = LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(1.0))
+    x0 = (3, -1, 2)[:d]
+    box = itertools.product(*(range(c - 3, c + 4) for c in x0))
+    assert m.ball(x0, 2.5) == [p for p in box if m.distance(p, x0) <= 2]
 
 
 def test_ball_cap():
@@ -558,8 +568,7 @@ def test_truncate_kill_consistency(z1):
     add up to the kill rate."""
     killed = truncate(z1, (0,), 8, KILLED)
     tracked = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    share = tracked.orbits[:-1] / len(tracked.slot_maps)
-    recon = (tracked.orbit_sum(tracked.sources[:, :-1] @ share)
+    recon = (tracked.annulus_sum(tracked.sources[:, :-1])
              + tracked.sources[:, -1])
     assert np.max(np.abs(recon - killed.kill)) < 1e-14
     assert np.max(np.abs(killed.kill - tracked.kill)) == 0.0
@@ -574,21 +583,22 @@ def test_exterior_tracked_empty_annulus(z1):
 
 
 def test_exterior_tracked_sources_peak():
-    """The doubled annulus of `lab phi --d 2 --R 2` holds its source matrix
-    at most about twice while it is built: tracemalloc's peak stays within
-    2.5 times `sources` (the cached radial table, 512 KiB, is built before),
-    and `sources` holds the whole annulus' columns of its orbits' first
-    vertices next to the remainder."""
+    """The doubled annulus of `lab phi --d 2 --R 4` holds its source matrix
+    at most about twice while it is built: tracemalloc's peak, the radial
+    table built inside the traced span, stays within 2.5 times `sources`
+    plus that table, and `sources` holds the whole annulus' columns of its
+    orbits' first vertices next to the remainder."""
     z2 = LatticeModel(d=2)
-    z2.row_sums_all([(0, 0)])
+    radial_profile.cache_clear()
     tracemalloc.start()
     try:
-        fm = truncate(z2, (0, 0), 4, EXTERIOR_TRACKED, 8.0)
+        fm = truncate(z2, (0, 0), 8, EXTERIOR_TRACKED, 8.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * fm.sources.nbytes
-    exterior, full = full_sources(z2, (0, 0), 4, 8.0)
+    table = radial_profile(2, "linf", z2.base_kernel).cum.nbytes
+    assert peak <= 2.5 * fm.sources.nbytes + table
+    exterior, full = full_sources(z2, (0, 0), 8, 8.0)
     cols = [exterior.index(w) for w in fm.exterior]
     assert np.array_equal(fm.sources[:, :-1], full[:, cols])
     assert np.all(np.abs(fm.sources[:, -1] - full[:, -1]) <= 1e-12 * full[:, -1])
