@@ -33,7 +33,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list) -> argparse.ArgumentParser:
+    """The `lab` parser for the command line `argv`: only the experiment it
+    names gets its flags; the others are listed, with their help, but take
+    no arguments."""
     ap = argparse.ArgumentParser(prog="lab",
                                  description="jump-process laboratory")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -52,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = (cex if len(words) == 2 else sub).add_parser(
             words[-1], help=text, description=text)
         p.set_defaults(experiment=exp)
+        if tuple(argv[:len(words)]) != words:
+            continue
         for key, default in PARAMS[exp].items():
             p.add_argument("--" + key.replace("_", "-"), default=default,
                            type=_ints if isinstance(default, list)
@@ -82,7 +87,9 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         cfg = _config_from_args(args)
         report, failures = run_experiment(cfg)

@@ -644,21 +644,15 @@ class BoxConvolution:
     spectra, gather it back.  l1 balls scatter into a masked subset of the
     box.  A suppressed pair with both endpoints in the window is subtracted
     as a rank-2 term, `pair` = (slot of x0, slot of y0, rate), else None.
+    `strang` inverts the box's circulant approximation of diag I - J.
     """
 
     def __init__(self, model: LatticeModel, index: dict, center, m: int):
         d = model.d
-        side = 2 * m + 1
-        self.shape = (_fft_len(2 * side),) * d
+        self.model, self.side = model, 2 * m + 1
+        self.shape = (_fft_len(2 * self.side),) * d
         self.axes = tuple(range(d))
-        size = self.shape[0]
-        offset = np.minimum(np.arange(size), size - np.arange(size))
-        grids = np.meshgrid(*([offset] * d), indexing="ij", sparse=True)
-        dist = functools.reduce(np.maximum if model.metric == "linf" else np.add,
-                                grids)
-        kern = model.radial_values(dist)
-        kern[functools.reduce(np.maximum, grids) >= side] = 0.0
-        self.symbol = np.fft.rfftn(kern, axes=self.axes)
+        self.symbol = np.fft.rfftn(self._kernel(self.shape[0]), axes=self.axes)
         corner = np.asarray(center, dtype=np.int64) - m
         coords = np.asarray(list(index), dtype=np.int64) - corner
         self.flat = np.ravel_multi_index(tuple(coords.T), self.shape)
@@ -677,6 +671,36 @@ class BoxConvolution:
             out[i] -= rate * v[j]
             out[j] -= rate * v[i]
         return out
+
+    def _kernel(self, size: int) -> np.ndarray:
+        """J on the circular grid of `size` points per axis, at the offsets
+        min(i, size - i), zero where an offset reaches the box side."""
+        offset = np.minimum(np.arange(size), size - np.arange(size))
+        grids = np.meshgrid(*([offset] * self.model.d), indexing="ij", sparse=True)
+        dist = functools.reduce(
+            np.maximum if self.model.metric == "linf" else np.add, grids)
+        kern = self.model.radial_values(dist)
+        kern[functools.reduce(np.maximum, grids) >= self.side] = 0.0
+        return kern
+
+    def strang(self, diag: float):
+        """r -> R C^-1 R^T r on the window, R the restriction of the box to
+        it, C the Strang circulant of diag I - J on the box (Chan & Ng, SIAM
+        Rev. 38 (1996)): its first column is diag, less J at the wrapped
+        offsets.  Its eigenvalues, diag - sum_k J(k) e^{i k theta} over the
+        box's offsets, are at least diag less the kernel's mass there, so
+        with diag = J(x, Z^d) C is positive definite and so is R C^-1 R^T.
+        One application is one FFT pair of the box side."""
+        axes, shape = self.axes, (self.side,) * self.model.d
+        eig = diag - np.fft.rfftn(self._kernel(self.side), axes=axes).real
+        box = np.ravel_multi_index(np.unravel_index(self.flat, self.shape), shape)
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            u = np.zeros(math.prod(shape))
+            u[box] = r
+            spec = np.fft.rfftn(u.reshape(shape), axes=axes) / eig
+            return np.fft.irfftn(spec, s=shape, axes=axes).reshape(-1)[box]
+        return solve
 
 
 def _fft_len(n: int) -> int:

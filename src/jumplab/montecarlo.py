@@ -10,20 +10,26 @@ so the jump law matches the kernel exactly.  The inverse CDF is a guide table
 gives its shell in one step, checked against the shell's bracket, and the
 few draws that miss it (buckets holding several shells, the analytic tail)
 go to the profile's full search, so every radius is exactly the table
-search's.  Trajectories never see a window; only the observables are
-windowed, which avoids truncation bias in exit and hitting estimates.
+search's.  On Z one uniform on [0, 2 J(x,G)) makes the whole step: its top
+half is the sign, and a bucket that lies, with a one-bucket margin, in one
+shell gives the signed step in one gather; only the other draws (about 2 %
+on the ladder) take the bracket check.  Trajectories never see a window;
+only the observables are windowed, which avoids truncation bias in exit and
+hitting estimates.
 
-Walkers are block-stepped: each of the m live walkers of a stream draws k
-i.i.d. displacements (and, for timed estimands, k unit exponentials) in one
-call, its path is its position plus their running sum, and one argmax over
-the (m, k) event mask finds each walker's first event.  An event is the
-estimand's stop, a jump past the walker's first STEP_CAP accepted ones (it
-is truncated), or a jump between the endpoints of a suppressed pair.  That
-last one is the exact rejection cut: the walker keeps its last accepted
-position and clock, the rest of its block (the rejected hold with it) is
-dropped, and its next block draws afresh, so each accepted jump follows the
-conditional law J(x,y)/J(x,G) with an unbiased Exp(q_x) hold.  k doubles
-from block to block while m*k stays within DRAW_BUDGET.
+Each estimate draws from one generator, `default_rng(SeedSequence(seed))`,
+so it depends on the seed alone.  Walkers are block-stepped: each of the m
+live walkers draws k i.i.d. displacements (and, for timed estimands, k unit
+exponentials) in one call, its path is its position plus their running
+sum, and one argmax over the (m, k) event mask finds each walker's first
+event.  An event is the estimand's stop, a jump past the walker's first
+STEP_CAP accepted ones (it is truncated), or a jump between the endpoints of
+a suppressed pair.  That last one is the exact rejection cut: the walker
+keeps its last accepted position and clock, the rest of its block (the
+rejected hold with it) is dropped, and its next block draws afresh, so each
+accepted jump follows the conditional law J(x,y)/J(x,G) with an unbiased
+Exp(q_x) hold.  k doubles from block to block while m*k stays within
+DRAW_BUDGET.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ import numpy.random  # noqa: F401  numpy would load it lazily, inside a run
 from .models import LadderKernel, LatticeModel, radial_profile, shell_counts
 
 STEP_CAP = 10_000_000
-N_STREAMS = 8
-DRAW_BUDGET = 1 << 13  # displacements one stream draws per block: m walkers x k jumps
+DRAW_BUDGET = 1 << 15  # displacements drawn per block: m walkers x k jumps
 GUIDE_BUCKETS = 4096  # equal-mass buckets of the guide table over [0, J(x, G))
 
 
@@ -80,6 +85,17 @@ class TrajectorySampler:
         head = np.concatenate(([-np.inf], cum[:g + 2]))
         self._lo, self._hi = head[:-1], head[1:]
         self._scale = g / self.total
+        if model.d == 1:
+            # Signed steps: a draw u in [0, 2 total) jumps -shell(u - total)
+            # if u >= total, else +shell(u).  Its bucket b, u G / total up to
+            # a rounding, puts u within [b - 1, b + 2] total / G; where that
+            # margin lies in one signed shell, _step[b] is the step, else 0.
+            # The last bucket catches a u G / total rounded up to 2 G.
+            ends = np.arange(-1, 2 * g + 3) * (self.total / g)
+            neg = ends >= self.total
+            i = cum.searchsorted(np.where(neg, ends - self.total, ends), side="right")
+            code = np.where(i < len(cum), np.where(neg, -1, 1) * (i + 1), 0)
+            self._step = np.where(code[:-3] == code[3:], code[:-3], 0)
 
     # -- walker tests (points along the last axis) -----------------------------
 
@@ -90,10 +106,17 @@ class TrajectorySampler:
         return np.all(pts == v, axis=-1)
 
     def _outside(self, pts: np.ndarray, x0, R) -> np.ndarray:
-        """Which points lie outside B(x0, R)."""
+        """Which points lie outside B(x0, R) (two compares on Z, which
+        form no integer temporary)."""
         if self.model.d == 1:
-            return np.abs(pts[..., 0] - x0[0]) > R
+            return (pts[..., 0] < x0[0] - R) | (pts[..., 0] > x0[0] + R)
         return self.model.norm(pts - np.asarray(x0)) > R
+
+    def _rates(self, pts: np.ndarray) -> np.ndarray:
+        """The jump rate q_x = J(x, G) / mu_x of each point."""
+        flat = pts.reshape(-1, self.model.d)
+        q = self.model.row_sums_all(flat)[0] / self.model.mu_rule.at(flat)
+        return q.reshape(pts.shape[:-1])
 
     def _forbidden(self, pre: np.ndarray, post: np.ndarray):
         """Which jumps pre -> post join the two ends of the suppressed pair."""
@@ -107,13 +130,11 @@ class TrajectorySampler:
     # -- displacement sampling ------------------------------------------------
 
     def _directions(self, radii: np.ndarray, rng) -> np.ndarray:
-        """Uniform point on each walker's shell (exact enumeration)."""
+        """Uniform point on each walker's shell of Z^2 (exact enumeration)."""
         n = len(radii)
-        d, metric = self.model.d, self.model.metric
-        if d == 1:
-            return np.where(rng.random(n) < 0.5, -radii, radii)[:, None]
+        metric = self.model.metric
         s = radii.astype(np.int64)
-        counts = shell_counts(d, metric, s)
+        counts = shell_counts(2, metric, s)
         k = (rng.random(n) * counts).astype(np.int64)
         k = np.minimum(k, counts - 1)
         out = np.empty((n, 2), dtype=np.int64)
@@ -157,98 +178,102 @@ class TrajectorySampler:
         return i
 
     def _displacements(self, n: int, rng) -> np.ndarray:
-        """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array."""
-        return self._directions(self._radii(rng.random(n) * self.total), rng)
+        """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array.
 
-    # -- stream plumbing -------------------------------------------------------
-
-    def _streams(self, n: int):
-        """Deterministic split of n walkers across independent RNG streams."""
-        seqs = np.random.SeedSequence(self.seed).spawn(N_STREAMS)
-        sizes = [n // N_STREAMS + (1 if i < n % N_STREAMS else 0)
-                 for i in range(N_STREAMS)]
-        return [(np.random.default_rng(sq), sz)
-                for sq, sz in zip(seqs, sizes) if sz > 0]
+        On Z one uniform u in [0, 2 total) makes a step: its sign is
+        u >= total and its radius the shell of u, or of u - total, which is
+        exact (Sterbenz).  Pure buckets give the step in one gather; the
+        draws in the others take `_radii`.  On Z^2 a radius uniform and a
+        direction uniform make a step."""
+        if self.model.d == 2:
+            return self._directions(self._radii(rng.random(n) * self.total), rng)
+        # x 2 G is exact, so its bucket is within a rounding of u G / total,
+        # and u = (x 2 G)(total / G) is x (2 total) rounded once
+        x = rng.random(n)
+        x *= 2 * GUIDE_BUCKETS
+        step = self._step[x.astype(np.intp)]
+        miss = np.flatnonzero(step == 0)
+        if len(miss):
+            u = x[miss] * (self.total / GUIDE_BUCKETS)
+            neg = u >= self.total
+            r = self._radii(np.where(neg, u - self.total, u))
+            step[miss] = np.where(neg, -r, r)
+        return step[:, None]
 
 
 def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
     """Run n walkers from x, block by block, to each one's first stop.
 
-    `stop(pre, post, clock)` marks the jumps pre -> post that end a walk;
-    `clock` is the time after each jump's hold (the scalar 0 unless
-    `timed`).  The start is tested first as the zero-length jump x -> x at
-    time 0, so a walker that is settled before it moves (say, started
-    outside the ball) draws nothing.  Returns pre, post and clock of the
-    stopping jump of every walker that stopped, in stream and walker order,
-    and the number of walkers truncated at STEP_CAP.
+    `stop(post, clock)` marks the jumps that end a walk by their landing
+    points; `clock` is the time after each jump's hold (the scalar 0 unless
+    `timed`).  The start is tested first as a landing at x at time 0, so a
+    walker that is settled before it moves (say, started outside the ball)
+    draws nothing.  Returns pre, post and clock of the stopping jump of
+    every walker that stopped, in walker order, and the number of walkers
+    truncated at STEP_CAP.
     """
     model, d = sampler.model, sampler.model.d
+    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
     start = np.asarray(x, dtype=np.int64)
-    if stop(start[None], start[None], np.zeros(1))[0]:
+    if stop(start[None], np.zeros(1))[0]:
         here = np.tile(start, (n, 1))
         return here, here, np.zeros(n), 0
-    pres, posts, clocks, truncated = [], [], [], 0
-    for rng, size in sampler._streams(n):
-        live = np.arange(size)
-        pos = np.tile(start, (size, 1))
-        clock = np.zeros(size)
-        steps = np.zeros(size, dtype=np.int64)
-        end_pre = np.empty((size, d), dtype=np.int64)
-        end_post = np.empty((size, d), dtype=np.int64)
-        end_clock = np.zeros(size)
-        ended = np.zeros(size, dtype=bool)
-        k = 1
-        while len(live):
-            m = len(live)
-            k = min(2 * k, max(1, DRAW_BUDGET // m))
-            jumps = sampler._displacements(m * k, rng).reshape(m, k, d)
-            post = np.cumsum(jumps, axis=1)
-            post += pos[:, None]
-            pre = post - jumps
-            t = 0.0
-            if timed:
-                flat = pre.reshape(m * k, d)
-                hold = rng.standard_exponential(m * k) / (
-                    model.row_sums_all(flat)[0] / model.mu_rule.at(flat))
-                t = clock[:, None] + np.cumsum(hold.reshape(m, k), axis=1)
-            event = stop(pre, post, t)
-            # the cap and the pair cut are masked only where they can occur
-            capped = cut = None
-            if steps.max() + k > STEP_CAP:
-                capped = np.arange(k) >= (STEP_CAP - steps)[:, None]
-                event = event | capped
-            if model.pair is not None:
-                cut = sampler._forbidden(pre, post)
-                if capped is not None:
-                    cut &= ~capped
-                event = event | cut
-            col = event.argmax(axis=1)
-            rows = np.arange(m)
-            met = event[rows, col]
-            # the walker's state after its last accepted jump
-            last = np.where(met, col, k)
-            pos = np.where((last > 0)[:, None], post[rows, last - 1], pos)
-            if timed:
-                clock = np.where(last > 0, t[rows, last - 1], clock)
-            steps += last
-            done = met if cut is None else met & ~cut[rows, col]
-            halt = done
+    live = np.arange(n)
+    pos = np.tile(start, (n, 1))
+    clock = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    end_pre = np.empty((n, d), dtype=np.int64)
+    end_post = np.empty((n, d), dtype=np.int64)
+    end_clock = np.zeros(n)
+    ended = np.zeros(n, dtype=bool)
+    truncated, k = 0, 1
+    while len(live):
+        m = len(live)
+        k = min(2 * k, max(1, DRAW_BUDGET // m))
+        jumps = sampler._displacements(m * k, rng).reshape(m, k, d)
+        post = np.cumsum(jumps, axis=1)
+        post += pos[:, None]
+        # the holds and the pair cut read the jumps' starting points
+        pre = post - jumps if timed or model.pair is not None else None
+        t = 0.0
+        if timed:
+            t = clock[:, None] + np.cumsum(
+                rng.standard_exponential(m * k).reshape(m, k) / sampler._rates(pre),
+                axis=1)
+        event = stop(post, t)
+        # the cap and the pair cut are masked only where they can occur
+        capped = cut = None
+        if steps.max() + k > STEP_CAP:
+            capped = np.arange(k) >= (STEP_CAP - steps)[:, None]
+            event = event | capped
+        if model.pair is not None:
+            cut = sampler._forbidden(pre, post)
             if capped is not None:
-                over = done & capped[rows, col]
-                halt = done & ~over
-                truncated += int(np.count_nonzero(over))
-            ids = live[halt]
-            end_pre[ids] = pre[rows[halt], col[halt]]
-            end_post[ids] = post[rows[halt], col[halt]]
-            if timed:
-                end_clock[ids] = t[rows[halt], col[halt]]
-            ended[ids] = True
-            live, pos, clock, steps = live[~done], pos[~done], clock[~done], steps[~done]
-        pres.append(end_pre[ended])
-        posts.append(end_post[ended])
-        clocks.append(end_clock[ended])
-    return (np.concatenate(pres), np.concatenate(posts), np.concatenate(clocks),
-            truncated)
+                cut &= ~capped
+            event = event | cut
+        col = event.argmax(axis=1)
+        rows = np.arange(m)
+        met = event[rows, col]
+        # the walker's state after its last accepted jump
+        last = np.where(met, col, k)
+        pos = np.where((last > 0)[:, None], post[rows, last - 1], pos)
+        if timed:
+            clock = np.where(last > 0, t[rows, last - 1], clock)
+        steps += last
+        done = met if cut is None else met & ~cut[rows, col]
+        halt = done
+        if capped is not None:
+            over = done & capped[rows, col]
+            halt = done & ~over
+            truncated += int(np.count_nonzero(over))
+        ids, at = live[halt], (rows[halt], col[halt])
+        end_pre[ids], end_post[ids] = pos[halt], post[at]
+        if timed:
+            end_clock[ids] = t[at]
+        ended[ids] = True
+        live, pos, clock, steps = live[~done], pos[~done], clock[~done], steps[~done]
+        del jumps, post, pre, t  # freed before the next block is drawn
+    return end_pre[ended], end_post[ended], end_clock[ended], truncated
 
 
 def _se(samples: np.ndarray) -> float:
@@ -275,7 +300,7 @@ def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
     biases the estimate downward.
     """
     _, _, tau, truncated = _walk(
-        sampler, x, n, lambda pre, post, t: sampler._outside(post, x0, R),
+        sampler, x, n, lambda post, t: sampler._outside(post, x0, R),
         timed=True)
     return _finish("exit_time", tau, truncated, sampler.seed,
                    {"x": list(x), "x0": list(x0), "R": R})
@@ -289,7 +314,7 @@ def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
     """
     _, post, _, truncated = _walk(
         sampler, x, n,
-        lambda pre, post, t: sampler._at(post, y) | sampler._outside(post, x0, R),
+        lambda post, t: sampler._at(post, y) | sampler._outside(post, x0, R),
         timed=False)
     return _finish("hit_before_exit", sampler._at(post, y), truncated,
                    sampler.seed, {"x": list(x), "y": list(y), "x0": list(x0), "R": R})

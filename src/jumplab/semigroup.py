@@ -28,9 +28,10 @@ applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
 on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows and
 `GeneratorView.apply_Q` never build an n x n matrix, and neither do exit
 times: `solve_generator` on a positive vector and a lattice window runs
-conjugate gradients on the same product, with an a-posteriori
-relative error bound at every slot (`_cg_solve`).  What stays dense: actions
-on a matrix use the BLAS-3 product with the dense P, as the FFT product (accurate relative to the largest entry)
+conjugate gradients on the same product, preconditioned by the window box's
+Strang circulant, with an a-posteriori relative error bound at every slot
+(`_cg_solve`).  What stays dense: actions on a matrix use the BLAS-3 product
+with the dense P, as the FFT product (accurate relative to the largest entry)
 would lose the per-entry accuracy above, and at their window sizes GEMM is
 faster; `solve_generator` on a matrix (the elliptic Harnack generators) or on
 an explicit graph solves with the dense Q.  Both are built on first read.
@@ -289,16 +290,22 @@ def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
 
 def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """(u, rel) with -Q u = rhs for a positive vector rhs on a lattice window,
-    by Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, J. Res.
-    NBS 49 (1952)), and |u - exact| <= rel * u at every slot.  The diagonal
-    mu out_rate is J(x, G), the same at every slot that is no endpoint of a
-    suppressed pair, so on such a window with constant mu the preconditioner
-    is a scalar and this is plain CG.
+    by preconditioned conjugate gradients (Hestenes & Stiefel, J. Res. NBS 49
+    (1952)) on A u = mu rhs, and |u - exact| <= rel * u at every slot.
 
-    mu (-Q) = A = diag(mu out_rate) - J_W has rows summing to mu kill; with
-    kill > 0 at every slot it is a nonsingular symmetric M-matrix, so A^-1 is
-    entrywise nonnegative.  With b = mu rhs and a residual |b - A u| <= delta b
-    at every slot, |u - exact| <= A^-1 |b - A u| <= delta exact, hence
+    A = mu (-Q) = diag(mu out_rate) - J_W = diag(J(x, G)) - J_W does not
+    depend on mu.  Its diagonal is J(x, G), the same at every slot but the
+    ends of a suppressed pair, so A is Toeplitz (block-Toeplitz on Z^2) up
+    to the pair's rank-2 term and its two diagonal entries.  The
+    preconditioner is the Strang circulant of that Toeplitz part on the
+    window's box (`BoxConvolution.strang`), one FFT pair of the box side per
+    iteration; it keeps the iteration count between 8 and 20 on every window
+    measured, from 33 to 16,641 states.
+
+    A has rows summing to mu kill; with kill > 0 at every slot it is a
+    nonsingular symmetric M-matrix, so A^-1 is entrywise nonnegative.  With
+    b = mu rhs and a residual |b - A u| <= delta b at every slot,
+    |u - exact| <= A^-1 |b - A u| <= delta exact, hence
     rel = delta / (1 - delta).  delta is the largest |b - A u| / b of a
     recomputed residual plus `rho`, the standard estimate of that residual's
     rounding: eps log2(N) sqrt(n) max(diag) max|u| / min(b) for an FFT of N
@@ -321,6 +328,8 @@ def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     def size(res):
         return float(np.max(np.abs(res) / b))
 
+    precondition = fm.action.strang(float(diag.max()))
+
     x = np.zeros_like(b)
     r = b.copy()
     p = np.zeros_like(b)
@@ -341,7 +350,7 @@ def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:
                                            f"relative, above its rounding {rho:.2e}")
                 return x, delta / (1.0 - delta)
             check, last = size(r) / 4, res
-        z = r / diag
+        z = precondition(r)
         rz, rz_old = float(r @ z), rz
         p = z + (rz / rz_old) * p
         Ap = matvec(p)

@@ -214,7 +214,7 @@ def sample_occupation(sampler, x, t: float, n: int) -> dict:
     it out would bias the law its callers read off counts / n.
     """
     final, _, _, truncated = mc._walk(
-        sampler, x, n, lambda pre, post, clock: clock > t, timed=True)
+        sampler, x, n, lambda post, clock: clock > t, timed=True)
     if truncated:
         raise ValueError(f"{truncated} of {n} paths hit the step cap before t")
     counts: dict = {}

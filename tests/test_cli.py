@@ -278,7 +278,8 @@ def test_benchmark_workloads_parse():
     }
     assert sorted(workloads) == sorted(expected)
     for name, argv in workloads.items():
-        args = build_parser().parse_args([a.replace("{seed}", "0") for a in argv])
+        argv = [a.replace("{seed}", "0") for a in argv]
+        args = build_parser(argv).parse_args(argv)
         experiment, given = expected[name]
         assert args.experiment == experiment, name
         assert {k: getattr(args, k) for k in PARAMS[experiment]} \

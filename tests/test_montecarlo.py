@@ -65,6 +65,26 @@ def test_shell_chi_square(z1, sampler):
     assert stats.chi2.sf(chi2, 16) > 1e-3
 
 
+def test_sign_balance_on_z():
+    """On Z the step's sign is the top half of its uniform: each sign has
+    probability 1/2 on every shell, so the two signs of one radius are
+    binomially balanced, and the radius law is the same on both sides."""
+    s = mc.TrajectorySampler(LatticeModel(d=1, kernel=LadderKernel(
+        alpha=1.5, ranges=(16, 64, 256))), seed=0)
+    steps = s._displacements(1_000_000, np.random.default_rng(3))[:, 0]
+    groups = [np.abs(steps) == r for r in (1, 2, 3, 16, 64, 256)]
+    groups += [(np.abs(steps) > 3) & ~np.isin(np.abs(steps), (16, 64, 256)),
+               np.ones(len(steps), dtype=bool)]
+    for mask in groups:
+        up = int(np.count_nonzero(steps[mask] > 0))
+        assert stats.binomtest(up, int(mask.sum()), 0.5).pvalue > 1e-3
+    # the radii drawn for each sign agree in law (two-sample chi-square)
+    radii = np.minimum(np.abs(steps), 17)
+    table = [np.bincount(radii[steps > 0], minlength=18)[1:],
+             np.bincount(radii[steps < 0], minlength=18)[1:]]
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 @pytest.mark.parametrize("metric,npts", [("linf", 16), ("l1", 8)])
 def test_d2_shell_uniformity(metric, npts):
     m = LatticeModel(d=2, metric=metric, kernel=PolynomialKernel(1.0))
@@ -147,8 +167,7 @@ def test_suppressed_pair_never_jumps(z1):
     assert np.array_equal(s._forbidden(np.zeros_like(draws), draws), draws[:, 0] == 8)
     # so no walker's first accepted jump from 0 is to 8
     _, first, _, _ = mc._walk(s, (0,), 100_000,
-                              lambda pre, post, t: post[..., 0] != pre[..., 0],
-                              timed=False)
+                              lambda post, t: post[..., 0] != 0, timed=False)
     assert len(first) == 100_000 and not np.any(first[:, 0] == 8)
     # row sum at the suppressed endpoint is reduced by exactly J(0,8)
     q, _ = m.row_sums_all(np.array([[0], [1]]))
@@ -272,49 +291,50 @@ class LoopWalk:
             return
         pair = model.pair
         forbidden = set() if pair is None else {(pair[0], pair[1]), (pair[1], pair[0])}
-        self.ends, self.truncated = [], 0
-        for rng, size in sampler._streams(n):
-            walkers = [[x, 0.0, 0] for _ in range(size)]  # position, clock, jumps
-            ends = [None] * size
-            live = list(range(size))
-            k = 1
-            while live:
-                m = len(live)
-                k = min(2 * k, max(1, mc.DRAW_BUDGET // m))
-                jumps = sampler._displacements(m * k, rng).reshape(m, k, d).tolist()
-                if timed:
-                    expo = rng.standard_exponential(m * k).reshape(m, k).tolist()
-                still = []
-                for row, w in enumerate(live):
-                    pos, clock, steps = walkers[w]
-                    run, last_t, done = 0.0, clock, False
-                    for j in range(k):
-                        if steps + j >= mc.STEP_CAP:
-                            self.truncated += 1
-                            done = True
-                            break
-                        new = tuple(p + q for p, q in zip(pos, jumps[row][j]))
-                        t = None
-                        if timed:
-                            rate = model.row_sum_all(pos)[0] / model.mu_rule(pos)
-                            run += expo[row][j] / rate
-                            t = clock + run
-                        if (pos, new) in forbidden:
-                            self.cuts += 1
-                            steps += j
-                            break
-                        if stop(pos, new, t):
-                            ends[w] = (pos, new, t)
-                            done = True
-                            break
-                        pos, last_t = new, t if timed else clock
-                    else:
-                        steps += k
-                    if not done:
-                        walkers[w] = [pos, last_t, steps]
-                        still.append(w)
-                live = still
-            self.ends.extend(e for e in ends if e is not None)
+        self.truncated = 0
+        # one generator for every walker, seeded as the driver's
+        rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+        walkers = [[x, 0.0, 0] for _ in range(n)]  # position, clock, jumps
+        ends = [None] * n
+        live = list(range(n))
+        k = 1
+        while live:
+            m = len(live)
+            k = min(2 * k, max(1, mc.DRAW_BUDGET // m))
+            jumps = sampler._displacements(m * k, rng).reshape(m, k, d).tolist()
+            if timed:
+                expo = rng.standard_exponential(m * k).reshape(m, k).tolist()
+            still = []
+            for row, w in enumerate(live):
+                pos, clock, steps = walkers[w]
+                run, last_t, done = 0.0, clock, False
+                for j in range(k):
+                    if steps + j >= mc.STEP_CAP:
+                        self.truncated += 1
+                        done = True
+                        break
+                    new = tuple(p + q for p, q in zip(pos, jumps[row][j]))
+                    t = None
+                    if timed:
+                        rate = model.row_sum_all(pos)[0] / model.mu_rule(pos)
+                        run += expo[row][j] / rate
+                        t = clock + run
+                    if (pos, new) in forbidden:
+                        self.cuts += 1
+                        steps += j
+                        break
+                    if stop(pos, new, t):
+                        ends[w] = (pos, new, t)
+                        done = True
+                        break
+                    pos, last_t = new, t if timed else clock
+                else:
+                    steps += k
+                if not done:
+                    walkers[w] = [pos, last_t, steps]
+                    still.append(w)
+            live = still
+        self.ends = [e for e in ends if e is not None]
 
 
 def mask_exit_time(sampler, x, x0, R, n):
@@ -435,11 +455,11 @@ def test_step_cap_is_exact_mid_block(monkeypatch, cap):
     monkeypatch.setattr(s, "_displacements", steps)
     rep = mc.hit_before_exit(s, (0,), (cap,), (0,), 100, 16)
     assert (rep.estimate, rep.truncated, rep.n) == (1.0, 0, 16)
-    assert steps.drawn[:2] == [2 * 2, 2 * 4]  # 2 walkers per stream
+    assert steps.drawn[:2] == [16 * 2, 16 * 4]  # 16 walkers, one generator
     with pytest.raises(ValueError, match="step cap"):
         mc.hit_before_exit(s, (0,), (cap + 1,), (0,), 100, 16)
     _, _, _, truncated = mc._walk(
-        s, (0,), 16, lambda pre, post, t: post[..., 0] > cap, timed=True)
+        s, (0,), 16, lambda post, t: post[..., 0] > cap, timed=True)
     assert truncated == 16
 
 
@@ -521,7 +541,7 @@ class ForcedUniforms:
     """A generator whose first uniforms are given; the other draws are real."""
 
     def __init__(self, u, seed):
-        self.u = np.asarray(u, dtype=float)
+        self.u = np.array(u, dtype=float)  # a copy: the draws are scaled in place
         self.rng = np.random.default_rng(seed)
 
     def random(self, m):
@@ -541,13 +561,17 @@ def test_jump_tail_radius_on_z(kernel):
     s = mc.TrajectorySampler(LatticeModel(d=1, kernel=kernel), seed=0)
     head = s.profile.cum[-1] / s.total
     u = np.array([0.25, head + (1 - head) / 3, 0.999, 1 - (1 - head) / 7])
-    got = np.abs(s._displacements(4, ForcedUniforms(u, 8))[:, 0])
-    v = u * s.total
+    u = np.concatenate([u / 2, 0.5 + u / 2])  # positive steps, then negative
+    got = s._displacements(8, ForcedUniforms(u, 8))[:, 0]
+    v = u * (2 * s.total)
+    neg = v >= s.total
+    v = np.where(neg, v - s.total, v)
     want = np.searchsorted(s.profile.cum, v, side="right") + 1
     want = [tail_radius(s.profile, float(w)) if r > SHELL_HORIZON else r
             for r, w in zip(want, v)]
-    assert got.tolist() == want
-    assert (got > SHELL_HORIZON).tolist() == [False, True, False, True]
+    assert got.tolist() == np.where(neg, -np.array(want), want).tolist()
+    assert neg.tolist() == [False] * 4 + [True] * 4
+    assert (np.abs(got) > SHELL_HORIZON).tolist() == [False, True, False, True] * 2
 
 
 def table_radii(prof, w):
@@ -563,37 +587,47 @@ GUIDED = {f"z{d}-{metric}-{a}": (d, metric, PolynomialKernel(a))
           for d, metric in ((1, "linf"), (2, "linf"), (2, "l1"))
           for a in (0.8, 1.0, 1.9)}
 GUIDED["z1-ladder"] = (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64, 256)))
+# a tail of about 3 % of the mass, so whole buckets lie past the horizon
+GUIDED["z1-linf-0.3"] = (1, "linf", PolynomialKernel(0.3))
 
 
 @pytest.mark.parametrize("d, metric, kernel", GUIDED.values(), ids=GUIDED.keys())
 def test_guided_radii_equal_table_search(d, metric, kernel):
-    """The guide table's radii equal the table search's, bit for bit, at
-    every bucket edge and every guided shell boundary, their neighbours,
-    the extreme draws and draws in the analytic tail."""
+    """The guided radii equal the table search's, bit for bit, at every
+    bucket edge and every guided shell boundary, their neighbours, the
+    extreme draws and draws in the analytic tail.  On Z a draw spans
+    [0, 2 total) and the points recur past total for the negative steps:
+    the signed table's bucket edges, and the sign boundary itself."""
     model = LatticeModel(d=d, metric=metric, kernel=kernel)
     s = mc.TrajectorySampler(model, seed=0)
     prof, total, g = s.profile, s.total, mc.GUIDE_BUCKETS
     last = int(s._guide.max()) + 1  # the last index a guided draw can take
-    v = np.concatenate([np.arange(g + 1) * (total / g), prof.cum[:last + 1]])
+    halves = 2 if d == 1 else 1
+    span = halves * total  # a draw is u * span
+    shells = np.concatenate([prof.cum[:last + 1],  # then the horizon and the tail
+                             [prof.cum[-1], prof.cum[-1] + prof.tail / 2]])
+    v = np.concatenate([np.arange(halves * g + 1) * (total / g),
+                        *(h * total + shells for h in range(halves))])
     v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
-    # u = v / total lands on v wherever a uniform can (u * total skips some
+    # u = v / span lands on v wherever a uniform can (u * span skips some
     # doubles, which are then never drawn)
-    u = np.concatenate([v / total, [0.0, 1 - 2.0 ** -53,
-                                    np.nextafter(prof.cum[-1] / total, 1),
-                                    (prof.cum[-1] + prof.tail / 2) / total]])
+    u = np.concatenate([v / span, [0.0, 0.5, np.nextafter(0.5, 0), 1 - 2.0 ** -53]])
     u = np.unique(u[(u >= 0) & (u < 1)])
-    w = u * total
-    assert np.isin(v[v < total], w).mean() > 0.9
-    assert (w > prof.cum[-1]).sum() >= 2
+    w = u * span
+    assert np.isin(v[v < span], w).mean() > 0.9
+    neg = w >= total
+    w = np.where(neg, w - total, w)  # exact: Sterbenz
+    assert (w > prof.cum[-1]).sum() >= 2 * halves
+    assert neg.any() == (d == 1) and (~neg).sum() > g
     want = np.array(table_radii(prof, w), dtype=object)
     ok = want <= JUMP_RADIUS_CAP
     pts = s._displacements(int(ok.sum()), ForcedUniforms(u[ok], 8))
-    got = np.abs(pts[:, 0]) if d == 1 else model.norm(pts)
-    assert got.tolist() == want[ok].tolist()
-    for f in u[~ok]:  # radii past 2^59: the largest uniform at alpha = 0.8
+    got = pts[:, 0] if d == 1 else model.norm(pts)
+    assert got.tolist() == np.where(neg, -want, want)[ok].tolist()
+    for f in u[~ok]:  # radii past 2^59: the largest uniforms at alpha < 1
         with pytest.raises(NumericalFailure, match="2\\^59"):
             s._displacements(1, ForcedUniforms([f], 8))
-    assert ok.all() == (kernel.alpha != 0.8)
+    assert ok.all() == (kernel.alpha >= 1.0)
 
 
 def test_heavy_tail_raises_numerical_failure():
@@ -608,16 +642,17 @@ def test_heavy_tail_raises_numerical_failure():
 
 @pytest.mark.parametrize("model, seed, run, estimate, se", [
     (LADDER, 0, lambda s: mc.hit_before_exit(s, (16,), (0,), (0,), 64, 400),
-     0.555, 0.02487940840144747),
+     0.5175, 0.025015972341295295),
     (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 9,
      lambda s: mc.sample_exit_time(s, (0,), (0,), 8, 500),
-     2.784957301074035, 0.11043641184566638),
+     2.823972212932462, 0.10837987173661356),
     (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.2)), 3,
      lambda s: mc.sample_exit_time(s, (0, 0), (0, 0), 4, 500),
-     0.9731100902069035, 0.03497246467316373),
+     0.9701844440462812, 0.03750505169501074),
 ], ids=["ladder-hit", "z1-exit", "z2-l1-exit"])
 def test_walker_pinned(model, seed, run, estimate, se):
-    """Estimates pinned with ==, as the searchsorted draws gave them: the
+    """Estimates pinned with ==, as the one-generator walk gave them with
+    every radius taken from `RadialProfile.radii` on the same uniforms: the
     per-walker loops above share the displacement helper, so they cannot
     catch a change in the draws themselves."""
     rep = run(mc.TrajectorySampler(model, seed))
