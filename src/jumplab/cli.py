@@ -6,6 +6,7 @@ Exit codes: 0 (ok), 1 (a configured threshold assertion failed), 2 (error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -72,13 +73,12 @@ def build_parser(argv: list) -> argparse.ArgumentParser:
 def _config_from_args(args) -> ExperimentConfig:
     if args.cmd == "run":
         cfg = load_config(args.config)
-        if args.out_dir is not None:
-            cfg.out_dir = args.out_dir
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.assert_thresholds:
-            cfg.assert_thresholds = True
-        return cfg
+        over = {"out_dir": args.out_dir, "seed": args.seed,
+                "assert_thresholds": args.assert_thresholds or None}
+        # replace() runs __post_init__ again, so an override is checked as
+        # the file's own field is
+        return dataclasses.replace(
+            cfg, **{k: v for k, v in over.items() if v is not None})
     return ExperimentConfig(
         experiment=args.experiment, seed=args.seed, out_dir=args.out_dir,
         params={key: getattr(args, key) for key in PARAMS[args.experiment]},

@@ -1,13 +1,15 @@
 """Parabolic and elliptic Harnack constants of space-time boxes.
 
-The nonnegative caloric functions on a window form a cone.  On a fixed time
-grid, with exterior data constant over each step, every such field is a
-nonnegative combination of finitely many extreme generators: initial point
-masses and one-step impulses on each source channel of the window (each
-tracked exterior vertex, and the aggregate remainder).  Since a ratio of
-nonnegative mixtures is bounded by the largest component ratio, the box
-constant of the cone equals the maximum two-point ratio over the generators,
-which is what these routines compute.
+The constant of a box of radius R and height T is taken over a cone: the
+nonnegative functions caloric on (0, T) x B(x0, 2R), the truncation window,
+with both probe boxes Q-, Q+ in B(x0, R/2).  On a fixed time grid, with
+exterior data constant over each step, every such field is a nonnegative
+combination of finitely many extreme generators: initial point masses and
+one-step impulses on each source channel of the window (each tracked
+exterior vertex, and the aggregate remainder).  Since a ratio of nonnegative
+mixtures is bounded by the largest component ratio, the box constant of the
+cone equals the maximum two-point ratio over the generators, which is what
+these routines compute.
 
 The parabolic scan reads the generators only on the half ball of the probe
 boxes, in one pass over the ages for both families.  It forms the rows
@@ -76,8 +78,10 @@ SLIDE_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class HarnackBox:
-    """Q = (0,T) x B(x0,R) with T = lam * R^alpha and the two probe sub-boxes
-    Q- = [T/4,T/2] x B(x0,R/2), Q+ = [3T/4,T] x B(x0,R/2)."""
+    """A box of radius R at x0 and height T = lam * R^alpha, with the probe
+    sub-boxes Q- = [T/4,T/2] x B(x0,R/2) and Q+ = [3T/4,T] x B(x0,R/2).
+    `phi_constant` takes its cone on (0,T) x B(x0,2R), the truncation
+    window, not on (0,T) x B(x0,R)."""
 
     x0: tuple
     R: float
@@ -384,8 +388,10 @@ def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
 
 
 def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
-    """Exact box constant of the nonnegative caloric cone on the time grid:
-    C_P = max over generators of sup_{Q-} g / inf_{Q+} g.
+    """Exact box constant, on the time grid, of the cone of nonnegative
+    functions caloric on (0, T) x B(x0, 2R), the truncation window:
+    C_P = max over generators of sup_{Q-} g / inf_{Q+} g, with Q- and Q+
+    in B(x0, R/2).
 
     Exterior data beyond the tracked annulus enters through one aggregate
     remainder channel.  The constant with twice the annulus comes from the

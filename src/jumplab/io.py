@@ -89,8 +89,25 @@ class ExperimentConfig:
         entry with a fractional part is refused, not truncated.  A `model`
         replaces the `d` and `metric` params, and the cex experiments build
         their own.
-        An unknown experiment or param, a bad value, an empty list or a
-        malformed `model` is a ConfigError."""
+        An unknown experiment or param, a bad value, an empty list, a
+        malformed `model`, a seed that is not a nonnegative integer, an
+        `out_dir` that is not a string or an `assert_thresholds` that is
+        not a bool is a ConfigError."""
+        try:
+            if isinstance(self.seed, (str, bool)):
+                raise TypeError(f"{self.seed!r} is not an integer")
+            self.seed = _integer(self.seed)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"field 'seed': {e}") from e
+        if self.seed < 0:
+            raise ConfigError(f"field 'seed': need a nonnegative integer, "
+                              f"got {self.seed}")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ConfigError(f"field 'out_dir': expected a string, got "
+                              f"{type(self.out_dir).__name__}")
+        if not isinstance(self.assert_thresholds, bool):
+            raise ConfigError(f"field 'assert_thresholds': expected true or "
+                              f"false, got {self.assert_thresholds!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"field 'experiment': unknown value "
                               f"{self.experiment!r}; expected one of {EXPERIMENTS}")

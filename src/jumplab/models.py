@@ -124,17 +124,33 @@ def _reads_only(d: dict, what: str, *keys) -> None:
                          f"expected one of {keys}")
 
 
+def _number(key: str, value, sign: str = "") -> float:
+    """float(value), or ValueError naming `key` unless it is a finite number
+    and, for sign "positive" or "nonnegative", of that sign."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    ok = {"": True, "positive": x > 0, "nonnegative": x >= 0}[sign]
+    if not (ok and math.isfinite(x)):
+        raise ValueError(f"{key}: need a finite {sign or 'real'} number, "
+                         f"got {value!r}")
+    return x
+
+
 def mu_rule_from_dict(d):
     t = d.get("type", "constant")
     if t == "constant":
         _reads_only(d, "mu", "type", "value")
-        return MuConstant(float(d.get("value", 1.0)))
+        return MuConstant(_number("mu 'value'", d.get("value", 1.0), "positive"))
     if t == "alternating":
         _reads_only(d, "mu", "type", "even", "odd")
-        return MuAlternating(float(d["even"]), float(d["odd"]))
+        return MuAlternating(*(_number(f"mu {k!r}", d[k], "positive")
+                               for k in ("even", "odd")))
     if t == "table":
         _reads_only(d, "mu", "type", "entries")
-        return MuTable(tuple((_vertex(v), float(m)) for v, m in d["entries"]))
+        return MuTable(tuple((_vertex(v), _number(f"mu entry {v!r}", m, "positive"))
+                             for v, m in d["entries"]))
     raise ValueError(f"unknown mu rule {t!r}")
 
 
@@ -210,18 +226,21 @@ def kernel_from_dict(d):
     t = d["type"]
     if t == "polynomial":
         _reads_only(d, "kernel", "type", "alpha")
-        return PolynomialKernel(float(d["alpha"]))
+        return PolynomialKernel(_number("kernel 'alpha'", d["alpha"]))
     if t == "suppressed_pair":
         _reads_only(d, "kernel", "type", "base", "x0", "y0")
         return SuppressedPairKernel(kernel_from_dict(d["base"]),
                                     _vertex(d["x0"]), _vertex(d["y0"]))
     if t == "ladder":
         _reads_only(d, "kernel", "type", "alpha", "ranges")
-        return LadderKernel(float(d["alpha"]), tuple(d["ranges"]))
+        return LadderKernel(_number("kernel 'alpha'", d["alpha"]),
+                            tuple(d["ranges"]))
     if t == "tabulated":
         _reads_only(d, "kernel", "type", "entries")
-        return TabulatedKernel(tuple(((_vertex(u), _vertex(v)), float(r))
-                                     for (u, v), r in d["entries"]))
+        return TabulatedKernel(tuple(
+            ((_vertex(u), _vertex(v)),
+             _number(f"kernel entry {[u, v]!r}", r, "nonnegative"))
+            for (u, v), r in d["entries"]))
     raise ValueError(f"unknown kernel type {t!r}")
 
 
@@ -342,8 +361,9 @@ class RadialProfile:
         """Inverse-CDF shell radii for uniforms u in [0, total): a binary
         search of the whole table up to the horizon; beyond it, the least s
         with cumulative weight through s >= u, by doubling and bisection on
-        the zeta tail.  The Monte Carlo walker draws through a guide table
-        and sends here only the draws it cannot settle in one step.
+        the zeta tail.  This is the reference: the Monte Carlo walker draws
+        through a table of buckets and sends here every draw whose bucket's
+        two edges do not share one step.
 
         Raises NumericalFailure for a radius beyond JUMP_RADIUS_CAP: a draw
         lands there with probability about 2 % at tail exponent 1.1 on Z,

@@ -5,15 +5,16 @@ sum is tail-certified, not truncated) and then jumps to y with probability
 J(x,y)/J(x,G).  Jump radii are drawn by inverse CDF over the radial shells
 of the kernel's `RadialProfile` (exact shell weights up to a large horizon,
 certified analytic tail beyond), then a point uniform on the selected shell,
-so the jump law matches the kernel exactly.  The inverse CDF is a guide table
-(Chen & Asau's indexed search, Devroye 1986, III.2.4): a uniform's bucket
-gives its shell in one step, checked against the shell's bracket, and the
-few draws that miss it (buckets holding several shells, the analytic tail)
-go to the profile's full search, so every radius is exactly the table
-search's.  On Z one uniform on [0, 2 J(x,G)) makes the whole step: its top
-half is the sign, and a bucket that lies, with a one-bucket margin, in one
-shell gives the signed step in one gather; only the other draws (about 2 %
-on the ladder) take the bracket check.  Trajectories never see a window;
+so the jump law matches the kernel exactly.  On Z one uniform on
+[0, 2 J(x,G)) makes the whole step, its top half holding the negative steps;
+on Z^2 one uniform on [0, J(x,G)) makes the radius.  The inverse CDF goes
+through one table of equal-mass buckets (Chen & Asau's indexed search,
+Devroye 1986, III.2.4): a bucket whose two edges give the same table-search
+step holds that step, and every draw in it takes it in one gather; a draw
+in any other bucket (several shells, the sign boundary, the analytic tail;
+about 1 % on the ladder) goes to the profile's full search.  A draw lies in
+the closed interval between its bucket's edges, so every step is exactly
+the table search's.  Trajectories never see a window;
 only the observables are windowed, which avoids truncation bias in exit and
 hitting estimates.
 
@@ -44,7 +45,7 @@ from .models import LadderKernel, LatticeModel, radial_profile, shell_counts
 
 STEP_CAP = 10_000_000
 DRAW_BUDGET = 1 << 15  # displacements drawn per block: m walkers x k jumps
-GUIDE_BUCKETS = 4096  # equal-mass buckets of the guide table over [0, J(x, G))
+GUIDE_BUCKETS = 4096  # equal-mass draw-table buckets over [0, J(x, G))
 
 
 @dataclass
@@ -73,29 +74,21 @@ class TrajectorySampler:
         self.seed = seed
         self.profile = radial_profile(model.d, model.metric, model.base_kernel)
         self.total = self.profile.total  # J(x, G) off the suppressed pair
-        # Guide table: a draw u in bucket b = floor(u G / total) lies, up to
-        # rounding at the bucket's edge, in shell guide[b] + 1 or above, with
-        # guide[b] = #{cum <= b total / G}.  At most G shells outweigh a
-        # bucket, so guided indices stop at G + 1 and only that head of the
-        # table is bracketed: lo[i] = cum[i - 1] (-inf for i = 0) and
-        # hi[i] = cum[i].  Bucket G catches a u G / total rounded up to G.
-        cum, g = self.profile.cum, GUIDE_BUCKETS
-        edges = np.arange(g + 1) * (self.total / g)
-        self._guide = np.minimum(cum.searchsorted(edges, side="right"), g)
-        head = np.concatenate(([-np.inf], cum[:g + 2]))
-        self._lo, self._hi = head[:-1], head[1:]
-        self._scale = g / self.total
-        if model.d == 1:
-            # Signed steps: a draw u in [0, 2 total) jumps -shell(u - total)
-            # if u >= total, else +shell(u).  Its bucket b, u G / total up to
-            # a rounding, puts u within [b - 1, b + 2] total / G; where that
-            # margin lies in one signed shell, _step[b] is the step, else 0.
-            # The last bucket catches a u G / total rounded up to 2 G.
-            ends = np.arange(-1, 2 * g + 3) * (self.total / g)
-            neg = ends >= self.total
-            i = cum.searchsorted(np.where(neg, ends - self.total, ends), side="right")
-            code = np.where(i < len(cum), np.where(neg, -1, 1) * (i + 1), 0)
-            self._step = np.where(code[:-3] == code[3:], code[:-3], 0)
+        # The draw table: halves * G buckets over [0, halves * total), the
+        # top half (on Z) for the negative steps.  A uniform x times
+        # halves * G, a power of two, is exact, and its bucket b is the
+        # floor of that; its point u = (x halves G)(total / G) is one
+        # monotone rounding of a real in [b, b + 1) total / G, so it lies
+        # between e_b and e_{b+1}, the bucket's edges as rounded here.
+        # Where both edges give the same signed step, every draw in the
+        # bucket takes it, and _table[b] is that step; elsewhere it is 0.
+        halves = 2 if model.d == 1 else 1
+        cum = self.profile.cum
+        edges = np.arange(halves * GUIDE_BUCKETS + 1) * (self.total / GUIDE_BUCKETS)
+        neg = edges >= self.total
+        i = cum.searchsorted(np.where(neg, edges - self.total, edges), side="right")
+        code = np.where(i < len(cum), np.where(neg, -1, 1) * (i + 1), 0)
+        self._table = np.where(code[:-1] == code[1:], code[:-1], 0)
 
     # -- walker tests (points along the last axis) -----------------------------
 
@@ -163,41 +156,24 @@ class TrajectorySampler:
             out[pole, 1] = 0
         return out
 
-    def _radii(self, u: np.ndarray) -> np.ndarray:
-        """`profile.radii(u)` by the guide table: from its bucket's guide
-        index i and one step, u takes shell i + 1 when cum[i - 1] <= u <
-        cum[i], which is the table search's answer; the draws outside that
-        bracket go to the full search."""
-        lo, hi = self._lo, self._hi
-        i = self._guide[(u * self._scale).astype(np.intp)]
-        i += hi[i] <= u
-        miss = (u < lo[i]) | (hi[i] <= u)
-        i += 1
-        if miss.any():
-            i[miss] = self.profile.radii(u[miss])
-        return i
-
     def _displacements(self, n: int, rng) -> np.ndarray:
         """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array.
 
-        On Z one uniform u in [0, 2 total) makes a step: its sign is
-        u >= total and its radius the shell of u, or of u - total, which is
-        exact (Sterbenz).  Pure buckets give the step in one gather; the
-        draws in the others take `_radii`.  On Z^2 a radius uniform and a
-        direction uniform make a step."""
-        if self.model.d == 2:
-            return self._directions(self._radii(rng.random(n) * self.total), rng)
-        # x 2 G is exact, so its bucket is within a rounding of u G / total,
-        # and u = (x 2 G)(total / G) is x (2 total) rounded once
+        A uniform picks a bucket of the draw table; a draw in a bucket with
+        a step takes it, the others take `profile.radii` at their point u,
+        signed on Z by u >= total (u - total is exact, Sterbenz).  On Z^2 a
+        direction uniform on the radius' shell completes the step."""
         x = rng.random(n)
-        x *= 2 * GUIDE_BUCKETS
-        step = self._step[x.astype(np.intp)]
+        x *= len(self._table)  # exact: a power of two
+        step = self._table[x.astype(np.intp)]
         miss = np.flatnonzero(step == 0)
         if len(miss):
             u = x[miss] * (self.total / GUIDE_BUCKETS)
             neg = u >= self.total
-            r = self._radii(np.where(neg, u - self.total, u))
+            r = self.profile.radii(np.where(neg, u - self.total, u))
             step[miss] = np.where(neg, -r, r)
+        if self.model.d == 2:
+            return self._directions(step, rng)
         return step[:, None]
 
 

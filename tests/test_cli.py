@@ -198,9 +198,15 @@ def test_config_model_resolved_without_shape_params(tmp_path):
      "unknown mu key 'valeu'"),
     ({"d": 1, "kernel": {"type": "ladder", "alpha": 1.5, "ranges": [0, 16]}},
      "ladder range 0 is below 1"),
+    ({**_LATTICE, "mu": {"type": "constant", "value": -1}},
+     "mu 'value': need a finite positive number, got -1"),
+    ({**_LATTICE, "mu": {"type": "alternating", "even": 0, "odd": 1}},
+     "mu 'even': need a finite positive number, got 0"),
+    ({**_LATTICE, "kernel": {"type": "polynomial", "alpha": float("nan")}},
+     "kernel 'alpha': need a finite real number, got nan"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
         "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key",
-        "ladder-range-0"])
+        "ladder-range-0", "mu-negative", "mu-zero-even", "alpha-nan"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -211,6 +217,43 @@ def test_config_malformed_model(tmp_path, capsys, model, match):
     cfg.write_text(json.dumps({"experiment": "heat", "model": model}))
     assert main(["run", str(cfg)]) == 2
     assert f"{cfg}: field 'model'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("assert_thresholds", "false", "expected true or false, got 'false'"),
+    ("seed", 1.5, "1.5 is not an integer"),
+    ("seed", "7", "'7' is not an integer"),
+    ("seed", -3, "need a nonnegative integer, got -3"),
+    ("out_dir", 5, "expected a string, got int"),
+], ids=["assert-thresholds-str", "seed-fraction", "seed-str", "seed-negative",
+        "out-dir-int"])
+def test_config_top_level_fields_checked(tmp_path, capsys, field, value, match):
+    """A top-level field of the wrong type is a ConfigError naming it, not
+    a truthy string that asserts or a numpy or os error in the run."""
+    with pytest.raises(ConfigError, match=f"field '{field}': {match}"):
+        ExperimentConfig(experiment="cex-ladder", params={"ranges": [16]},
+                         **{field: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "cex-ladder",
+                               "params": {"ranges": [16]}, field: value}))
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}: field '{field}': {match}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "{cfg}", "--seed", "-3"],
+    ["cex", "ladder", "--ranges", "16", "--seed", "-3"],
+], ids=["run-override", "flag"])
+def test_negative_seed_flag_rejected(tmp_path, capsys, args):
+    """`lab run --seed` is set after the file is read, and is checked as the
+    file's own seed is."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "cex-ladder",
+                               "params": {"ranges": [16]}}))
+    assert main([a.format(cfg=cfg) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "field 'seed': need a nonnegative integer, got -3" in err
+    assert "ValueError" not in err
 
 
 @pytest.mark.parametrize("experiment, key", [

@@ -346,6 +346,42 @@ def test_ladder_dict_keeps_fractional_range():
         model_from_dict(d)
 
 
+_POLY = {"type": "polynomial", "alpha": 1.0}
+_GRAPH = {"kind": "explicit", "vertices": [0, 1], "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"kernel": _POLY, "mu": {"type": "constant", "value": -1}}, "mu 'value'"),
+    ({"kernel": _POLY, "mu": {"type": "constant", "value": math.inf}}, "mu 'value'"),
+    ({"kernel": _POLY, "mu": {"type": "alternating", "even": 0, "odd": 1}},
+     "mu 'even'"),
+    ({"kernel": _POLY, "mu": {"type": "alternating", "even": 1, "odd": math.nan}},
+     "mu 'odd'"),
+    ({**_GRAPH, "kernel": {"type": "tabulated", "entries": [[[0, 1], 1.0]]},
+      "mu": {"type": "table", "entries": [[0, 1.0], [1, -2.0]]}}, "mu entry 1"),
+    ({**_GRAPH, "kernel": {"type": "tabulated", "entries": [[[0, 1], -1.0]]}},
+     "kernel entry \\[0, 1\\]"),
+    ({**_GRAPH, "kernel": {"type": "tabulated", "entries": [[[0, 1], math.inf]]}},
+     "kernel entry \\[0, 1\\]"),
+    ({"kernel": {"type": "polynomial", "alpha": math.nan}}, "kernel 'alpha'"),
+    ({"kernel": {"type": "ladder", "alpha": math.inf, "ranges": [16]}},
+     "kernel 'alpha'"),
+], ids=["mu-negative", "mu-inf", "mu-even-zero", "mu-odd-nan", "mu-table",
+        "rate-negative", "rate-inf", "alpha-nan", "ladder-alpha-inf"])
+def test_model_dict_values_checked(d, key):
+    """A measure that is not finite and positive, a rate that is not finite
+    and nonnegative, or a non-finite alpha is a ValueError naming its key,
+    not an infinite exit time, a division by zero or a NaN cast later."""
+    with pytest.raises(ValueError, match=f"{key}: need a finite"):
+        model_from_dict(d)
+
+
+def test_model_dict_zero_rate_kept():
+    """A tabulated rate of 0 is a missing edge's rate, and stays allowed."""
+    d = {**_GRAPH, "kernel": {"type": "tabulated", "entries": [[[0, 1], 0]]}}
+    assert model_from_dict(d).J(0, 1) == 0.0
+
+
 RATE_LAW_MODELS = [
     *(LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(alpha))
       for d, metric in ((1, "linf"), (2, "linf"), (2, "l1"))

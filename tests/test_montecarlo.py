@@ -592,16 +592,41 @@ GUIDED["z1-linf-0.3"] = (1, "linf", PolynomialKernel(0.3))
 
 
 @pytest.mark.parametrize("d, metric, kernel", GUIDED.values(), ids=GUIDED.keys())
+def test_draw_table_holds_steps_shared_by_both_edges(d, metric, kernel):
+    """A draw-table bucket holds a step exactly where the table search
+    gives that signed step at both of its edges, as the walker rounds them
+    (a draw lies between the two); every other bucket, those with a step
+    past the horizon among them, is 0 and goes to the full search.  So no
+    bucket is left out for a margin around it."""
+    s = mc.TrajectorySampler(LatticeModel(d=d, metric=metric, kernel=kernel), 0)
+    total, g = s.total, mc.GUIDE_BUCKETS
+    halves = 2 if d == 1 else 1
+    assert len(s._table) == halves * g
+    e = np.arange(halves * g + 1) * (total / g)
+    neg = e >= total
+    r = s.profile.cum.searchsorted(np.where(neg, e - total, e), side="right") + 1
+    step = np.where(r > SHELL_HORIZON, 0, np.where(neg, -r, r))  # 0: past the table
+    lo, hi = step[:-1], step[1:]
+    held = s._table != 0
+    assert (s._table[held] == lo[held]).all() and (s._table[held] == hi[held]).all()
+    assert ((lo != hi) | (lo == 0))[~held].all()
+
+
+@pytest.mark.parametrize("d, metric, kernel", GUIDED.values(), ids=GUIDED.keys())
 def test_guided_radii_equal_table_search(d, metric, kernel):
-    """The guided radii equal the table search's, bit for bit, at every
-    bucket edge and every guided shell boundary, their neighbours, the
-    extreme draws and draws in the analytic tail.  On Z a draw spans
-    [0, 2 total) and the points recur past total for the negative steps:
-    the signed table's bucket edges, and the sign boundary itself."""
+    """The drawn radii equal the table search's, bit for bit, at every
+    bucket edge and every shell boundary a bucket can lie within, their
+    neighbours, the extreme draws and draws in the analytic tail.  On Z a
+    draw spans [0, 2 total) and the points recur past total for the
+    negative steps: the signed table's bucket edges, and the sign boundary
+    itself."""
     model = LatticeModel(d=d, metric=metric, kernel=kernel)
     s = mc.TrajectorySampler(model, seed=0)
     prof, total, g = s.profile, s.total, mc.GUIDE_BUCKETS
-    last = int(s._guide.max()) + 1  # the last index a guided draw can take
+    # the first G + 1 shells, and on to the last one that outweighs half a
+    # bucket, so could hold a whole one
+    heavy = np.flatnonzero(np.diff(prof.cum, prepend=0.0) > total / (2 * g))
+    last = max(g, int(heavy[-1])) + 1
     halves = 2 if d == 1 else 1
     span = halves * total  # a draw is u * span
     shells = np.concatenate([prof.cum[:last + 1],  # then the horizon and the tail
