@@ -29,17 +29,19 @@ permutations that fix x0 and keep the suppressed pair and mu
 (`LatticeModel.symmetries`) keep the kernel, the window, the annulus and the
 half ball, so they permute the generators and keep their ratios (to
 rounding).  Only the first member of each orbit in window or channel order
-is formed and scanned, the remainder channel on its own: `truncate` builds
-`sources` with one column per orbit of the annulus and its orbit size, and
-the initial fields are taken at the first slot of each window orbit
-(`_representatives`); on Z^2 that is about one column in eight.
+is formed and scanned, the remainder channels on their own: `truncate`
+lists the first vertex and the size of each orbit of the annulus,
+`_channels` builds one source column per orbit, and the initial fields are
+taken at the first slot of each window orbit (`_representatives`); on Z^2
+that is about one column in eight.
 
 The doubling check compares each constant with the one of twice the tracked
 annulus.  The window, its kill rates and E do not depend on the annulus, and
 the first annulus is the part of the doubled one within its radius, so each
-constant truncates once, at 2 LAM_EXT, and scans or solves once (`_channels`);
-the two constants are maxima over two sets of columns of that result.  The
-first annulus' remainder is its kill rate summed through the orbits.
+constant truncates once, at 2 LAM_EXT, and scans or solves once; the two
+constants are maxima over two sets of columns of that result.  `_channels`
+builds the columns of both annuli as one array, each remainder by one rule:
+the kill rate less the annulus' J, summed through the orbits.
 
 Constants are exact extremes; witnesses follow one tie rule, so rounding
 noise between mirror-image vertices cannot pick them: among values within
@@ -56,7 +58,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import WindowUnconverged
-from .models import EXTERIOR_TRACKED, FiniteModel, LatticeModel, truncate
+from .models import (
+    EXTERIOR_TRACKED,
+    FiniteModel,
+    LatticeModel,
+    _pair_rates,
+    truncate,
+)
 from .semigroup import solve_generator, step_operators
 
 FLOOR = 1e-30
@@ -238,26 +246,31 @@ def _representatives(fm: FiniteModel) -> np.ndarray:
 
 def _channels(fm: FiniteModel, x0, radius: float):
     """(slots, sources, labels, inner, n_inner): the representative window
-    slots and fm's channels (one per orbit of the tracked annulus), then the
-    remainder of the first annulus, B(x0, radius) less the window, as
-    `labels` and their (n, k + 2) source columns; `inner` the first
-    annulus' columns, its remainder last, and n_inner its vertex count.
+    slots; the (n, k + 2) source columns of the cone, labelled by `labels`:
+    one channel per orbit of the tracked annulus (`fm.exterior`), its
+    remainder, and the remainder of the first annulus, B(x0, radius) less
+    the window; `inner` the first annulus' columns, its remainder last, and
+    n_inner its vertex count.
 
-    The first annulus is a mask over fm's channels.  The symmetries keep
+    A channel's column is mu_x^{-1} J(x, c) for its orbit's first vertex c.
+    The first annulus is a mask over the channels.  The symmetries keep
     B(x0, radius), so no orbit crosses the mask, and its vertex count is the
-    sum of the masked orbit sizes.  Its remainder is max(kill - mu^{-1}
-    J(x, first annulus), 0), the J summed through the orbits
-    (`FiniteModel.annulus_sum`)."""
+    sum of the masked orbit sizes.  Each remainder is max(kill - mu^{-1}
+    J(x, annulus), 0), the J summed through the orbits
+    (`FiniteModel.annulus_sum`).  The one array is built in this layout and
+    divided and filled in place."""
     k = len(fm.exterior)
     ball = set(fm.model.ball(x0, radius))
     near = np.array([w in ball for w in fm.exterior], dtype=bool)
-    sources = np.empty((fm.n, k + 2))
-    sources[:, :-1] = fm.sources
-    sources[:, -1] = np.maximum(
-        fm.kill - fm.annulus_sum(fm.sources[:, :-1], near), 0.0)
-    return (_representatives(fm), sources, [*fm.channels, "remainder"],
+    sources = _pair_rates(fm.model, fm.window, fm.exterior, 2)
+    sources[:, :k] /= fm.mu[:, None]
+    for c, mask in ((k, np.ones(k, dtype=bool)), (k + 1, near)):
+        sources[:, c] = np.maximum(
+            fm.kill - fm.annulus_sum(sources[:, :k], mask), 0.0)
+    return (_representatives(fm), sources,
+            [*fm.exterior, "remainder", "remainder"],
             np.append(np.flatnonzero(near), k + 1),
-            int(fm.orbits[:-1][near].sum()))
+            int(fm.orbits[near].sum()))
 
 
 def _chunks(width: int) -> list[slice]:

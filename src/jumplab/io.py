@@ -89,10 +89,10 @@ class ExperimentConfig:
         entry with a fractional part is refused, not truncated.  A `model`
         replaces the `d` and `metric` params, and the cex experiments build
         their own.
-        An unknown experiment or param, a bad value, an empty list, a
-        malformed `model`, a seed that is not a nonnegative integer, an
-        `out_dir` that is not a string or an `assert_thresholds` that is
-        not a bool is a ConfigError."""
+        An unknown experiment or param, a bad value, a float param that is
+        not finite, an empty list, a malformed `model`, a seed that is not a
+        nonnegative integer, an `out_dir` that is not a string or an
+        `assert_thresholds` that is not a bool is a ConfigError."""
         try:
             if isinstance(self.seed, (str, bool)):
                 raise TypeError(f"{self.seed!r} is not an integer")
@@ -140,6 +140,9 @@ class ExperimentConfig:
                                  if isinstance(default, list) else cast(value))
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"param {key!r}: {e}") from e
+            if isinstance(default, float) and not math.isfinite(resolved[key]):
+                raise ConfigError(f"param {key!r}: need a finite number, "
+                                  f"got {value!r}")
             if resolved[key] == []:
                 raise ConfigError(f"param {key!r}: empty list")
         self.params = resolved

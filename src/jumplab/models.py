@@ -40,7 +40,7 @@ TAIL_REL_BOUND = 1e-12
 # Largest lattice ball or window, in states, that is enumerated.
 STATE_CAP = 200_000
 # Largest dense rate matrix, in bytes, that `_pair_rates` allocates; every
-# dense build (`rates`, Q, P, `sources`, eigh) starts there.
+# dense build (`rates`, Q, P, the cone's sources, eigh) starts there.
 DENSE_BYTES = 1 << 30
 # Entries of one block of pair distances in `_pair_rates`.  Blocks this small
 # build as fast as blocks of 2^16 entries, and their temporaries stay below
@@ -741,16 +741,17 @@ class FiniteModel:
 
     `kill` is the total per-vertex kill rate mu_x^{-1} J(x, G-W); in
     exterior-tracked mode it splits into the source channels of the tracked
-    annulus A.  The maps of `LatticeModel.symmetries(x0)` permute A and the
-    window and keep J and mu, so `sources` has one column per orbit of A:
-    mu_x^{-1} J(x, c) for the orbit's first vertex c in ball order (listed
-    in `exterior`), then a last column for the remainder kill beyond A,
-    labelled by `channels`; `orbits` holds each channel's orbit size (the
-    remainder's 1) and `slot_maps` the window slot of g x for each map g and
-    slot x.  An explicit graph or an identity group keeps every vertex of A
-    as its own orbit.  Lattice windows carry a `BoxConvolution` and never
-    need the dense `rates` for a product; `rates` is built on the first read
-    only.
+    annulus A and a remainder beyond it.  The maps of
+    `LatticeModel.symmetries(x0)` permute A and the window and keep J and
+    mu, so one channel per orbit of A is enough: `exterior` lists the first
+    vertex of each orbit in ball order, `orbits` its orbit size and
+    `slot_maps` the window slot of g x for each map g and slot x.  The
+    truncation holds only this geometry; the source columns
+    mu_x^{-1} J(x, c) and the remainders are built where they are used
+    (`harnack._channels`).  An explicit graph or an identity group keeps
+    every vertex of A as its own orbit.  Lattice windows carry a
+    `BoxConvolution` and never need the dense `rates` for a product; `rates`
+    is built on the first read only.
     """
 
     model: LatticeModel
@@ -761,9 +762,7 @@ class FiniteModel:
     kill_bound: np.ndarray          # certified tail remainder in `kill`
     mode: str
     exterior: list | None = None        # first vertex of each orbit of A
-    sources: np.ndarray | None = None   # (n, len(exterior) + 1) channel rates
-    channels: list | None = None        # `exterior`, then "remainder"
-    orbits: np.ndarray | None = None    # orbit size of each channel
+    orbits: np.ndarray | None = None    # size of each orbit of A
     slot_maps: np.ndarray | None = None  # (maps, n) window slot of g x
     action: BoxConvolution | None = None      # matrix-free J on lattice windows
 
@@ -794,18 +793,16 @@ class FiniteModel:
         return [i for i, v in enumerate(self.window)
                 if self.model.distance(x0, v) <= r]
 
-    def annulus_sum(self, columns: np.ndarray, mask=None) -> np.ndarray:
-        """sum_b f_b(x) per window slot x, over every vertex b of the tracked
-        annulus (or of the orbits `mask` selects), given `columns`[:, c] =
+    def annulus_sum(self, columns: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """sum_b f_b(x) per window slot x, over every vertex b of the orbits
+        of the tracked annulus that `mask` selects, given `columns`[:, c] =
         f_c for the first vertex c of each orbit (`exterior`).
 
         f must be equivariant, f_{g c}(x) = f_c(g^-1 x), as mu^{-1} J(x, c)
         is (J and mu are invariant).  Each orbit is {g c} over the maps g,
         met |stabiliser of c| = |maps| / |orbit| times, so the sum is
         sum_g u[slot of g x] with u = columns @ (|orbit| / |maps|)."""
-        weight = self.orbits[:-1] / len(self.slot_maps)
-        if mask is not None:
-            weight = np.where(mask, weight, 0.0)
+        weight = np.where(mask, self.orbits / len(self.slot_maps), 0.0)
         return (columns @ weight)[self.slot_maps].sum(axis=0)
 
 
@@ -892,9 +889,10 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
              lam_ext: float = 4.0) -> FiniteModel:
     """Restrict the model to the window B(x0, r_win) in the requested mode.
 
-    Exterior-tracked mode tracks the annulus B(x0, lam_ext r_win) less the
-    window, one channel per symmetry orbit (`FiniteModel`); its ball is
-    checked against STATE_CAP before the window is built."""
+    Exterior-tracked mode also records the geometry of the annulus
+    B(x0, lam_ext r_win) less the window, one channel per symmetry orbit
+    (`FiniteModel`), and builds no source column; its ball is checked
+    against STATE_CAP before the window is built."""
     if mode not in (KILLED, REFLECTED, EXTERIOR_TRACKED):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == EXTERIOR_TRACKED:
@@ -917,11 +915,5 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
         fm.kill = np.maximum(totals - fm.row_sums, 0.0) / mu
         fm.kill_bound = bounds / mu
     if mode == EXTERIOR_TRACKED:
-        fm.exterior, fm.channels = exterior, [*exterior, "remainder"]
-        fm.orbits, fm.slot_maps = np.append(orbit, 1), slot_maps
-        # the channels and the remainder share one array, divided in place
-        fm.sources = _pair_rates(model, window, exterior, 1)
-        fm.sources[:, :-1] /= mu[:, None]
-        fm.sources[:, -1] = np.maximum(
-            fm.kill - fm.annulus_sum(fm.sources[:, :-1]), 0.0)
+        fm.exterior, fm.orbits, fm.slot_maps = exterior, orbit, slot_maps
     return fm

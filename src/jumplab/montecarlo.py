@@ -41,11 +41,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401  numpy would load it lazily, inside a run
 
-from .models import LadderKernel, LatticeModel, radial_profile, shell_counts
+from .models import LadderKernel, LatticeModel, radial_profile
 
 STEP_CAP = 10_000_000
 DRAW_BUDGET = 1 << 15  # displacements drawn per block: m walkers x k jumps
 GUIDE_BUCKETS = 4096  # equal-mass draw-table buckets over [0, J(x, G))
+_COS = np.array([1, 0, -1, 0])  # cos of q quarter turns; sin is _COS[q - 1]
 
 
 @dataclass
@@ -123,38 +124,17 @@ class TrajectorySampler:
     # -- displacement sampling ------------------------------------------------
 
     def _directions(self, radii: np.ndarray, rng) -> np.ndarray:
-        """Uniform point on each walker's shell of Z^2 (exact enumeration)."""
-        n = len(radii)
-        metric = self.model.metric
+        """Uniform point on each walker's shell of Z^2 (exact enumeration):
+        point j of one side, (s, j+1-s) for j < 2s on l-inf or (s-j, j) for
+        j < s on l1, turned by one of four quarter turns, (x, y) -> (-y, x)."""
         s = radii.astype(np.int64)
-        counts = shell_counts(2, metric, s)
-        k = (rng.random(n) * counts).astype(np.int64)
-        k = np.minimum(k, counts - 1)
-        out = np.empty((n, 2), dtype=np.int64)
-        if metric == "linf":
-            # 2(2s+1) points with |x|=s, then 2(2s-1) with |y|=s, |x|<s
-            side = 2 * s + 1
-            a = k < 2 * side
-            out[a, 0] = np.where(k[a] < side[a], s[a], -s[a])
-            out[a, 1] = k[a] % side[a] - s[a]
-            b = ~a
-            kk = k[b] - 2 * side[b]
-            width = 2 * s[b] - 1
-            out[b, 1] = np.where(kk < width, s[b], -s[b])
-            out[b, 0] = kk % width - (s[b] - 1)
-        else:
-            # l1 circle of 4s points: 2s-1 with y>0, 2s-1 with y<0, two poles
-            up = k < 2 * s - 1
-            out[up, 0] = k[up] - (s[up] - 1)
-            out[up, 1] = s[up] - np.abs(out[up, 0])
-            down = (~up) & (k < 4 * s - 2)
-            kk = k[down] - (2 * s[down] - 1)
-            out[down, 0] = kk - (s[down] - 1)
-            out[down, 1] = -(s[down] - np.abs(out[down, 0]))
-            pole = k >= 4 * s - 2
-            out[pole, 0] = np.where(k[pole] == 4 * s[pole] - 2, s[pole], -s[pole])
-            out[pole, 1] = 0
-        return out
+        linf = self.model.metric == "linf"
+        side = 2 * s if linf else s
+        k = (rng.random(len(s)) * (4 * side)).astype(np.int64)
+        turn, j = np.divmod(np.minimum(k, 4 * side - 1), side)
+        x, y = (s, j + 1 - s) if linf else (s - j, j)
+        cos, sin = _COS[turn], _COS[turn - 1]
+        return np.stack([cos * x - sin * y, sin * x + cos * y], axis=1)
 
     def _displacements(self, n: int, rng) -> np.ndarray:
         """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array.

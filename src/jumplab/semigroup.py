@@ -403,7 +403,8 @@ class StepOperators:
 def step_operators(fm: FiniteModel, dt: float,
                    sources: np.ndarray) -> StepOperators:
     """E and S on the grid step dt, for `sources`, an (n, k) matrix of
-    source rates on the window (such as `fm.sources`)."""
+    source rates on the window (such as the cone's columns that
+    `harnack._channels` builds)."""
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("step operators need an exterior-tracked model")
     gen = generator(fm)

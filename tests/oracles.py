@@ -38,16 +38,30 @@ def full_sources(model, x0, r_win, lam_ext=4.0):
     return exterior, np.column_stack([coupling / fm.mu[:, None], remainder])
 
 
-def full_window(model, x0, r_win, lam_ext=4.0) -> FiniteModel:
-    """`truncate` in exterior-tracked mode with every annulus vertex and
-    every window slot its own orbit: the channels of `full_sources`."""
+def full_window(model, x0, r_win, lam_ext=4.0):
+    """(fm, sources): `truncate` in exterior-tracked mode with every annulus
+    vertex and every window slot its own orbit, and the channels of
+    `full_sources`."""
     fm = truncate(model, x0, r_win, EXTERIOR_TRACKED, lam_ext)
     exterior, sources = full_sources(model, x0, r_win, lam_ext)
     return dataclasses.replace(
-        fm, exterior=exterior, sources=sources,
-        channels=[*exterior, "remainder"],
-        orbits=np.ones(len(exterior) + 1, dtype=np.int64),
-        slot_maps=np.arange(fm.n)[None])
+        fm, exterior=exterior, orbits=np.ones(len(exterior), dtype=np.int64),
+        slot_maps=np.arange(fm.n)[None]), sources
+
+
+def orbit_window(model, x0, r_win, lam_ext=4.0):
+    """(fm, sources): `truncate` in exterior-tracked mode, one channel per
+    symmetry orbit, and the columns of `full_sources` at its channels
+    (`fm.exterior`), the whole annulus' remainder last."""
+    fm = truncate(model, x0, r_win, EXTERIOR_TRACKED, lam_ext)
+    exterior, full = full_sources(model, x0, r_win, lam_ext)
+    col = {w: i for i, w in enumerate(exterior)}
+    return fm, full[:, [col[w] for w in fm.exterior] + [-1]]
+
+
+def channels(fm) -> list:
+    """The labels of fm's source columns: its channels, then "remainder"."""
+    return [*fm.exterior, "remainder"]
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +79,10 @@ class CaloricField:
         return self.values[i]
 
 
-def caloric_solve(fm, initial, exterior_data, T: float, m_steps: int,
-                  remainder_data=None) -> CaloricField:
-    """Solve du/dt = Lu on the window with given initial and exterior data.
+def caloric_solve(fm, sources, initial, exterior_data, T: float,
+                  m_steps: int, remainder_data=None) -> CaloricField:
+    """Solve du/dt = Lu on the window with given initial and exterior data,
+    entering through `sources`, one column per channel, the remainder last.
 
     Exterior data, an (m_steps, n_exterior) array or None for zero, and
     remainder data, an (m_steps,) array or None, are piecewise constant on
@@ -78,7 +93,7 @@ def caloric_solve(fm, initial, exterior_data, T: float, m_steps: int,
            else exterior_data)
     rem = np.zeros(m_steps) if remainder_data is None else remainder_data
     data = np.column_stack([ext, rem])  # one column per channel, remainder last
-    ops = step_operators(fm, T / m_steps, fm.sources)
+    ops = step_operators(fm, T / m_steps, sources)
     values = np.empty((m_steps + 1, fm.n))
     values[0] = u = np.asarray(initial, dtype=float)
     for i in range(m_steps):
@@ -87,16 +102,17 @@ def caloric_solve(fm, initial, exterior_data, T: float, m_steps: int,
     return CaloricField(fm=fm, values=values)
 
 
-def duhamel_generators(fm, T: float, m_steps: int) -> list[CaloricField]:
+def duhamel_generators(fm, sources, T: float,
+                       m_steps: int) -> list[CaloricField]:
     """Extreme rays of the nonnegative caloric cone on (0,T) x window, each
     field stepped out in full by the one-step propagator E.
 
     Family (i): initial point masses delta_z / mu_z (fields p^B_t(., z)).
     Family (ii): unit data on one source channel (a tracked vertex or the
     remainder) for one grid step, by (step, channel): zero up to the launch
-    step si, then S[:, c] at step si + 1.
+    step si, then S[:, c] at step si + 1, with S formed from `sources`.
     """
-    ops = step_operators(fm, T / m_steps, fm.sources)
+    ops = step_operators(fm, T / m_steps, sources)
     starts = [(0, np.diag(1.0 / fm.mu))]
     starts += [(si + 1, ops.S) for si in range(m_steps)]
     out = []
@@ -110,11 +126,13 @@ def duhamel_generators(fm, T: float, m_steps: int) -> list[CaloricField]:
     return out
 
 
-def harmonic_extension(fm, exterior_data, remainder_value: float) -> np.ndarray:
+def harmonic_extension(fm, sources, exterior_data,
+                       remainder_value: float) -> np.ndarray:
     """h with Lh = 0 on the window and h = exterior_data on the tracked
-    annulus, remainder_value beyond it, by a dense solve."""
+    annulus, remainder_value beyond it, by a dense solve; the data enter
+    through `sources`, one column per channel, the remainder last."""
     return np.linalg.solve(-generator(fm).Q,
-                           fm.sources @ np.append(exterior_data, remainder_value))
+                           sources @ np.append(exterior_data, remainder_value))
 
 
 def caloric_box_ratio(fld, box) -> float:
@@ -134,18 +152,19 @@ def harmonic_partition_residual(model, x0, R) -> float:
     solve gives the generator of each channel (one per symmetry orbit), and
     the sum over each orbit is taken through the maps
     (`FiniteModel.annulus_sum`)."""
-    fm = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
-    h = solve_generator(fm, fm.sources)
-    total = fm.annulus_sum(h[:, :-1]) + h[:, -1]
+    fm, sources = orbit_window(model, x0, 2 * R, H.LAM_EXT)
+    h = solve_generator(fm, sources)
+    every = np.ones(len(fm.exterior), dtype=bool)
+    total = fm.annulus_sum(h[:, :-1], every) + h[:, -1]
     return float(np.abs(total[fm.ball_slots(x0, R)] - 1.0).max())
 
 
-def scan_all(fm, box):
-    """(init, src): the `_Family` of each kind of one cone scan of fm's own
-    channels, the initial fields at the first slot of each window orbit,
-    with no second annulus."""
-    return H._scan_generators(fm, box, H._representatives(fm), fm.sources,
-                              fm.channels)[:2]
+def scan_all(fm, sources, box):
+    """(init, src): the `_Family` of each kind of one cone scan of the
+    columns `sources` of fm's channels, the initial fields at the first slot
+    of each window orbit, with no second annulus."""
+    return H._scan_generators(fm, box, H._representatives(fm), sources,
+                              channels(fm))[:2]
 
 
 def two_scan_phi(model, box) -> dict:
@@ -154,14 +173,14 @@ def two_scan_phi(model, box) -> dict:
     the witness is the first's."""
     runs = []
     for lam_ext in (H.LAM_EXT, 2 * H.LAM_EXT):
-        fm = full_window(model, box.x0, 2 * box.R, lam_ext)
-        init, src = scan_all(fm, box)
+        fm, sources = full_window(model, box.x0, 2 * box.R, lam_ext)
+        init, src = scan_all(fm, sources, box)
         runs.append((fm, max(init.ratio.max(), src.ratio.max(), 1.0),
                      init, src))
     (fm, c, init, src), (_, c2, _, _) = runs
     return {"constant": c, "witness": H._collect(fm, box, init, src)[1],
             "family_sizes": {"initial": fm.n,
-                             "source": box.m_steps * len(fm.channels)},
+                             "source": box.m_steps * len(channels(fm))},
             "n_exterior": len(fm.exterior), "doubled_constant": c2}
 
 
@@ -171,21 +190,21 @@ def two_solve_ehi(model, x0, R) -> dict:
     the witness is the first's."""
     runs = []
     for lam_ext in (H.LAM_EXT, 2 * H.LAM_EXT):
-        fm = full_window(model, x0, 2 * R, lam_ext)
+        fm, sources = full_window(model, x0, 2 * R, lam_ext)
         inner = fm.ball_slots(x0, R)
-        sub = solve_generator(fm, fm.sources)[inner]
+        sub = solve_generator(fm, sources)[inner]
         rmax, hi = H._first_near(sub)
         rmin, lo = H._first_near(sub, -1.0)
         c, best = H._first_near(H._ratio(hi, lo))
         wit = None
         if best > -math.inf:
-            wit = {"generator": ("exterior", fm.channels[c]),
+            wit = {"generator": ("exterior", channels(fm)[c]),
                    "max_at": fm.window[inner[rmax[c]]],
                    "min_at": fm.window[inner[rmin[c]]]}
         runs.append((fm, max(best, 1.0), wit))
     (fm, c, wit), (_, c2, _) = runs
     return {"constant": c, "witness": wit,
-            "family_sizes": {"exterior": len(fm.channels)},
+            "family_sizes": {"exterior": len(channels(fm))},
             "n_exterior": len(fm.exterior), "doubled_constant": c2}
 
 

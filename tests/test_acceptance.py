@@ -147,10 +147,10 @@ def test_criterion_6_harnack_cone_soundness():
         rep = H.phi_constant(z1, box)
         ratio_dbl = rep.metadata["doubled_constant"] / rep.constant
         ok &= 0.5 <= ratio_dbl <= 2.0
-        fm = full_window(z1, (0,), 2 * R)
+        fm, sources = full_window(z1, (0,), 2 * R)
         n_ext = len(fm.exterior)
         for _ in range(100):
-            fld = caloric_solve(fm, rng.random(fm.n),
+            fld = caloric_solve(fm, sources, rng.random(fm.n),
                                 rng.random((box.m_steps, n_ext)),
                                 box.T, box.m_steps,
                                 remainder_data=rng.random(box.m_steps))

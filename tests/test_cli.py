@@ -272,6 +272,28 @@ def test_empty_list_param_rejected(tmp_path, capsys, experiment, key):
     assert f"{cfg}: param '{key}': empty list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("experiment, key", [
+    (exp, key) for exp, table in PARAMS.items()
+    for key, default in table.items() if isinstance(default, float)])
+def test_nonfinite_float_param_rejected(tmp_path, capsys, experiment, key,
+                                        value):
+    """A NaN or infinite float param is a ConfigError naming it (exit 2),
+    given as a flag or in a config file (json reads NaN and Infinity), not
+    a stray error late in the run."""
+    match = f"param '{key}': need a finite number, got {float(value)!r}"
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(experiment=experiment, params={key: float(value)})
+    flag = f"--{key.replace('_', '-')}={value}"
+    assert main([*COMMANDS[experiment][0], flag]) == 2
+    assert f"error: {match}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment,
+                               "params": {key: float(value)}}))
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}: {match}" in capsys.readouterr().err
+
+
 def test_resolved_config_reproduces_report(tmp_path):
     """config.resolved lists every param, and `lab run` on it writes the
     same report.json as the flags did."""

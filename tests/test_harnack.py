@@ -23,10 +23,12 @@ from jumplab.semigroup import StepOperators
 from oracles import (
     caloric_box_ratio,
     caloric_solve,
+    channels,
     duhamel_generators,
     full_sources,
     full_window,
     harmonic_partition_residual,
+    orbit_window,
     scan_all,
     two_scan_phi,
     two_solve_ehi,
@@ -70,11 +72,11 @@ def test_scan_matches_explicit_generators(z1):
     generator fields (initial masses, per-step impulses on every channel of
     the whole annulus)."""
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    best, _ = H._collect(fm, box, *scan_all(fm, box))
-    full = full_window(z1, (0,), 8)
-    gens = duhamel_generators(full, box.T, box.m_steps)
-    assert len(gens) == full.n + box.m_steps * len(full.channels)
+    fm, sources = orbit_window(z1, (0,), 8)
+    best, _ = H._collect(fm, box, *scan_all(fm, sources, box))
+    full, full_src = full_window(z1, (0,), 8)
+    gens = duhamel_generators(full, full_src, box.T, box.m_steps)
+    assert len(gens) == full.n + box.m_steps * len(channels(full))
     explicit = max(caloric_box_ratio(g, box) for g in gens)
     assert best == pytest.approx(explicit, rel=1e-12)
 
@@ -109,9 +111,9 @@ def first_near_extreme(seen, col, sign):
                 return sign * top, step, slot
 
 
-def fanout_scan(fm, box):
+def fanout_scan(fm, sources, box):
     m = box.m_steps
-    ops = H.step_operators(fm, box.T / m, fm.sources)
+    ops = H.step_operators(fm, box.T / m, sources)
     E = ops.E
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
@@ -165,7 +167,7 @@ def fanout_collect(fm, box, init_stats, src_stats, half):
     for zi, z in enumerate(fm.window):
         consider(("initial", z), init_stats, zi)
     for si in range(box.m_steps):
-        for ci, ch in enumerate(fm.channels):
+        for ci, ch in enumerate(channels(fm)):
             consider(("source", si, ch), src_stats[si], ci)
     return best, best_wit
 
@@ -194,9 +196,9 @@ def test_scan_matches_fanout_reference(model, box, identity_group):
     """The per-age scan gives the fan-out scan's constant (to rounding) and
     exactly its witness; z1 and lam-half hold mirror-image ties that only
     rounding noise splits."""
-    fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
-    got = H._collect(fm, box, *scan_all(fm, box))
-    want = fanout_collect(fm, box, *fanout_scan(fm, box))
+    fm, sources = orbit_window(model, box.x0, 2 * box.R)
+    got = H._collect(fm, box, *scan_all(fm, sources, box))
+    want = fanout_collect(fm, box, *fanout_scan(fm, sources, box))
     assert want[1] is not None
     assert_same_scan(got, want)
 
@@ -227,9 +229,9 @@ def jittered(ops, amp, seed):
                                S=ops.S * (1 + amp * noise_S))
 
 
-def scan_with(monkeypatch, fm, box, ops):
+def scan_with(monkeypatch, fm, sources, box, ops):
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
-    return H._collect(fm, box, *scan_all(fm, box))
+    return H._collect(fm, box, *scan_all(fm, sources, box))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -238,9 +240,9 @@ def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed,
     """On exact ties the per-age scan still picks the reference's generator
     and first-attained witnesses."""
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    got = scan_with(monkeypatch, fm, box, tie_operators(fm, box, seed))
-    assert got == fanout_collect(fm, box, *fanout_scan(fm, box))
+    fm, sources = orbit_window(z1, (0,), 8)
+    got = scan_with(monkeypatch, fm, sources, box, tie_operators(fm, box, seed))
+    assert got == fanout_collect(fm, box, *fanout_scan(fm, sources, box))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -251,13 +253,15 @@ def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed,
     those of the unmoved case, the constant moves by rounding only, and the
     fan-out reference agrees."""
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    fm, sources = orbit_window(z1, (0,), 8)
     ops = tie_operators(fm, box, seed, kinds=4)
-    exact = scan_with(monkeypatch, fm, box, ops)
-    got = scan_with(monkeypatch, fm, box, jittered(ops, 1e-14, 100 + seed))
+    exact = scan_with(monkeypatch, fm, sources, box, ops)
+    got = scan_with(monkeypatch, fm, sources, box,
+                    jittered(ops, 1e-14, 100 + seed))
     assert got[1] == exact[1]
     assert got[0] == exact[0] or got[0] == pytest.approx(exact[0], rel=1e-12)
-    assert_same_scan(got, fanout_collect(fm, box, *fanout_scan(fm, box)))
+    assert_same_scan(got, fanout_collect(fm, box,
+                                         *fanout_scan(fm, sources, box)))
 
 
 @pytest.mark.parametrize("amp", [1e-12, 2e-12])
@@ -270,10 +274,12 @@ def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, see
     of the window's extreme, not of its own age's: the scan still gives the
     fan-out reference's constant (to rounding) and witness."""
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    fm, sources = orbit_window(z1, (0,), 8)
     ops = tie_operators(fm, box, seed, kinds=4)
-    got = scan_with(monkeypatch, fm, box, jittered(ops, amp, 100 + seed))
-    assert_same_scan(got, fanout_collect(fm, box, *fanout_scan(fm, box)))
+    got = scan_with(monkeypatch, fm, sources, box,
+                    jittered(ops, amp, 100 + seed))
+    assert_same_scan(got, fanout_collect(fm, box,
+                                         *fanout_scan(fm, sources, box)))
 
 
 @pytest.mark.parametrize("jump, winner", [(1e-14, 0), (1e-11, 5)])
@@ -282,8 +288,8 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
     larger by `jump`: within EPS the first generator stays the witness,
     beyond it the later one replaces it; the constant is the exact max."""
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    init, src = scan_all(fm, box)
+    fm, sources = orbit_window(z1, (0,), 8)
+    init, src = scan_all(fm, sources, box)
     init.ratio.fill(2.0)
     src.ratio.fill(2.0)
     src.ratio[5] = 2.0 * (1.0 + jump)
@@ -293,13 +299,13 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
                                 ("source", 5, fm.exterior[0]))
 
 
-def full_window_collect(fm, box):
+def full_window_collect(fm, sources, box):
     """(constant, witness) of every generator with its fields stepped on the
     whole window (E^a W, then the half ball), folded by the fan-out rules.
     Only each age's half-ball extremes are kept for the ratios; the winner's
     column is read again for its witness steps and slots."""
     m = box.m_steps
-    ops = H.step_operators(fm, box.T / m, fm.sources)
+    ops = H.step_operators(fm, box.T / m, sources)
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = list(box.minus_steps()), list(box.plus_steps())
     times = np.linspace(0.0, box.T, m + 1)
@@ -315,7 +321,7 @@ def full_window_collect(fm, box):
     init, src = fields(np.diag(1.0 / fm.mu), m + 1), fields(ops.S, m)
     gens = [(init, lambda j: j, [("initial", z) for z in fm.window])]
     gens += [(src, lambda j, si=si: j - 1 - si,
-              [("source", si, ch) for ch in fm.channels])
+              [("source", si, ch) for ch in channels(fm)])
              for si in range(m) if si < minus[-1]]
     best, wit_ratio, win = -math.inf, -math.inf, None
     for vals, age, ids in gens:
@@ -347,9 +353,9 @@ def test_half_ball_scan_matches_full_window_scan(model, box):
     """Reducing I[half] E^a W, one generator of each orbit, gives the
     constant of the full-window scan of every generator (E^a W, then its
     half ball) to rounding, and its witness."""
-    fm = truncate(model, box.x0, 2 * box.R, EXTERIOR_TRACKED)
-    got = H._collect(fm, box, *scan_all(fm, box))
-    want = full_window_collect(full_window(model, box.x0, 2 * box.R), box)
+    fm, sources = orbit_window(model, box.x0, 2 * box.R)
+    got = H._collect(fm, box, *scan_all(fm, sources, box))
+    want = full_window_collect(*full_window(model, box.x0, 2 * box.R), box)
     assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
     assert got[1] == want[1]
 
@@ -424,9 +430,9 @@ def test_step_operators_are_equivariant(model, x0, R, order):
     FFT row sums, equivariant only to its rounding (up to 5e-14 relative
     here); S, a positive operator on it, moves it by no more than that.
     `truncate`'s slot maps are these permutations of the window."""
-    fm = full_window(model, x0, 2 * R)
+    fm, sources = full_window(model, x0, 2 * R)
     maps = truncate(model, x0, 2 * R, EXTERIOR_TRACKED).slot_maps
-    ops = H.step_operators(fm, 1.0 / 16, fm.sources)
+    ops = H.step_operators(fm, 1.0 / 16, sources)
     ext = {v: i for i, v in enumerate(fm.exterior)}
     c = np.asarray(x0)
 
@@ -443,7 +449,7 @@ def test_step_operators_are_equivariant(model, x0, R, order):
         assert np.all(moved_by(ops.E, slot, slot) <= 1e-14)
         assert np.all(moved_by(ops.S[:, :-1], slot, col) <= 1e-14)
         rem = [-1]
-        drift = moved_by(fm.sources[:, rem], slot, rem).max()
+        drift = moved_by(sources[:, rem], slot, rem).max()
         assert np.all(moved_by(ops.S[:, rem], slot, rem) <= 1e-14 + drift)
 
 
@@ -505,13 +511,15 @@ def test_first_annulus_channels_match_its_own_truncation(model, x0, R, order):
         fm, x0, H.LAM_EXT * 2 * R)
     assert sources.shape == (fm.n, len(labels)) and labels[-1] == "remainder"
     one = truncate(model, x0, 2 * R, EXTERIOR_TRACKED, H.LAM_EXT)
+    # one's channels and the remainder of its whole annulus
+    own = H._channels(one, x0, H.LAM_EXT * 2 * R)[1][:, :-1]
     exterior, full = full_sources(model, x0, 2 * R, H.LAM_EXT)
     assert np.array_equal(slots, H._representatives(one))
     assert n_inner == len(exterior)
-    assert [labels[i] for i in inner] == one.channels
+    assert [labels[i] for i in inner] == channels(one)
     got = sources[:, inner]
-    assert np.array_equal(got[:, :-1], one.sources[:, :-1])
-    for want in (one.sources[:, -1], full[:, -1]):
+    assert np.array_equal(got[:, :-1], own[:, :-1])
+    for want in (own[:, -1], full[:, -1]):
         assert np.all(np.abs(got[:, -1] - want) <= 1e-12 * want)
 
 
@@ -527,7 +535,7 @@ def test_phi_witness_searched_in_first_annulus(z1, monkeypatch):
     monkeypatch.setattr(H, "_collect", spy)
     H.phi_constant(z1, small_box())
     one = truncate(z1, (0,), 8, EXTERIOR_TRACKED, H.LAM_EXT)
-    assert seen == [one.channels]
+    assert seen == [channels(one)]
 
 
 @pytest.mark.parametrize("run, solver", [
@@ -553,7 +561,7 @@ def test_age_blocks_match_sequential_steps(z1, block):
     within 1e-13 relative at every entry, over 71 ages (so the last block
     of most sizes is short)."""
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    E = H.step_operators(fm, 0.5, fm.sources[:, :1]).E
+    E = H.step_operators(fm, 0.5, fm.kill[:, None]).E
     half = fm.ball_slots((0,), 2)
     steps = H._Steps.of(E, half, block)
     rows, ages = np.eye(fm.n)[half], 0
@@ -574,7 +582,7 @@ def test_fold_memory_within_a_tile():
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
     fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
-    assert (fm.n, fm.orbits[:-1].sum(), box.m_steps) == (289, 16352, 256)
+    assert (fm.n, fm.orbits.sum(), box.m_steps) == (289, 16352, 256)
     slots, sources, labels = H._channels(fm, box.x0, 8 * box.R)[:3]
     init, src, _ = H._scan_generators(fm, box, slots, sources, labels)
     h = len(src.steps.half)
@@ -639,11 +647,11 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     the size of the per-age max and min arrays of all m ages."""
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     box = H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)
-    fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
-    assert (fm.n, len(fm.channels), box.m_steps) == (81, 4145, 256)
-    ops = H.step_operators(fm, box.T / box.m_steps, fm.sources)
+    fm, sources = orbit_window(z2, box.x0, 2 * box.R, 2 * H.LAM_EXT)
+    assert (fm.n, len(channels(fm)), box.m_steps) == (81, 4145, 256)
+    ops = H.step_operators(fm, box.T / box.m_steps, sources)
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
-    args = (H._representatives(fm), fm.sources, fm.channels)
+    args = (H._representatives(fm), sources, channels(fm))
     tracemalloc.start()
     try:
         init, src, _ = H._scan_generators(fm, box, *args)
@@ -651,7 +659,7 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * box.m_steps * len(fm.channels) * 8
+    assert peak < 2 * box.m_steps * len(channels(fm)) * 8
 
 
 def test_phi_memory_below_the_whole_annulus_sources():
@@ -747,13 +755,13 @@ def test_witnesses_stable_under_row_sum_rounding(monkeypatch, scale):
 def test_mixture_audit(z1, rng):
     """50 random nonnegative mixtures never exceed the computed constant."""
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    best, _ = H._collect(fm, box, *scan_all(fm, box))
+    fm, sources = orbit_window(z1, (0,), 8)
+    best, _ = H._collect(fm, box, *scan_all(fm, sources, box))
     c_p = max(best, 1.0)
-    full = full_window(z1, (0,), 8)
+    full, full_src = full_window(z1, (0,), 8)
     n_ext = len(full.exterior)
     for _ in range(50):
-        fld = caloric_solve(full, rng.random(full.n),
+        fld = caloric_solve(full, full_src, rng.random(full.n),
                             rng.random((box.m_steps, n_ext)),
                             box.T, box.m_steps,
                             remainder_data=rng.random(box.m_steps))
@@ -762,10 +770,10 @@ def test_mixture_audit(z1, rng):
 
 def test_scale_invariance(z1, rng):
     box = small_box()
-    fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
+    fm, sources = orbit_window(z1, (0,), 8)
     init = rng.random(fm.n)
-    f1 = caloric_solve(fm, init, None, box.T, box.m_steps)
-    f2 = caloric_solve(fm, 7.3 * init, None, box.T, box.m_steps)
+    f1 = caloric_solve(fm, sources, init, None, box.T, box.m_steps)
+    f2 = caloric_solve(fm, sources, 7.3 * init, None, box.T, box.m_steps)
     assert caloric_box_ratio(f1, box) == pytest.approx(
         caloric_box_ratio(f2, box), rel=1e-12)
 

@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 from scipy.special import zeta
 
+from jumplab import harnack as H
 from jumplab import models
 from jumplab.errors import DistanceUnreachable, DivergentTail, WindowTooLarge
 from jumplab.models import (
@@ -596,44 +597,55 @@ def test_norm_matches_distance(d, metric):
 # ---------------------------------------------------------------------------
 
 def test_truncate_kill_consistency(z1):
-    """The channels, each orbit summed through the maps, and the remainder
-    add up to the kill rate."""
+    """The cone's channels (`harnack._channels`), each orbit summed through
+    the maps, and the remainder add up to the kill rate, both for the whole
+    annulus and for the first annulus, B(0, 16) less the window."""
     killed = truncate(z1, (0,), 8, KILLED)
     tracked = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    recon = (tracked.annulus_sum(tracked.sources[:, :-1])
-             + tracked.sources[:, -1])
-    assert np.max(np.abs(recon - killed.kill)) < 1e-14
+    sources = H._channels(tracked, (0,), 16)[1]
+    k = len(tracked.exterior)
+    near = np.array([abs(w[0]) <= 16 for w in tracked.exterior])
+    assert 0 < near.sum() < k
+    for c, mask in ((k, np.ones(k, dtype=bool)), (k + 1, near)):
+        recon = tracked.annulus_sum(sources[:, :k], mask) + sources[:, c]
+        assert np.max(np.abs(recon - killed.kill)) < 1e-14
     assert np.max(np.abs(killed.kill - tracked.kill)) == 0.0
 
 
 def test_exterior_tracked_empty_annulus(z1):
     """A radius-0 window tracks no exterior vertex: all its kill is remainder."""
     fm = truncate(z1, (0,), 0, EXTERIOR_TRACKED)
-    assert fm.exterior == [] and fm.channels == ["remainder"]
-    assert fm.sources.shape == (1, 1) and fm.sources[0, 0] == fm.kill[0]
+    assert fm.exterior == [] and fm.orbits.tolist() == []
+    sources = H._channels(fm, (0,), 0)[1]
+    assert sources.shape == (1, 2) and np.all(sources[0] == fm.kill[0])
     assert fm.kill[0] == pytest.approx(z1.row_sum_all((0,))[0], rel=1e-15)
 
 
 def test_exterior_tracked_sources_peak():
-    """The doubled annulus of `lab phi --d 2 --R 4` holds its source matrix
-    at most about twice while it is built: tracemalloc's peak, the radial
-    table built inside the traced span, stays within 2.5 times `sources`
-    plus that table, and `sources` holds the whole annulus' columns of its
-    orbits' first vertices next to the remainder."""
+    """The doubled annulus of `lab phi --d 2 --R 4`, truncated and given its
+    cone's source columns (`harnack._channels`), holds that matrix once:
+    tracemalloc's peak over both stays within 1.5 times the matrix plus the
+    radial table, built inside the traced span.  The columns of the orbits'
+    first vertices equal the whole annulus' bitwise, and both remainders
+    (the doubled annulus' and the first annulus') match it within 1e-12
+    relative."""
     z2 = LatticeModel(d=2)
     radial_profile.cache_clear()
     tracemalloc.start()
     try:
         fm = truncate(z2, (0, 0), 8, EXTERIOR_TRACKED, 8.0)
+        sources = H._channels(fm, (0, 0), 32)[1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table = radial_profile(2, "linf", z2.base_kernel).cum.nbytes
-    assert peak <= 2.5 * fm.sources.nbytes + table
+    assert peak <= 1.5 * sources.nbytes + table
     exterior, full = full_sources(z2, (0, 0), 8, 8.0)
     cols = [exterior.index(w) for w in fm.exterior]
-    assert np.array_equal(fm.sources[:, :-1], full[:, cols])
-    assert np.all(np.abs(fm.sources[:, -1] - full[:, -1]) <= 1e-12 * full[:, -1])
+    assert np.array_equal(sources[:, :-2], full[:, cols])
+    first = full_sources(z2, (0, 0), 8, 4.0)[1][:, -1]
+    for got, want in ((sources[:, -2], full[:, -1]), (sources[:, -1], first)):
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 def _graph():
@@ -673,11 +685,13 @@ ORBIT_CASES = {
 @pytest.mark.parametrize("model, x0, r", ORBIT_CASES.values(), ids=ORBIT_CASES)
 def test_orbit_channels_expand_to_full_sources(model, x0, r, lam_ext):
     """Each channel is the first vertex of its orbit in the annulus, with its
-    orbit size; each map g carries its column onto the whole annulus'
-    column of g c, read at the window slots of g x, bitwise; the remainder
-    is the whole annulus' within 1e-12 relative, and the slot maps are the
-    maps on the window."""
+    orbit size; each map g carries its column (`harnack._channels`) onto
+    the whole annulus' column of g c, read at the window slots of g x,
+    bitwise; both remainders, with the first annulus the whole one, are the
+    whole annulus' within 1e-12 relative, and the slot maps are the maps on
+    the window."""
     fm = truncate(model, x0, r, EXTERIOR_TRACKED, lam_ext)
+    _, sources, labels = H._channels(fm, x0, lam_ext * r)[:3]
     exterior, full = full_sources(model, x0, r, lam_ext)
     col = {w: i for i, w in enumerate(exterior)}
     if model.kind == "explicit":
@@ -690,15 +704,17 @@ def test_orbit_channels_expand_to_full_sources(model, x0, r, lam_ext):
     firsts = [i for i, w in enumerate(exterior)
               if min(col[v] for v in orbits[i]) == i]
     assert fm.exterior == [exterior[i] for i in firsts]
-    assert fm.channels == [*fm.exterior, "remainder"]
-    assert fm.orbits.tolist() == [len(orbits[i]) for i in firsts] + [1]
-    assert fm.orbits[:-1].sum() == len(exterior)
+    assert labels == [*fm.exterior, "remainder", "remainder"]
+    assert fm.orbits.tolist() == [len(orbits[i]) for i in firsts]
+    assert fm.orbits.sum() == len(exterior)
     assert len(fm.slot_maps) == len(images)
     for image, slots in zip(images, fm.slot_maps, strict=True):
         assert slots.tolist() == [fm.index[image(v)] for v in fm.window]
         cols = [col[image(w)] for w in fm.exterior]
-        assert np.array_equal(full[np.ix_(slots, cols)], fm.sources[:, :-1])
-    assert np.all(np.abs(fm.sources[:, -1] - full[:, -1]) <= 1e-12 * full[:, -1])
+        assert np.array_equal(full[np.ix_(slots, cols)], sources[:, :-2])
+    # the first annulus is the whole annulus here, so both remainders are its
+    for rem in (sources[:, -2], sources[:, -1]):
+        assert np.all(np.abs(rem - full[:, -1]) <= 1e-12 * full[:, -1])
 
 
 def test_annulus_over_the_cap_raises_before_the_window():

@@ -105,6 +105,21 @@ def test_d2_shell_uniformity(metric, npts):
     assert stats.chi2.sf(chi2, npts - 1) > 1e-3
 
 
+@pytest.mark.parametrize("metric", ["linf", "l1"])
+def test_d2_directions_biject_onto_shell(metric):
+    """For each radius s = 1..64, the uniforms (k + 1/2) / count over every
+    k < count = `shell_counts` give count distinct points of the shell, so
+    each shell point has the same share of [0, 1)."""
+    m = LatticeModel(d=2, metric=metric, kernel=PolynomialKernel(1.0))
+    s = mc.TrajectorySampler(m, seed=0)
+    for r in range(1, 65):
+        count = int(shell_counts(2, metric, r))
+        u = (np.arange(count) + 0.5) / count
+        pts = s._directions(np.full(count, r), ForcedUniforms(u, 0))
+        assert (m.norm(pts) == r).all()
+        assert len(np.unique(pts, axis=0)) == count
+
+
 def test_occupation_matches_heat_kernel(z1, sampler):
     n = 100_000
     fm = truncate(z1, (0,), 60, KILLED)
@@ -673,7 +688,7 @@ def test_heavy_tail_raises_numerical_failure():
      2.823972212932462, 0.10837987173661356),
     (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.2)), 3,
      lambda s: mc.sample_exit_time(s, (0, 0), (0, 0), 4, 500),
-     0.9701844440462812, 0.03750505169501074),
+     1.003268993783819, 0.03821717906876122),
 ], ids=["ladder-hit", "z1-exit", "z2-l1-exit"])
 def test_walker_pinned(model, seed, run, estimate, se):
     """Estimates pinned with ==, as the one-generator walk gave them with

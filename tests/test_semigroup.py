@@ -9,7 +9,6 @@ from scipy.linalg import expm
 
 from jumplab.errors import NoExit, TruncationBudgetExceeded
 from jumplab.models import (
-    EXTERIOR_TRACKED,
     KILLED,
     LatticeModel,
     PolynomialKernel,
@@ -27,7 +26,7 @@ from jumplab.semigroup import (
     heat_kernel,
     integrated_action,
 )
-from oracles import caloric_solve, full_window, harmonic_extension
+from oracles import caloric_solve, full_window, harmonic_extension, orbit_window
 
 
 def dense_oracle(fm, t):
@@ -200,10 +199,10 @@ def test_apply_generator_constant(z1):
 # ---------------------------------------------------------------------------
 
 def test_caloric_zero_data_is_killed_semigroup(z1):
-    fm = truncate(z1, (0,), 6, EXTERIOR_TRACKED)
+    fm, sources = orbit_window(z1, (0,), 6)
     init = np.zeros(fm.n)
     init[fm.index[(0,)]] = 1.0
-    fld = caloric_solve(fm, init, None, T=2.0, m_steps=32)
+    fld = caloric_solve(fm, sources, init, None, T=2.0, m_steps=32)
     kil = truncate(z1, (0,), 6, KILLED)
     hk = heat_kernel(kil, None, 2.0)
     want = hk.values[kil.index[(0,)]] * kil.mu  # exp(tQ) row
@@ -211,9 +210,9 @@ def test_caloric_zero_data_is_killed_semigroup(z1):
 
 
 def test_caloric_unit_data_is_exit_probability(z1):
-    fm = full_window(z1, (0,), 6)
+    fm, sources = full_window(z1, (0,), 6)
     ones = np.ones((32, len(fm.exterior)))
-    fld = caloric_solve(fm, np.zeros(fm.n), ones, T=2.0, m_steps=32,
+    fld = caloric_solve(fm, sources, np.zeros(fm.n), ones, T=2.0, m_steps=32,
                         remainder_data=np.ones(32))
     kil = truncate(z1, (0,), 6, KILLED)
     survival = heat_kernel(kil, None, 2.0).values @ np.diag(kil.mu)
@@ -222,14 +221,14 @@ def test_caloric_unit_data_is_exit_probability(z1):
 
 
 def test_caloric_superposition(z1, rng):
-    fm = truncate(z1, (0,), 5, EXTERIOR_TRACKED)
+    fm, sources = orbit_window(z1, (0,), 5)
     m = 16
     init1, init2 = rng.random(fm.n), rng.random(fm.n)
     d1, d2 = rng.random((m, len(fm.exterior))), rng.random((m, len(fm.exterior)))
     a, b = 0.3, 1.7
-    f1 = caloric_solve(fm, init1, d1, T=1.0, m_steps=m)
-    f2 = caloric_solve(fm, init2, d2, T=1.0, m_steps=m)
-    f3 = caloric_solve(fm, a * init1 + b * init2, a * d1 + b * d2,
+    f1 = caloric_solve(fm, sources, init1, d1, T=1.0, m_steps=m)
+    f2 = caloric_solve(fm, sources, init2, d2, T=1.0, m_steps=m)
+    f3 = caloric_solve(fm, sources, a * init1 + b * init2, a * d1 + b * d2,
                        T=1.0, m_steps=m)
     assert np.max(np.abs(a * f1.values + b * f2.values - f3.values)) < 1e-10
 
@@ -239,16 +238,17 @@ def test_caloric_superposition(z1, rng):
 # ---------------------------------------------------------------------------
 
 def test_harmonic_extension_constant_and_max_principle(z1, rng):
-    fm = full_window(z1, (0,), 6)
-    h = harmonic_extension(fm, np.ones(len(fm.exterior)), remainder_value=1.0)
+    fm, sources = full_window(z1, (0,), 6)
+    h = harmonic_extension(fm, sources, np.ones(len(fm.exterior)),
+                           remainder_value=1.0)
     assert np.max(np.abs(h - 1.0)) < 1e-12
     g = rng.random(len(fm.exterior))
-    h = harmonic_extension(fm, g, remainder_value=0.3)
+    h = harmonic_extension(fm, sources, g, remainder_value=0.3)
     assert h.min() >= -1e-12
     assert h.max() <= max(g.max(), 0.3) + 1e-12
     # residual: Q h + sources [g, 0.3] = 0
     gen = generator(fm)
-    res = gen.Q @ h + fm.sources[:, :-1] @ g + fm.sources[:, -1] * 0.3
+    res = gen.Q @ h + sources[:, :-1] @ g + sources[:, -1] * 0.3
     assert np.max(np.abs(res)) < 1e-12
 
 
