@@ -14,15 +14,17 @@ these routines compute.
 The parabolic scan reads the generators only on the half ball of the probe
 boxes, in one pass over the ages for both families.  It forms the rows
 I[half] E^a of the one-step propagator E a block of ages at a time, within
-TILE_BYTES, by doubling (stack[s:2s] = stack[:s] E^s, the powers squared once
-per scan).  The source family multiplies each block by a chunk of launch
-columns in one GEMM, the product within TILE_BYTES; the initial family
-E^a diag(1/mu) is gathered from the rows one age later.  It keeps each
-half-ball max only at the ages that Q- shows to some launch step, and each
-min only at those Q+ shows; then one sliding-window fold of each gives the
-sup and inf of every launch step at once, so a family of generators has one
-(launch step x column) matrix of ratios.  Max and min select values and all
-factors are nonnegative, so every value keeps its relative accuracy.
+TILE_BYTES, each age by one GEMM on the age before.  The source family
+multiplies each block by a chunk of launch columns in one GEMM, the product
+within TILE_BYTES; the initial family E^a diag(1/mu) is gathered from the
+rows one age later.  It keeps each half-ball max only at the ages that Q-
+shows to some launch step, and each min only at those Q+ shows; then one
+sliding-window fold of each gives the sup and inf of every launch step at
+once, so a family of generators has one (launch step x column) matrix of
+ratios.  Max and min select values and all factors are nonnegative, so
+every value keeps its relative accuracy.  The witness's ages and slots come
+from one vector walk of the winning launch column, w -> E w an age at a
+time.
 
 Both scans run one generator per symmetry orbit.  The signed coordinate
 permutations that fix x0 and keep the suppressed pair and mu
@@ -160,42 +162,21 @@ def _ages(steps: range, si: int) -> range:
     return range(max(steps.start - 1 - si, 0), steps.stop - 1 - si)
 
 
-class _Steps(NamedTuple):
-    """The rows I[half] E^a of the one-step propagator E, `block` ages at a
-    time; `powers` holds E^(2^i) for i = 0 and each 2^i below block."""
-
-    powers: list
-    half: list
-    block: int
-
-    @classmethod
-    def of(cls, E: np.ndarray, half: list, block: int) -> "_Steps":
-        powers = [E]
-        while 1 << len(powers) < block:
-            powers.append(powers[-1] @ powers[-1])
-        return cls(powers, half, block)
-
-    def blocks(self, stop: int):
-        """Yield (a0, stack) with stack[j] = I[half] E^(a0 + j), over the
-        ages 0..stop-1 in blocks of `block` (the last may be shorter).  A
-        block starts one step past the last row of the one before and
-        doubles, stack[j:j + s] = stack[:s] E^j, one GEMM each.  `stack` is
-        reused: it is read before the next block is asked for."""
-        E, h = self.powers[0], len(self.half)
-        n = len(E)
-        stack, row = np.empty((self.block, h, n)), np.zeros((h, n))
-        row[np.arange(h), self.half] = 1.0
-        for a0 in range(0, stop, self.block):
-            k, j = min(self.block, stop - a0), 1
-            stack[0] = row
-            for power in self.powers[:(k - 1).bit_length()]:
-                s = min(j, k - j)
-                np.matmul(stack[:s].reshape(s * h, n), power,
-                          out=stack[j:j + s].reshape(s * h, n))
-                j += s
-            yield a0, stack[:k]
-            if a0 + k < stop:
-                row = stack[k - 1] @ E
+def _age_blocks(E: np.ndarray, half: np.ndarray, block: int, stop: int):
+    """Yield (a0, stack) with stack[j] = I[half] E^(a0 + j), over the ages
+    0..stop-1 in blocks of `block` (the last may be shorter).  Each row is
+    one GEMM on the row before, stack[j] = stack[j - 1] E (a block's first
+    on the last row of the block before), so every age has the bits of
+    stepping one age at a time.  `stack` is reused: it is read before the
+    next block is asked for."""
+    h = len(half)
+    stack = np.zeros((block, h, len(E)))
+    stack[0, np.arange(h), half] = 1.0
+    for a0 in range(0, stop, block):
+        k = min(block, stop - a0)
+        for j in range(0 if a0 else 1, k):
+            np.dot(stack[j - 1], E, out=stack[j])
+        yield a0, stack[:k]
 
 
 def _slide(x: np.ndarray, w: int, op) -> np.ndarray:
@@ -223,19 +204,20 @@ class _Family(NamedTuple):
     """Generators launched at steps first..first+L-1 from the columns of W
     and stepped by E: ratio[r, c] is sup over Q- / inf over Q+ of the one
     launched from column c at step first + r, the generator `labels[c]`.
-    `read(stack, cols)` gives the half-ball values (I[half] E^a) W[:, cols]
-    at the ages a of `stack`."""
+    `launch(c)` gives W[:, c], for a walk by `_fold`, and `half` the
+    half-ball slots its values are read at."""
 
     ratio: np.ndarray
-    read: Callable
+    launch: Callable
     first: int
     labels: list
-    steps: _Steps
+    E: np.ndarray
+    half: np.ndarray
 
     def take(self, cols: np.ndarray) -> "_Family":
         """The family of the columns `cols` alone, in that order."""
         return self._replace(ratio=self.ratio[:, cols],
-                             read=lambda stack, c: self.read(stack, cols[c]),
+                             launch=lambda c: self.launch(cols[c]),
                              labels=[self.labels[i] for i in cols])
 
 
@@ -292,31 +274,34 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
     the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2) and
     their Q+ ages [m/4, m), and only those half-ball maxima and minima are
     formed.  S is formed for the columns of `sources` and the initial fields
-    at `slots` only.  Returns (init, src, ops), the `_Family` of each kind
-    and the step operators.
+    at `slots` only.  The rows I[half] E^a come a block of ages at a time
+    (`_age_blocks`), as many as fit TILE_BYTES.  Returns (init, src, ops),
+    the `_Family` of each kind and the step operators.
     """
-    m, half = box.m_steps, fm.ball_slots(box.x0, box.R / 2)
+    m = box.m_steps
+    half = np.array(fm.ball_slots(box.x0, box.R / 2))
     ops = step_operators(fm, box.T / m, sources)
     n, h, mu = fm.n, len(half), fm.mu[slots]
     chunks = _chunks(sources.shape[1])
     width = chunks[0].stop - chunks[0].start
     block = min(max(TILE_BYTES // (8 * h * max(width, n)), 1), m + 1)
-    steps = _Steps.of(ops.E, half, block)
     minus, plus = box.minus_steps(), box.plus_steps()
     fams = []
-    for read, first, launches, labs, cuts in (
-            (lambda st, c: st[:, :, slots[c]] / mu[c], -1, 1,
+    for read, launch, first, launches, labs, cuts in (
+            (lambda st, c: st[:, :, slots[c]] / mu[c],
+             lambda c: np.eye(1, n, slots[c])[0] / mu[c], -1, 1,
              [fm.window[i] for i in slots], _chunks(len(slots))),
             (lambda st, c: (st.reshape(-1, n) @ ops.S[:, c]).reshape(
-                len(st), h, -1), 0, m // 2, labels, chunks)):
+                len(st), h, -1), lambda c: ops.S[:, c], 0, m // 2,
+             labels, chunks)):
         # the ages some launch shows in Q- (the max) and in Q+ (the min);
         # row r of each array holds age kept.stop - 1 - r
         kept = [range(_ages(w, first + launches - 1).start,
                       _ages(w, first).stop) for w in (minus, plus)]
         outs = [np.empty((len(k), cuts[-1].stop)) for k in kept]
-        fams.append((read, first, launches, labs, cuts, kept, outs))
-    for a0, stack in steps.blocks(m + 1):
-        for read, _, _, _, cuts, kept, outs in fams:
+        fams.append((read, launch, first, launches, labs, cuts, kept, outs))
+    for a0, stack in _age_blocks(ops.E, half, block, m + 1):
+        for read, _, _, _, _, cuts, kept, outs in fams:
             b0 = max(a0, min(k.start for k in kept))
             b1 = min(a0 + len(stack), max(k.stop for k in kept))
             if b0 >= b1:
@@ -330,22 +315,25 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
                            out=out[k.stop - hi:k.stop - lo, c])
     init, src = (_Family(_ratio(_slide(hi, len(minus), np.maximum)[:launches],
                                 _slide(lo, len(plus), np.minimum)[:launches]),
-                         read, first, labs, steps)
-                 for read, first, launches, labs, _, _, (hi, lo) in fams)
+                         launch, first, labs, ops.E, half)
+                 for _, launch, first, launches, labs, _, _, (hi, lo) in fams)
     return init, src, ops
 
 
 def _fold(fam: _Family, si: int, c: int, minus: range, plus: range):
     """(minus age, plus age, minus slot, plus slot) of generator c launched
-    at step si, from its half-ball values recomputed a block of ages at a
-    time: each witness age is the first within relative EPS of the extreme
-    over its window, and each slot the first half-ball slot there within EPS
-    of it."""
+    at step si, from its half-ball values walked one age at a time from its
+    launch column w (col[a] = w[half], then w = E w): each witness age is
+    the first within relative EPS of the extreme over its window, and each
+    slot the first half-ball slot there within EPS of it."""
     wm, wp = _ages(minus, si), _ages(plus, si)
-    col = np.concatenate([fam.read(stack, [c])[..., 0]
-                          for _, stack in fam.steps.blocks(wp.stop)])
-    im, sup = _first_near(col[wm].max(axis=1))
-    ip, inf = _first_near(col[wp].min(axis=1), -1.0)
+    E, half, w = fam.E, fam.half, fam.launch(c)
+    col = np.empty((wp.stop, len(half)))
+    for a in range(wp.stop):
+        col[a] = w[half]
+        w = E.dot(w)
+    im, sup = _first_near(col[wm.start:wm.stop].max(axis=1))
+    ip, inf = _first_near(col[wp.start:wp.stop].min(axis=1), -1.0)
     am, ap = wm.start + int(im), wp.start + int(ip)
     sm = _first_near(col[am], top=sup)[0]
     sp = _first_near(col[ap], -1.0, top=inf)[0]
@@ -380,7 +368,7 @@ def _collect(fm: FiniteModel, box: HarnackBox, init: _Family, src: _Family):
     fam, si, c = win
     am, ap, sm, sp = _fold(fam, si, c, minus, plus)
     prefix = ("source", si) if fam is src else ("initial",)
-    half = fam.steps.half
+    half = fam.half
     return best, {"generator": prefix + (fam.labels[c],),
                   "minus": (float(times[am + si + 1]), fm.window[half[sm]]),
                   "plus": (float(times[ap + si + 1]), fm.window[half[sp]])}

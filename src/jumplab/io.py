@@ -263,6 +263,10 @@ def run_cex_suppressed(config: ExperimentConfig):
     d, alpha, gaps, t_probe = p["d"], p["alpha"], p["radii"], p["t_probe"]
     if t_probe <= 0:
         raise ConfigError(f"param 't_probe': need a positive time, got {t_probe}")
+    if min(gaps) < 1:
+        raise ConfigError(f"param 'radii': need gaps of at least 1, so the "
+                          f"suppressed pair has distinct vertices, got "
+                          f"{min(gaps)}")
     _warn_alpha(alpha)
     report = {"experiment": "cex-suppressed", "per_gap": {}, "assertions": []}
     csvs = {}

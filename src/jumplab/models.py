@@ -414,9 +414,10 @@ def radial_profile(d: int, metric: str, kernel) -> RadialProfile:
 class LatticeModel:
     """An infinite lattice Z^d (or a finite explicit graph) with measure and kernel.
 
-    Lattices take polynomial and ladder kernels (ladders on Z only), explicit
-    graphs also tabulated ones; any of them may carry one suppressed pair of
-    distinct vertices.  Other combinations raise ValueError on construction.
+    Lattices (of dimension d >= 1) take polynomial and ladder kernels
+    (ladders on Z only), explicit graphs also tabulated ones; any of them may
+    carry one suppressed pair of distinct vertices.  Other combinations raise
+    ValueError on construction.
     """
 
     kind: str = "lattice"              # "lattice" | "explicit"
@@ -437,6 +438,9 @@ class LatticeModel:
             object.__setattr__(self, "_adj", adj)
         elif self.metric not in ("linf", "l1"):
             raise ValueError(f"unknown lattice metric {self.metric!r}")
+        elif self.d < 1:
+            raise ValueError(f"lattice dimension d must be at least 1, "
+                             f"got {self.d}")
         k = self.kernel
         if isinstance(k, SuppressedPairKernel):
             if k.x0 == k.y0:

@@ -11,6 +11,7 @@ import pytest
 
 import jumplab
 from jumplab.cli import COMMANDS, build_parser, main
+from jumplab import io as io_module
 from jumplab.errors import ConfigError
 from jumplab.io import (PARAMS, ExperimentConfig, load_config, run_experiment,
                         write_bundle)
@@ -204,9 +205,11 @@ def test_config_model_resolved_without_shape_params(tmp_path):
      "mu 'even': need a finite positive number, got 0"),
     ({**_LATTICE, "kernel": {"type": "polynomial", "alpha": float("nan")}},
      "kernel 'alpha': need a finite real number, got nan"),
+    ({**_LATTICE, "d": 0}, "lattice dimension d must be at least 1, got 0"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
         "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key",
-        "ladder-range-0", "mu-negative", "mu-zero-even", "alpha-nan"])
+        "ladder-range-0", "mu-negative", "mu-zero-even", "alpha-nan",
+        "d-zero"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -441,6 +444,36 @@ def test_suppressed_requires_positive_t_probe(capsys, t):
     ratio (t = 0) or a numpy error (t < 0)."""
     assert main(["cex", "suppressed", "--radii", "8", "--t-probe", t]) == 2
     assert "param 't_probe': need a positive time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("experiment", [
+    exp for exp, table in PARAMS.items() if "d" in table])
+def test_lattice_dimension_below_one_rejected(capsys, experiment, d):
+    """A lattice dimension below 1 is an error naming d (exit 2), raised
+    when the model is built, not a reduce() or numpy error late in the
+    run."""
+    assert main([*COMMANDS[experiment][0], f"--d={d}"]) == 2
+    err = capsys.readouterr().err
+    assert f"lattice dimension d must be at least 1, got {d}" in err
+    assert "TypeError" not in err
+
+
+def test_suppressed_refuses_gap_below_one_up_front(capsys, monkeypatch):
+    """A gap below 1 anywhere in --radii is a ConfigError naming the param,
+    raised before any checker runs, not a ValueError once the gaps before
+    it are computed."""
+    ran = []
+    for module in (io_module.cond, io_module.har):
+        for name in dir(module):
+            if name.startswith(("check_", "phi_", "ehi_")):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, name=name, **k: ran.append(name))
+    assert main(["cex", "suppressed", "--radii", "8,-4"]) == 2
+    err = capsys.readouterr().err
+    assert "param 'radii': need gaps of at least 1" in err
+    assert "got -4" in err
+    assert ran == []
 
 
 def test_cli_import_loads_no_scipy():
