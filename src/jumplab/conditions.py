@@ -1,7 +1,8 @@
 """Quantitative sweeps for the named conditions: fitted extremal constants with witnesses.
 
-Each checker scans a deterministic grid of centers/radii/times, fits the best
-constant for its condition, and records the witness tuple attaining it.
+Each checker scans a deterministic grid of radii about the model's origin
+(or of pairs and times), fits the best constant for its condition, and
+records the witness tuple attaining it.
 Supremum-type constants only grow under grid refinement; infimum-type only
 shrink.  "Holds" is always a statement about fitted constants plus stability
 across a dyadic sweep, never a proof.
@@ -31,6 +32,8 @@ EIG_TOL = 1e-10
 DOUBLING_MARGIN = 0.01
 # Distances, along the first axis from the origin, of `default_pair_grid`.
 PAIR_DISTANCES = (1, 2, 4, 8, 16)
+# Ball radii of the UJS/LJS averages in `check_ujs_ljs_js`.
+UJS_RADII = (1, 2, 4)
 
 
 @dataclass
@@ -188,43 +191,30 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times,
 # exit times
 # ---------------------------------------------------------------------------
 
-def check_exit_time(model: LatticeModel, alpha: float, radii,
-                    centers=None) -> ConditionReport:
-    """Fits c1 <= E^x tau_{B(x,r)} / r^alpha <= c2 plus a log-log exponent.
-
-    The exponent is the largest per-center slope; each center's slope is in
-    its "fit" row.
-    """
-    centers = list(centers) if centers else [model.origin]
+def check_exit_time(model: LatticeModel, alpha: float, radii) -> ConditionReport:
+    """Fits c1 <= E^x tau_{B(x,r)} / r^alpha <= c2 at the origin x, plus the
+    log-log slope of E tau against r as the exponent (nan for one radius)."""
+    x = model.origin
     radii = list(radii)
     if not radii:
         raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("exit-time sweep needs radii >= 1")
     rows = []
-    slopes = []
-    for x in centers:
-        taus = []
-        for r in radii:
-            fm = truncate(model, x, r, KILLED)
-            tau = float(expected_exit_time(fm)[fm.index[x]])
-            taus.append(tau)
-            ratio = tau / float(r) ** alpha
-            rows.append({"center": x, "r": r, "E_tau": tau, "ratio": ratio})
-        if len(set(radii)) >= 2:
-            slope = float(np.polyfit(np.log(np.array(radii, float)),
-                                     np.log(np.array(taus)), 1)[0])
-        else:
-            slope = math.nan
-        slopes.append(slope)
-        rows.append({"center": x, "r": "fit", "E_tau": math.nan, "ratio": slope})
-    probes = [row for row in rows if row["r"] != "fit"]
-    c1, w1 = _fit(probes, "ratio", ("center", "r"), lower=True)
-    c2, w2 = _fit(probes, "ratio", ("center", "r"))
+    for r in radii:
+        fm = truncate(model, x, r, KILLED)
+        tau = float(expected_exit_time(fm)[fm.index[x]])
+        rows.append({"center": x, "r": r, "E_tau": tau,
+                     "ratio": tau / float(r) ** alpha})
+    taus = np.array([row["E_tau"] for row in rows])
+    slope = (float(np.polyfit(np.log(np.array(radii, float)), np.log(taus), 1)[0])
+             if len(set(radii)) >= 2 else math.nan)
+    c1, w1 = _fit(rows, "ratio", ("center", "r"), lower=True)
+    c2, w2 = _fit(rows, "ratio", ("center", "r"))
     return ConditionReport(
         condition="E_alpha", alpha=alpha,
-        grid={"radii": radii, "centers": centers},
-        constants={"c1": c1, "c2": c2, "exponent": max(slopes)},
+        grid={"radii": radii, "centers": [x]},
+        constants={"c1": c1, "c2": c2, "exponent": slope},
         witnesses={"c1": w1, "c2": w2},
         metadata={"rows": rows})
 
@@ -253,10 +243,9 @@ def _component_of_first(A) -> np.ndarray:
     return reached
 
 
-def check_poincare(model: LatticeModel, alpha: float, radii,
-                   centers) -> ConditionReport:
-    """Optimal C_Q per ball from the generalized eigenproblem 2L f = lam M f,
-    M = diag(mu).
+def check_poincare(model: LatticeModel, alpha: float, radii) -> ConditionReport:
+    """Optimal C_Q per ball about the origin from the generalized
+    eigenproblem 2L f = lam M f, M = diag(mu).
 
     C_Q(B) = 1/(R^alpha * lam_plus) with lam_plus the smallest nonzero
     eigenvalue on the mean-zero subspace (constant vector deflated by taking
@@ -264,44 +253,42 @@ def check_poincare(model: LatticeModel, alpha: float, radii,
     is held to the dense byte budget before the first eigensolve, so an
     oversized last radius raises WindowTooLarge at once.
     """
-    centers = list(centers)
+    x0 = model.origin
     radii = list(radii)
     if not radii:
         raise ValueError("empty radius grid")
     if min(radii) < 1:
         raise ValueError("PI sweep needs radii >= 1")
-    for x0 in centers:
-        for R in radii:
-            n = len(model.ball(x0, R))
-            require_dense(n, n)
+    for R in radii:
+        n = len(model.ball(x0, R))
+        require_dense(n, n)
     rows = []
     disconnected = None
-    for x0 in centers:
-        for R in radii:
-            ball, A, L, mu = _ball_form_matrices(model, x0, R)
-            first = _component_of_first(A)
-            if not first.all():
-                piece = sorted(v for v, f in zip(ball, first) if f)
-                disconnected = (x0, R, piece[0])
-                rows.append({"center": x0, "R": R, "lam_plus": 0.0,
-                             "C_Q": math.inf})
-                continue
-            # 2L f = lam diag(mu) f is symmetric in g = mu^1/2 f
-            root = 1.0 / np.sqrt(mu)
-            vals = np.linalg.eigvalsh(2.0 * L * np.outer(root, root))
-            scale = max(abs(vals[-1]), 1.0)
-            nonzero = vals[vals > EIG_TOL * scale]
-            if len(nonzero) == 0:
-                raise NumericalFailure("degenerate Poincare eigenproblem")
-            lam_plus = float(nonzero[0])
-            val = 1.0 / (float(R) ** alpha * lam_plus)
-            rows.append({"center": x0, "R": R, "lam_plus": lam_plus, "C_Q": val})
+    for R in radii:
+        ball, A, L, mu = _ball_form_matrices(model, x0, R)
+        first = _component_of_first(A)
+        if not first.all():
+            piece = sorted(v for v, f in zip(ball, first) if f)
+            disconnected = (x0, R, piece[0])
+            rows.append({"center": x0, "R": R, "lam_plus": 0.0,
+                         "C_Q": math.inf})
+            continue
+        # 2L f = lam diag(mu) f is symmetric in g = mu^1/2 f
+        root = 1.0 / np.sqrt(mu)
+        vals = np.linalg.eigvalsh(2.0 * L * np.outer(root, root))
+        scale = max(abs(vals[-1]), 1.0)
+        nonzero = vals[vals > EIG_TOL * scale]
+        if len(nonzero) == 0:
+            raise NumericalFailure("degenerate Poincare eigenproblem")
+        lam_plus = float(nonzero[0])
+        val = 1.0 / (float(R) ** alpha * lam_plus)
+        rows.append({"center": x0, "R": R, "lam_plus": lam_plus, "C_Q": val})
     # a disconnected ball makes C_Q infinite; the last one is the witness
     c_q, wit = _fit(rows, "C_Q", ("center", "R"))
     wit = disconnected or wit
     return ConditionReport(
         condition="PI", alpha=alpha,
-        grid={"radii": radii, "centers": centers},
+        grid={"radii": radii, "centers": [x0]},
         constants={"C_Q": c_q},
         witnesses={"C_Q": wit, "disconnected": disconnected},
         metadata={"rows": rows})
@@ -339,19 +326,19 @@ def check_jump_bounds(model: LatticeModel, alpha: float, pairs) -> ConditionRepo
         metadata={"rows": rows})
 
 
-def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
+def check_ujs_ljs_js(model: LatticeModel, pairs) -> ConditionReport:
     """UJS/LJS/JS constants.  The ball average sums J(x',y) over x' in B(x,r)
-    (the summation variable of the display, as used downstream); it and the
-    JS ratios read one `_pair_rates` column per ball."""
+    (the summation variable of the display, as used downstream), for each r
+    in UJS_RADII up to d(x,y)/2; it and the JS ratios read one `_pair_rates`
+    column per ball."""
     pairs = list(pairs)
-    radii = list(radii)
     if not pairs:
         raise ValueError("empty pair list")
     rows = []
     for x, y in pairs:
         dxy = model.distance(x, y)
-        for r in radii:
-            if r < 1 or r > dxy / 2:
+        for r in UJS_RADII:
+            if r > dxy / 2:
                 continue
             # a left-to-right sum in ball order keeps the reported ratios
             # bitwise equal to the pointwise sum; numpy's pairwise sum does not
@@ -390,36 +377,36 @@ def check_ujs_ljs_js(model: LatticeModel, pairs, radii) -> ConditionReport:
     # reference composition of the fitted smoothness constants with a doubling
     # factor; a coarse grid can make this smaller than c_JS, so it is reported
     # for comparison, not enforced, and is inf when no UJS probe survives
-    r0 = max(1, min(radii)) if radii else 1
+    r0 = UJS_RADII[0]
     c_v = max(model.volume(x, 2 * r0) / model.volume(x, r0) for x in sorted(seen))
     composed = (c_ujs / c_ljs) * c_v if rows and c_ljs > 0 else math.inf
     return ConditionReport(
         condition="UJS_LJS_JS", alpha=None,
-        grid={"pairs": pairs, "radii": radii},
+        grid={"pairs": pairs, "radii": list(UJS_RADII)},
         constants={"c_UJS": c_ujs, "c_LJS": c_ljs, "c0": c0, "c_JS": c_js,
                    "c_JS_composed_bound": composed},
         witnesses={"c_UJS": w_ujs, "c_LJS": w_ljs, "c0": w0, "c_JS": w_js},
         metadata={"rows": rows})
 
 
-def check_boundary_flux(model: LatticeModel, radii, centers,
+def check_boundary_flux(model: LatticeModel, radii,
                         alpha: float) -> ConditionReport:
-    """c = max over balls of R^alpha sum_{y in B'} J(y, G-B) / mu(B'),
-    B' = B(x0, R/2).  J(y, G-B) is the killed window's mu_y kill_y."""
-    centers = list(centers)
+    """c = max over balls about the origin x0 of
+    R^alpha sum_{y in B'} J(y, G-B) / mu(B'), B' = B(x0, R/2).
+    J(y, G-B) is the killed window's mu_y kill_y."""
+    x0 = model.origin
     radii = list(radii)
     rows = []
-    for x0 in centers:
-        for R in radii:
-            fm = truncate(model, x0, R, KILLED)
-            half = fm.ball_slots(x0, R / 2)
-            flux = float((fm.kill * fm.mu)[half].sum())
-            val = float(R) ** alpha * flux / float(fm.mu[half].sum())
-            rows.append({"center": x0, "R": R, "flux": flux, "c": val})
+    for R in radii:
+        fm = truncate(model, x0, R, KILLED)
+        half = fm.ball_slots(x0, R / 2)
+        flux = float((fm.kill * fm.mu)[half].sum())
+        val = float(R) ** alpha * flux / float(fm.mu[half].sum())
+        rows.append({"center": x0, "R": R, "flux": flux, "c": val})
     c, wit = _fit(rows, "c", ("center", "R"))
     return ConditionReport(
         condition="boundary_flux", alpha=alpha,
-        grid={"radii": radii, "centers": centers},
+        grid={"radii": radii, "centers": [x0]},
         constants={"c": c},
         witnesses={"c": wit},
         metadata={"rows": rows})

@@ -374,7 +374,7 @@ def _collect(fm: FiniteModel, box: HarnackBox, init: _Family, src: _Family):
                   "plus": (float(times[ap + si + 1]), fm.window[half[sp]])}
 
 
-def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
+def _doubled(name: str, c: float, c2: float) -> float:
     """Accept the constant c2 of twice the tracked annulus.
 
     Two infinite constants agree; otherwise c and c2 must both be finite and
@@ -384,7 +384,7 @@ def _doubled(name: str, c: float, c2: float, lam_ext: float) -> float:
         if math.isinf(c) != math.isinf(c2) or abs(c2 - c) > 0.05 * min(c, c2):
             raise WindowUnconverged(
                 f"{name} moved from {c} to {c2} when doubling the tracked "
-                f"exterior radius (lam_ext {lam_ext} -> {2 * lam_ext})")
+                f"exterior radius (LAM_EXT {LAM_EXT} -> {2 * LAM_EXT})")
     return c2
 
 
@@ -409,8 +409,7 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
     # `_ratio` yields no NaN, so these are `_collect`'s constants
     top = max(init.ratio.max(), 1.0)
     c_p = max(top, first.ratio.max())
-    doubled = _doubled("C_P", c_p, max(top, src.ratio[:, :-1].max()),
-                       LAM_EXT)
+    doubled = _doubled("C_P", c_p, max(top, src.ratio[:, :-1].max()))
     return HarnackReport(
         box=box.to_dict(), constant=c_p,
         witness=_collect(fm, box, init, first)[1],
@@ -450,7 +449,7 @@ def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
                "max_at": fm.window[inner[rmax[j]]],
                "min_at": fm.window[inner[rmin[j]]]}
     c_e = max(best, 1.0)
-    doubled = _doubled("C_EHI", c_e, max(ratio[:-1].max(), 1.0), LAM_EXT)
+    doubled = _doubled("C_EHI", c_e, max(ratio[:-1].max(), 1.0))
     return HarnackReport(
         box={"x0": list(x0), "R": R, "elliptic": True},
         constant=c_e, witness=wit,

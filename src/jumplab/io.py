@@ -53,8 +53,7 @@ PARAMS = {
     "poincare": {**_MODEL, "radii": [4, 8, 16]},
     "cex-suppressed": {"alpha": 1.0, "d": 1, "radii": [8, 16],
                        "t_probe": 1e-3},
-    "cex-ladder": {"alpha": 1.5, "ranges": [16, 64, 256], "n_hit": 2000,
-                   "n_sup": 20_000},
+    "cex-ladder": {"alpha": 1.5, "ranges": [16, 64, 256]},
 }
 CHOICES = {"metric": ("linf", "l1"), "mode": ("killed", "reflected")}
 EXPERIMENTS = tuple(PARAMS)
@@ -62,6 +61,9 @@ EXPERIMENTS = tuple(PARAMS)
 PI_MARGIN = 1.25
 # The ladder's hitting probability, less 3 standard errors, stays above this.
 HIT_MARGIN = 0.1
+# Monte Carlo walkers per ladder range: hitting runs and running-sup draws.
+N_HIT = 2000
+N_SUP = 20_000
 
 
 def _integer(value) -> int:
@@ -267,6 +269,9 @@ def run_cex_suppressed(config: ExperimentConfig):
         raise ConfigError(f"param 'radii': need gaps of at least 1, so the "
                           f"suppressed pair has distinct vertices, got "
                           f"{min(gaps)}")
+    for i, R in enumerate(gaps):
+        if R in gaps[:i]:
+            raise ConfigError(f"param 'radii': gap {R} is repeated")
     _warn_alpha(alpha)
     report = {"experiment": "cex-suppressed", "per_gap": {}, "assertions": []}
     csvs = {}
@@ -298,11 +303,11 @@ def run_cex_suppressed(config: ExperimentConfig):
                                "collapse": rs / rb, "t": t_probe}
         report["assertions"].append(_assertion(
             f"lhkp_collapse_R{R}", rs / rb, 0.01, rs / rb <= 0.01))
-        js_base = cond.check_ujs_ljs_js(base, pairs, radii=[1, 2, 4])
-        js_supp = cond.check_ujs_ljs_js(supp, pairs, radii=[1, 2, 4])
+        js_base = cond.check_ujs_ljs_js(base, pairs)
+        js_supp = cond.check_ujs_ljs_js(supp, pairs)
         entry["ujs"] = {"base": js_base.constants, "suppressed": js_supp.constants}
-        pi_base = cond.check_poincare(base, alpha, radii=[R], centers=[origin])
-        pi_supp = cond.check_poincare(supp, alpha, radii=[R], centers=[origin])
+        pi_base = cond.check_poincare(base, alpha, radii=[R])
+        pi_supp = cond.check_poincare(supp, alpha, radii=[R])
         pi_ratio = pi_supp.constants["C_Q"] / pi_base.constants["C_Q"]
         pi_cap = 2.0 ** (d + alpha + 1) * PI_MARGIN
         entry["poincare"] = {"base": pi_base.constants["C_Q"],
@@ -338,12 +343,11 @@ def run_cex_ladder(config: ExperimentConfig):
     alpha = p["alpha"]
     if not (1.0 < alpha < 2.0):
         raise ConfigError(f"cex-ladder requires alpha in (1,2), got {alpha}")
-    for key in ("n_hit", "n_sup"):
-        if p[key] < 1:
-            raise ConfigError(f"param {key!r}: need at least 1 walker, "
-                              f"got {p[key]}")
     ranges = tuple(p["ranges"])
     model = LatticeModel(d=1, kernel=LadderKernel(alpha=alpha, ranges=ranges))
+    if any(a >= b for a, b in zip(ranges, ranges[1:])):
+        raise ConfigError(f"param 'ranges': need strictly increasing ranges, "
+                          f"got {list(ranges)}")
     report = {"experiment": "cex-ladder", "alpha": alpha,
               "ranges": list(ranges), "assertions": []}
     csvs = {}
@@ -367,12 +371,12 @@ def run_cex_ladder(config: ExperimentConfig):
                            "spread": spread}
     report["assertions"].append(_assertion(
         "exit_time_spread", spread, 2.0, spread <= 2.0))
-    csvs["exit_time"] = [r for r in et.metadata["rows"] if r["r"] != "fit"]
+    csvs["exit_time"] = et.metadata["rows"]
     # hitting probability bounded below uniformly in the scale
     sampler = mc.TrajectorySampler(model, seed=config.seed)
     hits = {}
     for R in ranges:
-        rep = mc.hit_before_exit(sampler, (R // 4,), (0,), (0,), R, p["n_hit"])
+        rep = mc.hit_before_exit(sampler, (R // 4,), (0,), (0,), R, N_HIT)
         hits[str(R)] = {"estimate": rep.estimate, "se": rep.se, "n": rep.n}
         report["assertions"].append(_assertion(
             f"hit_lower_R{R}", rep.estimate - 3 * rep.se, HIT_MARGIN,
@@ -382,7 +386,7 @@ def run_cex_ladder(config: ExperimentConfig):
     sups = {}
     for R in ranges:
         rep = mc.sample_position_sup(R, alpha, T=float(R) ** alpha / 4,
-                                     n=p["n_sup"], seed=config.seed + R)
+                                     n=N_SUP, seed=config.seed + R)
         sups[str(R)] = rep.to_dict()
         report["assertions"].append(_assertion(
             f"doob_R{R}", rep.extra["E_Y2"], rep.extra["doob_bound"],
@@ -427,11 +431,11 @@ def run_generic(config: ExperimentConfig):
                   "values": {_cell(v): float(val)
                              for v, val in zip(fm.window, hk.values)}}
     elif exp == "exit-time":
-        rep = cond.check_exit_time(model, alpha, p["radii"], centers=[origin])
+        rep = cond.check_exit_time(model, alpha, p["radii"])
         report = {"experiment": "exit-time", **rep.to_dict()}
-        csvs["exit_time"] = [r for r in rep.metadata["rows"] if r["r"] != "fit"]
+        csvs["exit_time"] = rep.metadata["rows"]
     elif exp == "poincare":
-        rep = cond.check_poincare(model, alpha, p["radii"], centers=[origin])
+        rep = cond.check_poincare(model, alpha, p["radii"])
         report = {"experiment": "poincare", **rep.to_dict()}
         csvs["poincare"] = rep.metadata["rows"]
     elif exp == "phi":
@@ -447,11 +451,10 @@ def run_generic(config: ExperimentConfig):
         out = {}
         for rep in (cond.check_vd(model, radii),
                     cond.check_jump_bounds(model, alpha, pairs),
-                    cond.check_ujs_ljs_js(model, pairs, radii=[1, 2, 4]),
-                    cond.check_poincare(model, alpha, radii, centers=[origin]),
-                    cond.check_exit_time(model, alpha, radii, centers=[origin]),
-                    cond.check_boundary_flux(model, radii, centers=[origin],
-                                             alpha=alpha)):
+                    cond.check_ujs_ljs_js(model, pairs),
+                    cond.check_poincare(model, alpha, radii),
+                    cond.check_exit_time(model, alpha, radii),
+                    cond.check_boundary_flux(model, radii, alpha=alpha)):
             out[rep.condition] = rep.to_dict()
             csvs[rep.condition] = rep.metadata.get("rows", [])
         report = {"experiment": "conditions-sweep", "conditions": out}

@@ -282,9 +282,14 @@ def sample_position_sup(r1: int, alpha: float, T: float, n: int,
 
     The component jumps +-r1 at rate delta each way (mu = 1) with
     delta = r1^{-1-alpha} log r1; Y_T = sup_{s<=T} |X_s|.  Estimates E Y_T^2
-    and P(Y_T >= lam) at lam = r1 and compares them with the maximal bounds
-    E Y_T^2 <= 4 r1^2 delta T and
-    P(Y_T >= lam) <= 4 T log r1 / (lam^2 r1^{alpha-1}).
+    and P(Y_T >= lam) at lam = r1 and compares them with two bounds:
+    - `doob_bound` 4 r1^2 delta T is 2 E X_T^2, half of Doob's L^2 bound
+      4 E X_T^2.  It holds for E Y_T^2 here because 2 delta T is small: a
+      walk rarely jumps more than once.
+    - `cheb_bound` 4 T log r1 / (lam^2 r1^{alpha-1}) equals 4 delta T at
+      lam = r1.  P(Y_T >= r1) is exactly 1 - e^{-2 delta T}, since any one
+      jump reaches |X| = r1, and that is at most 2 delta T, so `cheb_ok`
+      cannot fail.
     """
     lam = float(r1)
     delta = LadderKernel(alpha, (r1,)).atom(r1)

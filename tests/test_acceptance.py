@@ -122,14 +122,13 @@ def test_criterion_5_poincare_exactness():
                        edges=(("a", "b"),),
                        kernel=TabulatedKernel(entries=((("a", "b"), j),)),
                        mu_rule=MuConstant(1.0))
-    got = cond.check_poincare(two, 1.0, radii=[1], centers=["a"]).constants["C_Q"]
+    got = cond.check_poincare(two, 1.0, radii=[1]).constants["C_Q"]
     ok = abs(got - 1.0 / (4 * j)) <= 1e-10
     z1 = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
     rng = np.random.default_rng(5)
     violations = 0
     for R in (4, 8, 16):
-        cq = cond.check_poincare(z1, 1.0, radii=[R],
-                                 centers=[(0,)]).constants["C_Q"]
+        cq = cond.check_poincare(z1, 1.0, radii=[R]).constants["C_Q"]
         for _ in range(100):
             f = rng.standard_normal(2 * R + 1)
             violations += poincare_rayleigh(z1, (0,), R, 1.0, f) > cq + 1e-12
@@ -187,7 +186,7 @@ def test_criterion_9_determinism(tmp_path):
     for name in ("r1", "r2"):
         cfg = ExperimentConfig(
             experiment="cex-ladder",
-            params={"ranges": [16], "n_hit": 500, "n_sup": 2000},
+            params={"ranges": [16]},
             seed=7, out_dir=str(tmp_path / name))
         run_experiment(cfg)
         with open(tmp_path / name / "report.json", "rb") as f:

@@ -58,8 +58,7 @@ def test_failed_write_keeps_previous_bundle(tmp_path):
 
 
 def test_bundle_layout_and_determinism(tmp_path):
-    args = ["cex", "ladder", "--ranges", "16", "--n-hit", "200",
-            "--n-sup", "1000", "--seed", "5"]
+    args = ["cex", "ladder", "--ranges", "16", "--seed", "5"]
     d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(args + ["--out", d1]) == 0
     assert main(args + ["--out", d2]) == 0
@@ -76,7 +75,7 @@ def test_exit_code_assertion_failure(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "experiment": "cex-ladder",
-        "params": {"ranges": [16], "n_hit": 200, "n_sup": 500},
+        "params": {"ranges": [16]},
         "assert_thresholds": True, "seed": 1}))
     assert main(["run", str(cfg)]) == 1
 
@@ -414,12 +413,32 @@ def test_ladder_requires_alpha_in_range():
         run_experiment(cfg)
 
 
-@pytest.mark.parametrize("key", ["n_hit", "n_sup"])
-def test_ladder_requires_walkers(capsys, key):
-    """Zero walkers is a ConfigError naming the param, not a numpy error."""
-    flag = "--" + key.replace("_", "-")
-    assert main(["cex", "ladder", "--ranges", "16", flag, "0"]) == 2
-    assert f"param '{key}': need at least 1 walker" in capsys.readouterr().err
+def test_ladder_walker_counts_are_not_params(tmp_path, capsys):
+    """The walker counts are constants: `--n-hit` and a config's `n_sup`
+    are unknown params (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["cex", "ladder", "--ranges", "16", "--n-hit", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-hit 5" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "cex-ladder",
+                               "params": {"ranges": [16], "n_sup": 500}}))
+    assert main(["run", str(cfg)]) == 2
+    assert "unknown param 'n_sup'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, name", [
+    (["conditions", "--radii", "4,8,16"], "E_alpha.csv"),
+    (["exit-time", "--radii", "4,8,16"], "exit_time.csv"),
+], ids=["conditions", "exit-time"])
+def test_exit_time_csv_has_one_row_per_radius(tmp_path, args, name):
+    """The exit-time table holds one row per radius, each with an integer
+    `r`, and no fit row."""
+    out = str(tmp_path / "bundle")
+    assert main(args + ["--out", out]) == 0
+    with open(os.path.join(out, name), newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["r"] for row in rows] == ["4", "8", "16"]
 
 
 def test_ladder_requires_ranges_of_at_least_one(capsys):
@@ -459,20 +478,47 @@ def test_lattice_dimension_below_one_rejected(capsys, experiment, d):
     assert "TypeError" not in err
 
 
+def _spy_on_checkers(monkeypatch) -> list:
+    """Replace every checker, Harnack constant and Monte Carlo estimate the
+    runners call by a stub that records its name in the returned list."""
+    ran = []
+    for module in (io_module.cond, io_module.har, io_module.mc):
+        for name in dir(module):
+            if name.startswith(("check_", "phi_", "ehi_", "hit_", "sample_")):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, name=name, **k: ran.append(name))
+    return ran
+
+
 def test_suppressed_refuses_gap_below_one_up_front(capsys, monkeypatch):
     """A gap below 1 anywhere in --radii is a ConfigError naming the param,
     raised before any checker runs, not a ValueError once the gaps before
     it are computed."""
-    ran = []
-    for module in (io_module.cond, io_module.har):
-        for name in dir(module):
-            if name.startswith(("check_", "phi_", "ehi_")):
-                monkeypatch.setattr(module, name,
-                                    lambda *a, name=name, **k: ran.append(name))
+    ran = _spy_on_checkers(monkeypatch)
     assert main(["cex", "suppressed", "--radii", "8,-4"]) == 2
     err = capsys.readouterr().err
     assert "param 'radii': need gaps of at least 1" in err
     assert "got -4" in err
+    assert ran == []
+
+
+def test_suppressed_refuses_repeated_gap_up_front(capsys, monkeypatch):
+    """A repeated gap is a ConfigError naming the param, raised before any
+    checker runs, not a run that lists the gap's assertions twice."""
+    ran = _spy_on_checkers(monkeypatch)
+    assert main(["cex", "suppressed", "--radii", "8,16,8"]) == 2
+    assert "param 'radii': gap 8 is repeated" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_ladder_refuses_unsorted_ranges_up_front(capsys, monkeypatch):
+    """Ranges out of increasing order are a ConfigError naming the param,
+    raised before any checker runs: the C_UJ assertions read the ranges in
+    the order given."""
+    ran = _spy_on_checkers(monkeypatch)
+    assert main(["cex", "ladder", "--ranges", "64,16"]) == 2
+    assert ("param 'ranges': need strictly increasing ranges, got [64, 16]"
+            in capsys.readouterr().err)
     assert ran == []
 
 

@@ -50,7 +50,7 @@ def test_vd_default_grid(z1):
 @pytest.mark.parametrize("check", [
     lambda m: cond.check_vd(m, []),
     lambda m: cond.check_exit_time(m, 1.0, []),
-    lambda m: cond.check_poincare(m, 1.0, [], centers=[m.origin]),
+    lambda m: cond.check_poincare(m, 1.0, []),
 ], ids=["vd", "exit-time", "poincare"])
 def test_empty_radius_grid_rejected(z1, check):
     with pytest.raises(ValueError, match="empty radius grid"):
@@ -97,7 +97,7 @@ def test_ladder_uj_log_growth():
 
 def test_ujs_ljs_js_polynomial(z1):
     pairs = [((0,), (s,)) for s in (4, 8, 16)]
-    rep = cond.check_ujs_ljs_js(z1, pairs, radii=[1, 2, 4])
+    rep = cond.check_ujs_ljs_js(z1, pairs)
     c = rep.constants
     assert c["c0"] == 1.0  # J(x, x+1) = 1 at alpha = 1
     assert 0 < c["c_LJS"] <= c["c_UJS"] < math.inf
@@ -107,20 +107,20 @@ def test_ujs_ljs_js_polynomial(z1):
 
 
 def test_ujs_ljs_js_no_ujs_probe(z1):
-    """r = 1 exceeds d(x, y)/2 for a unit pair, so no UJS probe survives and
-    the composed bound is inf, not nan."""
-    rep = cond.check_ujs_ljs_js(z1, [((0,), (1,))], radii=[1])
+    """Every UJS radius exceeds d(x, y)/2 for a unit pair, so no UJS probe
+    survives and the composed bound is inf, not nan."""
+    rep = cond.check_ujs_ljs_js(z1, [((0,), (1,))])
     assert rep.metadata["rows"] == []
     assert rep.constants["c_JS_composed_bound"] == math.inf
 
 
 def test_ujs_ljs_js_empty_pairs(z1):
     with pytest.raises(ValueError, match="empty pair list"):
-        cond.check_ujs_ljs_js(z1, [], radii=[1])
+        cond.check_ujs_ljs_js(z1, [])
 
 
 def test_boundary_flux(z1):
-    rep = cond.check_boundary_flux(z1, radii=[4], centers=[(0,)], alpha=1.0)
+    rep = cond.check_boundary_flux(z1, radii=[4], alpha=1.0)
     brute = sum(sum(z1.J((y,), (z,)) for z in range(-3000, 3001)
                     if abs(z) > 4) for y in range(-2, 3))
     want = 4.0 * brute / 5.0
@@ -133,8 +133,7 @@ def test_boundary_flux(z1):
 def test_boundary_flux_z2(z2):
     """On Z^2, J(y, G - B) is the certified row sum minus a brute-force sum
     over the 81 vertices of B(0, 4); the flux sums it over B(0, 2)."""
-    rep = cond.check_boundary_flux(z2, radii=[4], centers=[(0, 0)],
-                                   alpha=1.0)
+    rep = cond.check_boundary_flux(z2, radii=[4], alpha=1.0)
     ball = z2.ball((0, 0), 4)
     half = z2.ball((0, 0), 2)
     flux = sum(z2.row_sum_all(y)[0] - sum(z2.J(y, z) for z in ball)
@@ -149,7 +148,7 @@ def test_boundary_flux_z2(z2):
 
 def test_two_point_poincare_closed_form(two_state):
     model, j = two_state
-    rep = cond.check_poincare(model, alpha=1.3, radii=[1], centers=["a"])
+    rep = cond.check_poincare(model, alpha=1.3, radii=[1])
     assert rep.constants["C_Q"] == pytest.approx(1 / (4 * j), abs=1e-10)
 
 
@@ -164,13 +163,13 @@ def test_two_point_poincare_brute_force(two_state):
         var = ((f - f.mean()) ** 2).sum()
         form = 2 * j * s ** 2
         best = max(best, var / form)
-    rep = cond.check_poincare(model, alpha=1.0, radii=[1], centers=["a"])
+    rep = cond.check_poincare(model, alpha=1.0, radii=[1])
     assert rep.constants["C_Q"] == pytest.approx(best, abs=1e-10)
 
 
 def test_poincare_dominates_random_rayleigh(z1, rng):
     for R in (4, 8):
-        rep = cond.check_poincare(z1, 1.0, radii=[R], centers=[(0,)])
+        rep = cond.check_poincare(z1, 1.0, radii=[R])
         cq = rep.constants["C_Q"]
         n = 2 * R + 1
         for _ in range(100):
@@ -183,24 +182,27 @@ def test_poincare_disconnected_is_infinite():
                      edges=(("a", "b"), ("b", "c")),
                      kernel=TabulatedKernel(entries=((("a", "b"), 1.0),)),
                      mu_rule=MuConstant(1.0))
-    rep = cond.check_poincare(m, 1.0, radii=[2], centers=["a"])
+    rep = cond.check_poincare(m, 1.0, radii=[2])
     assert math.isinf(rep.constants["C_Q"])
     assert rep.witnesses["disconnected"] is not None
 
 
 def test_poincare_witness_is_last_disconnected_ball():
     """C_Q is infinite once a ball is disconnected, and the witness is the
-    last disconnected ball of the sweep, with a connected ball between."""
-    m = LatticeModel(kind="explicit", vertices=("a", "b", "c"),
-                     edges=(("a", "b"), ("b", "c")),
-                     kernel=TabulatedKernel(entries=((("a", "b"), 1.0),)),
+    last disconnected ball of the sweep, with a connected ball between: on
+    the path a-b-c-d with rates only on (a, c) and (b, c), B(a, 1) = {a, b}
+    and B(a, 3) are disconnected and B(a, 2) = {a, b, c} is not."""
+    m = LatticeModel(kind="explicit", vertices=("a", "b", "c", "d"),
+                     edges=(("a", "b"), ("b", "c"), ("c", "d")),
+                     kernel=TabulatedKernel(entries=((("a", "c"), 1.0),
+                                                     (("b", "c"), 1.0))),
                      mu_rule=MuConstant(1.0))
-    rep = cond.check_poincare(m, 1.0, radii=[2, 1], centers=["a", "c"])
+    rep = cond.check_poincare(m, 1.0, radii=[1, 2, 3])
     rows = rep.metadata["rows"]
-    assert [math.isinf(r["C_Q"]) for r in rows] == [True, False, True, True]
+    assert [math.isinf(r["C_Q"]) for r in rows] == [True, False, True]
     wit = rep.witnesses["C_Q"]
     assert wit == rep.witnesses["disconnected"]
-    assert wit[:2] == ("c", 1) and wit[2] in m.ball("c", 1)
+    assert wit[:2] == ("a", 3) and wit[2] in m.ball("a", 3)
     assert math.isinf(rep.constants["C_Q"])
 
 
@@ -225,8 +227,7 @@ def test_poincare_eigenvalues_match_scipy(mu):
     for R in (3, 8):
         _, _, L, mu_b = cond._ball_form_matrices(m, (0,), R)
         lam = eigh(2.0 * L, np.diag(mu_b), eigvals_only=True)[1]
-        row, = cond.check_poincare(m, 1.0, [R],
-                                   centers=[(0,)]).metadata["rows"]
+        row, = cond.check_poincare(m, 1.0, [R]).metadata["rows"]
         assert row["lam_plus"] == pytest.approx(lam, rel=1e-12)
 
 
@@ -240,16 +241,6 @@ def test_exit_time_exponent(alpha):
     rep = cond.check_exit_time(m, alpha, radii=[8, 16, 32, 64])
     assert abs(rep.constants["exponent"] - alpha) <= 0.15
     assert 0 < rep.constants["c1"] <= rep.constants["c2"] < math.inf
-
-
-def test_exit_time_constants_independent_of_center_order():
-    m = LatticeModel(d=1, kernel=SuppressedPairKernel(
-        base=PolynomialKernel(1.0), x0=(0,), y0=(1,)))
-    a = cond.check_exit_time(m, 1.0, [4, 8, 16], centers=[(0,), (40,)])
-    b = cond.check_exit_time(m, 1.0, [4, 8, 16], centers=[(40,), (0,)])
-    assert a.constants == b.constants
-    fits = [row["ratio"] for row in a.metadata["rows"] if row["r"] == "fit"]
-    assert a.constants["exponent"] == max(fits)
 
 
 def test_hkp_two_sided(z1):

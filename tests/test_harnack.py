@@ -840,20 +840,21 @@ def test_ehi_suppressed_within_factor_two():
 
 @pytest.mark.parametrize("c, c2", [(1.0, 1.04), (math.inf, math.inf)])
 def test_doubling_check_accepts(c, c2):
-    assert H._doubled("C", c, c2, 4.0) == c2
+    assert H._doubled("C", c, c2) == c2
 
 
 @pytest.mark.parametrize("c, c2", [(1.0, 1.1), (math.inf, 2.0), (2.0, math.inf)])
 def test_doubling_check_rejects(c, c2):
     with pytest.raises(WindowUnconverged):
-        H._doubled("C", c, c2, 4.0)
+        H._doubled("C", c, c2)
 
 
-@pytest.mark.parametrize("run", [
-    lambda z1: H.phi_constant(z1, small_box()),
-    lambda z1: H.ehi_constant(z1, (0,), 4),
+@pytest.mark.parametrize("run, name", [
+    (lambda z1: H.phi_constant(z1, small_box()), "C_P"),
+    (lambda z1: H.ehi_constant(z1, (0,), 4), "C_EHI"),
 ], ids=["phi", "ehi"])
-def test_constants_always_checked_on_doubled_annulus(z1, monkeypatch, run):
+def test_constants_always_checked_on_doubled_annulus(z1, monkeypatch, run,
+                                                     name):
     """phi_constant and ehi_constant always check the constant against the
     one of twice the tracked annulus: a doubled constant 6 % above it raises
     WindowUnconverged, and one that agrees is reported as
@@ -861,14 +862,15 @@ def test_constants_always_checked_on_doubled_annulus(z1, monkeypatch, run):
     real = H._doubled
     seen = []
 
-    def moved(name, c, c2, lam_ext):
-        seen.append(lam_ext)
-        return real(name, c, 1.06 * c2, lam_ext)
+    def moved(name, c, c2):
+        seen.append(name)
+        return real(name, c, 1.06 * c2)
 
     monkeypatch.setattr(H, "_doubled", moved)
-    with pytest.raises(WindowUnconverged):
+    with pytest.raises(WindowUnconverged,
+                       match=f"LAM_EXT {H.LAM_EXT} -> {2 * H.LAM_EXT}"):
         run(z1)
-    assert seen == [H.LAM_EXT]
+    assert seen == [name]
     monkeypatch.setattr(H, "_doubled", real)
     rep = run(z1)
     assert rep.metadata["lam_ext"] == H.LAM_EXT

@@ -347,7 +347,7 @@ def test_poincare_checks_every_ball_before_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: solves.append(a))
     with pytest.raises(WindowTooLarge, match="budget"):
         cond.check_poincare(LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
-                            1.0, radii=[16, 32, 64], centers=[(0, 0)])
+                            1.0, radii=[16, 32, 64])
     assert solves == []
 
 
