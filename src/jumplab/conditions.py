@@ -2,7 +2,8 @@
 
 Each checker scans a deterministic grid of radii about the model's origin
 (or of pairs and times), fits the best constant for its condition, and
-records the witness tuple attaining it.
+records the witness tuple attaining it.  Every radius, gap or range list, a
+checker's or an experiment param's, passes `radius_grid`.
 Supremum-type constants only grow under grid refinement; infimum-type only
 shrink.  "Holds" is always a statement about fitted constants plus stability
 across a dyadic sweep, never a proof.
@@ -51,6 +52,28 @@ class ConditionReport:
         return asdict(self)
 
 
+def radius_grid(values) -> list:
+    """`values` as a list, the one rule for a scale list: ValueError unless
+    it is nonempty, strictly increasing and at least 1 throughout."""
+    values = list(values)
+    if not values:
+        raise ValueError("empty list")
+    if min(values) < 1:
+        raise ValueError(f"need entries of at least 1, got {min(values)}")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"need a strictly increasing list, got {values}")
+    return values
+
+
+def _slope(radii, values) -> float:
+    """Least-squares slope of log(values) against log(radii), nan for one
+    radius."""
+    if len(radii) < 2:
+        return math.nan
+    return float(np.polyfit(np.log(np.array(radii, dtype=float)),
+                            np.log(np.array(values, dtype=float)), 1)[0])
+
+
 def _fit(rows, col, at, lower: bool = False):
     """(max of row[col] over rows, witness), or the min when `lower`.
 
@@ -76,11 +99,7 @@ def _fit(rows, col, at, lower: bool = False):
 def check_vd(model: LatticeModel, radii) -> ConditionReport:
     """Fits C_V = max V(x,2r)/V(x,r) and the (vd3) ratio floor at the origin;
     fits the V(d) exponent."""
-    radii = list(radii)
-    if not radii:
-        raise ValueError("empty radius grid")
-    if min(radii) < 1:
-        raise ValueError("VD sweep needs radii >= 1")
+    radii = radius_grid(radii)
     x = model.origin
     rows = []
     for r in radii:
@@ -90,11 +109,7 @@ def check_vd(model: LatticeModel, radii) -> ConditionReport:
         rows.append({"center": x, "r": r, "V_r": v1, "V_2r": v2, "ratio": ratio})
     c_v, wit_max = _fit(rows, "ratio", ("center", "r"))
     min_ratio, wit_min = _fit(rows, "ratio", ("center", "r"), lower=True)
-    v_r = {row["r"]: row["V_r"] for row in rows}
-    rs = sorted(v_r)
-    slope = (float(np.polyfit(np.log(np.array(rs, dtype=float)),
-                              np.log(np.array([v_r[r] for r in rs])), 1)[0])
-             if len(rs) >= 2 else math.nan)
+    slope = _slope(radii, [row["V_r"] for row in rows])
     floor = 1.0 + c_v ** (-4.0)
     return ConditionReport(
         condition="VD", alpha=None,
@@ -195,20 +210,14 @@ def check_exit_time(model: LatticeModel, alpha: float, radii) -> ConditionReport
     """Fits c1 <= E^x tau_{B(x,r)} / r^alpha <= c2 at the origin x, plus the
     log-log slope of E tau against r as the exponent (nan for one radius)."""
     x = model.origin
-    radii = list(radii)
-    if not radii:
-        raise ValueError("empty radius grid")
-    if min(radii) < 1:
-        raise ValueError("exit-time sweep needs radii >= 1")
+    radii = radius_grid(radii)
     rows = []
     for r in radii:
         fm = truncate(model, x, r, KILLED)
         tau = float(expected_exit_time(fm)[fm.index[x]])
         rows.append({"center": x, "r": r, "E_tau": tau,
                      "ratio": tau / float(r) ** alpha})
-    taus = np.array([row["E_tau"] for row in rows])
-    slope = (float(np.polyfit(np.log(np.array(radii, float)), np.log(taus), 1)[0])
-             if len(set(radii)) >= 2 else math.nan)
+    slope = _slope(radii, [row["E_tau"] for row in rows])
     c1, w1 = _fit(rows, "ratio", ("center", "r"), lower=True)
     c2, w2 = _fit(rows, "ratio", ("center", "r"))
     return ConditionReport(
@@ -249,19 +258,14 @@ def check_poincare(model: LatticeModel, alpha: float, radii) -> ConditionReport:
 
     C_Q(B) = 1/(R^alpha * lam_plus) with lam_plus the smallest nonzero
     eigenvalue on the mean-zero subspace (constant vector deflated by taking
-    the second-smallest eigenvalue; exact optimum over all f).  Every ball
-    is held to the dense byte budget before the first eigensolve, so an
-    oversized last radius raises WindowTooLarge at once.
+    the second-smallest eigenvalue; exact optimum over all f).  The balls
+    nest, so the largest is held to the dense byte budget before the first
+    eigensolve, and an oversized last radius raises WindowTooLarge at once.
     """
     x0 = model.origin
-    radii = list(radii)
-    if not radii:
-        raise ValueError("empty radius grid")
-    if min(radii) < 1:
-        raise ValueError("PI sweep needs radii >= 1")
-    for R in radii:
-        n = len(model.ball(x0, R))
-        require_dense(n, n)
+    radii = radius_grid(radii)
+    n = len(model.ball(x0, radii[-1]))
+    require_dense(n, n)
     rows = []
     disconnected = None
     for R in radii:
@@ -395,7 +399,7 @@ def check_boundary_flux(model: LatticeModel, radii,
     R^alpha sum_{y in B'} J(y, G-B) / mu(B'), B' = B(x0, R/2).
     J(y, G-B) is the killed window's mu_y kill_y."""
     x0 = model.origin
-    radii = list(radii)
+    radii = radius_grid(radii)
     rows = []
     for R in radii:
         fm = truncate(model, x0, R, KILLED)

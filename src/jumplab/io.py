@@ -92,9 +92,10 @@ class ExperimentConfig:
         replaces the `d` and `metric` params, and the cex experiments build
         their own.
         An unknown experiment or param, a bad value, a float param that is
-        not finite, an empty list, a malformed `model`, a seed that is not a
-        nonnegative integer, an `out_dir` that is not a string or an
-        `assert_thresholds` that is not a bool is a ConfigError."""
+        not finite, a list that `conditions.radius_grid` refuses, a malformed
+        `model`, a seed that is not a nonnegative integer, an `out_dir` that
+        is not a string or an `assert_thresholds` that is not a bool is a
+        ConfigError."""
         try:
             if isinstance(self.seed, (str, bool)):
                 raise TypeError(f"{self.seed!r} is not an integer")
@@ -138,15 +139,13 @@ class ExperimentConfig:
             cast = (_integer if isinstance(default, (int, list))
                     else type(default))
             try:
-                resolved[key] = ([cast(r) for r in value]
+                resolved[key] = (cond.radius_grid(cast(r) for r in value)
                                  if isinstance(default, list) else cast(value))
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"param {key!r}: {e}") from e
             if isinstance(default, float) and not math.isfinite(resolved[key]):
                 raise ConfigError(f"param {key!r}: need a finite number, "
                                   f"got {value!r}")
-            if resolved[key] == []:
-                raise ConfigError(f"param {key!r}: empty list")
         self.params = resolved
 
     def resolved(self) -> dict:
@@ -265,13 +264,6 @@ def run_cex_suppressed(config: ExperimentConfig):
     d, alpha, gaps, t_probe = p["d"], p["alpha"], p["radii"], p["t_probe"]
     if t_probe <= 0:
         raise ConfigError(f"param 't_probe': need a positive time, got {t_probe}")
-    if min(gaps) < 1:
-        raise ConfigError(f"param 'radii': need gaps of at least 1, so the "
-                          f"suppressed pair has distinct vertices, got "
-                          f"{min(gaps)}")
-    for i, R in enumerate(gaps):
-        if R in gaps[:i]:
-            raise ConfigError(f"param 'radii': gap {R} is repeated")
     _warn_alpha(alpha)
     report = {"experiment": "cex-suppressed", "per_gap": {}, "assertions": []}
     csvs = {}
@@ -345,9 +337,6 @@ def run_cex_ladder(config: ExperimentConfig):
         raise ConfigError(f"cex-ladder requires alpha in (1,2), got {alpha}")
     ranges = tuple(p["ranges"])
     model = LatticeModel(d=1, kernel=LadderKernel(alpha=alpha, ranges=ranges))
-    if any(a >= b for a, b in zip(ranges, ranges[1:])):
-        raise ConfigError(f"param 'ranges': need strictly increasing ranges, "
-                          f"got {list(ranges)}")
     report = {"experiment": "cex-ladder", "alpha": alpha,
               "ranges": list(ranges), "assertions": []}
     csvs = {}

@@ -514,9 +514,12 @@ class LatticeModel:
 
     def ball_points(self, x0, m: int) -> np.ndarray:
         """The lattice ball of radius m about x0 as an (N, d) int64 array in
-        lexicographic order; WindowTooLarge beyond STATE_CAP before any point
-        is formed."""
-        size = int(shell_counts(self.d, self.metric, np.arange(m + 1)).sum())
+        lexicographic order; WindowTooLarge beyond STATE_CAP before any array
+        is formed: the size is (2m+1)^d for l-inf and
+        sum_k 2^k C(d,k) C(m,k) for l1, in Python integers."""
+        size = ((2 * m + 1) ** self.d if self.metric == "linf" else
+                sum(2 ** k * math.comb(self.d, k) * math.comb(m, k)
+                    for k in range(self.d + 1)))
         if size > STATE_CAP:
             raise WindowTooLarge(f"ball of {size} vertices exceeds cap {STATE_CAP}")
         off = np.abs(np.arange(-m, m + 1, dtype=np.int32))

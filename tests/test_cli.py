@@ -88,7 +88,7 @@ def test_zero_gap_suppressed_pair_is_an_error(capsys):
     assert main(["cex", "suppressed", "--radii", "0"]) == 2
     err = capsys.readouterr().err
     assert "ZeroDivisionError" not in err
-    assert "distinct" in err
+    assert "param 'radii': need entries of at least 1, got 0" in err
 
 
 def test_config_diagnostics(tmp_path):
@@ -274,6 +274,35 @@ def test_empty_list_param_rejected(tmp_path, capsys, experiment, key):
     assert f"{cfg}: param '{key}': empty list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, match", [
+    ("8,8", "need a strictly increasing list, got [8, 8]"),
+    ("16,8", "need a strictly increasing list, got [16, 8]"),
+    ("0,8", "need entries of at least 1, got 0"),
+], ids=["repeated", "decreasing", "zero"])
+@pytest.mark.parametrize("experiment, key", [
+    (exp, key) for exp, table in PARAMS.items()
+    for key, default in table.items() if isinstance(default, list)])
+def test_list_param_outside_radius_grid_rejected(tmp_path, capsys,
+                                                 monkeypatch, experiment, key,
+                                                 value, match):
+    """A list param with a repeated, decreasing or zero entry is a
+    ConfigError naming it (`conditions.radius_grid`), given as a flag or in
+    a config file, raised before any checker runs."""
+    ran = _spy_on_checkers(monkeypatch)
+    entries = [int(v) for v in value.split(",")]
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(experiment=experiment, params={key: entries})
+    assert str(info.value) == f"param '{key}': {match}"
+    assert main([*COMMANDS[experiment][0], f"--{key}={value}"]) == 2
+    assert f"error: param '{key}': {match}" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment,
+                               "params": {key: entries}}))
+    assert main(["run", str(cfg)]) == 2
+    assert f"{cfg}: param '{key}': {match}" in capsys.readouterr().err
+    assert ran == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("experiment, key", [
     (exp, key) for exp, table in PARAMS.items()
@@ -446,7 +475,7 @@ def test_ladder_requires_ranges_of_at_least_one(capsys):
     rows, which skip the zero-distance pair."""
     assert main(["cex", "ladder", "--ranges", "0,16"]) == 2
     err = capsys.readouterr().err
-    assert "ladder range 0 is below 1" in err
+    assert "param 'ranges': need entries of at least 1, got 0" in err
     assert "KeyError" not in err
 
 
@@ -454,7 +483,8 @@ def test_ladder_rejects_repeated_range(capsys):
     """A repeated range is an error naming it, not a run whose kernel counts
     the atom once in J and twice in its row sum."""
     assert main(["cex", "ladder", "--ranges", "16,64,16"]) == 2
-    assert "ladder range 16 is repeated" in capsys.readouterr().err
+    assert ("param 'ranges': need a strictly increasing list, "
+            "got [16, 64, 16]" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("t", ["0", "-0.001"])
@@ -497,7 +527,7 @@ def test_suppressed_refuses_gap_below_one_up_front(capsys, monkeypatch):
     ran = _spy_on_checkers(monkeypatch)
     assert main(["cex", "suppressed", "--radii", "8,-4"]) == 2
     err = capsys.readouterr().err
-    assert "param 'radii': need gaps of at least 1" in err
+    assert "param 'radii': need entries of at least 1" in err
     assert "got -4" in err
     assert ran == []
 
@@ -507,7 +537,8 @@ def test_suppressed_refuses_repeated_gap_up_front(capsys, monkeypatch):
     checker runs, not a run that lists the gap's assertions twice."""
     ran = _spy_on_checkers(monkeypatch)
     assert main(["cex", "suppressed", "--radii", "8,16,8"]) == 2
-    assert "param 'radii': gap 8 is repeated" in capsys.readouterr().err
+    assert ("param 'radii': need a strictly increasing list, got [8, 16, 8]"
+            in capsys.readouterr().err)
     assert ran == []
 
 
@@ -517,7 +548,7 @@ def test_ladder_refuses_unsorted_ranges_up_front(capsys, monkeypatch):
     the order given."""
     ran = _spy_on_checkers(monkeypatch)
     assert main(["cex", "ladder", "--ranges", "64,16"]) == 2
-    assert ("param 'ranges': need strictly increasing ranges, got [64, 16]"
+    assert ("param 'ranges': need a strictly increasing list, got [64, 16]"
             in capsys.readouterr().err)
     assert ran == []
 

@@ -47,14 +47,31 @@ def test_vd_default_grid(z1):
         rep.constants["volume_exponent"]]
 
 
-@pytest.mark.parametrize("check", [
-    lambda m: cond.check_vd(m, []),
-    lambda m: cond.check_exit_time(m, 1.0, []),
-    lambda m: cond.check_poincare(m, 1.0, []),
-], ids=["vd", "exit-time", "poincare"])
+RADIUS_CHECKERS = [
+    lambda m, radii: cond.check_vd(m, radii),
+    lambda m, radii: cond.check_exit_time(m, 1.0, radii),
+    lambda m, radii: cond.check_poincare(m, 1.0, radii),
+    lambda m, radii: cond.check_boundary_flux(m, radii, alpha=1.0),
+]
+RADIUS_CHECKER_IDS = ["vd", "exit-time", "poincare", "boundary-flux"]
+
+
+@pytest.mark.parametrize("check", RADIUS_CHECKERS, ids=RADIUS_CHECKER_IDS)
 def test_empty_radius_grid_rejected(z1, check):
-    with pytest.raises(ValueError, match="empty radius grid"):
-        check(z1)
+    with pytest.raises(ValueError, match="empty list"):
+        check(z1, [])
+
+
+@pytest.mark.parametrize("radii, match", [
+    ([4, 4], r"need a strictly increasing list, got \[4, 4\]"),
+    ([8, 4], r"need a strictly increasing list, got \[8, 4\]"),
+    ([0, 4], "need entries of at least 1, got 0"),
+], ids=["repeated", "decreasing", "zero"])
+@pytest.mark.parametrize("check", RADIUS_CHECKERS, ids=RADIUS_CHECKER_IDS)
+def test_radius_grid_outside_rule_rejected(z1, check, radii, match):
+    """Every radius checker refuses what `radius_grid` refuses."""
+    with pytest.raises(ValueError, match=match):
+        check(z1, radii)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,36 @@ def test_ball_cap():
         m.ball((0, 0), 224)
 
 
+@pytest.mark.parametrize("metric", ["linf", "l1"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ball_size_equals_shell_count_sum(monkeypatch, d, metric):
+    """The closed-form size `ball_points` holds to STATE_CAP is the sum of
+    the shell counts out to m."""
+    monkeypatch.setattr(models, "STATE_CAP", -1)
+    m = LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(1.0))
+    for r in range(12):
+        size = int(shell_counts(d, metric, np.arange(r + 1)).sum())
+        with pytest.raises(WindowTooLarge, match=f"ball of {size} vertices"):
+            m.ball_points((0,) * d, r)
+
+
+@pytest.mark.parametrize("d, metric", [(1, "linf"), (2, "linf"), (2, "l1"),
+                                       (3, "l1")])
+def test_ball_cap_allocates_nothing(d, metric):
+    """A ball of radius 10^7 is refused before any array is built: the
+    check allocates under 1 MiB, where a shell count per radius alone
+    would take 80 MB."""
+    m = LatticeModel(d=d, metric=metric, kernel=PolynomialKernel(1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WindowTooLarge):
+            m.ball_points((0,) * d, 10 ** 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_explicit_distance_and_unreachable():
     m = LatticeModel(kind="explicit", vertices=("a", "b", "c", "z"),
                      edges=(("a", "b"), ("b", "c")),
