@@ -179,6 +179,8 @@ def jsonable(v):
     """Deterministic JSON-safe conversion, the one serialiser of reports:
     tuples to lists, numpy scalars to Python numbers, and inf, -inf, nan to
     the strings "inf", "-inf", "nan"."""
+    if type(v) is float and math.isfinite(v):  # a heat row's every value
+        return v
     if isinstance(v, dict):
         return {str(k): jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -202,10 +204,18 @@ def _cell(v) -> str:
     return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
 
 
+def _columns(rows: list) -> dict:
+    """A table of row dicts as its columns, keyed by the first row's keys."""
+    return {k: [r[k] for r in rows] for k in rows[0]} if rows else {}
+
+
 def write_bundle(out_dir: str, config: dict, report: dict, csvs: dict,
                  meta: dict):
-    """Atomically write config.resolved, report.json, meta.json, and CSVs
-    (one `_cell` per value, quoted where it holds a comma).
+    """Atomically write config.resolved, report.json, meta.json, and CSVs.
+
+    `csvs` maps a file name to its table's columns, header to column of
+    values, as `_columns` gives them; a file is one `_cell` per value, quoted
+    where it holds a comma, and an empty table is an empty file.
 
     The files go to a sibling temp directory.  An existing bundle is renamed
     aside, the new one renamed into place, and only then is the old one
@@ -224,12 +234,13 @@ def write_bundle(out_dir: str, config: dict, report: dict, csvs: dict,
             with open(os.path.join(tmp, name), "w") as f:
                 json.dump(jsonable(obj), f, sort_keys=True, indent=2)
                 f.write("\n")
-        for name, rows in csvs.items():
+        for name, columns in csvs.items():
             with open(os.path.join(tmp, name + ".csv"), "w", newline="") as f:
-                if rows:
+                if columns:
                     out = csv.writer(f, lineterminator="\n")
-                    out.writerow(rows[0])
-                    out.writerows([_cell(r[k]) for k in rows[0]] for r in rows)
+                    out.writerow(columns)
+                    out.writerows(zip(*(map(_cell, c)
+                                        for c in columns.values())))
         if os.path.exists(out_dir):
             os.replace(out_dir, old)
         os.replace(tmp, out_dir)
@@ -323,7 +334,7 @@ def run_cex_suppressed(config: ExperimentConfig):
         report["assertions"].append(_assertion(
             f"ehi_ratio_R{R}", ehi_ratio, 2.0, ehi_ratio <= 2.0))
         report["per_gap"][str(R)] = entry
-        csvs[f"jump_bounds_R{R}"] = jb_supp.metadata["rows"]
+        csvs[f"jump_bounds_R{R}"] = _columns(jb_supp.metadata["rows"])
     report["model_digest"] = {"base": base.digest(), "suppressed": supp.digest()}
     return report, csvs
 
@@ -351,7 +362,7 @@ def run_cex_ladder(config: ExperimentConfig):
         "C_UJ_increasing", [cuj[r] for r in ranges], None, increasing))
     report["assertions"].append(_assertion(
         "C_UJ_growth", growth, 1.5, growth >= 1.5))
-    csvs["jump_bounds"] = jb.metadata["rows"]
+    csvs["jump_bounds"] = _columns(jb.metadata["rows"])
     # exit-time stability across the atom scales
     et = cond.check_exit_time(model, alpha, radii=list(ranges))
     spread = et.constants["c2"] / et.constants["c1"]
@@ -360,7 +371,7 @@ def run_cex_ladder(config: ExperimentConfig):
                            "spread": spread}
     report["assertions"].append(_assertion(
         "exit_time_spread", spread, 2.0, spread <= 2.0))
-    csvs["exit_time"] = et.metadata["rows"]
+    csvs["exit_time"] = _columns(et.metadata["rows"])
     # hitting probability bounded below uniformly in the scale
     sampler = mc.TrajectorySampler(model, seed=config.seed)
     hits = {}
@@ -413,20 +424,19 @@ def run_generic(config: ExperimentConfig):
         fm = truncate(model, origin, r_win,
                       KILLED if mode == "killed" else REFLECTED)
         hk = heat_kernel(fm, origin, t)
-        csvs["heat"] = [{"y": v, "p": float(val)}
-                        for v, val in zip(fm.window, hk.values)]
+        cells, values = [_cell(v) for v in fm.window], hk.values.tolist()
+        csvs["heat"] = {"y": cells, "p": values}
         report = {"experiment": "heat", "t": t, "r_win": r_win, "mode": mode,
                   "mass": hk.mass(), "eps_poisson": hk.eps_poisson,
-                  "values": {_cell(v): float(val)
-                             for v, val in zip(fm.window, hk.values)}}
+                  "values": dict(zip(cells, values))}
     elif exp == "exit-time":
         rep = cond.check_exit_time(model, alpha, p["radii"])
         report = {"experiment": "exit-time", **rep.to_dict()}
-        csvs["exit_time"] = rep.metadata["rows"]
+        csvs["exit_time"] = _columns(rep.metadata["rows"])
     elif exp == "poincare":
         rep = cond.check_poincare(model, alpha, p["radii"])
         report = {"experiment": "poincare", **rep.to_dict()}
-        csvs["poincare"] = rep.metadata["rows"]
+        csvs["poincare"] = _columns(rep.metadata["rows"])
     elif exp == "phi":
         box = har.HarnackBox(x0=origin, R=p["R"], alpha=alpha, lam=p["lam"])
         rep = har.phi_constant(model, box)
@@ -445,7 +455,7 @@ def run_generic(config: ExperimentConfig):
                     cond.check_exit_time(model, alpha, radii),
                     cond.check_boundary_flux(model, radii, alpha=alpha)):
             out[rep.condition] = rep.to_dict()
-            csvs[rep.condition] = rep.metadata.get("rows", [])
+            csvs[rep.condition] = _columns(rep.metadata.get("rows", []))
         report = {"experiment": "conditions-sweep", "conditions": out}
     report["model_digest"] = model.digest()
     return report, csvs

@@ -39,7 +39,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy would load it lazily, inside a run
 
 from .models import LadderKernel, LatticeModel, radial_profile
 

@@ -14,11 +14,13 @@ series, split by the same `V.ndim` rule as `GeneratorView.apply`:
   series exp(tQ) v = sum_k c_k T_k(P) v with c_0 = ive(0, Lam t) and
   c_k = 2 ive(k, Lam t), ive(k, x) = I_k(x) e^-x, about
   sqrt(2 Lam t ln(1/tol)) terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81
-  (1984)).  Its terms cancel, so its error is relative to max|v|, but so is
-  that of the FFT product a vector goes through.  J is symmetric, so P is
+  (1984)).  Its terms cancel, so its error is relative to the norm of v,
+  but so is that of the FFT product a vector goes through.  J is symmetric, so P is
   self-adjoint in l2(mu); by Gershgorin its spectrum lies in [-1, 1], so
-  ||T_k(P)||_mu <= 1 and the max-norm error is at most
-  sum_{k>K} c_k * sqrt(mu(W)/min mu) * max|v|.
+  ||T_k(P)||_mu <= 1, and as |f(x)| <= ||f||_mu / sqrt(min mu) the max-norm
+  error is at most sum_{k>K} c_k * ||v||_mu / sqrt(min mu).  For a point
+  mass on n equal weights that is sqrt(n) times below the bound through
+  max|v|, sum_{k>K} c_k * sqrt(mu(W)/min mu) * max|v|.
 
 Both weight sets come from recurrences in numpy (`_poisson_table`, `_ive`),
 within 5e-15 relative of mpmath up to Lam t = 3.3e7.
@@ -226,14 +228,15 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     if V.ndim == 2:
         pmf, sf = _poisson_cutoff(gen.lam * t, tol / max(scale, 1e-300))
         return _series(gen, V, pmf), float(sf[-1]) * scale
-    # max|T_k(P) v| <= ||T_k(P) v||_mu / sqrt(min mu) <= growth * max|v|
-    growth = float(np.sqrt(gen.fm.mu.sum() / gen.fm.mu.min()))
-    coef, tail = _chebyshev_weights(gen.lam * t, tol / max(scale * growth, 1e-300))
+    # max|T_k(P) v| <= ||T_k(P) v||_mu / sqrt(min mu) <= ||v||_mu / sqrt(min mu)
+    mu = gen.fm.mu
+    bound = scale * float(np.sqrt(mu @ np.square(V / scale) / mu.min()))
+    coef, tail = _chebyshev_weights(gen.lam * t, tol / max(bound, 1e-300))
     out = _chebyshev_series(gen, V, coef)
     if V.min() >= 0:
         # exp(tQ) has no negative entry, and clipping only shrinks the error
         out = np.maximum(out, 0.0)
-    return out, tail * growth * scale
+    return out, tail * bound
 
 
 def integrated_action(gen: GeneratorView, V: np.ndarray,

@@ -15,6 +15,9 @@ from jumplab import io as io_module
 from jumplab.errors import ConfigError
 from jumplab.io import (PARAMS, ExperimentConfig, load_config, run_experiment,
                         write_bundle)
+from jumplab.models import (KILLED, REFLECTED, LatticeModel, PolynomialKernel,
+                            truncate)
+from jumplab.semigroup import heat_kernel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,7 +43,7 @@ def test_alpha_out_of_scope_warns_but_runs(capsys, caplog):
 
 def test_failed_write_keeps_previous_bundle(tmp_path):
     out = str(tmp_path / "bundle")
-    write_bundle(out, {"seed": 1}, {"value": 1.0}, csvs={"rows": [{"a": 1}]},
+    write_bundle(out, {"seed": 1}, {"value": 1.0}, csvs={"rows": {"a": [1]}},
                  meta={})
     with open(os.path.join(out, "report.json"), "rb") as f:
         before = f.read()
@@ -422,6 +425,40 @@ def test_csv_rows_match_header_width(tmp_path, args):
         assert all("(" not in cell for r in rows for cell in r), name
 
 
+def _row_dict_csv(path, rows):
+    """A table written row by row from dicts, as heat.csv once was: a vertex
+    cell joins its coordinates by commas, any other cell is str()."""
+    def cell(v):
+        return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+    with open(path, "w", newline="") as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(rows[0])
+        out.writerows([cell(r[k]) for k in rows[0]] for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["killed", "reflected"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_heat_csv_written_from_columns_matches_row_dicts(tmp_path, d, mode):
+    """heat.csv, written from the row's columns, is byte for byte the file
+    the row-dict writer makes from the same values, `"x,y"` cells quoted on
+    Z^2 included."""
+    out = str(tmp_path / "bundle")
+    assert main(["heat", "--d", str(d), "--r-win", "5", "--t", "1.5",
+                 "--mode", mode, "--out", out]) == 0
+    fm = truncate(LatticeModel(d=d, kernel=PolynomialKernel(1.0)), (0,) * d,
+                  5, KILLED if mode == "killed" else REFLECTED)
+    hk = heat_kernel(fm, (0,) * d, 1.5)
+    oracle = str(tmp_path / "oracle.csv")
+    _row_dict_csv(oracle, [{"y": v, "p": float(val)}
+                           for v, val in zip(fm.window, hk.values)])
+    with open(os.path.join(out, "heat.csv"), "rb") as f, \
+            open(oracle, "rb") as g:
+        got, want = f.read(), g.read()
+    assert got == want
+    assert (b'"0,0",' in got) == (d == 2)
+
+
 def test_layertrace_entry_points_resolve():
     """Every entry point the traced benchmark run wraps still exists, so a
     rename cannot break `perfbench/run.py --trace 1` unseen."""
@@ -553,16 +590,37 @@ def test_ladder_refuses_unsorted_ranges_up_front(capsys, monkeypatch):
     assert ran == []
 
 
-def test_cli_import_loads_no_scipy():
-    """`lab` loads no scipy module, and imports the numpy submodules it uses
-    (numpy loads numpy.fft and numpy.random lazily), so no import lands in
-    the timed part of a run."""
+def _fresh_python(code: str) -> str:
+    """The stripped stdout of `code` run in a new interpreter that imports
+    jumplab from this source tree."""
     src = str(Path(jumplab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, jumplab.cli; print(sorted(m for m in sys.modules " \
-           "if m.split('.')[0] == 'scipy'), 'numpy.fft' in sys.modules, " \
-           "'numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[] True True"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    """`lab` loads no scipy module and imports numpy.fft, which every
+    lattice window uses and numpy loads lazily, so that import stays out of
+    the timed part of a run.  numpy.random (about 2 MiB of RSS) is left to
+    the first walk: `import jumplab.cli` loads it only where a bare
+    `import numpy` already does (numpy < 2)."""
+    code = "import sys, numpy; bare = 'numpy.random' in sys.modules; " \
+           "import jumplab.cli; print(sorted(m for m in sys.modules " \
+           "if m.split('.')[0] == 'scipy'), 'numpy.fft' in sys.modules, " \
+           "'numpy.random' in sys.modules and not bare)"
+    assert _fresh_python(code) == "[] True False"
+
+
+def test_walk_loads_numpy_random():
+    """A walk loads numpy.random on its own: the first `np.random` access
+    inside `hit_before_exit` imports it."""
+    code = "import sys; from jumplab import montecarlo as mc; " \
+           "from jumplab.models import LatticeModel, PolynomialKernel; " \
+           "s = mc.TrajectorySampler(LatticeModel(d=1, " \
+           "kernel=PolynomialKernel(1.0)), seed=0); " \
+           "rep = mc.hit_before_exit(s, (2,), (0,), (0,), 8, 10); " \
+           "print(rep.n, 'numpy.random' in sys.modules)"
+    assert _fresh_python(code) == "10 True"
