@@ -17,7 +17,7 @@ from .io import (CHOICES, PARAMS, ExperimentConfig, jsonable, load_config,
 
 
 def _ints(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x]
+    return [int(x) for x in s.split(",")] if s else []
 
 
 # experiment -> its command words and help; its flags come from io.PARAMS

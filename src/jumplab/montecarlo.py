@@ -31,6 +31,9 @@ rejected hold with it) is dropped, and its next block draws afresh, so each
 accepted jump follows the conditional law J(x,y)/J(x,G) with an unbiased
 Exp(q_x) hold.  k doubles from block to block while m*k stays within
 DRAW_BUDGET.
+
+`sample_position_sup` samples nothing (its running sup is exact); it keeps an
+estimate's report as `perfbench/layertrace.py` wraps it by name.
 """
 
 from __future__ import annotations
@@ -41,10 +44,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .models import LadderKernel, LatticeModel, radial_profile
+from .semigroup import TOL, _poisson_cutoff, _poisson_table
 
 STEP_CAP = 10_000_000
 DRAW_BUDGET = 1 << 15  # displacements drawn per block: m walkers x k jumps
 GUIDE_BUCKETS = 4096  # equal-mass draw-table buckets over [0, J(x, G))
+SUP_TERM_CAP = 256  # Poisson terms of the running-sup sum, ~2 K^3 flops
 _COS = np.array([1, 0, -1, 0])  # cos of q quarter turns; sin is _COS[q - 1]
 
 
@@ -231,20 +236,15 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
     return end_pre[ended], end_post[ended], end_clock[ended], truncated
 
 
-def _se(samples: np.ndarray) -> float:
-    """Standard error of the mean of n samples; inf for n = 1."""
-    n = len(samples)
-    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-
-
 def _finish(estimand, samples, truncated, seed, extra) -> EstimateReport:
+    """The mean of the samples and its standard error (inf for one sample)."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n == 0:
         raise ValueError("all trajectories hit the step cap")
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return EstimateReport(estimand=estimand, estimate=float(samples.mean()),
-                          se=_se(samples), n=n, seed=seed, truncated=truncated,
-                          extra=extra)
+                          se=se, n=n, seed=seed, truncated=truncated, extra=extra)
 
 
 def sample_exit_time(sampler: TrajectorySampler, x, x0, R,
@@ -275,47 +275,50 @@ def hit_before_exit(sampler: TrajectorySampler, x, y, x0, R,
                    sampler.seed, {"x": list(x), "y": list(y), "x0": list(x0), "R": R})
 
 
-def sample_position_sup(r1: int, alpha: float, T: float, n: int,
-                        seed: int) -> EstimateReport:
-    """Running-sup statistics of the pure single-range component on Z.
+def _sup_moments(n: int) -> np.ndarray:
+    """m2[N] = E max_{k<=N} S_k^2 = sum_{m>=1} (2m - 1) P(S leaves (-m, m) by
+    step N), N = 0..n, for the simple random walk S; row m - 1 of `v` is S
+    killed outside (-m, m), so about 2 n^3 flops."""
+    levels, x = np.arange(1, n + 1), np.arange(-n, n + 1)
+    inside = np.abs(x) < levels[:, None]
+    v = (x == 0) * inside.astype(float)
+    m2 = np.empty(n + 1)
+    for N in range(n + 1):
+        m2[N] = (2 * levels - 1) @ (1.0 - v.sum(axis=1))
+        v[:, 1:-1] = (v[:, :-2] + v[:, 2:]) / 2
+        v *= inside
+    return m2
 
-    The component jumps +-r1 at rate delta each way (mu = 1) with
-    delta = r1^{-1-alpha} log r1; Y_T = sup_{s<=T} |X_s|.  Estimates E Y_T^2
-    and P(Y_T >= lam) at lam = r1 and compares them with two bounds:
-    - `doob_bound` 4 r1^2 delta T is 2 E X_T^2, half of Doob's L^2 bound
-      4 E X_T^2.  It holds for E Y_T^2 here because 2 delta T is small: a
-      walk rarely jumps more than once.
-    - `cheb_bound` 4 T log r1 / (lam^2 r1^{alpha-1}) equals 4 delta T at
-      lam = r1.  P(Y_T >= r1) is exactly 1 - e^{-2 delta T}, since any one
-      jump reaches |X| = r1, and that is at most 2 delta T, so `cheb_ok`
-      cannot fail.
+
+def _sup_sum(ell: float, K: int) -> tuple[float, float]:
+    """(sum_{N<=K} Pois(N; ell) m2(N), a bound on the rest), K >= 2: as
+    m2(N) <= N^2, the rest is at most ell^2 P(N >= K-1) + ell P(N >= K)."""
+    pmf, sf = _poisson_table(ell, K)
+    return float(pmf @ _sup_moments(K)), float(ell ** 2 * sf[K - 2] + ell * sf[K - 1])
+
+
+def sample_position_sup(r1: int, alpha: float, T: float) -> EstimateReport:
+    """Exact running-sup statistics of the pure single-range component on Z.
+
+    It jumps +-r1 at rate delta = r1^{-1-alpha} log r1 each way (mu = 1): by
+    T it makes N ~ Poisson(ell = 2 delta T) jumps, Y_T = sup_{s<=T} |X_s| is
+    r1 max_{k<=N} |S_k|, and P(Y_T >= lam = r1) = 1 - e^{-ell} >= ell/(1+ell).
+    The sum for E Y_T^2 >= r1^2 P(Y_T >= lam) stops two terms past the least
+    K with P(N > K) <= TOL / (1 + ell)^2 (past SUP_TERM_CAP it raises
+    TruncationBudgetExceeded), so `E_Y2_tail` <= TOL E Y_T^2.  `doob_bound`
+    2 E X_T^2, half of Doob's L^2 bound, holds as a walk rarely jumps twice;
+    `cheb_bound` 4 delta T = 2 ell cannot fail.  A negative T is a ValueError.
     """
-    lam = float(r1)
+    if T < 0:
+        raise ValueError(f"need T >= 0, got {T}")
     delta = LadderKernel(alpha, (r1,)).atom(r1)
-    rate = 2.0 * delta  # total jump rate (both directions)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = rng.poisson(rate * T, n)
-    y = np.zeros(n)
-    cur = np.zeros(n)
-    remaining = counts.copy()
-    while np.any(remaining > 0):
-        act = remaining > 0
-        steps = (rng.integers(0, 2, int(act.sum())) * 2 - 1) * r1
-        cur[act] += steps
-        y[act] = np.maximum(y[act], np.abs(cur[act]))
-        remaining[act] -= 1
-    y2 = y ** 2
-    e_y2 = float(y2.mean())
-    se_y2 = _se(y2)
-    ind = (y >= lam).astype(float)
-    p_lam = float(ind.mean())
-    se_p = _se(ind)
-    doob = 4.0 * r1 ** 2 * delta * T
-    cheb = 4.0 * T * math.log(r1) / (lam ** 2 * float(r1) ** (alpha - 1.0))
-    return EstimateReport(
-        estimand="position_sup", estimate=e_y2, se=se_y2, n=n, seed=seed,
-        extra={"E_Y2": e_y2, "se_E_Y2": se_y2, "doob_bound": doob,
-               "doob_ok": e_y2 <= doob + 3 * se_y2,
-               "lam": lam, "P_ge_lam": p_lam, "se_P": se_p,
-               "cheb_bound": cheb, "cheb_ok": p_lam <= cheb + 3 * se_p,
-               "r1": r1, "alpha": alpha, "T": T, "delta": delta})
+    ell = 2.0 * delta * T  # expected number of jumps
+    _, sf = _poisson_cutoff(ell, TOL / (1.0 + ell) ** 2, SUP_TERM_CAP)
+    moment, tail = _sup_sum(ell, len(sf) + 1)
+    e_y2, p_lam, cheb = r1 ** 2 * moment, -math.expm1(-ell), 4.0 * delta * T
+    return EstimateReport(  # nothing sampled: no se, n or seed
+        estimand="position_sup", estimate=e_y2, se=0.0, n=0, seed=None,
+        extra={"E_Y2": e_y2, "E_Y2_tail": r1 ** 2 * tail, "terms": len(sf) + 2,
+               "doob_bound": r1 ** 2 * cheb, "doob_ok": e_y2 <= r1 ** 2 * cheb,
+               "lam": float(r1), "P_ge_lam": p_lam, "cheb_bound": cheb,
+               "cheb_ok": p_lam <= cheb, "alpha": alpha, "T": T, "delta": delta})

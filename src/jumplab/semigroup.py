@@ -109,10 +109,10 @@ def generator(fm: FiniteModel) -> GeneratorView:
 # series primitives
 # ---------------------------------------------------------------------------
 
-def _within_cap(k: int) -> int:
+def _within_cap(k: int, cap: int = TERM_CAP) -> int:
     """k, or TruncationBudgetExceeded before a series of k terms is built."""
-    if k > TERM_CAP:
-        raise TruncationBudgetExceeded(f"needed more than {TERM_CAP} series terms")
+    if k > cap:
+        raise TruncationBudgetExceeded(f"needed more than {cap} series terms")
     return k
 
 
@@ -136,17 +136,17 @@ def _poisson_table(lt: float, k: int):
     return p[:k + 1] / total, tail[1:k + 2] / total
 
 
-def _poisson_cutoff(lt: float, tol: float):
+def _poisson_cutoff(lt: float, tol: float, cap: int = TERM_CAP):
     """(pmf[0..K], sf[0..K]) for the least K with sf(K, lt) <= tol, searched
-    on the doubling ladder from lt + 12 sqrt(lt+1) + 30."""
-    k = _within_cap(int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0))
+    on the doubling ladder from lt + 12 sqrt(lt+1) + 30, up to `cap`."""
+    k = _within_cap(int(lt + 12.0 * np.sqrt(lt + 1.0) + 30.0), cap)
     while True:
         pmf, sf = _poisson_table(lt, k)
         fits = np.flatnonzero(sf <= tol)
         if fits.size:
             K = int(fits[0])
             return pmf[:K + 1], sf[:K + 1]
-        k = _within_cap(2 * k)
+        k = _within_cap(2 * k, cap)
 
 
 def _ive(n: int, x: float) -> np.ndarray:

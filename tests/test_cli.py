@@ -74,6 +74,23 @@ def test_bundle_layout_and_determinism(tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_ladder_seed_reaches_only_the_hits(tmp_path):
+    """Seeds 0 and 7 give the same report but for the hitting estimates and
+    their assertions: the running-sup values are exact."""
+    reports = []
+    for seed in (0, 7):
+        out = str(tmp_path / str(seed))
+        assert main(["cex", "ladder", "--seed", str(seed), "--out", out]) == 0
+        with open(os.path.join(out, "report.json")) as f:
+            reports.append(json.load(f))
+    for report in reports:
+        del report["hit_before_exit"]
+        report["assertions"] = [a for a in report["assertions"]
+                                if not a["name"].startswith("hit_lower_R")]
+    assert reports[0] == reports[1]
+    assert len(reports[0]["assertions"]) == 9
+
+
 def test_exit_code_assertion_failure(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -303,6 +320,23 @@ def test_list_param_outside_radius_grid_rejected(tmp_path, capsys,
                                "params": {key: entries}}))
     assert main(["run", str(cfg)]) == 2
     assert f"{cfg}: param '{key}': {match}" in capsys.readouterr().err
+    assert ran == []
+
+
+@pytest.mark.parametrize("value", ["4,,8", "16,", ",16"],
+                         ids=["inner", "trailing", "leading"])
+@pytest.mark.parametrize("experiment, key", [
+    (exp, key) for exp, table in PARAMS.items()
+    for key, default in table.items() if isinstance(default, list)])
+def test_list_flag_with_empty_entry_rejected(capsys, monkeypatch, experiment,
+                                             key, value):
+    """An empty entry between commas in a list flag exits 2 before any
+    checker runs; it is not dropped to leave a shorter list."""
+    ran = _spy_on_checkers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main([*COMMANDS[experiment][0], f"--{key}={value}"])
+    assert exc.value.code == 2
+    assert f"argument --{key}: invalid" in capsys.readouterr().err
     assert ran == []
 
 

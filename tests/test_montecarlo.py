@@ -1,11 +1,13 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from jumplab import montecarlo as mc
-from jumplab.errors import NumericalFailure
+from jumplab.errors import NumericalFailure, TruncationBudgetExceeded
 from jumplab.models import (
     JUMP_RADIUS_CAP,
     KILLED,
@@ -242,19 +244,72 @@ def test_row_sum_is_the_sampler_total(d, metric, kernel, y0):
         assert m.row_sum_all((7,) * d)[0] == mc.TrajectorySampler(m, 0).total
 
 
-def test_position_sup_bounds_and_t0():
-    rep = mc.sample_position_sup(64, 1.5, T=64.0 ** 1.5 / 4, n=20_000, seed=11)
-    assert rep.extra["doob_ok"] and rep.extra["cheb_ok"]
-    tiny = mc.sample_position_sup(64, 1.5, T=1e-6, n=2_000, seed=11)
-    assert tiny.estimate == 0.0
+def test_sup_moments_match_path_enumeration():
+    """m2(N) = E max_{k<=N} S_k^2 over all 2^N sign paths, N <= 10."""
+    m2 = mc._sup_moments(10)
+    for N in range(11):
+        paths = np.array(list(itertools.product((-1, 1), repeat=N)),
+                         dtype=np.int64).reshape(2 ** N, N)
+        peak = np.abs(np.cumsum(paths, axis=1)).max(axis=1, initial=0)
+        assert m2[N] == np.mean(peak.astype(float) ** 2)
 
 
-def test_position_sup_single_walker_has_infinite_se():
-    """One walker gives no spread: se is inf, as for the other estimands,
-    so the bound checks pass rather than compare against NaN."""
-    rep = mc.sample_position_sup(64, 1.5, T=64.0 ** 1.5 / 4, n=1, seed=11)
-    assert rep.se == rep.extra["se_E_Y2"] == rep.extra["se_P"] == math.inf
+@pytest.mark.parametrize("R, e_y2, p_lam", [
+    (16, 22.64114990717593, 0.08299595679532878),
+    (64, 134.14797456894493, 0.031969103253852826),
+    (256, 711.6941693857378, 0.010771986806024536),
+])
+def test_position_sup_exact_values(R, e_y2, p_lam):
+    """The ladder's running-sup values at T = R^alpha / 4, alpha = 1.5; the
+    seed-free values replace the seed-R Monte Carlo estimates
+    23.155 +- 0.587, 130.253 +- 5.371 and 616.038 +- 44.719."""
+    rep = mc.sample_position_sup(R, 1.5, T=float(R) ** 1.5 / 4)
+    assert rep.estimate == rep.extra["E_Y2"]
+    assert rep.estimate == pytest.approx(e_y2, rel=1e-12, abs=0)
+    assert rep.extra["P_ge_lam"] == pytest.approx(p_lam, rel=1e-12, abs=0)
+    assert 0 < rep.extra["E_Y2_tail"] <= 1e-12 * rep.estimate
     assert rep.extra["doob_ok"] and rep.extra["cheb_ok"]
+    assert (rep.se, rep.n, rep.seed, rep.truncated) == (0.0, 0, None, 0)
+
+
+@pytest.mark.parametrize("r1, T", [(1, 5.0), (64, 0.0)], ids=["delta0", "T0"])
+def test_position_sup_without_jumps_is_zero(r1, T):
+    """No jump (delta = log 1 = 0, or T = 0) gives Y_T = 0."""
+    rep = mc.sample_position_sup(r1, 1.5, T=T)
+    assert rep.estimate == rep.extra["P_ge_lam"] == rep.extra["E_Y2_tail"] == 0.0
+    assert rep.extra["doob_ok"] and rep.extra["cheb_ok"]
+
+
+@pytest.mark.parametrize("ell", [0.0866, 1.0, 5.0])
+def test_sup_sum_tail_bound_holds(ell):
+    """The sum cut after K terms, plus its stated tail bound, brackets the
+    sum to K = 80, for every K >= 2 whose bound is above rounding."""
+    full, _ = mc._sup_sum(ell, 80)
+    for K in range(2, 80):
+        part, tail = mc._sup_sum(ell, K)
+        if tail < 1e-12 * full:
+            break
+        assert part <= full <= part + tail
+    assert K > 5
+
+
+def test_position_sup_refuses_negative_time():
+    with pytest.raises(ValueError, match="need T >= 0, got -0.001"):
+        mc.sample_position_sup(16, 1.5, T=-1e-3)
+
+
+def test_position_sup_term_cap_raises_before_allocating():
+    """A jump count whose Poisson cutoff passes SUP_TERM_CAP is refused
+    before its table or the running-max array exists."""
+    T = 1e7  # ell = 2 delta T is about 5.4e4 at r1 = 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationBudgetExceeded):
+            mc.sample_position_sup(16, 1.5, T=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unsupported_dimensions():
