@@ -79,6 +79,9 @@ LAM_EXT = 4.0
 # by a chunk of at most TILE_COLS columns; the rows and the product each take
 # at most TILE_BYTES (or one age, if one age alone is larger).  Larger tiles
 # run the GEMMs faster but raise the peak memory of scans with few columns.
+# Both are buffers the scan owns, sized once and written with `out=`: a tile
+# near TILE_BYTES is above malloc's mmap threshold, so a fresh one per GEMM
+# would be mapped, page-faulted in and unmapped again on every call.
 TILE_BYTES = 1 << 18
 TILE_COLS = 512
 # Entries per call of a sliding-window pass: wide arrays take s rows a call,
@@ -275,25 +278,40 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
     their Q+ ages [m/4, m), and only those half-ball maxima and minima are
     formed.  S is formed for the columns of `sources` and the initial fields
     at `slots` only.  The rows I[half] E^a come a block of ages at a time
-    (`_age_blocks`), as many as fit TILE_BYTES.  Returns (init, src, ops),
-    the `_Family` of each kind and the step operators.
+    (`_age_blocks`), as many as fit TILE_BYTES, and each family's values at
+    a block go into one buffer sized once per scan.  Returns (init, src,
+    ops), the `_Family` of each kind and the step operators.
     """
     m = box.m_steps
     half = np.array(fm.ball_slots(box.x0, box.R / 2))
     ops = step_operators(fm, box.T / m, sources)
     n, h, mu = fm.n, len(half), fm.mu[slots]
-    chunks = _chunks(sources.shape[1])
+    chunks, init_chunks = _chunks(sources.shape[1]), _chunks(len(slots))
     width = chunks[0].stop - chunks[0].start
     block = min(max(TILE_BYTES // (8 * h * max(width, n)), 1), m + 1)
+    buf = np.empty(block * h * max(width, init_chunks[0].stop))
+
+    def tile(st, c):
+        """The (len(st), h, columns of c) product of a block, a view of buf."""
+        return buf[:len(st) * h * (c.stop - c.start)].reshape(len(st), h, -1)
+
+    def gather(st, c):
+        # mode="clip" keeps np.take from buffering; the slots are in range
+        out = np.take(st, slots[c], axis=2, out=tile(st, c), mode="clip")
+        return np.divide(out, mu[c], out=out)
+
+    def product(st, c):
+        out = tile(st, c)
+        np.matmul(st.reshape(-1, n), ops.S[:, c],
+                  out=out.reshape(-1, out.shape[2]))
+        return out
+
     minus, plus = box.minus_steps(), box.plus_steps()
     fams = []
     for read, launch, first, launches, labs, cuts in (
-            (lambda st, c: st[:, :, slots[c]] / mu[c],
-             lambda c: np.eye(1, n, slots[c])[0] / mu[c], -1, 1,
-             [fm.window[i] for i in slots], _chunks(len(slots))),
-            (lambda st, c: (st.reshape(-1, n) @ ops.S[:, c]).reshape(
-                len(st), h, -1), lambda c: ops.S[:, c], 0, m // 2,
-             labels, chunks)):
+            (gather, lambda c: np.eye(1, n, slots[c])[0] / mu[c], -1, 1,
+             [fm.window[i] for i in slots], init_chunks),
+            (product, lambda c: ops.S[:, c], 0, m // 2, labels, chunks)):
         # the ages some launch shows in Q- (the max) and in Q+ (the min);
         # row r of each array holds age kept.stop - 1 - r
         kept = [range(_ages(w, first + launches - 1).start,

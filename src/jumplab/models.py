@@ -10,7 +10,6 @@ certified remainder bound.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -21,6 +20,17 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 import numpy.fft  # noqa: F401  numpy would load it lazily, inside a run
+
+# CPython's built-in SHA-256, the module hashlib itself falls back to:
+# importing hashlib loads OpenSSL's _hashlib (about 3.5 MiB of RSS) for a
+# digest of about 100 bytes.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import (
     DistanceUnreachable,
@@ -632,7 +642,7 @@ class LatticeModel:
         return d
 
     def digest(self) -> str:
-        return hashlib.sha256(
+        return sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -669,17 +679,19 @@ class BoxConvolution:
     once.  A product then costs O(N log N) time and O(N) memory for N padded
     grid points: scatter the vector into the box by flat index, multiply the
     spectra, gather it back.  l1 balls scatter into a masked subset of the
-    box.  A suppressed pair with both endpoints in the window is subtracted
-    as a rank-2 term, `pair` = (slot of x0, slot of y0, rate), else None.
-    `strang` inverts the box's circulant approximation of diag I - J.
+    box.  The zero-padded box is kept (`pad`): every product writes the same
+    `flat` slots, so the rest of it stays zero.  A suppressed pair with both
+    endpoints in the window is subtracted as a rank-2 term, `pair` = (slot
+    of x0, slot of y0, rate), else None.  `strang` inverts the box's
+    circulant approximation of diag I - J.
     """
 
     def __init__(self, model: LatticeModel, index: dict, center, m: int):
         d = model.d
         self.model, self.side = model, 2 * m + 1
         self.shape = (_fft_len(2 * self.side),) * d
-        self.axes = tuple(range(d))
-        self.symbol = np.fft.rfftn(self._kernel(self.shape[0]), axes=self.axes)
+        self.symbol = _rfft(self._kernel(self.shape[0]))
+        self.pad = np.zeros(math.prod(self.shape))
         corner = np.asarray(center, dtype=np.int64) - m
         coords = np.asarray(list(index), dtype=np.int64) - corner
         self.flat = np.ravel_multi_index(tuple(coords.T), self.shape)
@@ -689,10 +701,10 @@ class BoxConvolution:
             self.pair = (index[p[0]], index[p[1]], p[2])
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        u = np.zeros(math.prod(self.shape))
-        u[self.flat] = v
-        spec = np.fft.rfftn(u.reshape(self.shape), axes=self.axes) * self.symbol
-        out = np.fft.irfftn(spec, s=self.shape, axes=self.axes).reshape(-1)[self.flat]
+        self.pad[self.flat] = v
+        spec = _rfft(self.pad.reshape(self.shape))
+        spec *= self.symbol
+        out = _irfft(spec, self.shape)[self.flat]
         if self.pair is not None:
             i, j, rate = self.pair
             out[i] -= rate * v[j]
@@ -717,17 +729,31 @@ class BoxConvolution:
         offsets.  Its eigenvalues, diag - sum_k J(k) e^{i k theta} over the
         box's offsets, are at least diag less the kernel's mass there, so
         with diag = J(x, Z^d) C is positive definite and so is R C^-1 R^T.
-        One application is one FFT pair of the box side."""
-        axes, shape = self.axes, (self.side,) * self.model.d
-        eig = diag - np.fft.rfftn(self._kernel(self.side), axes=axes).real
+        One application is one FFT pair of the box side, through a
+        zero-padded box the solve keeps as `__call__` keeps `pad`."""
+        shape = (self.side,) * self.model.d
+        eig = diag - _rfft(self._kernel(self.side)).real
         box = np.ravel_multi_index(np.unravel_index(self.flat, self.shape), shape)
+        pad = np.zeros(math.prod(shape))
 
         def solve(r: np.ndarray) -> np.ndarray:
-            u = np.zeros(math.prod(shape))
-            u[box] = r
-            spec = np.fft.rfftn(u.reshape(shape), axes=axes) / eig
-            return np.fft.irfftn(spec, s=shape, axes=axes).reshape(-1)[box]
+            pad[box] = r
+            spec = _rfft(pad.reshape(shape))
+            spec /= eig
+            return _irfft(spec, shape)[box]
         return solve
+
+
+def _rfft(u: np.ndarray) -> np.ndarray:
+    """rfftn of u over all its axes: rfft itself on one axis."""
+    return np.fft.rfft(u) if u.ndim == 1 else np.fft.rfftn(u)
+
+
+def _irfft(spec: np.ndarray, shape: tuple) -> np.ndarray:
+    """The flat irfftn of spec to the real grid `shape`: irfft on one axis."""
+    if len(shape) == 1:
+        return np.fft.irfft(spec, shape[0])
+    return np.fft.irfftn(spec, s=shape, axes=range(len(shape))).reshape(-1)
 
 
 def _fft_len(n: int) -> int:

@@ -37,6 +37,13 @@ with the dense P, as the FFT product (accurate relative to the largest entry)
 would lose the per-entry accuracy above, and at their window sizes GEMM is
 faster; `solve_generator` on a matrix (the elliptic Harnack generators) or on
 an explicit graph solves with the dense Q.  Both are built on first read.
+
+The series loops own their buffers: on a matrix, P work goes into two arrays
+in turn; a Chebyshev step runs in place with one scratch vector; the FFT
+product and the Strang solve keep their zero-padded box.  Each writes the
+same ufuncs on the same operands with `out=`, so the bits are those of fresh
+arrays, and a term past malloc's mmap threshold (128 KiB) is not mapped and
+page-faulted in anew at every step.
 """
 
 from __future__ import annotations
@@ -193,9 +200,16 @@ def _input_scale(V: np.ndarray, t: float) -> float:
 
 
 def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
-    """sum_k weights[k] P^k V."""
+    """sum_k weights[k] P^k V.  On a matrix, P work goes into two arrays in
+    turn, and the weighted add through the one the product has just freed."""
     acc = weights[0] * V
     work = V
+    if V.ndim == 2:
+        P, bufs = gen.P, (np.empty(V.shape), np.empty(V.shape))
+        for i, w in enumerate(weights[1:]):
+            work = np.matmul(P, work, out=bufs[i % 2])
+            acc += np.multiply(w, work, out=bufs[1 - i % 2])
+        return acc
     for w in weights[1:]:
         work = gen.apply(work)
         acc += w * work
@@ -203,12 +217,18 @@ def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
 
 
 def _chebyshev_series(gen: GeneratorView, v: np.ndarray, coef) -> np.ndarray:
-    """sum_k coef[k] T_k(P) v by T_{k+1} = 2 P T_k - T_{k-1}; len(coef) >= 2."""
+    """sum_k coef[k] T_k(P) v by T_{k+1} = 2 P T_k - T_{k-1}; len(coef) >= 2.
+    Each step is formed in place in the array P T_k comes in, and the
+    weighted add goes through one scratch vector."""
     prev, work = v, gen.apply(v)
     acc = coef[0] * v + coef[1] * work
+    scratch = np.empty_like(work)
     for c in coef[2:]:
-        prev, work = work, 2.0 * gen.apply(work) - prev
-        acc += c * work
+        step = gen.apply(work)
+        step *= 2.0
+        step -= prev
+        prev, work = work, step
+        acc += np.multiply(c, work, out=scratch)
     return acc
 
 

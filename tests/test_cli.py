@@ -648,6 +648,21 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(code) == "[] True False"
 
 
+def test_phi_and_heat_runs_load_no_openssl(tmp_path):
+    """The model digest comes from CPython's built-in SHA-256, so neither
+    `import jumplab.cli` nor a `phi --d 2 --R 2` and a `heat` run load
+    OpenSSL's `_hashlib` (about 3.5 MiB of RSS).  `cex ladder` still loads
+    it: its walk imports numpy.random, which imports hashlib itself."""
+    runs = [["phi", "--d", "2", "--R", "2", "--out", str(tmp_path / "phi")],
+            ["heat", "--r-win", "2048", "--t", "256", "--mode", "reflected",
+             "--out", str(tmp_path / "heat")]]
+    code = "import sys; from jumplab.cli import main; " \
+           "before = '_hashlib' in sys.modules; " \
+           f"codes = [main(args) for args in {runs!r}]; " \
+           "print(before, codes, '_hashlib' in sys.modules)"
+    assert _fresh_python(code) == "False [0, 0] False"
+
+
 def test_walk_loads_numpy_random():
     """A walk loads numpy.random on its own: the first `np.random` access
     inside `hit_before_exit` imports it."""

@@ -13,6 +13,7 @@ from jumplab import semigroup
 from jumplab.errors import NumericalFailure, WindowTooLarge
 from jumplab.models import (
     EXTERIOR_TRACKED,
+    BoxConvolution,
     FiniteModel,
     KILLED,
     REFLECTED,
@@ -23,15 +24,19 @@ from jumplab.models import (
     PolynomialKernel,
     SuppressedPairKernel,
     TabulatedKernel,
+    _irfft,
     _pair_rates,
+    _rfft,
     _shell_poly_coeffs,
     shell_counts,
     truncate,
 )
 from jumplab.semigroup import (
     _cg_solve,
+    _chebyshev_series,
     _chebyshev_weights,
     _poisson_cutoff,
+    _series,
     expected_exit_time,
     expm_action,
     generator,
@@ -299,6 +304,66 @@ def test_strang_solve_equals_dense_circulant(name):
     want = np.linalg.inv(C)[np.ix_(slots, slots)] @ v
     got = fm.action.strang(diag)(v)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["pair-both-in-l1-d2", "pair-both-in"])
+def test_box_convolution_reused_bitwise_equals_fresh(name):
+    """One `BoxConvolution`, and one of its Strang solves, applied to five
+    vectors in a row equal a fresh instance per vector, bit for bit: each
+    keeps its zero-padded box, and an l1 window scatters into a masked
+    subset of it, so a stale pad entry would leak into the next product."""
+    model, x0, r = CASES[name]
+    fm = _window(name, KILLED)
+    diag = float(model.row_sum_all(model.origin)[0])
+    conv, solve = fm.action, fm.action.strang(diag)
+    for v in np.random.default_rng(11).standard_normal((5, fm.n)):
+        fresh = BoxConvolution(model, fm.index, x0, r)
+        assert np.array_equal(conv(v), fresh(v))
+        assert np.array_equal(solve(v), fresh.strang(diag)(v))
+
+
+@pytest.mark.parametrize("shape", [(24,), (25,), (6, 10)])
+def test_rfft_pair_bitwise_equals_numpy_nd(shape):
+    """`_rfft`/`_irfft` (rfft itself on one axis) give rfftn/irfftn's bits."""
+    u = np.random.default_rng(2).standard_normal(shape)
+    axes = tuple(range(len(shape)))
+    spec = np.fft.rfftn(u, axes=axes)
+    assert np.array_equal(_rfft(u), spec)
+    assert np.array_equal(_irfft(spec, shape),
+                          np.fft.irfftn(spec, s=shape, axes=axes).reshape(-1))
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, None])
+def test_matrix_series_bitwise_equals_plain_loop(terms):
+    """`_series` on a matrix, through the two arrays it owns, against the
+    plain loop acc += w * (P @ work), bit for bit, for an odd and an even
+    number of products."""
+    fm = _window("pair-both-in-l1-d2", EXTERIOR_TRACKED)
+    gen = generator(fm)
+    V = np.random.default_rng(5).random((fm.n, 7))
+    weights = _poisson_cutoff(gen.lam * 3.0, 1e-12)[0][:terms]
+    acc, work = weights[0] * V, V
+    for w in weights[1:]:
+        work = gen.P @ work
+        acc += w * work
+    assert np.array_equal(_series(gen, V, weights), acc)
+
+
+def test_chebyshev_series_bitwise_equals_plain_recurrence():
+    """`_chebyshev_series`, stepping in place, against the plain recurrence
+    T_{k+1} = 2 P T_k - T_{k-1}, bit for bit; v itself is not written."""
+    fm = _window("pair-both-in-l1-d2", REFLECTED)
+    gen = generator(fm)
+    v = np.random.default_rng(6).standard_normal(fm.n)
+    coef, _ = _chebyshev_weights(gen.lam * 2.5, 1e-12)
+    prev, work = v, gen.apply(v)
+    acc = coef[0] * v + coef[1] * work
+    for c in coef[2:]:
+        prev, work = work, 2.0 * gen.apply(work) - prev
+        acc += c * work
+    kept = v.copy()
+    assert np.array_equal(_chebyshev_series(gen, v, coef), acc)
+    assert np.array_equal(v, kept)
 
 
 def test_cg_past_iteration_cap_raises(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -595,6 +596,26 @@ def test_explicit_suppressed_pair_round_trip(vertices):
         assert m2.kernel == m.kernel
         assert m2.digest() == m.digest()
         assert m2.J(a, c) == 0.0 and m2.J(a, b) == m.J(a, b)
+
+
+@pytest.mark.parametrize("model", [
+    LatticeModel(d=1, kernel=PolynomialKernel(1.0)),
+    LatticeModel(d=2, kernel=PolynomialKernel(1.5)),
+    LatticeModel(d=1, metric="l1", kernel=PolynomialKernel(0.7)),
+    LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
+    LatticeModel(d=1, kernel=SuppressedPairKernel(PolynomialKernel(1.0),
+                                                  (0,), (8,))),
+    LatticeModel(d=1, kernel=LadderKernel(alpha=1.5, ranges=(16, 64, 256))),
+    LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0),
+                 mu_rule=MuAlternating(1.0, 2.0)),
+    LatticeModel(kernel=PolynomialKernel(1.0), **PATH_ABC),
+], ids=["linf-d1", "linf-d2", "l1-d1", "l1-d2", "suppressed", "ladder",
+        "mu-alternating", "graph"])
+def test_digest_is_hashlib_sha256(model):
+    """`digest` takes SHA-256 from CPython's built-in module, so a run need
+    not load OpenSSL through hashlib; its hex digest is hashlib's."""
+    text = json.dumps(model.to_dict(), sort_keys=True).encode()
+    assert model.digest() == hashlib.sha256(text).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("rule", [
