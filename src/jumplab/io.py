@@ -92,7 +92,7 @@ class ExperimentConfig:
         their own.
         An unknown experiment or param, a bad value, a float param that is
         not finite, a list that `conditions.radius_grid` refuses, a malformed
-        `model`, a seed that is not a nonnegative integer, an `out_dir` that
+        `model`, a seed that is not an integer in [0, 2^64), an `out_dir` that
         is not a string or an `assert_thresholds` that is not a bool is a
         ConfigError."""
         try:
@@ -104,6 +104,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"field 'seed': need a nonnegative integer, "
                               f"got {self.seed}")
+        if self.seed >= 1 << 64:  # the walker's state is one 64-bit word
+            raise ConfigError(f"field 'seed': need an integer of at most 64 "
+                              f"bits, got {self.seed}")
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError(f"field 'out_dir': expected a string, got "
                               f"{type(self.out_dir).__name__}")

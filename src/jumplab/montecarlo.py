@@ -18,8 +18,17 @@ the table search's.  Trajectories never see a window;
 only the observables are windowed, which avoids truncation bias in exit and
 hitting estimates.
 
-Each estimate draws from one generator, `default_rng(SeedSequence(seed))`,
-so it depends on the seed alone.  Walkers are block-stepped: each of the m
+Each estimate draws from one generator, `SplitMix64(seed)` (Steele, Lea &
+Flood, OOPSLA 2014; the output function of Java's `SplittableRandom`), so
+it depends on the seed alone.  A draw is a 64-bit word w, and z = w >> 11
+its top 53 bits: a uniform is x = z 2^-53 and a unit exponential
+-log((z + 1) 2^-53).  The draw table takes the bucket floor(x len(_table))
+as w's top bits, w >> (64 - log2 len(_table)), and forms x len(_table) =
+z (len(_table) 2^-53), one exact product, only for the draws that miss:
+the doubles of the floor and product on x, so the argument above holds
+word for word.
+
+Walkers are block-stepped: each of the m
 live walkers draws k i.i.d. displacements (and, for timed estimands, k unit
 exponentials) in one call, its path is its position plus their running
 sum, and one argmax over the (m, k) event mask finds each walker's first
@@ -39,6 +48,7 @@ estimate's report as `perfbench/layertrace.py` wraps it by name.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,6 +61,73 @@ DRAW_BUDGET = 1 << 15  # displacements drawn per block: m walkers x k jumps
 GUIDE_BUCKETS = 4096  # equal-mass draw-table buckets over [0, J(x, G))
 SUP_TERM_CAP = 256  # Poisson terms of the running-sup sum, ~2 K^3 flops
 _COS = np.array([1, 0, -1, 0])  # cos of q quarter turns; sin is _COS[q - 1]
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's Weyl increment, 2^64 / golden ratio
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))  # then z ^= z >> 31
+_M64 = (1 << 64) - 1
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function on one word: a bijection of [0, 2^64)."""
+    for shift, mult in _MIX:
+        z = (z ^ (z >> shift)) * mult & _M64
+    return z ^ (z >> 31)
+
+
+def _start(seed: int) -> int:
+    """The first state of seed's stream, mix64(seed); a seed outside
+    [0, 2^64), which would alias one inside, is a ValueError."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _M64:
+        raise ValueError(f"need a seed in [0, 2^64), got {seed}")
+    return _mix64(seed)
+
+
+class SplitMix64:
+    """The walker's generator: SplitMix64's 64-bit words.
+
+    The state is one 64-bit word; it starts at mix64(seed), so distinct
+    seeds in [0, 2^64) start at distinct states, and advances by GAMMA
+    per word, which is mix64 of it.  A call for n <= DRAW_BUDGET words
+    fills buffers the generator owns: one add of the precomputed steps
+    i GAMMA (i = 1..n) to the state, then the mixing rounds in place; a
+    larger call (more than DRAW_BUDGET walkers at one jump each) gets
+    buffers of its own."""
+
+    def __init__(self, seed: int):
+        self.state = _start(seed)
+        self._buffers = self._allocate(DRAW_BUDGET)
+
+    @staticmethod
+    def _allocate(n: int):
+        """The steps i GAMMA mod 2^64 for i = 1..n, and two word buffers."""
+        return (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA),
+                np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64))
+
+    def words(self, n: int) -> np.ndarray:
+        """The next n words; for n <= DRAW_BUDGET a view of the generator's
+        buffer, which its next call overwrites."""
+        bufs = self._buffers
+        if n > len(bufs[0]):
+            bufs = self._allocate(n)
+        steps, z, tmp = (b[:n] for b in bufs)
+        np.add(steps, self.state, out=z)
+        self.state = (self.state + n * GAMMA) & _M64
+        for shift, mult in _MIX:
+            z ^= np.right_shift(z, shift, out=tmp)
+            z *= mult
+        z ^= np.right_shift(z, 31, out=tmp)
+        return z
+
+    def random(self, n: int) -> np.ndarray:
+        """n uniforms z 2^-53 in [0, 1), z a word's top 53 bits."""
+        return (self.words(n) >> 11) * 2.0 ** -53
+
+    def standard_exponential(self, n: int) -> np.ndarray:
+        """n unit exponentials -log((z + 1) 2^-53), each in [0, 53 log 2]."""
+        e = (self.words(n) >> 11) + 1.0
+        e *= 2.0 ** -53
+        np.log(e, out=e)
+        return np.negative(e, out=e)
 
 
 @dataclass
@@ -76,6 +153,7 @@ class TrajectorySampler:
         if model.d > 2:
             raise NotImplementedError("shell direction sampling implemented for d <= 2")
         self.model = model
+        _start(seed)  # refuses a seed outside [0, 2^64) before any walk
         self.seed = seed
         self.profile = radial_profile(model.d, model.metric, model.base_kernel)
         self.total = self.profile.total  # J(x, G) off the suppressed pair
@@ -94,6 +172,7 @@ class TrajectorySampler:
         i = cum.searchsorted(np.where(neg, edges - self.total, edges), side="right")
         code = np.where(i < len(cum), np.where(neg, -1, 1) * (i + 1), 0)
         self._table = np.where(code[:-1] == code[1:], code[:-1], 0)
+        self._shift = 65 - len(self._table).bit_length()  # 64 - log2 len
 
     # -- walker tests (points along the last axis) -----------------------------
 
@@ -146,13 +225,22 @@ class TrajectorySampler:
         A uniform picks a bucket of the draw table; a draw in a bucket with
         a step takes it, the others take `profile.radii` at their point u,
         signed on Z by u >= total (u - total is exact, Sterbenz).  On Z^2 a
-        direction uniform on the radius' shell completes the step."""
-        x = rng.random(n)
-        x *= len(self._table)  # exact: a power of two
-        step = self._table[x.astype(np.intp)]
-        miss = np.flatnonzero(step == 0)
+        direction uniform on the radius' shell completes the step.  A
+        `SplitMix64` word gives its bucket by a shift; another generator
+        (numpy's, say) gives its uniforms by `random`."""
+        size = len(self._table)
+        if isinstance(rng, SplitMix64):
+            w = rng.words(n)
+            step = self._table.take((w >> self._shift).view(np.intp))  # buckets
+            miss = np.flatnonzero(step == 0)
+            x = (w[miss] >> 11) * (size * 2.0 ** -53)  # exact: a power of two
+        else:
+            x = rng.random(n) * size  # exact: a power of two
+            step = self._table[x.astype(np.intp)]
+            miss = np.flatnonzero(step == 0)
+            x = x[miss]
         if len(miss):
-            u = x[miss] * (self.total / GUIDE_BUCKETS)
+            u = x * (self.total / GUIDE_BUCKETS)
             neg = u >= self.total
             r = self.profile.radii(np.where(neg, u - self.total, u))
             step[miss] = np.where(neg, -r, r)
@@ -173,7 +261,7 @@ def _walk(sampler: TrajectorySampler, x, n: int, stop, timed: bool):
     truncated at STEP_CAP.
     """
     model, d = sampler.model, sampler.model.d
-    rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+    rng = SplitMix64(sampler.seed)
     start = np.asarray(x, dtype=np.int64)
     if stop(start[None], np.zeros(1))[0]:
         here = np.tile(start, (n, 1))

@@ -240,3 +240,43 @@ def sample_occupation(sampler, x, t: float, n: int) -> dict:
     for key in map(tuple, final.tolist()):
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+_M64 = (1 << 64) - 1
+_MULTS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def mix64(z: int) -> int:
+    """SplitMix64's output function, in Python integers."""
+    z = (z ^ (z >> 30)) * _MULTS[0] & _M64
+    z = (z ^ (z >> 27)) * _MULTS[1] & _M64
+    return z ^ (z >> 31)
+
+
+def unmix64(z: int) -> int:
+    """The inverse of `mix64`: each xor-shift undone bit block by bit block,
+    each odd multiplier by its inverse mod 2^64."""
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+    z = unshift(z, 31)
+    z = unshift(z * pow(_MULTS[1], -1, 1 << 64) & _M64, 27)
+    return unshift(z * pow(_MULTS[0], -1, 1 << 64) & _M64, 30)
+
+
+class SplitMix64:
+    """The walker's generator one word at a time, in Python integers, after
+    Steele, Lea & Flood (OOPSLA 2014): the state starts at mix64(seed) and
+    gains 0x9E3779B97F4A7C15 per word, and a word is mix64 of the state."""
+
+    def __init__(self, seed: int):
+        self.state = mix64(seed)
+
+    def words(self, n: int) -> list:
+        out = []
+        for _ in range(n):
+            self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
+            out.append(mix64(self.state))
+        return out

@@ -246,9 +246,10 @@ def test_config_malformed_model(tmp_path, capsys, model, match):
     ("seed", 1.5, "1.5 is not an integer"),
     ("seed", "7", "'7' is not an integer"),
     ("seed", -3, "need a nonnegative integer, got -3"),
+    ("seed", 2 ** 64, f"need an integer of at most 64 bits, got {2 ** 64}"),
     ("out_dir", 5, "expected a string, got int"),
 ], ids=["assert-thresholds-str", "seed-fraction", "seed-str", "seed-negative",
-        "out-dir-int"])
+        "seed-65-bits", "out-dir-int"])
 def test_config_top_level_fields_checked(tmp_path, capsys, field, value, match):
     """A top-level field of the wrong type is a ConfigError naming it, not
     a truthy string that asserts or a numpy or os error in the run."""
@@ -395,13 +396,18 @@ def test_heat_keys_on_explicit_graph(capsys, tmp_path, vertices):
     assert sum(values.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_benchmark_workloads_parse():
-    """perfbench/run.py's argument lists (read with ast, not imported) still
-    parse to the experiment and params they are meant to run."""
+def _benchmark_workloads() -> dict:
+    """perfbench/run.py's `lab` argument lists, read with ast, not imported."""
     tree = ast.parse((PERFBENCH / "run.py").read_text())
-    workloads = next(ast.literal_eval(node.value) for node in tree.body
-                     if isinstance(node, ast.Assign)
-                     and getattr(node.targets[0], "id", None) == "WORKLOADS")
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "WORKLOADS")
+
+
+def test_benchmark_workloads_parse():
+    """perfbench/run.py's argument lists still parse to the experiment and
+    params they are meant to run."""
+    workloads = _benchmark_workloads()
     expected = {
         "cex-suppressed": ("cex-suppressed", {"radii": [8, 16]}),
         "cex-ladder": ("cex-ladder", {"ranges": [16, 64, 256]}),
@@ -638,9 +644,8 @@ def _fresh_python(code: str) -> str:
 def test_cli_import_loads_no_scipy():
     """`lab` loads no scipy module and imports numpy.fft, which every
     lattice window uses and numpy loads lazily, so that import stays out of
-    the timed part of a run.  numpy.random (about 2 MiB of RSS) is left to
-    the first walk: `import jumplab.cli` loads it only where a bare
-    `import numpy` already does (numpy < 2)."""
+    the timed part of a run.  numpy.random, which `lab` never uses, is
+    loaded only where a bare `import numpy` already does (numpy < 2)."""
     code = "import sys, numpy; bare = 'numpy.random' in sys.modules; " \
            "import jumplab.cli; print(sorted(m for m in sys.modules " \
            "if m.split('.')[0] == 'scipy'), 'numpy.fft' in sys.modules, " \
@@ -648,28 +653,40 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(code) == "[] True False"
 
 
-def test_phi_and_heat_runs_load_no_openssl(tmp_path):
-    """The model digest comes from CPython's built-in SHA-256, so neither
-    `import jumplab.cli` nor a `phi --d 2 --R 2` and a `heat` run load
-    OpenSSL's `_hashlib` (about 3.5 MiB of RSS).  `cex ladder` still loads
-    it: its walk imports numpy.random, which imports hashlib itself."""
-    runs = [["phi", "--d", "2", "--R", "2", "--out", str(tmp_path / "phi")],
-            ["heat", "--r-win", "2048", "--t", "256", "--mode", "reflected",
-             "--out", str(tmp_path / "heat")]]
-    code = "import sys; from jumplab.cli import main; " \
+def test_benchmark_runs_load_no_openssl(tmp_path):
+    """The model digest comes from CPython's built-in SHA-256 and the walker
+    draws from its own SplitMix64, so neither `import jumplab.cli` nor the
+    benchmark's four runs, `cex ladder --ranges 16,64,256 --seed 0` among
+    them, load OpenSSL's `_hashlib` (about 3.6 MiB of RSS) or numpy.random
+    (2.5 MiB more)."""
+    runs = [[a.replace("{seed}", "0") for a in argv]
+            + ["--out", str(tmp_path / name)]
+            for name, argv in sorted(_benchmark_workloads().items())]
+    assert ["cex", "ladder", "--ranges", "16,64,256", "--assert-thresholds",
+            "--seed", "0"] in [r[:7] for r in runs]
+    code = "import sys, numpy; bare = 'numpy.random' in sys.modules; " \
+           "from jumplab.cli import main; " \
            "before = '_hashlib' in sys.modules; " \
            f"codes = [main(args) for args in {runs!r}]; " \
-           "print(before, codes, '_hashlib' in sys.modules)"
-    assert _fresh_python(code) == "False [0, 0] False"
+           "print(before, codes, '_hashlib' in sys.modules, " \
+           "'numpy.random' in sys.modules and not bare)"
+    assert _fresh_python(code) == "False [0, 0, 0, 0] False False"
 
 
-def test_walk_loads_numpy_random():
-    """A walk loads numpy.random on its own: the first `np.random` access
-    inside `hit_before_exit` imports it."""
-    code = "import sys; from jumplab import montecarlo as mc; " \
+@pytest.mark.parametrize("d, timed", [(1, False), (1, True), (2, True)],
+                         ids=["z1-hit", "z1-exit", "z2-exit"])
+def test_walk_loads_no_numpy_random(d, timed):
+    """A walk, its holds and its Z^2 directions draw from the package's
+    SplitMix64, so no walk imports numpy.random or OpenSSL's `_hashlib`."""
+    x = (2,) + (0,) * (d - 1)
+    run = f"mc.sample_exit_time(s, {x}, {x}, 8, 10)" if timed else \
+        f"mc.hit_before_exit(s, {x}, {(0,) * d}, {(0,) * d}, 8, 10)"
+    code = "import sys, numpy; bare = 'numpy.random' in sys.modules; " \
+           "from jumplab import montecarlo as mc; " \
            "from jumplab.models import LatticeModel, PolynomialKernel; " \
-           "s = mc.TrajectorySampler(LatticeModel(d=1, " \
+           f"s = mc.TrajectorySampler(LatticeModel(d={d}, " \
            "kernel=PolynomialKernel(1.0)), seed=0); " \
-           "rep = mc.hit_before_exit(s, (2,), (0,), (0,), 8, 10); " \
-           "print(rep.n, 'numpy.random' in sys.modules)"
-    assert _fresh_python(code) == "10 True"
+           f"rep = {run}; " \
+           "print(rep.n, 'numpy.random' in sys.modules and not bare, " \
+           "'_hashlib' in sys.modules)"
+    assert _fresh_python(code) == "10 False False"

@@ -22,7 +22,7 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import expected_exit_time, heat_kernel
-from oracles import sample_occupation
+from oracles import SplitMix64, mix64, sample_occupation, unmix64
 
 
 @pytest.fixture
@@ -363,7 +363,7 @@ class LoopWalk:
         forbidden = set() if pair is None else {(pair[0], pair[1]), (pair[1], pair[0])}
         self.truncated = 0
         # one generator for every walker, seeded as the driver's
-        rng = np.random.default_rng(np.random.SeedSequence(sampler.seed))
+        rng = mc.SplitMix64(sampler.seed)
         walkers = [[x, 0.0, 0] for _ in range(n)]  # position, clock, jumps
         ends = [None] * n
         live = list(range(n))
@@ -737,18 +737,167 @@ def test_heavy_tail_raises_numerical_failure():
 
 @pytest.mark.parametrize("model, seed, run, estimate, se", [
     (LADDER, 0, lambda s: mc.hit_before_exit(s, (16,), (0,), (0,), 64, 400),
-     0.5175, 0.025015972341295295),
+     0.5675, 0.024802162065186362),
     (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 9,
      lambda s: mc.sample_exit_time(s, (0,), (0,), 8, 500),
-     2.823972212932462, 0.10837987173661356),
+     2.8134873816116133, 0.11860075609961111),
     (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.2)), 3,
      lambda s: mc.sample_exit_time(s, (0, 0), (0, 0), 4, 500),
-     1.003268993783819, 0.03821717906876122),
+     0.9653079830717912, 0.036100670797263826),
 ], ids=["ladder-hit", "z1-exit", "z2-l1-exit"])
 def test_walker_pinned(model, seed, run, estimate, se):
     """Estimates pinned with ==, as the one-generator walk gave them with
-    every radius taken from `RadialProfile.radii` on the same uniforms: the
+    every radius taken from `RadialProfile.radii` on the same words: the
     per-walker loops above share the displacement helper, so they cannot
     catch a change in the draws themselves."""
     rep = run(mc.TrajectorySampler(model, seed))
     assert (rep.estimate, rep.se, rep.truncated) == (estimate, se, 0)
+
+
+# -- the generator: SplitMix64 words against the Python-integer oracle --------
+
+def test_oracle_gives_the_published_splitmix64_words():
+    """From state 0 the reference SplitMix64 gives these three words."""
+    g = SplitMix64(0)
+    g.state = 0
+    assert g.words(3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                          0x06C45D188009454F]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_words_equal_python_oracle(seed):
+    """At one word, a full buffer and past it, and across a run of mixed
+    calls that carries the state over, including the uniforms and the
+    exponential holds made from the words."""
+    budget = mc.DRAW_BUDGET
+    for n in (1, budget, budget + 3):
+        assert mc.SplitMix64(seed).words(n).tolist() == SplitMix64(seed).words(n)
+    got, want = mc.SplitMix64(seed), SplitMix64(seed)
+    for n in (1, 5, budget + 3, 2, budget, 7):
+        assert got.words(n).tolist() == want.words(n)
+    z = np.array([w >> 11 for w in want.words(1000)], dtype=float)
+    assert got.random(1000).tolist() == (z * 2.0 ** -53).tolist()
+    z = np.array([w >> 11 for w in want.words(1000)], dtype=float)
+    assert got.standard_exponential(1000).tolist() == \
+        (-np.log((z + 1) * 2.0 ** -53)).tolist()
+    assert got.state == want.state
+
+
+def test_seeding_is_a_bijection_of_64_bit_words():
+    """The first state is mix64(seed), which the oracle inverts, so distinct
+    seeds never start at one state."""
+    rng = np.random.default_rng(0)
+    seeds = [0, 1, 2, 2 ** 63, 2 ** 64 - 1] + [int(s) for s in rng.integers(
+        0, 2 ** 64, size=2000, dtype=np.uint64)]
+    starts = [mc.SplitMix64(s).state for s in seeds[:5]] + \
+        [mc._start(s) for s in seeds[5:]]
+    assert starts == [mix64(s) for s in seeds]
+    assert [unmix64(x) for x in starts] == seeds
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+def test_seed_outside_64_bits_refused(seed):
+    model = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
+    with pytest.raises(ValueError, match="need a seed in \\[0, 2\\^64\\)"):
+        mc.TrajectorySampler(model, seed)
+    with pytest.raises(ValueError, match="need a seed in"):
+        mc.SplitMix64(seed)
+    top = mc.TrajectorySampler(model, 2 ** 64 - 1)
+    assert mc.hit_before_exit(top, (1,), (0,), (0,), 4, 10).n == 10
+
+
+def test_walk_wider_than_the_buffer_draws_the_oracle_words(monkeypatch):
+    """40,000 walkers start with one jump each, a call past DRAW_BUDGET:
+    every word the walk draws, its holds' with them, is the oracle's, and
+    the exit time still matches the solver."""
+    calls = []
+    words = mc.SplitMix64.words
+
+    def spy(self, n):
+        z = words(self, n)
+        calls.append(z.tolist())
+        return z
+
+    monkeypatch.setattr(mc.SplitMix64, "words", spy)
+    model = LatticeModel(d=1, kernel=PolynomialKernel(1.0))
+    rep = mc.sample_exit_time(mc.TrajectorySampler(model, seed=11),
+                              (0,), (0,), 2, 40_000)
+    assert len(calls[0]) == len(calls[1]) == 40_000 > mc.DRAW_BUDGET
+    oracle = SplitMix64(11)
+    assert calls == [oracle.words(len(c)) for c in calls]
+    fm = truncate(model, (0,), 2, KILLED)
+    want = float(expected_exit_time(fm)[fm.index[(0,)]])
+    assert abs(rep.estimate - want) <= 4 * rep.se
+
+
+class GivenWords(mc.SplitMix64):
+    """A SplitMix64 whose first words are given; its later ones are its own."""
+
+    def __init__(self, w, seed):
+        super().__init__(seed)
+        self.w = w
+
+    def words(self, n):
+        if self.w is None:
+            return super().words(n)
+        assert n == len(self.w)
+        w, self.w = self.w, None
+        return w
+
+
+@pytest.mark.parametrize("d, metric, kernel", [
+    GUIDED["z1-ladder"], GUIDED["z1-linf-1.0"], GUIDED["z2-l1-1.0"]],
+    ids=["z1-ladder", "z1-linf-1.0", "z2-l1-1.0"])
+def test_word_buckets_equal_the_uniforms_floor(monkeypatch, d, metric, kernel):
+    """For 10^6 random words w and the words at both sides of every bucket
+    edge, the shifted word's bucket is _table[int(x len)] and each miss
+    point u is the product x len (total / G) at x = (w >> 11) 2^-53, bit
+    for bit: the word path and the uniform path send the same points to
+    `RadialProfile.radii` and draw the same radii."""
+    s = mc.TrajectorySampler(LatticeModel(d=d, metric=metric, kernel=kernel), 0)
+    size = len(s._table)
+    edges = np.arange(1, size, dtype=np.uint64) << np.uint64(s._shift)
+    w = np.concatenate([np.random.default_rng(4).integers(
+        0, 2 ** 64, size=1_000_000, dtype=np.uint64), edges, edges - 1])
+    x = (w >> 11) * 2.0 ** -53
+    step = s._table[(x * size).astype(np.intp)]
+    assert np.array_equal(s._table[w >> s._shift], step)
+    points = []
+    radii = type(s.profile).radii
+
+    def spy(profile, u):
+        points.append(u.copy())
+        return radii(profile, u)
+
+    monkeypatch.setattr(type(s.profile), "radii", spy)
+    by_word = s._displacements(len(w), GivenWords(w, 1))
+    by_uniform = s._displacements(len(w), ForcedUniforms(x, 1))
+    miss = step == 0
+    assert 0.001 < miss.mean() < 0.05
+    u = x[miss] * size * (s.total / mc.GUIDE_BUCKETS)
+    neg = u >= s.total
+    u = np.where(neg, u - s.total, u)
+    for got in points:  # the word path's, then the uniform path's
+        assert np.array_equal(got.view(np.uint64), u.view(np.uint64))
+    if d == 1:
+        assert np.array_equal(by_word, by_uniform)
+    else:  # the directions draw on; the radii are the same
+        assert np.array_equal(s.model.norm(by_word), s.model.norm(by_uniform))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+def test_uniforms_and_holds_pass_their_laws(seed):
+    """Fixed seeds, 10^6 draws each.  Uniforms over 256 equal buckets pass
+    chi-square (p > 1e-3); their lag-1 correlation is within 4 / sqrt(n)
+    of 0.  Holds have mean within 4 / sqrt(n) of 1 and variance within
+    4 sqrt(8 / n) of 1 (an Exp(1) square has variance 8)."""
+    n = 1_000_000
+    g = mc.SplitMix64(seed)
+    x = g.random(n)
+    counts = np.bincount((x * 256).astype(np.intp), minlength=256)
+    assert stats.chisquare(counts).pvalue > 1e-3
+    assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) <= 4 / math.sqrt(n)
+    e = g.standard_exponential(n)
+    assert e.min() >= 0.0
+    assert abs(e.mean() - 1.0) <= 4 / math.sqrt(n)
+    assert abs(e.var() - 1.0) <= 4 * math.sqrt(8 / n)
