@@ -31,7 +31,7 @@ EIG_TOL = 1e-10
 # Relative move of a probed heat-kernel value, on doubling the window, above
 # which `check_hkp` raises WindowUnconverged.
 DOUBLING_MARGIN = 0.01
-# Distances, along the first axis from the origin, of `default_pair_grid`.
+# Distances from the origin of the pairs of `default_pair_grid`.
 PAIR_DISTANCES = (1, 2, 4, 8, 16)
 # Ball radii of the UJS/LJS averages in `check_ujs_ljs_js`.
 UJS_RADII = (1, 2, 4)
@@ -45,7 +45,6 @@ class ConditionReport:
     constants: dict
     witnesses: dict
     passed: bool | None = None
-    thresholds: dict | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -303,8 +302,14 @@ def check_poincare(model: LatticeModel, alpha: float, radii) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 def default_pair_grid(model: LatticeModel) -> list:
-    """Pairs (origin, origin + s e_1) for s in PAIR_DISTANCES."""
+    """Pairs (origin, y) for s in PAIR_DISTANCES: y = origin + s e_1 on a
+    lattice; on an explicit graph the least vertex at hop distance s, and no
+    pair for a distance no vertex has."""
     x = model.origin
+    if model.kind == "explicit":
+        hops = model._hops(x, max(PAIR_DISTANCES))
+        return [(x, min(v for v, h in hops.items() if h == s))
+                for s in PAIR_DISTANCES if s in hops.values()]
     return [(x, tuple(c + (s if i == 0 else 0) for i, c in enumerate(x)))
             for s in PAIR_DISTANCES]
 

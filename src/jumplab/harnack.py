@@ -87,6 +87,9 @@ TILE_COLS = 512
 # Entries per call of a sliding-window pass: wide arrays take s rows a call,
 # which numpy vectorizes, and narrow ones few calls.
 SLIDE_ENTRIES = 4096
+# Steps of the time grid on (0, T); a multiple of 4, so the grid holds the
+# quarter times that bound Q- and Q+.
+M_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -100,30 +103,26 @@ class HarnackBox:
     R: float
     alpha: float
     lam: float = 1.0
-    m_steps: int = 256
 
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ValueError("lam must lie in (0, 1]")
         if self.R <= 0:
             raise ValueError("R must be positive")
-        if self.m_steps < 4 or self.m_steps % 4 != 0:
-            raise ValueError("m_steps must be a positive multiple of 4 so "
-                             "the grid contains the quarter times exactly")
 
     @property
     def T(self) -> float:
         return self.lam * float(self.R) ** self.alpha
 
     def minus_steps(self) -> range:
-        return range(self.m_steps // 4, self.m_steps // 2 + 1)
+        return range(M_STEPS // 4, M_STEPS // 2 + 1)
 
     def plus_steps(self) -> range:
-        return range(3 * self.m_steps // 4, self.m_steps + 1)
+        return range(3 * M_STEPS // 4, M_STEPS + 1)
 
     def to_dict(self):
-        return {"x0": list(self.x0), "R": self.R, "alpha": self.alpha,
-                "lam": self.lam, "T": self.T, "m_steps": self.m_steps}
+        return {"x0": self.x0, "R": self.R, "alpha": self.alpha,
+                "lam": self.lam, "T": self.T, "m_steps": M_STEPS}
 
 
 @dataclass
@@ -282,7 +281,7 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
     a block go into one buffer sized once per scan.  Returns (init, src,
     ops), the `_Family` of each kind and the step operators.
     """
-    m = box.m_steps
+    m = M_STEPS
     half = np.array(fm.ball_slots(box.x0, box.R / 2))
     ops = step_operators(fm, box.T / m, sources)
     n, h, mu = fm.n, len(half), fm.mu[slots]
@@ -370,7 +369,7 @@ def _collect(fm: FiniteModel, box: HarnackBox, init: _Family, src: _Family):
     tie with it, so the witness is the one a scan of every generator picks.
     """
     minus, plus = box.minus_steps(), box.plus_steps()
-    times = np.linspace(0.0, box.T, box.m_steps + 1)
+    times = np.linspace(0.0, box.T, M_STEPS + 1)
     best, wit_ratio, win = -math.inf, -math.inf, None
     for fam in (init, src):
         tops = fam.ratio.max(axis=1)
@@ -432,10 +431,10 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
         box=box.to_dict(), constant=c_p,
         witness=_collect(fm, box, init, first)[1],
         family_sizes={"initial": fm.n,
-                      "source": box.m_steps * (n_inner + 1)},
+                      "source": M_STEPS * (n_inner + 1)},
         metadata={"window_radius": r_win, "lam_ext": LAM_EXT,
                   "exterior_radius": LAM_EXT * r_win,
-                  "n_exterior": n_inner, "m_steps": box.m_steps,
+                  "n_exterior": n_inner, "m_steps": M_STEPS,
                   "floor": FLOOR, "step_error": ops.err,
                   "doubled_constant": doubled})
 
@@ -469,7 +468,7 @@ def ehi_constant(model: LatticeModel, x0, R) -> HarnackReport:
     c_e = max(best, 1.0)
     doubled = _doubled("C_EHI", c_e, max(ratio[:-1].max(), 1.0))
     return HarnackReport(
-        box={"x0": list(x0), "R": R, "elliptic": True},
+        box={"x0": x0, "R": R, "elliptic": True},
         constant=c_e, witness=wit,
         family_sizes={"exterior": n_inner + 1},
         metadata={"window_radius": 2 * R, "lam_ext": LAM_EXT,

@@ -48,14 +48,14 @@ PARAMS = {
     "conditions-sweep": {**_MODEL, "radii": [4, 8, 16]},
     "phi": {**_MODEL, "R": 8, "lam": 1.0},
     "ehi": {**_MODEL, "R": 8},
-    "heat": {**_MODEL, "t": 1.0, "r_win": 16, "mode": "killed"},
+    "heat": {**_MODEL, "t": 1.0, "r_win": 16, "mode": KILLED},
     "exit-time": {**_MODEL, "radii": [8, 16, 32]},
     "poincare": {**_MODEL, "radii": [4, 8, 16]},
     "cex-suppressed": {"alpha": 1.0, "d": 1, "radii": [8, 16],
                        "t_probe": 1e-3},
     "cex-ladder": {"alpha": 1.5, "ranges": [16, 64, 256]},
 }
-CHOICES = {"metric": ("linf", "l1"), "mode": ("killed", "reflected")}
+CHOICES = {"metric": ("linf", "l1"), "mode": (KILLED, REFLECTED)}
 EXPERIMENTS = tuple(PARAMS)
 # The suppressed pair's Poincare ratio may exceed 2^(d+alpha+1) by this factor.
 PI_MARGIN = 1.25
@@ -419,8 +419,7 @@ def run_generic(config: ExperimentConfig):
     csvs = {}
     if exp == "heat":
         t, r_win, mode = p["t"], p["r_win"], p["mode"]
-        fm = truncate(model, origin, r_win,
-                      KILLED if mode == "killed" else REFLECTED)
+        fm = truncate(model, origin, r_win, mode)
         hk = heat_kernel(fm, origin, t)
         cells, values = [_cell(v) for v in fm.window], hk.values.tolist()
         csvs["heat"] = {"y": cells, "p": values}

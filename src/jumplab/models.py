@@ -427,7 +427,9 @@ class LatticeModel:
     Lattices (of dimension d >= 1) take polynomial and ladder kernels
     (ladders on Z only), explicit graphs also tabulated ones; any of them may
     carry one suppressed pair of distinct vertices.  Other combinations raise
-    ValueError on construction.
+    ValueError on construction, as does an explicit graph that lists a
+    vertex twice, whose edges or tabulated kernel name a vertex it does not
+    have, or whose `MuTable` leaves a vertex out.
     """
 
     kind: str = "lattice"              # "lattice" | "explicit"
@@ -437,11 +439,29 @@ class LatticeModel:
     mu_rule: object = MuConstant(1.0)
     vertices: tuple = ()               # explicit graphs only
     edges: tuple = ()                  # explicit graphs only
-    _adj: dict = field(default=None, repr=False, compare=False)
+    _adj: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "explicit":
             adj = {v: [] for v in self.vertices}
+            if len(adj) < len(self.vertices):
+                v = next(v for i, v in enumerate(self.vertices)
+                         if v in self.vertices[:i])
+                raise ValueError(f"vertex {v!r} is listed twice")
+            named = [("edge", e) for e in self.edges]
+            if isinstance(self.base_kernel, TabulatedKernel):
+                named += [("kernel entry", e)
+                          for e, _ in self.base_kernel.entries]
+            for what, pair in named:
+                for v in pair:
+                    if v not in adj:
+                        raise ValueError(f"{what} {pair!r} names {v!r}, "
+                                         f"which is not a vertex")
+            if isinstance(self.mu_rule, MuTable):
+                for v in self.vertices:
+                    if v not in self.mu_rule._values:
+                        raise ValueError(f"the mu table has no entry for "
+                                         f"vertex {v!r}")
             for u, v in self.edges:
                 adj[u].append(v)
                 adj[v].append(u)
@@ -928,6 +948,7 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
     against STATE_CAP before the window is built."""
     if mode not in (KILLED, REFLECTED, EXTERIOR_TRACKED):
         raise ValueError(f"unknown mode {mode!r}")
+    exterior = orbit = slot_maps = None
     if mode == EXTERIOR_TRACKED:
         exterior, orbit, slot_maps = _annulus_orbits(model, x0, r_win,
                                                      lam_ext * r_win)
@@ -942,11 +963,10 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
     mu = np.array([model.mu(v) for v in window])
     fm = FiniteModel(model=model, window=window, index=index, mu=mu,
                      kill=np.zeros(n), kill_bound=np.zeros(n), mode=mode,
+                     exterior=exterior, orbits=orbit, slot_maps=slot_maps,
                      action=action)
     if mode in (KILLED, EXTERIOR_TRACKED):
         totals, bounds = model.row_sums_all(window)
         fm.kill = np.maximum(totals - fm.row_sums, 0.0) / mu
         fm.kill_bound = bounds / mu
-    if mode == EXTERIOR_TRACKED:
-        fm.exterior, fm.orbits, fm.slot_maps = exterior, orbit, slot_maps
     return fm

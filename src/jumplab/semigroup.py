@@ -3,15 +3,16 @@ propagators of the Harnack scan.
 
 All rates are uniformly bounded, so P = I + Q/Lam is substochastic and
 exp(tQ) is evaluated as a series in P with a certified truncation error.  Two
-series, split by the same `V.ndim` rule as `GeneratorView.apply`:
+series, one per kind of operand:
 
-- A matrix (all-pairs heat kernels, the Harnack step operators) and every
+- `expm_action` on a matrix (the Harnack step operators) and
   `integrated_action` take the Poisson mixture (uniformization)
-  sum_k pmf_k P^k V up to the least K whose tail sf(K, Lam t) meets tol.
-  Its terms are nonnegative on nonnegative data, so the sum keeps the
-  per-entry relative accuracy the Harnack scans need.
-- A single vector (heat-kernel rows, `check_hkp`) takes the Chebyshev
-  series exp(tQ) v = sum_k c_k T_k(P) v with c_0 = ive(0, Lam t) and
+  sum_k pmf_k P^k V up to the least K whose tail sf(K, Lam t) meets tol,
+  with the dense P (`_series`).  Its terms are nonnegative on nonnegative
+  data, so the sum keeps the per-entry relative accuracy the Harnack scans
+  need.
+- `expm_action` on a vector (heat-kernel rows, `check_hkp`) takes the
+  Chebyshev series exp(tQ) v = sum_k c_k T_k(P) v with c_0 = ive(0, Lam t) and
   c_k = 2 ive(k, Lam t), ive(k, x) = I_k(x) e^-x, about
   sqrt(2 Lam t ln(1/tol)) terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81
   (1984)).  Its terms cancel, so its error is relative to the norm of v,
@@ -25,25 +26,26 @@ series, split by the same `V.ndim` rule as `GeneratorView.apply`:
 Both weight sets come from recurrences in numpy (`_poisson_table`, `_ive`),
 within 5e-15 relative of mpmath up to Lam t = 3.3e7.
 
-Which products are matrix-free: `GeneratorView.apply` on a single vector
-applies P through the window's `FiniteModel.rates_matvec`, an FFT convolution
-on lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows and
+Which products are matrix-free: `GeneratorView.apply` applies P to a vector
+through the window's `FiniteModel.rates_matvec`, an FFT convolution on
+lattice windows (O(n log n) time, O(n) memory), so heat-kernel rows and
 `GeneratorView.apply_Q` never build an n x n matrix, and neither do exit
 times: `solve_generator` on a positive vector and a lattice window runs
 conjugate gradients on the same product, preconditioned by the window box's
 Strang circulant, with an a-posteriori relative error bound at every slot
-(`_cg_solve`).  What stays dense: actions on a matrix use the BLAS-3 product
-with the dense P, as the FFT product (accurate relative to the largest entry)
-would lose the per-entry accuracy above, and at their window sizes GEMM is
-faster; `solve_generator` on a matrix (the elliptic Harnack generators) or on
-an explicit graph solves with the dense Q.  Both are built on first read.
+(`_cg_solve`).  What stays dense: the Poisson mixture uses the BLAS-3
+product with the dense P, as the FFT product (accurate relative to the
+largest entry) would lose the per-entry accuracy above, and at the step
+operators' window sizes GEMM is faster; `solve_generator` on a matrix (the
+elliptic Harnack generators) or on an explicit graph solves with the dense
+Q.  Both are built on first read.
 
-The series loops own their buffers: on a matrix, P work goes into two arrays
-in turn; a Chebyshev step runs in place with one scratch vector; the FFT
-product and the Strang solve keep their zero-padded box.  Each writes the
-same ufuncs on the same operands with `out=`, so the bits are those of fresh
-arrays, and a term past malloc's mmap threshold (128 KiB) is not mapped and
-page-faulted in anew at every step.
+The series loops own their buffers: the Poisson mixture's P work goes into
+two arrays in turn; a Chebyshev step runs in place with one scratch vector;
+the FFT product and the Strang solve keep their zero-padded box.  Each
+writes the same ufuncs on the same operands with `out=`, so the bits are
+those of fresh arrays, and a term past malloc's mmap threshold (128 KiB) is
+not mapped and page-faulted in anew at every step.
 """
 
 from __future__ import annotations
@@ -97,11 +99,9 @@ class GeneratorView:
         """Q f for a vector f, matrix-free."""
         return self.fm.rates_matvec(f) / self.fm.mu - self.out_rate * f
 
-    def apply(self, V: np.ndarray) -> np.ndarray:
-        """P V: matrix-free for a vector, the dense BLAS-3 product for a matrix."""
-        if V.ndim == 2:
-            return self.P @ V
-        return V + self.apply_Q(V) / self.lam
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """P v for a vector v, matrix-free."""
+        return v + self.apply_Q(v) / self.lam
 
 
 def generator(fm: FiniteModel) -> GeneratorView:
@@ -200,19 +200,15 @@ def _input_scale(V: np.ndarray, t: float) -> float:
 
 
 def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
-    """sum_k weights[k] P^k V.  On a matrix, P work goes into two arrays in
-    turn, and the weighted add through the one the product has just freed."""
+    """sum_k weights[k] P^k V with the dense P.  P work goes into two arrays
+    in turn, and the weighted add through the one the product has just
+    freed."""
     acc = weights[0] * V
     work = V
-    if V.ndim == 2:
-        P, bufs = gen.P, (np.empty(V.shape), np.empty(V.shape))
-        for i, w in enumerate(weights[1:]):
-            work = np.matmul(P, work, out=bufs[i % 2])
-            acc += np.multiply(w, work, out=bufs[1 - i % 2])
-        return acc
-    for w in weights[1:]:
-        work = gen.apply(work)
-        acc += w * work
+    P, bufs = gen.P, (np.empty(V.shape), np.empty(V.shape))
+    for i, w in enumerate(weights[1:]):
+        work = np.matmul(P, work, out=bufs[i % 2])
+        acc += np.multiply(w, work, out=bufs[1 - i % 2])
     return acc
 
 
@@ -281,34 +277,28 @@ def integrated_action(gen: GeneratorView, V: np.ndarray,
 
 @dataclass
 class HeatKernelResult:
-    """Heat kernel densities p_t(x, .) with respect to mu, plus truncation bound."""
+    """The heat kernel row p_t(x, .), a density with respect to mu."""
 
     fm: FiniteModel
-    t: float
-    values: np.ndarray        # (n,) or (n, n); p_t(x,y), all-pairs indexed [x, y]
-    # certified max-norm error of values: the Chebyshev tail for a single
-    # source, the Poisson tail for all pairs; reports carry it as eps_poisson
+    values: np.ndarray        # (n,): p_t(x, y) at each window slot y
+    # certified max-norm error of values, the Chebyshev tail; reports carry
+    # it as eps_poisson
     eps_poisson: float
 
-    def mass(self) -> np.ndarray:
-        """sum_y p_t(x,y) mu_y (scalar array for single-source results)."""
+    def mass(self) -> float:
+        """sum_y p_t(x,y) mu_y."""
         return self.values @ self.fm.mu
 
 
 def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
-    """p_t(x, .) (or the full matrix for x=None) via uniformization."""
-    gen = generator(fm)
-    if x is None:
-        T, eps = expm_action(gen, np.eye(fm.n), t)
-        dens = T / fm.mu[None, :]
-    else:
-        # p_t(x,y) = [exp(tQ)]_{xy}/mu_y = [exp(tQ) (e_x/mu_x)]_y by
-        # mu-reversibility of Q.
-        i = fm.index[x]
-        e = np.zeros(fm.n)
-        e[i] = 1.0 / fm.mu[i]
-        dens, eps = expm_action(gen, e, t)
-    return HeatKernelResult(fm=fm, t=t, values=dens, eps_poisson=eps)
+    """p_t(x, .) for the vertex x, by the Chebyshev series."""
+    # p_t(x,y) = [exp(tQ)]_{xy}/mu_y = [exp(tQ) (e_x/mu_x)]_y by
+    # mu-reversibility of Q.
+    i = fm.index[x]
+    e = np.zeros(fm.n)
+    e[i] = 1.0 / fm.mu[i]
+    dens, eps = expm_action(generator(fm), e, t)
+    return HeatKernelResult(fm=fm, values=dens, eps_poisson=eps)
 
 
 def _cg_solve(fm: FiniteModel, rhs: np.ndarray) -> tuple[np.ndarray, float]:

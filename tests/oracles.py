@@ -17,7 +17,12 @@ from jumplab.models import (
     _pair_rates,
     truncate,
 )
-from jumplab.semigroup import generator, solve_generator, step_operators
+from jumplab.semigroup import (
+    expm_action,
+    generator,
+    solve_generator,
+    step_operators,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,17 @@ def orbit_window(model, x0, r_win, lam_ext=4.0):
 def channels(fm) -> list:
     """The labels of fm's source columns: its channels, then "remainder"."""
     return [*fm.exterior, "remainder"]
+
+
+# ---------------------------------------------------------------------------
+# heat kernels
+# ---------------------------------------------------------------------------
+
+def all_pairs_heat_kernel(fm, t: float) -> np.ndarray:
+    """p_t(x, y) for every pair of window vertices, indexed [x, y]: the
+    Poisson mixture on the identity, over mu_y.  `heat_kernel` gives one
+    row, by the Chebyshev series."""
+    return expm_action(generator(fm), np.eye(fm.n), t)[0] / fm.mu
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +196,7 @@ def two_scan_phi(model, box) -> dict:
     (fm, c, init, src), (_, c2, _, _) = runs
     return {"constant": c, "witness": H._collect(fm, box, init, src)[1],
             "family_sizes": {"initial": fm.n,
-                             "source": box.m_steps * len(channels(fm))},
+                             "source": H.M_STEPS * len(channels(fm))},
             "n_exterior": len(fm.exterior), "doubled_constant": c2}
 
 

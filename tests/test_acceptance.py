@@ -23,6 +23,7 @@ from jumplab.models import (
 )
 from jumplab.semigroup import expected_exit_time, generator, heat_kernel
 from oracles import (
+    all_pairs_heat_kernel,
     caloric_box_ratio,
     caloric_solve,
     full_window,
@@ -51,7 +52,7 @@ def test_criterion_1_uniformization_vs_dense_expm():
         assert fm.n <= 50
         gen = generator(fm)
         for t in (0.1, 1.0, 10.0):
-            got = heat_kernel(fm, None, t).values
+            got = all_pairs_heat_kernel(fm, t)
             oracle = expm(t * gen.Q) / fm.mu[None, :]
             worst = max(worst, float(np.max(np.abs(got - oracle))))
     _verdict(f"uniformization vs dense expm, max dev {worst:.2e} < 1e-10",
@@ -65,15 +66,15 @@ def test_criterion_2_conservation_symmetry_semigroup():
     kil = truncate(z1, (0,), 10, KILLED)
     ok = True
     for t in (0.1, 1.0, 10.0):
-        pr = heat_kernel(ref, None, t).values
-        pk = heat_kernel(kil, None, t).values
+        pr = all_pairs_heat_kernel(ref, t)
+        pk = all_pairs_heat_kernel(kil, t)
         ok &= float(np.max(np.abs(pr @ ref.mu - 1.0))) <= 1e-9
         ok &= float(np.max(pk @ kil.mu)) <= 1.0 + 1e-9
         ok &= float(np.max(np.abs(pr - pr.T))) <= 2e-10
         ok &= float(np.max(np.abs(pk - pk.T))) <= 2e-10
-    p1 = heat_kernel(kil, None, 0.6).values
-    p2 = heat_kernel(kil, None, 1.4).values
-    p3 = heat_kernel(kil, None, 2.0).values
+    p1 = all_pairs_heat_kernel(kil, 0.6)
+    p2 = all_pairs_heat_kernel(kil, 1.4)
+    p3 = all_pairs_heat_kernel(kil, 2.0)
     ok &= float(np.max(np.abs(p1 @ np.diag(kil.mu) @ p2 - p3))) <= 3e-10
     _verdict("conservation / symmetry / Chapman-Kolmogorov suite", ok)
 
@@ -150,9 +151,9 @@ def test_criterion_6_harnack_cone_soundness():
         n_ext = len(fm.exterior)
         for _ in range(100):
             fld = caloric_solve(fm, sources, rng.random(fm.n),
-                                rng.random((box.m_steps, n_ext)),
-                                box.T, box.m_steps,
-                                remainder_data=rng.random(box.m_steps))
+                                rng.random((H.M_STEPS, n_ext)),
+                                box.T, H.M_STEPS,
+                                remainder_data=rng.random(H.M_STEPS))
             ok &= caloric_box_ratio(fld, box) <= rep.constant + 1e-8
     _verdict("Harnack cone soundness at R in {8,16}", ok)
 

@@ -200,6 +200,12 @@ def test_config_model_resolved_without_shape_params(tmp_path):
         assert json.load(f)["grid"]["centers"] == [[0, 0]]
 
 
+# a well-formed explicit graph: the path 0 - 1 - 2
+_PATH3 = {"kind": "explicit", "vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]],
+          "kernel": {"type": "tabulated",
+                     "entries": [[[0, 1], 1.0], [[1, 2], 1.0]]}}
+
+
 @pytest.mark.parametrize("model, match", [
     ({"kind": "explicit", "vertices": [0, 1]}, "KeyError: 'kernel'"),
     ({"kind": "lattce", "kernel": {"type": "polynomial", "alpha": 1.0}},
@@ -225,10 +231,19 @@ def test_config_model_resolved_without_shape_params(tmp_path):
     ({**_LATTICE, "kernel": {"type": "polynomial", "alpha": float("nan")}},
      "kernel 'alpha': need a finite real number, got nan"),
     ({**_LATTICE, "d": 0}, "lattice dimension d must be at least 1, got 0"),
+    ({**_PATH3, "mu": {"type": "table", "entries": [[0, 1.0], [1, 1.0]]}},
+     "the mu table has no entry for vertex 2"),
+    ({**_PATH3, "kernel": {"type": "tabulated",
+                           "entries": [[[0, 1], 1.0], [[1, 7], 1.0]]}},
+     r"kernel entry \(1, 7\) names 7, which is not a vertex"),
+    ({**_PATH3, "edges": [[0, 1], [1, 5]]},
+     r"edge \(1, 5\) names 5, which is not a vertex"),
+    ({**_PATH3, "vertices": [0, 1, 1, 2]}, "vertex 1 is listed twice"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
         "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key",
         "ladder-range-0", "mu-negative", "mu-zero-even", "alpha-nan",
-        "d-zero"])
+        "d-zero", "mu-table-gap", "kernel-non-vertex", "edge-non-vertex",
+        "vertex-twice"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -394,6 +409,40 @@ def test_heat_keys_on_explicit_graph(capsys, tmp_path, vertices):
     values = json.loads(capsys.readouterr().out)["values"]
     assert sorted(values) == sorted(map(str, vertices))
     assert sum(values.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+# params small enough for a 7-vertex graph
+_GRAPH_PARAMS = {"heat": {"t": 0.5, "r_win": 2}, "exit-time": {"radii": [1, 2]},
+                 "poincare": {"radii": [1, 2]}, "phi": {"R": 1},
+                 "ehi": {"R": 1}, "conditions-sweep": {"radii": [1, 2]}}
+
+
+@pytest.mark.parametrize("labels", [list(range(7)),
+                                    [f"v{i}" for i in range(7)]],
+                         ids=["int", "str"])
+@pytest.mark.parametrize("experiment", _GRAPH_PARAMS)
+def test_generic_experiments_on_explicit_graph(capsys, tmp_path, experiment,
+                                               labels):
+    """Each generic experiment runs on the path v5 - v3 - v1 - v0 - v2 - v4 -
+    v6, labelled by integers or by multi-character strings.  A Harnack box
+    is centred on the label v0 as given, and the jump-bound pairs join v0 to
+    the least vertex at 1 and at 2 hops; no vertex is 4 hops away."""
+    path = [labels[i] for i in (5, 3, 1, 0, 2, 4, 6)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": experiment, "params": _GRAPH_PARAMS[experiment],
+        "model": {"kind": "explicit", "vertices": labels,
+                  "edges": [list(e) for e in zip(path, path[1:])],
+                  "kernel": {"type": "tabulated", "entries": [
+                      [[u, path[j]], 1.0 / (j - i) ** 2]
+                      for i, u in enumerate(path) for j in range(i + 1, 7)]}}}))
+    assert main(["run", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if experiment in ("phi", "ehi"):
+        assert report["box"]["x0"] == labels[0]
+    if experiment == "conditions-sweep":
+        assert report["conditions"]["J_bounds"]["grid"]["pairs"] == [
+            [labels[0], labels[1]], [labels[0], labels[3]]]
 
 
 def _benchmark_workloads() -> dict:

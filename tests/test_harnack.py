@@ -35,8 +35,10 @@ from oracles import (
 )
 
 
-def small_box():
-    return H.HarnackBox(x0=(0,), R=4, alpha=1.0, lam=1.0, m_steps=16)
+def small_box(monkeypatch):
+    """A box of radius 4 on Z, on a time grid of 16 steps."""
+    monkeypatch.setattr(H, "M_STEPS", 16)
+    return H.HarnackBox(x0=(0,), R=4, alpha=1.0, lam=1.0)
 
 
 @pytest.fixture
@@ -57,9 +59,6 @@ def test_box_invariants():
     assert max(box.minus_steps()) < min(box.plus_steps())
     with pytest.raises(ValueError):
         H.HarnackBox(x0=(0,), R=8, alpha=1.0, lam=1.5)
-    for m_steps in (30, 0, -4):
-        with pytest.raises(ValueError):
-            H.HarnackBox(x0=(0,), R=8, alpha=1.0, m_steps=m_steps)
     for R in (0, -2):
         with pytest.raises(ValueError, match="R must be positive"):
             H.HarnackBox(x0=(0,), R=R, alpha=1.0)
@@ -67,16 +66,16 @@ def test_box_invariants():
             H.ehi_constant(LatticeModel(), (0,), R)
 
 
-def test_scan_matches_explicit_generators(z1):
+def test_scan_matches_explicit_generators(z1, monkeypatch):
     """The streaming scan equals the brute-force max over explicitly solved
     generator fields (initial masses, per-step impulses on every channel of
     the whole annulus)."""
-    box = small_box()
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     best, _ = H._collect(fm, box, *scan_all(fm, sources, box))
     full, full_src = full_window(z1, (0,), 8)
-    gens = duhamel_generators(full, full_src, box.T, box.m_steps)
-    assert len(gens) == full.n + box.m_steps * len(channels(full))
+    gens = duhamel_generators(full, full_src, box.T, H.M_STEPS)
+    assert len(gens) == full.n + H.M_STEPS * len(channels(full))
     explicit = max(caloric_box_ratio(g, box) for g in gens)
     assert best == pytest.approx(explicit, rel=1e-12)
 
@@ -112,7 +111,7 @@ def first_near_extreme(seen, col, sign):
 
 
 def fanout_scan(fm, sources, box):
-    m = box.m_steps
+    m = H.M_STEPS
     ops = H.step_operators(fm, box.T / m, sources)
     E = ops.E
     half = fm.ball_slots(box.x0, box.R / 2)
@@ -145,7 +144,7 @@ def fanout_collect(fm, box, init_stats, src_stats, half):
     """Generators one at a time: the constant is the largest ratio, and a
     later generator replaces the witness only when its ratio is larger by
     more than relative EPS."""
-    times = np.linspace(0.0, box.T, box.m_steps + 1)
+    times = np.linspace(0.0, box.T, H.M_STEPS + 1)
     best, wit_ratio, best_wit = -math.inf, -math.inf, None
 
     def consider(gen_id, stats, col):
@@ -166,7 +165,7 @@ def fanout_collect(fm, box, init_stats, src_stats, half):
 
     for zi, z in enumerate(fm.window):
         consider(("initial", z), init_stats, zi)
-    for si in range(box.m_steps):
+    for si in range(H.M_STEPS):
         for ci, ch in enumerate(channels(fm)):
             consider(("source", si, ch), src_stats[si], ci)
     return best, best_wit
@@ -180,22 +179,28 @@ def assert_same_scan(got, want):
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
 
+# (model, box, steps of its time grid)
 SCAN_CASES = {
-    "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), small_box()),
+    "z1": (LatticeModel(d=1, kernel=PolynomialKernel(1.0)),
+           H.HarnackBox(x0=(0,), R=4, alpha=1.0), 16),
     "suppressed": (LatticeModel(d=1, kernel=SuppressedPairKernel(
-        base=PolynomialKernel(1.0), x0=(0,), y0=(3,))), small_box()),
+        base=PolynomialKernel(1.0), x0=(0,), y0=(3,))),
+        H.HarnackBox(x0=(0,), R=4, alpha=1.0), 16),
     "l1-z2": (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.0)),
-              H.HarnackBox(x0=(0, 0), R=2, alpha=1.0, m_steps=16)),
+              H.HarnackBox(x0=(0, 0), R=2, alpha=1.0), 16),
     "lam-half": (LatticeModel(d=1, kernel=PolynomialKernel(1.5)),
-                 H.HarnackBox(x0=(0,), R=4, alpha=1.5, lam=0.5, m_steps=20)),
+                 H.HarnackBox(x0=(0,), R=4, alpha=1.5, lam=0.5), 20),
 }
 
 
-@pytest.mark.parametrize("model, box", SCAN_CASES.values(), ids=SCAN_CASES)
-def test_scan_matches_fanout_reference(model, box, identity_group):
+@pytest.mark.parametrize("model, box, m_steps", SCAN_CASES.values(),
+                         ids=SCAN_CASES)
+def test_scan_matches_fanout_reference(model, box, m_steps, identity_group,
+                                       monkeypatch):
     """The per-age scan gives the fan-out scan's constant (to rounding) and
     exactly its witness; z1 and lam-half hold mirror-image ties that only
     rounding noise splits."""
+    monkeypatch.setattr(H, "M_STEPS", m_steps)
     fm, sources = orbit_window(model, box.x0, 2 * box.R)
     got = H._collect(fm, box, *scan_all(fm, sources, box))
     want = fanout_collect(fm, box, *fanout_scan(fm, sources, box))
@@ -239,7 +244,7 @@ def test_scan_tie_breaks_match_fanout_reference(z1, monkeypatch, seed,
                                                 identity_group):
     """On exact ties the per-age scan still picks the reference's generator
     and first-attained witnesses."""
-    box = small_box()
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     got = scan_with(monkeypatch, fm, sources, box, tie_operators(fm, box, seed))
     assert got == fanout_collect(fm, box, *fanout_scan(fm, sources, box))
@@ -252,7 +257,7 @@ def test_scan_witnesses_ignore_rounding_noise(z1, monkeypatch, seed,
     1e-14 turns their ties into rounding-noise ties: the witnesses stay
     those of the unmoved case, the constant moves by rounding only, and the
     fan-out reference agrees."""
-    box = small_box()
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     ops = tie_operators(fm, box, seed, kinds=4)
     exact = scan_with(monkeypatch, fm, sources, box, ops)
@@ -273,7 +278,7 @@ def test_scan_matches_fanout_reference_within_eps_band(z1, monkeypatch, amp, see
     must replace the witness one at a time and a slot must come within EPS
     of the window's extreme, not of its own age's: the scan still gives the
     fan-out reference's constant (to rounding) and witness."""
-    box = small_box()
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     ops = tie_operators(fm, box, seed, kinds=4)
     got = scan_with(monkeypatch, fm, sources, box,
@@ -287,7 +292,7 @@ def test_collect_replaces_witness_only_beyond_eps(z1, monkeypatch, jump, winner)
     """Every generator's ratio is 2 except the source launch at step 5,
     larger by `jump`: within EPS the first generator stays the witness,
     beyond it the later one replaces it; the constant is the exact max."""
-    box = small_box()
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     init, src = scan_all(fm, sources, box)
     init.ratio.fill(2.0)
@@ -304,7 +309,7 @@ def full_window_collect(fm, sources, box):
     whole window (E^a W, then the half ball), folded by the fan-out rules.
     Only each age's half-ball extremes are kept for the ratios; the winner's
     column is read again for its witness steps and slots."""
-    m = box.m_steps
+    m = H.M_STEPS
     ops = H.step_operators(fm, box.T / m, sources)
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = list(box.minus_steps()), list(box.plus_steps())
@@ -344,15 +349,17 @@ def full_window_collect(fm, sources, box):
                      for k, (j, r) in zip(("minus", "plus"), ends)}}
 
 
-@pytest.mark.parametrize("model, box", [
+@pytest.mark.parametrize("model, box, m_steps", [
     *SCAN_CASES.values(),
     (LatticeModel(d=2, kernel=PolynomialKernel(1.0)),
-     H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)),
+     H.HarnackBox(x0=(0, 0), R=2, alpha=1.0), H.M_STEPS),
 ], ids=[*SCAN_CASES, "linf-z2"])
-def test_half_ball_scan_matches_full_window_scan(model, box):
+def test_half_ball_scan_matches_full_window_scan(model, box, m_steps,
+                                                 monkeypatch):
     """Reducing I[half] E^a W, one generator of each orbit, gives the
     constant of the full-window scan of every generator (E^a W, then its
     half ball) to rounding, and its witness."""
+    monkeypatch.setattr(H, "M_STEPS", m_steps)
     fm, sources = orbit_window(model, box.x0, 2 * box.R)
     got = H._collect(fm, box, *scan_all(fm, sources, box))
     want = full_window_collect(*full_window(model, box.x0, 2 * box.R), box)
@@ -459,7 +466,8 @@ def test_reduced_scans_match_unreduced(model, x0, R, order, monkeypatch):
     """One generator per orbit gives the constants of the scan of every
     generator (the group forced to the identity) within 1e-12 relative, and
     the same witnesses."""
-    box = H.HarnackBox(x0=x0, R=R, alpha=1.0, m_steps=16)
+    monkeypatch.setattr(H, "M_STEPS", 16)
+    box = H.HarnackBox(x0=x0, R=R, alpha=1.0)
 
     def run():
         return H.phi_constant(model, box), H.ehi_constant(model, x0, R)
@@ -474,19 +482,20 @@ def test_reduced_scans_match_unreduced(model, x0, R, order, monkeypatch):
 
 
 ONE_SCAN_CASES = {
-    **{k: (model, box) for k, (model, box) in SCAN_CASES.items()},
-    **{f"sym-{k}": (model, H.HarnackBox(x0=x0, R=R, alpha=1.0, m_steps=16))
+    **SCAN_CASES,
+    **{f"sym-{k}": (model, H.HarnackBox(x0=x0, R=R, alpha=1.0), 16)
        for k, (model, x0, R, _) in SYMMETRY_CASES.items()},
 }
 
 
-@pytest.mark.parametrize("model, box", ONE_SCAN_CASES.values(),
+@pytest.mark.parametrize("model, box, m_steps", ONE_SCAN_CASES.values(),
                          ids=ONE_SCAN_CASES)
-def test_one_scan_matches_two_scans(model, box):
+def test_one_scan_matches_two_scans(model, box, m_steps, monkeypatch):
     """The constant and doubled constant of one truncation at twice the
     annulus, and one scan or solve of both annuli's channels, equal those of
     a truncation and a scan or solve at each annulus within 1e-12
     relative; the witness, family sizes and annulus size are the same."""
+    monkeypatch.setattr(H, "M_STEPS", m_steps)
     for got, want in ((H.phi_constant(model, box), two_scan_phi(model, box)),
                       (H.ehi_constant(model, box.x0, box.R),
                        two_solve_ehi(model, box.x0, box.R))):
@@ -533,14 +542,14 @@ def test_phi_witness_searched_in_first_annulus(z1, monkeypatch):
         return real(fm, box, init, src)
 
     monkeypatch.setattr(H, "_collect", spy)
-    H.phi_constant(z1, small_box())
+    H.phi_constant(z1, small_box(monkeypatch))
     one = truncate(z1, (0,), 8, EXTERIOR_TRACKED, H.LAM_EXT)
     assert seen == [channels(one)]
 
 
 @pytest.mark.parametrize("run, solver", [
-    (lambda z1: H.phi_constant(z1, small_box()), "step_operators"),
-    (lambda z1: H.ehi_constant(z1, (0,), 4), "solve_generator"),
+    (lambda z1, mp: H.phi_constant(z1, small_box(mp)), "step_operators"),
+    (lambda z1, mp: H.ehi_constant(z1, (0,), 4), "solve_generator"),
 ], ids=["phi", "ehi"])
 def test_one_truncation_and_one_operator_build(z1, monkeypatch, run, solver):
     """A constant and its doubling check take one truncation, at twice the
@@ -551,7 +560,7 @@ def test_one_truncation_and_one_operator_build(z1, monkeypatch, run, solver):
             calls.append((name, args[4] if name == "truncate" else None))
             return real(*args)
         monkeypatch.setattr(H, name, counted)
-    run(z1)
+    run(z1, monkeypatch)
     assert calls == [("truncate", 2 * H.LAM_EXT), (solver, None)]
 
 
@@ -580,7 +589,7 @@ def test_fold_memory_within_two_age_columns():
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
     fm = truncate(z2, box.x0, 2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
-    assert (fm.n, fm.orbits.sum(), box.m_steps) == (289, 16352, 256)
+    assert (fm.n, fm.orbits.sum(), H.M_STEPS) == (289, 16352, 256)
     slots, sources, labels = H._channels(fm, box.x0, 8 * box.R)[:3]
     init, src, _ = H._scan_generators(fm, box, slots, sources, labels)
     h = len(src.half)
@@ -591,7 +600,7 @@ def test_fold_memory_within_two_age_columns():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * (box.m_steps + 1) * h
+        assert peak < 2 * 8 * (H.M_STEPS + 1) * h
 
 
 def test_ratio_writes_the_floor_rule_over_the_sups():
@@ -645,8 +654,8 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     box = H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)
     fm, sources = orbit_window(z2, box.x0, 2 * box.R, 2 * H.LAM_EXT)
-    assert (fm.n, len(channels(fm)), box.m_steps) == (81, 4145, 256)
-    ops = H.step_operators(fm, box.T / box.m_steps, sources)
+    assert (fm.n, len(channels(fm)), H.M_STEPS) == (81, 4145, 256)
+    ops = H.step_operators(fm, box.T / H.M_STEPS, sources)
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
     args = (H._representatives(fm), sources, channels(fm))
     tracemalloc.start()
@@ -656,7 +665,7 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * box.m_steps * len(channels(fm)) * 8
+    assert peak < 2 * H.M_STEPS * len(channels(fm)) * 8
 
 
 def test_phi_memory_below_the_whole_annulus_sources():
@@ -686,7 +695,7 @@ def test_phi_searches_witness_ages_once(z1, monkeypatch):
         return fold(*args)
 
     monkeypatch.setattr(H, "_fold", counted)
-    assert H.phi_constant(z1, small_box()).witness is not None
+    assert H.phi_constant(z1, small_box(monkeypatch)).witness is not None
     assert len(calls) == 1
 
 
@@ -749,9 +758,9 @@ def test_witnesses_stable_under_row_sum_rounding(monkeypatch, scale):
                            "max_at": (-8,), "min_at": (8,)}
 
 
-def test_mixture_audit(z1, rng):
+def test_mixture_audit(z1, rng, monkeypatch):
     """50 random nonnegative mixtures never exceed the computed constant."""
-    box = small_box()
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     best, _ = H._collect(fm, box, *scan_all(fm, sources, box))
     c_p = max(best, 1.0)
@@ -759,24 +768,25 @@ def test_mixture_audit(z1, rng):
     n_ext = len(full.exterior)
     for _ in range(50):
         fld = caloric_solve(full, full_src, rng.random(full.n),
-                            rng.random((box.m_steps, n_ext)),
-                            box.T, box.m_steps,
-                            remainder_data=rng.random(box.m_steps))
+                            rng.random((H.M_STEPS, n_ext)),
+                            box.T, H.M_STEPS,
+                            remainder_data=rng.random(H.M_STEPS))
         assert caloric_box_ratio(fld, box) <= c_p + 1e-8
 
 
-def test_scale_invariance(z1, rng):
-    box = small_box()
+def test_scale_invariance(z1, rng, monkeypatch):
+    box = small_box(monkeypatch)
     fm, sources = orbit_window(z1, (0,), 8)
     init = rng.random(fm.n)
-    f1 = caloric_solve(fm, sources, init, None, box.T, box.m_steps)
-    f2 = caloric_solve(fm, sources, 7.3 * init, None, box.T, box.m_steps)
+    f1 = caloric_solve(fm, sources, init, None, box.T, H.M_STEPS)
+    f2 = caloric_solve(fm, sources, 7.3 * init, None, box.T, H.M_STEPS)
     assert caloric_box_ratio(f1, box) == pytest.approx(
         caloric_box_ratio(f2, box), rel=1e-12)
 
 
-def test_single_vertex_ball_finite(z1):
-    box = H.HarnackBox(x0=(0,), R=0.4, alpha=1.0, m_steps=16)
+def test_single_vertex_ball_finite(z1, monkeypatch):
+    monkeypatch.setattr(H, "M_STEPS", 16)
+    box = H.HarnackBox(x0=(0,), R=0.4, alpha=1.0)
     rep = H.phi_constant(z1, box)
     assert 1.0 <= rep.constant < math.inf
 
@@ -850,8 +860,8 @@ def test_doubling_check_rejects(c, c2):
 
 
 @pytest.mark.parametrize("run, name", [
-    (lambda z1: H.phi_constant(z1, small_box()), "C_P"),
-    (lambda z1: H.ehi_constant(z1, (0,), 4), "C_EHI"),
+    (lambda z1, mp: H.phi_constant(z1, small_box(mp)), "C_P"),
+    (lambda z1, mp: H.ehi_constant(z1, (0,), 4), "C_EHI"),
 ], ids=["phi", "ehi"])
 def test_constants_always_checked_on_doubled_annulus(z1, monkeypatch, run,
                                                      name):
@@ -869,10 +879,10 @@ def test_constants_always_checked_on_doubled_annulus(z1, monkeypatch, run,
     monkeypatch.setattr(H, "_doubled", moved)
     with pytest.raises(WindowUnconverged,
                        match=f"LAM_EXT {H.LAM_EXT} -> {2 * H.LAM_EXT}"):
-        run(z1)
+        run(z1, monkeypatch)
     assert seen == [name]
     monkeypatch.setattr(H, "_doubled", real)
-    rep = run(z1)
+    rep = run(z1, monkeypatch)
     assert rep.metadata["lam_ext"] == H.LAM_EXT
     assert rep.constant == pytest.approx(rep.metadata["doubled_constant"],
                                          rel=0.05)
