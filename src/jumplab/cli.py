@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import sys
 
 from .errors import LabError
@@ -86,7 +85,6 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)

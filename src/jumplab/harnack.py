@@ -284,8 +284,9 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
     m = M_STEPS
     half = np.array(fm.ball_slots(box.x0, box.R / 2))
     ops = step_operators(fm, box.T / m, sources)
+    del sources  # freed here when the caller handed over its only reference
     n, h, mu = fm.n, len(half), fm.mu[slots]
-    chunks, init_chunks = _chunks(sources.shape[1]), _chunks(len(slots))
+    chunks, init_chunks = _chunks(ops.S.shape[1]), _chunks(len(slots))
     width = chunks[0].stop - chunks[0].start
     block = min(max(TILE_BYTES // (8 * h * max(width, n)), 1), m + 1)
     buf = np.empty(block * h * max(width, init_chunks[0].stop))
@@ -419,9 +420,11 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
     """
     r_win = 2 * box.R
     fm = truncate(model, box.x0, r_win, EXTERIOR_TRACKED, 2 * LAM_EXT)
-    slots, sources, labels, inner, n_inner = _channels(fm, box.x0,
-                                                       LAM_EXT * r_win)
-    init, src, ops = _scan_generators(fm, box, slots, sources, labels)
+    # `sources` is a one-item list: the scan gets the only reference to the
+    # source matrix, so one (n, k) matrix, S, lives through the scan
+    slots, *sources, labels, inner, n_inner = _channels(fm, box.x0,
+                                                        LAM_EXT * r_win)
+    init, src, ops = _scan_generators(fm, box, slots, sources.pop(), labels)
     first = src.take(inner)
     # `_ratio` yields no NaN, so these are `_collect`'s constants
     top = max(init.ratio.max(), 1.0)

@@ -13,10 +13,10 @@ import csv
 import dataclasses
 import datetime
 import json
-import logging
 import math
 import os
 import shutil
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -37,8 +37,6 @@ from .models import (
     truncate,
 )
 from .semigroup import heat_kernel
-
-log = logging.getLogger("jumplab")
 
 # Each experiment's params and their defaults, in flag order: the one table
 # behind `lab`'s flags and a config file's `params`.  A list default holds
@@ -255,10 +253,11 @@ def write_bundle(out_dir: str, config: dict, report: dict, csvs: dict,
 
 
 def _warn_alpha(alpha: float):
+    """Warn on stderr, without the logging module (it is the one warning)."""
     if not (0.0 < alpha < 2.0):
-        log.warning("alpha=%s lies outside (0,2); polynomial-bound sweeps are "
-                    "outside their usual scope but the computation proceeds",
-                    alpha)
+        print(f"WARNING alpha={alpha} lies outside (0,2); polynomial-bound "
+              f"sweeps are outside their usual scope but the computation "
+              f"proceeds", file=sys.stderr)
 
 
 def _assertion(name, value, threshold, ok) -> dict:

@@ -5,12 +5,15 @@ All rates are uniformly bounded, so P = I + Q/Lam is substochastic and
 exp(tQ) is evaluated as a series in P with a certified truncation error.  Two
 series, one per kind of operand:
 
-- `expm_action` on a matrix (the Harnack step operators) and
-  `integrated_action` take the Poisson mixture (uniformization)
-  sum_k pmf_k P^k V up to the least K whose tail sf(K, Lam t) meets tol,
-  with the dense P (`_series`).  Its terms are nonnegative on nonnegative
-  data, so the sum keeps the per-entry relative accuracy the Harnack scans
-  need.
+- `expm_action` on a matrix and `integrated_action` take the Poisson
+  mixture (uniformization) sum_k pmf_k P^k V up to the least K whose tail
+  sf(K, Lam t) meets tol, with the dense P (`_series`).  Its terms are
+  nonnegative on nonnegative data, so the sum keeps the per-entry relative
+  accuracy the Harnack scans need.  The Harnack step operators sum E and
+  W = int_0^dt exp(sQ) ds on the n x n window in one pass over the powers
+  and take S = W sources by one GEMM (`step_operators`);
+  `integrated_action`, the same integral on the source columns, is the
+  tests' oracle for S, and `perfbench/layertrace.py` times it by name.
 - `expm_action` on a vector (heat-kernel rows, `check_hkp`) takes the
   Chebyshev series exp(tQ) v = sum_k c_k T_k(P) v with c_0 = ive(0, Lam t) and
   c_k = 2 ive(k, Lam t), ive(k, x) = I_k(x) e^-x, about
@@ -199,17 +202,22 @@ def _input_scale(V: np.ndarray, t: float) -> float:
     return float(np.abs(V).max()) if t != 0.0 and V.size else 0.0
 
 
-def _series(gen: GeneratorView, V: np.ndarray, weights) -> np.ndarray:
-    """sum_k weights[k] P^k V with the dense P.  P work goes into two arrays
-    in turn, and the weighted add through the one the product has just
-    freed."""
-    acc = weights[0] * V
+def _series(gen: GeneratorView, V: np.ndarray, weights):
+    """sum_k weights[k] P^k V with the dense P; for a tuple of weight
+    sequences, the tuple of their sums, from one pass over the powers.  P
+    work goes into two arrays in turn, and each weighted add through the one
+    the product has just freed, so a sum's bits do not depend on the other
+    sequences."""
+    sets = weights if isinstance(weights, tuple) else (weights,)
+    accs = [w[0] * V for w in sets]
     work = V
     P, bufs = gen.P, (np.empty(V.shape), np.empty(V.shape))
-    for i, w in enumerate(weights[1:]):
+    for i in range(max(map(len, sets)) - 1):
         work = np.matmul(P, work, out=bufs[i % 2])
-        acc += np.multiply(w, work, out=bufs[1 - i % 2])
-    return acc
+        for acc, w in zip(accs, sets):
+            if i + 1 < len(w):
+                acc += np.multiply(w[i + 1], work, out=bufs[1 - i % 2])
+    return tuple(accs) if isinstance(weights, tuple) else accs[0]
 
 
 def _chebyshev_series(gen: GeneratorView, v: np.ndarray, coef) -> np.ndarray:
@@ -255,20 +263,31 @@ def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
     return out, tail * bound
 
 
-def integrated_action(gen: GeneratorView, V: np.ndarray,
-                      t: float) -> tuple[np.ndarray, float]:
-    """(int_0^t exp(sQ) V ds, certified error bound).
+def _integral_weights(gen: GeneratorView, t: float, scale: float):
+    """(w, err) with int_0^t exp(sQ) V ds = sum_k w[k] P^k V within err, for
+    V with max|V| = scale.
 
     Uses int_0^t e^{-Lam s}(Lam s)^k/k! ds = sf(k, Lam t)/Lam.  K is chosen
     by `_poisson_cutoff`; the weight left after K terms is sum_{k>K}
-    sf(k, Lam t)/Lam = E[(N-K-1)^+]/Lam <= t sf(K, Lam t), N ~ Poisson(Lam t).
+    sf(k, Lam t)/Lam = E[(N-K-1)^+]/Lam <= t sf(K, Lam t), N ~ Poisson(Lam t),
+    and as P is substochastic the rest of the series is at most that times
+    scale.
     """
+    _, sf = _poisson_cutoff(gen.lam * t, TOL / max(scale * t, 1e-300))
+    return sf / gen.lam, t * float(sf[-1]) * scale
+
+
+def integrated_action(gen: GeneratorView, V: np.ndarray,
+                      t: float) -> tuple[np.ndarray, float]:
+    """(int_0^t exp(sQ) V ds, certified error bound), by the series of
+    `_integral_weights`.  `step_operators` forms the same integral as a
+    matrix instead; the tests hold it to this."""
     V = np.asarray(V, dtype=float)
     scale = _input_scale(V, t)
     if scale == 0.0:
         return np.zeros_like(V), 0.0
-    _, sf = _poisson_cutoff(gen.lam * t, TOL / max(scale * t, 1e-300))
-    return _series(gen, V, sf / gen.lam), t * float(sf[-1]) * scale
+    weights, err = _integral_weights(gen, t, scale)
+    return _series(gen, V, weights), err
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +436,25 @@ def step_operators(fm: FiniteModel, dt: float,
                    sources: np.ndarray) -> StepOperators:
     """E and S on the grid step dt, for `sources`, an (n, k) matrix of
     source rates on the window (such as the cone's columns that
-    `harnack._channels` builds)."""
+    `harnack._channels` builds).
+
+    E = exp(dt Q) and W = int_0^dt exp(sQ) ds are summed on the n x n window
+    in one pass over the powers P^j, each to its own cutoff: E's is that of
+    `expm_action` on the identity, which it equals bitwise; W's takes
+    scale = max|sources|, as `integrated_action` does.  Then S = W sources
+    is one GEMM of nonnegative matrices, so every entry keeps its relative
+    accuracy.  The weight W leaves out is a nonnegative series whose row
+    sums are at most dt sf(K), so S is within dt sf(K) max|sources|, the
+    error `integrated_action` certifies.  The series costs K n^3 flops, and
+    S n^2 k, in place of K n^2 k for the series on the k columns.
+    """
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("step operators need an exterior-tracked model")
+    if dt < 0:
+        raise ValueError(f"need dt >= 0, got {dt}")
     gen = generator(fm)
-    E, e1 = expm_action(gen, np.eye(fm.n), dt)
-    S, e2 = integrated_action(gen, sources, dt)
-    return StepOperators(E=E, S=S, err=e1 + e2)
+    sources = np.asarray(sources, dtype=float)
+    pmf, sf = _poisson_cutoff(gen.lam * dt, TOL)  # the identity's max is 1
+    weights, err = _integral_weights(gen, dt, _input_scale(sources, dt))
+    E, W = _series(gen, np.eye(fm.n), (pmf, weights))
+    return StepOperators(E=E, S=W @ sources, err=float(sf[-1]) + err)

@@ -36,9 +36,9 @@ def test_heat_t0_identity(capsys):
     assert all(v == 0.0 for k, v in out["values"].items() if k != "0")
 
 
-def test_alpha_out_of_scope_warns_but_runs(capsys, caplog):
+def test_alpha_out_of_scope_warns_but_runs(capsys):
     assert main(["exit-time", "--alpha", "2.5", "--radii", "4,8"]) == 0
-    assert any("outside (0,2)" in r.message for r in caplog.records)
+    assert "WARNING alpha=2.5 lies outside (0,2)" in capsys.readouterr().err
 
 
 def test_failed_write_keeps_previous_bundle(tmp_path):
@@ -239,11 +239,13 @@ _PATH3 = {"kind": "explicit", "vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]],
     ({**_PATH3, "edges": [[0, 1], [1, 5]]},
      r"edge \(1, 5\) names 5, which is not a vertex"),
     ({**_PATH3, "vertices": [0, 1, 1, 2]}, "vertex 1 is listed twice"),
+    ({**_PATH3, "vertices": [0, "a", 2], "edges": [[0, "a"], ["a", 2]]},
+     r"vertex labels \[0, 'a', 2\] cannot be ordered"),
 ], ids=["no-kernel", "bad-kind", "bad-kernel", "bad-alpha", "kernel-list",
         "model-list", "bad-metric", "metrc", "c_j", "kernel-key", "mu-key",
         "ladder-range-0", "mu-negative", "mu-zero-even", "alpha-nan",
         "d-zero", "mu-table-gap", "kernel-non-vertex", "edge-non-vertex",
-        "vertex-twice"])
+        "vertex-twice", "mixed-labels"])
 def test_config_malformed_model(tmp_path, capsys, model, match):
     """A malformed `model` is a ConfigError naming the field, raised when
     the config is built."""
@@ -700,6 +702,15 @@ def test_cli_import_loads_no_scipy():
            "if m.split('.')[0] == 'scipy'), 'numpy.fft' in sys.modules, " \
            "'numpy.random' in sys.modules and not bare)"
     assert _fresh_python(code) == "[] True False"
+
+
+def test_cli_import_loads_no_logging_or_fractions():
+    """`import jumplab.cli` loads neither `logging` (the one warning is a
+    print to stderr) nor `fractions` and the `decimal` it pulls in (the
+    shell polynomials are exact integers over (d-1)!)."""
+    code = "import sys, jumplab.cli; print([m for m in ('logging', " \
+           "'fractions', 'decimal') if m in sys.modules])"
+    assert _fresh_python(code) == "[]"
 
 
 def test_benchmark_runs_load_no_openssl(tmp_path):

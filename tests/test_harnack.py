@@ -741,13 +741,14 @@ def test_witnesses_stable_under_row_sum_rounding(monkeypatch, scale):
     """Moving J(x,G) by a relative 1e-14 (rounding noise) moves no witness of
     `lab phi --d 2 --R 2` or `lab ehi --R 8`; mirror-image vertices tie
     there, and the tie rule, not the last bits, picks among them."""
-    real = models.radial_profile
+    real, calls = models.radial_total, []
 
     def scaled(*args):
-        prof = real(*args)
-        return dataclasses.replace(prof, total=prof.total * scale)
+        calls.append(args)
+        total, bound = real(*args)
+        return total * scale, bound
 
-    monkeypatch.setattr(models, "radial_profile", scaled)
+    monkeypatch.setattr(models, "radial_total", scaled)
     z2 = LatticeModel(d=2, kernel=PolynomialKernel(1.0))
     phi = H.phi_constant(z2, H.HarnackBox(x0=(0, 0), R=2, alpha=1.0))
     assert phi.witness == {"generator": ("initial", (-1, -1)),
@@ -756,6 +757,7 @@ def test_witnesses_stable_under_row_sum_rounding(monkeypatch, scale):
     ehi = H.ehi_constant(z1, (0,), 8)
     assert ehi.witness == {"generator": ("exterior", (-17,)),
                            "max_at": (-8,), "min_at": (8,)}
+    assert {a[0] for a in calls} == {1, 2}  # both runs read the patch
 
 
 def test_mixture_audit(z1, rng, monkeypatch):

@@ -464,11 +464,13 @@ def test_shell_counts_exact_beyond_int64(d, metric):
 
 
 def assert_poly_matches(d, metric, s):
-    """The tail-sum polynomial sum_j c_j s^j gives every count for s >= 1."""
-    coeffs = _shell_poly_coeffs(d, metric)
+    """The tail-sum polynomial sum_j c_j s^j / (d-1)!, in integers, gives
+    every count for s >= 1."""
+    coeffs, den = _shell_poly_coeffs(d, metric)
+    assert den == math.factorial(d - 1)
     for r in (int(r) for r in s if r >= 1):
         assert sum(c * r ** j for j, c in enumerate(coeffs)) \
-            == shell_count(d, metric, r), r
+            == den * shell_count(d, metric, r), r
 
 
 def shell_count(d, metric, s):

@@ -274,18 +274,17 @@ def _expo_atoms(d, kernel):
     return 1.0 + kernel.alpha, kernel.ranges
 
 
-def profile_row_sum(d, metric, kernel, correction=0.0):
-    """Reference: the radial profile's J(x, G) and bound, written out in the
-    same order of operations (SHELL_HORIZON shells, then the zeta tail)."""
+def closed_row_sum(d, metric, kernel, correction=0.0):
+    """Reference: J(x, G) and bound in closed form, written out per kernel
+    class: the power law over every shell by Hurwitz zeta from s = 1, then
+    count(r) atom(r) for each ladder range, in that order."""
     expo, ranges = _expo_atoms(d, kernel)
-    s = np.arange(1, SHELL_HORIZON + 1)
-    counts = shell_counts(d, metric, s).astype(float)
-    weights = counts * s.astype(float) ** (-expo)
-    tail = shell_tail_sum(d, metric, expo, SHELL_HORIZON + 1)
-    bound = TAIL_REL_BOUND * (float(weights.sum()) + tail) + 1e-300
+    power = shell_tail_sum(d, metric, expo, 1)
+    total = power
     for r in ranges:
-        weights[r - 1] += counts[r - 1] * (math.log(r) * r ** (-1.0 - kernel.alpha))
-    return float(np.cumsum(weights)[-1] + tail) - correction, bound
+        total += float(shell_counts(d, metric, r)) * (
+            math.log(r) * r ** (-1.0 - kernel.alpha))
+    return total - correction, TAIL_REL_BOUND * power + 1e-300
 
 
 def direct_row_sum(d, metric, kernel, correction=0.0, tail_shells=4096):
@@ -321,8 +320,8 @@ def assert_close_to_direct(got, want):
 ])
 def test_row_sum_all_bitwise_equals_direct_sum(d, metric, kernel, x):
     m = LatticeModel(d=d, metric=metric, kernel=kernel)
-    assert m.row_sum_all(x) == profile_row_sum(d, metric, kernel)
-    assert m.row_sum_all(x) == profile_row_sum(d, metric, kernel)
+    assert m.row_sum_all(x) == closed_row_sum(d, metric, kernel)
+    assert m.row_sum_all(x) == closed_row_sum(d, metric, kernel)
     assert_close_to_direct(m.row_sum_all(x), direct_row_sum(d, metric, kernel))
 
 
@@ -331,12 +330,28 @@ def test_suppressed_row_sum_bitwise_equals_direct_sum():
     m = LatticeModel(d=2, kernel=SuppressedPairKernel(base=base, x0=(0, 0),
                                                       y0=(3, 1)))
     pair = 3.0 ** -3.0
-    assert m.row_sum_all((0, 0)) == profile_row_sum(2, "linf", base, pair)
-    assert m.row_sum_all((3, 1)) == profile_row_sum(2, "linf", base, pair)
-    assert m.row_sum_all((1, 1)) == profile_row_sum(2, "linf", base)
+    assert m.row_sum_all((0, 0)) == closed_row_sum(2, "linf", base, pair)
+    assert m.row_sum_all((3, 1)) == closed_row_sum(2, "linf", base, pair)
+    assert m.row_sum_all((1, 1)) == closed_row_sum(2, "linf", base)
     assert_close_to_direct(m.row_sum_all((0, 0)),
                            direct_row_sum(2, "linf", base, pair))
     assert_close_to_direct(m.row_sum_all((1, 1)), direct_row_sum(2, "linf", base))
+
+
+# J(x, G) at alpha = 1 to 30 digits, from mpmath: 2 zeta(2) = pi^2/3 on Z
+# and 8 zeta(2) = 4 pi^2/3 on Z^2 with the l-inf metric (8s points a shell)
+ROW_SUM_LITERALS = [
+    (1, 3.28986813369645287294483033329),
+    (2, 13.1594725347858114917793213332),
+]
+
+
+@pytest.mark.parametrize("d, value", ROW_SUM_LITERALS)
+def test_row_sum_within_4_ulp_of_zeta_value(d, value):
+    """The closed form is within 4 ulp of the exact J(x, G); a running sum
+    of the SHELL_HORIZON shells and the tail lands about 100 ulp high."""
+    got, _ = LatticeModel(d=d, kernel=PolynomialKernel(1.0)).row_sum_all((0,) * d)
+    assert abs(got - value) <= 4 * math.ulp(value)
 
 
 def test_ladder_range_beyond_horizon_rejected():
@@ -675,13 +690,14 @@ def test_exterior_tracked_empty_annulus(z1):
 def test_exterior_tracked_sources_peak():
     """The doubled annulus of `lab phi --d 2 --R 4`, truncated and given its
     cone's source columns (`harnack._channels`), holds that matrix once:
-    tracemalloc's peak over both stays within 1.5 times the matrix plus the
-    radial table, built inside the traced span.  The columns of the orbits'
-    first vertices equal the whole annulus' bitwise, and both remainders
-    (the doubled annulus' and the first annulus') match it within 1e-12
-    relative."""
+    tracemalloc's peak over both stays within 1.5 times the matrix.  J(x, G)
+    comes in closed form, computed inside the traced span, and no radial
+    table is built.  The columns of the orbits' first vertices equal the
+    whole annulus' bitwise, and both remainders (the doubled annulus' and
+    the first annulus') match it within 1e-12 relative."""
     z2 = LatticeModel(d=2)
     radial_profile.cache_clear()
+    models.radial_total.cache_clear()
     tracemalloc.start()
     try:
         fm = truncate(z2, (0, 0), 8, EXTERIOR_TRACKED, 8.0)
@@ -689,8 +705,9 @@ def test_exterior_tracked_sources_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = radial_profile(2, "linf", z2.base_kernel).cum.nbytes
-    assert peak <= 1.5 * sources.nbytes + table
+    assert models.radial_total.cache_info().misses == 1
+    assert radial_profile.cache_info().misses == 0
+    assert peak <= 1.5 * sources.nbytes
     exterior, full = full_sources(z2, (0, 0), 8, 8.0)
     cols = [exterior.index(w) for w in fm.exterior]
     assert np.array_equal(sources[:, :-2], full[:, cols])

@@ -200,8 +200,8 @@ def test_suppressed_pair_never_jumps(z1):
     (1, "linf", LadderKernel(alpha=1.5, ranges=(16, 64, 256)), (64,)),
 ])
 def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
-    """The jump law's shell table, total and suppressed row sums, against the
-    formulas written out per kernel class."""
+    """The jump law's shell table, the closed-form total and suppressed row
+    sums, against the formulas written out per kernel class."""
     ladder = isinstance(kernel, LadderKernel)
     expo = 1.0 + kernel.alpha if ladder else d + kernel.alpha
     s = np.arange(1, SHELL_HORIZON + 1, dtype=float)
@@ -211,7 +211,10 @@ def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
     for r in (kernel.ranges if ladder else ()):
         weights[r - 1] += counts[r - 1] * (math.log(r) * r ** (-1.0 - kernel.alpha))
     cum = np.cumsum(weights)
-    total = float(cum[-1] + shell_tail_sum(d, metric, expo, SHELL_HORIZON + 1))
+    # J(x, G) in closed form: the power law over every shell, then the atoms
+    total = shell_tail_sum(d, metric, expo, 1)
+    for r in (kernel.ranges if ladder else ()):
+        total += counts[r - 1] * (math.log(r) * r ** (-1.0 - kernel.alpha))
     gap = max(abs(c) for c in y0) if metric == "linf" else sum(abs(c) for c in y0)
     pair = float(gap) ** (-expo)
     if ladder and gap in kernel.ranges:
@@ -740,16 +743,17 @@ def test_heavy_tail_raises_numerical_failure():
      0.5675, 0.024802162065186362),
     (LatticeModel(d=1, kernel=PolynomialKernel(1.0)), 9,
      lambda s: mc.sample_exit_time(s, (0,), (0,), 8, 500),
-     2.8134873816116133, 0.11860075609961111),
+     2.8134873816116506, 0.11860075609961268),
     (LatticeModel(d=2, metric="l1", kernel=PolynomialKernel(1.2)), 3,
      lambda s: mc.sample_exit_time(s, (0, 0), (0, 0), 4, 500),
-     0.9653079830717912, 0.036100670797263826),
+     0.965307983071797, 0.03610067079726405),
 ], ids=["ladder-hit", "z1-exit", "z2-l1-exit"])
 def test_walker_pinned(model, seed, run, estimate, se):
     """Estimates pinned with ==, as the one-generator walk gave them with
-    every radius taken from `RadialProfile.radii` on the same words: the
-    per-walker loops above share the displacement helper, so they cannot
-    catch a change in the draws themselves."""
+    every radius taken from `RadialProfile.radii` on the same words, and the
+    hold rates from the closed-form J(x, G): the per-walker loops above
+    share the displacement helper, so they cannot catch a change in the
+    draws themselves."""
     rep = run(mc.TrajectorySampler(model, seed))
     assert (rep.estimate, rep.se, rep.truncated) == (estimate, se, 0)
 

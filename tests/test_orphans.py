@@ -14,6 +14,9 @@ ORPHANS = {
     # montecarlo: criterion 4 cross-validates exit times against it, and
     # perfbench/layertrace.py wraps it by name
     "sample_exit_time",
+    # semigroup: the tests' oracle for the S of `step_operators`, and
+    # perfbench/layertrace.py wraps it by name
+    "integrated_action",
 }
 
 # "function.parameter": a default that every call in src/jumplab leaves as it
