@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .errors import LabError
-from .io import (CHOICES, PARAMS, ExperimentConfig, jsonable, load_config,
+from .io import (CHOICES, PARAMS, ExperimentConfig, dump_report, load_config,
                  run_experiment)
 
 
@@ -98,8 +97,7 @@ def main(argv=None) -> int:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     if not cfg.out_dir:
-        json.dump(jsonable(report), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        dump_report(report, sys.stdout)
     if failures:
         for a in failures:
             print(f"assertion failed: {a['name']}: value {a['value']} vs "

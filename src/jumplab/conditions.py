@@ -142,7 +142,7 @@ def _kernel_rows_at_times(model, r_win, sources, times):
     out = {}
     eps = 0.0
     for x in sources:
-        i = fm.index[x]
+        i = fm.slot(x)
         v = np.zeros(fm.n)
         v[i] = 1.0 / fm.mu[i]
         prev_t = 0.0
@@ -172,8 +172,8 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times,
     probe_rows = []
     for x, y in pairs:
         for t in times:
-            p_small = rows1[(x, t)][fm1.index[y]]
-            p = rows2[(x, t)][fm2.index[y]]
+            p_small = rows1[(x, t)][fm1.slot(y)]
+            p = rows2[(x, t)][fm2.slot(y)]
             if p > 0 and abs(p - p_small) > DOUBLING_MARGIN * p:
                 raise WindowUnconverged(
                     f"p_t({x},{y}) at t={t} moved {abs(p - p_small) / p:.2%} "
@@ -189,7 +189,7 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times,
     diag = [row for row in probe_rows if row["x"] == row["y"]]
     for x in sources:
         for t in times:
-            p = rows2[(x, t)][fm2.index[x]]
+            p = rows2[(x, t)][fm2.slot(x)]
             diag.append({"x": x, "y": x, "t": t,
                          "ratio": p * model.volume(x, t ** (1.0 / alpha))})
     uhd, wit_uhd = _fit(diag, "ratio", ("x", "y", "t"))
@@ -213,7 +213,7 @@ def check_exit_time(model: LatticeModel, alpha: float, radii) -> ConditionReport
     rows = []
     for r in radii:
         fm = truncate(model, x, r, KILLED)
-        tau = float(expected_exit_time(fm)[fm.index[x]])
+        tau = float(expected_exit_time(fm)[fm.slot(x)])
         rows.append({"center": x, "r": r, "E_tau": tau,
                      "ratio": tau / float(r) ** alpha})
     slope = _slope(radii, [row["E_tau"] for row in rows])

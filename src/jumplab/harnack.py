@@ -67,7 +67,7 @@ from .models import (
     _pair_rates,
     truncate,
 )
-from .semigroup import solve_generator, step_operators
+from .semigroup import TILE_COLS, _chunks, solve_generator, step_operators
 
 FLOOR = 1e-30
 # Relative gap below which two values tie when a witness is picked.
@@ -76,14 +76,14 @@ EPS = 1e-12
 # doubling check compares every constant with the one at twice it.
 LAM_EXT = 4.0
 # One GEMM of the cone scan multiplies the half-ball rows of a block of ages
-# by a chunk of at most TILE_COLS columns; the rows and the product each take
+# by a chunk of at most TILE_COLS columns (`semigroup._chunks`); the rows
+# and the product each take
 # at most TILE_BYTES (or one age, if one age alone is larger).  Larger tiles
 # run the GEMMs faster but raise the peak memory of scans with few columns.
 # Both are buffers the scan owns, sized once and written with `out=`: a tile
 # near TILE_BYTES is above malloc's mmap threshold, so a fresh one per GEMM
 # would be mapped, page-faulted in and unmapped again on every call.
 TILE_BYTES = 1 << 18
-TILE_COLS = 512
 # Entries per call of a sliding-window pass: wide arrays take s rows a call,
 # which numpy vectorizes, and narrow ones few calls.
 SLIDE_ENTRIES = 4096
@@ -257,14 +257,9 @@ def _channels(fm: FiniteModel, x0, radius: float):
             int(fm.orbits[near].sum()))
 
 
-def _chunks(width: int) -> list[slice]:
-    """Equal chunks of at most TILE_COLS of `width` columns."""
-    size = -(-width // -(-width // TILE_COLS))
-    return [slice(c0, min(c0 + size, width)) for c0 in range(0, width, size)]
-
-
 def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
-                     sources: np.ndarray, labels: list):
+                     sources: np.ndarray, labels: list,
+                     out: np.ndarray | None = None):
     """Stream the cone generators through the box in one pass over the ages
     a = 0..m, reducing each age once.
 
@@ -275,16 +270,16 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
     the slots, over mu.  Launches from step m/2 on show no step of Q-, so
     the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2) and
     their Q+ ages [m/4, m), and only those half-ball maxima and minima are
-    formed.  S is formed for the columns of `sources` and the initial fields
-    at `slots` only.  The rows I[half] E^a come a block of ages at a time
+    formed.  S is formed for the columns of `sources`, into `out` (which may
+    be `sources`, see `step_operators`), and the initial fields at `slots`
+    only.  The rows I[half] E^a come a block of ages at a time
     (`_age_blocks`), as many as fit TILE_BYTES, and each family's values at
     a block go into one buffer sized once per scan.  Returns (init, src,
     ops), the `_Family` of each kind and the step operators.
     """
     m = M_STEPS
     half = np.array(fm.ball_slots(box.x0, box.R / 2))
-    ops = step_operators(fm, box.T / m, sources)
-    del sources  # freed here when the caller handed over its only reference
+    ops = step_operators(fm, box.T / m, sources, out)
     n, h, mu = fm.n, len(half), fm.mu[slots]
     chunks, init_chunks = _chunks(ops.S.shape[1]), _chunks(len(slots))
     width = chunks[0].stop - chunks[0].start
@@ -420,11 +415,11 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
     """
     r_win = 2 * box.R
     fm = truncate(model, box.x0, r_win, EXTERIOR_TRACKED, 2 * LAM_EXT)
-    # `sources` is a one-item list: the scan gets the only reference to the
-    # source matrix, so one (n, k) matrix, S, lives through the scan
-    slots, *sources, labels, inner, n_inner = _channels(fm, box.x0,
-                                                        LAM_EXT * r_win)
-    init, src, ops = _scan_generators(fm, box, slots, sources.pop(), labels)
+    # S is written over the source matrix, so one (n, k) matrix lives
+    # through the scan
+    slots, sources, labels, inner, n_inner = _channels(fm, box.x0,
+                                                       LAM_EXT * r_win)
+    init, src, ops = _scan_generators(fm, box, slots, sources, labels, sources)
     first = src.take(inner)
     # `_ratio` yields no NaN, so these are `_collect`'s constants
     top = max(init.ratio.max(), 1.0)

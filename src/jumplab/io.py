@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
@@ -19,6 +20,7 @@ import shutil
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -61,6 +63,13 @@ PI_MARGIN = 1.25
 HIT_MARGIN = 0.1
 # Monte Carlo walkers per ladder range in the hitting runs.
 N_HIT = 2000
+# Items of a report list or dict, or rows of a CSV table, formatted at once
+# (`_emit_items`, `_write_table`).
+CHUNK = 512
+# The cell types csv writes as `_cell` does (`write_bundle`).
+_PLAIN_CELLS = frozenset((float, int, str))
+# A JSON scalar's text, as json.dumps gives it.
+_encode_scalar = json.JSONEncoder().encode
 
 
 def _integer(value) -> int:
@@ -199,9 +208,101 @@ def jsonable(v):
     return v
 
 
+def dump_report(obj, f) -> None:
+    """Write jsonable(obj) and a newline to the text file f, byte for byte as
+    json.dump(jsonable(obj), f, sort_keys=True, indent=2) and a newline: the
+    one emitter of report.json, config.resolved, meta.json and `lab`'s
+    standard output."""
+    _emit(jsonable(obj), f.write, "\n")
+    f.write("\n")
+
+
+def _emit(v, write, nl: str) -> None:
+    """Write v as json.dumps(v, sort_keys=True, indent=2) writes it, for v
+    built of dicts with str keys, lists, tuples and JSON scalars, which
+    json's own encoder writes; `nl` is a newline and the indent of v's
+    line."""
+    if isinstance(v, (list, tuple)):
+        _emit_items(None, v, write, nl, "[]")
+    elif isinstance(v, dict):
+        keys = sorted(v)
+        _emit_items(keys, list(map(v.__getitem__, keys)), write, nl, "{}")
+    else:
+        write(_encode_scalar(v))
+
+
+def _emit_items(keys, values, write, nl: str, brackets: str) -> None:
+    """The list `values`, or the dict of `keys` (sorted) to `values`, one
+    item a line, CHUNK items at a time.  A chunk of finite floats is
+    formatted by one float.__repr__ map and one join, the text json gives
+    them; any other chunk goes value by value through `_emit`."""
+    if not values:
+        write(brackets)
+        return
+    inner = nl + "  "
+    sep = "," + inner
+    write(brackets[0])
+    for c0 in range(0, len(values), CHUNK):
+        chunk = values[c0:c0 + CHUNK]
+        text = None
+        try:
+            texts = map(float.__repr__, chunk)
+            if keys is not None:
+                heads = map(str.__add__, map(_encode_str, keys[c0:c0 + CHUNK]),
+                            itertools.repeat(": "))
+                texts = map(str.__add__, heads, texts)
+            text = sep.join(texts)
+        except TypeError:  # a value that is not a float, or a key not a str
+            pass
+        # a chunk of floats sums to a finite number only if each is finite
+        if text is not None and math.isfinite(sum(chunk)):
+            write(inner if c0 == 0 else sep)
+            write(text)
+            continue
+        for i, x in enumerate(chunk, c0):
+            write(inner if i == 0 else sep)
+            if keys is not None:
+                write(_encode_str(keys[i]) + ": ")
+            _emit(x, write, inner)
+    write(nl + brackets[1])
+
+
 def _cell(v) -> str:
     """A CSV cell: a vertex as its coordinates joined by commas, else str."""
     return ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
+def _write_table(f, columns: dict) -> None:
+    """Write a table's header and rows, the rows one `_cell` per value, as
+    csv.writer(f, lineterminator="\n") writes them, CHUNK rows at a time.
+
+    A column of plain floats, ints and strings is formatted by str, which is
+    `_cell`'s text, without a Python call per value.  A chunk whose cells
+    hold no comma, quote, line break or NUL, and no one-column row is empty,
+    needs no quoting and is joined directly; any other goes through csv."""
+    out = csv.writer(f, lineterminator="\n")
+    out.writerow(columns)
+    cols = list(columns.values())
+    fmt = [str if _PLAIN_CELLS.issuperset(map(type, c)) else _cell
+           for c in cols]
+    for r0 in range(0, min(map(len, cols)), CHUNK):
+        rows = list(zip(*(map(cell, c[r0:r0 + CHUNK])
+                          for cell, c in zip(fmt, cols))))
+        text = "\n".join(map(",".join, rows))
+        if (text.count(",") == len(rows) * (len(cols) - 1)
+                and text.count("\n") == len(rows) - 1
+                and not any(c in text for c in '"\r\0')
+                and ("",) not in rows):
+            f.write(text)
+            f.write("\n")
+        else:
+            out.writerows(rows)
+
+
+def _point_cells(points: np.ndarray) -> list:
+    """`_cell` of each row of an (n, d) array of lattice points: "x" on Z,
+    "x,y" on Z^2."""
+    return list(map(",".join, zip(*(map(str, c) for c in points.T.tolist()))))
 
 
 def _columns(rows: list) -> dict:
@@ -232,15 +333,11 @@ def write_bundle(out_dir: str, config: dict, report: dict, csvs: dict,
         for name, obj in (("config.resolved", config), ("report.json", report),
                           ("meta.json", meta)):
             with open(os.path.join(tmp, name), "w") as f:
-                json.dump(jsonable(obj), f, sort_keys=True, indent=2)
-                f.write("\n")
+                dump_report(obj, f)
         for name, columns in csvs.items():
             with open(os.path.join(tmp, name + ".csv"), "w", newline="") as f:
                 if columns:
-                    out = csv.writer(f, lineterminator="\n")
-                    out.writerow(columns)
-                    out.writerows(zip(*(map(_cell, c)
-                                        for c in columns.values())))
+                    _write_table(f, columns)
         if os.path.exists(out_dir):
             os.replace(out_dir, old)
         os.replace(tmp, out_dir)
@@ -420,7 +517,9 @@ def run_generic(config: ExperimentConfig):
         t, r_win, mode = p["t"], p["r_win"], p["mode"]
         fm = truncate(model, origin, r_win, mode)
         hk = heat_kernel(fm, origin, t)
-        cells, values = [_cell(v) for v in fm.window], hk.values.tolist()
+        cells = (_point_cells(fm.points) if fm.points is not None
+                 else [_cell(v) for v in fm.window])
+        values = hk.values.tolist()
         csvs["heat"] = {"y": cells, "p": values}
         report = {"experiment": "heat", "t": t, "r_win": r_win, "mode": mode,
                   "mass": hk.mass(), "eps_poisson": hk.eps_poisson,

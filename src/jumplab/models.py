@@ -727,27 +727,29 @@ class BoxConvolution:
     which keeps the circular product free of wrap-around, and transformed
     once.  A product then costs O(N log N) time and O(N) memory for N padded
     grid points: scatter the vector into the box by flat index, multiply the
-    spectra, gather it back.  l1 balls scatter into a masked subset of the
-    box.  The zero-padded box is kept (`pad`): every product writes the same
+    spectra, gather it back.  The flat indices `flat` come from the window's
+    (n, d) integer points; l1 balls scatter into a masked subset of the box.
+    The zero-padded box is kept (`pad`): every product writes the same
     `flat` slots, so the rest of it stays zero.  A suppressed pair with both
     endpoints in the window is subtracted as a rank-2 term, `pair` = (slot
     of x0, slot of y0, rate), else None.  `strang` inverts the box's
     circulant approximation of diag I - J.
     """
 
-    def __init__(self, model: LatticeModel, index: dict, center, m: int):
+    def __init__(self, model: LatticeModel, points: np.ndarray, center, m: int):
         d = model.d
         self.model, self.side = model, 2 * m + 1
         self.shape = (_fft_len(2 * self.side),) * d
         self.symbol = _rfft(self._kernel(self.shape[0]))
         self.pad = np.zeros(math.prod(self.shape))
         corner = np.asarray(center, dtype=np.int64) - m
-        coords = np.asarray(list(index), dtype=np.int64) - corner
-        self.flat = np.ravel_multi_index(tuple(coords.T), self.shape)
+        self.flat = np.ravel_multi_index(tuple((points - corner).T), self.shape)
         p = model.pair
         self.pair = None
-        if p is not None and p[0] in index and p[1] in index:
-            self.pair = (index[p[0]], index[p[1]], p[2])
+        if p is not None:
+            ends = [np.flatnonzero((points == e).all(axis=1)) for e in p[:2]]
+            if all(e.size for e in ends):
+                self.pair = (int(ends[0][0]), int(ends[1][0]), p[2])
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         self.pad[self.flat] = v
@@ -834,15 +836,20 @@ class FiniteModel:
     every vertex of A as its own orbit.  Lattice windows carry a
     `BoxConvolution` and never need the dense `rates` for a product; `rates`
     is built on the first read only.
+
+    A lattice window keeps its vertices as `points`, an (n, d) int64 array
+    in ball (lexicographic) order, and builds the list of tuples `window`
+    and the dict `index` only when something reads them; `slot` finds a
+    vertex without them.  An explicit graph passes its window as `vertices`.
     """
 
     model: LatticeModel
-    window: list
-    index: dict
     mu: np.ndarray
     kill: np.ndarray                # per-vertex kill rate (zeros if reflected)
     kill_bound: np.ndarray          # certified tail remainder in `kill`
     mode: str
+    points: np.ndarray | None = None    # (n, d) lattice points, ball order
+    vertices: list | None = None        # an explicit graph's window
     exterior: list | None = None        # first vertex of each orbit of A
     orbits: np.ndarray | None = None    # size of each orbit of A
     slot_maps: np.ndarray | None = None  # (maps, n) window slot of g x
@@ -850,12 +857,36 @@ class FiniteModel:
 
     @property
     def n(self) -> int:
-        return len(self.window)
+        return len(self.mu)
+
+    @functools.cached_property
+    def window(self) -> list:
+        """The window's vertices in ball order, as tuples on a lattice."""
+        if self.points is None:
+            return self.vertices
+        return list(zip(*self.points.T.tolist()))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Vertex -> window slot."""
+        return {v: i for i, v in enumerate(self.window)}
+
+    def slot(self, x) -> int:
+        """The window slot of the vertex x, KeyError if x is outside the
+        window; on a lattice a search of `points`, which builds no index."""
+        if self.points is None:
+            return self.index[x]
+        if len(x) == self.points.shape[1]:
+            hit = np.flatnonzero((self.points == x).all(axis=1))
+            if hit.size:
+                return int(hit[0])
+        raise KeyError(x)
 
     @functools.cached_property
     def rates(self) -> np.ndarray:
         """(n, n) symmetric J(x,y) with zero diagonal."""
-        rates = _pair_rates(self.model, self.window, self.window)
+        where = self.window if self.points is None else self.points
+        rates = _pair_rates(self.model, where, where)
         np.fill_diagonal(rates, 0.0)
         return rates
 
@@ -974,28 +1005,34 @@ def truncate(model: LatticeModel, x0, r_win: float, mode: str,
     Exterior-tracked mode also records the geometry of the annulus
     B(x0, lam_ext r_win) less the window, one channel per symmetry orbit
     (`FiniteModel`), and builds no source column; its ball is checked
-    against STATE_CAP before the window is built."""
+    against STATE_CAP before the window is built.  A lattice window takes
+    its points from `ball_points` and its measure from `mu_rule.at`."""
     if mode not in (KILLED, REFLECTED, EXTERIOR_TRACKED):
         raise ValueError(f"unknown mode {mode!r}")
+    if r_win < 0:
+        raise ValueError("radius must be nonnegative")
     exterior = orbit = slot_maps = None
     if mode == EXTERIOR_TRACKED:
         exterior, orbit, slot_maps = _annulus_orbits(model, x0, r_win,
                                                      lam_ext * r_win)
-    window = model.ball(x0, r_win)
-    n = len(window)
-    if n > STATE_CAP:
-        raise WindowTooLarge(f"{n} states exceeds cap {STATE_CAP}")
-    index = {v: i for i, v in enumerate(window)}
-    action = None
+    points = vertices = action = None
     if model.kind == "lattice":
-        action = BoxConvolution(model, index, x0, int(math.floor(r_win)))
-    mu = np.array([model.mu(v) for v in window])
-    fm = FiniteModel(model=model, window=window, index=index, mu=mu,
-                     kill=np.zeros(n), kill_bound=np.zeros(n), mode=mode,
-                     exterior=exterior, orbits=orbit, slot_maps=slot_maps,
-                     action=action)
+        m = int(math.floor(r_win))
+        points = where = model.ball_points(x0, m)  # checks STATE_CAP first
+        mu = np.asarray(model.mu_rule.at(points), dtype=float)
+        action = BoxConvolution(model, points, x0, m)
+    else:
+        vertices = where = model.ball(x0, r_win)
+        if len(vertices) > STATE_CAP:
+            raise WindowTooLarge(f"{len(vertices)} states exceeds cap {STATE_CAP}")
+        mu = np.array([model.mu(v) for v in vertices])
+    n = len(mu)
+    fm = FiniteModel(model=model, mu=mu, kill=np.zeros(n),
+                     kill_bound=np.zeros(n), mode=mode, points=points,
+                     vertices=vertices, exterior=exterior, orbits=orbit,
+                     slot_maps=slot_maps, action=action)
     if mode in (KILLED, EXTERIOR_TRACKED):
-        totals, bounds = model.row_sums_all(window)
+        totals, bounds = model.row_sums_all(where)
         fm.kill = np.maximum(totals - fm.row_sums, 0.0) / mu
         fm.kill_bound = bounds / mu
     return fm

@@ -70,6 +70,12 @@ TOL = 1e-12
 # the window; CG_MAXITER caps the iterations.
 CG_RTOL = 1e-12
 CG_MAXITER = 20_000
+# `_ive` takes the power series below this x, where Miller's recurrence
+# could overflow (see there).
+IVE_SERIES_X = 1e-8
+# Columns per GEMM of S = W sources (`step_operators`) and of the cone
+# scan's tiles (`harnack`), in equal chunks (`_chunks`).
+TILE_COLS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +125,12 @@ def generator(fm: FiniteModel) -> GeneratorView:
 # series primitives
 # ---------------------------------------------------------------------------
 
+def _chunks(width: int) -> list[slice]:
+    """Equal chunks of at most TILE_COLS of `width` columns."""
+    size = -(-width // -(-width // TILE_COLS))
+    return [slice(c0, min(c0 + size, width)) for c0 in range(0, width, size)]
+
+
 def _within_cap(k: int, cap: int = TERM_CAP) -> int:
     """k, or TruncationBudgetExceeded before a series of k terms is built."""
     if k > cap:
@@ -162,7 +174,21 @@ def _poisson_cutoff(lt: float, tol: float, cap: int = TERM_CAP):
 def _ive(n: int, x: float) -> np.ndarray:
     """ive(0..n, x) = I_k(x) e^-x for x > 0, by Miller's backward recurrence
     I_{k-1} = (2k/x) I_k + I_{k+1} from index n + 30 + 10 sqrt(x), normalised
-    by e^x = I_0 + 2 sum_{k>=1} I_k; values are rescaled past 1e250."""
+    by e^x = I_0 + 2 sum_{k>=1} I_k; values are rescaled past 1e250.
+
+    Below IVE_SERIES_X the recurrence's factor 2k/x could overflow in one
+    step, so the leading terms of the power series are taken instead:
+    ive(k, x) = e^-x (x/2)^k / k! (1 + (x/2)^2 / (k+1)), whose next term is
+    below 1e-33 relative.  Beyond k = 170, where k! leaves the doubles,
+    (x/2)^k has long underflowed."""
+    if x < IVE_SERIES_X:
+        k = np.arange(min(n, 170) + 1)
+        fact = np.array([float(math.factorial(j)) for j in k])
+        h = x / 2.0
+        y = np.zeros(n + 1)
+        y[:len(k)] = (np.power(h, k) / fact * (1.0 + h * h / (k + 1))
+                      * math.exp(-x))
+        return y
     top = n + 30 + int(10.0 * np.sqrt(x))
     y = np.empty(top + 1)
     cur, nxt = 1.0, 0.0  # I_j, I_{j+1} up to a common factor
@@ -187,6 +213,9 @@ def _chebyshev_weights(lt: float, tol: float):
     k = _within_cap(int(np.sqrt(2.0 * lt * max(np.log(1.0 / tol), 1.0))) + 30)
     while True:
         w = _ive(k + 1, lt)
+        if not np.isfinite(w).all():
+            raise NumericalFailure(f"non-finite Chebyshev weights at "
+                                   f"Lam t = {lt!r}")
         # tails[K] bounds 2 sum_{k>K} ive(k, lt) by the ratio r_{K+1}
         half = np.arange(1, k + 2) + 0.5
         tails = 2.0 * w[1:] / (1.0 - lt / (half + np.hypot(half, lt)))
@@ -313,7 +342,7 @@ def heat_kernel(fm: FiniteModel, x, t: float) -> HeatKernelResult:
     """p_t(x, .) for the vertex x, by the Chebyshev series."""
     # p_t(x,y) = [exp(tQ)]_{xy}/mu_y = [exp(tQ) (e_x/mu_x)]_y by
     # mu-reversibility of Q.
-    i = fm.index[x]
+    i = fm.slot(x)
     e = np.zeros(fm.n)
     e[i] = 1.0 / fm.mu[i]
     dens, eps = expm_action(generator(fm), e, t)
@@ -432,11 +461,12 @@ class StepOperators:
     err: float
 
 
-def step_operators(fm: FiniteModel, dt: float,
-                   sources: np.ndarray) -> StepOperators:
+def step_operators(fm: FiniteModel, dt: float, sources: np.ndarray,
+                   out: np.ndarray | None = None) -> StepOperators:
     """E and S on the grid step dt, for `sources`, an (n, k) matrix of
-    source rates on the window (such as the cone's columns that
-    `harnack._channels` builds).
+    nonnegative source rates on the window (such as the cone's columns that
+    `harnack._channels` builds).  S is written into `out`, which may be
+    `sources` itself, or into a new array if it is None.
 
     E = exp(dt Q) and W = int_0^dt exp(sQ) ds are summed on the n x n window
     in one pass over the powers P^j, each to its own cutoff: E's is that of
@@ -447,6 +477,10 @@ def step_operators(fm: FiniteModel, dt: float,
     sums are at most dt sf(K), so S is within dt sf(K) max|sources|, the
     error `integrated_action` certifies.  The series costs K n^3 flops, and
     S n^2 k, in place of K n^2 k for the series on the k columns.
+
+    S is formed a chunk of at most TILE_COLS columns at a time through one
+    buffer, each chunk written over its columns of `out` after its GEMM has
+    read them, so with out = sources no second n x k matrix is held.
     """
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("step operators need an exterior-tracked model")
@@ -455,6 +489,13 @@ def step_operators(fm: FiniteModel, dt: float,
     gen = generator(fm)
     sources = np.asarray(sources, dtype=float)
     pmf, sf = _poisson_cutoff(gen.lam * dt, TOL)  # the identity's max is 1
-    weights, err = _integral_weights(gen, dt, _input_scale(sources, dt))
+    # max|sources| is its max, no entry being negative
+    weights, err = _integral_weights(gen, dt, float(sources.max(initial=0.0)))
     E, W = _series(gen, np.eye(fm.n), (pmf, weights))
-    return StepOperators(E=E, S=W @ sources, err=float(sf[-1]) + err)
+    S = np.empty(sources.shape) if out is None else out
+    chunks = _chunks(sources.shape[1])
+    buf = np.empty(fm.n * chunks[0].stop)
+    for c in chunks:
+        prod = buf[:fm.n * (c.stop - c.start)].reshape(fm.n, -1)
+        S[:, c] = np.matmul(W, sources[:, c], out=prod)
+    return StepOperators(E=E, S=S, err=float(sf[-1]) + err)

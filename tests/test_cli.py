@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import jumplab
-from jumplab.cli import COMMANDS, build_parser, main
+from jumplab.cli import COMMANDS, _config_from_args, build_parser, main
 from jumplab import io as io_module
 from jumplab.errors import ConfigError
 from jumplab.io import (PARAMS, ExperimentConfig, load_config, run_experiment,
@@ -34,6 +35,38 @@ def test_heat_t0_identity(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["values"]["0"] == 1.0
     assert all(v == 0.0 for k, v in out["values"].items() if k != "0")
+
+
+def test_heat_at_tiny_t_finishes_with_unit_mass(capsys):
+    """At t = 1e-100 the Chebyshev weights come from the leading terms of
+    ive's series: the run ends in well under 2 s with mass 1 and no "nan"
+    (the backward recurrence overflowed, and the series doubled toward
+    TERM_CAP)."""
+    t0 = time.perf_counter()
+    assert main(["heat", "--t", "1e-100", "--r-win", "4", "--mode",
+                 "reflected"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    assert "nan" not in text and abs(out["mass"] - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["heat", "--r-win", "40", "--t", "2"],
+    ["heat", "--d", "2", "--r-win", "3", "--mode", "reflected"],
+    ["heat", "--t", "0", "--r-win", "4"],
+    ["cex", "suppressed", "--radii", "8"],
+])
+def test_stdout_is_json_dump_of_the_report(capsys, argv):
+    """`lab` without --out prints json.dump(jsonable(report), sort_keys=True,
+    indent=2) and a newline, byte for byte, as it did before the one report
+    emitter."""
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    args = build_parser(argv).parse_args(argv)
+    report, _ = run_experiment(_config_from_args(args))
+    assert got == json.dumps(io_module.jsonable(report), sort_keys=True,
+                             indent=2) + "\n"
 
 
 def test_alpha_out_of_scope_warns_but_runs(capsys):

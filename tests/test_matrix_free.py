@@ -235,6 +235,9 @@ def test_reflected_heat_row_never_builds_dense_rates():
     fm = truncate(model, (0,), 512, REFLECTED)
     hk = heat_kernel(fm, (0,), 16.0)
     assert "rates" not in vars(fm)
+    # the source slot comes from the window's points: neither the list of
+    # vertex tuples nor the index dict is built
+    assert "window" not in vars(fm) and "index" not in vars(fm)
     assert abs(float(hk.mass()) - 1.0) <= 1e-10
 
 
@@ -317,7 +320,7 @@ def test_box_convolution_reused_bitwise_equals_fresh(name):
     diag = float(model.row_sum_all(model.origin)[0])
     conv, solve = fm.action, fm.action.strang(diag)
     for v in np.random.default_rng(11).standard_normal((5, fm.n)):
-        fresh = BoxConvolution(model, fm.index, x0, r)
+        fresh = BoxConvolution(model, fm.points, x0, r)
         assert np.array_equal(conv(v), fresh(v))
         assert np.array_equal(solve(v), fresh.strang(diag)(v))
 

@@ -23,6 +23,7 @@ from jumplab.models import (
     MuConstant,
     MuTable,
     PolynomialKernel,
+    REFLECTED,
     SHELL_HORIZON,
     STATE_CAP,
     SuppressedPairKernel,
@@ -817,3 +818,75 @@ def test_serialization_round_trip():
     assert m2.J((0, 0), (2, 1)) == 0.0
     assert m2.J((1, 0), (2, 1)) == m.J((1, 0), (2, 1))
 
+
+
+# ---------------------------------------------------------------------------
+# window points, and the lists built from them on the first read
+# ---------------------------------------------------------------------------
+
+def _pair_model(d, metric, x0, y0, mu_rule=MuConstant(1.0)):
+    return LatticeModel(d=d, metric=metric, mu_rule=mu_rule,
+                        kernel=SuppressedPairKernel(PolynomialKernel(1.0),
+                                                    x0, y0))
+
+
+# (model, window centre, window radius)
+WINDOW_CASES = {
+    "z1": (LatticeModel(d=1), (0,), 5),
+    "z1-alternating-shifted": (
+        LatticeModel(d=1, mu_rule=MuAlternating(1.0, 3.0)), (3,), 4),
+    "z2-linf": (LatticeModel(d=2), (0, 0), 3),
+    "z2-l1-alternating": (LatticeModel(d=2, metric="l1",
+                                       mu_rule=MuAlternating(2.0, 0.5)),
+                          (1, -1), 3),
+    "z3": (LatticeModel(d=3), (0, 0, 0), 2),
+    # the pair at both ends of the window: its first and last slots
+    "pair-at-the-ends": (_pair_model(1, "linf", (-4,), (4,)), (0,), 4),
+    "pair-at-the-ends-z2-l1": (_pair_model(2, "l1", (-3, 0), (3, 0),
+                                           MuAlternating(1.0, 2.0)), (0, 0), 3),
+    "pair-one-end-out": (_pair_model(1, "linf", (0,), (9,)), (0,), 4),
+}
+
+
+@pytest.mark.parametrize("mode", [KILLED, REFLECTED, EXTERIOR_TRACKED])
+@pytest.mark.parametrize("name", sorted(WINDOW_CASES))
+def test_window_points_equal_the_tuple_window(name, mode):
+    """A lattice window's `points`, `mu`, FFT slots (`BoxConvolution.flat`)
+    and suppressed-pair slots equal what the tuple window and its index
+    dict gave; `window` and `index` are built only when read, and equal
+    `ball` and its enumeration; `slot` finds each vertex without them."""
+    model, x0, r = WINDOW_CASES[name]
+    fm = truncate(model, x0, r, mode)
+    assert "window" not in vars(fm) and "index" not in vars(fm)
+    window = model.ball(x0, r)
+    index = {v: i for i, v in enumerate(window)}
+    assert fm.points.dtype == np.int64
+    assert fm.points.tolist() == [list(v) for v in window]
+    assert np.array_equal(fm.mu, np.array([model.mu(v) for v in window]))
+    assert fm.mu.dtype == np.float64
+    corner = np.asarray(x0, dtype=np.int64) - r
+    coords = np.asarray(list(index), dtype=np.int64) - corner
+    assert np.array_equal(fm.action.flat, np.ravel_multi_index(
+        tuple(coords.T), fm.action.shape))
+    p = model.pair
+    want = (None if p is None or p[0] not in index or p[1] not in index
+            else (index[p[0]], index[p[1]], p[2]))
+    assert fm.action.pair == want
+    assert [fm.slot(v) for v in window] == list(range(len(window)))
+    for outside in (tuple(c + r + 1 for c in x0), x0 + (0,), x0[:-1]):
+        with pytest.raises(KeyError):
+            fm.slot(outside)
+    assert "window" not in vars(fm) and "index" not in vars(fm)
+    assert fm.window == window and fm.index == index
+    assert all(type(c) is int for c in fm.window[-1])
+
+
+def test_explicit_window_passes_its_own_lists(two_state):
+    model, _ = two_state
+    fm = truncate(model, "a", 1, REFLECTED)
+    assert fm.points is None and fm.action is None
+    assert fm.vertices == model.ball("a", 1) and fm.window is fm.vertices
+    assert fm.index == {"a": 0, "b": 1}
+    assert [fm.slot(v) for v in ("a", "b")] == [0, 1]
+    with pytest.raises(KeyError):
+        fm.slot("c")

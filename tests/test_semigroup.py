@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,11 @@ from scipy import stats
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from jumplab.errors import NoExit, TruncationBudgetExceeded
+from jumplab import harnack as H
+from jumplab import semigroup
+from jumplab.errors import NoExit, NumericalFailure, TruncationBudgetExceeded
 from jumplab.models import (
+    EXTERIOR_TRACKED,
     KILLED,
     LatticeModel,
     PolynomialKernel,
@@ -26,6 +30,7 @@ from jumplab.semigroup import (
     generator,
     heat_kernel,
     integrated_action,
+    TILE_COLS,
     step_operators,
 )
 from oracles import (
@@ -199,6 +204,35 @@ def test_step_operators_equal_the_per_column_series(kernel, d, r_win, dt):
     assert ops.err == e1 + e2
 
 
+def test_step_operators_write_S_over_the_sources():
+    """With out = sources, S is written over the source matrix, equal to the
+    S formed in a new array; at the window of `lab phi --d 2 --R 4` (289
+    states, 2,102 channels) the tracemalloc peak of the call is one chunk of
+    TILE_COLS columns and seven n x n arrays (Q, P, the identity, E, W and the
+    series' two buffers), below a second source matrix beside them."""
+    box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
+    fm = truncate(LatticeModel(d=2, kernel=PolynomialKernel(1.0)), box.x0,
+                  2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
+    sources = H._channels(fm, box.x0, H.LAM_EXT * 2 * box.R)[1]
+    n, k = sources.shape
+    assert (n, k) == (289, 2102)
+    dt = box.T / H.M_STEPS
+    fresh = step_operators(fm, dt, sources)
+    assert fresh.S is not sources
+    fm.rates  # the window's own rate matrix, built once before the trace
+    tracemalloc.start()
+    try:
+        ops = step_operators(fm, dt, sources, sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ops.S is sources
+    assert np.array_equal(ops.E, fresh.E) and ops.err == fresh.err
+    assert np.array_equal(ops.S, fresh.S)
+    assert peak <= 8 * (n * TILE_COLS + 7 * n * n)
+    assert peak < sources.nbytes + 4 * 8 * n * n
+
+
 def test_exit_time_vs_survival_quadrature(z1):
     fm = truncate(z1, (0,), 6, KILLED)
     u = expected_exit_time(fm)
@@ -337,6 +371,43 @@ def test_ive_literals(k, x, value):
     w = _ive(k, x)
     assert len(w) == k + 1
     assert w[k] == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-100, 1e-60, 1e-20])
+def test_ive_at_tiny_x_is_the_leading_term(x):
+    """Far below 1, ive(k, x) is (x/2)^k / k! e^-x to 4 ulp wherever that is
+    a normal double, and no weight is NaN or infinite: the backward
+    recurrence's factor 2k/x overflowed there (all NaN at x = 1e-60)."""
+    n = 31  # the first rung of a heat row's Chebyshev weights
+    w = _ive(n, x)
+    assert len(w) == n + 1 and np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    exp_minus_x = 1 - Fraction(x) + Fraction(x) ** 2 / 2  # to 1e-60 relative
+    normal = 0
+    for k in range(n + 1):
+        want = float(Fraction(x / 2) ** k / math.factorial(k) * exp_minus_x)
+        if want >= np.finfo(float).tiny:
+            normal += 1
+            assert abs(w[k] - want) <= 4 * math.ulp(want)
+        else:
+            assert w[k] <= np.finfo(float).tiny
+    assert normal >= 2
+
+
+def test_non_finite_chebyshev_weights_raise(monkeypatch):
+    """NaN weights never meet the tail test; they raise NumericalFailure at
+    once instead of doubling the series toward TERM_CAP."""
+    monkeypatch.setattr(semigroup, "_ive", lambda n, x: np.full(n + 1, np.nan))
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        _chebyshev_weights(1e-3, 1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-60, 1e-100, 1e-300])
+def test_heat_row_at_tiny_t_is_the_point_mass(z1, t):
+    fm = truncate(z1, (0,), 4, REFLECTED)
+    hk = heat_kernel(fm, (0,), t)
+    assert np.all(np.isfinite(hk.values)) and math.isfinite(hk.eps_poisson)
+    assert abs(hk.mass() - 1.0) <= 1e-10
+    assert hk.values[fm.slot((0,))] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_poisson_cutoff_is_tight():
