@@ -258,8 +258,7 @@ def _channels(fm: FiniteModel, x0, radius: float):
 
 
 def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
-                     sources: np.ndarray, labels: list,
-                     out: np.ndarray | None = None):
+                     sources: np.ndarray, labels: list):
     """Stream the cone generators through the box in one pass over the ages
     a = 0..m, reducing each age once.
 
@@ -270,16 +269,16 @@ def _scan_generators(fm: FiniteModel, box: HarnackBox, slots: np.ndarray,
     the slots, over mu.  Launches from step m/2 on show no step of Q-, so
     the sources launch at steps 0..m/2-1: their Q- reads ages [0, m/2) and
     their Q+ ages [m/4, m), and only those half-ball maxima and minima are
-    formed.  S is formed for the columns of `sources`, into `out` (which may
-    be `sources`, see `step_operators`), and the initial fields at `slots`
-    only.  The rows I[half] E^a come a block of ages at a time
-    (`_age_blocks`), as many as fit TILE_BYTES, and each family's values at
-    a block go into one buffer sized once per scan.  Returns (init, src,
+    formed.  S is formed for the columns of `sources`, written over them
+    (see `step_operators`), and the initial fields at `slots` only.  The
+    rows I[half] E^a come a block of ages at a time (`_age_blocks`), as many
+    as fit TILE_BYTES, and each family's values at a block go into one
+    buffer sized once per scan.  Returns (init, src,
     ops), the `_Family` of each kind and the step operators.
     """
     m = M_STEPS
     half = np.array(fm.ball_slots(box.x0, box.R / 2))
-    ops = step_operators(fm, box.T / m, sources, out)
+    ops = step_operators(fm, box.T / m, sources)
     n, h, mu = fm.n, len(half), fm.mu[slots]
     chunks, init_chunks = _chunks(ops.S.shape[1]), _chunks(len(slots))
     width = chunks[0].stop - chunks[0].start
@@ -419,7 +418,7 @@ def phi_constant(model: LatticeModel, box: HarnackBox) -> HarnackReport:
     # through the scan
     slots, sources, labels, inner, n_inner = _channels(fm, box.x0,
                                                        LAM_EXT * r_win)
-    init, src, ops = _scan_generators(fm, box, slots, sources, labels, sources)
+    init, src, ops = _scan_generators(fm, box, slots, sources, labels)
     first = src.take(inner)
     # `_ratio` yields no NaN, so these are `_collect`'s constants
     top = max(init.ratio.max(), 1.0)

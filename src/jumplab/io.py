@@ -273,30 +273,19 @@ def _cell(v) -> str:
 
 
 def _write_table(f, columns: dict) -> None:
-    """Write a table's header and rows, the rows one `_cell` per value, as
-    csv.writer(f, lineterminator="\n") writes them, CHUNK rows at a time.
+    """Write a table's header and rows, the rows one `_cell` per value, by
+    csv.writer(f, lineterminator="\n"), CHUNK rows at a time.
 
     A column of plain floats, ints and strings is formatted by str, which is
-    `_cell`'s text, without a Python call per value.  A chunk whose cells
-    hold no comma, quote, line break or NUL, and no one-column row is empty,
-    needs no quoting and is joined directly; any other goes through csv."""
+    `_cell`'s text, without a Python call per value."""
     out = csv.writer(f, lineterminator="\n")
     out.writerow(columns)
     cols = list(columns.values())
     fmt = [str if _PLAIN_CELLS.issuperset(map(type, c)) else _cell
            for c in cols]
     for r0 in range(0, min(map(len, cols)), CHUNK):
-        rows = list(zip(*(map(cell, c[r0:r0 + CHUNK])
-                          for cell, c in zip(fmt, cols))))
-        text = "\n".join(map(",".join, rows))
-        if (text.count(",") == len(rows) * (len(cols) - 1)
-                and text.count("\n") == len(rows) - 1
-                and not any(c in text for c in '"\r\0')
-                and ("",) not in rows):
-            f.write(text)
-            f.write("\n")
-        else:
-            out.writerows(rows)
+        out.writerows(zip(*(map(cell, c[r0:r0 + CHUNK])
+                            for cell, c in zip(fmt, cols))))
 
 
 def _point_cells(points: np.ndarray) -> list:

@@ -461,12 +461,12 @@ class StepOperators:
     err: float
 
 
-def step_operators(fm: FiniteModel, dt: float, sources: np.ndarray,
-                   out: np.ndarray | None = None) -> StepOperators:
+def step_operators(fm: FiniteModel, dt: float,
+                   sources: np.ndarray) -> StepOperators:
     """E and S on the grid step dt, for `sources`, an (n, k) matrix of
     nonnegative source rates on the window (such as the cone's columns that
-    `harnack._channels` builds).  S is written into `out`, which may be
-    `sources` itself, or into a new array if it is None.
+    `harnack._channels` builds).  S is written over `sources`, so a caller
+    that reads its sources again passes a copy.
 
     E = exp(dt Q) and W = int_0^dt exp(sQ) ds are summed on the n x n window
     in one pass over the powers P^j, each to its own cutoff: E's is that of
@@ -479,8 +479,8 @@ def step_operators(fm: FiniteModel, dt: float, sources: np.ndarray,
     S n^2 k, in place of K n^2 k for the series on the k columns.
 
     S is formed a chunk of at most TILE_COLS columns at a time through one
-    buffer, each chunk written over its columns of `out` after its GEMM has
-    read them, so with out = sources no second n x k matrix is held.
+    buffer, each chunk written over its columns of `sources` after its GEMM
+    has read them, so no second n x k matrix is held.
     """
     if fm.mode != EXTERIOR_TRACKED:
         raise ValueError("step operators need an exterior-tracked model")
@@ -492,10 +492,9 @@ def step_operators(fm: FiniteModel, dt: float, sources: np.ndarray,
     # max|sources| is its max, no entry being negative
     weights, err = _integral_weights(gen, dt, float(sources.max(initial=0.0)))
     E, W = _series(gen, np.eye(fm.n), (pmf, weights))
-    S = np.empty(sources.shape) if out is None else out
     chunks = _chunks(sources.shape[1])
     buf = np.empty(fm.n * chunks[0].stop)
     for c in chunks:
         prod = buf[:fm.n * (c.stop - c.start)].reshape(fm.n, -1)
-        S[:, c] = np.matmul(W, sources[:, c], out=prod)
-    return StepOperators(E=E, S=S, err=float(sf[-1]) + err)
+        sources[:, c] = np.matmul(W, sources[:, c], out=prod)
+    return StepOperators(E=E, S=sources, err=float(sf[-1]) + err)

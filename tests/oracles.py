@@ -109,7 +109,7 @@ def caloric_solve(fm, sources, initial, exterior_data, T: float,
            else exterior_data)
     rem = np.zeros(m_steps) if remainder_data is None else remainder_data
     data = np.column_stack([ext, rem])  # one column per channel, remainder last
-    ops = step_operators(fm, T / m_steps, sources)
+    ops = step_operators(fm, T / m_steps, sources.copy())
     values = np.empty((m_steps + 1, fm.n))
     values[0] = u = np.asarray(initial, dtype=float)
     for i in range(m_steps):
@@ -128,7 +128,7 @@ def duhamel_generators(fm, sources, T: float,
     remainder) for one grid step, by (step, channel): zero up to the launch
     step si, then S[:, c] at step si + 1, with S formed from `sources`.
     """
-    ops = step_operators(fm, T / m_steps, sources)
+    ops = step_operators(fm, T / m_steps, sources.copy())
     starts = [(0, np.diag(1.0 / fm.mu))]
     starts += [(si + 1, ops.S) for si in range(m_steps)]
     out = []
@@ -179,7 +179,7 @@ def scan_all(fm, sources, box):
     """(init, src): the `_Family` of each kind of one cone scan of the
     columns `sources` of fm's channels, the initial fields at the first slot
     of each window orbit, with no second annulus."""
-    return H._scan_generators(fm, box, H._representatives(fm), sources,
+    return H._scan_generators(fm, box, H._representatives(fm), sources.copy(),
                               channels(fm))[:2]
 
 

@@ -87,9 +87,12 @@ def old_table(columns: dict) -> str:
     return buf.getvalue()
 
 
+# csv before Python 3.11 refuses a NUL in a cell ("need to escape"), so
+# table text holds none
+TEXT = st.text(st.characters(exclude_characters="\x00"))
 CELLS = (FLOATS | st.integers() | st.booleans() | st.none()
-         | st.text() | st.sampled_from(["", ",", '"', 'a"b', "x,y", "a\nb",
-                                        "a\rb", " "])
+         | TEXT | st.sampled_from(["", ",", '"', 'a"b', "x,y", "a\nb",
+                                   "a\rb", " "])
          | st.tuples(st.integers(-9, 9), st.integers(-9, 9))
          | st.builds(np.float64, st.floats()))
 
@@ -98,12 +101,12 @@ CELLS = (FLOATS | st.integers() | st.booleans() | st.none()
 def tables(draw):
     width = draw(st.integers(1, 4))
     rows = draw(st.integers(0, 12))
-    names = draw(st.lists(st.text(), min_size=width, max_size=width,
+    names = draw(st.lists(TEXT, min_size=width, max_size=width,
                           unique=True))
     kinds = [draw(st.sampled_from(["floats", "strings", "cells"]))
              for _ in range(width)]
     pick = {"floats": FLOATS,
-            "strings": st.text() | st.sampled_from(["", ",", '"', "1,-2"]),
+            "strings": TEXT | st.sampled_from(["", ",", '"', "1,-2"]),
             "cells": CELLS}
     return {name: draw(st.lists(pick[kind], min_size=rows, max_size=rows))
             for name, kind in zip(names, kinds)}

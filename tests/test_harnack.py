@@ -112,7 +112,7 @@ def first_near_extreme(seen, col, sign):
 
 def fanout_scan(fm, sources, box):
     m = H.M_STEPS
-    ops = H.step_operators(fm, box.T / m, sources)
+    ops = H.step_operators(fm, box.T / m, sources.copy())
     E = ops.E
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = set(box.minus_steps()), set(box.plus_steps())
@@ -310,7 +310,7 @@ def full_window_collect(fm, sources, box):
     Only each age's half-ball extremes are kept for the ratios; the winner's
     column is read again for its witness steps and slots."""
     m = H.M_STEPS
-    ops = H.step_operators(fm, box.T / m, sources)
+    ops = H.step_operators(fm, box.T / m, sources.copy())
     half = fm.ball_slots(box.x0, box.R / 2)
     minus, plus = list(box.minus_steps()), list(box.plus_steps())
     times = np.linspace(0.0, box.T, m + 1)
@@ -439,7 +439,7 @@ def test_step_operators_are_equivariant(model, x0, R, order):
     `truncate`'s slot maps are these permutations of the window."""
     fm, sources = full_window(model, x0, 2 * R)
     maps = truncate(model, x0, 2 * R, EXTERIOR_TRACKED).slot_maps
-    ops = H.step_operators(fm, 1.0 / 16, sources)
+    ops = H.step_operators(fm, 1.0 / 16, sources.copy())
     ext = {v: i for i, v in enumerate(fm.exterior)}
     c = np.asarray(x0)
 
@@ -569,7 +569,7 @@ def test_age_blocks_match_sequential_steps(z1, block):
     """The age blocks equal I[half] E^a stepped one age at a time bit for
     bit, over 71 ages (so the last block of most sizes is short)."""
     fm = truncate(z1, (0,), 8, EXTERIOR_TRACKED)
-    E = H.step_operators(fm, 0.5, fm.kill[:, None]).E
+    E = H.step_operators(fm, 0.5, fm.kill[:, None].copy()).E
     half = np.array(fm.ball_slots((0,), 2))
     rows, ages = np.eye(fm.n)[half], 0
     for a0, stack in H._age_blocks(E, half, block, 71):
@@ -655,7 +655,7 @@ def test_scan_memory_below_two_age_arrays(monkeypatch, identity_group):
     box = H.HarnackBox(x0=(0, 0), R=2, alpha=1.0)
     fm, sources = orbit_window(z2, box.x0, 2 * box.R, 2 * H.LAM_EXT)
     assert (fm.n, len(channels(fm)), H.M_STEPS) == (81, 4145, 256)
-    ops = H.step_operators(fm, box.T / H.M_STEPS, sources)
+    ops = H.step_operators(fm, box.T / H.M_STEPS, sources.copy())
     monkeypatch.setattr(H, "step_operators", lambda *args: ops)
     args = (H._representatives(fm), sources, channels(fm))
     tracemalloc.start()

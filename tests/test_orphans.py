@@ -28,12 +28,7 @@ UNSET = {
 
 # "function.parameter": a default that every call in src/jumplab overrides,
 # so its default branch runs only under tests
-OVERRIDDEN = {
-    # semigroup, harnack: `phi_constant` has S written over its source
-    # matrix; tests that read their sources again get S in a new array
-    "step_operators.out",
-    "_scan_generators.out",
-}
+OVERRIDDEN = set()
 
 # "Class.field": a defaulted field of a dataclass or NamedTuple that no call
 # of its class in src/jumplab passes, so only tests can set it

@@ -194,7 +194,7 @@ def test_step_operators_equal_the_per_column_series(kernel, d, r_win, dt):
     relative of `integrated_action` on the source columns at every entry;
     err is the sum of the two series' certified errors, unchanged."""
     fm, sources = orbit_window(LatticeModel(d=d, kernel=kernel), (0,) * d, r_win)
-    ops = step_operators(fm, dt, sources)
+    ops = step_operators(fm, dt, sources.copy())
     gen = generator(fm)
     E, e1 = expm_action(gen, np.eye(fm.n), dt)
     S, e2 = integrated_action(gen, sources, dt)
@@ -205,11 +205,11 @@ def test_step_operators_equal_the_per_column_series(kernel, d, r_win, dt):
 
 
 def test_step_operators_write_S_over_the_sources():
-    """With out = sources, S is written over the source matrix, equal to the
-    S formed in a new array; at the window of `lab phi --d 2 --R 4` (289
-    states, 2,102 channels) the tracemalloc peak of the call is one chunk of
-    TILE_COLS columns and seven n x n arrays (Q, P, the identity, E, W and the
-    series' two buffers), below a second source matrix beside them."""
+    """S is written over the source matrix, equal to the S of a copy of it;
+    at the window of `lab phi --d 2 --R 4` (289 states, 2,102 channels) the
+    tracemalloc peak of the call is one chunk of TILE_COLS columns and seven
+    n x n arrays (Q, P, the identity, E, W and the series' two buffers),
+    below a second source matrix beside them."""
     box = H.HarnackBox(x0=(0, 0), R=4, alpha=1.0)
     fm = truncate(LatticeModel(d=2, kernel=PolynomialKernel(1.0)), box.x0,
                   2 * box.R, EXTERIOR_TRACKED, 2 * H.LAM_EXT)
@@ -217,12 +217,11 @@ def test_step_operators_write_S_over_the_sources():
     n, k = sources.shape
     assert (n, k) == (289, 2102)
     dt = box.T / H.M_STEPS
-    fresh = step_operators(fm, dt, sources)
-    assert fresh.S is not sources
+    fresh = step_operators(fm, dt, sources.copy())
     fm.rates  # the window's own rate matrix, built once before the trace
     tracemalloc.start()
     try:
-        ops = step_operators(fm, dt, sources, sources)
+        ops = step_operators(fm, dt, sources)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
