@@ -160,7 +160,9 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times,
 
     Full-graph kernels are approximated by killed kernels on a window about
     the origin; the window is doubled once and any probed value moving by
-    more than DOUBLING_MARGIN (relative) raises WindowUnconverged.
+    more than DOUBLING_MARGIN (relative) raises WindowUnconverged.  A probed
+    value at or below its window's certified error is rounding residue, not
+    a heat kernel value, and raises NumericalFailure.
     `metadata["eps_poisson"]` is the summed certified Chebyshev-series error of
     the kernel rows on both windows, a max-norm bound on each probed value.
     """
@@ -174,7 +176,13 @@ def check_hkp(model: LatticeModel, alpha: float, pairs, times,
         for t in times:
             p_small = rows1[(x, t)][fm1.slot(y)]
             p = rows2[(x, t)][fm2.slot(y)]
-            if p > 0 and abs(p - p_small) > DOUBLING_MARGIN * p:
+            for value, err in ((p_small, eps1), (p, eps2)):
+                if value <= err:
+                    raise NumericalFailure(
+                        f"p_t({x},{y}) at t={t} is {value:.3g}, within its "
+                        f"certified error {err:.3g}: the probe is not "
+                        f"resolved; use a larger t")
+            if abs(p - p_small) > DOUBLING_MARGIN * p:
                 raise WindowUnconverged(
                     f"p_t({x},{y}) at t={t} moved {abs(p - p_small) / p:.2%} "
                     f"when doubling the window from {r_win}")

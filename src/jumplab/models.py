@@ -34,7 +34,6 @@ except ImportError:
 from .errors import (
     DistanceUnreachable,
     DivergentTail,
-    NumericalFailure,
     WindowTooLarge,
 )
 
@@ -57,9 +56,6 @@ DENSE_BYTES = 1 << 30
 PAIR_CHUNK = 1 << 12
 # Shells tabulated term by term before the Hurwitz-zeta tail takes over.
 SHELL_HORIZON = 2 ** 16
-# Largest jump radius drawn: Z^2 shell counts (8s) and walker distances
-# (|x - x0| <= R + s) stay in int64.
-JUMP_RADIUS_CAP = 2 ** 59
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +356,7 @@ def radial_total(d: int, metric: str, kernel) -> tuple[float, float]:
     count(r) atom(r) for each ladder range.  The bound is TAIL_REL_BOUND
     times the power-law part.
 
-    The row sums and the walker's jump law (`RadialProfile.total`) read it.
+    The row sums and the walker's jump law (`TrajectorySampler.total`) read it.
     It is within an ulp of pi^2/3 on Z at alpha = 1; a running sum of the
     SHELL_HORIZON shells can round by up to about 7e-12, above
     TAIL_REL_BOUND, and there lands 1.3e-14 high."""
@@ -369,73 +365,6 @@ def radial_total(d: int, metric: str, kernel) -> tuple[float, float]:
     for r in kernel.ranges:
         total += float(shell_counts(d, metric, [r])[0]) * kernel.atom(r)
     return total, TAIL_REL_BOUND * power + 1e-300
-
-
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """The shell table of a radial lattice kernel's jump law, which the Monte
-    Carlo walker draws through.
-
-    `cum` sums the shell weights count(s) J(s), atoms included, over
-    s = 1..SHELL_HORIZON; `tail` is the exact Hurwitz-zeta rest, and `total`
-    is J(x, G) off any suppressed pair, taken from `radial_total`.
-    """
-
-    d: int
-    metric: str
-    expo: float
-    cum: np.ndarray
-    tail: float
-    total: float
-
-    def radii(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF shell radii for uniforms u in [0, total): a binary
-        search of the whole table up to the horizon; beyond it, the least s
-        with cumulative weight through s >= u, by doubling and bisection on
-        the zeta tail.  This is the reference: the Monte Carlo walker draws
-        through a table of buckets and sends here every draw whose bucket's
-        two edges do not share one step.
-
-        Raises NumericalFailure for a radius beyond JUMP_RADIUS_CAP: a draw
-        lands there with probability about 2 % at tail exponent 1.1 on Z,
-        and under 1e-14 at exponent 1.8."""
-        def through(s):
-            return self.total - shell_tail_sum(self.d, self.metric, self.expo, s + 1)
-        r = self.cum.searchsorted(u, side="right") + 1
-        if r.size and r.max() > SHELL_HORIZON:
-            for i in np.nonzero(r > SHELL_HORIZON)[0]:
-                lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
-                while through(hi) < u[i]:
-                    if hi >= JUMP_RADIUS_CAP:
-                        raise NumericalFailure(
-                            f"a jump radius beyond 2^59 = {JUMP_RADIUS_CAP} was "
-                            f"drawn: the kernel's tail exponent {self.expo} on "
-                            f"Z^{self.d} is too heavy to sample in int64")
-                    lo, hi = hi, 2 * hi
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if through(mid) >= u[i] else (mid, hi)
-                r[i] = hi
-        return r.astype(np.int64, copy=False)
-
-
-@functools.lru_cache(maxsize=8)
-def radial_profile(d: int, metric: str, kernel) -> RadialProfile:
-    """The `RadialProfile` of a polynomial or ladder kernel on Z^d, for the
-    walker; a sweep over many kernels keeps only the latest eight tables
-    (512 KiB each)."""
-    total = radial_total(d, metric, kernel)[0]  # raises if expo <= d
-    expo = kernel.exponent(d)
-    tail = shell_tail_sum(d, metric, expo, SHELL_HORIZON + 1)
-    radii = np.arange(1, SHELL_HORIZON + 1)
-    counts = shell_counts(d, metric, radii).astype(float)
-    weights = counts * radii.astype(float) ** (-expo)
-    for r in kernel.ranges:
-        weights[r - 1] += counts[r - 1] * kernel.atom(r)
-    cum = np.cumsum(weights)
-    cum.setflags(write=False)  # one cached table is shared by every caller
-    return RadialProfile(d=d, metric=metric, expo=expo, cum=cum, tail=tail,
-                         total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -645,12 +574,13 @@ class LatticeModel:
     def radial_values(self, dist: np.ndarray) -> np.ndarray:
         """The one radial law of `base_kernel`: s^(-e), plus the ladder atom at
         each range, per integer distance s > 0, and 0 at s = 0.  `J`,
-        `_pair_rates` and the window convolution agree bitwise through it."""
+        `_pair_rates`, the window convolution and the walker's shell table
+        agree bitwise through it.  The power is written in place, so 2^16
+        distances form no masked copies."""
         k = self.base_kernel
         dist = np.asarray(dist, dtype=float)
         out = np.zeros_like(dist)
-        pos = dist > 0
-        out[pos] = dist[pos] ** (-k.exponent(self.d))
+        np.power(dist, -k.exponent(self.d), out=out, where=dist > 0)
         for r in k.ranges:
             out[dist == r] += k.atom(r)
         return out

@@ -3,18 +3,19 @@
 The walker holds at x for an Exp(q_x) time with q_x = J(x,G)/mu_x (the row
 sum is tail-certified, not truncated) and then jumps to y with probability
 J(x,y)/J(x,G).  Jump radii are drawn by inverse CDF over the radial shells
-of the kernel's `RadialProfile` (exact shell weights up to a large horizon,
-certified analytic tail beyond), then a point uniform on the selected shell,
-so the jump law matches the kernel exactly.  On Z one uniform on
+of the kernel (the sampler's table of exact shell weights up to
+SHELL_HORIZON, count(s) times `LatticeModel.radial_values`; the certified
+Hurwitz-zeta tail beyond), then a point uniform on the selected shell, so
+the jump law matches the kernel exactly.  On Z one uniform on
 [0, 2 J(x,G)) makes the whole step, its top half holding the negative steps;
 on Z^2 one uniform on [0, J(x,G)) makes the radius.  The inverse CDF goes
 through one table of equal-mass buckets (Chen & Asau's indexed search,
 Devroye 1986, III.2.4): a bucket whose two edges give the same table-search
 step holds that step, and every draw in it takes it in one gather; a draw
 in any other bucket (several shells, the sign boundary, the analytic tail;
-about 1 % on the ladder) goes to the profile's full search.  A draw lies in
-the closed interval between its bucket's edges, so every step is exactly
-the table search's.  Trajectories never see a window;
+about 1 % on the ladder) goes to the full search, `TrajectorySampler.radii`.
+A draw lies in the closed interval between its bucket's edges, so every
+step is exactly the table search's.  Trajectories never see a window;
 only the observables are windowed, which avoids truncation bias in exit and
 hitting estimates.
 
@@ -53,12 +54,23 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .models import LadderKernel, LatticeModel, radial_profile
+from .errors import NumericalFailure
+from .models import (
+    SHELL_HORIZON,
+    LadderKernel,
+    LatticeModel,
+    radial_total,
+    shell_counts,
+    shell_tail_sum,
+)
 from .semigroup import TOL, _poisson_cutoff, _poisson_table
 
 STEP_CAP = 10_000_000
 DRAW_BUDGET = 1 << 15  # displacements drawn per block: m walkers x k jumps
 GUIDE_BUCKETS = 4096  # equal-mass draw-table buckets over [0, J(x, G))
+# Largest jump radius drawn: Z^2 shell counts (8s) and walker distances
+# (|x - x0| <= R + s) stay in int64.
+JUMP_RADIUS_CAP = 2 ** 59
 SUP_TERM_CAP = 256  # Poisson terms of the running-sup sum, ~2 K^3 flops
 _COS = np.array([1, 0, -1, 0])  # cos of q quarter turns; sin is _COS[q - 1]
 GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's Weyl increment, 2^64 / golden ratio
@@ -155,8 +167,14 @@ class TrajectorySampler:
         self.model = model
         _start(seed)  # refuses a seed outside [0, 2^64) before any walk
         self.seed = seed
-        self.profile = radial_profile(model.d, model.metric, model.base_kernel)
-        self.total = self.profile.total  # J(x, G) off the suppressed pair
+        d, metric = model.d, model.metric
+        # J(x, G) off the suppressed pair; a divergent kernel raises here,
+        # before the table is built
+        self.total = radial_total(d, metric, model.base_kernel)[0]
+        # The shell table: cum sums the shell weights count(s) J(s), atoms
+        # included, over s = 1..SHELL_HORIZON.
+        s = np.arange(1, SHELL_HORIZON + 1)
+        self.cum = cum = np.cumsum(shell_counts(d, metric, s) * model.radial_values(s))
         # The draw table: halves * G buckets over [0, halves * total), the
         # top half (on Z) for the negative steps.  A uniform x times
         # halves * G, a power of two, is exact, and its bucket b is the
@@ -165,14 +183,46 @@ class TrajectorySampler:
         # between e_b and e_{b+1}, the bucket's edges as rounded here.
         # Where both edges give the same signed step, every draw in the
         # bucket takes it, and _table[b] is that step; elsewhere it is 0.
-        halves = 2 if model.d == 1 else 1
-        cum = self.profile.cum
+        halves = 2 if d == 1 else 1
         edges = np.arange(halves * GUIDE_BUCKETS + 1) * (self.total / GUIDE_BUCKETS)
         neg = edges >= self.total
         i = cum.searchsorted(np.where(neg, edges - self.total, edges), side="right")
         code = np.where(i < len(cum), np.where(neg, -1, 1) * (i + 1), 0)
         self._table = np.where(code[:-1] == code[1:], code[:-1], 0)
         self._shift = 65 - len(self._table).bit_length()  # 64 - log2 len
+
+    def radii(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF shell radii for uniforms u in [0, total): a binary
+        search of the whole table up to the horizon; beyond it, the least s
+        with cumulative weight through s >= u, by doubling and bisection on
+        the zeta tail.  This is the reference: the walker draws through the
+        table of buckets and sends here every draw whose bucket's two edges
+        do not share one step.
+
+        Raises NumericalFailure for a radius beyond JUMP_RADIUS_CAP: a draw
+        lands there with probability about 2 % at tail exponent 1.1 on Z,
+        and under 1e-14 at exponent 1.8."""
+        d, metric = self.model.d, self.model.metric
+        expo = self.model.base_kernel.exponent(d)
+
+        def through(s):
+            return self.total - shell_tail_sum(d, metric, expo, s + 1)
+        r = self.cum.searchsorted(u, side="right") + 1
+        if r.size and r.max() > SHELL_HORIZON:
+            for i in np.nonzero(r > SHELL_HORIZON)[0]:
+                lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
+                while through(hi) < u[i]:
+                    if hi >= JUMP_RADIUS_CAP:
+                        raise NumericalFailure(
+                            f"a jump radius beyond 2^59 = {JUMP_RADIUS_CAP} was "
+                            f"drawn: the kernel's tail exponent {expo} on "
+                            f"Z^{d} is too heavy to sample in int64")
+                    lo, hi = hi, 2 * hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if through(mid) >= u[i] else (mid, hi)
+                r[i] = hi
+        return r.astype(np.int64, copy=False)
 
     # -- walker tests (points along the last axis) -----------------------------
 
@@ -223,7 +273,7 @@ class TrajectorySampler:
         """n i.i.d. draws of the unsuppressed jump law, as an (n, d) array.
 
         A uniform picks a bucket of the draw table; a draw in a bucket with
-        a step takes it, the others take `profile.radii` at their point u,
+        a step takes it, the others take `radii` at their point u,
         signed on Z by u >= total (u - total is exact, Sterbenz).  On Z^2 a
         direction uniform on the radius' shell completes the step.  A
         `SplitMix64` word gives its bucket by a shift; another generator
@@ -242,7 +292,7 @@ class TrajectorySampler:
         if len(miss):
             u = x * (self.total / GUIDE_BUCKETS)
             neg = u >= self.total
-            r = self.profile.radii(np.where(neg, u - self.total, u))
+            r = self.radii(np.where(neg, u - self.total, u))
             step[miss] = np.where(neg, -r, r)
         if self.model.d == 2:
             return self._directions(step, rng)

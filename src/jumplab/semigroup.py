@@ -5,16 +5,16 @@ All rates are uniformly bounded, so P = I + Q/Lam is substochastic and
 exp(tQ) is evaluated as a series in P with a certified truncation error.  Two
 series, one per kind of operand:
 
-- `expm_action` on a matrix and `integrated_action` take the Poisson
-  mixture (uniformization) sum_k pmf_k P^k V up to the least K whose tail
+- Matrices go through `step_operators`, which takes the Poisson mixture
+  (uniformization) sum_k pmf_k P^k V up to the least K whose tail
   sf(K, Lam t) meets tol, with the dense P (`_series`).  Its terms are
   nonnegative on nonnegative data, so the sum keeps the per-entry relative
-  accuracy the Harnack scans need.  The Harnack step operators sum E and
+  accuracy the Harnack scans need.  It sums E = exp(dt Q) and
   W = int_0^dt exp(sQ) ds on the n x n window in one pass over the powers
-  and take S = W sources by one GEMM (`step_operators`);
-  `integrated_action`, the same integral on the source columns, is the
-  tests' oracle for S, and `perfbench/layertrace.py` times it by name.
-- `expm_action` on a vector (heat-kernel rows, `check_hkp`) takes the
+  and takes S = W sources by one GEMM; `integrated_action`, the same
+  integral on the source columns, is the tests' oracle for S, and
+  `perfbench/layertrace.py` times it by name.
+- `expm_action` takes vectors only (heat-kernel rows, `check_hkp`), by the
   Chebyshev series exp(tQ) v = sum_k c_k T_k(P) v with c_0 = ive(0, Lam t) and
   c_k = 2 ive(k, Lam t), ive(k, x) = I_k(x) e^-x, about
   sqrt(2 Lam t ln(1/tol)) terms (Tal-Ezer & Kosloff, J. Chem. Phys. 81
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoExit, NumericalFailure, TruncationBudgetExceeded
-from .models import EXTERIOR_TRACKED, REFLECTED, FiniteModel
+from .models import REFLECTED, FiniteModel
 
 TERM_CAP = 1_000_000
 # Certified max-norm error each series is truncated to.
@@ -231,13 +231,11 @@ def _input_scale(V: np.ndarray, t: float) -> float:
     return float(np.abs(V).max()) if t != 0.0 and V.size else 0.0
 
 
-def _series(gen: GeneratorView, V: np.ndarray, weights):
-    """sum_k weights[k] P^k V with the dense P; for a tuple of weight
-    sequences, the tuple of their sums, from one pass over the powers.  P
-    work goes into two arrays in turn, and each weighted add through the one
-    the product has just freed, so a sum's bits do not depend on the other
-    sequences."""
-    sets = weights if isinstance(weights, tuple) else (weights,)
+def _series(gen: GeneratorView, V: np.ndarray, sets: tuple) -> tuple:
+    """The sums sum_k w[k] P^k V with the dense P, one per weight sequence
+    w of the tuple `sets`, from one pass over the powers.  P work goes into
+    two arrays in turn, and each weighted add through the one the product
+    has just freed, so a sum's bits do not depend on the other sequences."""
     accs = [w[0] * V for w in sets]
     work = V
     P, bufs = gen.P, (np.empty(V.shape), np.empty(V.shape))
@@ -246,7 +244,7 @@ def _series(gen: GeneratorView, V: np.ndarray, weights):
         for acc, w in zip(accs, sets):
             if i + 1 < len(w):
                 acc += np.multiply(w[i + 1], work, out=bufs[1 - i % 2])
-    return tuple(accs) if isinstance(weights, tuple) else accs[0]
+    return tuple(accs)
 
 
 def _chebyshev_series(gen: GeneratorView, v: np.ndarray, coef) -> np.ndarray:
@@ -267,20 +265,19 @@ def _chebyshev_series(gen: GeneratorView, v: np.ndarray, coef) -> np.ndarray:
 
 def expm_action(gen: GeneratorView, V: np.ndarray, t: float,
                 tol: float = TOL) -> tuple[np.ndarray, float]:
-    """(exp(tQ) V, certified max-norm error bound).
-
-    A vector takes the Chebyshev series, a matrix the Poisson mixture (see the
-    module docstring).  A negative t raises ValueError.
+    """(exp(tQ) V, certified max-norm error bound) for a vector V, by the
+    Chebyshev series (see the module docstring).  A negative t or a V that
+    is not a vector raises ValueError: matrices go through
+    `step_operators`, whose Poisson mixture keeps per-entry accuracy.
     """
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
     V = np.asarray(V, dtype=float)
+    if V.ndim != 1:
+        raise ValueError(f"expm_action takes a vector, got shape {V.shape}")
     scale = _input_scale(V, t)
     if scale == 0.0:
         return V.copy(), 0.0
-    if V.ndim == 2:
-        pmf, sf = _poisson_cutoff(gen.lam * t, tol / max(scale, 1e-300))
-        return _series(gen, V, pmf), float(sf[-1]) * scale
     # max|T_k(P) v| <= ||T_k(P) v||_mu / sqrt(min mu) <= ||v||_mu / sqrt(min mu)
     mu = gen.fm.mu
     bound = scale * float(np.sqrt(mu @ np.square(V / scale) / mu.min()))
@@ -316,7 +313,7 @@ def integrated_action(gen: GeneratorView, V: np.ndarray,
     if scale == 0.0:
         return np.zeros_like(V), 0.0
     weights, err = _integral_weights(gen, t, scale)
-    return _series(gen, V, weights), err
+    return _series(gen, V, (weights,))[0], err
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +467,7 @@ def step_operators(fm: FiniteModel, dt: float,
 
     E = exp(dt Q) and W = int_0^dt exp(sQ) ds are summed on the n x n window
     in one pass over the powers P^j, each to its own cutoff: E's is that of
-    `expm_action` on the identity, which it equals bitwise; W's takes
+    the Poisson mixture on the identity (scale 1); W's takes
     scale = max|sources|, as `integrated_action` does.  Then S = W sources
     is one GEMM of nonnegative matrices, so every entry keeps its relative
     accuracy.  The weight W leaves out is a nonnegative series whose row
@@ -482,8 +479,6 @@ def step_operators(fm: FiniteModel, dt: float,
     buffer, each chunk written over its columns of `sources` after its GEMM
     has read them, so no second n x k matrix is held.
     """
-    if fm.mode != EXTERIOR_TRACKED:
-        raise ValueError("step operators need an exterior-tracked model")
     if dt < 0:
         raise ValueError(f"need dt >= 0, got {dt}")
     gen = generator(fm)

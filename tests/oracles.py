@@ -18,7 +18,9 @@ from jumplab.models import (
     truncate,
 )
 from jumplab.semigroup import (
-    expm_action,
+    TOL,
+    _poisson_cutoff,
+    _series,
     generator,
     solve_generator,
     step_operators,
@@ -73,11 +75,21 @@ def channels(fm) -> list:
 # heat kernels
 # ---------------------------------------------------------------------------
 
+def poisson_mixture(gen, V, t: float, tol: float = TOL):
+    """(exp(tQ) V, certified max-norm error bound) for a matrix V: the
+    Poisson mixture sum_k pmf_k P^k V up to the least K whose tail
+    sf(K, Lam t) is at most tol / max|V|, the series `step_operators` sums
+    for E.  `expm_action` takes vectors, by the Chebyshev series."""
+    scale = float(np.abs(V).max())
+    pmf, sf = _poisson_cutoff(gen.lam * t, tol / max(scale, 1e-300))
+    return _series(gen, V, (pmf,))[0], float(sf[-1]) * scale
+
+
 def all_pairs_heat_kernel(fm, t: float) -> np.ndarray:
     """p_t(x, y) for every pair of window vertices, indexed [x, y]: the
     Poisson mixture on the identity, over mu_y.  `heat_kernel` gives one
     row, by the Chebyshev series."""
-    return expm_action(generator(fm), np.eye(fm.n), t)[0] / fm.mu
+    return poisson_mixture(generator(fm), np.eye(fm.n), t)[0] / fm.mu
 
 
 # ---------------------------------------------------------------------------

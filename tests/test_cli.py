@@ -656,6 +656,15 @@ def test_suppressed_requires_positive_t_probe(capsys, t):
     assert "param 't_probe': need a positive time" in capsys.readouterr().err
 
 
+def test_suppressed_unresolved_t_probe_is_refused(capsys):
+    """At t_probe = 1e-7 the suppressed pair's heat kernel value is below
+    the series' certified error: the run exits 2 naming that error, not a
+    window that moved 300 % on doubling."""
+    assert main(["cex", "suppressed", "--radii", "8", "--t-probe", "1e-7"]) == 2
+    err = capsys.readouterr().err
+    assert "certified error" in err and "doubling" not in err
+
+
 @pytest.mark.parametrize("d", [0, -1])
 @pytest.mark.parametrize("experiment", [
     exp for exp, table in PARAMS.items() if "d" in table])

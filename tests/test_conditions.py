@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from jumplab import conditions as cond
-from jumplab.errors import WindowUnconverged
+from jumplab.errors import NumericalFailure, WindowUnconverged
 from jumplab.io import jsonable
 from jumplab.models import (
     LadderKernel,
@@ -284,6 +284,34 @@ def test_suppressed_lhkp_collapse():
     rs = cond.check_hkp(supp, 1.0, [((0,), (8,))], times=[t],
                         r_win=64).metadata["rows"][0]["ratio"]
     assert rs / rb <= 0.01
+
+
+SUPPRESSED_8 = LatticeModel(d=1, kernel=SuppressedPairKernel(
+    base=PolynomialKernel(1.0), x0=(0,), y0=(8,)))
+
+
+def test_unresolved_probe_raises_numerical_failure():
+    """At t = 1e-7 the Chebyshev rows stop at one term, which leaves out the
+    suppressed pair's two-jump value: the probe reads rounding residue
+    (1.4e-24 and 3.5e-25 in the two windows) below its certified error
+    (2.7e-14), and is refused as unresolved, not as a window that moved."""
+    with pytest.raises(NumericalFailure) as e:
+        cond.check_hkp(SUPPRESSED_8, 1.0, [((0,), (8,))], times=[1e-7], r_win=64)
+    msg = str(e.value)
+    assert msg.startswith("p_t((0,),(8,)) at t=1e-07 is 1.39e-24, within its "
+                          "certified error 2.71e-14")
+    assert "use a larger t" in msg
+
+
+def test_resolved_probe_rows_unchanged():
+    """At t = 3e-7 the probe, 4.6e-15, is far above its certified error
+    (4.0e-20): the rows are those the check gave before it refused
+    unresolved probes."""
+    rep = cond.check_hkp(SUPPRESSED_8, 1.0, [((0,), (8,))], times=[3e-7],
+                         r_win=64)
+    assert rep.metadata["rows"] == [
+        {"x": (0,), "y": (8,), "t": 3e-7, "p": 4.560440356884945e-15,
+         "bound": 2.2058823529411765e-09, "ratio": 2.0673996284545084e-06}]
 
 
 # ---------------------------------------------------------------------------

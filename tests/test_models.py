@@ -32,7 +32,6 @@ from jumplab.models import (
     _pair_rates,
     hurwitz_zeta,
     model_from_dict,
-    radial_profile,
     shell_counts,
     shell_tail_sum,
     truncate,
@@ -485,6 +484,8 @@ def explicit_radial_values(d, kernel, dist):
 
 @pytest.mark.parametrize("d, metric, kernel", KERNEL_LAW_CASES)
 def test_kernel_law_bitwise_equals_explicit_formulas(d, metric, kernel):
+    """J and `radial_values`, whose power is written in place, against the
+    law written out with fancy-index copies, bit for bit."""
     m = LatticeModel(d=d, metric=metric, kernel=kernel)
     x = (0,) * d
     ys = ([(s,) for s in range(1, 300)] if d == 1 else
@@ -493,9 +494,13 @@ def test_kernel_law_bitwise_equals_explicit_formulas(d, metric, kernel):
         if y != x:
             assert m.J(x, y) == explicit_radial_values(d, kernel,
                                                        [m.distance(x, y)])[0]
-    dist = np.arange(300).reshape(3, 100)
-    assert np.array_equal(m.radial_values(dist),
-                          explicit_radial_values(d, kernel, dist))
+    # the walker's shell distances 0..2^16 and the offset grid of a Z^2 FFT
+    # box, min(i, 64 - i) per axis
+    offset = np.minimum(np.arange(64), 64 - np.arange(64))
+    grid = (np.maximum if metric == "linf" else np.add)(offset[:, None], offset)
+    for dist in (np.arange(300).reshape(3, 100), np.arange(2 ** 16 + 1), grid):
+        assert np.array_equal(m.radial_values(dist),
+                              explicit_radial_values(d, kernel, dist))
 
 
 def test_row_sum_region_splits():
@@ -692,12 +697,11 @@ def test_exterior_tracked_sources_peak():
     """The doubled annulus of `lab phi --d 2 --R 4`, truncated and given its
     cone's source columns (`harnack._channels`), holds that matrix once:
     tracemalloc's peak over both stays within 1.5 times the matrix.  J(x, G)
-    comes in closed form, computed inside the traced span, and no radial
-    table is built.  The columns of the orbits' first vertices equal the
-    whole annulus' bitwise, and both remainders (the doubled annulus' and
-    the first annulus') match it within 1e-12 relative."""
+    comes in closed form, computed inside the traced span.  The columns of
+    the orbits' first vertices equal the whole annulus' bitwise, and both
+    remainders (the doubled annulus' and the first annulus') match it
+    within 1e-12 relative."""
     z2 = LatticeModel(d=2)
-    radial_profile.cache_clear()
     models.radial_total.cache_clear()
     tracemalloc.start()
     try:
@@ -707,7 +711,6 @@ def test_exterior_tracked_sources_peak():
     finally:
         tracemalloc.stop()
     assert models.radial_total.cache_info().misses == 1
-    assert radial_profile.cache_info().misses == 0
     assert peak <= 1.5 * sources.nbytes
     exterior, full = full_sources(z2, (0, 0), 8, 8.0)
     cols = [exterior.index(w) for w in fm.exterior]

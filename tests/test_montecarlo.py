@@ -7,9 +7,8 @@ import pytest
 from scipy import stats
 
 from jumplab import montecarlo as mc
-from jumplab.errors import NumericalFailure, TruncationBudgetExceeded
+from jumplab.errors import DivergentTail, NumericalFailure, TruncationBudgetExceeded
 from jumplab.models import (
-    JUMP_RADIUS_CAP,
     KILLED,
     LadderKernel,
     LatticeModel,
@@ -95,7 +94,7 @@ def test_d2_shell_uniformity(metric, npts):
     pts = s._displacements(draws, np.random.default_rng(2))
     # the helper's radii come from its first `draws` uniforms: every point
     # lies exactly on the shell it was drawn for
-    radii = s.profile.radii(np.random.default_rng(2).random(draws) * s.total)
+    radii = s.radii(np.random.default_rng(2).random(draws) * s.total)
     assert (m.norm(pts) == radii).all()
     pts = pts[radii == 2]  # the radius-2 shell of the jump law
     n = len(pts)
@@ -226,7 +225,7 @@ def test_sampler_tables_bitwise_equal_explicit_formulas(d, metric, kernel, y0):
         d=d, metric=metric, kernel=SuppressedPairKernel(kernel, x0, y0)), 0)
     for sampler in (plain, supp):
         assert sampler.total == total
-        assert np.array_equal(sampler.profile.cum[:300], cum[:300])
+        assert np.array_equal(sampler.cum[:300], cum[:300])
     q, _ = supp.model.row_sums_all(np.array([x0, y0, (7,) * d]))
     assert q[0] == total - pair and q[1] == total - pair and q[2] == total
 
@@ -329,11 +328,14 @@ def test_unsupported_dimensions():
 # jump done, a suppressed-pair jump, or the estimand's stop).  The driver must
 # reach the same events, so its results are compared with ==.
 
-def tail_radius(prof, u):
+def tail_radius(sampler, u):
     """Smallest s with cumulative weight through s >= u, beyond the horizon,
     by doubling and then bisection on the zeta tail."""
+    m = sampler.model
+
     def cum_through(s):
-        return prof.total - shell_tail_sum(prof.d, prof.metric, prof.expo, s + 1)
+        return sampler.total - shell_tail_sum(
+            m.d, m.metric, m.base_kernel.exponent(m.d), s + 1)
     lo, hi = SHELL_HORIZON, 2 * SHELL_HORIZON
     while cum_through(hi) < u:
         lo, hi = hi, 2 * hi
@@ -629,29 +631,29 @@ class ForcedUniforms:
     PolynomialKernel(1.0), LadderKernel(alpha=1.5, ranges=(16, 64, 256))])
 def test_jump_tail_radius_on_z(kernel):
     """Uniforms in the analytic tail beyond SHELL_HORIZON go through the
-    profile's tail bisection, and agree with the table search and the
+    sampler's tail bisection, and agree with the table search and the
     reference bisection."""
     s = mc.TrajectorySampler(LatticeModel(d=1, kernel=kernel), seed=0)
-    head = s.profile.cum[-1] / s.total
+    head = s.cum[-1] / s.total
     u = np.array([0.25, head + (1 - head) / 3, 0.999, 1 - (1 - head) / 7])
     u = np.concatenate([u / 2, 0.5 + u / 2])  # positive steps, then negative
     got = s._displacements(8, ForcedUniforms(u, 8))[:, 0]
     v = u * (2 * s.total)
     neg = v >= s.total
     v = np.where(neg, v - s.total, v)
-    want = np.searchsorted(s.profile.cum, v, side="right") + 1
-    want = [tail_radius(s.profile, float(w)) if r > SHELL_HORIZON else r
+    want = np.searchsorted(s.cum, v, side="right") + 1
+    want = [tail_radius(s, float(w)) if r > SHELL_HORIZON else r
             for r, w in zip(want, v)]
     assert got.tolist() == np.where(neg, -np.array(want), want).tolist()
     assert neg.tolist() == [False] * 4 + [True] * 4
     assert (np.abs(got) > SHELL_HORIZON).tolist() == [False, True, False, True] * 2
 
 
-def table_radii(prof, w):
+def table_radii(sampler, w):
     """The table search's radii: searchsorted up to the horizon, the
     reference bisection beyond it."""
-    r = prof.cum.searchsorted(w, side="right") + 1
-    return [tail_radius(prof, float(x)) if ri > SHELL_HORIZON else int(ri)
+    r = sampler.cum.searchsorted(w, side="right") + 1
+    return [tail_radius(sampler, float(x)) if ri > SHELL_HORIZON else int(ri)
             for ri, x in zip(r, w)]
 
 
@@ -677,7 +679,7 @@ def test_draw_table_holds_steps_shared_by_both_edges(d, metric, kernel):
     assert len(s._table) == halves * g
     e = np.arange(halves * g + 1) * (total / g)
     neg = e >= total
-    r = s.profile.cum.searchsorted(np.where(neg, e - total, e), side="right") + 1
+    r = s.cum.searchsorted(np.where(neg, e - total, e), side="right") + 1
     step = np.where(r > SHELL_HORIZON, 0, np.where(neg, -r, r))  # 0: past the table
     lo, hi = step[:-1], step[1:]
     held = s._table != 0
@@ -695,15 +697,17 @@ def test_guided_radii_equal_table_search(d, metric, kernel):
     itself."""
     model = LatticeModel(d=d, metric=metric, kernel=kernel)
     s = mc.TrajectorySampler(model, seed=0)
-    prof, total, g = s.profile, s.total, mc.GUIDE_BUCKETS
+    cum, total, g = s.cum, s.total, mc.GUIDE_BUCKETS
+    # the mass past the horizon
+    tail = shell_tail_sum(d, metric, kernel.exponent(d), SHELL_HORIZON + 1)
     # the first G + 1 shells, and on to the last one that outweighs half a
     # bucket, so could hold a whole one
-    heavy = np.flatnonzero(np.diff(prof.cum, prepend=0.0) > total / (2 * g))
+    heavy = np.flatnonzero(np.diff(cum, prepend=0.0) > total / (2 * g))
     last = max(g, int(heavy[-1])) + 1
     halves = 2 if d == 1 else 1
     span = halves * total  # a draw is u * span
-    shells = np.concatenate([prof.cum[:last + 1],  # then the horizon and the tail
-                             [prof.cum[-1], prof.cum[-1] + prof.tail / 2]])
+    shells = np.concatenate([cum[:last + 1],  # then the horizon and the tail
+                             [cum[-1], cum[-1] + tail / 2]])
     v = np.concatenate([np.arange(halves * g + 1) * (total / g),
                         *(h * total + shells for h in range(halves))])
     v = np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
@@ -715,10 +719,10 @@ def test_guided_radii_equal_table_search(d, metric, kernel):
     assert np.isin(v[v < span], w).mean() > 0.9
     neg = w >= total
     w = np.where(neg, w - total, w)  # exact: Sterbenz
-    assert (w > prof.cum[-1]).sum() >= 2 * halves
+    assert (w > cum[-1]).sum() >= 2 * halves
     assert neg.any() == (d == 1) and (~neg).sum() > g
-    want = np.array(table_radii(prof, w), dtype=object)
-    ok = want <= JUMP_RADIUS_CAP
+    want = np.array(table_radii(s, w), dtype=object)
+    ok = want <= mc.JUMP_RADIUS_CAP
     pts = s._displacements(int(ok.sum()), ForcedUniforms(u[ok], 8))
     got = pts[:, 0] if d == 1 else model.norm(pts)
     assert got.tolist() == np.where(neg, -want, want)[ok].tolist()
@@ -726,6 +730,21 @@ def test_guided_radii_equal_table_search(d, metric, kernel):
         with pytest.raises(NumericalFailure, match="2\\^59"):
             s._displacements(1, ForcedUniforms([f], 8))
     assert ok.all() == (kernel.alpha >= 1.0)
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 0.0), (2, -0.5)])
+def test_divergent_kernel_refused_before_the_table(d, alpha):
+    """A kernel with alpha <= 0 has no finite J(x, G): the sampler raises
+    DivergentTail before it builds its 512 KiB shell table."""
+    model = LatticeModel(d=d, kernel=PolynomialKernel(alpha))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DivergentTail):
+            mc.TrajectorySampler(model, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 << 10
 
 
 def test_heavy_tail_raises_numerical_failure():
@@ -750,7 +769,7 @@ def test_heavy_tail_raises_numerical_failure():
 ], ids=["ladder-hit", "z1-exit", "z2-l1-exit"])
 def test_walker_pinned(model, seed, run, estimate, se):
     """Estimates pinned with ==, as the one-generator walk gave them with
-    every radius taken from `RadialProfile.radii` on the same words, and the
+    every radius taken from `TrajectorySampler.radii` on the same words, and the
     hold rates from the closed-form J(x, G): the per-walker loops above
     share the displacement helper, so they cannot catch a change in the
     draws themselves."""
@@ -857,7 +876,7 @@ def test_word_buckets_equal_the_uniforms_floor(monkeypatch, d, metric, kernel):
     edge, the shifted word's bucket is _table[int(x len)] and each miss
     point u is the product x len (total / G) at x = (w >> 11) 2^-53, bit
     for bit: the word path and the uniform path send the same points to
-    `RadialProfile.radii` and draw the same radii."""
+    `TrajectorySampler.radii` and draw the same radii."""
     s = mc.TrajectorySampler(LatticeModel(d=d, metric=metric, kernel=kernel), 0)
     size = len(s._table)
     edges = np.arange(1, size, dtype=np.uint64) << np.uint64(s._shift)
@@ -867,13 +886,13 @@ def test_word_buckets_equal_the_uniforms_floor(monkeypatch, d, metric, kernel):
     step = s._table[(x * size).astype(np.intp)]
     assert np.array_equal(s._table[w >> s._shift], step)
     points = []
-    radii = type(s.profile).radii
+    radii = mc.TrajectorySampler.radii
 
-    def spy(profile, u):
+    def spy(sampler, u):
         points.append(u.copy())
-        return radii(profile, u)
+        return radii(sampler, u)
 
-    monkeypatch.setattr(type(s.profile), "radii", spy)
+    monkeypatch.setattr(mc.TrajectorySampler, "radii", spy)
     by_word = s._displacements(len(w), GivenWords(w, 1))
     by_uniform = s._displacements(len(w), ForcedUniforms(x, 1))
     miss = step == 0

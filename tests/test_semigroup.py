@@ -39,6 +39,7 @@ from oracles import (
     full_window,
     harmonic_extension,
     orbit_window,
+    poisson_mixture,
 )
 
 
@@ -97,6 +98,15 @@ def test_wide_split_long_time(z1):
     fm = truncate(z1, (0,), 20, REFLECTED)
     values = all_pairs_heat_kernel(fm, 50.0)
     assert np.max(np.abs(values - dense_oracle(fm, 50.0))) < 1e-9
+
+
+def test_expm_action_refuses_a_matrix(z1):
+    """`expm_action` takes vectors only: on a matrix `GeneratorView.apply_Q`
+    would divide by mu along the wrong axis, so a 2-D operand raises."""
+    fm = truncate(z1, (0,), 4, KILLED)
+    for V in (np.eye(fm.n), np.ones((fm.n, 1))):
+        with pytest.raises(ValueError, match="takes a vector"):
+            expm_action(generator(fm), V, 1.0)
 
 
 @pytest.mark.parametrize("x", [(0,), None], ids=["vector", "matrix"])
@@ -189,14 +199,14 @@ def test_integrated_action_vs_dense_oracle(z1, t):
     (PolynomialKernel(1.5), 2, 4, 2.0),
 ])
 def test_step_operators_equal_the_per_column_series(kernel, d, r_win, dt):
-    """E, summed beside W in one pass over the powers, is `expm_action` on
-    the identity bit for bit; S = W sources is nonnegative and within 1e-13
+    """E, summed beside W in one pass over the powers, is the Poisson
+    mixture on the identity bit for bit; S = W sources is nonnegative and within 1e-13
     relative of `integrated_action` on the source columns at every entry;
     err is the sum of the two series' certified errors, unchanged."""
     fm, sources = orbit_window(LatticeModel(d=d, kernel=kernel), (0,) * d, r_win)
     ops = step_operators(fm, dt, sources.copy())
     gen = generator(fm)
-    E, e1 = expm_action(gen, np.eye(fm.n), dt)
+    E, e1 = poisson_mixture(gen, np.eye(fm.n), dt)
     S, e2 = integrated_action(gen, sources, dt)
     assert np.array_equal(ops.E, E)
     assert np.all(ops.S >= 0.0) and np.all(S > 0.0)
@@ -429,7 +439,7 @@ def test_term_cap_raises_before_allocating(z1):
     try:
         for call in (lambda: _poisson_cutoff(3.3e7, 1e-12),
                      lambda: _chebyshev_weights(1e11, 1e-12),
-                     lambda: expm_action(gen, np.eye(fm.n), 3.3e7 / gen.lam),
+                     lambda: poisson_mixture(gen, np.eye(fm.n), 3.3e7 / gen.lam),
                      lambda: integrated_action(gen, np.ones(fm.n), 3.3e7 / gen.lam),
                      lambda: expm_action(gen, np.ones(fm.n), 1e11 / gen.lam)):
             with pytest.raises(TruncationBudgetExceeded):
